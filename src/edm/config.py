@@ -215,8 +215,8 @@ class SimConfig:
         if self.faults:
             from edm.faults import FaultPlan
 
-            plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
-            object.__setattr__(self, "faults", plan.spec)
+            fault_plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
+            object.__setattr__(self, "faults", fault_plan.spec)
         if self.endurance:
             from edm.endurance import EnduranceModel
 
@@ -239,14 +239,14 @@ class SimConfig:
             from edm.spec import SpecError
             from edm.topology import TopologyPlan
 
-            plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
-            object.__setattr__(self, "topology", plan.spec)
+            topo_plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
+            object.__setattr__(self, "topology", topo_plan.spec)
             if self.service:
                 from edm.service import ServiceModel
 
                 svc = ServiceModel.parse(self.service)
                 if svc.default_rate is None:
-                    for ev in plan.adds:
+                    for ev in topo_plan.adds:
                         if ev.rate is None:
                             raise SpecError(
                                 f"topology event {ev.render()!r} adds OSDs "
@@ -265,28 +265,32 @@ class SimConfig:
             # A placement group needs `width` distinct live OSDs for its
             # whole lifetime; catch plans that provably shrink the cluster
             # below that at config time rather than mid-run.
-            if self.faults:
-                from edm.faults import FaultPlan
-
-                plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
-                survivors = self.num_osds - len(plan.failures)
-                if survivors < width:
-                    raise SpecError(
-                        f"redundancy scheme {self.redundancy!r} needs "
-                        f"{width} distinct OSDs per group, but fault plan "
-                        f"{self.faults!r} leaves only {survivors} of "
-                        f"{self.num_osds} alive"
-                    )
+            failed = {ev.osd for ev in fault_plan.failures} if self.faults else set()
+            survivors = self.num_osds - len(failed)
+            if survivors < width:
+                raise SpecError(
+                    f"redundancy scheme {self.redundancy!r} needs "
+                    f"{width} distinct OSDs per group, but fault plan "
+                    f"{self.faults!r} leaves only {survivors} of "
+                    f"{self.num_osds} alive"
+                )
             if self.topology:
-                from edm.topology import TopologyPlan
-
-                plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
-                final = plan.final_osds(self.num_osds)
+                final = topo_plan.final_osds(self.num_osds)
                 if final < width:
                     raise SpecError(
                         f"redundancy scheme {self.redundancy!r} needs "
                         f"{width} distinct OSDs per group, but topology plan "
                         f"{self.topology!r} drains the cluster down to {final}"
+                    )
+                # Both plans together; a drive that fails and drains leaves once.
+                total = topo_plan.max_osds(self.num_osds)
+                left = total - len(failed | {ev.osd for ev in topo_plan.drains})
+                if failed and left < width:
+                    raise SpecError(
+                        f"redundancy scheme {self.redundancy!r} needs {width} "
+                        f"distinct OSDs per group, but fault plan {self.faults!r} "
+                        f"and topology plan {self.topology!r} together leave "
+                        f"only {left} of {total} alive"
                     )
 
     @property

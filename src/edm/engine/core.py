@@ -44,8 +44,11 @@ placement groups (replica or erasure-code stripes, see
 initial placement is round-robin, every destination pick is
 group-constrained, and a failed OSD's chunks are *reconstructed* -- reads
 charged to surviving group members' service queues, the rebuild write
-charged as migration wear -- instead of merely re-placed.  Plain configs
-carry no group state and skip every constraint check.
+charged as migration wear -- instead of merely re-placed.  A constrained
+burst builds one group-owner matrix and one frozen-term scorer, then masks
+each chunk's candidates out of a single score vector per pick; the
+reconstruction charge is one pass over the same member matrix.  Plain
+configs carry no group state and skip every constraint check.
 
 With a service model configured (``cfg.service``), every OSD additionally
 carries a service rate and a bounded queue: after each kernel call the
@@ -75,7 +78,7 @@ from edm.faults import FaultPlan, FaultRuntime, effective_load
 from edm.obs.decisions import Decision
 from edm.obs.trace import NULL_TRACER, Tracer
 from edm.policies import MigrationPolicy, get_policy
-from edm.policies.base import group_constrained
+from edm.policies.base import candidate_positions, destination_picker, owns_scoring
 from edm.redundancy import RedundancyRuntime, RedundancyScheme
 from edm.service import ServiceModel, ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
@@ -137,57 +140,6 @@ def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> 
 _MAX_BATCH_ROUND = 2048
 
 
-def _supports_batch_destinations(policy: MigrationPolicy) -> bool:
-    """True when the policy's batch scoring provably matches its scalar pick.
-
-    The batched re-placement below replays ``pick_destination`` row-by-row
-    through ``pick_destination_batch``; that is only sound when the class
-    that defines the effective batch variant knows the effective scalar
-    scoring -- i.e. it is the same class that defines ``pick_destination``,
-    or a subclass of it (our built-ins pair them in one class).  A subclass
-    overriding only the scalar method would otherwise silently replay an
-    ancestor's batch scoring; it falls back to the exact sequential loop.
-    """
-    scalar_owner = batch_owner = None
-    for klass in type(policy).__mro__:
-        # The effective scalar scoring is whichever of pick_destination /
-        # destination_terms sits deepest in the MRO: the base pick routes
-        # through destination_terms, so overriding only the terms changes
-        # the scalar scoring just as surely as overriding the pick itself.
-        if scalar_owner is None and (
-            "pick_destination" in vars(klass) or "destination_terms" in vars(klass)
-        ):
-            scalar_owner = klass
-        if batch_owner is None and "pick_destination_batch" in vars(klass):
-            batch_owner = klass
-    if scalar_owner is None or batch_owner is None:
-        return False
-    return issubclass(batch_owner, scalar_owner)
-
-
-def _assign_replacements_loop(
-    order: np.ndarray,
-    proj: np.ndarray,
-    alive_ids: np.ndarray,
-    policy: MigrationPolicy,
-    state: ClusterState,
-    cfg: SimConfig,
-) -> np.ndarray:
-    """Reference destination assignment: one ``pick_destination`` per chunk.
-
-    The semantic ground truth the batched path must reproduce bit-for-bit
-    (tests/test_kernels.py pins them against each other), and the fallback
-    for policies whose scoring the batch path cannot prove equivalent.
-    """
-    cap = state.osd_capacity
-    dsts = np.empty(order.size, dtype=np.int64)
-    for k, chunk in enumerate(order):
-        dst = policy.pick_destination(alive_ids, proj, state, cfg)
-        dsts[k] = dst
-        proj[dst] += state.chunk_heat[chunk] / cap[dst]
-    return dsts
-
-
 def _assign_replacements_batched(
     order: np.ndarray,
     proj: np.ndarray,
@@ -238,69 +190,51 @@ def _assign_replacements_batched(
     return dsts
 
 
-def _assign_replacements_explained(
+def _assign_sequential(
     order: np.ndarray,
     proj: np.ndarray,
     alive_ids: np.ndarray,
     policy: MigrationPolicy,
     state: ClusterState,
     cfg: SimConfig,
-    dead_osd: int,
-    emit,
+    forbid: np.ndarray | None = None,
+    emit=None,
 ) -> np.ndarray:
-    """Sequential assignment that also reports each pick's score terms.
+    """Greedy assignment one chunk at a time, hottest first.
 
-    The explained re-placement path: picks through
-    ``explain_destination`` (the argmin of the same folded terms the plain
-    pick computes, so destinations are bit-identical to the loop -- and the
-    loop is pinned bit-identical to the batched path) and emits one decision
-    per re-placed chunk.
+    One :func:`~edm.policies.base.destination_picker` serves the burst: its
+    scorer (static terms frozen) scores all of ``alive_ids`` per chunk and
+    the chunk's keep-mask subsets it, bit-identical to scoring the subset.
+    ``forbid`` (redundant configs) holds, per chunk, the owners of its group
+    members; one matrix serves the burst because ``chunk_owner`` is frozen
+    until :func:`apply_migrations` and no two burst chunks share a group.
+    ``emit(chunk, dst, candidates, terms, scores)`` explains each pick.
     """
-    cap = state.osd_capacity
-    dsts = np.empty(order.size, dtype=np.int64)
-    for k, chunk in enumerate(order):
-        dst, terms, scores = policy.explain_destination(alive_ids, proj, state, cfg)
-        emit(int(chunk), int(dead_osd), dst, alive_ids, terms, scores)
-        dsts[k] = dst
-        proj[dst] += state.chunk_heat[chunk] / cap[dst]
-    return dsts
-
-
-def _assign_replacements_grouped(
-    order: np.ndarray,
-    proj: np.ndarray,
-    alive_ids: np.ndarray,
-    policy: MigrationPolicy,
-    state: ClusterState,
-    cfg: SimConfig,
-    dead_osd: int,
-    emit,
-) -> np.ndarray:
-    """Sequential assignment under the redundancy spread constraint.
-
-    Each chunk's candidate set excludes OSDs already holding a member of its
-    placement group, so the set varies per chunk and the prefix-replay trick
-    of the batched path does not apply.  The burst can never create an
-    intra-burst conflict: the spread invariant guarantees at most one chunk
-    per group lives on ``dead_osd``, so no two chunks in ``order`` share a
-    group.  With ``emit`` set, each pick is explained over its constrained
-    candidate set.
-    """
-    cap = state.osd_capacity
-    dsts = np.empty(order.size, dtype=np.int64)
-    for k, chunk in enumerate(order):
-        cand = group_constrained(alive_ids, state, int(chunk))
-        if cand.size == 0:
+    pick = destination_picker(policy, alive_ids, state, cfg, owns_scoring(policy, "scorer"))
+    keep = None
+    if forbid is not None:
+        m = alive_ids.size
+        pos = candidate_positions(alive_ids, state.num_osds)
+        # One spare trailing column absorbs owners that are not candidates.
+        keep = np.ones((order.size, m + 1), dtype=bool)
+        keep[np.arange(order.size)[:, None], pos[forbid]] = False
+        keep = keep[:, :m]
+        stuck = ~keep.any(axis=1)
+        if stuck.any():
+            chunk = int(order[np.argmax(stuck)])
             raise RuntimeError(
                 f"chunk {chunk} of placement group "
                 f"{int(state.chunk_group[chunk])} has no constraint-"
-                f"satisfying destination among {alive_ids.size} surviving OSDs"
+                f"satisfying destination among {m} surviving OSDs"
             )
-        if emit is None:
-            dst = policy.pick_destination(cand, proj, state, cfg)
-        else:
-            dst, terms, scores = policy.explain_destination(cand, proj, state, cfg)
-            emit(int(chunk), int(dead_osd), dst, cand, terms, scores)
+    explain = emit is not None
+    cap = state.osd_capacity
+    dsts = np.empty(order.size, dtype=np.int64)
+    for k, chunk in enumerate(order):
+        row = None if keep is None else keep[k]
+        dst, terms, scores = pick(proj, row, explain)
+        if explain:
+            emit(int(chunk), dst, alive_ids if row is None else alive_ids[row], terms, scores)
         dsts[k] = dst
         proj[dst] += state.chunk_heat[chunk] / cap[dst]
     return dsts
@@ -324,22 +258,18 @@ def replace_dead_chunks(
     cooldown mask -- but is charged as ordinary migration wear through
     :func:`apply_migrations`.
 
-    Built-in policies run through the batched greedy assignment (vectorized
-    rounds, bit-identical to the per-chunk loop); policies overriding
-    ``pick_destination`` without a matching ``pick_destination_batch`` use
-    the exact sequential reference path.  With ``emit`` set (a decision
-    callback, see :mod:`edm.obs.decisions`), the burst runs the explained
-    sequential path instead -- same destinations, plus one decision record
-    per re-placed chunk.
-
-    Redundant configs (``state.chunk_group`` set) take the group-constrained
-    sequential path -- the candidate set varies per chunk, so the batched
-    prefix replay does not apply -- and, when ``redundancy`` (the run's
-    :class:`~edm.redundancy.RedundancyRuntime`) is given and ``dead_osd`` is
-    actually dead, the burst is charged as *reconstruction*: surviving group
-    members are read into the service queues on top of the ordinary
-    migration-write wear.  A drain (``dead_osd`` still alive) stays a plain
-    group-constrained evacuation.
+    Plain bursts of built-in policies take the batched greedy assignment
+    (vectorized rounds); everything else -- redundant configs, explained
+    bursts (``emit`` set, see :mod:`edm.obs.decisions`), policies without a
+    matching ``pick_destination_batch`` -- takes :func:`_assign_sequential`.
+    Both are bit-identical to one ``pick_destination`` call per chunk over
+    its own candidate set.  Redundant configs forbid, per chunk, every OSD
+    holding a member of its placement group; when ``redundancy`` (the
+    run's :class:`~edm.redundancy.RedundancyRuntime`) is given and
+    ``dead_osd`` is actually dead, the burst is charged as
+    *reconstruction*: surviving group members are read into the service
+    queues on top of the ordinary migration-write wear.  A drain
+    (``dead_osd`` still alive) stays a plain group-constrained evacuation.
     """
     chunks = np.flatnonzero(state.chunk_owner == dead_osd)
     if chunks.size == 0:
@@ -355,21 +285,22 @@ def replace_dead_chunks(
         )
     proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
     order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
-    if state.chunk_group is not None:
-        dsts = _assign_replacements_grouped(
-            order, proj, alive_ids, policy, state, cfg, dead_osd, emit
-        )
-    elif emit is not None:
-        dsts = _assign_replacements_explained(
-            order, proj, alive_ids, policy, state, cfg, dead_osd, emit
-        )
+    if (
+        state.chunk_group is None
+        and emit is None
+        and owns_scoring(policy, "pick_destination_batch")
+    ):
+        dsts = _assign_replacements_batched(order, proj, alive_ids, policy, state, cfg)
     else:
-        assign = (
-            _assign_replacements_batched
-            if _supports_batch_destinations(policy)
-            else _assign_replacements_loop
-        )
-        dsts = assign(order, proj, alive_ids, policy, state, cfg)
+        forbid = None
+        if state.chunk_group is not None:
+            # Owners of each chunk's group members; ids past the last chunk
+            # clip onto it, a member of the same (trailing, narrower) group.
+            w = state.group_width
+            members = (order // w * w)[:, None] + np.arange(w)
+            forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+        relay = None if emit is None else lambda c, *pick: emit(c, int(dead_osd), *pick)
+        dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, forbid, relay)
     if redundancy is not None and not state.osd_alive[dead_osd]:
         # Charge the read side of the rebuild before ownership moves (the
         # write side is ordinary migration wear via apply_migrations).

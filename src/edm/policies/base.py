@@ -41,24 +41,6 @@ from edm.faults import effective_load
 EMPTY_MOVES = np.empty((0, 2), dtype=np.int64)
 
 
-def group_constrained(
-    candidates: np.ndarray, state: ClusterState, chunk: int
-) -> np.ndarray:
-    """Drop candidates already holding a member of ``chunk``'s placement group.
-
-    No-op (the exact same array) when the config carries no redundancy
-    scheme.  The chunk's own owner is among the excluded -- moving a chunk
-    onto its current OSD is never useful -- and group membership is the
-    consecutive-id layout of :func:`edm.engine.state.init_state`.
-    """
-    if state.chunk_group is None:
-        return candidates
-    w = state.group_width
-    lo = (int(chunk) // w) * w
-    owners = state.chunk_owner[lo : min(lo + w, state.num_chunks)]
-    return candidates[~np.isin(candidates, owners)]
-
-
 def sum_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
     """Fold per-term score arrays into one total, strictly left to right.
 
@@ -71,6 +53,71 @@ def sum_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
     for term in terms.values():
         score = term if score is None else score + term
     return score
+
+
+def owns_scoring(policy: "MigrationPolicy", method: str) -> bool:
+    """True when ``policy``'s ``method`` provably matches its scalar pick.
+
+    ``method`` (``pick_destination_batch`` or ``scorer``) is a vectorized
+    stand-in for ``pick_destination``, sound only when the class defining
+    it is -- or subclasses -- the class defining the effective scalar
+    scoring (``pick_destination`` or ``destination_terms``, whichever sits
+    deepest in the MRO: the base pick routes through the terms).  Otherwise
+    callers fall back to per-pick calls.
+    """
+    scalar_owner = method_owner = None
+    for klass in type(policy).__mro__:
+        if scalar_owner is None and (
+            "pick_destination" in vars(klass) or "destination_terms" in vars(klass)
+        ):
+            scalar_owner = klass
+        if method_owner is None and method in vars(klass):
+            method_owner = klass
+    if scalar_owner is None or method_owner is None:
+        return False
+    return issubclass(method_owner, scalar_owner)
+
+
+def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
+    """Map OSD id -> index into ``candidates`` (``candidates.size`` if absent),
+    so dropping OSD ids is a keep-mask write instead of an ``np.isin``."""
+    pos = np.full(num_osds, candidates.size, dtype=np.intp)
+    pos[candidates] = np.arange(candidates.size)
+    return pos
+
+
+def destination_picker(
+    policy: "MigrationPolicy", candidates: np.ndarray, state: ClusterState, cfg: SimConfig,
+    fast: bool,
+):
+    """``pick(proj_load, keep=None, explain=False) -> (dst, terms, scores)``.
+
+    Picks among ``candidates[keep]`` (all when ``keep`` is None); ``terms``
+    and ``scores`` cover that subset when ``explain``, else are None.  When
+    ``fast`` (``owns_scoring(policy, "scorer")``), one scorer is built up
+    front, and each pick scores all candidates and then subsets --
+    bit-identical to scoring the subset by the scorer contract, and
+    order-preserving so ``argmin`` keeps its first-minimum tie-break.
+    Otherwise each pick calls ``pick_destination`` / ``explain_destination``.
+    """
+    score = policy.scorer(candidates, state, cfg) if fast else None
+
+    def pick(proj_load, keep=None, explain=False):
+        cand = candidates if keep is None else candidates[keep]
+        if score is None:
+            if explain:
+                return policy.explain_destination(cand, proj_load, state, cfg)
+            return policy.pick_destination(cand, proj_load, state, cfg), None, None
+        terms = score(proj_load)
+        scores = sum_terms(terms)
+        if keep is not None:
+            scores = scores[keep]
+            if explain:
+                terms = {k: v[keep] for k, v in terms.items()}
+        dst = int(cand[np.argmin(scores)])
+        return (dst, terms, scores) if explain else (dst, None, None)
+
+    return pick
 
 
 class MigrationPolicy(ABC):
@@ -111,6 +158,20 @@ class MigrationPolicy(ABC):
         """
         return {"load": proj_load[candidates]}
 
+    def scorer(self, candidates: np.ndarray, state: ClusterState, cfg: SimConfig):
+        """``score(proj_load) -> terms``: :meth:`destination_terms` over
+        ``candidates``, with whatever does not depend on projected load
+        computed once; valid while ``state`` is unchanged (one re-placement
+        burst or selection round).
+
+        Contract -- **candidate independence**: every term is elementwise per
+        OSD and every normalizer cluster-wide, so ``scorer(superset)(p)``
+        masked to a subset equals ``scorer(subset)(p)`` bit-for-bit.  The
+        engine relies on it to score one candidate set per pick and mask it
+        per chunk (pinned per policy by tests/test_policy_conformance.py).
+        """
+        return lambda proj_load: self.destination_terms(candidates, proj_load, state, cfg)
+
     def pick_destination(
         self,
         candidates: np.ndarray,
@@ -138,13 +199,9 @@ class MigrationPolicy(ABC):
         state: ClusterState,
         cfg: SimConfig,
     ) -> tuple[int, dict[str, np.ndarray], np.ndarray]:
-        """:meth:`pick_destination` plus its evidence.
-
-        Returns ``(dst, terms, scores)``: the winning OSD id, the per-term
-        decomposition over ``candidates``, and the folded total scores.  The
-        winner is the argmin of ``scores`` computed with the exact arithmetic
-        of :meth:`pick_destination`, so an explained pick is always the pick.
-        """
+        """:meth:`pick_destination` plus its evidence: ``(dst, terms, scores)``,
+        the winning OSD id, the per-term decomposition over ``candidates``,
+        and the folded total scores whose argmin the winner is."""
         terms = self.destination_terms(candidates, proj_load, state, cfg)
         scores = sum_terms(terms)
         return int(candidates[np.argmin(scores)]), terms, scores
@@ -164,7 +221,7 @@ class MigrationPolicy(ABC):
         the scalar greedy through this method (see
         :func:`edm.engine.core.replace_dead_chunks`), so any subclass that
         overrides ``pick_destination`` must override this in lockstep or the
-        engine falls back to the exact per-chunk loop.
+        engine falls back to one ``pick_destination`` call per chunk.
 
         Default scoring is raw projected load, so a row-wise argmin over the
         candidate columns reproduces the scalar pick exactly (ties resolve
@@ -204,16 +261,21 @@ class ThresholdPolicy(MigrationPolicy):
         if overloaded.size == 0:
             return EMPTY_MOVES
         eligible = state.eligible_mask(cfg)
-
-        budget = cfg.max_migrations_per_interval
-        moves: list[tuple[int, int]] = []
+        # One destination set per call (alive, not draining) and one picker
+        # scoring it; each chunk narrows it with a keep-mask.
+        dest = np.flatnonzero(alive & ~state.osd_draining)
+        pick = destination_picker(self, dest, state, cfg, owns_scoring(self, "scorer"))
+        explain = emit is not None
+        w = state.group_width
+        pos = candidate_positions(dest, state.num_osds) if w else None
         # Destinations already claimed this round, per placement group:
         # chunk_owner only changes when the engine applies the moves, so two
         # same-group chunks selected in one round would otherwise not see
         # each other's landing spots.  (Redundant configs only.)
-        claimed: dict[int, list[int]] | None = (
-            {} if state.chunk_group is not None else None
-        )
+        claimed: dict[int, list[int]] = {}
+
+        budget = cfg.max_migrations_per_interval
+        moves: list[tuple[int, int]] = []
         # Heaviest sources first.
         for src in overloaded[np.argsort(-proj[overloaded])]:
             if budget <= 0:
@@ -224,26 +286,20 @@ class ThresholdPolicy(MigrationPolicy):
             for chunk in self.chunk_order(mine, state):
                 if budget <= 0 or proj[src] <= high:
                     break
-                under = np.flatnonzero(
-                    (proj < mean) & alive & ~state.osd_draining
-                )
-                if under.size == 0:
+                keep = proj[dest] < mean
+                if not keep.any():
                     break
-                under = group_constrained(under, state, chunk)
-                if claimed is not None:
-                    taken = claimed.get(int(state.chunk_group[chunk]))
-                    if taken:
-                        under = under[~np.isin(under, taken)]
-                if under.size == 0:
-                    # Every underloaded OSD already holds (or was just
-                    # claimed for) a member of this chunk's placement
-                    # group; the next chunk may differ.
-                    continue
-                if emit is None:
-                    dst = self.pick_destination(under, proj, state, cfg)
-                    terms = scores = None
-                else:
-                    dst, terms, scores = self.explain_destination(under, proj, state, cfg)
+                if w:
+                    group = int(state.chunk_group[chunk])
+                    lo = (int(chunk) // w) * w
+                    hit = pos[[*state.chunk_owner[lo : lo + w], *claimed.get(group, ())]]
+                    keep[hit[hit < dest.size]] = False
+                    if not keep.any():
+                        # Every underloaded OSD already holds (or was just
+                        # claimed for) a member of this chunk's placement
+                        # group; the next chunk may differ.
+                        continue
+                dst, terms, scores = pick(proj, keep, explain)
                 heat = state.chunk_heat[chunk]
                 # A chunk's load lands scaled by the destination's capacity
                 # (cap == 1.0 everywhere on a healthy cluster, so these
@@ -252,10 +308,10 @@ class ThresholdPolicy(MigrationPolicy):
                 heat_dst = heat / cap[dst]
                 if proj[dst] + heat_dst >= proj[src]:
                     continue
-                if emit is not None:
-                    emit(int(chunk), int(src), dst, under, terms, scores)
-                if claimed is not None:
-                    claimed.setdefault(int(state.chunk_group[chunk]), []).append(dst)
+                if explain:
+                    emit(int(chunk), int(src), dst, dest[keep], terms, scores)
+                if w:
+                    claimed.setdefault(group, []).append(dst)
                 moves.append((int(chunk), dst))
                 proj[src] -= heat / cap[src]
                 proj[dst] += heat_dst
@@ -285,6 +341,10 @@ class NormalizedScorePolicy(ThresholdPolicy):
     floating-point sequence row-wise, so every subclass gets a batch path
     provably bit-identical to its scalar pick (pinned by
     tests/test_policy_conformance.py across the whole registry).
+
+    :meth:`scorer` computes the static terms once per burst or selection
+    round, not once per pick.  Both hooks must keep the scorer contract:
+    terms elementwise per OSD, normalizers cluster-wide.
     """
 
     def load_terms(
@@ -299,14 +359,25 @@ class NormalizedScorePolicy(ThresholdPolicy):
         """Load-independent score terms, aligned with ``candidates``."""
         return {}
 
-    def destination_terms(self, candidates, proj_load, state, cfg):
-        load = proj_load[candidates]
+    def scorer(self, candidates, state, cfg):
+        """Static terms frozen once; each call redoes only the load terms,
+        with the exact arithmetic :meth:`destination_terms` is defined by."""
+        static = self.static_destination_terms(candidates, state, cfg)
         alive = state.osd_alive
-        mean_load = proj_load[alive].mean() if alive.any() else 0.0
-        load_norm = load / mean_load if mean_load > 0 else load
-        terms = dict(self.load_terms(load_norm, state, cfg))
-        terms.update(self.static_destination_terms(candidates, state, cfg))
-        return terms
+        any_alive = alive.any()
+
+        def score(proj_load):
+            load = proj_load[candidates]
+            mean_load = proj_load[alive].mean() if any_alive else 0.0
+            load_norm = load / mean_load if mean_load > 0 else load
+            terms = dict(self.load_terms(load_norm, state, cfg))
+            terms.update(static)
+            return terms
+
+        return score
+
+    def destination_terms(self, candidates, proj_load, state, cfg):
+        return self.scorer(candidates, state, cfg)(proj_load)
 
     def pick_destination_batch(self, candidates, proj_rows, state, cfg):
         """Row-wise scoring, bit-identical to the scalar pick.

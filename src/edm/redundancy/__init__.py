@@ -8,7 +8,7 @@ pairwise-distinct OSDs.  :class:`RedundancyRuntime`
 traffic failures trigger under that constraint.
 """
 
-from edm.redundancy.runtime import RedundancyRuntime, group_members
+from edm.redundancy.runtime import RedundancyRuntime
 from edm.redundancy.spec import RedundancyScheme
 
-__all__ = ["RedundancyRuntime", "RedundancyScheme", "group_members"]
+__all__ = ["RedundancyRuntime", "RedundancyScheme"]

@@ -32,18 +32,7 @@ from edm.config import SimConfig
 from edm.engine.state import ClusterState
 from edm.redundancy.spec import RedundancyScheme
 
-__all__ = ["RedundancyRuntime", "group_members"]
-
-
-def group_members(state: ClusterState, chunk: int) -> np.ndarray:
-    """Chunk ids sharing ``chunk``'s placement group (including itself).
-
-    Groups are consecutive id ranges of ``state.group_width`` chunks (the
-    last group may be narrower when the chunk count is not a multiple).
-    """
-    w = state.group_width
-    lo = (int(chunk) // w) * w
-    return np.arange(lo, min(lo + w, state.num_chunks), dtype=np.int64)
+__all__ = ["RedundancyRuntime"]
 
 
 class RedundancyRuntime:
@@ -72,19 +61,21 @@ class RedundancyRuntime:
         reporting a layout artifact as data loss.
         """
         cfg = self.cfg
-        read_work = np.zeros(state.num_osds)
-        for chunk in lost:
-            members = group_members(state, int(chunk))
-            peers = members[members != chunk]
-            needed = min(self.scheme.reads_per_loss, int(peers.size))
-            owners = state.chunk_owner[peers]
-            srcs = owners[state.osd_alive[owners]][:needed]
-            if srcs.size < needed:
-                self.data_loss_chunks += 1
-            self.reconstruction_reads += int(srcs.size)
-            if srcs.size:
-                read_work += np.bincount(srcs, minlength=state.num_osds)
-        self.reconstruction_chunks += int(len(lost))
+        lost = np.asarray(lost, dtype=np.int64)
+        # One pass over the (lost x width) member matrix; ids past the last
+        # chunk (a trailing partial group) and the lost chunk are no peers.
+        w = state.group_width
+        members = (lost // w * w)[:, None] + np.arange(w)
+        peer = (members < state.num_chunks) & (members != lost[:, None])
+        owners = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+        live = peer & state.osd_alive[owners]
+        needed = np.minimum(self.scheme.reads_per_loss, peer.sum(axis=1))
+        read = live & (np.cumsum(live, axis=1) <= needed[:, None])
+        reads = read.sum(axis=1)
+        self.data_loss_chunks += int((reads < needed).sum())
+        self.reconstruction_reads += int(reads.sum())
+        self.reconstruction_chunks += int(lost.size)
+        read_work = np.bincount(owners[read], minlength=state.num_osds).astype(np.float64)
         if cfg.service and read_work.any():
             # Reads occupy the sources' queues exactly like the streaming
             # side of a migration copy; they drain over the same cooldown

@@ -1,0 +1,145 @@
+"""Per-chunk reference implementations the vectorized engine is pinned to.
+
+These are the straightforward one-chunk-at-a-time versions of three engine
+paths, kept here as independent oracles for the differential tests:
+
+  * :func:`assign_reference` -- group-constrained re-placement: each chunk's
+    candidates filtered with ``np.isin`` against its group's current owners,
+    then one ``pick_destination`` (or ``explain_destination``) call;
+  * :func:`select_reference` -- threshold selection with per-chunk candidate
+    filtering and per-pick scoring;
+  * :func:`reconstruction_reference` -- reconstruction read charging, one
+    lost chunk at a time.
+
+The engine versions (``edm.engine.core._assign_sequential``,
+``ThresholdPolicy._select``, ``RedundancyRuntime.on_reconstruction``) must
+match these bit-for-bit.
+"""
+
+import numpy as np
+
+from edm.faults import effective_load
+from edm.policies.base import EMPTY_MOVES
+
+
+def group_members(state, chunk):
+    """Chunk ids sharing ``chunk``'s placement group (including itself).
+
+    Groups are consecutive id ranges of ``state.group_width`` chunks (the
+    last group may be narrower when the chunk count is not a multiple).
+    """
+    w = state.group_width
+    lo = (int(chunk) // w) * w
+    return np.arange(lo, min(lo + w, state.num_chunks), dtype=np.int64)
+
+
+def group_constrained(candidates, state, chunk):
+    """Drop candidates already holding a member of ``chunk``'s group."""
+    if state.chunk_group is None:
+        return candidates
+    owners = state.chunk_owner[group_members(state, chunk)]
+    return candidates[~np.isin(candidates, owners)]
+
+
+def assign_reference(order, proj, alive_ids, policy, state, cfg, emit=None):
+    """One pick per chunk over its own constrained candidate set.
+
+    Mutates ``proj`` like the engine does; ``emit(chunk, dst, candidates,
+    terms, scores)`` reports each explained pick.
+    """
+    cap = state.osd_capacity
+    dsts = np.empty(order.size, dtype=np.int64)
+    for k, chunk in enumerate(order):
+        cand = group_constrained(alive_ids, state, int(chunk))
+        if cand.size == 0:
+            raise RuntimeError(f"chunk {chunk} has no constraint-satisfying destination")
+        if emit is None:
+            dst = policy.pick_destination(cand, proj, state, cfg)
+        else:
+            dst, terms, scores = policy.explain_destination(cand, proj, state, cfg)
+            emit(int(chunk), dst, cand, terms, scores)
+        dsts[k] = dst
+        proj[dst] += state.chunk_heat[chunk] / cap[dst]
+    return dsts
+
+
+def select_reference(policy, state, cfg, emit=None):
+    """``ThresholdPolicy`` selection, recomputing candidates and scores per chunk."""
+    alive = state.osd_alive
+    cap = state.osd_capacity
+    if state.degraded:
+        if not alive.any():
+            return EMPTY_MOVES
+        proj = effective_load(state.osd_load_ema, cap, alive)
+        mean = proj[alive].mean()
+    else:
+        proj = state.osd_load_ema.copy()
+        mean = proj.mean()
+    if mean <= 0:
+        return EMPTY_MOVES
+    high = mean * (1.0 + cfg.overload_tolerance)
+    overloaded = np.flatnonzero((proj > high) & alive)
+    if overloaded.size == 0:
+        return EMPTY_MOVES
+    eligible = state.eligible_mask(cfg)
+    budget = cfg.max_migrations_per_interval
+    moves = []
+    claimed = {} if state.chunk_group is not None else None
+    for src in overloaded[np.argsort(-proj[overloaded])]:
+        if budget <= 0:
+            break
+        mine = np.flatnonzero((state.chunk_owner == src) & eligible)
+        if mine.size == 0:
+            continue
+        for chunk in policy.chunk_order(mine, state):
+            if budget <= 0 or proj[src] <= high:
+                break
+            under = np.flatnonzero((proj < mean) & alive & ~state.osd_draining)
+            if under.size == 0:
+                break
+            under = group_constrained(under, state, chunk)
+            if claimed is not None:
+                taken = claimed.get(int(state.chunk_group[chunk]))
+                if taken:
+                    under = under[~np.isin(under, taken)]
+            if under.size == 0:
+                continue
+            if emit is None:
+                dst = policy.pick_destination(under, proj, state, cfg)
+            else:
+                dst, terms, scores = policy.explain_destination(under, proj, state, cfg)
+            heat = state.chunk_heat[chunk]
+            heat_dst = heat / cap[dst]
+            if proj[dst] + heat_dst >= proj[src]:
+                continue
+            if emit is not None:
+                emit(int(chunk), int(src), dst, under, terms, scores)
+            if claimed is not None:
+                claimed.setdefault(int(state.chunk_group[chunk]), []).append(dst)
+            moves.append((int(chunk), dst))
+            proj[src] -= heat / cap[src]
+            proj[dst] += heat_dst
+            budget -= 1
+    if not moves:
+        return EMPTY_MOVES
+    return np.asarray(moves, dtype=np.int64)
+
+
+def reconstruction_reference(runtime, state, lost):
+    """``RedundancyRuntime.on_reconstruction``, one lost chunk at a time."""
+    cfg = runtime.cfg
+    read_work = np.zeros(state.num_osds)
+    for chunk in lost:
+        members = group_members(state, int(chunk))
+        peers = members[members != chunk]
+        needed = min(runtime.scheme.reads_per_loss, int(peers.size))
+        owners = state.chunk_owner[peers]
+        srcs = owners[state.osd_alive[owners]][:needed]
+        if srcs.size < needed:
+            runtime.data_loss_chunks += 1
+        runtime.reconstruction_reads += int(srcs.size)
+        if srcs.size:
+            read_work += np.bincount(srcs, minlength=state.num_osds)
+    runtime.reconstruction_chunks += int(len(lost))
+    if cfg.service and read_work.any():
+        state.osd_mig_backlog += read_work * cfg.service_migration_cost

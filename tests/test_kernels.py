@@ -8,8 +8,8 @@ their reference implementations.  This module pins those promises:
     identical golden hashes) across policy x workload x faults x endurance
     samples -- numba cases skip cleanly when the optional extra is absent;
   * the batched greedy destination assignment replays the sequential
-    per-chunk loop bit-for-bit, and policies that override only the scalar
-    ``pick_destination`` fall back to the exact loop;
+    per-chunk path bit-for-bit, and policies that override only the scalar
+    ``pick_destination`` fall back to one ``pick_destination`` per chunk;
   * migration wear accrual via bincount matches the per-element scatter it
     replaced, duplicates included.
 """
@@ -21,12 +21,11 @@ import numpy as np
 import pytest
 
 from conftest import cfg_factory, make_state
-from edm.config import config_hash, rng_seed_sequence
+from edm.config import POLICIES, config_hash, rng_seed_sequence
 from edm.engine import core as core_mod
 from edm.engine.core import (
     _assign_replacements_batched,
-    _assign_replacements_loop,
-    _supports_batch_destinations,
+    _assign_sequential,
     apply_migrations,
     simulate,
 )
@@ -38,7 +37,7 @@ from edm.engine.kernels import (
     resolve_kernel,
 )
 from edm.policies import get_policy
-from edm.policies.base import MigrationPolicy, ThresholdPolicy
+from edm.policies.base import MigrationPolicy, ThresholdPolicy, owns_scoring
 
 # Samples chosen to exercise every engine path that the kernel and the
 # batched re-placement touch: all four policies, a drifting and a bursty
@@ -142,13 +141,15 @@ def test_numba_reproduces_pinned_golden_hash():
 def test_batched_replacement_matches_loop(name, monkeypatch):
     cfg = cfg_factory(**{"num_osds": 8, "seed": 7, **SAMPLES[name]})
     fast = simulate(cfg)
-    monkeypatch.setattr(core_mod, "_supports_batch_destinations", lambda policy: False)
+    # Neither the batch replay nor the frozen scorer: one pick_destination
+    # call per chunk, the plain reference loop.
+    monkeypatch.setattr(core_mod, "owns_scoring", lambda policy, method: False)
     slow = simulate(cfg)
     assert fast == slow
     assert digest(fast) == digest(slow)
 
 
-@pytest.mark.parametrize("policy", ("baseline", "cdf", "hdf", "cmt"))
+@pytest.mark.parametrize("policy", POLICIES)
 def test_assign_replacements_paths_agree_directly(policy):
     # Unit-level: same inputs through both assignment paths, byte-equal
     # destinations and identical projected-load evolution.
@@ -167,7 +168,7 @@ def test_assign_replacements_paths_agree_directly(policy):
     alive_ids = np.flatnonzero(state.osd_alive)
     proj_a = state.osd_load_ema.copy()
     proj_b = state.osd_load_ema.copy()
-    dsts_loop = _assign_replacements_loop(order, proj_a, alive_ids, pol, state, cfg)
+    dsts_loop = _assign_sequential(order, proj_a, alive_ids, pol, state, cfg)
     dsts_batch = _assign_replacements_batched(order, proj_b, alive_ids, pol, state, cfg)
     np.testing.assert_array_equal(dsts_loop, dsts_batch)
     assert proj_a.tobytes() == proj_b.tobytes()  # bit-equal, not approx
@@ -187,11 +188,14 @@ def test_scalar_only_policy_override_falls_back_to_loop():
         def pick_destination_batch(self, candidates, proj_rows, state, cfg):
             return candidates[np.argmax(proj_rows[:, candidates], axis=1)]
 
-    assert not _supports_batch_destinations(ScalarOnly())
-    assert _supports_batch_destinations(BothOverridden())
+    for method in ("pick_destination_batch", "scorer"):
+        assert not owns_scoring(ScalarOnly(), method)
+    assert owns_scoring(BothOverridden(), "pick_destination_batch")
+    assert not owns_scoring(BothOverridden(), "scorer")
     # Built-ins all pair their overrides.
-    for name in ("baseline", "cdf", "hdf", "cmt"):
-        assert _supports_batch_destinations(get_policy(name))
+    for name in POLICIES:
+        assert owns_scoring(get_policy(name), "pick_destination_batch")
+        assert owns_scoring(get_policy(name), "scorer")
 
 
 def test_inherited_base_pair_counts_as_supported():
@@ -202,7 +206,8 @@ def test_inherited_base_pair_counts_as_supported():
             return np.empty((0, 2), dtype=np.int64)
 
     # Neither method overridden: the base-class pair is consistent.
-    assert _supports_batch_destinations(PlainSelect())
+    assert owns_scoring(PlainSelect(), "pick_destination_batch")
+    assert owns_scoring(PlainSelect(), "scorer")
 
 
 # ---------------------------------------------------------------------------

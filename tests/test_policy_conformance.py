@@ -12,7 +12,12 @@ surface contract, not just the paper's four:
     ``pick_destination`` returns, and ``explain_destination`` reports that
     same winner -- an explained pick is always the pick;
   * selection never lands a chunk on a dead or draining OSD, and
-    ``select_explained`` returns the same moves as ``select``.
+    ``select_explained`` returns the same moves as ``select``;
+  * ``scorer`` is **candidate-independent**: ``scorer(superset)(proj)``
+    masked to a subset equals ``scorer(subset)(proj)`` bit-for-bit, and
+    both equal ``destination_terms`` -- the engine scores a burst's whole
+    candidate set once per pick and subsets it per chunk, so a policy whose
+    terms depend on who else is a candidate would silently change results.
 
 The checks run against *live* engine states sampled mid-run (via a
 Recorder) across a seeded draw of the fault x endurance x service x
@@ -20,6 +25,8 @@ topology scenario grid, so every policy is exercised healthy, degraded,
 rated, serviced, and mid-drain -- the states where the contracts are
 easiest to break.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -61,6 +68,37 @@ def sample_cases():
     return cases
 
 
+def assert_same_terms(got, want):
+    assert list(got) == list(want)
+    for key in got:
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def check_scorer_contract(policy, state, cfg, rows, rng):
+    """Superset-scored-then-masked == subset-scored, bitwise, on every row."""
+    superset = np.flatnonzero(state.osd_alive & ~state.osd_draining)
+    subset = np.sort(rng.choice(superset, size=max(1, superset.size // 2), replace=False))
+    keep = np.isin(superset, subset)
+    full = policy.scorer(superset, state, cfg)
+    part = policy.scorer(subset, state, cfg)
+    for row in rows:
+        terms = full(row)
+        assert all(v.shape == superset.shape for v in terms.values())
+        masked = {k: v[keep] for k, v in terms.items()}
+        assert_same_terms(masked, part(row))
+        assert_same_terms(masked, policy.destination_terms(subset, row, state, cfg))
+
+
+def state_kinds(state):
+    """Which of the scorer-relevant state kinds ``state`` is."""
+    kinds = {"degraded" if state.degraded else "healthy"}
+    if np.isfinite(state.osd_rated_life).any():
+        kinds.add("rated")
+    if state.osd_draining.any():
+        kinds.add("draining")
+    return kinds
+
+
 class ConformanceChecker(Recorder):
     """Runs the surface-contract checks against the live state every epoch."""
 
@@ -70,6 +108,7 @@ class ConformanceChecker(Recorder):
         self.rng = np.random.default_rng(cfg.seed + 1)
         self.states_checked = 0
         self.moves_checked = 0
+        self.scorer_kinds = set()
 
     def on_epoch(self, state, load, stats):
         cfg, policy = self.cfg, self.policy
@@ -109,6 +148,16 @@ class ConformanceChecker(Recorder):
             assert set(e_terms) == set(terms)
             assert np.array_equal(e_scores, folded)
 
+        # The scorer contract, on the live state and on a twin with one more
+        # OSD mid-drain (drains finish inside an epoch boundary, so observers
+        # never see a draining drive on their own).
+        draining = copy.copy(state)
+        draining.osd_draining = state.osd_draining.copy()
+        draining.osd_draining[candidates[-1]] = True
+        for st in (state, draining):
+            check_scorer_contract(policy, st, cfg, rows, self.rng)
+            self.scorer_kinds |= state_kinds(st)
+
         # Selection: explained == plain, and no move lands on a dead or
         # draining OSD.  (select never mutates state, so calling it here
         # does not perturb the run.)
@@ -139,6 +188,23 @@ def test_policy_surface_contracts(cfg):
     checker = ConformanceChecker(cfg)
     simulate(cfg, recorders=(checker,))
     assert checker.states_checked > 0
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_scorer_contract_holds_on_every_state_kind(policy):
+    # Healthy epochs, then degraded after the failure; a rated cluster with
+    # scale-out; every state also checked with one drive mid-drain.
+    checkers = [
+        ConformanceChecker(cfg_factory(policy=policy, faults="fail:1@6", seed=5, **SIZING)),
+        ConformanceChecker(cfg_factory(
+            policy=policy, endurance=ENDURANCE_MODELS[1], topology=TOPOLOGY_PLANS[1],
+            seed=5, **SIZING,
+        )),
+    ]
+    for checker in checkers:
+        simulate(checker.cfg, recorders=(checker,))
+    kinds = set().union(*(c.scorer_kinds for c in checkers))
+    assert kinds >= {"healthy", "degraded", "rated", "draining"}
 
 
 def test_sample_covers_every_policy_and_scenario_kind():

@@ -6,16 +6,19 @@ identity, golden digests) lives in test_invariants_property.py /
 test_golden_metrics.py; this module pins the pieces in isolation.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
 from conftest import cfg_factory
 from edm import report as report_mod
-from edm.config import SEED_EXCLUDED_FIELDS, config_hash
+from edm.config import SEED_EXCLUDED_FIELDS, SimConfig, config_hash
 from edm.engine.core import simulate
 from edm.engine.state import init_state
-from edm.redundancy import RedundancyRuntime, RedundancyScheme, group_members
+from edm.redundancy import RedundancyRuntime, RedundancyScheme
 from edm.spec import SpecError
+from replacement_reference import group_members, reconstruction_reference
 
 # --- scheme arithmetic -------------------------------------------------------
 
@@ -78,6 +81,27 @@ def test_config_rejects_fault_plan_that_breaks_feasibility():
 def test_config_rejects_topology_plan_that_drains_too_deep():
     with pytest.raises(SpecError, match="drains the cluster down to 3"):
         cfg_factory(num_osds=4, redundancy="rep:4", topology="drain:0@8")
+
+
+def test_config_rejects_fault_and_drain_plans_that_break_redundancy_together():
+    # Each plan alone leaves 6 of 8 OSDs (ec:4+2 needs 6); together only 5.
+    # This used to pass validation and die mid-run in re-placement.
+    with pytest.raises(SpecError, match="together leave only 5 of 8") as err:
+        SimConfig(
+            workload="deasna", num_osds=8, policy="cmt", epochs=16,
+            requests_per_epoch=512, redundancy="ec:4+2",
+            faults="fail:1@4;fail:2@6", topology="drain:3@10",
+        )
+    assert "fail:1@4;fail:2@6" in str(err.value) and "drain:3@10" in str(err.value)
+
+
+def test_config_counts_added_and_doubly_removed_osds_once():
+    # A drive that fails and is also drained leaves the cluster once, and
+    # scale-out adds to the survivors: both of these stay feasible.
+    cfg_factory(num_osds=8, redundancy="ec:4+2", faults="fail:1@4;fail:2@6",
+                topology="drain:1@10")
+    cfg_factory(num_osds=8, redundancy="ec:4+2", faults="fail:1@4;fail:2@6",
+                topology="add:1@2;drain:3@10")
 
 
 # --- group layout ------------------------------------------------------------
@@ -152,6 +176,82 @@ def test_too_few_survivors_counts_data_loss():
     rt.on_reconstruction(state, np.array([0]))
     assert rt.data_loss_chunks == 1
     assert rt.reconstruction_reads == 2  # charges whatever reads remain
+
+
+def _killed_state(spec, dead, num_osds=8, service="rate:100"):
+    cfg = cfg_factory(num_osds=num_osds, redundancy=spec, service=service)
+    state = init_state(cfg)
+    state.osd_alive[list(dead)] = False
+    return cfg, state
+
+
+def _reconstruct_both(cfg, state, lost):
+    """Run the vectorized and the reference charging on twin states."""
+    scheme = RedundancyScheme.parse(cfg.redundancy)
+    fast, ref = RedundancyRuntime(scheme, cfg), RedundancyRuntime(scheme, cfg)
+    twin = copy.copy(state)
+    twin.osd_mig_backlog = state.osd_mig_backlog.copy()
+    fast.on_reconstruction(state, lost)
+    reconstruction_reference(ref, twin, lost)
+    for key in ("reconstruction_chunks", "reconstruction_reads", "data_loss_chunks"):
+        assert getattr(fast, key) == getattr(ref, key), key
+    assert state.osd_mig_backlog.tobytes() == twin.osd_mig_backlog.tobytes()
+    return fast
+
+
+@pytest.mark.parametrize("spec", ["rep:2", "rep:3", "ec:2+1", "ec:4+2"])
+def test_vectorized_reconstruction_matches_per_chunk_reference(spec):
+    # 64 chunks: a trailing partial group for every width but 2.  Several
+    # dead OSDs at once put dead peers (and data loss) in many groups.
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        dead = rng.choice(8, size=int(rng.integers(1, 4)), replace=False)
+        cfg, state = _killed_state(spec, dead)
+        state.osd_mig_backlog[:] = rng.uniform(0.0, 3.0, state.num_osds)
+        _reconstruct_both(cfg, state, np.flatnonzero(state.chunk_owner == dead[0]))
+
+
+def test_vectorized_reconstruction_trailing_partial_group():
+    # ec:4+2 over 64 chunks: chunks 60-63 form a 4-wide trailing group, so a
+    # lost member has 3 peers and reads all 3 -- no layout-artifact loss.
+    # Round-robin layout: chunk 62 lives on OSD 62 % 8 = 6.
+    cfg, state = _killed_state("ec:4+2", dead=[6])
+    rt = _reconstruct_both(cfg, state, np.array([62]))
+    assert rt.reconstruction_reads == 3 and rt.data_loss_chunks == 0
+
+
+def test_vectorized_reconstruction_two_failures_in_one_group():
+    # rep:2 groups {0,1}, {2,3}, ... sit on OSDs (0,1), (2,3), ...: killing
+    # OSDs 0 and 1 together leaves every lost chunk of OSD 0 with no live
+    # peer -- all data loss, no reads, no queue charge.
+    cfg, state = _killed_state("rep:2", dead=[0, 1])
+    lost = np.flatnonzero(state.chunk_owner == 0)
+    rt = _reconstruct_both(cfg, state, lost)
+    assert rt.data_loss_chunks == lost.size and rt.reconstruction_reads == 0
+
+
+def test_same_epoch_failures_in_one_group_count_data_loss_end_to_end(monkeypatch):
+    # Every reconstruction burst of a real run is checked against the
+    # reference on twin state; two same-epoch failures hit shared groups.
+    checked = []
+    real = RedundancyRuntime.on_reconstruction
+
+    def twin_checked(self, state, lost):
+        ref = copy.copy(self)
+        twin = copy.copy(state)
+        twin.osd_mig_backlog = state.osd_mig_backlog.copy()
+        reconstruction_reference(ref, twin, lost)
+        real(self, state, lost)
+        assert vars(self) == vars(ref)
+        assert state.osd_mig_backlog.tobytes() == twin.osd_mig_backlog.tobytes()
+        checked.append(len(lost))
+
+    monkeypatch.setattr(RedundancyRuntime, "on_reconstruction", twin_checked)
+    cfg = cfg_factory(num_osds=8, seed=7, redundancy="rep:2", service="rate:100",
+                      faults="fail:0@4;fail:1@4")
+    metrics = simulate(cfg)
+    assert len(checked) == 2
+    assert metrics["data_loss_chunks_total"] > 0
 
 
 def test_metrics_block_shape():

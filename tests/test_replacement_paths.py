@@ -1,0 +1,195 @@
+"""Differential tests: the engine's vectorized re-placement and selection
+paths against the per-chunk references in replacement_reference.py.
+
+``_assign_sequential`` builds one destination picker per burst and narrows a
+fixed candidate set per chunk with a keep-mask built from a group-owner
+matrix; ``ThresholdPolicy._select`` does the same per selection round.  Both
+rest on the scorer contract (candidate-independent terms) to stay
+bit-identical to recomputing each chunk's candidates with ``np.isin`` and
+scoring them from scratch.  These tests pin that equality on every burst and
+every selection round of real runs -- destinations, the projected-load
+vector's bytes, and each explained decision's candidates, terms and scores --
+across the whole policy registry, plain and redundant placement, and all
+three re-placement triggers (failure, drain, wear-out).
+"""
+
+import numpy as np
+import pytest
+
+from conftest import cfg_factory, make_state
+from edm.config import POLICIES
+from edm.engine import core as core_mod
+from edm.engine.core import _assign_sequential, replace_dead_chunks, simulate
+from edm.engine.state import init_state
+from edm.faults import effective_load
+from edm.policies import get_policy
+from edm.policies.base import ThresholdPolicy
+from edm.telemetry import Recorder
+from replacement_reference import assign_reference, select_reference
+
+SCHEMES = ("", "rep:2", "rep:3", "ec:4+2")
+
+
+def scenario(policy, redundancy):
+    """One run with a failure, a drain and a wear-out re-placement burst.
+
+    70 chunks leave a trailing partial group under rep:3 (70 = 23*3 + 1)
+    and ec:4+2 (70 = 11*6 + 4).
+    """
+    return cfg_factory(
+        policy=policy, redundancy=redundancy, num_osds=10, chunks_per_osd=7,
+        epochs=16, seed=3, faults="fail:1@4", topology="drain:2@8",
+        endurance="pe:300@0,100000@1-9",
+    )
+
+
+def assert_same_decisions(got, want):
+    """Emitted ``(*ids, candidates, terms, scores)`` tuples, compared bytewise."""
+    assert len(got) == len(want)
+    for (*ids, cand, terms, scores), (*rids, rcand, rterms, rscores) in zip(got, want):
+        assert ids == rids
+        assert cand.tobytes() == rcand.tobytes()
+        assert list(terms) == list(rterms)
+        for key in terms:
+            assert np.asarray(terms[key]).tobytes() == np.asarray(rterms[key]).tobytes(), key
+        assert scores.tobytes() == rscores.tobytes()
+
+
+class Explaining(Recorder):
+    """Overrides on_decision, which puts every burst on the explained path."""
+
+    def on_decision(self, state, decision):
+        pass
+
+
+@pytest.mark.parametrize("redundancy", SCHEMES, ids=lambda s: s or "plain")
+@pytest.mark.parametrize("policy", POLICIES)
+def test_assign_sequential_matches_reference_on_every_burst(policy, redundancy, monkeypatch):
+    real = core_mod._assign_sequential
+    bursts = []
+
+    def checked(order, proj, alive_ids, pol, state, cfg, forbid=None, emit=None):
+        ref_proj, ref_log = proj.copy(), []
+        ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
+        assign_reference(order, proj.copy(), alive_ids, pol, state, cfg,
+                         emit=lambda *d: ref_log.append(d))
+        exp_proj, log = proj.copy(), []
+        explained = real(order, exp_proj, alive_ids, pol, state, cfg, forbid,
+                         emit=lambda *d: log.append(d))
+        dsts = real(order, proj, alive_ids, pol, state, cfg, forbid, emit)
+        assert dsts.tolist() == ref.tolist() == explained.tolist()
+        assert proj.tobytes() == ref_proj.tobytes() == exp_proj.tobytes()
+        assert_same_decisions(log, ref_log)
+        bursts.append(order.size)
+        return dsts
+
+    monkeypatch.setattr(core_mod, "_assign_sequential", checked)
+    # Plain placement only takes the sequential path when explaining.
+    recorders = () if redundancy else (Explaining(),)
+    metrics = simulate(scenario(policy, redundancy), recorders=recorders)
+    assert metrics["fault_failures"] == 1
+    assert metrics["wearouts_total"] == 1
+    assert metrics["drain_moves_total"] > 0
+    assert len(bursts) == 3 and all(bursts)
+
+
+@pytest.mark.parametrize("redundancy", ["rep:3", "ec:4+2"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_replace_dead_chunks_matches_reference_for_every_victim(policy, redundancy):
+    # Random loads, each OSD the victim in turn: this reaches the trailing
+    # partial group, whose id window runs past the last chunk.
+    rng = np.random.default_rng(9)
+    cfg = cfg_factory(num_osds=8, policy=policy, redundancy=redundancy)
+    pol = get_policy(policy)
+    for _ in range(3):
+        for victim in range(cfg.num_osds):
+            state = init_state(cfg)
+            state.osd_load_ema[:] = rng.uniform(0.5, 2.0, cfg.num_osds)
+            state.chunk_heat[:] = rng.uniform(0.1, 5.0, cfg.num_chunks)
+            state.osd_alive[victim] = False
+            chunks = np.flatnonzero(state.chunk_owner == victim)
+            order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
+            proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
+            ref = assign_reference(
+                order, proj, np.flatnonzero(state.osd_alive), pol, state, cfg
+            )
+            replace_dead_chunks(state, victim, pol, cfg)
+            assert state.chunk_owner[order].tolist() == ref.tolist()
+
+
+class SelectionChecker(Recorder):
+    """Compares every round's selection with the reference on the live state."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.policy = get_policy(cfg.policy)
+        self.rounds = 0
+
+    def on_epoch(self, state, load, stats):
+        cfg = self.cfg
+        log, ref_log = [], []
+        moves = self.policy.select_explained(state, cfg, lambda *d: log.append(d))
+        ref = select_reference(self.policy, state, cfg, emit=lambda *d: ref_log.append(d))
+        assert moves.tobytes() == ref.tobytes()
+        assert self.policy.select(state, cfg).tobytes() == ref.tobytes()
+        assert select_reference(self.policy, state, cfg).tobytes() == ref.tobytes()
+        assert_same_decisions(log, ref_log)
+        self.rounds += bool(ref.size)
+
+
+@pytest.mark.parametrize("redundancy", SCHEMES, ids=lambda s: s or "plain")
+@pytest.mark.parametrize(
+    "policy", [p for p in POLICIES if isinstance(get_policy(p), ThresholdPolicy)]
+)
+def test_threshold_selection_matches_reference_every_epoch(policy, redundancy):
+    cfg = scenario(policy, redundancy)
+    checker = SelectionChecker(cfg)
+    simulate(cfg, recorders=(checker,))
+    assert checker.rounds > 0
+
+
+class ScalarOnly(ThresholdPolicy):
+    """Overrides only the scalar pick: no scorer may stand in for it."""
+
+    name = "scalar-only"
+
+    def chunk_order(self, chunk_ids, state):
+        return chunk_ids
+
+    def pick_destination(self, candidates, proj_load, state, cfg):
+        return int(candidates[np.argmax(proj_load[candidates])])  # worst-fit
+
+
+def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
+    cfg = cfg_factory(num_osds=8, redundancy="ec:4+2")
+    state = init_state(cfg)
+    state.chunk_heat[:] = np.random.default_rng(5).uniform(0.1, 5.0, cfg.num_chunks)
+    state.osd_alive[3] = False
+    order = np.flatnonzero(state.chunk_owner == 3)
+    alive_ids = np.flatnonzero(state.osd_alive)
+    w = state.group_width
+    members = (order // w * w)[:, None] + np.arange(w)
+    forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+    pol = ScalarOnly()
+    proj, ref_proj = state.osd_load_ema.copy(), state.osd_load_ema.copy()
+    dsts = _assign_sequential(order, proj, alive_ids, pol, state, cfg, forbid)
+    ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
+    assert dsts.tolist() == ref.tolist()
+    assert proj.tobytes() == ref_proj.tobytes()
+    # Worst-fit picks, yet never onto a group peer's OSD.
+    for peers, dst in zip(forbid, dsts):
+        assert dst not in peers
+
+
+def test_unsatisfiable_group_constraint_raises():
+    cfg = cfg_factory(num_osds=4, policy="hdf", chunks_per_osd=2)
+    state = make_state(cfg)
+    alive_ids = np.array([1, 2])
+    order = np.array([0])
+    forbid = np.array([[0, 1, 2]])  # every survivor holds a group peer
+    state.chunk_group = np.arange(cfg.num_chunks) // 3
+    state.group_width = 3
+    with pytest.raises(RuntimeError, match="no constraint-satisfying destination"):
+        _assign_sequential(
+            order, state.osd_load_ema.copy(), alive_ids, get_policy("hdf"), state, cfg, forbid
+        )
