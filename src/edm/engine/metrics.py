@@ -33,7 +33,7 @@ import numpy as np
 
 from edm.config import SimConfig
 from edm.engine.state import ClusterState
-from edm.telemetry.recorder import EpochStats, Recorder
+from edm.telemetry.recorder import EpochStats, Recorder, mean_std
 
 
 # Rows buffered per CoV block (see MetricsAccumulator._flush_loads): bounds
@@ -124,9 +124,9 @@ class MetricsAccumulator(Recorder):
         if self._faulted or self._topology:
             # Scalar path: faulted runs read the running CoV mean mid-run,
             # elastic runs outgrow the fixed-width block buffer.
-            mean = load.mean()
+            mean, std = mean_std(load)
             if mean > 0:
-                self._cov_sum += float(load.std() / mean)
+                self._cov_sum += float(std / mean)
                 self._peak_ratio_sum += float(load.max() / mean)
             self._track_degraded(state, load, stats)
         else:
@@ -160,8 +160,8 @@ class MetricsAccumulator(Recorder):
     def _track_degraded(self, state: ClusterState, load: np.ndarray, stats: EpochStats) -> None:
         alive = state.osd_alive
         la = load[alive]
-        am = la.mean() if la.size else 0.0
-        cov_alive = float(la.std() / am) if am > 0 else 0.0
+        am, sd = mean_std(la) if la.size else (0.0, 0.0)
+        cov_alive = float(sd / am) if am > 0 else 0.0
         self._cov_alive_sum += cov_alive
         if self._recover_start is not None and self._recovery_epochs < 0:
             # Recovered once survivor CoV is back within 10% of the

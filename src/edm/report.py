@@ -95,9 +95,10 @@ def aggregate(metrics_rows: list[dict]) -> list[dict]:
     a plain cache aggregates exactly as before; fault scenarios, endurance
     models, service models, topology plans and redundancy schemes become
     separate rows comparable side by side with their baseline.  Service,
-    topology and redundancy columns are averaged only where present (and
-    only over finite values -- an empty histogram's NaN percentile would
-    otherwise poison the cell mean).
+    topology and redundancy columns are averaged only where present and
+    not NaN: an empty histogram's NaN percentile would otherwise poison the
+    cell mean.  A ``+inf`` percentile (past the 1e4-epoch top edge) is a
+    real tail and propagates into the mean.
     """
     groups: dict[tuple[str, str, str, str, str, str, str], list[dict]] = {}
     for m in metrics_rows:
@@ -126,17 +127,13 @@ def aggregate(metrics_rows: list[dict]) -> list[dict]:
         }
         for key, _header, _fmt in TABLE_COLUMNS:
             cell[key] = sum(r[key] for r in rows) / len(rows)
-        if service:
-            for key, _header, _fmt in SERVICE_COLUMNS:
-                vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
-                cell[key] = sum(vals) / len(vals) if vals else math.nan
-        if topology:
-            for key, _header, _fmt in TOPOLOGY_COLUMNS:
-                vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
-                cell[key] = sum(vals) / len(vals) if vals else math.nan
-        if redundancy:
-            for key, _header, _fmt in REDUNDANCY_COLUMNS:
-                vals = [r[key] for r in rows if key in r and math.isfinite(r[key])]
+        for present, columns in (
+            (service, SERVICE_COLUMNS),
+            (topology, TOPOLOGY_COLUMNS),
+            (redundancy, REDUNDANCY_COLUMNS),
+        ):
+            for key, _header, _fmt in columns if present else ():
+                vals = [r[key] for r in rows if key in r and not math.isnan(r[key])]
                 cell[key] = sum(vals) / len(vals) if vals else math.nan
         out.append(cell)
     return out
@@ -187,18 +184,12 @@ def render_markdown(cells: list[dict]) -> str:
             values.append(c.get("redundancy") or "plain")
         values.append(str(c["runs"]))
         values += [format(c[key], fmt) for key, _h, fmt in TABLE_COLUMNS]
-        if show_service:
-            for key, _h, fmt in SERVICE_COLUMNS:
-                v = c.get(key)
-                has = v is not None and not (isinstance(v, float) and math.isnan(v))
-                values.append(format(v, fmt) if has else "-")
-        if show_topology:
-            for key, _h, fmt in TOPOLOGY_COLUMNS:
-                v = c.get(key)
-                has = v is not None and not (isinstance(v, float) and math.isnan(v))
-                values.append(format(v, fmt) if has else "-")
-        if show_redundancy:
-            for key, _h, fmt in REDUNDANCY_COLUMNS:
+        for shown, columns in (
+            (show_service, SERVICE_COLUMNS),
+            (show_topology, TOPOLOGY_COLUMNS),
+            (show_redundancy, REDUNDANCY_COLUMNS),
+        ):
+            for key, _h, fmt in columns if shown else ():
                 v = c.get(key)
                 has = v is not None and not (isinstance(v, float) and math.isnan(v))
                 values.append(format(v, fmt) if has else "-")

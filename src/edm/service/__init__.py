@@ -6,13 +6,7 @@ vectorized per-epoch queue recursion inside ``simulate`` and accumulates
 the p50/p99/p999 latency histogram and migration-spike statistics.
 """
 
-from edm.service.runtime import (
-    LATENCY_EDGES,
-    ServiceRuntime,
-    epoch_service_reference,
-    epoch_service_vectorized,
-    histogram_percentile,
-)
+from edm.service.runtime import LATENCY_EDGES, ServiceRuntime, histogram_percentile
 from edm.service.spec import ServiceBand, ServiceModel
 
 __all__ = [
@@ -20,7 +14,5 @@ __all__ = [
     "ServiceBand",
     "ServiceModel",
     "ServiceRuntime",
-    "epoch_service_reference",
-    "epoch_service_vectorized",
     "histogram_percentile",
 ]

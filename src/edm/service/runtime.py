@@ -24,12 +24,10 @@ imbalance" into a visible latency tradeoff: epochs with in-flight migration
 work report their own latency aggregate, and ``migration_spike_ratio``
 compares it against clean epochs.
 
-Everything is vectorized over OSDs and over the epoch's accepted requests
-(``np.repeat`` + ``arange``, no per-request Python loop).  The scalar
-reference implementation :func:`epoch_service_reference` reproduces the
-vectorized :func:`epoch_service_vectorized` **bit-identically** -- same
-IEEE-754 operations in the same order, pinned by tests/test_service.py --
-so the fast path is provably the brute-force model.
+The step never bins requests one by one: each OSD's latencies form a
+nondecreasing run, split only by the bin edges inside it (see
+:func:`run_latencies`).  tests/service_reference.py keeps the per-request
+step as the oracle this one is pinned to bit for bit.
 """
 
 from __future__ import annotations
@@ -37,23 +35,24 @@ from __future__ import annotations
 import numpy as np
 
 from edm.service.spec import ServiceModel
+from edm.telemetry.recorder import mean_std
 
-__all__ = [
-    "LATENCY_EDGES",
-    "ServiceRuntime",
-    "epoch_service_reference",
-    "epoch_service_vectorized",
-    "histogram_percentile",
-]
+__all__ = ["LATENCY_EDGES", "ServiceRuntime", "admit", "histogram_percentile", "run_latencies"]
 
 # Fixed log-spaced latency bin edges (in epochs of service time): bin 0 is
 # [0, 1e-4), then 256 log-spaced bins up to 1e4.  The histogram carries one
 # extra slot past the last edge -- a dedicated overflow bin for anything
-# slower than 1e4 epochs (including inf, a request accepted by a zero-rate
-# OSD).  Percentiles report the overflow bin as inf; a finite latency at or
-# below the top edge always resolves to a real (finite-edged) bin.
+# slower than 1e4 epochs (including inf, a rate so small the division
+# overflows).  Percentiles report the overflow bin as inf; a finite latency
+# at or below the top edge always resolves to a real (finite-edged) bin.
 LATENCY_EDGES = np.concatenate(([0.0], np.logspace(-4.0, 4.0, 257)))
 _NUM_BINS = LATENCY_EDGES.size - 1
+# Run splits: latency x sits at position searchsorted(_SPLITS, x, "right"),
+# i.e. its bin, _NUM_BINS for overflow, _NUM_BINS + 1 for +inf.  The top
+# edge is inclusive, so its split (like inf's) is the next float up.
+_SPLITS = np.append(LATENCY_EDGES[1:-1], [np.nextafter(LATENCY_EDGES[-1], np.inf), np.inf])
+# Each split over its finite stand-in, for estimating where runs cross it.
+_SPLIT_TABLE = np.stack((_SPLITS, np.minimum(_SPLITS, np.finfo(np.float64).max)))
 
 
 def histogram_percentile(hist: np.ndarray, q: float) -> float:
@@ -76,67 +75,77 @@ def histogram_percentile(hist: np.ndarray, q: float) -> float:
     return float(LATENCY_EDGES[idx])
 
 
-def epoch_service_vectorized(
+def admit(
     arrivals: np.ndarray, base: np.ndarray, rate: np.ndarray, qbound: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One epoch of queue admission + FIFO latency, vectorized over OSDs.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One epoch of queue admission: ``(accepted, new_depth)`` per OSD.
 
     ``arrivals`` are integer-valued per-OSD request counts, ``base`` the
     backlog each queue starts the epoch with (carried depth + injected
     migration work), ``rate`` the effective service rate (0 for dead OSDs).
-    Returns ``(accepted, latencies, new_depth)``: per-OSD accepted counts,
-    the flat float64 latency array of every accepted request (epoch order:
-    OSD 0's requests first), and the post-service queue depths.
+    A queue has room for its bound plus one epoch of service beyond the
+    standing backlog; dead OSDs admit nothing.
     """
-    # Admission: a queue has room for its bound plus one epoch of service
-    # beyond the standing backlog; dead OSDs (rate 0) admit nothing.
     room = np.where(rate > 0, qbound + rate - base, 0.0)
-    accepted = np.minimum(
-        arrivals.astype(np.float64), np.maximum(np.floor(room), 0.0)
-    ).astype(np.int64)
-    total = int(accepted.sum())
-    if total:
-        # FIFO sojourn of the i-th accepted request on OSD j:
-        # (base[j] + i + 1) / rate[j], built with repeat/arange -- no
-        # per-request Python loop.
-        starts = np.cumsum(accepted) - accepted
-        offs = np.repeat(base, accepted)
-        srep = np.repeat(rate, accepted)
-        idx = np.arange(total, dtype=np.int64) - np.repeat(starts, accepted)
-        work = offs + (idx + 1.0)
-        lat = np.divide(
-            work, srep, out=np.full(total, np.inf), where=srep > 0
-        )
-    else:
-        lat = np.empty(0, dtype=np.float64)
-    new_depth = np.maximum(base + accepted - rate, 0.0)
-    return accepted, lat, new_depth
+    accepted = np.minimum(arrivals, np.maximum(np.floor(room), 0.0)).astype(np.int64)
+    return accepted, np.maximum(base + accepted - rate, 0.0)
 
 
-def epoch_service_reference(
-    arrivals: np.ndarray, base: np.ndarray, rate: np.ndarray, qbound: float
+def run_latencies(
+    accepted: np.ndarray, base: np.ndarray, rate: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brute-force scalar reference for :func:`epoch_service_vectorized`.
+    """Latency histogram of one epoch's accepted requests, binned run by run.
 
-    Per-OSD, per-request Python loops performing the same IEEE-754
-    operations in the same order as the vectorized path, so the two are
-    bit-identical -- the cross-check tests/test_service.py pins.  Never used
-    on the hot path.
+    The ``i``-th request OSD ``j`` accepts waits
+    ``fl(fl(base[j] + (i + 1.0)) / rate[j])`` epochs, nondecreasing in
+    ``i``.  Returns ``(hist, lat, tails)``: the histogram increment
+    (overflow slot included, +inf counted there), every finite latency in
+    epoch order (OSD 0's requests first), and each run's last finite
+    latency.  Needs at least one accepted request.
     """
-    n = arrivals.size
-    accepted = np.zeros(n, dtype=np.int64)
-    new_depth = np.zeros(n, dtype=np.float64)
-    lats: list[float] = []
-    for j in range(n):
-        room_j = qbound + rate[j] - base[j] if rate[j] > 0 else 0.0
-        cap = max(np.floor(room_j), 0.0)
-        want = float(arrivals[j])
-        accepted[j] = np.int64(min(want, cap))
-        for i in range(int(accepted[j])):
-            work = base[j] + (i + 1.0)
-            lats.append(work / rate[j] if rate[j] > 0 else np.inf)
-        new_depth[j] = max(base[j] + accepted[j] - rate[j], 0.0)
-    return accepted, np.array(lats, dtype=np.float64), new_depth
+    busy = accepted > 0
+    a, b, r = accepted[busy], base[busy], rate[busy]
+    # ``i + 1.0`` is exact, so the last request's (a - 1) + 1.0 is just a.
+    tails = (b + a) / r
+    first = _SPLITS.searchsorted((b + 1.0) / r, "right")
+    span = _SPLITS.searchsorted(tails, "right") - first
+    # One cell per (run, split strictly inside it).
+    split = np.arange(span.sum()) + (first - (span.cumsum() - span)).repeat(span)
+    bc, rc, ac = b.repeat(span), r.repeat(span), a.repeat(span)
+    thr, est = _SPLIT_TABLE.take(split, axis=1)
+    # Requests below the split, estimated from the closed form, then fixed
+    # up by evaluating the very float expression on both sides of it.  The
+    # expression is monotone in i, so this converges on the exact count.
+    below = np.ceil(est * rc - bc - 1.0)
+    while True:
+        up = (bc + (below + 1.0)) / rc < thr  # request ``below`` is below too
+        down = (bc + below) / rc >= thr  # request ``below - 1`` is not
+        if not (np.count_nonzero(up) or np.count_nonzero(down)):
+            break
+        below += up
+        below -= down
+    # Each run lands whole at its first position; each split moves the
+    # requests at or past it one position on.
+    past = ac - below
+    counts = np.bincount(
+        np.concatenate((first, split + 1)), np.concatenate((a, past)), _NUM_BINS + 2
+    ) - np.bincount(split, past, _NUM_BINS + 2)
+    counts = counts.astype(np.int64)
+    fin = a
+    if counts[-1]:
+        # Runs reaching +inf (a rate so small the division overflows) keep
+        # only their finite prefix.
+        fin = np.where(first > _NUM_BINS, 0, a)
+        at_inf = split == _NUM_BINS
+        fin[np.arange(a.size).repeat(span)[at_inf]] = below[at_inf]
+        tails = ((b + fin) / r)[fin > 0]
+        counts[-2] += counts[-1]
+    # Materialized only for the sum, which must be numpy's pairwise sum
+    # over every finite latency, bit for bit.
+    stop = fin.cumsum()
+    ramp = np.arange(1.0, stop[-1] + 1.0) - (stop - fin).repeat(fin)  # i + 1.0
+    lat = (b.repeat(fin) + ramp) / r.repeat(fin)
+    return counts[:-1], lat, tails
 
 
 class ServiceRuntime:
@@ -202,44 +211,32 @@ class ServiceRuntime:
 
         base = depth + inject
         rate = state.osd_service_rate * state.osd_capacity * alive
-        accepted, lat, new_depth = epoch_service(arrivals, base, rate, self.qbound)
+        accepted, new_depth = admit(arrivals, base, rate, self.qbound)
         np.copyto(depth, new_depth)
 
         offered = int(arrivals.sum())
+        served = int(accepted.sum())
         self.requests_total += offered
-        self.dropped_total += offered - int(accepted.sum())
-        finite = np.isfinite(lat)
-        n_finite = int(finite.sum())
-        self.stalled_total += lat.size - n_finite
+        self.dropped_total += offered - served
         lat_mean = 0.0
-        if lat.size:
-            bins = np.clip(
-                np.searchsorted(LATENCY_EDGES, lat, side="right") - 1,
-                0,
-                _NUM_BINS,
-            )
-            # searchsorted(side="right") pushes a latency equal to the top
-            # edge past it; fold finite latencies at or below the top edge
-            # back into the last real bin so only genuine overflow (> 1e4
-            # epochs, or inf) lands in the overflow slot.
-            over = bins == _NUM_BINS
-            if over.any():
-                bins[over & (lat <= LATENCY_EDGES[-1])] = _NUM_BINS - 1
-            self.hist += np.bincount(bins, minlength=_NUM_BINS + 1)
-        if n_finite:
-            fin_sum = float(lat[finite].sum())
-            self.lat_sum += fin_sum
-            self.lat_count += n_finite
-            lat_mean = fin_sum / n_finite
-            if mig_epoch:
-                self._mig_lat_sum += fin_sum
-                self._mig_lat_count += n_finite
-                epoch_max = float(lat[finite].max())
-                if not self.spike_lat_max >= epoch_max:
-                    self.spike_lat_max = epoch_max
-            else:
-                self._clean_lat_sum += fin_sum
-                self._clean_lat_count += n_finite
+        if served:
+            hist, lat, tails = run_latencies(accepted, base, rate)
+            self.hist += hist
+            self.stalled_total += served - lat.size
+            if lat.size:
+                fin_sum = float(lat.sum())
+                self.lat_sum += fin_sum
+                self.lat_count += lat.size
+                lat_mean = fin_sum / lat.size
+                if mig_epoch:
+                    self._mig_lat_sum += fin_sum
+                    self._mig_lat_count += lat.size
+                    epoch_max = float(tails.max())
+                    if not self.spike_lat_max >= epoch_max:
+                        self.spike_lat_max = epoch_max
+                else:
+                    self._clean_lat_sum += fin_sum
+                    self._clean_lat_count += lat.size
 
         # Queue-depth aggregates over *alive* OSDs only.  Dead queues were
         # zeroed above; leaving them in would dilute the survivors' mean
@@ -247,8 +244,9 @@ class ServiceRuntime:
         # -- the same survivor-masking convention the load CoV uses.
         d_alive = depth[alive]
         if d_alive.size:
-            d_mean = float(d_alive.mean())
-            d_cov = float(d_alive.std() / d_mean) if d_mean > 0 else 0.0
+            d_mean, d_std = mean_std(d_alive)
+            d_mean = float(d_mean)
+            d_cov = float(d_std / d_mean) if d_mean > 0 else 0.0
             self._depth_max = max(self._depth_max, float(d_alive.max()))
         else:
             d_mean = 0.0
@@ -296,8 +294,3 @@ class ServiceRuntime:
             "queue_depth_cov_mean": self._depth_cov_sum / epochs if epochs else 0.0,
         }
 
-
-# Module-level alias resolved at call time, so tests can monkeypatch the
-# epoch implementation (e.g. swap in epoch_service_reference) and drive a
-# whole simulate() run through the scalar path.
-epoch_service = epoch_service_vectorized

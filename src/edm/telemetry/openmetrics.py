@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from edm.telemetry.recorder import Recorder
+from edm.telemetry.recorder import Recorder, mean_std
 
 #: Metric family types this exporter emits.
 TYPES = ("gauge", "counter", "info")
@@ -201,9 +201,15 @@ _SCALAR_FAMILIES = {
         "first_wearout_epoch", "gauge", "Epoch of the first wear-out (-1: none).",
     ),
     # Service block (serviced configs only).
-    "service_lat_p50": ("service_lat_p50_seconds", "gauge", "Request latency p50."),
-    "service_lat_p99": ("service_lat_p99_seconds", "gauge", "Request latency p99."),
-    "service_lat_p999": ("service_lat_p999_seconds", "gauge", "Request latency p99.9."),
+    "service_lat_p50": (
+        "service_lat_p50_epochs", "gauge", "Request latency p50, in epochs of service time.",
+    ),
+    "service_lat_p99": (
+        "service_lat_p99_epochs", "gauge", "Request latency p99, in epochs of service time.",
+    ),
+    "service_lat_p999": (
+        "service_lat_p999_epochs", "gauge", "Request latency p99.9, in epochs of service time.",
+    ),
     "service_requests_total": (
         "service_requests", "counter", "Requests offered to the service model.",
     ),
@@ -294,9 +300,9 @@ class MetricsSnapshotRecorder(Recorder):
     def on_epoch(self, state, load, stats) -> None:
         self._requests += stats.requests
         reg = self.registry
-        mean = float(load.mean())
+        mean, std = mean_std(load)
         reg.set("epoch", int(state.epoch))
-        reg.set("load_cov", float(load.std() / mean) if mean > 0 else 0.0)
+        reg.set("load_cov", float(std / mean) if mean > 0 else 0.0)
         reg.set("requests", self._requests)
         reg.set("migrations", int(state.migrations_total))
         reg.set("osds_alive", int(state.osd_alive.sum()))

@@ -41,14 +41,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-if TYPE_CHECKING:
-    import numpy as np
+import numpy as np
 
+if TYPE_CHECKING:
     from edm.config import SimConfig
     from edm.engine.state import ClusterState
     from edm.faults import FaultEvent
     from edm.obs.decisions import Decision
     from edm.topology import TopologyEvent
+
+
+def mean_std(x: np.ndarray) -> tuple[np.float64, np.float64]:
+    """``(x.mean(), x.std())`` of a non-empty 1-D float64 array, bit for bit.
+
+    The reductions numpy's ``mean``/``std`` perform, in the same order,
+    without their Python-level wrappers -- observers call this every epoch.
+    """
+    mean = np.add.reduce(x) / x.size
+    dev = x - mean
+    return mean, np.sqrt(np.add.reduce(dev * dev) / x.size)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from edm.config import SimConfig, config_hash
-from edm.telemetry.recorder import EpochStats, Recorder
+from edm.telemetry.recorder import EpochStats, Recorder, mean_std
 from edm.topology.spec import TopologyPlan
 
 if TYPE_CHECKING:
@@ -364,14 +364,14 @@ class TimeSeriesRecorder(Recorder):
         # arrays are narrower than the plan-width buffers until the last
         # scale-out fires (a full-width assignment when sizes match).
         self._load[i, : load.size] = load
-        mean = load.mean()
+        mean, std = mean_std(load)
         if mean > 0:
-            self._load_cov[i] = load.std() / mean
+            self._load_cov[i] = std / mean
             self._peak[i] = load.max() / mean
         self._wear[i, : wear.size] = wear
-        wm = wear.mean()
+        wm, wsd = mean_std(wear)
         if wm > 0:
-            self._wear_cov[i] = wear.std() / wm
+            self._wear_cov[i] = wsd / wm
         self._migrations[i] = self._window
         self._window = 0
         self._alive[i] = int(state.osd_alive.sum())

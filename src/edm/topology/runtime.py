@@ -99,9 +99,10 @@ class TopologyRuntime:
     def retire(self, state: "ClusterState", osd: int) -> None:
         """Finish a drain: the evacuated OSD leaves the cluster for good.
 
-        Graceful by construction -- the engine evacuated its chunks while it
-        was alive, and its queues are empty of meaning (nothing routes to a
-        chunk-less OSD), so unlike a failure nothing counts as lost work.
+        The engine evacuated its chunks while it was alive, so nothing
+        routes to it any more.  Its queue and pending migration work (which
+        holds the source-side charge of the evacuation) are discarded here
+        and, unlike a failure's, not counted as lost work.
         """
         state.osd_alive[osd] = False
         state.osd_capacity[osd] = 0.0

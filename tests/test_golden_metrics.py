@@ -30,8 +30,10 @@ import json
 import pytest
 
 from conftest import cfg_factory
-from edm.config import ENGINE_VERSION
+from edm.config import ENGINE_VERSION, SimConfig
 from edm.engine.core import simulate
+from edm.telemetry import TimeSeriesRecorder
+from edm.telemetry.timeseries import _ARRAY_FIELDS
 
 PINNED_ENGINE_VERSION = 5
 
@@ -54,6 +56,9 @@ GOLDEN = {
     "pswl": "85263f92242f360578b3fd3e60234d4eda749cde768e36ca01161980ecb51b48",
     "consolidate": "ec401fdb09f0219a1a7214d3534c67bdd2ff0414422d955db418d4176a8e2a7d",
     "cmt-ec-degraded": "0db5bb16757551b68fecc0c88c6293e7b2793d9bb736995a0fc084cff17b06bd",
+    # Pinned before the service step started binning latency runs instead
+    # of single requests, on the engine that still binned per request.
+    "cmt-serviced-overflow": "70ed8c570f9cc0753dfc2177ec792a363fa0314e36d52bd7c83d96ede1964543",
 }
 
 CASES = {
@@ -81,6 +86,38 @@ CASES = {
     # Redundant + degraded: group-constrained re-placement and the
     # reconstruction traffic block (ec:4+2 groups, one scheduled failure).
     "cmt-ec-degraded": dict(policy="cmt", faults="fail:1@8", redundancy="ec:4+2"),
+    # Unbounded queue that reaches the histogram's overflow slot: p99 and
+    # p999 are +inf (past the 1e4-epoch top edge), p50 is finite.
+    "cmt-serviced-overflow": dict(
+        policy="cmt", service="rate:2", epochs=32, requests_per_epoch=4096
+    ),
+}
+
+# Every layer at once (benchmarks/run.py's ``composed`` workload at its
+# --quick size), recorded every epoch: sha256 of each TimeSeries column.
+# The benchmark's digests cover the metrics dict only, not the recorder.
+# Pinned on the engine that still binned latencies per request.
+COMPOSED_QUICK = dict(
+    workload="deasna2", num_osds=20, policy="cmt", epochs=1024, requests_per_epoch=1024,
+    service="rate:700;queue:64", topology="add:4@256/cap:2,rate:1600;drain:2@512",
+    endurance="pe:200000", faults="fail:3@128;slow:5@64x0.5", seed=12345,
+)
+COMPOSED_QUICK_COLUMNS = {
+    "epoch": "2f88e9ce00d238e7e011a7b140b413dcad818f1da41a721f914f1af604d0e217",
+    "load": "97c9bb79cc867d039c059ebe931ef9ae3e5b89e7f771d0629f97c156eb07cf87",
+    "load_cov": "4fc2d27b04d4328dcbdaadbff9d3bd1af55ecfe2c7b87ead0c78e2cb81dfa9d8",
+    "load_peak_ratio": "0e8a7614452b9dc2403d8300c26b202454e1210e841b5f9e13f4a63c5640cc1f",
+    "wear": "2157f2cab7381278723e5870fc364e2f5fa050324b18a986d486c1274beee639",
+    "wear_cov": "b307abe1ec68100fec424770192a73fa9595df0f0390c150af220fb166fe62c0",
+    "migrations": "76b7cfa962516bdf2632ca093caca6c1ccd7562beea9cd3c9835feb3e1be9e6f",
+    "alive": "c4bf9848b73e8d24332276a718478e41088c99bde71cba938ab0e5cb735d39f5",
+    "replacements": "33b7802ecdaf5f8dfebd0e9bcffc3a8fb55d0a80de94b5196dc3167c41f869ec",
+    "remaining_life_min": "2ee711121682b1c024d3b1912ebc08453d249d26f195986c30c5da6c11b93deb",
+    "remaining_life_mean": "38414b2d55f176d20a065e0210bbc9fed2ebb9bc3cdc34f161f95837d505896c",
+    "queue_depth_mean": "49936cd85c4ad38debfd784a671a7be4687614e817844652b972db100e4468a7",
+    "queue_depth_cov": "e64959b637a6bf726eb94ea3d2b98cce9882a7cca1eacca56cc8a8c4bcf33c06",
+    "service_lat_mean": "6b37c0f99224cd88b82caa6a7103ad30fd0cba7d1e05722ce6ca741796beb2bf",
+    "osds_total": "bee63d97d69ee680c8b7ef8efb59cced5362d45be85a7bdacd67674297d3d075",
 }
 
 
@@ -110,3 +147,12 @@ def test_golden_metrics_hash(name):
         f"the semantic change in the ENGINE_VERSION comment; otherwise this "
         f"is a determinism regression -- find it before merging."
     )
+
+
+def test_composed_timeseries_columns():
+    rec = TimeSeriesRecorder(record_every=1)
+    simulate(SimConfig(**COMPOSED_QUICK), recorders=(rec,))
+    assert set(COMPOSED_QUICK_COLUMNS) == set(_ARRAY_FIELDS)
+    for name, pinned in COMPOSED_QUICK_COLUMNS.items():
+        digest = hashlib.sha256(getattr(rec.series, name).tobytes()).hexdigest()
+        assert digest == pinned, f"TimeSeries column {name!r} drifted: got {digest}"

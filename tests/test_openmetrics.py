@@ -117,6 +117,18 @@ def test_registry_from_metrics_redundant_degraded_run():
     assert "edm_data_loss_" not in plain
 
 
+def test_registry_from_metrics_serviced_run_latency_unit():
+    # Latencies are measured in epochs of service time, not seconds.
+    metrics = simulate(cfg_factory(service="rate:2", requests_per_epoch=4096))
+    text = registry_from_metrics(metrics).render()
+    for q in ("50", "99", "999"):
+        assert f"edm_service_lat_p{q}_epochs " in text
+    assert "in epochs of service time." in text
+    assert "_seconds" not in text
+    # An overflowed tail exports as +Inf, past the 1e4-epoch top edge.
+    assert "edm_service_lat_p999_epochs +Inf" in text
+
+
 def test_sentinel_and_partial_metrics_pass_through():
     # predicted_first_wearout_epoch uses -1 as its "none in sight" sentinel;
     # the gauge carries it through as a plain number, not Inf, and mapping a

@@ -89,6 +89,39 @@ def test_service_columns_appear_only_with_a_service_scenario(tmp_path):
     assert "service" not in report.render(plain, fmt="markdown").splitlines()[0]
 
 
+def test_overflowed_tail_latency_propagates_as_inf(tmp_path, capsys):
+    """A +inf percentile (past the 1e4-epoch top edge) is a real tail: it
+    must reach the report as inf, not be averaged away or shown as '-'.
+    Only NaN (an empty histogram) is excluded from a cell mean."""
+    grid = default_grid(
+        workloads=("deasna",), osds=(8,), policies=("cmt",), seeds=(7, 8),
+        service=("rate:2",), epochs=32, requests_per_epoch=4096, chunks_per_osd=8,
+    )
+    sweep(grid, cache_dir=tmp_path / "cache", workers=1)
+    rows = report.load_cached_metrics(tmp_path / "cache").metrics
+    assert all(r["service_lat_p999"] == float("inf") for r in rows)
+    cells = report.aggregate(rows)
+    assert cells[0]["service_lat_p999"] == float("inf")
+    assert 0 < cells[0]["service_lat_p50"] < float("inf")
+    assert main(["report", str(tmp_path / "cache")]) == 0
+    row = capsys.readouterr().out.splitlines()[-1]
+    lat_p99, lat_p999 = [v.strip() for v in row.split("|")][-4:-2]
+    assert (lat_p99, lat_p999) == ("inf", "inf")
+    assert main(["report", str(tmp_path / "cache"), "--format", "json"]) == 0
+    assert "Infinity" in capsys.readouterr().out
+
+    # NaN alone is dropped from the mean; inf beside a finite value wins.
+    base = {k: 1.0 for k, _h, _f in report.TABLE_COLUMNS}
+    nan_row = {**base, "workload": "w", "policy": "p", "service": "rate:2",
+               "service_lat_p50": float("nan"), "service_lat_p99": float("inf"),
+               "service_lat_p999": float("inf"), "migration_spike_ratio": 2.0}
+    finite_row = {**nan_row, "service_lat_p50": 3.0, "service_lat_p99": 5.0}
+    (cell,) = report.aggregate([nan_row, finite_row])
+    assert cell["service_lat_p50"] == 3.0
+    assert cell["service_lat_p99"] == float("inf")
+    assert cell["migration_spike_ratio"] == 2.0
+
+
 def test_report_cli_markdown(swept_cache, capsys):
     assert main(["report", str(swept_cache / "cache")]) == 0
     out = capsys.readouterr().out

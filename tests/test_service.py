@@ -1,11 +1,12 @@
 """Request-level service model: spec semantics, queue recursion, latency
-metrics, and the vectorized-vs-scalar bit-identity contract.
+metrics, and the run-binned-vs-per-request bit-identity contract.
 
 The service layer must never perturb what the engine computes without it:
 shared metrics of a serviced run stay bit-identical to the unserviced run
-(pinned here and by the untouched pre-service golden digests).  The fast
-vectorized epoch step is pinned against the brute-force scalar reference
-both on raw arrays and through entire simulate() runs via monkeypatch.
+(pinned here and by the untouched pre-service golden digests).  The step
+bins each OSD's latency run at the edges inside it; it is pinned against
+the per-request references in service_reference.py on raw arrays, on
+hand-built states, and through entire simulate() runs via monkeypatch.
 """
 
 import json
@@ -13,19 +14,20 @@ import json
 import numpy as np
 import pytest
 
-from conftest import cfg_factory
+from conftest import cfg_factory, make_state
 from edm.config import POLICIES
 from edm.engine.core import simulate
-from edm.service import (
-    LATENCY_EDGES,
-    ServiceModel,
+from edm.service import LATENCY_EDGES, ServiceModel, histogram_percentile
+from edm.service.runtime import ServiceRuntime, admit, run_latencies
+from edm.spec import SpecError
+from edm.telemetry import EpochStats, TimeSeriesRecorder
+from edm.telemetry.recorder import mean_std
+from service_reference import (
+    bin_latencies,
     epoch_service_reference,
     epoch_service_vectorized,
-    histogram_percentile,
+    reference_step,
 )
-from edm.service import runtime as service_runtime
-from edm.spec import SpecError
-from edm.telemetry import TimeSeriesRecorder
 
 NUM_BINS = LATENCY_EDGES.size - 1
 
@@ -121,8 +123,15 @@ def arr(*xs):
     return np.asarray(xs, dtype=np.float64)
 
 
+def serve(arrivals, base, rate, qbound):
+    """The runtime's epoch: ``(accepted, finite latencies, new depth)``."""
+    accepted, depth = admit(arrivals, base, rate, qbound)
+    lat = run_latencies(accepted, base, rate)[1] if accepted.any() else np.empty(0)
+    return accepted, lat, depth
+
+
 def test_zero_arrivals_zero_work():
-    accepted, lat, depth = epoch_service_vectorized(
+    accepted, lat, depth = serve(
         np.array([0, 0]), arr(0, 0), arr(10, 10), np.inf
     )
     assert accepted.tolist() == [0, 0]
@@ -131,7 +140,7 @@ def test_zero_arrivals_zero_work():
 
 
 def test_dead_osd_admits_nothing():
-    accepted, lat, _ = epoch_service_vectorized(
+    accepted, lat, _ = serve(
         np.array([5, 5]), arr(0, 0), arr(0.0, 10.0), np.inf
     )
     assert accepted.tolist() == [0, 5]
@@ -140,7 +149,7 @@ def test_dead_osd_admits_nothing():
 
 def test_bounded_queue_drops_beyond_room():
     # rate 2, bound 3: room for floor(3 + 2 - 0) = 5 of the 10 arrivals.
-    accepted, _, depth = epoch_service_vectorized(
+    accepted, _, depth = serve(
         np.array([10]), arr(0), arr(2), 3.0
     )
     assert accepted.tolist() == [5]
@@ -149,35 +158,154 @@ def test_bounded_queue_drops_beyond_room():
 
 def test_fifo_latency_positions():
     # 3 requests on a backlog of 2 at rate 4: sojourns (3,4,5)/4.
-    _, lat, depth = epoch_service_vectorized(np.array([3]), arr(2), arr(4), np.inf)
+    _, lat, depth = serve(np.array([3]), arr(2), arr(4), np.inf)
     assert lat.tolist() == [0.75, 1.0, 1.25]
     assert depth.tolist() == [1.0]  # 2 + 3 - 4
 
 
 def test_unbounded_queue_never_drops():
-    accepted, _, depth = epoch_service_vectorized(
+    accepted, _, depth = serve(
         np.array([1000]), arr(500), arr(1), np.inf
     )
     assert accepted.tolist() == [1000]
     assert depth.tolist() == [1499.0]
 
 
-# --- vectorized == scalar reference, bit for bit -----------------------------
+# --- run binning == per-request reference, bit for bit ----------------------
+
+
+TWO53 = 2.0**53
+
+
+def fuzz_epochs(seed, rounds):
+    """Random epochs, after the cases the run binning must get exactly right."""
+    # Latencies exactly on edges: rate 1, no backlog gives 1, 2, ..., 10001
+    # (1, 10, ..., 1e4 are edges; the top one is inclusive).
+    yield arr(10001), arr(0), arr(1), np.inf
+    # Unbounded backlog past 1e4 epochs of service: the overflow slot.
+    yield arr(300, 40), arr(49_900, 0), arr(5, 5), np.inf
+    # Backlogs >= 2**53, where base + i + 1 stops being exact, straddling
+    # an edge (float spacing 2 and 8 there).
+    edge = LATENCY_EDGES[200]
+    yield (arr(64, 64), arr(TWO53, 4 * TWO53),
+           arr((TWO53 + 32) / edge, (4 * TWO53 + 200) / edge), np.inf)
+    # Subnormal rates: 5e-308 gives 8 finite latencies then +inf, 1e-310
+    # only +inf.
+    yield arr(20, 20, 5), arr(0, 0, 0), arr(5e-308, 1e-310, 3), np.inf
+    # Zero accepted: dead / zero-rate OSDs, or no room left in the queue.
+    yield arr(5, 7), arr(0, 0), arr(0, 0), np.inf
+    yield arr(5), arr(100), arr(2), 4.0
+    rng = np.random.default_rng(seed)
+    for _ in range(rounds):
+        n = int(rng.integers(1, 12))
+        arrivals = rng.integers(0, 400, size=n).astype(np.float64)
+        base = rng.uniform(0, rng.choice([50.0, 5e4, 1e17]), size=n)
+        rate = rng.uniform(0, 40, size=n)
+        rate[rng.random(n) < 0.2] = 0.0  # dead OSDs
+        yield arrivals, base, rate, float(rng.choice([np.inf, 4.0, 32.0, 128.0]))
 
 
 def test_epoch_step_matches_reference_fuzz():
-    rng = np.random.default_rng(20260808)
-    for _ in range(50):
-        n = int(rng.integers(1, 12))
-        arrivals = rng.integers(0, 200, size=n)
-        base = rng.uniform(0, 50, size=n)
-        rate = rng.uniform(0, 40, size=n)
-        rate[rng.random(n) < 0.2] = 0.0  # dead OSDs
-        qbound = float(rng.choice([np.inf, 4.0, 32.0, 128.0]))
-        fast = epoch_service_vectorized(arrivals, base, rate, qbound)
-        slow = epoch_service_reference(arrivals, base, rate, qbound)
-        for f, s in zip(fast, slow):
-            assert np.array_equal(f, s), (arrivals, base, rate, qbound)
+    """admit + run_latencies against the scalar per-request model."""
+    # The subnormal rates overflow to +inf, and so do sums near 1e308.
+    with np.errstate(over="ignore"):
+        for arrivals, base, rate, qbound in fuzz_epochs(20260808, 200):
+            case = (arrivals, base, rate, qbound)
+            ref_acc, ref_lat, ref_depth = epoch_service_reference(*case)
+            vec = epoch_service_vectorized(*case)
+            accepted, depth = admit(*case)
+            runs = run_latencies(accepted, base, rate) if accepted.any() else None
+            for v, r in zip(vec, (ref_acc, ref_lat, ref_depth)):
+                assert np.array_equal(v, r), case
+            assert np.array_equal(accepted, ref_acc), case
+            assert np.array_equal(depth, ref_depth), case
+            if runs is None:
+                assert ref_lat.size == 0, case
+                continue
+            hist, lat, tails = runs
+            finite = ref_lat[np.isfinite(ref_lat)]
+            assert np.array_equal(hist, bin_latencies(ref_lat)), case
+            assert np.array_equal(lat, finite), case
+            assert lat.sum() == finite.sum(), case
+            if finite.size:
+                assert tails.max() == finite.max(), case
+
+
+def test_run_binning_covers_the_special_cases():
+    """The hand-made fuzz cases reach what they are there for."""
+    cases = list(fuzz_epochs(0, 0))
+    hists = [bin_latencies(epoch_service_reference(*c)[1]) for c in cases[:2]]
+    assert hists[0][NUM_BINS - 1] > 0 and hists[0][NUM_BINS] == 1  # 1e4 in, 10001 out
+    assert hists[1][NUM_BINS] > 0
+    _, lat, _ = epoch_service_reference(*cases[2])
+    assert lat.min() < LATENCY_EDGES[200] <= lat.max()
+    with np.errstate(over="ignore"):
+        _, lat, _ = epoch_service_reference(*cases[3])
+    assert np.isfinite(lat).sum() == 8 + 5 and np.isinf(lat).sum() == 12 + 20
+
+
+def clone_states(cfg, rng, n):
+    """Two identical hand-built service states for a step-vs-step fuzz."""
+    rate = rng.uniform(0, 40, size=n)
+    rate[rng.random(n) < 0.2] = 0.0  # zero-rate OSDs
+    rate[rng.random(n) < 0.05] = 1e-308  # subnormal: finite prefix, then +inf
+    depth = rng.uniform(0, 100, size=n)
+    depth[rng.random(n) < 0.15] *= 500  # past 1e4 epochs of service
+    depth[rng.random(n) < 0.1] = TWO53 * rng.integers(1, 4)
+    pending = np.where(rng.random(n) < 0.5, rng.uniform(0, 500, size=n), 0.0)
+    alive = rng.random(n) > 0.15
+    states = []
+    for _ in range(2):
+        state = make_state(cfg)
+        state.osd_service_rate = rate.copy()
+        state.osd_queue_depth = depth.copy()
+        state.osd_mig_backlog = pending.copy()
+        state.osd_alive = alive.copy()
+        states.append(state)
+    return states
+
+
+def test_step_matches_reference_step_fuzz():
+    """ServiceRuntime.step against the per-request step, epoch after epoch."""
+    rng = np.random.default_rng(1357)
+    keys = ("hist", "lat_sum", "lat_count", "stalled_total", "requests_total",
+            "dropped_total", "lost_work", "spike_lat_max", "_mig_lat_sum",
+            "_mig_lat_count", "_clean_lat_sum", "_clean_lat_count",
+            "_depth_mean_sum", "_depth_cov_sum", "_depth_max", "_epochs")
+    for _ in range(30):
+        n = int(rng.integers(2, 10))
+        cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
+        model = ServiceModel.parse(cfg.service, num_osds=n)
+        fast_rt, ref_rt = ServiceRuntime(model, cfg), ServiceRuntime(model, cfg)
+        fast, ref = clone_states(cfg, rng, n)
+        for _epoch in range(6):
+            arrivals = rng.integers(0, 300, size=n).astype(np.float64)
+            if rng.random() < 0.2:
+                arrivals[:] = 0.0  # an epoch that accepts nothing
+            fast_stats, ref_stats = EpochStats(), EpochStats()
+            with np.errstate(over="ignore"):
+                fast_rt.step(fast, arrivals, fast_stats)
+                reference_step(ref_rt, ref, arrivals, ref_stats)
+            for key in keys:
+                f, r = getattr(fast_rt, key), getattr(ref_rt, key)
+                assert np.array_equal(f, r, equal_nan=True), key
+            assert np.array_equal(fast.osd_queue_depth, ref.osd_queue_depth)
+            assert np.array_equal(fast.osd_mig_backlog, ref.osd_mig_backlog)
+            assert fast_stats == ref_stats
+
+
+def test_mean_std_matches_numpy_bit_for_bit():
+    """mean_std == (x.mean(), x.std()) exactly: sizes 1-300, alive-masked
+    subsets, all-zero and constant vectors."""
+    rng = np.random.default_rng(99)
+    for n in range(1, 301):
+        for x in (rng.lognormal(3.0, 2.0, size=n), rng.uniform(0, 1e6, size=n),
+                  np.zeros(n), np.full(n, 0.1)):
+            assert mean_std(x) == (x.mean(), x.std()), n
+            alive = rng.random(n) < 0.7
+            alive[0] = True
+            sub = x[alive]
+            assert mean_std(sub) == (sub.mean(), sub.std()), n
 
 
 SCALAR_XCHECK_CASES = [
@@ -186,6 +314,9 @@ SCALAR_XCHECK_CASES = [
     dict(policy="cmt", service="rate:60;rate:200@2-3", faults="fail:1@8"),
     dict(policy="cmt", service="rate:120;queue:32", workload="lair62",
          faults="slow:2@4x0.5", endurance="pe:900"),
+    # Unbounded queues that reach the overflow slot.
+    pytest.param(dict(policy="cmt", service="rate:2", requests_per_epoch=4096),
+                 id="cmt-overflow"),
 ]
 
 
@@ -193,10 +324,10 @@ SCALAR_XCHECK_CASES = [
     "case", SCALAR_XCHECK_CASES, ids=lambda c: f"{c['policy']}-{c.get('faults') or 'healthy'}"
 )
 def test_whole_run_scalar_reference_bit_identical(case, monkeypatch):
-    """Drive entire simulate() runs through the scalar path: zero metric diffs."""
-    cfg = cfg_factory(epochs=24, requests_per_epoch=512, **case)
+    """Drive entire simulate() runs through the per-request step: zero metric diffs."""
+    cfg = cfg_factory(**{"epochs": 24, "requests_per_epoch": 512, **case})
     fast = simulate(cfg)
-    monkeypatch.setattr(service_runtime, "epoch_service", epoch_service_reference)
+    monkeypatch.setattr(ServiceRuntime, "step", reference_step)
     slow = simulate(cfg)
     assert set(fast) == set(slow)
     for key in fast:
@@ -257,11 +388,9 @@ def test_dead_osd_backlog_becomes_lost_work(make_cfg):
 def test_queue_aggregates_exclude_dead_osds(make_cfg):
     """Depth mean/CoV are survivor-masked: a dead OSD's permanent zero must
     not dilute the mean or inflate the CoV for the rest of the run."""
-    from conftest import make_state
-
     cfg = make_cfg(num_osds=4, service="rate:10;queue:64")
     model = ServiceModel.parse(cfg.service, num_osds=4)
-    rt = service_runtime.ServiceRuntime(model, cfg)
+    rt = ServiceRuntime(model, cfg)
     state = make_state(cfg)
     rt.attach(state)
     state.osd_alive[0] = False
