@@ -13,10 +13,13 @@ writes plus any migration wear applied since the previous update) into
 rate drives :meth:`~edm.engine.state.ClusterState.predicted_wearout_epochs`,
 the epochs-to-wear-out estimate CMT's destination score steers by.
 
-One deliberate safety valve: a wear-out never kills the last survivor.  If
-every remaining alive OSD is past its rating at the same boundary, the one
-with the most relative headroom keeps serving past its budget (real
-clusters degrade, they don't evaporate); everything else fails normally.
+One deliberate safety valve: wear-outs never shrink the cluster below a
+floor of ``max(1, group_width)`` alive OSDs -- the last survivor of a plain
+cluster, one full placement group of a redundant one, so every group can
+still spread its members over distinct OSDs.  If failing every worn OSD at
+a boundary would cross the floor, the worn OSDs with the most relative
+headroom keep serving past their budget (real clusters degrade, they don't
+evaporate); everything else fails normally.
 
 This module only touches NumPy arrays on the state object (duck-typed, no
 engine imports), keeping the endurance package import-cycle-free.
@@ -76,7 +79,8 @@ class EnduranceTracker:
             )
 
     def step(self, state: "ClusterState", epoch: int) -> list[FaultEvent]:
-        """Fail every alive OSD at or past its rated budget; returns the events.
+        """Fail every alive OSD at or past its rated budget, down to the
+        survivor floor; returns the events.
 
         Deterministic: candidates are found by a vectorized comparison and
         fail in OSD-id order.  The engine re-places each failed OSD's chunks
@@ -86,12 +90,15 @@ class EnduranceTracker:
         if not worn.any():
             return []
         ids = np.flatnonzero(worn)
-        if worn.sum() == state.osd_alive.sum():
-            # Last-survivor guard: keep the OSD with the most relative
-            # headroom serving past its rating rather than killing the
-            # whole cluster (ties break to the lowest OSD id).
+        healthy = int(state.osd_alive.sum()) - ids.size
+        spare = max(1, state.group_width) - healthy
+        if spare > 0:
+            # Survivor floor: keep the worn OSDs with the most relative
+            # headroom serving past their rating rather than shrinking the
+            # cluster below one placement group (ties break to the lowest
+            # OSD id).
             overdraft = state.osd_wear[ids] / state.osd_rated_life[ids]
-            ids = np.delete(ids, int(np.argmin(overdraft)))
+            ids = np.delete(ids, np.argsort(overdraft, kind="stable")[:spare])
         events = []
         for osd in ids:
             state.osd_alive[osd] = False

@@ -34,7 +34,8 @@ zero load, per-band capacity / service rate / rated P/E -- and the kernel's
 per-OSD scratch is resized once per event; ``drain`` events gracefully
 evacuate the target's chunks through the active policy's destination
 scoring (trigger ``"drain"`` in decision provenance) and then retire it,
-with no lost queue work.  Every fired event fans out to recorders via
+discarding its queue and pending migration work without counting them as
+``service_lost_work``.  Every fired event fans out to recorders via
 ``on_topology``.  Static configs skip this path entirely and stay
 bit-identical to the topology-unaware engine.
 
@@ -78,7 +79,7 @@ from edm.faults import FaultPlan, FaultRuntime, effective_load
 from edm.obs.decisions import Decision
 from edm.obs.trace import NULL_TRACER, Tracer
 from edm.policies import MigrationPolicy, get_policy
-from edm.policies.base import candidate_positions, destination_picker, owns_scoring
+from edm.policies.base import candidate_positions, destination_picker, sum_terms
 from edm.redundancy import RedundancyRuntime, RedundancyScheme
 from edm.service import ServiceModel, ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
@@ -150,24 +151,26 @@ def _assign_replacements_batched(
 ) -> np.ndarray:
     """Vectorized greedy assignment, bit-identical to the sequential loop.
 
-    The scalar greedy picks a destination per chunk, but the pick depends on
-    the chunk only through the running projected-load vector -- and each
-    assignment perturbs exactly one entry of it (the destination's own).  So
-    the greedy runs in *rounds*: pick a destination ``b`` once, then compute
-    -- in one shot -- how many of the next hottest chunks would keep picking
-    ``b``.  The running values of ``proj[b]`` after each hypothetical
-    assignment come from a left-to-right cumsum (the same addition order and
-    rounding as the loop), and ``pick_destination_batch`` replays the
-    policy's exact scoring arithmetic over all prefixes at once; the round
-    closes at the first prefix whose argmin moves off ``b``.
+    The sequential greedy picks a destination per chunk, but the pick
+    depends on the chunk only through the running projected-load vector --
+    and each assignment perturbs exactly one entry of it (the
+    destination's own).  So the greedy runs in *rounds*: pick a destination
+    ``b`` once, then compute -- in one shot -- how many of the next hottest
+    chunks would keep picking ``b``.  The running values of ``proj[b]``
+    after each hypothetical assignment come from a left-to-right cumsum
+    (the same addition order and rounding as the loop), the burst's one
+    scorer scores every prefix's projected-load row at once (row ``i``
+    folds to the bytes a lone vector would, by the scorer contract), and
+    the round closes at the first prefix whose argmin moves off ``b``.
     """
+    score = policy.scorer(alive_ids, state, cfg)
     cap = state.osd_capacity
     heats = state.chunk_heat[order]
     total = order.size
     dsts = np.empty(total, dtype=np.int64)
     pos = 0
     while pos < total:
-        b = policy.pick_destination(alive_ids, proj, state, cfg)
+        b = int(alive_ids[np.argmin(sum_terms(score(proj)))])
         span = min(total - pos, _MAX_BATCH_ROUND)
         # running[i] = proj[b] after assigning i chunks, accumulated in the
         # sequential loop's exact order: cumsum folds left to right.
@@ -181,7 +184,7 @@ def _assign_replacements_batched(
             # against, had chunks pos..pos+i-1 all landed on b.
             rows = np.tile(proj, (span - 1, 1))
             rows[:, b] = running[1:span]
-            picks = policy.pick_destination_batch(alive_ids, rows, state, cfg)
+            picks = alive_ids[np.argmin(sum_terms(score(rows)), axis=1)]
             moved_off = picks != b
             taken = int(np.argmax(moved_off)) + 1 if moved_off.any() else span
         dsts[pos : pos + taken] = b
@@ -210,7 +213,7 @@ def _assign_sequential(
     until :func:`apply_migrations` and no two burst chunks share a group.
     ``emit(chunk, dst, candidates, terms, scores)`` explains each pick.
     """
-    pick = destination_picker(policy, alive_ids, state, cfg, owns_scoring(policy, "scorer"))
+    pick = destination_picker(policy, alive_ids, state, cfg)
     keep = None
     if forbid is not None:
         m = alive_ids.size
@@ -250,23 +253,22 @@ def replace_dead_chunks(
 ) -> int:
     """Re-place every chunk of a failed (or draining) OSD; returns how many moved.
 
-    Destinations come from the active policy's ``pick_destination`` scoring
-    over the surviving OSDs (so CMT steers the re-placement burst toward
-    low-wear drives while HDF/CDF/baseline spread purely by load), hottest
-    chunks placed first against a projected effective-load vector.  The burst
-    is forced -- it ignores the per-interval migration budget and the
-    cooldown mask -- but is charged as ordinary migration wear through
+    Destinations come from the active policy's ``scorer`` over the
+    surviving OSDs (so CMT steers the re-placement burst toward low-wear
+    drives while HDF/CDF/baseline spread purely by load), hottest chunks
+    placed first against a projected effective-load vector.  The burst is
+    forced -- it ignores the per-interval migration budget and the cooldown
+    mask -- but is charged as ordinary migration wear through
     :func:`apply_migrations`.
 
-    Plain bursts of built-in policies take the batched greedy assignment
-    (vectorized rounds); everything else -- redundant configs, explained
-    bursts (``emit`` set, see :mod:`edm.obs.decisions`), policies without a
-    matching ``pick_destination_batch`` -- takes :func:`_assign_sequential`.
-    Both are bit-identical to one ``pick_destination`` call per chunk over
-    its own candidate set.  Redundant configs forbid, per chunk, every OSD
-    holding a member of its placement group; when ``redundancy`` (the
-    run's :class:`~edm.redundancy.RedundancyRuntime`) is given and
-    ``dead_osd`` is actually dead, the burst is charged as
+    Plain, unexplained bursts take the batched rounds
+    (:func:`_assign_replacements_batched`); redundant configs and explained
+    bursts (``emit`` set, see :mod:`edm.obs.decisions`) take
+    :func:`_assign_sequential`.  Both are bit-identical to scoring each
+    chunk's own candidate set from scratch.  Redundant configs forbid, per
+    chunk, every OSD holding a member of its placement group; when
+    ``redundancy`` (the run's :class:`~edm.redundancy.RedundancyRuntime`)
+    is given and ``dead_osd`` is actually dead, the burst is charged as
     *reconstruction*: surviving group members are read into the service
     queues on top of the ordinary migration-write wear.  A drain
     (``dead_osd`` still alive) stays a plain group-constrained evacuation.
@@ -285,11 +287,7 @@ def replace_dead_chunks(
         )
     proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
     order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
-    if (
-        state.chunk_group is None
-        and emit is None
-        and owns_scoring(policy, "pick_destination_batch")
-    ):
+    if state.chunk_group is None and emit is None:
         dsts = _assign_replacements_batched(order, proj, alive_ids, policy, state, cfg)
     else:
         forbid = None
@@ -472,10 +470,7 @@ def simulate(
 
         if (epoch + 1) % cfg.migrate_interval == 0:
             with tr.span("simulate.migration"):
-                if emit_threshold is None:
-                    moves = policy.select(state, cfg)
-                else:
-                    moves = policy.select_explained(state, cfg, emit_threshold)
+                moves = policy.select(state, cfg, emit_threshold)
                 applied = apply_migrations(state, moves, cfg)
                 for rec in observers:
                     rec.on_migration(state, applied, stats)

@@ -55,29 +55,6 @@ def sum_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
     return score
 
 
-def owns_scoring(policy: "MigrationPolicy", method: str) -> bool:
-    """True when ``policy``'s ``method`` provably matches its scalar pick.
-
-    ``method`` (``pick_destination_batch`` or ``scorer``) is a vectorized
-    stand-in for ``pick_destination``, sound only when the class defining
-    it is -- or subclasses -- the class defining the effective scalar
-    scoring (``pick_destination`` or ``destination_terms``, whichever sits
-    deepest in the MRO: the base pick routes through the terms).  Otherwise
-    callers fall back to per-pick calls.
-    """
-    scalar_owner = method_owner = None
-    for klass in type(policy).__mro__:
-        if scalar_owner is None and (
-            "pick_destination" in vars(klass) or "destination_terms" in vars(klass)
-        ):
-            scalar_owner = klass
-        if method_owner is None and method in vars(klass):
-            method_owner = klass
-    if scalar_owner is None or method_owner is None:
-        return False
-    return issubclass(method_owner, scalar_owner)
-
-
 def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
     """Map OSD id -> index into ``candidates`` (``candidates.size`` if absent),
     so dropping OSD ids is a keep-mask write instead of an ``np.isin``."""
@@ -87,30 +64,24 @@ def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
 
 
 def destination_picker(
-    policy: "MigrationPolicy", candidates: np.ndarray, state: ClusterState, cfg: SimConfig,
-    fast: bool,
+    policy: "MigrationPolicy", candidates: np.ndarray, state: ClusterState, cfg: SimConfig
 ):
     """``pick(proj_load, keep=None, explain=False) -> (dst, terms, scores)``.
 
     Picks among ``candidates[keep]`` (all when ``keep`` is None); ``terms``
-    and ``scores`` cover that subset when ``explain``, else are None.  When
-    ``fast`` (``owns_scoring(policy, "scorer")``), one scorer is built up
-    front, and each pick scores all candidates and then subsets --
-    bit-identical to scoring the subset by the scorer contract, and
-    order-preserving so ``argmin`` keeps its first-minimum tie-break.
-    Otherwise each pick calls ``pick_destination`` / ``explain_destination``.
+    and ``scores`` cover that subset when ``explain``, else are None.  One
+    scorer is built up front, and each pick scores all candidates and then
+    subsets -- bit-identical to scoring the subset by the scorer contract,
+    and order-preserving so ``argmin`` keeps its first-minimum tie-break.
     """
-    score = policy.scorer(candidates, state, cfg) if fast else None
+    score = policy.scorer(candidates, state, cfg)
 
     def pick(proj_load, keep=None, explain=False):
-        cand = candidates if keep is None else candidates[keep]
-        if score is None:
-            if explain:
-                return policy.explain_destination(cand, proj_load, state, cfg)
-            return policy.pick_destination(cand, proj_load, state, cfg), None, None
         terms = score(proj_load)
         scores = sum_terms(terms)
+        cand = candidates
         if keep is not None:
+            cand = candidates[keep]
             scores = scores[keep]
             if explain:
                 terms = {k: v[keep] for k, v in terms.items()}
@@ -124,110 +95,44 @@ class MigrationPolicy(ABC):
     name = "abstract"
 
     @abstractmethod
-    def select(self, state: ClusterState, cfg: SimConfig) -> np.ndarray:
-        """Return an int array (k, 2) of (chunk_id, dst_osd) moves."""
+    def select(self, state: ClusterState, cfg: SimConfig, emit=None) -> np.ndarray:
+        """Return an int array (k, 2) of (chunk_id, dst_osd) moves.
 
-    def select_explained(self, state: ClusterState, cfg: SimConfig, emit) -> np.ndarray:
-        """Like :meth:`select`, but report each destination pick via ``emit``.
-
-        ``emit(chunk, src, dst, candidates, terms, scores)`` is called once
-        per selected move with the per-term score decomposition (see
-        :meth:`destination_terms`) over the candidate set.  The moves
-        returned must be identical to a plain :meth:`select` call on the
-        same state -- explanation observes the pick, never changes it.  The
-        default covers policies without per-move scoring (baseline never
-        picks a destination during selection) by just selecting.
+        ``emit(chunk, src, dst, candidates, terms, scores)``, when given, is
+        called once per selected move with the per-term score decomposition
+        (see :meth:`scorer`) over the candidate set.  Explanation observes
+        the pick, never changes it: the moves are the same with or without
+        ``emit``.
         """
-        return self.select(state, cfg)
-
-    def destination_terms(
-        self,
-        candidates: np.ndarray,
-        proj_load: np.ndarray,
-        state: ClusterState,
-        cfg: SimConfig,
-    ) -> dict[str, np.ndarray]:
-        """Per-term destination score decomposition over ``candidates``.
-
-        Keys name the score terms, values are float arrays aligned with
-        ``candidates``; lower total is better and the total is folded
-        left-to-right over insertion order (see :func:`sum_terms`), so the
-        decomposition *defines* the scoring: :meth:`pick_destination` is the
-        argmin of the folded terms.  The default scores by projected load
-        alone -- the least-loaded candidate wins.
-        """
-        return {"load": proj_load[candidates]}
 
     def scorer(self, candidates: np.ndarray, state: ClusterState, cfg: SimConfig):
-        """``score(proj_load) -> terms``: :meth:`destination_terms` over
-        ``candidates``, with whatever does not depend on projected load
-        computed once; valid while ``state`` is unchanged (one re-placement
-        burst or selection round).
+        """``score(proj) -> terms``: the policy's destination score.
 
-        Contract -- **candidate independence**: every term is elementwise per
-        OSD and every normalizer cluster-wide, so ``scorer(superset)(p)``
-        masked to a subset equals ``scorer(subset)(p)`` bit-for-bit.  The
-        engine relies on it to score one candidate set per pick and mask it
-        per chunk (pinned per policy by tests/test_policy_conformance.py).
+        The one scoring hook: interval selection, failure / wear-out / drain
+        re-placement and decision provenance all pick through it, so even
+        the no-migration baseline has a well-defined answer.  ``proj`` is
+        one projected-load vector ``(num_osds,)`` or a stack of them
+        ``(rows, num_osds)``; keys name the score terms, values are float
+        arrays aligned with ``candidates`` on the last axis.  Lower total is
+        better, folded left to right over insertion order (see
+        :func:`sum_terms`); the pick is the first minimum.  Whatever does
+        not depend on ``proj`` may be computed once: ``score`` is valid
+        while ``state`` is unchanged (one re-placement burst or selection
+        round).  The default scores by projected load alone.
+
+        Contract (pinned per policy by tests/test_policy_conformance.py):
+
+          * **shape agnostic**: row ``i`` of ``score(rows)`` folds to the
+            same bytes as ``score(rows[i])`` -- the batched re-placement
+            replays many prefixes at once.  Gather with
+            ``proj.take(ids, axis=-1)``, which keeps each row contiguous so
+            every row reduces in the same order as a lone vector;
+          * **candidate independence**: every term is elementwise per OSD
+            and every normalizer cluster-wide, so ``scorer(superset)(p)``
+            masked to a subset equals ``scorer(subset)(p)`` -- the engine
+            scores one candidate set per pick and masks it per chunk.
         """
-        return lambda proj_load: self.destination_terms(candidates, proj_load, state, cfg)
-
-    def pick_destination(
-        self,
-        candidates: np.ndarray,
-        proj_load: np.ndarray,
-        state: ClusterState,
-        cfg: SimConfig,
-    ) -> int:
-        """Pick a destination among candidate OSD ids (default: least load).
-
-        Shared by interval selection *and* failure re-placement: when an OSD
-        dies, the engine routes its chunks through the active policy's
-        destination scoring, so even the no-migration baseline has a
-        well-defined answer here.  The score is the left-to-right fold of
-        :meth:`destination_terms`, so the pick and its explanation can never
-        disagree.
-        """
-        return int(candidates[np.argmin(sum_terms(
-            self.destination_terms(candidates, proj_load, state, cfg)
-        ))])
-
-    def explain_destination(
-        self,
-        candidates: np.ndarray,
-        proj_load: np.ndarray,
-        state: ClusterState,
-        cfg: SimConfig,
-    ) -> tuple[int, dict[str, np.ndarray], np.ndarray]:
-        """:meth:`pick_destination` plus its evidence: ``(dst, terms, scores)``,
-        the winning OSD id, the per-term decomposition over ``candidates``,
-        and the folded total scores whose argmin the winner is."""
-        terms = self.destination_terms(candidates, proj_load, state, cfg)
-        scores = sum_terms(terms)
-        return int(candidates[np.argmin(scores)]), terms, scores
-
-    def pick_destination_batch(
-        self,
-        candidates: np.ndarray,
-        proj_rows: np.ndarray,
-        state: ClusterState,
-        cfg: SimConfig,
-    ) -> np.ndarray:
-        """Vectorized ``pick_destination`` over many projected-load vectors.
-
-        ``proj_rows`` is a (rows, num_osds) matrix; the result's entry ``i``
-        must equal ``pick_destination(candidates, proj_rows[i], ...)``
-        **bit-for-bit** -- the engine's batched failure re-placement replays
-        the scalar greedy through this method (see
-        :func:`edm.engine.core.replace_dead_chunks`), so any subclass that
-        overrides ``pick_destination`` must override this in lockstep or the
-        engine falls back to one ``pick_destination`` call per chunk.
-
-        Default scoring is raw projected load, so a row-wise argmin over the
-        candidate columns reproduces the scalar pick exactly (ties resolve
-        to the first minimum in both shapes).
-        """
-        return candidates[np.argmin(proj_rows[:, candidates], axis=1)]
+        return lambda proj: {"load": proj.take(candidates, axis=-1)}
 
 
 class ThresholdPolicy(MigrationPolicy):
@@ -237,13 +142,7 @@ class ThresholdPolicy(MigrationPolicy):
         """Order candidate chunks on an overloaded OSD (first = first moved)."""
         raise NotImplementedError
 
-    def select(self, state: ClusterState, cfg: SimConfig) -> np.ndarray:
-        return self._select(state, cfg, emit=None)
-
-    def select_explained(self, state: ClusterState, cfg: SimConfig, emit) -> np.ndarray:
-        return self._select(state, cfg, emit=emit)
-
-    def _select(self, state: ClusterState, cfg: SimConfig, emit) -> np.ndarray:
+    def select(self, state: ClusterState, cfg: SimConfig, emit=None) -> np.ndarray:
         alive = state.osd_alive
         cap = state.osd_capacity
         if state.degraded:
@@ -264,7 +163,7 @@ class ThresholdPolicy(MigrationPolicy):
         # One destination set per call (alive, not draining) and one picker
         # scoring it; each chunk narrows it with a keep-mask.
         dest = np.flatnonzero(alive & ~state.osd_draining)
-        pick = destination_picker(self, dest, state, cfg, owns_scoring(self, "scorer"))
+        pick = destination_picker(self, dest, state, cfg)
         explain = emit is not None
         w = state.group_width
         pos = candidate_positions(dest, state.num_osds) if w else None
@@ -324,27 +223,19 @@ class ThresholdPolicy(MigrationPolicy):
 class NormalizedScorePolicy(ThresholdPolicy):
     """Destination scoring over cluster-mean-normalized load, with hooks.
 
-    The scoring shape CMT established, factored so the zoo shares one
-    scalar/batch pairing: the projected load of each candidate is normalized
-    by the mean over *alive* OSDs (cluster-wide, never the candidate subset,
-    so a drive's score is independent of who else is a candidate), then
+    The scoring shape CMT established, factored so the zoo shares it: the
+    projected load of each candidate is normalized by the mean over *alive*
+    OSDs (cluster-wide, never the candidate subset, so a drive's score is
+    independent of who else is a candidate), then
 
       * :meth:`load_terms` maps that normalized load to one or more score
         terms with shape-agnostic arithmetic (the same expression must work
         on a 1-D candidate vector and a 2-D rows x candidates matrix), and
       * :meth:`static_destination_terms` appends terms that do not depend on
-        projected load at all (wear, wear-out risk) -- frozen across a
-        re-placement burst, broadcast across batch rows.
+        projected load at all (wear, wear-out risk) -- computed once per
+        scorer, broadcast across rows.
 
-    ``destination_terms`` folds load terms first, static terms after, in
-    insertion order; ``pick_destination_batch`` replays the identical
-    floating-point sequence row-wise, so every subclass gets a batch path
-    provably bit-identical to its scalar pick (pinned by
-    tests/test_policy_conformance.py across the whole registry).
-
-    :meth:`scorer` computes the static terms once per burst or selection
-    round, not once per pick.  Both hooks must keep the scorer contract:
-    terms elementwise per OSD, normalizers cluster-wide.
+    Load terms fold first, static terms after, in insertion order.
     """
 
     def load_terms(
@@ -360,43 +251,20 @@ class NormalizedScorePolicy(ThresholdPolicy):
         return {}
 
     def scorer(self, candidates, state, cfg):
-        """Static terms frozen once; each call redoes only the load terms,
-        with the exact arithmetic :meth:`destination_terms` is defined by."""
         static = self.static_destination_terms(candidates, state, cfg)
-        alive = state.osd_alive
-        any_alive = alive.any()
+        alive_ids = np.flatnonzero(state.osd_alive)
+        n_alive = alive_ids.size
 
-        def score(proj_load):
-            load = proj_load[candidates]
-            mean_load = proj_load[alive].mean() if any_alive else 0.0
-            load_norm = load / mean_load if mean_load > 0 else load
-            terms = dict(self.load_terms(load_norm, state, cfg))
+        def score(proj):
+            load = proj.take(candidates, axis=-1)
+            if n_alive:
+                # Exactly ``.mean()``'s arithmetic (pairwise sum, then one
+                # division), row by row; rows whose mean is not positive keep
+                # the raw load.
+                mean = proj.take(alive_ids, axis=-1).sum(axis=-1, keepdims=True) / n_alive
+                np.divide(load, mean, out=load, where=mean > 0)
+            terms = dict(self.load_terms(load, state, cfg))
             terms.update(static)
             return terms
 
         return score
-
-    def destination_terms(self, candidates, proj_load, state, cfg):
-        return self.scorer(candidates, state, cfg)(proj_load)
-
-    def pick_destination_batch(self, candidates, proj_rows, state, cfg):
-        """Row-wise scoring, bit-identical to the scalar pick.
-
-        Each row normalizes by its own alive-mean, falling back to the raw
-        load for rows whose mean is not positive -- the same branch the
-        scalar path takes.  Load terms fold first, then static terms (1-D,
-        broadcast across rows) are added in order: the exact addition
-        sequence of ``sum_terms`` over :meth:`destination_terms`.
-        """
-        alive = state.osd_alive
-        load = proj_rows[:, candidates]
-        if alive.any():
-            mean_load = proj_rows[:, alive].mean(axis=1)[:, None]
-        else:
-            mean_load = np.zeros((len(proj_rows), 1))
-        load_norm = load.copy()
-        np.divide(load, mean_load, out=load_norm, where=mean_load > 0)
-        score = sum_terms(self.load_terms(load_norm, state, cfg))
-        for term in self.static_destination_terms(candidates, state, cfg).values():
-            score = score + term
-        return candidates[np.argmin(score, axis=1)]

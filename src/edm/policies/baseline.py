@@ -10,5 +10,5 @@ from edm.policies.base import EMPTY_MOVES, MigrationPolicy
 class BaselinePolicy(MigrationPolicy):
     name = "baseline"
 
-    def select(self, state, cfg):
+    def select(self, state, cfg, emit=None):
         return EMPTY_MOVES

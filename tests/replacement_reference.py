@@ -3,23 +3,23 @@
 These are the straightforward one-chunk-at-a-time versions of three engine
 paths, kept here as independent oracles for the differential tests:
 
-  * :func:`assign_reference` -- group-constrained re-placement: each chunk's
-    candidates filtered with ``np.isin`` against its group's current owners,
-    then one ``pick_destination`` (or ``explain_destination``) call;
+  * :func:`assign_reference` -- re-placement, plain or group-constrained:
+    each chunk's candidates filtered with ``np.isin`` against its group's
+    current owners, then scored from scratch (:func:`reference_pick`);
   * :func:`select_reference` -- threshold selection with per-chunk candidate
     filtering and per-pick scoring;
   * :func:`reconstruction_reference` -- reconstruction read charging, one
     lost chunk at a time.
 
-The engine versions (``edm.engine.core._assign_sequential``,
-``ThresholdPolicy._select``, ``RedundancyRuntime.on_reconstruction``) must
-match these bit-for-bit.
+The engine versions (``edm.engine.core._assign_sequential`` and
+``_assign_replacements_batched``, ``ThresholdPolicy.select``,
+``RedundancyRuntime.on_reconstruction``) must match these bit-for-bit.
 """
 
 import numpy as np
 
 from edm.faults import effective_load
-from edm.policies.base import EMPTY_MOVES
+from edm.policies.base import EMPTY_MOVES, sum_terms
 
 
 def group_members(state, chunk):
@@ -41,6 +41,14 @@ def group_constrained(candidates, state, chunk):
     return candidates[~np.isin(candidates, owners)]
 
 
+def reference_pick(policy, candidates, proj, state, cfg):
+    """``(dst, terms, scores)``: a fresh scorer over exactly ``candidates``,
+    folded, first minimum -- no frozen terms, no masking."""
+    terms = policy.scorer(candidates, state, cfg)(proj)
+    scores = sum_terms(terms)
+    return int(candidates[np.argmin(scores)]), terms, scores
+
+
 def assign_reference(order, proj, alive_ids, policy, state, cfg, emit=None):
     """One pick per chunk over its own constrained candidate set.
 
@@ -53,10 +61,8 @@ def assign_reference(order, proj, alive_ids, policy, state, cfg, emit=None):
         cand = group_constrained(alive_ids, state, int(chunk))
         if cand.size == 0:
             raise RuntimeError(f"chunk {chunk} has no constraint-satisfying destination")
-        if emit is None:
-            dst = policy.pick_destination(cand, proj, state, cfg)
-        else:
-            dst, terms, scores = policy.explain_destination(cand, proj, state, cfg)
+        dst, terms, scores = reference_pick(policy, cand, proj, state, cfg)
+        if emit is not None:
             emit(int(chunk), dst, cand, terms, scores)
         dsts[k] = dst
         proj[dst] += state.chunk_heat[chunk] / cap[dst]
@@ -104,10 +110,7 @@ def select_reference(policy, state, cfg, emit=None):
                     under = under[~np.isin(under, taken)]
             if under.size == 0:
                 continue
-            if emit is None:
-                dst = policy.pick_destination(under, proj, state, cfg)
-            else:
-                dst, terms, scores = policy.explain_destination(under, proj, state, cfg)
+            dst, terms, scores = reference_pick(policy, under, proj, state, cfg)
             heat = state.chunk_heat[chunk]
             heat_dst = heat / cap[dst]
             if proj[dst] + heat_dst >= proj[src]:

@@ -23,6 +23,7 @@ from edm.obs.decisions import (
     winner_index,
 )
 from edm.policies import POLICIES, get_policy
+from edm.policies.base import destination_picker
 
 FAULTED_ENDURED = dict(faults="fail:1@12", endurance="pe:2000")
 
@@ -58,10 +59,13 @@ def test_explain_destination_matches_pick(policy_name, endurance):
     for trial in range(20):
         k = int(rng.integers(1, cfg.num_osds + 1))
         candidates = rng.choice(cfg.num_osds, size=k, replace=False)
+        keep = rng.random(k) < 0.7
+        keep[int(rng.integers(k))] = True
         proj = rng.uniform(0.1, 4.0, size=cfg.num_osds)
-        dst, terms, scores = policy.explain_destination(candidates, proj, state, cfg)
-        assert dst == policy.pick_destination(candidates, proj, state, cfg)
-        assert dst == int(candidates[np.argmin(scores)])
+        pick = destination_picker(policy, candidates, state, cfg)
+        dst, terms, scores = pick(proj, keep, explain=True)
+        assert dst == pick(proj, keep)[0]
+        assert dst == int(candidates[keep][np.argmin(scores)])
         # The folded terms ARE the scores (left-to-right addition order).
         folded = None
         for term in terms.values():
@@ -69,25 +73,20 @@ def test_explain_destination_matches_pick(policy_name, endurance):
         np.testing.assert_array_equal(folded, scores)
 
 
+def explained_terms(policy, cfg, state):
+    pick = destination_picker(policy, np.arange(cfg.num_osds), state, cfg)
+    return pick(np.ones(cfg.num_osds), explain=True)[1]
+
+
 def test_cmt_terms_include_wear_and_risk():
     cfg = cfg_factory(policy="cmt", endurance="pe:2000")
-    state = crafted_state(cfg)
-    policy = get_policy("cmt")
-    candidates = np.arange(cfg.num_osds)
-    _, terms, _ = policy.explain_destination(
-        candidates, np.ones(cfg.num_osds), state, cfg
-    )
+    terms = explained_terms(get_policy("cmt"), cfg, crafted_state(cfg))
     assert list(terms) == ["load", "wear", "wearout_risk"]
 
 
 def test_unrated_cmt_has_no_risk_term():
     cfg = cfg_factory(policy="cmt")
-    state = crafted_state(cfg)
-    policy = get_policy("cmt")
-    candidates = np.arange(cfg.num_osds)
-    _, terms, _ = policy.explain_destination(
-        candidates, np.ones(cfg.num_osds), state, cfg
-    )
+    terms = explained_terms(get_policy("cmt"), cfg, crafted_state(cfg))
     assert list(terms) == ["load", "wear"]
 
 

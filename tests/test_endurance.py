@@ -8,12 +8,14 @@ import pytest
 
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
-from edm.config import config_hash, rng_seed_sequence
+from edm.config import SimConfig, config_hash, rng_seed_sequence
 from edm.endurance import EnduranceModel, EnduranceTracker, wearout_risk
 from edm.engine.core import simulate
 from edm.faults import FaultEvent
 from edm.obs import read_run_log
 from edm.policies import get_policy
+from edm.policies.base import destination_picker
+from edm.redundancy import RedundancyScheme
 from edm.telemetry import TimeSeriesRecorder
 
 # --- spec parsing / canonicalization -----------------------------------------
@@ -179,6 +181,37 @@ def test_last_survivor_guard_keeps_most_headroom(small_cfg):
     assert state.osd_alive.tolist() == [False, False, True, False]
 
 
+def test_survivor_floor_keeps_one_placement_group_alive():
+    # rep:3 on 6 OSDs: wear-outs stop at 3 alive.  Five are worn; OSD 0 is
+    # fresh, so two worn OSDs are spared -- the least overdrawn, and on the
+    # 1.5 tie between OSDs 2 and 5 the lower id.
+    cfg = cfg_factory(num_osds=6, endurance="pe:100", redundancy="rep:3")
+    state = make_state(cfg, wear=[50.0, 300.0, 150.0, 200.0, 120.0, 150.0])
+    state.group_width = 3
+    tracker = EnduranceTracker(EnduranceModel.parse(cfg.endurance, 6), cfg)
+    tracker.attach(state)
+    events = tracker.step(state, epoch=3)
+    assert [ev.osd for ev in events] == [1, 3, 5]
+    assert state.osd_alive.tolist() == [True, False, True, False, True, False]
+    # At the floor, nothing more wears out.
+    state.osd_wear[:] = 1e6
+    assert tracker.step(state, epoch=4) == []
+
+
+@pytest.mark.parametrize("redundancy", ["rep:3", "ec:4+2"])
+def test_wearouts_never_shrink_a_redundant_cluster_below_its_group(redundancy):
+    # Wear-outs used to leave fewer alive OSDs than the group width, and the
+    # next re-placement raised "no constraint-satisfying destination".
+    cfg = SimConfig(
+        num_osds=6, redundancy=redundancy, endurance="pe:300", epochs=64,
+        requests_per_epoch=1024, chunks_per_osd=8,
+    )
+    metrics = simulate(cfg)
+    width = RedundancyScheme.parse(redundancy).group_width
+    assert metrics["osds_alive_final"] >= width
+    assert metrics["osds_alive_final"] + metrics["wearouts_total"] == cfg.num_osds
+
+
 def test_wearout_event_renders_like_fail():
     assert FaultEvent(kind="wearout", osd=2, epoch=5).render() == "wearout:2@5"
 
@@ -201,11 +234,13 @@ def test_cmt_steers_away_from_near_death_osd():
         state.osd_wear_rate = np.full(4, 50.0)  # OSD 0 dies in ~2 epochs
         return state
 
-    assert policy.pick_destination(candidates, proj_load, fresh_state(unrated), unrated) == 0
-    assert policy.pick_destination(candidates, proj_load, fresh_state(rated), rated) == 1
+    def pick(cfg):
+        return destination_picker(policy, candidates, fresh_state(cfg), cfg)(proj_load)[0]
+
+    assert pick(unrated) == 0
+    assert pick(rated) == 1
     # endurance_weight=0 disables the term even on a rated config.
-    muted = cfg_factory(endurance="pe:5000", endurance_weight=0.0)
-    assert policy.pick_destination(candidates, proj_load, fresh_state(muted), muted) == 0
+    assert pick(cfg_factory(endurance="pe:5000", endurance_weight=0.0)) == 0
 
 
 # --- engine integration -------------------------------------------------------

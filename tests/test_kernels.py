@@ -8,8 +8,8 @@ their reference implementations.  This module pins those promises:
     identical golden hashes) across policy x workload x faults x endurance
     samples -- numba cases skip cleanly when the optional extra is absent;
   * the batched greedy destination assignment replays the sequential
-    per-chunk path bit-for-bit, and policies that override only the scalar
-    ``pick_destination`` fall back to one ``pick_destination`` per chunk;
+    per-chunk path bit-for-bit, and whole runs through it match runs that
+    re-place each chunk with the per-chunk reference;
   * migration wear accrual via bincount matches the per-element scatter it
     replaced, duplicates included.
 """
@@ -37,7 +37,7 @@ from edm.engine.kernels import (
     resolve_kernel,
 )
 from edm.policies import get_policy
-from edm.policies.base import MigrationPolicy, ThresholdPolicy, owns_scoring
+from replacement_reference import assign_reference
 
 # Samples chosen to exercise every engine path that the kernel and the
 # batched re-placement touch: all four policies, a drifting and a bursty
@@ -140,10 +140,19 @@ def test_numba_reproduces_pinned_golden_hash():
 )
 def test_batched_replacement_matches_loop(name, monkeypatch):
     cfg = cfg_factory(**{"num_osds": 8, "seed": 7, **SAMPLES[name]})
+    real = core_mod._assign_replacements_batched
+    bursts = []
+
+    def counted(*args):
+        bursts.append(args[0].size)
+        return real(*args)
+
+    monkeypatch.setattr(core_mod, "_assign_replacements_batched", counted)
     fast = simulate(cfg)
-    # Neither the batch replay nor the frozen scorer: one pick_destination
-    # call per chunk, the plain reference loop.
-    monkeypatch.setattr(core_mod, "owns_scoring", lambda policy, method: False)
+    assert bursts, "no burst took the batched rounds"
+    # The plain reference loop: every chunk scored from scratch over its
+    # own candidate set.
+    monkeypatch.setattr(core_mod, "_assign_replacements_batched", assign_reference)
     slow = simulate(cfg)
     assert fast == slow
     assert digest(fast) == digest(slow)
@@ -172,42 +181,6 @@ def test_assign_replacements_paths_agree_directly(policy):
     dsts_batch = _assign_replacements_batched(order, proj_b, alive_ids, pol, state, cfg)
     np.testing.assert_array_equal(dsts_loop, dsts_batch)
     assert proj_a.tobytes() == proj_b.tobytes()  # bit-equal, not approx
-
-
-def test_scalar_only_policy_override_falls_back_to_loop():
-    class ScalarOnly(ThresholdPolicy):
-        name = "scalar-only"
-
-        def chunk_order(self, chunk_ids, state):
-            return chunk_ids
-
-        def pick_destination(self, candidates, proj_load, state, cfg):
-            return int(candidates[np.argmax(proj_load[candidates])])  # worst-fit
-
-    class BothOverridden(ScalarOnly):
-        def pick_destination_batch(self, candidates, proj_rows, state, cfg):
-            return candidates[np.argmax(proj_rows[:, candidates], axis=1)]
-
-    for method in ("pick_destination_batch", "scorer"):
-        assert not owns_scoring(ScalarOnly(), method)
-    assert owns_scoring(BothOverridden(), "pick_destination_batch")
-    assert not owns_scoring(BothOverridden(), "scorer")
-    # Built-ins all pair their overrides.
-    for name in POLICIES:
-        assert owns_scoring(get_policy(name), "pick_destination_batch")
-        assert owns_scoring(get_policy(name), "scorer")
-
-
-def test_inherited_base_pair_counts_as_supported():
-    class PlainSelect(MigrationPolicy):
-        name = "plain"
-
-        def select(self, state, cfg):
-            return np.empty((0, 2), dtype=np.int64)
-
-    # Neither method overridden: the base-class pair is consistent.
-    assert owns_scoring(PlainSelect(), "pick_destination_batch")
-    assert owns_scoring(PlainSelect(), "scorer")
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,20 @@
 Every registered policy must honor the full :class:`MigrationPolicy`
 surface contract, not just the paper's four:
 
-  * ``pick_destination_batch`` is **bit-identical** to a scalar
-    ``pick_destination`` loop over the same rows -- the engine's batched
-    failure re-placement silently replays the scalar greedy through the
-    batch path, so any drift is a correctness bug, not a style issue;
-  * ``destination_terms`` *defines* the scoring: the argmin of its
-    left-to-right fold (``sum_terms``) is exactly the destination
-    ``pick_destination`` returns, and ``explain_destination`` reports that
-    same winner -- an explained pick is always the pick;
+  * ``scorer`` is **shape-agnostic**: row ``i`` of ``score(rows)`` has the
+    very bytes of ``score(rows[i])``, term by term and folded -- the
+    engine's batched re-placement scores every prefix of a round as one
+    stack of rows, so any drift is a correctness bug, not a style issue.
+    Planted 1-ulp near-ties pin the reduction order, where a row-wise mean
+    that sums in a different order than a lone vector's flips the pick;
   * selection never lands a chunk on a dead or draining OSD, and
-    ``select_explained`` returns the same moves as ``select``;
+    ``select(..., emit)`` returns the same moves as ``select(...)``, each
+    emitted once -- an explained pick is always the pick;
   * ``scorer`` is **candidate-independent**: ``scorer(superset)(proj)``
-    masked to a subset equals ``scorer(subset)(proj)`` bit-for-bit, and
-    both equal ``destination_terms`` -- the engine scores a burst's whole
-    candidate set once per pick and subsets it per chunk, so a policy whose
-    terms depend on who else is a candidate would silently change results.
+    masked to a subset equals ``scorer(subset)(proj)`` bit-for-bit -- the
+    engine scores a burst's whole candidate set once per pick and subsets
+    it per chunk, so a policy whose terms depend on who else is a candidate
+    would silently change results.
 
 The checks run against *live* engine states sampled mid-run (via a
 Recorder) across a seeded draw of the fault x endurance x service x
@@ -31,7 +30,7 @@ import copy
 import numpy as np
 import pytest
 
-from conftest import cfg_factory
+from conftest import cfg_factory, make_state
 from edm.config import POLICIES, WORKLOADS
 from edm.engine.core import simulate
 from edm.policies import get_policy
@@ -86,7 +85,25 @@ def check_scorer_contract(policy, state, cfg, rows, rng):
         assert all(v.shape == superset.shape for v in terms.values())
         masked = {k: v[keep] for k, v in terms.items()}
         assert_same_terms(masked, part(row))
-        assert_same_terms(masked, policy.destination_terms(subset, row, state, cfg))
+
+
+def check_rows_score_like_vectors(score, rows):
+    """Row ``i`` of ``score(rows)`` == ``score(rows[i])``, bytewise, term by
+    term and folded, with the same first-minimum pick."""
+    batch = score(rows)
+    folded = sum_terms(batch)
+    assert folded.ndim == 2 and len(folded) == len(rows)
+    picks = np.argmin(folded, axis=1)
+    for i, row in enumerate(rows):
+        single = score(row)
+        assert list(single) == list(batch)
+        for key, term in single.items():
+            assert term.ndim == 1
+            row_term = np.broadcast_to(batch[key], folded.shape)[i]
+            assert row_term.tobytes() == term.tobytes(), (key, i)
+        total = sum_terms(single)
+        assert folded[i].tobytes() == total.tobytes(), i
+        assert picks[i] == np.argmin(total), i
 
 
 def state_kinds(state):
@@ -126,27 +143,7 @@ class ConformanceChecker(Recorder):
             *(base * self.rng.uniform(0.25, 2.0, size=base.shape) for _ in range(3)),
         ])
 
-        batch = policy.pick_destination_batch(candidates, rows, state, cfg)
-        for i, row in enumerate(rows):
-            scalar = policy.pick_destination(candidates, row, state, cfg)
-            assert int(batch[i]) == scalar, (
-                f"{policy.name}: batch pick {int(batch[i])} != scalar pick "
-                f"{scalar} on row {i}"
-            )
-            # The term decomposition folds to the very pick.
-            terms = policy.destination_terms(candidates, row, state, cfg)
-            folded = sum_terms(terms)
-            assert folded.shape == candidates.shape
-            assert int(candidates[np.argmin(folded)]) == scalar, (
-                f"{policy.name}: destination_terms fold disagrees with "
-                f"pick_destination"
-            )
-            dst, e_terms, e_scores = policy.explain_destination(
-                candidates, row, state, cfg
-            )
-            assert dst == scalar
-            assert set(e_terms) == set(terms)
-            assert np.array_equal(e_scores, folded)
+        check_rows_score_like_vectors(policy.scorer(candidates, state, cfg), rows)
 
         # The scorer contract, on the live state and on a twin with one more
         # OSD mid-drain (drains finish inside an epoch boundary, so observers
@@ -162,12 +159,12 @@ class ConformanceChecker(Recorder):
         # draining OSD.  (select never mutates state, so calling it here
         # does not perturb the run.)
         picks = []
-        moves = policy.select_explained(
+        moves = policy.select(
             state, cfg, lambda c, s, d, cand, t, sc: picks.append((c, d))
         )
         plain = policy.select(state, cfg)
         assert np.array_equal(moves, plain), (
-            f"{policy.name}: select_explained diverged from select"
+            f"{policy.name}: explained select diverged from plain select"
         )
         for chunk, dst in np.asarray(moves).reshape(-1, 2):
             assert state.osd_alive[dst], f"{policy.name} picked a dead OSD"
@@ -188,6 +185,40 @@ def test_policy_surface_contracts(cfg):
     checker = ConformanceChecker(cfg)
     simulate(cfg, recorders=(checker,))
     assert checker.states_checked > 0
+
+
+def near_tie_rows(rng, rows, num_osds):
+    """Load rows built from 1-ulp near-tie pairs, in random order per pair.
+
+    Whichever candidate wins, a twin one ulp away sits next to it, so the
+    pick turns on the last bit of the normalizing mean: a row whose mean is
+    summed in another order than a lone vector's picks the other twin.
+    """
+    low = rng.uniform(0.5, 2.0, size=(rows, num_osds // 2))
+    high = np.nextafter(low, np.inf)
+    flip = rng.random(low.shape) < 0.5
+    out = np.empty((rows, num_osds))
+    out[:, 0::2] = np.where(flip, low, high)
+    out[:, 1::2] = np.where(flip, high, low)
+    return out
+
+
+@pytest.mark.parametrize("endurance", ["", "pe:5000"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_rows_score_like_vectors_on_near_ties(policy, endurance):
+    # Equal wear (and, rated, equal wear rate), so only the load term can
+    # separate the twins; 22 of 24 OSDs alive, so the mean is a pairwise
+    # sum over a gathered subset.
+    n = 24
+    cfg = cfg_factory(policy=policy, num_osds=n, endurance=endurance)
+    state = make_state(cfg, wear=np.full(n, 100.0))
+    state.osd_rated_life[:] = 5000.0 if endurance else np.inf
+    state.osd_wear_rate[:] = 10.0
+    state.osd_alive[[3, 16]] = False
+    candidates = np.flatnonzero(state.osd_alive)
+    rows = near_tie_rows(np.random.default_rng(20261017), 1000, n)
+    score = get_policy(policy).scorer(candidates, state, cfg)
+    check_rows_score_like_vectors(score, rows)
 
 
 @pytest.mark.parametrize("policy", POLICIES)

@@ -3,7 +3,7 @@ paths against the per-chunk references in replacement_reference.py.
 
 ``_assign_sequential`` builds one destination picker per burst and narrows a
 fixed candidate set per chunk with a keep-mask built from a group-owner
-matrix; ``ThresholdPolicy._select`` does the same per selection round.  Both
+matrix; ``ThresholdPolicy.select`` does the same per selection round.  Both
 rest on the scorer contract (candidate-independent terms) to stay
 bit-identical to recomputing each chunk's candidates with ``np.isin`` and
 scoring them from scratch.  These tests pin that equality on every burst and
@@ -128,7 +128,7 @@ class SelectionChecker(Recorder):
     def on_epoch(self, state, load, stats):
         cfg = self.cfg
         log, ref_log = [], []
-        moves = self.policy.select_explained(state, cfg, lambda *d: log.append(d))
+        moves = self.policy.select(state, cfg, lambda *d: log.append(d))
         ref = select_reference(self.policy, state, cfg, emit=lambda *d: ref_log.append(d))
         assert moves.tobytes() == ref.tobytes()
         assert self.policy.select(state, cfg).tobytes() == ref.tobytes()
@@ -148,16 +148,16 @@ def test_threshold_selection_matches_reference_every_epoch(policy, redundancy):
     assert checker.rounds > 0
 
 
-class ScalarOnly(ThresholdPolicy):
-    """Overrides only the scalar pick: no scorer may stand in for it."""
+class WorstFit(ThresholdPolicy):
+    """A third-party policy: worst-fit through nothing but a scorer override."""
 
-    name = "scalar-only"
+    name = "worst-fit"
 
     def chunk_order(self, chunk_ids, state):
         return chunk_ids
 
-    def pick_destination(self, candidates, proj_load, state, cfg):
-        return int(candidates[np.argmax(proj_load[candidates])])  # worst-fit
+    def scorer(self, candidates, state, cfg):
+        return lambda proj: {"load": -proj.take(candidates, axis=-1)}
 
 
 def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
@@ -170,7 +170,7 @@ def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
     w = state.group_width
     members = (order // w * w)[:, None] + np.arange(w)
     forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
-    pol = ScalarOnly()
+    pol = WorstFit()
     proj, ref_proj = state.osd_load_ema.copy(), state.osd_load_ema.copy()
     dsts = _assign_sequential(order, proj, alive_ids, pol, state, cfg, forbid)
     ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
@@ -179,6 +179,31 @@ def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
     # Worst-fit picks, yet never onto a group peer's OSD.
     for peers, dst in zip(forbid, dsts):
         assert dst not in peers
+
+
+def test_scorer_only_policy_takes_the_batched_rounds(monkeypatch):
+    # No opt-in: a plain burst of a policy that overrides only ``scorer``
+    # runs the batched rounds, and the whole run matches re-placing each
+    # chunk with the per-chunk reference.
+    cfg = cfg_factory(num_osds=8, seed=7, faults="fail:1@4;fail:5@9")
+    monkeypatch.setattr(core_mod, "get_policy", lambda name: WorstFit())
+    real = core_mod._assign_replacements_batched
+    bursts = []
+
+    def counted(order, proj, alive_ids, pol, state, cfg):
+        ref_proj = proj.copy()
+        ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
+        dsts = real(order, proj, alive_ids, pol, state, cfg)
+        assert dsts.tolist() == ref.tolist()
+        assert proj.tobytes() == ref_proj.tobytes()
+        bursts.append(order.size)
+        return dsts
+
+    monkeypatch.setattr(core_mod, "_assign_replacements_batched", counted)
+    fast = simulate(cfg)
+    assert len(bursts) == 2 and all(bursts)
+    monkeypatch.setattr(core_mod, "_assign_replacements_batched", assign_reference)
+    assert simulate(cfg) == fast
 
 
 def test_unsatisfiable_group_constraint_raises():
