@@ -27,14 +27,10 @@ Stable public API (everything in ``__all__``):
     TimeSeries         -- captured series + .npz/JSON/CSV exporters
     resolve_policy     -- canonical policy name (resolves the ``edm`` alias)
     config_hash        -- content hash keying the result cache
-    available_kernels  -- epoch-kernel backends importable right now
-    resolve_kernel     -- which backend a ``cfg.kernel`` value lands on
     Tracer             -- span timer: ``simulate(cfg, tracer=Tracer())`` puts
                           phase timings in ``metrics["timings"]``
     RunLogWriter       -- structured JSONL run-log emitter (see edm.obs.runlog)
     read_run_log       -- parse + schema-validate a run log back into records
-    append_history     -- append a bench report to BENCH_history.jsonl
-    compare_reports    -- throughput regression gate between two bench reports
     DecisionRecorder   -- captures per-migration decision records (``--explain``)
     read_decision_log  -- parse + schema-validate a decision log
     query_decisions    -- filter decisions by chunk / osd / epoch / trigger / policy
@@ -49,15 +45,12 @@ Stable public API (everything in ``__all__``):
 from edm.config import SimConfig, config_hash
 from edm.endurance import EnduranceModel
 from edm.engine.core import simulate
-from edm.engine.kernels import available_kernels, resolve_kernel
 from edm.faults import FaultEvent, FaultPlan
 from edm.obs import (
     DecisionRecorder,
     RunLogWriter,
     Tracer,
-    append_history,
     attribution_summary,
-    compare_reports,
     export_chrome_trace,
     query_decisions,
     read_decision_log,
@@ -99,10 +92,7 @@ __all__ = [
     "TimeSeriesRecorder",
     "TopologyPlan",
     "Tracer",
-    "append_history",
     "attribution_summary",
-    "available_kernels",
-    "compare_reports",
     "config_hash",
     "default_grid",
     "export_chrome_trace",
@@ -110,7 +100,6 @@ __all__ = [
     "read_decision_log",
     "read_run_log",
     "registry_from_metrics",
-    "resolve_kernel",
     "resolve_policy",
     "simulate",
     "sweep",

@@ -1,4 +1,4 @@
-"""Command-line interface: ``python -m edm {run,sweep,report,plot,bench}``.
+"""Command-line interface: ``python -m edm {run,sweep,explain,trace,report,plot}``.
 
 Primary results (metrics JSON, sweep tables, report output) go to stdout;
 everything diagnostic goes through the ``edm.*`` package logger on stderr,
@@ -13,10 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from edm import bench as bench_mod
 from edm import report as report_mod
 from edm.cache import DEFAULT_CACHE_DIR
-from edm.config import KERNELS, POLICY_ALIASES, POLICIES, WORKLOADS, SimConfig
+from edm.config import POLICY_ALIASES, POLICIES, WORKLOADS, SimConfig
 from edm.engine.core import simulate
 from edm.obs import NULL_TRACER, Tracer, configure_logging, get_logger
 from edm.obs.decisions import (
@@ -47,17 +46,10 @@ def _add_engine_args(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--epochs", type=int, default=None)
     ap.add_argument("--requests", type=int, default=None, help="requests per epoch")
     ap.add_argument("--skew", type=float, default=0.02)
-    ap.add_argument(
-        "--kernel",
-        choices=KERNELS,
-        default="auto",
-        help="epoch-kernel backend: numpy, numba (requires edm-sim[jit]), or "
-        "auto = numba when importable (default; results are bit-identical)",
-    )
 
 
 def _overrides(args) -> dict:
-    out = {"skew": args.skew, "kernel": args.kernel}
+    out = {"skew": args.skew}
     if args.epochs is not None:
         out["epochs"] = args.epochs
     if args.requests is not None:
@@ -304,10 +296,6 @@ def cmd_plot(args) -> int:
     for path in written:
         print(path)
     return 0
-
-
-def cmd_bench(args) -> int:
-    return bench_mod.main(args.rest)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -569,10 +557,6 @@ def main(argv: list[str] | None = None) -> int:
     plot_p.add_argument("--out-dir", default="figures", help="output directory (default figures/)")
     plot_p.add_argument("--format", choices=("png", "svg", "pdf"), default="png")
     plot_p.set_defaults(func=cmd_plot)
-
-    bench_p = sub.add_parser("bench", help="alias for python -m edm.bench")
-    bench_p.add_argument("rest", nargs=argparse.REMAINDER)
-    bench_p.set_defaults(func=cmd_bench)
 
     args = ap.parse_args(argv)
     configure_logging(

@@ -34,37 +34,23 @@ SEED_SCHEMA_VERSION = 2
 
 # Fields excluded from the seed material.  The seed-material field set is
 # frozen at what SEED_SCHEMA_VERSION=2 hashed: every field added to SimConfig
-# since (fault scenarios, the endurance model and its knobs, the kernel
-# backend) must be listed here, both because it must not perturb the frozen
-# hash and because none of them describe the *traffic* -- a degraded or
-# endurance-rated cluster replays exactly the healthy run's request stream,
-# and every kernel backend consumes the exact same streams.  The service
-# model and its knobs likewise only time the cluster's *response* to the
-# traffic, never the traffic itself.
+# since (fault scenarios, the endurance model and its knobs) must be listed
+# here, both because it must not perturb the frozen hash and because none of
+# them describe the *traffic* -- a degraded or endurance-rated cluster
+# replays exactly the healthy run's request stream.  The service model and
+# its knobs likewise only time the cluster's *response* to the traffic,
+# never the traffic itself.
 SEED_EXCLUDED_FIELDS = (
     "faults",
     "endurance",
     "wear_rate_alpha",
     "endurance_weight",
-    "kernel",
     "service",
     "service_migration_cost",
     "service_cooldown_epochs",
     "topology",
     "redundancy",
 )
-
-# Fields excluded from the *result* content hash.  The kernel backend is an
-# execution strategy, not a semantic knob: numpy and numba produce
-# bit-identical metrics (pinned by tests/test_kernels.py), so a result
-# computed under either backend must hit the same cache entry -- and adding
-# the field must not invalidate every pre-existing cache.
-HASH_EXCLUDED_FIELDS = ("kernel",)
-
-# Kernel backend choices: "auto" resolves to numba when importable, numpy
-# otherwise (see edm.engine.kernels.resolve_kernel); numba stays an optional
-# extra (`pip install edm-sim[jit]`), never a hard dependency.
-KERNELS = ("auto", "numpy", "numba")
 
 WORKLOADS = ("deasna", "deasna2", "lair62", "lair62b")
 # Canonical policy names.  Kept as a literal tuple (the config layer cannot
@@ -168,12 +154,6 @@ class SimConfig:
     # the plain run's request stream against a different layout.
     redundancy: str = ""
 
-    # Epoch-kernel backend: "numpy" (default fused NumPy kernel), "numba"
-    # (optional JIT, requires the [jit] extra), or "auto" (numba if
-    # importable).  Backends are bit-identical, so this field keys neither
-    # the result cache nor the workload seed material.
-    kernel: str = "auto"
-
     def __post_init__(self) -> None:
         if self.policy in POLICY_ALIASES:
             object.__setattr__(self, "policy", POLICY_ALIASES[self.policy])
@@ -210,8 +190,6 @@ class SimConfig:
             raise ValueError(f"wear_rate_alpha must be in (0, 1], got {self.wear_rate_alpha}")
         if self.endurance_weight < 0:
             raise ValueError(f"endurance_weight must be >= 0, got {self.endurance_weight}")
-        if self.kernel not in KERNELS:
-            raise ValueError(f"unknown kernel {self.kernel!r}, expected one of {KERNELS}")
         if self.faults:
             from edm.faults import FaultPlan
 
@@ -332,9 +310,7 @@ class SimConfig:
 def config_hash(cfg: SimConfig) -> str:
     """Stable content hash of a config plus the engine version.
 
-    Excludes :data:`HASH_EXCLUDED_FIELDS` (the kernel backend): fields that
-    cannot change results must not fragment or invalidate the cache.  An
-    *empty* ``topology`` or ``redundancy`` is likewise dropped from the
+    An *empty* ``topology`` or ``redundancy`` is dropped from the
     payload: a static, plain config computes bit-identical metrics with or
     without the field, so introducing it must not invalidate any
     pre-existing cache entry.
@@ -346,8 +322,6 @@ def config_hash(cfg: SimConfig) -> str:
     returned; unserviced configs are untouched.
     """
     payload = {"engine_version": ENGINE_VERSION, **cfg.to_dict()}
-    for field_name in HASH_EXCLUDED_FIELDS:
-        payload.pop(field_name, None)
     if not payload.get("topology"):
         payload.pop("topology", None)
     if not payload.get("redundancy"):

@@ -13,13 +13,13 @@ writes plus any migration wear applied since the previous update) into
 rate drives :meth:`~edm.engine.state.ClusterState.predicted_wearout_epochs`,
 the epochs-to-wear-out estimate CMT's destination score steers by.
 
-One deliberate safety valve: wear-outs never shrink the cluster below a
-floor of ``max(1, group_width)`` alive OSDs -- the last survivor of a plain
-cluster, one full placement group of a redundant one, so every group can
-still spread its members over distinct OSDs.  If failing every worn OSD at
-a boundary would cross the floor, the worn OSDs with the most relative
-headroom keep serving past their budget (real clusters degrade, they don't
-evaporate); everything else fails normally.
+One deliberate safety valve: wear-outs never shrink the cluster below
+``state.survivor_floor`` (``max(1, group_width)``) alive OSDs -- the last
+survivor of a plain cluster, one full placement group of a redundant one,
+so every group can still spread its members over distinct OSDs.  If
+failing every worn OSD at a boundary would cross the floor, the worn OSDs
+with the most relative headroom keep serving past their budget (real
+clusters degrade, they don't evaporate); everything else fails normally.
 
 This module only touches NumPy arrays on the state object (duck-typed, no
 engine imports), keeping the endurance package import-cycle-free.
@@ -91,7 +91,7 @@ class EnduranceTracker:
             return []
         ids = np.flatnonzero(worn)
         healthy = int(state.osd_alive.sum()) - ids.size
-        spare = max(1, state.group_width) - healthy
+        spare = state.survivor_floor - healthy
         if spare > 0:
             # Survivor floor: keep the worn OSDs with the most relative
             # headroom serving past their rating rather than shrinking the

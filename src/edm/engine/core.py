@@ -5,8 +5,7 @@ One epoch is a handful of O(num_chunks) array ops:
   1. draw per-chunk access/write counts (single multinomial + binomial)
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
-     scratch buffers and a choice of bit-identical numpy / numba backends
-     (``cfg.kernel``)
+     scratch buffers
   3. every ``migrate_interval`` epochs, let the policy pick migrations and
      apply them as a batch index assignment
 
@@ -30,14 +29,14 @@ With a topology plan configured (``cfg.topology``), the cluster is elastic:
 the :class:`~edm.topology.TopologyRuntime` steps first at each epoch
 boundary (before faults and endurance, so both see the grown arrays).
 ``add`` events append cold drives of the event's device class -- zero wear,
-zero load, per-band capacity / service rate / rated P/E -- and the kernel's
-per-OSD scratch is resized once per event; ``drain`` events gracefully
-evacuate the target's chunks through the active policy's destination
-scoring (trigger ``"drain"`` in decision provenance) and then retire it,
-discarding its queue and pending migration work without counting them as
-``service_lost_work``.  Every fired event fans out to recorders via
-``on_topology``.  Static configs skip this path entirely and stay
-bit-identical to the topology-unaware engine.
+zero load, per-band capacity / service rate / rated P/E -- and the
+metrics accumulator's load buffer widens once per event; ``drain`` events
+gracefully evacuate the target's chunks through the active policy's
+destination scoring (trigger ``"drain"`` in decision provenance) and then
+retire it, discarding its queue and pending migration work without
+counting them as ``service_lost_work``.  Every fired event fans out to
+recorders via ``on_topology``.  Static configs skip this path entirely and
+stay bit-identical to the topology-unaware engine.
 
 With a redundancy scheme configured (``cfg.redundancy``), chunks form
 placement groups (replica or erasure-code stripes, see
@@ -72,7 +71,7 @@ import numpy as np
 
 from edm.config import SimConfig, rng_seed_sequence
 from edm.endurance import EnduranceModel, EnduranceTracker
-from edm.engine.kernels import make_kernel
+from edm.engine.kernels import EpochKernel
 from edm.engine.metrics import MetricsAccumulator
 from edm.engine.state import ClusterState, init_state
 from edm.faults import FaultPlan, FaultRuntime, effective_load
@@ -355,7 +354,7 @@ def simulate(
         )
         scheme = RedundancyScheme.parse(cfg.redundancy, num_osds=cfg.num_osds)
         redundancy = RedundancyRuntime(scheme, cfg) if scheme else None
-        kernel = make_kernel(cfg)
+        kernel = EpochKernel(cfg)
         acc = MetricsAccumulator(service=service, redundancy=redundancy)
         observers: tuple[Recorder, ...] = (acc, *recorders)
         # Decision provenance is opt-in: only recorders that *override*
@@ -406,7 +405,6 @@ def simulate(
                 for event in topology.step(state, epoch):
                     moved = 0
                     if event.kind == "add":
-                        kernel.resize(state.num_osds)
                         if endurance is not None:
                             endurance.grow(state)
                     else:  # drain: evacuate gracefully, then retire
@@ -443,8 +441,7 @@ def simulate(
             counts, writes = workload.epoch_counts(epoch)
         with tr.span("simulate.kernel"):
             # Fused epoch math: routing bincounts, wear accrual, heat/load
-            # EMAs -- one kernel call on preallocated scratch (numpy or
-            # numba backend per cfg.kernel, bit-identical either way).
+            # EMAs -- one kernel call on preallocated scratch.
             load = kernel.epoch_update(state, counts, writes)
             if endurance is not None:
                 # Fold this epoch's wear delta (routing writes plus any

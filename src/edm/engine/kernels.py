@@ -4,23 +4,6 @@ One epoch of engine math -- routing bincounts, wear accrual, and the
 heat/load EMA updates -- fused into a single kernel invocation with
 per-run preallocated scratch buffers and in-place updates, so the hot loop
 stops re-allocating intermediate arrays every epoch.
-
-Two backends, selected by ``SimConfig.kernel`` (``--kernel`` on the CLI):
-
-* ``numpy`` -- the default fused NumPy kernel.  Pure array ops, no
-  dependencies beyond NumPy itself.
-* ``numba`` -- an ``@njit(cache=True, fastmath=False)`` loop kernel,
-  compiled on first use and disk-cached.  Requires the optional ``[jit]``
-  extra (``pip install edm-sim[jit]``); numba is never a hard dependency.
-
-``auto`` (the :class:`~edm.config.SimConfig` default) resolves to ``numba``
-when importable and ``numpy`` otherwise.
-
-Both backends are **bit-identical**: every floating-point operation runs in
-the same order with the same IEEE-754 rounding (``fastmath=False`` keeps
-LLVM from fusing or reassociating), so metrics, golden hashes, and cache
-entries are byte-equal regardless of backend.  ``tests/test_kernels.py``
-pins this across policy x workload x faults x endurance samples.
 """
 
 from __future__ import annotations
@@ -34,82 +17,24 @@ from edm.config import SimConfig
 if TYPE_CHECKING:
     from edm.engine.state import ClusterState
 
-__all__ = [
-    "EpochKernel",
-    "NumbaKernel",
-    "NumpyKernel",
-    "available_kernels",
-    "make_kernel",
-    "numba_available",
-    "resolve_kernel",
-]
-
-# Lazily built numba entry point (None until first requested; False when a
-# build attempt failed so we don't retry the import every call).
-_NUMBA_STEP = None
-
-
-def numba_available() -> bool:
-    """True when the optional numba extra is importable."""
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def available_kernels() -> tuple[str, ...]:
-    """Concrete backends usable in this environment (always includes numpy)."""
-    return ("numpy", "numba") if numba_available() else ("numpy",)
-
-
-def resolve_kernel(name: str) -> str:
-    """Resolve a ``SimConfig.kernel`` value to a concrete backend name.
-
-    ``auto`` picks numba when importable, numpy otherwise.  Asking for
-    ``numba`` explicitly without the extra installed is an error rather
-    than a silent fallback -- a benchmark or CI job that believes it is
-    timing the JIT backend must never quietly measure the other one.
-    """
-    if name == "auto":
-        return "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
-        raise RuntimeError(
-            "kernel 'numba' requested but numba is not importable; "
-            "install the optional extra (pip install 'edm-sim[jit]') "
-            "or use --kernel numpy/auto"
-        )
-    if name not in ("numpy", "numba"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return name
+__all__ = ["EpochKernel"]
 
 
 class EpochKernel:
-    """Shared scratch allocation for one run's epoch updates.
+    """Fused NumPy epoch update with scratch reused across one run.
 
     A kernel instance belongs to a single ``simulate`` call: the scratch
-    buffers are sized to the config and reused every epoch, and the load
-    vector handed to observers is the engine's live buffer (the observer
-    contract already requires copying anything kept across epochs).
+    buffers are sized to the config and reused every epoch.
     """
-
-    name = "abstract"
 
     def __init__(self, cfg: SimConfig):
         self.heat_alpha = float(cfg.heat_alpha)
         self.load_alpha = float(cfg.load_alpha)
         self.wear_per_write = float(cfg.wear_per_write)
-        self.num_osds = cfg.num_osds
+        # Chunk-axis scratch: the chunk set never grows, so one allocation
+        # serves the whole run.  The OSD axis is read off the state each
+        # epoch, so topology scale-out needs no resize.
         self._scratch_c = np.empty(cfg.num_chunks)
-
-    def resize(self, num_osds: int) -> None:
-        """Re-size the per-OSD buffers after a topology scale-out event.
-
-        The chunk-axis scratch is untouched (the chunk set never grows);
-        backends with preallocated OSD-axis buffers must override and
-        reallocate them.  Called between epochs only, never mid-update.
-        """
-        self.num_osds = num_osds
 
     def epoch_update(
         self, state: "ClusterState", counts: np.ndarray, writes: np.ndarray
@@ -122,19 +47,9 @@ class EpochKernel:
         and ``osd_load_ema`` in place and returns the per-OSD load vector
         for this epoch.
         """
-        raise NotImplementedError
-
-
-class NumpyKernel(EpochKernel):
-    """Default backend: fused NumPy array ops with reused scratch."""
-
-    name = "numpy"
-
-    def epoch_update(self, state, counts, writes):
-        n = self.num_osds
+        n = state.num_osds
         # Routing: per-OSD load and write mass via weighted bincounts over
-        # the chunk->OSD map (sequential accumulation, the order the numba
-        # backend replicates exactly).
+        # the chunk->OSD map.
         load = np.bincount(state.chunk_owner, weights=counts, minlength=n)
         wear_inc = np.bincount(state.chunk_owner, weights=writes, minlength=n)
         # Wear accrual, in place (wear_inc is this call's own bincount
@@ -156,101 +71,3 @@ class NumpyKernel(EpochKernel):
         state.osd_load_ema *= 1.0 - self.load_alpha
         state.osd_load_ema += wear_inc
         return load
-
-
-def _build_numba_step():
-    """Compile (or load from disk cache) the fused numba epoch step."""
-    global _NUMBA_STEP
-    if _NUMBA_STEP is not None:
-        return _NUMBA_STEP
-    import numba
-
-    @numba.njit(cache=True, fastmath=False)
-    def _step(
-        chunk_owner,
-        counts,
-        writes,
-        chunk_heat,
-        chunk_write_heat,
-        osd_wear,
-        osd_load_ema,
-        load_out,
-        wear_inc_out,
-        heat_alpha,
-        load_alpha,
-        wear_per_write,
-    ):
-        num_chunks = chunk_owner.shape[0]
-        num_osds = load_out.shape[0]
-        for j in range(num_osds):
-            load_out[j] = 0.0
-            wear_inc_out[j] = 0.0
-        # Same sequential accumulation order as np.bincount.
-        for i in range(num_chunks):
-            o = chunk_owner[i]
-            load_out[o] += counts[i]
-            wear_inc_out[o] += writes[i]
-        one_minus_ha = 1.0 - heat_alpha
-        one_minus_la = 1.0 - load_alpha
-        for j in range(num_osds):
-            osd_wear[j] += wear_inc_out[j] * wear_per_write
-            t = osd_load_ema[j] * one_minus_la
-            osd_load_ema[j] = t + load_alpha * load_out[j]
-        for i in range(num_chunks):
-            h = chunk_heat[i] * one_minus_ha
-            chunk_heat[i] = h + heat_alpha * counts[i]
-            w = chunk_write_heat[i] * one_minus_ha
-            chunk_write_heat[i] = w + heat_alpha * writes[i]
-
-    _NUMBA_STEP = _step
-    return _step
-
-
-class NumbaKernel(EpochKernel):
-    """JIT backend: one compiled loop over chunks + OSDs per epoch.
-
-    The load vector handed back each epoch is this kernel's preallocated
-    buffer, rewritten in place every call -- observers must copy what they
-    keep, which the recorder contract already demands.
-    """
-
-    name = "numba"
-
-    def __init__(self, cfg: SimConfig):
-        super().__init__(cfg)
-        self._step = _build_numba_step()
-        self._load = np.zeros(cfg.num_osds)
-        self._wear_inc = np.zeros(cfg.num_osds)
-
-    def resize(self, num_osds: int) -> None:
-        super().resize(num_osds)
-        self._load = np.zeros(num_osds)
-        self._wear_inc = np.zeros(num_osds)
-
-    def epoch_update(self, state, counts, writes):
-        self._step(
-            state.chunk_owner,
-            counts,
-            writes,
-            state.chunk_heat,
-            state.chunk_write_heat,
-            state.osd_wear,
-            state.osd_load_ema,
-            self._load,
-            self._wear_inc,
-            self.heat_alpha,
-            self.load_alpha,
-            self.wear_per_write,
-        )
-        return self._load
-
-
-_KERNELS: dict[str, type[EpochKernel]] = {
-    "numpy": NumpyKernel,
-    "numba": NumbaKernel,
-}
-
-
-def make_kernel(cfg: SimConfig) -> EpochKernel:
-    """Instantiate the backend ``cfg.kernel`` resolves to for this run."""
-    return _KERNELS[resolve_kernel(cfg.kernel)](cfg)

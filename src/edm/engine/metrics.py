@@ -60,14 +60,13 @@ class MetricsAccumulator(Recorder):
         self._epochs = 0
         self._total_requests = 0
         self._total_writes = 0
-        # Healthy runs defer the per-epoch load CoV / peak-ratio math: load
-        # vectors are copied into a fixed block buffer and reduced row-wise
-        # per flush (same per-row arithmetic as the scalar calls, summed in
+        # The per-epoch load CoV / peak-ratio math is deferred: load vectors
+        # are copied into a fixed block buffer and reduced row-wise per
+        # flush (same per-row arithmetic as scalar mean/std calls, summed in
         # the same left-to-right order via cumsum, so the result is
-        # bit-identical -- pinned by tests).  Faulted runs keep the scalar
-        # path: on_fault reads the running CoV mean mid-run.  Elastic runs
-        # do too: the block buffer's OSD width is fixed at allocation.
-        self._load_hist = np.empty((min(_COV_BLOCK, max(cfg.epochs, 1)), state.num_osds))
+        # bit-identical -- pinned by tests).  Anything that reads the
+        # running sums mid-run flushes first.
+        self._load_hist = self._alloc_hist(state.num_osds)
         self._hist_fill = 0
         # Degraded-mode tracking (only exercised when cfg.faults is set, so
         # healthy runs keep their historical metrics dict bit-for-bit).
@@ -91,8 +90,15 @@ class MetricsAccumulator(Recorder):
         self._drain_moves = 0
         self._cold_ids: list[int] = []
 
+    def _alloc_hist(self, num_osds: int) -> np.ndarray:
+        return np.empty((min(_COV_BLOCK, max(self.cfg.epochs, 1)), num_osds))
+
     def on_topology(self, state: ClusterState, event, moved: int) -> None:
         if event.kind == "add":
+            # Buffered rows keep their old width: fold them in before the
+            # buffer widens to the grown cluster.
+            self._flush_loads()
+            self._load_hist = self._alloc_hist(state.num_osds)
             self._osds_added += event.count
             # The hook fires after growth: the newest ``count`` ids are the
             # cold drives this event added.
@@ -116,24 +122,18 @@ class MetricsAccumulator(Recorder):
             self._replacement_burst_max = max(self._replacement_burst_max, replaced)
             # Arm the recovery clock: how long until per-epoch load CoV over
             # the survivors returns to (near) its pre-failure running mean.
+            self._flush_loads()
             self._recover_baseline = self._cov_sum / max(self._epochs, 1)
             self._recover_start = state.epoch
             self._recovery_epochs = -1
 
     def on_epoch(self, state: ClusterState, load: np.ndarray, stats: EpochStats) -> None:
+        self._load_hist[self._hist_fill] = load
+        self._hist_fill += 1
+        if self._hist_fill == len(self._load_hist):
+            self._flush_loads()
         if self._faulted or self._topology:
-            # Scalar path: faulted runs read the running CoV mean mid-run,
-            # elastic runs outgrow the fixed-width block buffer.
-            mean, std = mean_std(load)
-            if mean > 0:
-                self._cov_sum += float(std / mean)
-                self._peak_ratio_sum += float(load.max() / mean)
             self._track_degraded(state, load, stats)
-        else:
-            self._load_hist[self._hist_fill] = load
-            self._hist_fill += 1
-            if self._hist_fill == len(self._load_hist):
-                self._flush_loads()
         self._epochs += 1
         self._total_requests += stats.requests
         self._total_writes += stats.writes

@@ -69,6 +69,15 @@ class ClusterState:
         if self.osd_draining is None:
             self.osd_draining = np.zeros(self.num_osds, dtype=bool)
 
+    @property
+    def survivor_floor(self) -> int:
+        """Fewest alive OSDs failures may leave: one, or one full group.
+
+        Below ``max(1, group_width)`` a dead OSD's chunks have no (distinct)
+        destination, so scheduled failures and wear-outs both stop here.
+        """
+        return max(1, self.group_width)
+
     def validate(self) -> None:
         """Cheap invariant check: every chunk owned by exactly one valid OSD."""
         if self.chunk_owner.shape != (self.num_chunks,):

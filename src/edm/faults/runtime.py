@@ -12,7 +12,10 @@ Capacity semantics:
   events compound).
 * ``hiccup`` scales the current base only inside its window; when the window
   closes the OSD returns to its base capacity.
-* ``fail`` pins capacity to 0 and ``alive`` to False forever.
+* ``fail`` pins capacity to 0 and ``alive`` to False forever -- unless it
+  would leave fewer than ``state.survivor_floor`` OSDs alive (for example
+  after wear-outs already reached that floor), in which case it is skipped
+  and not reported as fired, the same floor wear-outs stop at.
 
 This module only touches NumPy arrays on the state object (duck-typed, no
 engine imports), keeping the faults package import-cycle-free.
@@ -64,7 +67,8 @@ class FaultRuntime:
         """Apply events scheduled for ``epoch``; returns the events that fired.
 
         Expiring hiccup windows are processed first, then this epoch's new
-        events, in the plan's canonical order -- fully deterministic.
+        events, in the plan's canonical order -- fully deterministic.  A
+        ``fail`` that would cross the survivor floor does not fire.
         """
         if self._base is None:
             # Base capacity is whatever the cluster starts (or has grown)
@@ -82,14 +86,20 @@ class FaultRuntime:
         for ev in self._ends.pop(epoch, []):
             self._active_hiccups.remove(ev)
             changed = True
-        fired = self._starts.get(epoch, [])
-        for ev in fired:
+        fired = []
+        alive = int(state.osd_alive.sum())
+        for ev in self._starts.get(epoch, []):
             if ev.kind == "fail":
+                if state.osd_alive[ev.osd]:
+                    if alive <= state.survivor_floor:
+                        continue
+                    alive -= 1
                 state.osd_alive[ev.osd] = False
             elif ev.kind == "slow":
                 self._base[ev.osd] *= ev.factor
             else:  # hiccup
                 self._active_hiccups.append(ev)
+            fired.append(ev)
             changed = True
         if changed:
             cap = self._base.copy()
@@ -100,4 +110,4 @@ class FaultRuntime:
             state.degraded = bool(
                 (~state.osd_alive).any() or (cap != 1.0).any()
             )
-        return list(fired)
+        return fired

@@ -1,4 +1,4 @@
-"""Runtime observability: tracing, structured run logs, perf history.
+"""Runtime observability: tracing, structured run logs, decision provenance.
 
 Three pillars, all off the hot path by default:
 
@@ -13,9 +13,6 @@ Three pillars, all off the hot path by default:
 * :mod:`edm.obs.decisions` -- migration decision provenance: per-pick score
   decompositions captured by :class:`DecisionRecorder`, queried by
   ``edm explain``.
-* :mod:`edm.obs.history` -- ``BENCH_history.jsonl`` perf trajectory
-  (:func:`append_history`) and the ``--compare`` regression gate
-  (:func:`compare_reports`).
 
 Plus :mod:`edm.obs.log` (the package logger behind ``-v``/``--log-level``)
 and :mod:`edm.obs.progress` (the live sweep progress line).
@@ -28,16 +25,6 @@ from edm.obs.decisions import (
     query_decisions,
     read_decision_log,
     validate_decision,
-)
-from edm.obs.history import (
-    DEFAULT_HISTORY,
-    Regression,
-    append_history,
-    baseline_from_history,
-    compare_reports,
-    git_sha,
-    load_report,
-    read_history,
 )
 from edm.obs.log import configure as configure_logging
 from edm.obs.log import get_logger
@@ -58,30 +45,22 @@ from edm.obs.trace_export import (
 )
 
 __all__ = [
-    "DEFAULT_HISTORY",
     "Decision",
     "DecisionRecorder",
     "NULL_TRACER",
     "NullTracer",
     "ProgressLine",
     "RUNLOG_SCHEMA_VERSION",
-    "Regression",
     "RunLogWriter",
     "Tracer",
-    "append_history",
     "attribution_summary",
-    "baseline_from_history",
-    "compare_reports",
     "configure_logging",
     "export_chrome_trace",
     "get_logger",
-    "git_sha",
-    "load_report",
     "new_id",
     "query_decisions",
     "read_decision_log",
     "read_run_log",
-    "read_history",
     "read_span_events",
     "to_chrome_trace",
     "validate_decision",

@@ -1,6 +1,6 @@
 """Package logger.
 
-All CLI/bench diagnostics go through ``edm.*`` loggers instead of bare
+All CLI diagnostics go through ``edm.*`` loggers instead of bare
 ``print``, so ``-v`` / ``--log-level`` controls the noise floor in one place
 and run-log/trace chatter can be silenced without losing primary output
 (results, tables and JSON still go to stdout).

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import pickle
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from edm.config import SimConfig, config_hash
@@ -65,14 +65,23 @@ class LoadedResults:
 
 
 def load_cached_metrics(cache_dir: str | Path) -> LoadedResults:
-    """Load every valid metrics payload under ``cache_dir`` (sorted by name)."""
+    """Load every valid metrics payload under ``cache_dir`` (sorted by name).
+
+    The stored config is rebuilt from the fields ``SimConfig`` still has, so
+    an entry written while the config carried a since-removed field (which
+    never fed the hash) stays readable; the recomputed ``config_hash`` still
+    rejects any entry whose hashed content differs.
+    """
+    known = {f.name for f in fields(SimConfig)}
     rows: list[dict] = []
     stale = 0
     for path in sorted(Path(cache_dir).glob("*.pkl")):
         try:
             with open(path, "rb") as f:
                 payload = pickle.load(f)
-            cfg = SimConfig.from_dict(payload["config"])
+            cfg = SimConfig.from_dict(
+                {k: v for k, v in payload["config"].items() if k in known}
+            )
             fresh = payload["config_hash"] == config_hash(cfg)
             metrics = payload["metrics"]
         except Exception:

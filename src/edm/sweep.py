@@ -110,7 +110,8 @@ def default_grid(
     :mod:`edm.topology.spec` / :mod:`edm.redundancy.spec`); the default
     single empty spec on each is the healthy, unrated, unserviced, static,
     redundancy-free cluster.  Restricting ``policies`` to the paper's four
-    (as :mod:`edm.bench` does) recovers the paper's 64-config grid exactly.
+    (as the ``paper-grid`` benchmark does) recovers the paper's 64-config
+    grid exactly.
     """
     return [
         SimConfig(

@@ -4,8 +4,9 @@ import pickle
 
 import pytest
 
+from conftest import cfg_factory
 from edm.cache import ResultCache
-from edm.config import SimConfig, config_hash
+from edm.config import SimConfig, config_hash, rng_seed_sequence
 from edm.engine.core import simulate
 
 
@@ -25,6 +26,59 @@ def test_miss_then_store_then_exact_hit(cache, small_cfg):
 def test_filename_matches_historical_key_format(cache):
     cfg = SimConfig(workload="lair62b", num_osds=20, policy="cmt", skew=0.02, seed=54321)
     assert cache.path_for(cfg).name == "lair62b-20osd-cmt-s0.02-r54321.pkl"
+
+
+# Literal cache keys and workload seeds, one healthy config and one per
+# scenario layer: a config-field deletion or hash refactor must leave every
+# existing cache entry reachable and every workload stream unchanged.
+HEALTHY_ENTROPY = [12345, 2842577603, 1903860486, 582632262, 4254718239]
+KEY_PINS = {
+    "healthy": (
+        {},
+        "deasna-4osd-cmt-s0.02-r12345",
+        "b41981ad5aade24e02872f7c0ab28056391d247ecf796084eb4d6b1aacffa497",
+        HEALTHY_ENTROPY,
+    ),
+    "faults": (
+        dict(faults="fail:1@8;slow:2@4x0.5"),
+        "deasna-4osd-cmt-s0.02-r12345-f01b92dda",
+        "4e7e8b73a79504e3c354717233afefa0e7df5099dae97f3a8ae7a88ca90ae51c",
+        HEALTHY_ENTROPY,
+    ),
+    "endurance": (
+        dict(endurance="pe:900"),
+        "deasna-4osd-cmt-s0.02-r12345-ecd6c549e",
+        "94f87e4fab2a1d23c09cbe468b637f4c3415d5edf09264e1fe300ebf580f6c33",
+        HEALTHY_ENTROPY,
+    ),
+    "service": (
+        dict(service="rate:800;queue:64"),
+        "deasna-4osd-cmt-s0.02-r12345-q87a56a93",
+        "8d5e0efee741134e84122894a109c75db2605d96352ca5778eba95d538cbff12",
+        HEALTHY_ENTROPY,
+    ),
+    "topology": (
+        dict(topology="add:2@16/cap:2,rate:1600;drain:0@24"),
+        "deasna-4osd-cmt-s0.02-r12345-t6c1bad93",
+        "21fe363e7980dfb41fef6a896075a542654d7d6623d48724b2ac87418ea40c3d",
+        HEALTHY_ENTROPY,
+    ),
+    "redundancy": (
+        dict(num_osds=8, redundancy="ec:4+2"),
+        "deasna-8osd-cmt-s0.02-r12345-g6ada8e4b",
+        "016738ebfe7c9144b6d50975aab713906791b4943cdeb6db69c260e0eb2f780f",
+        [12345, 45134542, 3952897244, 25106952, 191932616],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_PINS))
+def test_cache_keys_and_seeds_pinned(name):
+    overrides, stem, digest, entropy = KEY_PINS[name]
+    cfg = cfg_factory(**overrides)
+    assert cfg.cache_name() == stem
+    assert config_hash(cfg) == digest
+    assert rng_seed_sequence(cfg).entropy == entropy
 
 
 def test_config_hash_mismatch_invalidates_stale_pickle(cache, small_cfg, make_cfg):

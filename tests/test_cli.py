@@ -53,27 +53,6 @@ def test_unknown_policy_rejected():
         main(["run", "--policy", "bogus"])
 
 
-def test_run_with_explicit_numpy_kernel(capsys):
-    assert (
-        main(
-            [
-                "run",
-                "--osds", "4",
-                "--epochs", "8",
-                "--requests", "128",
-                "--kernel", "numpy",
-            ]
-        )
-        == 0
-    )
-    assert json.loads(capsys.readouterr().out)["epochs"] == 8
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(SystemExit):
-        main(["run", "--kernel", "fortran"])
-
-
 def test_sweep_stream_flag(tmp_path, capsys):
     assert (
         main(

@@ -11,7 +11,7 @@ from edm.cli import main as cli_main
 from edm.config import SimConfig, config_hash, rng_seed_sequence
 from edm.endurance import EnduranceModel, EnduranceTracker, wearout_risk
 from edm.engine.core import simulate
-from edm.faults import FaultEvent
+from edm.faults import FaultEvent, FaultPlan, FaultRuntime
 from edm.obs import read_run_log
 from edm.policies import get_policy
 from edm.policies.base import destination_picker
@@ -210,6 +210,40 @@ def test_wearouts_never_shrink_a_redundant_cluster_below_its_group(redundancy):
     width = RedundancyScheme.parse(redundancy).group_width
     assert metrics["osds_alive_final"] >= width
     assert metrics["osds_alive_final"] + metrics["wearouts_total"] == cfg.num_osds
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [
+        # Wear-outs reach the ec:4+2 floor of 6 alive, then fail:1 fires.
+        dict(num_osds=7, redundancy="ec:4+2", faults="fail:1@40"),
+        # Wear-outs leave one survivor, then the plan fails it.
+        dict(num_osds=4, faults="fail:1@60;fail:2@61"),
+    ],
+    ids=["ec-floor", "last-survivor"],
+)
+def test_scheduled_fail_below_survivor_floor_is_skipped(kw):
+    # A scheduled fail used to cross the floor wear-outs stop at and crash
+    # the next re-placement mid-run.
+    cfg = SimConfig(
+        endurance="pe:300", epochs=64, requests_per_epoch=1024, chunks_per_osd=8, **kw
+    )
+    metrics = simulate(cfg)
+    width = RedundancyScheme.parse(cfg.redundancy).group_width if cfg.redundancy else 0
+    assert metrics["osds_alive_final"] >= max(1, width)
+
+
+def test_fault_runtime_skips_fail_at_survivor_floor():
+    cfg = cfg_factory(num_osds=4)
+    state = make_state(cfg)
+    state.osd_alive[[0, 1]] = False
+    state.osd_capacity[[0, 1]] = 0.0
+    runtime = FaultRuntime(FaultPlan.parse("fail:2@5;fail:3@5;slow:3@5x0.5", num_osds=4))
+    fired = runtime.step(state, epoch=5)
+    # OSD 2 may fail (leaving one survivor); OSD 3 may not.
+    assert [(ev.kind, ev.osd) for ev in fired] == [("fail", 2), ("slow", 3)]
+    assert state.osd_alive.tolist() == [False, False, False, True]
+    assert state.osd_capacity[3] == 0.5
 
 
 def test_wearout_event_renders_like_fail():

@@ -1,12 +1,11 @@
-"""Epoch-kernel backends and batched re-placement: bit-identity guarantees.
+"""Epoch kernel and batched re-placement: bit-identity guarantees.
 
 The fused kernel (src/edm/engine/kernels.py) and the vectorized failure
-re-placement (engine/core.py) both promise *byte-equal* metrics against
+re-placement (engine/core.py) both promise *byte-equal* results against
 their reference implementations.  This module pins those promises:
 
-  * numpy vs numba backends produce identical metrics dicts (and therefore
-    identical golden hashes) across policy x workload x faults x endurance
-    samples -- numba cases skip cleanly when the optional extra is absent;
+  * the fused epoch update matches an unfused transcription of the same
+    routing, wear and EMA math, byte for byte;
   * the batched greedy destination assignment replays the sequential
     per-chunk path bit-for-bit, and whole runs through it match runs that
     re-place each chunk with the per-chunk reference;
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import cfg_factory, make_state
-from edm.config import POLICIES, config_hash, rng_seed_sequence
+from edm.config import POLICIES
 from edm.engine import core as core_mod
 from edm.engine.core import (
     _assign_replacements_batched,
@@ -29,13 +28,7 @@ from edm.engine.core import (
     apply_migrations,
     simulate,
 )
-from edm.engine.kernels import (
-    NumpyKernel,
-    available_kernels,
-    make_kernel,
-    numba_available,
-    resolve_kernel,
-)
+from edm.engine.kernels import EpochKernel
 from edm.policies import get_policy
 from replacement_reference import assign_reference
 
@@ -57,78 +50,6 @@ SAMPLES = {
 def digest(metrics: dict) -> str:
     blob = json.dumps(metrics, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Backend selection / config surface
-
-
-def test_resolve_kernel_names():
-    assert resolve_kernel("numpy") == "numpy"
-    expected_auto = "numba" if numba_available() else "numpy"
-    assert resolve_kernel("auto") == expected_auto
-    assert set(available_kernels()) == (
-        {"numpy", "numba"} if numba_available() else {"numpy"}
-    )
-
-
-def test_explicit_numba_without_install_raises():
-    if numba_available():
-        pytest.skip("numba installed; the error path is unreachable")
-    with pytest.raises(RuntimeError, match="numba"):
-        resolve_kernel("numba")
-    with pytest.raises(RuntimeError, match="numba"):
-        make_kernel(cfg_factory(kernel="numba"))
-
-
-def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="kernel"):
-        cfg_factory(kernel="fortran")
-    with pytest.raises(ValueError, match="unknown kernel"):
-        resolve_kernel("fortran")
-
-
-def test_kernel_field_never_feeds_hash_or_seed():
-    # Both backends must share cache entries and RNG streams: the kernel
-    # field is presentation, not semantics.
-    a = cfg_factory(kernel="numpy")
-    b = cfg_factory(kernel="auto")
-    assert config_hash(a) == config_hash(b)
-    assert rng_seed_sequence(a).entropy == rng_seed_sequence(b).entropy
-    assert a.cache_name() == b.cache_name()
-
-
-def test_make_kernel_default_is_numpy_when_no_numba():
-    k = make_kernel(cfg_factory())
-    if not numba_available():
-        assert isinstance(k, NumpyKernel)
-
-
-# ---------------------------------------------------------------------------
-# numpy vs numba bit-identity (skips without the [jit] extra)
-
-
-@pytest.mark.parametrize("name", sorted(SAMPLES))
-def test_numba_kernel_bit_identical(name):
-    pytest.importorskip("numba")
-    kw = {"num_osds": 8, "seed": 7, **SAMPLES[name]}
-    cfg_np = cfg_factory(kernel="numpy", **kw)
-    cfg_nb = cfg_factory(kernel="numba", **kw)
-    m_np = simulate(cfg_np)
-    m_nb = simulate(cfg_nb)
-    assert m_np == m_nb
-    assert digest(m_np) == digest(m_nb)
-
-
-def test_numba_reproduces_pinned_golden_hash():
-    # The numba backend must land on the exact digest pinned for the numpy
-    # engine -- same claim as test_golden_metrics, through the JIT path.
-    pytest.importorskip("numba")
-    from test_golden_metrics import CASES, GOLDEN
-
-    for name, kw in CASES.items():
-        cfg = cfg_factory(num_osds=8, seed=7, kernel="numba", **kw)
-        assert digest(simulate(cfg)) == GOLDEN[name], f"numba drifted on {name!r}"
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +159,7 @@ def test_epoch_counts_emits_reused_float64_buffers(small_cfg):
 
 
 def test_kernel_epoch_update_matches_unfused_reference(small_cfg):
-    # The fused numpy kernel vs a straightforward transcription of the
+    # The fused kernel vs a straightforward transcription of the
     # pre-fusion engine math, same state, byte-equal everywhere.
     cfg = small_cfg
     rng = np.random.default_rng(5)
@@ -248,7 +169,7 @@ def test_kernel_epoch_update_matches_unfused_reference(small_cfg):
     counts = rng.integers(0, 50, cfg.num_chunks).astype(np.float64)
     writes = np.minimum(counts, rng.integers(0, 20, cfg.num_chunks)).astype(np.float64)
 
-    load = make_kernel(cfg).epoch_update(state, counts, writes)
+    load = EpochKernel(cfg).epoch_update(state, counts, writes)
 
     ref_load = np.bincount(ref.chunk_owner, weights=counts, minlength=cfg.num_osds)
     ref.osd_wear += (

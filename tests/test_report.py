@@ -1,10 +1,13 @@
 """Report aggregation and the report/plot CLI subcommands."""
 
 import json
+import pickle
 
 import pytest
 
+from conftest import cfg_factory
 from edm import report
+from edm.cache import ResultCache
 from edm.cli import main
 from edm.sweep import default_grid, sweep
 from edm.telemetry.plots import POLICY_COLORS, have_matplotlib, policy_color
@@ -48,6 +51,30 @@ def test_stale_entries_skipped(swept_cache):
     loaded = report.load_cached_metrics(cache_dir)
     assert loaded.stale == 1
     assert len(loaded.metrics) == 7
+
+
+def test_entry_with_removed_kernel_field_is_fresh(tmp_path):
+    # Cache entries written while SimConfig still had a ``kernel`` field
+    # store it in their config dict; it never fed the hash, so the entry is
+    # fresh for the report exactly as it is a hit for sweep().
+    cfg = cfg_factory()
+    cache = ResultCache(tmp_path)
+    metrics = {"workload": cfg.workload, "policy": cfg.policy}
+    path = cache.store(cfg, metrics)
+    payload = pickle.loads(path.read_bytes())
+    # The hash this entry was written under before the field's removal.
+    assert payload["config_hash"] == (
+        "b41981ad5aade24e02872f7c0ab28056391d247ecf796084eb4d6b1aacffa497"
+    )
+    payload["config"]["kernel"] = "auto"
+    path.write_bytes(pickle.dumps(payload))
+    loaded = report.load_cached_metrics(tmp_path)
+    assert (loaded.stale, loaded.metrics) == (0, [metrics])
+    assert cache.load(cfg) == metrics
+    # Hashed content that differs is still rejected.
+    payload["config"]["heat_alpha"] = 0.9
+    path.write_bytes(pickle.dumps(payload))
+    assert report.load_cached_metrics(tmp_path).stale == 1
 
 
 def test_render_formats(swept_cache):

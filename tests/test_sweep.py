@@ -35,7 +35,7 @@ def test_default_grid_covers_the_policy_zoo():
 
 
 def test_paper_grid_recoverable_by_policy_restriction():
-    # edm.bench pins the grid to the paper's four policies; that restriction
+    # The paper-grid benchmark pins the grid to the paper's four policies; that restriction
     # must keep reproducing the paper's 64-config grid exactly.
     grid = default_grid(policies=("baseline", "cdf", "hdf", "cmt"))
     assert len(grid) == 64  # 4 workloads x 2 cluster sizes x 4 policies x 2 seeds
