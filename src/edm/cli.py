@@ -60,61 +60,24 @@ def _overrides(args) -> dict:
     return out
 
 
-def _fault_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--faults`` value into scenario specs.
-
-    Event specs themselves never contain commas (events join with ``;``), so
-    the comma cleanly separates grid-axis scenarios; ``none`` (or an empty
-    entry) names the healthy cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
-
-
-def _endurance_scenarios(spec: str) -> list[str]:
-    """Split a semicolon-separated ``--endurance`` value into model specs.
-
-    Endurance specs join their bands with ``,`` (``pe:3000@0-3,10000@4-7``),
-    so unlike ``--faults`` the grid-axis separator is ``;``; ``none`` (or an
-    empty entry) names the unrated cluster.
-    """
-    parts = [p.strip() for p in spec.split(";") if p.strip()]
-    scenarios = [("" if p == "none" else p) for p in parts]
-    return scenarios or [""]
+#: Grid-axis separator per scenario flag: a character the field's own spec
+#: grammar never uses, so one flag value can list several scenarios.
+#: Faults and service join clauses with ';', endurance bands with ',', and
+#: topology uses both (events ';', device-class attributes ',').
+SCENARIO_SEPS = {
+    "faults": ",",
+    "endurance": ";",
+    "service": ",",
+    "topology": "|",
+    "redundancy": ",",
+}
 
 
-def _service_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--service`` value into model specs.
-
-    Service specs join their clauses with ``;`` (``rate:800;queue:64``), so
-    like ``--faults`` the grid-axis separator is ``,``; ``none`` (or an
-    empty entry) names the unserviced cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
-
-
-def _topology_scenarios(spec: str) -> list[str]:
-    """Split a ``|``-separated ``--topology`` value into plan specs.
-
-    Topology plans use both ``;`` (event separator) and ``,`` (device-class
-    attributes) internally, so the grid-axis separator is ``|``; ``none``
-    (or an empty entry) names the static cluster.
-    """
-    parts = [p.strip() for p in spec.split("|") if p.strip()]
-    scenarios = [("" if p == "none" else p) for p in parts]
-    return scenarios or [""]
-
-
-def _redundancy_scenarios(spec: str) -> list[str]:
-    """Split a comma-separated ``--redundancy`` value into scheme specs.
-
-    A redundancy spec is a single clause (``rep:3`` / ``ec:4+2``) with no
-    internal separators, so the grid-axis separator is ``,``; ``none`` (or
-    an empty entry) names the redundancy-free cluster.
-    """
-    scenarios = [("" if s == "none" else s) for s in _csv(spec)]
-    return scenarios or [""]
+def _scenarios(value: str, sep: str) -> list[str]:
+    """Split one scenario flag into grid-axis specs; ``none`` (or an empty
+    entry) names the scenario-free cluster."""
+    parts = [p.strip() for p in value.split(sep) if p.strip()]
+    return [("" if p == "none" else p) for p in parts] or [""]
 
 
 def cmd_run(args) -> int:
@@ -123,11 +86,7 @@ def cmd_run(args) -> int:
         num_osds=args.osds,
         policy=resolve_policy(args.policy),
         seed=args.seed,
-        faults="" if args.faults == "none" else args.faults,
-        endurance="" if args.endurance == "none" else args.endurance,
-        service="" if args.service == "none" else args.service,
-        topology="" if args.topology == "none" else args.topology,
-        redundancy="" if args.redundancy == "none" else args.redundancy,
+        **{name: getattr(args, name) for name in SCENARIO_SEPS},
         **_overrides(args),
     )
     recorders = []
@@ -175,11 +134,10 @@ def cmd_sweep(args) -> int:
         osds=[int(n) for n in _csv(args.osds)],
         policies=[resolve_policy(p) for p in _csv(args.policies)],
         seeds=[int(s) for s in _csv(args.seeds)],
-        faults=_fault_scenarios(args.faults),
-        endurance=_endurance_scenarios(args.endurance),
-        service=_service_scenarios(args.service),
-        topology=_topology_scenarios(args.topology),
-        redundancy=_redundancy_scenarios(args.redundancy),
+        **{
+            name: _scenarios(getattr(args, name), sep)
+            for name, sep in SCENARIO_SEPS.items()
+        },
         **_overrides(args),
     )
     result = sweep(

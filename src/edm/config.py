@@ -52,6 +52,16 @@ SEED_EXCLUDED_FIELDS = (
     "redundancy",
 )
 
+# The scenario spec fields, in parse and cache-name order, with the tag that
+# prefixes each one's digest in ``SimConfig.cache_name``.
+SCENARIO_FIELDS = (
+    ("faults", "f"),
+    ("endurance", "e"),
+    ("service", "q"),
+    ("topology", "t"),
+    ("redundancy", "g"),
+)
+
 WORKLOADS = ("deasna", "deasna2", "lair62", "lair62b")
 # Canonical policy names.  Kept as a literal tuple (the config layer cannot
 # import edm.policies -- policies import this module); the registry in
@@ -190,16 +200,6 @@ class SimConfig:
             raise ValueError(f"wear_rate_alpha must be in (0, 1], got {self.wear_rate_alpha}")
         if self.endurance_weight < 0:
             raise ValueError(f"endurance_weight must be >= 0, got {self.endurance_weight}")
-        if self.faults:
-            from edm.faults import FaultPlan
-
-            fault_plan = FaultPlan.parse(self.faults, num_osds=self.num_osds)
-            object.__setattr__(self, "faults", fault_plan.spec)
-        if self.endurance:
-            from edm.endurance import EnduranceModel
-
-            model = EnduranceModel.parse(self.endurance, num_osds=self.num_osds)
-            object.__setattr__(self, "endurance", model.spec)
         if self.service_migration_cost < 0:
             raise ValueError(
                 f"service_migration_cost must be >= 0, got {self.service_migration_cost}"
@@ -208,42 +208,40 @@ class SimConfig:
             raise ValueError(
                 f"service_cooldown_epochs must be >= 1, got {self.service_cooldown_epochs}"
             )
-        if self.service:
-            from edm.service import ServiceModel
+        # Parse each scenario spec against the cluster size and store its
+        # canonical string, so equivalent spellings hash alike.  Imported
+        # here: edm.redundancy.runtime imports this module.
+        from edm.endurance import EnduranceModel
+        from edm.faults import FaultPlan
+        from edm.redundancy import RedundancyScheme
+        from edm.service import ServiceModel
+        from edm.spec import SpecError
+        from edm.topology import TopologyPlan
 
-            svc = ServiceModel.parse(self.service, num_osds=self.num_osds)
-            object.__setattr__(self, "service", svc.spec)
-        if self.topology:
-            from edm.spec import SpecError
-            from edm.topology import TopologyPlan
-
-            topo_plan = TopologyPlan.parse(self.topology, num_osds=self.num_osds)
-            object.__setattr__(self, "topology", topo_plan.spec)
-            if self.service:
-                from edm.service import ServiceModel
-
-                svc = ServiceModel.parse(self.service)
-                if svc.default_rate is None:
-                    for ev in topo_plan.adds:
-                        if ev.rate is None:
-                            raise SpecError(
-                                f"topology event {ev.render()!r} adds OSDs "
-                                f"with no service rate, and service spec "
-                                f"{self.service!r} has no default rate band; "
-                                f"give the add a 'rate:' attribute or add a "
-                                f"default rate"
-                            )
-        if self.redundancy:
-            from edm.redundancy.spec import RedundancyScheme
-            from edm.spec import SpecError
-
-            scheme = RedundancyScheme.parse(self.redundancy, num_osds=self.num_osds)
-            object.__setattr__(self, "redundancy", scheme.spec)
+        plans = []
+        for (name, _), parser in zip(
+            SCENARIO_FIELDS,
+            (FaultPlan, EnduranceModel, ServiceModel, TopologyPlan, RedundancyScheme),
+        ):
+            plans.append(parser.parse(getattr(self, name), num_osds=self.num_osds))
+            object.__setattr__(self, name, plans[-1].spec)
+        fault_plan, _, svc, topo_plan, scheme = plans
+        if svc and svc.default is None:
+            for ev in topo_plan.adds:
+                if ev.rate is None:
+                    raise SpecError(
+                        f"topology event {TopologyPlan.render(ev)!r} adds OSDs "
+                        f"with no service rate, and service spec "
+                        f"{self.service!r} has no default rate band; "
+                        f"give the add a 'rate:' attribute or add a "
+                        f"default rate"
+                    )
+        if scheme:
             width = scheme.group_width
             # A placement group needs `width` distinct live OSDs for its
             # whole lifetime; catch plans that provably shrink the cluster
             # below that at config time rather than mid-run.
-            failed = {ev.osd for ev in fault_plan.failures} if self.faults else set()
+            failed = {ev.osd for ev in fault_plan.failures}
             survivors = self.num_osds - len(failed)
             if survivors < width:
                 raise SpecError(
@@ -252,7 +250,7 @@ class SimConfig:
                     f"{self.faults!r} leaves only {survivors} of "
                     f"{self.num_osds} alive"
                 )
-            if self.topology:
+            if topo_plan:
                 final = topo_plan.final_osds(self.num_osds)
                 if final < width:
                     raise SpecError(
@@ -294,16 +292,10 @@ class SimConfig:
         the historical stem byte-for-byte.
         """
         stem = f"{self.workload}-{self.num_osds}osd-{self.policy}-s{self.skew:g}-r{self.seed}"
-        if self.faults:
-            stem += f"-f{hashlib.sha256(self.faults.encode()).hexdigest()[:8]}"
-        if self.endurance:
-            stem += f"-e{hashlib.sha256(self.endurance.encode()).hexdigest()[:8]}"
-        if self.service:
-            stem += f"-q{hashlib.sha256(self.service.encode()).hexdigest()[:8]}"
-        if self.topology:
-            stem += f"-t{hashlib.sha256(self.topology.encode()).hexdigest()[:8]}"
-        if self.redundancy:
-            stem += f"-g{hashlib.sha256(self.redundancy.encode()).hexdigest()[:8]}"
+        for name, tag in SCENARIO_FIELDS:
+            spec = getattr(self, name)
+            if spec:
+                stem += f"-{tag}{hashlib.sha256(spec.encode()).hexdigest()[:8]}"
         return stem
 
 

@@ -1,7 +1,7 @@
 """Endurance model: rated P/E budgets, lifetime tracking, wear-out failures.
 
-* :mod:`edm.endurance.spec` -- :class:`EnduranceModel` / :class:`EnduranceBand`:
-  parse and canonicalize ``--endurance`` spec strings (``pe:5000``,
+* :mod:`edm.endurance.spec` -- :class:`EnduranceModel`: parse and
+  canonicalize ``--endurance`` spec strings (``pe:5000``,
   ``pe:3000@0-3,10000@4-7``; seed-free, fully deterministic).
 * :mod:`edm.endurance.runtime` -- :class:`EnduranceTracker`: installs rated
   budgets on cluster state, maintains the per-OSD wear-rate EWMA, and fails
@@ -16,10 +16,9 @@ machinery.
 """
 
 from edm.endurance.runtime import EnduranceTracker, wearout_risk
-from edm.endurance.spec import EnduranceBand, EnduranceModel
+from edm.endurance.spec import EnduranceModel
 
 __all__ = [
-    "EnduranceBand",
     "EnduranceModel",
     "EnduranceTracker",
     "wearout_risk",

@@ -55,7 +55,7 @@ class EnduranceTracker:
 
     def __init__(self, model: EnduranceModel, cfg: "SimConfig"):
         self.model = model
-        self._ratings = model.ratings(cfg.num_osds)
+        self._ratings = model.per_osd(cfg.num_osds)
         self._alpha = cfg.wear_rate_alpha
         self._prev_wear: np.ndarray | None = None
 

@@ -8,13 +8,9 @@ each SSD is to dying.  There is no randomness here: ratings are a pure
 function of the spec, so endurance-aware runs are exactly as reproducible as
 endurance-free ones.
 
-Spec grammar (bands joined with ``,``; no semicolons, so a
-semicolon-separated CLI list can carry several scenarios)::
-
-    spec    := "pe:" band ("," band)*
-    band    := CYCLES ("@" OSD ("-" OSD)?)?     rating, optional OSD range
-
-Examples::
+The grammar is ``pe:`` followed by the band clauses of
+:class:`EnduranceModel`, joined with ``,`` (no semicolons, so a
+semicolon-separated CLI list can carry several scenarios).  Examples::
 
     pe:5000                    every OSD rated at 5000 cycles
     pe:3000@0-3,10000@4-7      OSDs 0..3 rated 3000, OSDs 4..7 rated 10000
@@ -28,138 +24,45 @@ no endurance model: every OSD has an unlimited (infinite) rated lifetime.
 Parsing canonicalizes the spec -- default band first, ranged bands sorted by
 their first OSD, numbers normalized -- so two spellings of the same model
 produce the same ``SimConfig`` content hash and hit the same cache entry.
-
-Band tokenization, range parsing, number rendering, and band-set validation
-come from the shared :mod:`edm.spec` toolkit (also behind the faults and
-service grammars); canonical output is byte-identical to the pre-toolkit
-parser, so hashes and cache keys are untouched.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-
-import numpy as np
-
-from edm.spec import (
-    ClauseRule,
-    SpecError,
-    SpecGrammar,
-    format_fixed,
-    render_range,
-    span_fragment,
-    validate_bands,
-)
+from edm.spec import Band, BandSet, Clause, SpecError
 
 
-@dataclass(frozen=True)
-class EnduranceBand:
-    """One rating band: ``cycles`` for OSDs ``lo..hi`` (inclusive).
+class EnduranceModel(BandSet):
+    """A validated set of rating bands: rated P/E cycles per OSD.
 
-    ``lo is None`` marks the default band covering every OSD not claimed by
-    a ranged band.
+    ``per_osd(n)`` is the rated lifetime per OSD in wear (erase-count)
+    units; the empty model rates every OSD at ``inf`` -- the engine's "no
+    endurance" representation, under which every lifetime expression
+    (remaining life, predicted wear-out) stays inert.
     """
 
-    cycles: float
-    lo: int | None = None
-    hi: int | None = None
-
-    def render(self) -> str:
-        """Canonical spec fragment for this band."""
-        return format_fixed(self.cycles) + render_range(self.lo, self.hi)
-
-
-def _build_band(m: re.Match) -> EnduranceBand:
-    span = span_fragment(m.group(2), m.group(3))
-    if span is None:
-        return EnduranceBand(cycles=float(m.group(1)))
-    return EnduranceBand(cycles=float(m.group(1)), lo=span[0], hi=span[1])
-
-
-_GRAMMAR = SpecGrammar(
-    name="endurance",
-    sep=",",
-    clause_noun="endurance band",
-    expected="'CYCLES', 'CYCLES@OSD' or 'CYCLES@LO-HI'",
-    rules=(
-        ClauseRule(
-            name="band",
-            regex=re.compile(r"^(\d+(?:\.\d+)?)(?:@(\d+)(?:-(\d+))?)?$"),
-            build=_build_band,
-        ),
-    ),
-)
-
-
-@dataclass(frozen=True)
-class EnduranceModel:
-    """A validated, canonically ordered set of rating bands."""
-
-    bands: tuple[EnduranceBand, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.bands)
+    sep = ","
+    noun = "endurance band"
+    expected = "'CYCLES', 'CYCLES@OSD' or 'CYCLES@LO-HI'"
+    clauses = (Clause("{value:fixed}{@range}", Band),)
+    spec_noun = "endurance spec"
+    value_noun = "rated cycles"
 
     @property
     def spec(self) -> str:
-        """Canonical spec string (round-trips through :meth:`parse`)."""
-        if not self.bands:
-            return ""
-        return "pe:" + ",".join(band.render() for band in self.bands)
-
-    @property
-    def default_cycles(self) -> float | None:
-        for band in self.bands:
-            if band.lo is None:
-                return band.cycles
-        return None
+        return "pe:" + super().spec if self else ""
 
     @classmethod
-    def parse(cls, spec: str, num_osds: int | None = None) -> "EnduranceModel":
-        """Parse and validate a spec; ``num_osds`` enables coverage checks."""
+    def split(cls, spec: str | None) -> list[str]:
+        """Strip the ``pe:`` prefix; a prefix with no bands is an error."""
         spec = (spec or "").strip()
         if not spec or spec == "none":
-            return cls()
+            return []
         if not spec.startswith("pe:"):
             raise SpecError(
                 f"bad endurance spec {spec!r}; expected 'pe:CYCLES' or "
                 f"'pe:CYCLES@LO-HI,...' ('none' = unlimited endurance)"
             )
-        bands = _GRAMMAR.parse(spec[3:])
+        bands = super().split(spec[3:])
         if not bands:
             raise SpecError(f"bad endurance spec {spec!r}: no rating bands")
-        # Canonical order: the default band first, ranged bands by first OSD.
-        bands.sort(key=lambda b: (-1, -1) if b.lo is None else (b.lo, b.hi))
-        model = cls(bands=tuple(bands))
-        model.validate(num_osds=num_osds)
-        return model
-
-    def validate(self, num_osds: int | None = None) -> None:
-        validate_bands(
-            self.bands,
-            num_osds,
-            spec=self.spec,
-            spec_noun="endurance spec",
-            band_noun="endurance band",
-            value_noun="rated cycles",
-            render=lambda b: b.render(),
-            value=lambda b: b.cycles,
-        )
-
-    def ratings(self, num_osds: int) -> np.ndarray:
-        """Rated lifetime per OSD, in wear (erase-count) units.
-
-        The empty model rates every OSD at ``inf`` -- the engine's "no
-        endurance" representation, under which every lifetime expression
-        (remaining life, predicted wear-out) stays finite-free and inert.
-        """
-        self.validate(num_osds=num_osds)
-        if not self.bands:
-            return np.full(num_osds, np.inf)
-        default = self.default_cycles
-        out = np.full(num_osds, default if default is not None else np.inf)
-        for band in self.bands:
-            if band.lo is not None:
-                out[band.lo : band.hi + 1] = band.cycles
-        return out
+        return bands

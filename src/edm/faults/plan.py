@@ -6,18 +6,9 @@ fully determines *when* and *how* the cluster degrades -- there is no
 randomness in the fault layer, so a faulted run is exactly as reproducible
 as a healthy one.
 
-Spec grammar (events joined with ``;``, no commas so a comma-separated CLI
-list can carry several scenarios)::
-
-    spec    := event (";" event)*
-    event   := fail | slow | hiccup
-    fail    := "fail:"   OSD "@" EPOCH                      permanent death
-    slow    := "slow:"   OSD "@" EPOCH "x" FACTOR           permanent capacity x FACTOR
-    hiccup  := "hiccup:" OSD "@" EPOCH "+" DURATION "x" FACTOR
-                                                            transient window
-                                                            [EPOCH, EPOCH+DURATION)
-
-Examples::
+The grammar is the clause table of :class:`FaultPlan`.  Events join with
+``;`` (no commas, so a comma-separated CLI list can carry several
+scenarios).  Examples::
 
     fail:3@100                 OSD 3 dies at epoch 100
     slow:5@50x0.5              OSD 5 halves its capacity from epoch 50 on
@@ -28,19 +19,13 @@ The empty string (or ``"none"``) is the healthy cluster.  Parsing
 canonicalizes the spec -- events sorted by (epoch, kind, osd), numbers
 normalized -- so two spellings of the same plan produce the same
 ``SimConfig`` content hash and hit the same cache entry.
-
-Clause tokenization, matching, and number rendering come from the shared
-:mod:`edm.spec` toolkit (also behind the endurance and service grammars);
-canonical output is byte-identical to the pre-toolkit parser, so hashes and
-cache keys are untouched.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from edm.spec import ClauseRule, SpecError, SpecGrammar, format_g
+from edm.spec import Clause, ClauseSet, SpecError
 
 FAULT_KINDS = ("fail", "slow", "hiccup")
 
@@ -67,83 +52,40 @@ class FaultEvent:
 
     def render(self) -> str:
         """Canonical spec fragment for this event."""
-        if self.kind in ("fail", WEAROUT_KIND):
-            return f"{self.kind}:{self.osd}@{self.epoch}"
-        if self.kind == "slow":
-            return f"slow:{self.osd}@{self.epoch}x{format_g(self.factor)}"
-        return f"hiccup:{self.osd}@{self.epoch}+{self.duration}x{format_g(self.factor)}"
+        if self.kind == WEAROUT_KIND:
+            return f"{WEAROUT_KIND}:{self.osd}@{self.epoch}"
+        return FaultPlan.render(self)
 
 
-_GRAMMAR = SpecGrammar(
-    name="faults",
-    clause_noun="fault event",
-    expected=(
+class FaultPlan(ClauseSet):
+    """A validated schedule of fault events, sorted by (epoch, kind, osd)."""
+
+    noun = "fault event"
+    expected = (
         "'fail:OSD@EPOCH', 'slow:OSD@EPOCHxFACTOR' "
         "or 'hiccup:OSD@EPOCH+DURATIONxFACTOR'"
-    ),
-    rules=(
-        ClauseRule(
-            name="fail",
-            regex=re.compile(r"^fail:(\d+)@(\d+)$"),
-            build=lambda m: FaultEvent(
-                kind="fail", osd=int(m.group(1)), epoch=int(m.group(2))
-            ),
-        ),
-        ClauseRule(
-            name="slow",
-            regex=re.compile(r"^slow:(\d+)@(\d+)x(\d+(?:\.\d+)?)$"),
-            build=lambda m: FaultEvent(
-                kind="slow",
-                osd=int(m.group(1)),
-                epoch=int(m.group(2)),
-                factor=float(m.group(3)),
-            ),
-        ),
-        ClauseRule(
-            name="hiccup",
-            regex=re.compile(r"^hiccup:(\d+)@(\d+)\+(\d+)x(\d+(?:\.\d+)?)$"),
-            build=lambda m: FaultEvent(
-                kind="hiccup",
-                osd=int(m.group(1)),
-                epoch=int(m.group(2)),
-                duration=int(m.group(3)),
-                factor=float(m.group(4)),
-            ),
-        ),
-    ),
-)
+    )
+    clauses = (
+        Clause("fail:{osd}@{epoch}", FaultEvent, kind="fail"),
+        Clause("slow:{osd}@{epoch}x{factor:g}", FaultEvent, kind="slow"),
+        Clause("hiccup:{osd}@{epoch}+{duration}x{factor:g}", FaultEvent, kind="hiccup"),
+    )
 
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """A validated, canonically ordered schedule of fault events."""
-
-    events: tuple[FaultEvent, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    @staticmethod
+    def sort_key(ev: FaultEvent) -> tuple:
+        return (ev.epoch, ev.kind, ev.osd)
 
     @property
-    def spec(self) -> str:
-        """Canonical spec string (round-trips through :meth:`parse`)."""
-        return ";".join(ev.render() for ev in self.events)
+    def events(self) -> tuple[FaultEvent, ...]:
+        return self.items
 
     @property
     def failures(self) -> tuple[FaultEvent, ...]:
-        return tuple(ev for ev in self.events if ev.kind == "fail")
-
-    @classmethod
-    def parse(cls, spec: str, num_osds: int | None = None) -> "FaultPlan":
-        """Parse and validate a spec; ``num_osds`` enables OSD-range checks."""
-        events = _GRAMMAR.parse(spec)
-        events.sort(key=lambda ev: (ev.epoch, ev.kind, ev.osd))
-        plan = cls(events=tuple(events))
-        plan.validate(num_osds=num_osds)
-        return plan
+        return tuple(ev for ev in self.items if ev.kind == "fail")
 
     def validate(self, num_osds: int | None = None) -> None:
         failed: set[int] = set()
-        for ev in self.events:
+        for ev in self.items:
             if num_osds is not None and not 0 <= ev.osd < num_osds:
                 raise SpecError(
                     f"fault event {ev.render()!r}: OSD {ev.osd} out of range "

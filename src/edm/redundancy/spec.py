@@ -8,12 +8,8 @@ erasure-code spread constraint.  There is no randomness here: the grouping
 is a pure function of the spec, so redundant runs are exactly as
 reproducible as plain ones.
 
-Spec grammar (exactly one clause)::
-
-    spec := "rep:" N        N-way replication (N >= 2 copies per group)
-          | "ec:" M "+" K   erasure coding, M data + K parity chunks
-
-Examples::
+The spec is exactly one clause of :class:`RedundancyScheme`: ``rep:N``
+(N >= 2 copies per group) or ``ec:M+K`` (M data + K parity chunks)::
 
     rep:3     three-way replication: groups of 3 chunks, 3 distinct OSDs
     ec:4+2    Reed-Solomon-style 4+2: groups of 6 chunks, 6 distinct OSDs
@@ -29,73 +25,48 @@ migration wear.  A group that loses more members than the scheme tolerates
 is counted as data loss (the simulator still re-places the chunk so the
 engine's ownership invariants hold).
 
-Clause tokenization and error-message shape come from the shared
-:mod:`edm.spec` toolkit (also behind the faults / endurance / service /
-topology grammars); parsing canonicalizes the spec (``rep:03`` -> ``rep:3``)
-so equivalent spellings produce the same ``SimConfig`` content hash.
+Parsing canonicalizes the spec (``rep:03`` -> ``rep:3``) so equivalent
+spellings produce the same ``SimConfig`` content hash.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
-from edm.spec import ClauseRule, SpecError, SpecGrammar
+from edm.spec import Clause, ClauseSet, SpecError
 
 __all__ = ["RedundancyScheme"]
 
 
-_GRAMMAR = SpecGrammar(
-    name="redundancy",
-    sep=";",
-    clause_noun="redundancy scheme",
-    expected="'rep:N' (N-way replication) or 'ec:M+K' (M data + K parity)",
-    rules=(
-        ClauseRule(
-            name="rep",
-            regex=re.compile(r"^rep:(\d+)$"),
-            build=lambda m: ("rep", int(m.group(1)), 0),
-        ),
-        ClauseRule(
-            name="ec",
-            regex=re.compile(r"^ec:(\d+)\+(\d+)$"),
-            build=lambda m: ("ec", int(m.group(1)), int(m.group(2))),
-        ),
-    ),
-)
-
-
 @dataclass(frozen=True)
-class RedundancyScheme:
-    """A validated redundancy scheme (the empty scheme = no redundancy).
-
-    ``kind`` is ``"rep"`` / ``"ec"`` / ``""``; ``m`` is the copy count for
+class _Scheme:
+    """``kind`` is ``"rep"`` / ``"ec"`` / ``""``; ``m`` is the copy count for
     replication or the data-chunk count for erasure coding; ``k`` is the
-    parity-chunk count (0 for replication).
-    """
+    parity-chunk count (0 for replication)."""
 
     kind: str = ""
     m: int = 0
     k: int = 0
 
-    def __bool__(self) -> bool:
-        return bool(self.kind)
+
+class RedundancyScheme(ClauseSet):
+    """A validated redundancy scheme (the empty scheme = no redundancy)."""
+
+    noun = "redundancy scheme"
+    expected = "'rep:N' (N-way replication) or 'ec:M+K' (M data + K parity)"
+    clauses = (
+        Clause("rep:{m}", _Scheme, kind="rep"),
+        Clause("ec:{m}+{k}", _Scheme, kind="ec"),
+    )
 
     @property
-    def spec(self) -> str:
-        """Canonical spec string (round-trips through :meth:`parse`)."""
-        if not self.kind:
-            return ""
-        if self.kind == "rep":
-            return f"rep:{self.m}"
-        return f"ec:{self.m}+{self.k}"
+    def _scheme(self) -> _Scheme:
+        return self.items[0] if self.items else _Scheme()
 
     @property
     def group_width(self) -> int:
         """Chunks per placement group -- each on a distinct OSD."""
-        if not self.kind:
-            return 0
-        return self.m if self.kind == "rep" else self.m + self.k
+        return self._scheme.m + self._scheme.k
 
     @property
     def reads_per_loss(self) -> int:
@@ -105,42 +76,31 @@ class RedundancyScheme:
         any M survivors -- the read amplification erasure codes trade for
         their storage efficiency.
         """
-        if not self.kind:
-            return 0
-        return 1 if self.kind == "rep" else self.m
+        return 1 if self._scheme.kind == "rep" else self._scheme.m
 
     @property
     def tolerated_losses(self) -> int:
         """Group members that can be lost before data becomes unrecoverable."""
-        if not self.kind:
-            return 0
-        return self.m - 1 if self.kind == "rep" else self.k
+        s = self._scheme
+        return s.m - 1 if s.kind == "rep" else s.k
 
     @classmethod
-    def parse(cls, spec: str, num_osds: int | None = None) -> "RedundancyScheme":
-        """Parse and validate a spec; ``num_osds`` enables the width check."""
-        clauses = _GRAMMAR.parse(spec)
-        if not clauses:
-            return cls()
-        if len(clauses) > 1:
+    def from_clauses(cls, schemes: list, spec: str | None) -> "RedundancyScheme":
+        if len(schemes) > 1:
             raise SpecError(
                 f"bad redundancy spec {spec!r}: exactly one scheme is "
-                f"allowed, got {len(clauses)}"
+                f"allowed, got {len(schemes)}"
             )
-        kind, m, k = clauses[0]
-        scheme = cls(kind=kind, m=m, k=k)
-        scheme.validate(num_osds=num_osds)
-        return scheme
+        return cls(tuple(schemes))
 
     def validate(self, num_osds: int | None = None) -> None:
-        if not self.kind:
-            return
-        if self.kind == "rep" and self.m < 2:
+        s = self._scheme
+        if s.kind == "rep" and s.m < 2:
             raise SpecError(
                 f"redundancy scheme {self.spec!r}: replication needs at "
                 f"least 2 copies ('none' = no redundancy)"
             )
-        if self.kind == "ec" and (self.m < 1 or self.k < 1):
+        if s.kind == "ec" and (s.m < 1 or s.k < 1):
             raise SpecError(
                 f"redundancy scheme {self.spec!r}: erasure coding needs at "
                 f"least 1 data and 1 parity chunk"

@@ -7,11 +7,10 @@ the p50/p99/p999 latency histogram and migration-spike statistics.
 """
 
 from edm.service.runtime import LATENCY_EDGES, ServiceRuntime, histogram_percentile
-from edm.service.spec import ServiceBand, ServiceModel
+from edm.service.spec import ServiceModel
 
 __all__ = [
     "LATENCY_EDGES",
-    "ServiceBand",
     "ServiceModel",
     "ServiceRuntime",
     "histogram_percentile",

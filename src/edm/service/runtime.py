@@ -161,7 +161,7 @@ class ServiceRuntime:
         self.model = model
         self.qbound = model.queue_bound
         self._drain = 1.0 / float(cfg.service_cooldown_epochs)
-        self._rates = model.rates(cfg.num_osds)
+        self._rates = model.per_osd(cfg.num_osds)
         # Run-level accumulators.  The histogram has one slot per real bin
         # plus a trailing overflow slot for latencies past the last edge.
         self.hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)

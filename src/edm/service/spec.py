@@ -8,15 +8,9 @@ and endurance specs there is no randomness here: the model is a pure
 function of the spec, so serviced runs are exactly as reproducible as
 unserviced ones.
 
-Spec grammar (clauses joined with ``;``, no commas so a comma-separated CLI
-list can carry several scenarios)::
-
-    spec    := clause (";" clause)*
-    clause  := rate | queue
-    rate    := "rate:" RATE ("@" OSD ("-" OSD)?)?   requests/epoch, optional range
-    queue   := "queue:" DEPTH                       bounded queue (default unbounded)
-
-Examples::
+The grammar is the clause table of :class:`ServiceModel`.  Clauses join
+with ``;`` (no commas, so a comma-separated CLI list can carry several
+scenarios).  Examples::
 
     rate:800                     every OSD retires 800 requests/epoch
     rate:800;rate:400@0-3        OSDs 0..3 at 400, the rest at 800
@@ -34,120 +28,57 @@ Parsing canonicalizes the spec -- default rate first, ranged rates sorted by
 their first OSD, the queue clause last, numbers normalized -- so two
 spellings of the same model produce the same ``SimConfig`` content hash and
 hit the same cache entry.
-
-Built on the shared :mod:`edm.spec` toolkit (the same machinery behind the
-faults and endurance grammars).
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from edm.spec import (
-    ClauseRule,
-    SpecError,
-    SpecGrammar,
-    format_fixed,
-    render_range,
-    span_fragment,
-    validate_bands,
-)
+from edm.spec import Band, BandSet, Clause, SpecError
 
 
 @dataclass(frozen=True)
-class ServiceBand:
-    """One rate band: ``rate`` requests/epoch for OSDs ``lo..hi`` (inclusive).
+class ServiceModel(BandSet):
+    """A validated service-rate model: rate bands plus an optional queue.
 
-    ``lo is None`` marks the default band covering every OSD not claimed by
-    a ranged band.
+    ``per_osd(n)`` is the service rate per OSD in requests/epoch at full
+    capacity; the empty model rates every OSD at ``inf`` -- the engine's
+    "no service model" representation: an infinite rate retires any
+    backlog instantly, so queues never form.
     """
 
-    rate: float
-    lo: int | None = None
-    hi: int | None = None
-
-    def render(self) -> str:
-        """Canonical spec fragment for this band."""
-        return "rate:" + format_fixed(self.rate) + render_range(self.lo, self.hi)
-
-
-@dataclass(frozen=True)
-class _QueueClause:
-    depth: int
-
-    def render(self) -> str:
-        return f"queue:{self.depth}"
-
-
-def _build_rate(m: re.Match) -> ServiceBand:
-    span = span_fragment(m.group(2), m.group(3))
-    if span is None:
-        return ServiceBand(rate=float(m.group(1)))
-    return ServiceBand(rate=float(m.group(1)), lo=span[0], hi=span[1])
-
-
-_GRAMMAR = SpecGrammar(
-    name="service",
-    clause_noun="service clause",
-    expected="'rate:RATE', 'rate:RATE@OSD', 'rate:RATE@LO-HI' or 'queue:DEPTH'",
-    rules=(
-        ClauseRule(
-            name="rate",
-            regex=re.compile(r"^rate:(\d+(?:\.\d+)?)(?:@(\d+)(?:-(\d+))?)?$"),
-            build=_build_rate,
-        ),
-        ClauseRule(
-            name="queue",
-            regex=re.compile(r"^queue:(\d+)$"),
-            build=lambda m: _QueueClause(depth=int(m.group(1))),
-        ),
-    ),
-)
-
-
-@dataclass(frozen=True)
-class ServiceModel:
-    """A validated, canonically ordered service-rate model."""
-
-    bands: tuple[ServiceBand, ...] = ()
     queue: int | None = None
 
-    def __bool__(self) -> bool:
-        return bool(self.bands)
+    noun = "service clause"
+    expected = "'rate:RATE', 'rate:RATE@OSD', 'rate:RATE@LO-HI' or 'queue:DEPTH'"
+    clauses = (
+        Clause("rate:{value:fixed}{@range}", Band),
+        Clause("queue:{queue}", dict),  # {"queue": DEPTH}, folded into ``queue``
+    )
+    spec_noun = "service spec"
+    value_noun = "service rate"
+    missing_noun = "service rate"
 
     @property
     def spec(self) -> str:
-        """Canonical spec string (round-trips through :meth:`parse`)."""
-        if not self.bands:
-            return ""
-        parts = [band.render() for band in self.bands]
-        if self.queue is not None:
-            parts.append(f"queue:{self.queue}")
-        return ";".join(parts)
+        """Canonical spec string: rate bands, then the queue clause."""
+        if self.queue is None:
+            return super().spec
+        return f"{super().spec};queue:{self.queue}"
 
     @property
     def queue_bound(self) -> float:
         """Queue depth bound as a float; ``inf`` when unbounded."""
         return float(self.queue) if self.queue is not None else np.inf
 
-    @property
-    def default_rate(self) -> float | None:
-        for band in self.bands:
-            if band.lo is None:
-                return band.rate
-        return None
-
     @classmethod
-    def parse(cls, spec: str, num_osds: int | None = None) -> "ServiceModel":
-        """Parse and validate a spec; ``num_osds`` enables coverage checks."""
-        clauses = _GRAMMAR.parse(spec)
+    def from_clauses(cls, clauses: list, spec: str | None) -> "ServiceModel":
         if not clauses:
             return cls()
-        bands = [c for c in clauses if isinstance(c, ServiceBand)]
-        queues = [c for c in clauses if isinstance(c, _QueueClause)]
+        bands = [c for c in clauses if isinstance(c, Band)]
+        queues = [c["queue"] for c in clauses if isinstance(c, dict)]
         if not bands:
             raise SpecError(
                 f"bad service spec {spec!r}: no rate clause; at least one "
@@ -157,46 +88,12 @@ class ServiceModel:
             raise SpecError(
                 f"bad service spec {spec!r}: at most one queue clause is allowed"
             )
-        for q in queues:
-            if q.depth < 1:
-                raise SpecError(
-                    f"service clause {q.render()!r}: queue depth must be >= 1"
-                )
-        # Canonical order: the default band first, ranged bands by first OSD
-        # (the queue clause renders last, see ``spec``).
-        bands.sort(key=lambda b: (-1, -1) if b.lo is None else (b.lo, b.hi))
-        model = cls(
-            bands=tuple(bands), queue=queues[0].depth if queues else None
-        )
-        model.validate(num_osds=num_osds)
-        return model
+        bands.sort(key=cls.sort_key)
+        return cls(tuple(bands), queues[0] if queues else None)
 
     def validate(self, num_osds: int | None = None) -> None:
-        validate_bands(
-            self.bands,
-            num_osds,
-            spec=self.spec,
-            spec_noun="service spec",
-            band_noun="service clause",
-            value_noun="service rate",
-            render=lambda b: b.render(),
-            value=lambda b: b.rate,
-            missing_noun="service rate",
-        )
-
-    def rates(self, num_osds: int) -> np.ndarray:
-        """Service rate per OSD, in requests/epoch at full capacity.
-
-        The empty model rates every OSD at ``inf`` -- the engine's "no
-        service model" representation: infinite rate retires any backlog
-        instantly, so queues never form.
-        """
-        self.validate(num_osds=num_osds)
-        if not self.bands:
-            return np.full(num_osds, np.inf)
-        default = self.default_rate
-        out = np.full(num_osds, default if default is not None else np.inf)
-        for band in self.bands:
-            if band.lo is not None:
-                out[band.lo : band.hi + 1] = band.rate
-        return out
+        if self.queue is not None and self.queue < 1:
+            raise SpecError(
+                f"service clause 'queue:{self.queue}': queue depth must be >= 1"
+            )
+        super().validate(num_osds=num_osds)

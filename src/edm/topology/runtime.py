@@ -43,12 +43,8 @@ class TopologyRuntime:
         self._by_epoch: dict[int, list[TopologyEvent]] = {}
         for ev in plan.events:
             self._by_epoch.setdefault(ev.epoch, []).append(ev)
-        self._default_rate = (
-            service.default_rate if service else None
-        )
-        self._default_pe = (
-            endurance.default_cycles if endurance else None
-        )
+        self._fallback_rate = service.default if service else None
+        self._fallback_pe = endurance.default if endurance else None
 
     def step(self, state: "ClusterState", epoch: int) -> list[TopologyEvent]:
         """Apply events scheduled for ``epoch``; returns the events that fired.
@@ -69,8 +65,8 @@ class TopologyRuntime:
     def _grow(self, state: "ClusterState", ev: TopologyEvent) -> None:
         """Append ``ev.count`` cold drives of the event's device class."""
         k = ev.count
-        rate = ev.rate if ev.rate is not None else self._default_rate
-        pe = ev.pe if ev.pe is not None else self._default_pe
+        rate = ev.rate if ev.rate is not None else self._fallback_rate
+        pe = ev.pe if ev.pe is not None else self._fallback_pe
         state.osd_wear = np.concatenate([state.osd_wear, np.zeros(k)])
         state.osd_load_ema = np.concatenate([state.osd_load_ema, np.zeros(k)])
         state.osd_alive = np.concatenate([state.osd_alive, np.ones(k, dtype=bool)])

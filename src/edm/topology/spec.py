@@ -6,17 +6,10 @@ the CLI) and fully determines *when* and *how* the cluster changes shape --
 there is no randomness in the topology layer, so an elastic run is exactly
 as reproducible as a static one.
 
-Spec grammar (events joined with ``;``; attributes within an ``add`` join
-with ``,``, so a ``|``-separated CLI list can carry several plans)::
-
-    spec    := event (";" event)*
-    event   := add | drain
-    add     := "add:" COUNT "@" EPOCH ("/" attrs)?      scale-out: COUNT new OSDs
-    attrs   := attr ("," attr)*                         device class of the new band
-    attr    := "cap:" FACTOR | "rate:" RATE | "pe:" CYCLES
-    drain   := "drain:" OSD "@" EPOCH                   graceful scale-in of one OSD
-
-Examples::
+The grammar is the clause table of :class:`TopologyPlan`; an ``add`` may
+end in ``/`` and ``cap:FACTOR``, ``rate:RATE``, ``pe:CYCLES`` attributes
+joined with ``,``.  Events join with ``;``, so a ``|``-separated CLI list
+can carry several plans.  Examples::
 
     add:4@128                       4 cold drives join at epoch 128
     add:4@128/cap:2,rate:1600,pe:10000
@@ -33,9 +26,6 @@ events sorted by (epoch, kind, count-or-osd) with ``add`` before ``drain``
 at the same epoch, attributes in ``cap,rate,pe`` order, numbers normalized
 -- so two spellings of the same plan produce the same ``SimConfig`` content
 hash and hit the same cache entry.
-
-Built on the shared :mod:`edm.spec` toolkit (the same machinery behind the
-faults, endurance, and service grammars).
 """
 
 from __future__ import annotations
@@ -43,12 +33,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from edm.spec import ClauseRule, SpecError, SpecGrammar, format_fixed, format_g
+from edm.spec import NUMBER, Clause, ClauseSet, SpecError, format_fixed, format_g
 
 TOPOLOGY_KINDS = ("add", "drain")
 
 #: Attribute keys an ``add`` event accepts, in canonical rendering order.
 ADD_ATTRS = ("cap", "rate", "pe")
+
+_ATTR_RE = re.compile(rf"({'|'.join(ADD_ATTRS)}):({NUMBER})")
 
 
 @dataclass(frozen=True)
@@ -69,102 +61,74 @@ class TopologyEvent:
     rate: float | None = None
     pe: float | None = None
 
-    def render(self) -> str:
-        """Canonical spec fragment for this event."""
-        if self.kind == "drain":
-            return f"drain:{self.osd}@{self.epoch}"
-        attrs = []
-        if self.cap != 1.0:
-            attrs.append(f"cap:{format_g(self.cap)}")
-        if self.rate is not None:
-            attrs.append(f"rate:{format_fixed(self.rate)}")
-        if self.pe is not None:
-            attrs.append(f"pe:{format_fixed(self.pe)}")
-        suffix = "/" + ",".join(attrs) if attrs else ""
-        return f"add:{self.count}@{self.epoch}{suffix}"
+    @property
+    def attrs(self) -> str:
+        """Canonical ``cap,rate,pe`` suffix of an ``add``; empty if all default."""
+        attrs = [f"cap:{format_g(self.cap)}"] if self.cap != 1.0 else []
+        attrs += [
+            f"{key}:{format_fixed(val)}"
+            for key, val in (("rate", self.rate), ("pe", self.pe))
+            if val is not None
+        ]
+        return ",".join(attrs)
 
 
-_ATTR_RE = re.compile(r"^(cap|rate|pe):(\d+(?:\.\d+)?)$")
-
-
-def _build_add(m: re.Match) -> TopologyEvent:
-    count, epoch = int(m.group(1)), int(m.group(2))
-    clause = m.group(0)
-    attrs: dict[str, float] = {}
-    if m.group(3) is not None:
-        for part in m.group(3).split(","):
-            part = part.strip()
-            am = _ATTR_RE.match(part)
-            if not am:
-                raise SpecError(
-                    f"topology event {clause!r}: bad attribute {part!r}; "
-                    f"expected 'cap:FACTOR', 'rate:RATE' or 'pe:CYCLES'"
-                )
-            key, val = am.group(1), float(am.group(2))
-            if key in attrs:
-                raise SpecError(
-                    f"topology event {clause!r}: attribute {key!r} given twice"
-                )
-            if val <= 0:
-                raise SpecError(
-                    f"topology event {clause!r}: {key} must be > 0"
-                )
-            attrs[key] = val
+def _add(kind: str, count: int, epoch: int, attrs: str | None) -> TopologyEvent:
+    """Build an ``add`` event, reading its ``/cap:F,rate:R,pe:C`` suffix."""
+    found: dict[str, float] = {}
+    for part in attrs.split(",") if attrs is not None else ():
+        part = part.strip()
+        m = _ATTR_RE.fullmatch(part)
+        if not m:
+            raise SpecError(
+                f"bad attribute {part!r}; expected 'cap:FACTOR', "
+                f"'rate:RATE' or 'pe:CYCLES'"
+            )
+        key, val = m[1], float(m[2])
+        if key in found:
+            raise SpecError(f"attribute {key!r} given twice")
+        if val <= 0:
+            raise SpecError(f"{key} must be > 0")
+        found[key] = val
     return TopologyEvent(
-        kind="add",
-        epoch=epoch,
-        count=count,
-        cap=attrs.get("cap", 1.0),
-        rate=attrs.get("rate"),
-        pe=attrs.get("pe"),
+        kind, epoch, count=count, cap=found.get("cap", 1.0),
+        rate=found.get("rate"), pe=found.get("pe"),
     )
 
 
-_GRAMMAR = SpecGrammar(
-    name="topology",
-    clause_noun="topology event",
-    expected=(
+class TopologyPlan(ClauseSet):
+    """A validated schedule of reshaping events.
+
+    Events sort by (epoch, kind, count-or-osd); "add" sorts before "drain",
+    so growth lands before any same-epoch scale-in -- a drain may target a
+    band added that very epoch.
+    """
+
+    noun = "topology event"
+    expected = (
         "'add:COUNT@EPOCH', 'add:COUNT@EPOCH/cap:F,rate:R,pe:C' "
         "or 'drain:OSD@EPOCH'"
-    ),
-    rules=(
-        ClauseRule(
-            name="add",
-            regex=re.compile(r"^add:(\d+)@(\d+)(?:/([^/]*))?$"),
-            build=_build_add,
-        ),
-        ClauseRule(
-            name="drain",
-            regex=re.compile(r"^drain:(\d+)@(\d+)$"),
-            build=lambda m: TopologyEvent(
-                kind="drain", osd=int(m.group(1)), epoch=int(m.group(2))
-            ),
-        ),
-    ),
-)
+    )
+    clauses = (
+        Clause("add:{count}@{epoch}{/attrs}", _add, kind="add"),
+        Clause("drain:{osd}@{epoch}", TopologyEvent, kind="drain"),
+    )
 
-
-@dataclass(frozen=True)
-class TopologyPlan:
-    """A validated, canonically ordered schedule of reshaping events."""
-
-    events: tuple[TopologyEvent, ...] = ()
-
-    def __bool__(self) -> bool:
-        return bool(self.events)
+    @staticmethod
+    def sort_key(ev: TopologyEvent) -> tuple:
+        return (ev.epoch, ev.kind, ev.count if ev.kind == "add" else ev.osd)
 
     @property
-    def spec(self) -> str:
-        """Canonical spec string (round-trips through :meth:`parse`)."""
-        return ";".join(ev.render() for ev in self.events)
+    def events(self) -> tuple[TopologyEvent, ...]:
+        return self.items
 
     @property
     def adds(self) -> tuple[TopologyEvent, ...]:
-        return tuple(ev for ev in self.events if ev.kind == "add")
+        return tuple(ev for ev in self.items if ev.kind == "add")
 
     @property
     def drains(self) -> tuple[TopologyEvent, ...]:
-        return tuple(ev for ev in self.events if ev.kind == "drain")
+        return tuple(ev for ev in self.items if ev.kind == "drain")
 
     def max_osds(self, initial: int) -> int:
         """Largest OSD-array width the plan ever reaches (drains don't shrink
@@ -175,27 +139,14 @@ class TopologyPlan:
         """Live OSD count once the whole plan has fired."""
         return self.max_osds(initial) - len(self.drains)
 
-    @classmethod
-    def parse(cls, spec: str, num_osds: int | None = None) -> "TopologyPlan":
-        """Parse and validate a spec; ``num_osds`` enables id/survivor checks."""
-        events = _GRAMMAR.parse(spec)
-        # "add" sorts before "drain", so growth lands before any same-epoch
-        # scale-in -- a drain may target a band added that very epoch.
-        events.sort(
-            key=lambda ev: (ev.epoch, ev.kind, ev.count if ev.kind == "add" else ev.osd)
-        )
-        plan = cls(events=tuple(events))
-        plan.validate(num_osds=num_osds)
-        return plan
-
     def validate(self, num_osds: int | None = None) -> None:
         drained: set[int] = set()
         running = num_osds
-        for ev in self.events:
+        for ev in self.items:
             if ev.kind == "add":
                 if ev.count < 1:
                     raise SpecError(
-                        f"topology event {ev.render()!r}: count must be >= 1"
+                        f"topology event {self.render(ev)!r}: count must be >= 1"
                     )
                 if running is not None:
                     running += ev.count
@@ -213,13 +164,13 @@ class TopologyPlan:
                     a.count for a in self.adds if a.epoch <= ev.epoch
                 ):
                     raise SpecError(
-                        f"topology event {ev.render()!r}: OSD {ev.osd} does "
+                        f"topology event {self.render(ev)!r}: OSD {ev.osd} does "
                         f"not exist at epoch {ev.epoch} (cluster has grown "
                         f"to {running} OSDs by then)"
                     )
                 running -= 1
                 if running < 2:
                     raise SpecError(
-                        f"topology event {ev.render()!r}: plan drains the "
+                        f"topology event {self.render(ev)!r}: plan drains the "
                         f"cluster below 2 OSDs; at least 2 must remain"
                     )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from edm.cli import main
+from edm.cli import SCENARIO_SEPS, main
 
 
 def test_run_prints_metrics(capsys):
@@ -171,3 +171,16 @@ def test_sweep_redundancy_axis(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 configs: 2 simulated" in out
     assert "-g" in out  # the redundant config's cache-name suffix
+
+
+def test_run_none_flags_mean_no_scenario(capsys):
+    base = ["run", "--osds", "4", "--epochs", "8", "--requests", "128"]
+    assert main(base) == 0
+    plain = json.loads(capsys.readouterr().out)
+    none = [f"--{name}=none" for name in SCENARIO_SEPS]
+    assert main(base + none) == 0
+    metrics = json.loads(capsys.readouterr().out)
+    # "none" canonicalizes to "" in SimConfig: every scenario field echoes
+    # empty (healthy runs omit the scenario blocks) and the run is the plain one.
+    assert all(metrics.get(name, "") == "" for name in SCENARIO_SEPS)
+    assert metrics == plain

@@ -25,20 +25,20 @@ def test_parse_uniform_spec():
     model = EnduranceModel.parse("pe:5000", num_osds=4)
     assert model
     assert model.spec == "pe:5000"
-    assert model.ratings(4).tolist() == [5000.0] * 4
+    assert model.per_osd(4).tolist() == [5000.0] * 4
 
 
 def test_parse_canonicalizes_band_order():
     model = EnduranceModel.parse("pe:10000@4-7,3000@0-3", num_osds=8)
     assert model.spec == "pe:3000@0-3,10000@4-7"
     assert EnduranceModel.parse(model.spec, num_osds=8) == model
-    assert model.ratings(8).tolist() == [3000.0] * 4 + [10000.0] * 4
+    assert model.per_osd(8).tolist() == [3000.0] * 4 + [10000.0] * 4
 
 
 def test_parse_default_band_sorts_first_and_single_osd_band_renders():
     model = EnduranceModel.parse("pe:300@2,5000", num_osds=4)
     assert model.spec == "pe:5000,300@2"
-    assert model.ratings(4).tolist() == [5000.0, 5000.0, 300.0, 5000.0]
+    assert model.per_osd(4).tolist() == [5000.0, 5000.0, 300.0, 5000.0]
 
 
 def test_empty_and_none_mean_unrated():
@@ -46,7 +46,7 @@ def test_empty_and_none_mean_unrated():
         model = EnduranceModel.parse(spec)
         assert not model
         assert model.spec == ""
-    assert np.isinf(EnduranceModel.parse("").ratings(4)).all()
+    assert np.isinf(EnduranceModel.parse("").per_osd(4)).all()
 
 
 @pytest.mark.parametrize(

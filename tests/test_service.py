@@ -40,20 +40,20 @@ def test_empty_model_is_falsy_and_rates_inf():
     assert not model
     assert model.spec == ""
     assert model.queue is None and np.isinf(model.queue_bound)
-    assert np.isinf(model.rates(4)).all()
+    assert np.isinf(model.per_osd(4)).all()
 
 
 def test_rates_layering_default_plus_bands():
     model = ServiceModel.parse("rate:800;rate:400@0-3;queue:64", num_osds=8)
-    assert model.default_rate == 800.0
+    assert model.default == 800.0
     assert model.queue == 64 and model.queue_bound == 64.0
-    assert model.rates(8).tolist() == [400.0] * 4 + [800.0] * 4
+    assert model.per_osd(8).tolist() == [400.0] * 4 + [800.0] * 4
 
 
 def test_rates_full_coverage_without_default():
     model = ServiceModel.parse("rate:400@0-3;rate:800@4-7", num_osds=8)
-    assert model.default_rate is None
-    assert model.rates(8).tolist() == [400.0] * 4 + [800.0] * 4
+    assert model.default is None
+    assert model.per_osd(8).tolist() == [400.0] * 4 + [800.0] * 4
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -1,14 +1,18 @@
-"""Shared spec-grammar toolkit (edm.spec) and the porting contract.
+"""Spec-grammar toolkit (edm.spec) and the porting contract.
 
-The faults / endurance / service grammars all sit on top of edm.spec.  The
-toolkit's own behaviors are unit-tested here; the round-trip pins assert the
-**porting contract**: canonical spec strings, error messages, config hashes
-and cache-key suffixes are byte-identical to what the pre-toolkit
+The faults / endurance / service / topology / redundancy grammars are
+declared as data on top of edm.spec: :class:`Clause` templates collected in
+:class:`ClauseSet` / :class:`BandSet` subclasses.  The toolkit's own
+behaviors are unit-tested first, on toy grammars; the round-trip pins then
+assert the **porting contract**: canonical spec strings, error messages,
+config hashes and cache-key suffixes are byte-identical to what the earlier
 hand-rolled parsers produced, so every previously written cache entry (and
-every pinned golden digest) survives the port.
+every pinned golden digest) survives.
 """
 
 import re
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,14 +25,13 @@ from edm.redundancy import RedundancyScheme
 from edm.service import ServiceModel
 from edm.topology import TopologyPlan
 from edm.spec import (
-    ClauseRule,
+    Band,
+    BandSet,
+    Clause,
+    ClauseSet,
     SpecError,
-    SpecGrammar,
     format_fixed,
     format_g,
-    render_range,
-    span_fragment,
-    validate_bands,
 )
 
 # --- number rendering --------------------------------------------------------
@@ -55,95 +58,149 @@ def test_format_fixed_round_trips(x, expected):
     assert float(format_fixed(x)) == x
 
 
-# --- range helpers -----------------------------------------------------------
+# --- Clause templates --------------------------------------------------------
 
 
-def test_span_fragment_normalizes_single_osd_to_degenerate_range():
-    assert span_fragment(None, None) is None
-    assert span_fragment("3", None) == (3, 3)
-    assert span_fragment("0", "7") == (0, 7)
+@dataclass(frozen=True)
+class Item:
+    kind: str
+    n: int
+    x: float = 1.0
 
 
-def test_render_range_is_span_fragment_inverse():
-    assert render_range(None, None) == ""
-    assert render_range(3, 3) == "@3"
-    assert render_range(0, 7) == "@0-7"
+class Toy(ClauseSet):
+    noun = "toy clause"
+    expected = "'a:N' or 'b:NxF'"
+    clauses = (
+        Clause("a:{n}", Item, kind="a"),
+        Clause("b:{n}x{x:g}", Item, kind="b"),
+    )
+
+    @staticmethod
+    def sort_key(item):
+        return item.n
 
 
-# --- SpecGrammar tokenization and matching -----------------------------------
+RANGED = Clause("{value:fixed}{@range}", Band)
 
 
-TOY = SpecGrammar(
-    name="toy",
-    clause_noun="toy clause",
-    expected="'a:N'",
-    rules=(
-        ClauseRule(name="a", regex=re.compile(r"^a:(\d+)$"), build=lambda m: int(m.group(1))),
-    ),
-)
+def test_range_field_reads_single_osd_as_degenerate_range():
+    assert RANGED.parse("5") == Band(5.0)
+    assert RANGED.parse("5@3") == Band(5.0, 3, 3)
+    assert RANGED.parse("5@0-7") == Band(5.0, 0, 7)
+    assert RANGED.parse("5@0-7-9") is None
+
+
+def test_range_field_renders_what_it_parses():
+    assert RANGED.render(Band(5.0)) == "5"
+    assert RANGED.render(Band(5.0, 3, 3)) == "5@3"
+    assert RANGED.render(Band(1e6, 0, 7)) == "1000000@0-7"
+
+
+def test_template_fields_convert_and_render_canonically():
+    assert Toy.parse_clause("b:03x0.50") == Item("b", 3, 0.5)
+    assert Toy.render(Item("b", 3, 0.5)) == "b:3x0.5"
+    assert Toy.render(Item("a", 7)) == "a:7"
+    # Items sort by the set's key; the spec joins the rendered clauses.
+    assert Toy.parse("b:2x0.50;a:1").spec == "a:1;b:2x0.5"
+
+
+def test_suffix_field_is_optional_raw_text():
+    clause = Clause("t:{n}{/rest}", dict)
+    assert clause.parse("t:1") == {"n": 1, "rest": None}
+    assert clause.parse("t:1/") == {"n": 1, "rest": ""}
+    assert clause.parse("t:1/a:2,b:3") == {"n": 1, "rest": "a:2,b:3"}
+    assert clause.parse("t:1/a/b") is None
+    assert clause.render(SimpleNamespace(n=1, rest=None)) == "t:1"
+    assert clause.render(SimpleNamespace(n=1, rest="a:2")) == "t:1/a:2"
+
+
+# --- ClauseSet tokenization and matching -------------------------------------
 
 
 @pytest.mark.parametrize("spec", ["", "   ", "none", None])
 def test_split_empty_spellings_mean_no_clauses(spec):
-    assert TOY.split(spec) == []
-    assert TOY.parse(spec) == []
+    assert Toy.split(spec) == []
+    parsed = Toy.parse(spec)
+    assert not parsed and parsed.items == () and parsed.spec == ""
 
 
 def test_split_strips_and_drops_blank_clauses():
-    assert TOY.split(" a:1 ; ;a:2;") == ["a:1", "a:2"]
-    assert TOY.parse("a:1; a:2") == [1, 2]
+    assert Toy.split(" a:1 ; ;a:2;") == ["a:1", "a:2"]
+    assert Toy.parse("a:2; a:1").items == (Item("a", 1), Item("a", 2))
 
 
 def test_parse_error_names_the_offending_clause():
-    with pytest.raises(SpecError, match=r"bad toy clause 'b:9'; expected 'a:N'"):
-        TOY.parse("a:1;b:9")
+    with pytest.raises(SpecError) as err:
+        Toy.parse("a:1;c:9")
+    assert str(err.value) == "bad toy clause 'c:9'; expected 'a:N' or 'b:NxF'"
+
+
+def test_builder_errors_name_the_clause():
+    def build(n):
+        raise SpecError(f"n={n} is unlucky")
+
+    class Unlucky(ClauseSet):
+        noun = "toy clause"
+        clauses = (Clause("u:{n}", build),)
+
+    with pytest.raises(SpecError) as err:
+        Unlucky.parse("u:013")
+    assert str(err.value) == "toy clause 'u:013': n=13 is unlucky"
 
 
 def test_spec_error_is_a_value_error():
-    # Pre-toolkit call sites catch ValueError; the subclass keeps them working.
+    # Call sites that predate SpecError catch ValueError; the subclass keeps
+    # them working.
     assert issubclass(SpecError, ValueError)
     with pytest.raises(ValueError):
-        TOY.parse("nope")
+        Toy.parse("nope")
 
 
-# --- validate_bands ----------------------------------------------------------
+# --- BandSet -----------------------------------------------------------------
 
 
-class Band:
-    def __init__(self, value, lo=None, hi=None):
-        self.value, self.lo, self.hi = value, lo, hi
-
-    def render(self):
-        return f"{format_fixed(self.value)}{render_range(self.lo, self.hi)}"
+class ToyBands(BandSet):
+    sep = ","
+    noun = "toy band"
+    expected = "'V', 'V@OSD' or 'V@LO-HI'"
+    clauses = (RANGED,)
+    spec_noun = "toy spec"
+    value_noun = "toy value"
 
 
 def check(bands, num_osds=8):
-    validate_bands(
-        bands,
-        num_osds,
-        spec="SPEC",
-        spec_noun="toy spec",
-        band_noun="toy band",
-        value_noun="toy value",
-        render=lambda b: b.render(),
-    )
+    ToyBands(tuple(bands)).validate(num_osds=num_osds)
 
 
-def test_validate_bands_accepts_default_plus_ranges():
+def test_band_set_accepts_default_plus_ranges():
     check([Band(5), Band(3, 0, 3), Band(9, 4, 4)])
     check([Band(3, 0, 3), Band(9, 4, 7)])  # no default, full coverage
     check([Band(5)], num_osds=None)  # unknown cluster size: no coverage check
 
 
+def test_band_set_orders_defaults_and_fills_per_osd():
+    bands = ToyBands.parse("9@4,5,3@0-3", num_osds=8)
+    assert bands.spec == "5,3@0-3,9@4"  # default first, ranges by first OSD
+    assert bands.default == 5.0
+    assert bands.per_osd(8).tolist() == [3.0] * 4 + [9.0] + [5.0] * 3
+    covered = ToyBands.parse("9@4-7,3@0-3", num_osds=8)
+    assert covered.default is None
+    assert covered.per_osd(8).tolist() == [3.0] * 4 + [9.0] * 4
+    assert np.isinf(ToyBands().per_osd(3)).all()  # the empty set: unlimited
+
+
 @pytest.mark.parametrize("bands,message", [
-    ([Band(1), Band(2)], r"at most one default \(range-free\) band"),
+    ([Band(1), Band(2)], r"toy spec '1,2': at most one default \(range-free\) band"),
     ([Band(0, 0, 7)], r"toy band '0@0-7': toy value must be > 0"),
     ([Band(1), Band(2, 5, 3)], r"toy band '2@5-3': range is inverted"),
-    ([Band(1), Band(2, 6, 9)], r"OSD 9 out of range for a 8-OSD cluster"),
+    ([Band(1), Band(2, 6, 9)], r"toy band '2@6-9': OSD 9 out of range for a 8-OSD cluster"),
     ([Band(1, 0, 4), Band(2, 3, 7)], r"toy band '2@3-7': OSD 3 is rated by more than one band"),
-    ([Band(1, 0, 3)], r"toy spec 'SPEC': OSDs \[4, 5, 6, 7\] have no rating"),
-])
-def test_validate_bands_rejections(bands, message):
+    ([Band(1, 0, 3)],
+     r"toy spec '1@0-3': OSDs \[4, 5, 6, 7\] have no rating; add a default band "
+     r"or cover the whole cluster"),
+], ids=["two-defaults", "non-positive", "inverted", "out-of-range", "overlap", "uncovered"])
+def test_band_set_rejections(bands, message):
     with pytest.raises(SpecError, match=message):
         check(bands)
 

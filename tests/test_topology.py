@@ -58,20 +58,42 @@ def test_max_and_final_osds():
     assert len(plan.adds) == 2 and len(plan.drains) == 2
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        "add:0@16",                 # count must be >= 1
-        "add:2@16/cap:0",           # attributes must be > 0
-        "add:2@16/cap:2,cap:3",     # duplicate attribute
-        "add:2@16/speed:9",         # unknown attribute
-        "drain:0@16;drain:0@32",    # same OSD drained twice
-        "grow:2@16",                # unknown event kind
-    ],
-)
-def test_bad_specs_rejected(spec):
-    with pytest.raises(SpecError):
+TOPOLOGY_PINS = [
+    ("add:2@32/rate:1600,cap:2", "add:2@32/cap:2,rate:1600"),  # cap,rate,pe order
+    ("add:2@8/cap:1", "add:2@8"),                              # default cap dropped
+    ("add:4@8/pe:10000.0", "add:4@8/pe:10000"),                # fixed-point numbers
+    ("drain:0@96;add:2@32", "add:2@32;drain:0@96"),            # events by epoch
+]
+
+
+@pytest.mark.parametrize("spelled,canonical", TOPOLOGY_PINS)
+def test_topology_plan_canonical_pins(spelled, canonical):
+    plan = TopologyPlan.parse(spelled, num_osds=8)
+    assert plan.spec == canonical
+    assert TopologyPlan.parse(plan.spec, num_osds=8).spec == canonical
+
+
+_BAD_ATTR = "; expected 'cap:FACTOR', 'rate:RATE' or 'pe:CYCLES'"
+BAD_SPECS = [
+    ("add:0@16", "topology event 'add:0@16': count must be >= 1"),
+    ("add:2@16/cap:0", "topology event 'add:2@16/cap:0': cap must be > 0"),
+    ("add:2@16/cap:2,cap:3",
+     "topology event 'add:2@16/cap:2,cap:3': attribute 'cap' given twice"),
+    ("add:2@16/speed:9",
+     "topology event 'add:2@16/speed:9': bad attribute 'speed:9'" + _BAD_ATTR),
+    ("add:2@16/", "topology event 'add:2@16/': bad attribute ''" + _BAD_ATTR),
+    ("drain:0@16;drain:0@32", "OSD 0 scheduled to drain more than once"),
+    ("grow:2@16",
+     "bad topology event 'grow:2@16'; expected 'add:COUNT@EPOCH', "
+     "'add:COUNT@EPOCH/cap:F,rate:R,pe:C' or 'drain:OSD@EPOCH'"),
+]
+
+
+@pytest.mark.parametrize("spec,message", BAD_SPECS, ids=[spec for spec, _ in BAD_SPECS])
+def test_bad_specs_rejected(spec, message):
+    with pytest.raises(SpecError) as err:
         TopologyPlan.parse(spec)
+    assert str(err.value) == message
 
 
 def test_drain_of_nonexistent_osd_rejected():
