@@ -10,7 +10,7 @@
 
 The engine wires these together in :func:`edm.engine.core.simulate`: a
 wear-out fires a synthesized ``wearout`` :class:`~edm.faults.FaultEvent`
-through the same batch re-placement and ``on_fault`` observer path as a
+through the same re-placement and ``on_fault`` observer path as a
 scheduled failure, so the fault and endurance layers share one degraded-mode
 machinery.
 """

@@ -11,7 +11,7 @@ One epoch is a handful of O(num_chunks) array ops:
 
 With a fault plan configured (``cfg.faults``), epoch boundaries additionally
 step the :class:`~edm.faults.FaultRuntime` before routing: failures trigger
-batch re-placement of the dead OSD's chunks through the active policy's
+a re-placement burst of the dead OSD's chunks through the active policy's
 destination scoring, slow-disk and hiccup events scale per-OSD capacity, and
 every fired event fans out to recorders via ``on_fault``.  Healthy configs
 skip this path entirely.
@@ -78,7 +78,7 @@ from edm.faults import FaultPlan, FaultRuntime, effective_load
 from edm.obs.decisions import Decision
 from edm.obs.trace import NULL_TRACER, Tracer
 from edm.policies import MigrationPolicy, get_policy
-from edm.policies.base import candidate_positions, destination_picker, sum_terms
+from edm.policies.base import candidate_positions, destination_picker
 from edm.redundancy import RedundancyRuntime, RedundancyScheme
 from edm.service import ServiceModel, ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
@@ -132,64 +132,6 @@ def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> 
     state.chunk_last_migrated[chunk] = state.epoch
     state.migrations_total += int(chunk.size)
     return int(chunk.size)
-
-
-# Row cap per batched-assignment round: bounds the score-matrix memory for
-# enormous bursts (rows x num_osds float64) without changing results -- a
-# capped round simply re-picks the same destination next round.
-_MAX_BATCH_ROUND = 2048
-
-
-def _assign_replacements_batched(
-    order: np.ndarray,
-    proj: np.ndarray,
-    alive_ids: np.ndarray,
-    policy: MigrationPolicy,
-    state: ClusterState,
-    cfg: SimConfig,
-) -> np.ndarray:
-    """Vectorized greedy assignment, bit-identical to the sequential loop.
-
-    The sequential greedy picks a destination per chunk, but the pick
-    depends on the chunk only through the running projected-load vector --
-    and each assignment perturbs exactly one entry of it (the
-    destination's own).  So the greedy runs in *rounds*: pick a destination
-    ``b`` once, then compute -- in one shot -- how many of the next hottest
-    chunks would keep picking ``b``.  The running values of ``proj[b]``
-    after each hypothetical assignment come from a left-to-right cumsum
-    (the same addition order and rounding as the loop), the burst's one
-    scorer scores every prefix's projected-load row at once (row ``i``
-    folds to the bytes a lone vector would, by the scorer contract), and
-    the round closes at the first prefix whose argmin moves off ``b``.
-    """
-    score = policy.scorer(alive_ids, state, cfg)
-    cap = state.osd_capacity
-    heats = state.chunk_heat[order]
-    total = order.size
-    dsts = np.empty(total, dtype=np.int64)
-    pos = 0
-    while pos < total:
-        b = int(alive_ids[np.argmin(sum_terms(score(proj)))])
-        span = min(total - pos, _MAX_BATCH_ROUND)
-        # running[i] = proj[b] after assigning i chunks, accumulated in the
-        # sequential loop's exact order: cumsum folds left to right.
-        running = np.cumsum(
-            np.concatenate(([proj[b]], heats[pos : pos + span] / cap[b]))
-        )
-        if span == 1:
-            taken = 1
-        else:
-            # Row i-1 is the proj vector the loop would score chunk pos+i
-            # against, had chunks pos..pos+i-1 all landed on b.
-            rows = np.tile(proj, (span - 1, 1))
-            rows[:, b] = running[1:span]
-            picks = alive_ids[np.argmin(sum_terms(score(rows)), axis=1)]
-            moved_off = picks != b
-            taken = int(np.argmax(moved_off)) + 1 if moved_off.any() else span
-        dsts[pos : pos + taken] = b
-        proj[b] = running[taken]
-        pos += taken
-    return dsts
 
 
 def _assign_sequential(
@@ -260,11 +202,10 @@ def replace_dead_chunks(
     mask -- but is charged as ordinary migration wear through
     :func:`apply_migrations`.
 
-    Plain, unexplained bursts take the batched rounds
-    (:func:`_assign_replacements_batched`); redundant configs and explained
-    bursts (``emit`` set, see :mod:`edm.obs.decisions`) take
-    :func:`_assign_sequential`.  Both are bit-identical to scoring each
-    chunk's own candidate set from scratch.  Redundant configs forbid, per
+    Every burst -- plain or redundant, explained (``emit`` set, see
+    :mod:`edm.obs.decisions`) or not -- runs through
+    :func:`_assign_sequential`, bit-identical to scoring each chunk's own
+    candidate set from scratch.  Redundant configs forbid, per
     chunk, every OSD holding a member of its placement group; when
     ``redundancy`` (the run's :class:`~edm.redundancy.RedundancyRuntime`)
     is given and ``dead_osd`` is actually dead, the burst is charged as
@@ -286,18 +227,15 @@ def replace_dead_chunks(
         )
     proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
     order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
-    if state.chunk_group is None and emit is None:
-        dsts = _assign_replacements_batched(order, proj, alive_ids, policy, state, cfg)
-    else:
-        forbid = None
-        if state.chunk_group is not None:
-            # Owners of each chunk's group members; ids past the last chunk
-            # clip onto it, a member of the same (trailing, narrower) group.
-            w = state.group_width
-            members = (order // w * w)[:, None] + np.arange(w)
-            forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
-        relay = None if emit is None else lambda c, *pick: emit(c, int(dead_osd), *pick)
-        dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, forbid, relay)
+    forbid = None
+    if state.chunk_group is not None:
+        # Owners of each chunk's group members; ids past the last chunk
+        # clip onto it, a member of the same (trailing, narrower) group.
+        w = state.group_width
+        members = (order // w * w)[:, None] + np.arange(w)
+        forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+    relay = None if emit is None else lambda c, *pick: emit(c, int(dead_osd), *pick)
+    dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, forbid, relay)
     if redundancy is not None and not state.osd_alive[dead_osd]:
         # Charge the read side of the rebuild before ownership moves (the
         # write side is ordinary migration wear via apply_migrations).
@@ -428,7 +366,7 @@ def simulate(
                         rec.on_fault(state, event, replaced)
         if endurance is not None:
             with tr.span("simulate.endurance"):
-                # Wear-outs ride the fault machinery: same batch re-placement
+                # Wear-outs ride the fault machinery: same re-placement burst
                 # through the active policy, same on_fault observer fan-out.
                 for event in endurance.step(state, epoch):
                     replaced = replace_dead_chunks(

@@ -71,10 +71,11 @@ class ClusterState:
 
     @property
     def survivor_floor(self) -> int:
-        """Fewest alive OSDs failures may leave: one, or one full group.
+        """Fewest alive OSDs failures or drains may leave: one, or one full group.
 
-        Below ``max(1, group_width)`` a dead OSD's chunks have no (distinct)
-        destination, so scheduled failures and wear-outs both stop here.
+        Below ``max(1, group_width)`` a departing OSD's chunks have no
+        (distinct) destination, so scheduled failures, wear-outs and drains
+        all stop here.
         """
         return max(1, self.group_width)
 

@@ -7,7 +7,7 @@
   ``load / capacity`` view policies and re-placement rank by.
 
 The engine wires these together in :func:`edm.engine.core.simulate`: a
-``fail`` event triggers batch re-placement of the dead OSD's chunks through
+``fail`` event triggers re-placement of the dead OSD's chunks through
 the active policy's destination scoring (charged as ordinary migration
 wear), ``slow``/``hiccup`` events scale per-OSD capacity, and every fired
 event is fanned out to recorders via the ``on_fault`` observer hook.

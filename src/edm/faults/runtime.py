@@ -15,7 +15,7 @@ Capacity semantics:
 * ``fail`` pins capacity to 0 and ``alive`` to False forever -- unless it
   would leave fewer than ``state.survivor_floor`` OSDs alive (for example
   after wear-outs already reached that floor), in which case it is skipped
-  and not reported as fired, the same floor wear-outs stop at.
+  and not reported as fired, the same floor wear-outs and drains stop at.
 
 This module only touches NumPy arrays on the state object (duck-typed, no
 engine imports), keeping the faults package import-cycle-free.

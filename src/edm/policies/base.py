@@ -111,28 +111,21 @@ class MigrationPolicy(ABC):
         The one scoring hook: interval selection, failure / wear-out / drain
         re-placement and decision provenance all pick through it, so even
         the no-migration baseline has a well-defined answer.  ``proj`` is
-        one projected-load vector ``(num_osds,)`` or a stack of them
-        ``(rows, num_osds)``; keys name the score terms, values are float
-        arrays aligned with ``candidates`` on the last axis.  Lower total is
-        better, folded left to right over insertion order (see
+        one projected-load vector ``(num_osds,)``; keys name the score
+        terms, values are float arrays aligned with ``candidates``.  Lower
+        total is better, folded left to right over insertion order (see
         :func:`sum_terms`); the pick is the first minimum.  Whatever does
         not depend on ``proj`` may be computed once: ``score`` is valid
         while ``state`` is unchanged (one re-placement burst or selection
         round).  The default scores by projected load alone.
 
         Contract (pinned per policy by tests/test_policy_conformance.py):
-
-          * **shape agnostic**: row ``i`` of ``score(rows)`` folds to the
-            same bytes as ``score(rows[i])`` -- the batched re-placement
-            replays many prefixes at once.  Gather with
-            ``proj.take(ids, axis=-1)``, which keeps each row contiguous so
-            every row reduces in the same order as a lone vector;
-          * **candidate independence**: every term is elementwise per OSD
-            and every normalizer cluster-wide, so ``scorer(superset)(p)``
-            masked to a subset equals ``scorer(subset)(p)`` -- the engine
-            scores one candidate set per pick and masks it per chunk.
+        **candidate independence** -- every term is elementwise per OSD and
+        every normalizer cluster-wide, so ``scorer(superset)(p)`` masked to
+        a subset equals ``scorer(subset)(p)``; the engine scores one
+        candidate set per pick and masks it per chunk.
         """
-        return lambda proj: {"load": proj.take(candidates, axis=-1)}
+        return lambda proj: {"load": proj[candidates]}
 
 
 class ThresholdPolicy(MigrationPolicy):
@@ -229,11 +222,10 @@ class NormalizedScorePolicy(ThresholdPolicy):
     independent of who else is a candidate), then
 
       * :meth:`load_terms` maps that normalized load to one or more score
-        terms with shape-agnostic arithmetic (the same expression must work
-        on a 1-D candidate vector and a 2-D rows x candidates matrix), and
+        terms, and
       * :meth:`static_destination_terms` appends terms that do not depend on
         projected load at all (wear, wear-out risk) -- computed once per
-        scorer, broadcast across rows.
+        scorer.
 
     Load terms fold first, static terms after, in insertion order.
     """
@@ -253,16 +245,12 @@ class NormalizedScorePolicy(ThresholdPolicy):
     def scorer(self, candidates, state, cfg):
         static = self.static_destination_terms(candidates, state, cfg)
         alive_ids = np.flatnonzero(state.osd_alive)
-        n_alive = alive_ids.size
 
         def score(proj):
-            load = proj.take(candidates, axis=-1)
-            if n_alive:
-                # Exactly ``.mean()``'s arithmetic (pairwise sum, then one
-                # division), row by row; rows whose mean is not positive keep
-                # the raw load.
-                mean = proj.take(alive_ids, axis=-1).sum(axis=-1, keepdims=True) / n_alive
-                np.divide(load, mean, out=load, where=mean > 0)
+            load = proj[candidates]
+            mean = proj[alive_ids].mean() if alive_ids.size else 0.0
+            if mean > 0:
+                load = load / mean
             terms = dict(self.load_terms(load, state, cfg))
             terms.update(static)
             return terms

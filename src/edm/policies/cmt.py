@@ -34,13 +34,12 @@ class CmtPolicy(NormalizedScorePolicy):
 
         The base class folds the normalized load term first, then these in
         insertion order -- the historical ``(load_norm + wear_term) +
-        risk_term`` addition sequence -- so the scalar pick, the explained
-        pick, and the batch replay all score from this one definition and
-        the pre-zoo golden hashes stay pinned.  Wear and wear-out risk are
-        normalized by *cluster-wide* scales (mean over alive OSDs), never by
-        the candidate subset: a drive's score -- and hence the trade-off
-        between the terms -- must not change with who else happens to be a
-        candidate this round.
+        risk_term`` addition sequence -- so every pick, explained or not,
+        scores from this one definition and the pre-zoo golden hashes stay
+        pinned.  Wear and wear-out risk are normalized by *cluster-wide*
+        scales (mean over alive OSDs), never by the candidate subset: a
+        drive's score -- and hence the trade-off between the terms -- must
+        not change with who else happens to be a candidate this round.
         """
         alive = state.osd_alive
         wear = state.osd_wear[candidates]

@@ -277,10 +277,7 @@ class SweepResult:
     ``records`` holds what actually crossed the pool: full metrics dicts in
     a normal sweep, slim summaries (:data:`SUMMARY_KEYS` plus identity
     fields) in a streaming sweep, where the full metrics live only in the
-    result cache.  The legacy ``.results`` property still returns the full
-    dicts for in-memory sweeps but *raises* on a streamed one -- silently
-    handing summaries to code expecting full metrics caused exactly the
-    kind of KeyError-at-a-distance this API exists to prevent.
+    result cache.
     """
 
     records: list[dict]
@@ -302,29 +299,13 @@ class SweepResult:
             )
 
     @property
-    def results(self) -> list[dict]:
-        """Full metrics dicts of an in-memory sweep (legacy accessor).
-
-        Raises on a streamed sweep, whose records are slim summaries --
-        use :meth:`iter_results`, which yields full metrics either way.
-        """
-        if self.streamed:
-            raise RuntimeError(
-                "SweepResult.results is unavailable on a streamed sweep: "
-                "records hold slim summaries, not full metrics.  Use "
-                "iter_results() to lazily load full metrics from the cache "
-                "(or read .records for the summaries themselves)."
-            )
-        return self.records
-
-    @property
     def total_requests(self) -> int:
         return sum(r["total_requests"] for r in self.records)
 
     def iter_results(self):
         """Yield one *full* metrics dict per input config, in input order.
 
-        For a normal sweep this is just ``iter(results)``.  For a streaming
+        For a normal sweep this is just ``iter(records)``.  For a streaming
         sweep each metrics dict is loaded from the cache on demand and
         dropped before the next is read, so walking a huge grid keeps
         memory bounded to a single config's metrics.

@@ -6,7 +6,7 @@ fault and endurance steps; the runtime grows every per-OSD array for ``add``
 events (new drives join cold: zero wear, zero load, empty queues) and marks
 ``drain`` targets migration-source-only via ``osd_draining``.  The engine
 then evacuates a draining OSD's chunks through the active policy's
-destination scoring -- the same batch re-placement machinery a failure uses,
+destination scoring -- the same re-placement machinery a failure uses,
 but *graceful*: the drive is still alive while its chunks stream off, and
 :meth:`retire` only afterwards flips it dead, with no lost queue work.
 
@@ -52,15 +52,22 @@ class TopologyRuntime:
         ``add`` events grow the state in place; ``drain`` events only mark
         the target (``osd_draining``) -- the engine evacuates its chunks and
         calls :meth:`retire`, so recorders observe the evacuation's move
-        count alongside the event.
+        count alongside the event.  A drain of an alive OSD that would leave
+        fewer than ``state.survivor_floor`` alive OSDs is skipped and not
+        reported as fired, the floor ``fail`` events stop at.
         """
-        fired = self._by_epoch.get(epoch, [])
-        for ev in fired:
+        fired = []
+        for ev in self._by_epoch.get(epoch, []):
             if ev.kind == "add":
                 self._grow(state, ev)
+            elif state.osd_alive[ev.osd] and (
+                (state.osd_alive & ~state.osd_draining).sum() <= state.survivor_floor
+            ):
+                continue
             else:
                 state.osd_draining[ev.osd] = True
-        return list(fired)
+            fired.append(ev)
+        return fired
 
     def _grow(self, state: "ClusterState", ev: TopologyEvent) -> None:
         """Append ``ev.count`` cold drives of the event's device class."""

@@ -11,9 +11,9 @@ paths, kept here as independent oracles for the differential tests:
   * :func:`reconstruction_reference` -- reconstruction read charging, one
     lost chunk at a time.
 
-The engine versions (``edm.engine.core._assign_sequential`` and
-``_assign_replacements_batched``, ``ThresholdPolicy.select``,
-``RedundancyRuntime.on_reconstruction``) must match these bit-for-bit.
+The engine versions (``edm.engine.core._assign_sequential``,
+``ThresholdPolicy.select``, ``RedundancyRuntime.on_reconstruction``) must
+match these bit-for-bit.
 """
 
 import numpy as np
@@ -49,11 +49,14 @@ def reference_pick(policy, candidates, proj, state, cfg):
     return int(candidates[np.argmin(scores)]), terms, scores
 
 
-def assign_reference(order, proj, alive_ids, policy, state, cfg, emit=None):
+def assign_reference(order, proj, alive_ids, policy, state, cfg, forbid=None, emit=None):
     """One pick per chunk over its own constrained candidate set.
 
-    Mutates ``proj`` like the engine does; ``emit(chunk, dst, candidates,
-    terms, scores)`` reports each explained pick.
+    Takes ``_assign_sequential``'s arguments, so it can stand in for it in a
+    whole run; ``forbid`` is ignored, since each chunk's group constraint is
+    recomputed from ``state``.  Mutates ``proj`` like the engine does;
+    ``emit(chunk, dst, candidates, terms, scores)`` reports each explained
+    pick.
     """
     cap = state.osd_capacity
     dsts = np.empty(order.size, dtype=np.int64)

@@ -1,14 +1,13 @@
-"""Epoch kernel and batched re-placement: bit-identity guarantees.
+"""Epoch kernel and per-chunk re-placement: bit-identity guarantees.
 
-The fused kernel (src/edm/engine/kernels.py) and the vectorized failure
-re-placement (engine/core.py) both promise *byte-equal* results against
-their reference implementations.  This module pins those promises:
+The fused kernel (src/edm/engine/kernels.py) and the failure re-placement
+(engine/core.py) both promise *byte-equal* results against their reference
+implementations.  This module pins those promises:
 
   * the fused epoch update matches an unfused transcription of the same
     routing, wear and EMA math, byte for byte;
-  * the batched greedy destination assignment replays the sequential
-    per-chunk path bit-for-bit, and whole runs through it match runs that
-    re-place each chunk with the per-chunk reference;
+  * whole runs through the engine's re-placement (``_assign_sequential``)
+    match runs that re-place each chunk with the per-chunk reference;
   * migration wear accrual via bincount matches the per-element scatter it
     replaced, duplicates included.
 """
@@ -20,20 +19,13 @@ import numpy as np
 import pytest
 
 from conftest import cfg_factory, make_state
-from edm.config import POLICIES
 from edm.engine import core as core_mod
-from edm.engine.core import (
-    _assign_replacements_batched,
-    _assign_sequential,
-    apply_migrations,
-    simulate,
-)
+from edm.engine.core import apply_migrations, simulate
 from edm.engine.kernels import EpochKernel
-from edm.policies import get_policy
 from replacement_reference import assign_reference
 
-# Samples chosen to exercise every engine path that the kernel and the
-# batched re-placement touch: all four policies, a drifting and a bursty
+# Samples chosen to exercise every engine path that the kernel and
+# re-placement touch: all four policies, a drifting and a bursty
 # workload, a mid-run failure burst, and a rated cluster that wears out.
 SAMPLES = {
     "baseline-deasna": dict(policy="baseline"),
@@ -53,7 +45,7 @@ def digest(metrics: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Batched re-placement vs the sequential reference loop
+# Engine re-placement vs the per-chunk reference loop
 
 
 @pytest.mark.parametrize(
@@ -61,47 +53,23 @@ def digest(metrics: dict) -> str:
 )
 def test_batched_replacement_matches_loop(name, monkeypatch):
     cfg = cfg_factory(**{"num_osds": 8, "seed": 7, **SAMPLES[name]})
-    real = core_mod._assign_replacements_batched
+    real = core_mod._assign_sequential
     bursts = []
 
     def counted(*args):
         bursts.append(args[0].size)
         return real(*args)
 
-    monkeypatch.setattr(core_mod, "_assign_replacements_batched", counted)
+    monkeypatch.setattr(core_mod, "_assign_sequential", counted)
     fast = simulate(cfg)
-    assert bursts, "no burst took the batched rounds"
+    assert bursts, "no re-placement burst ran"
+
     # The plain reference loop: every chunk scored from scratch over its
     # own candidate set.
-    monkeypatch.setattr(core_mod, "_assign_replacements_batched", assign_reference)
+    monkeypatch.setattr(core_mod, "_assign_sequential", assign_reference)
     slow = simulate(cfg)
     assert fast == slow
     assert digest(fast) == digest(slow)
-
-
-@pytest.mark.parametrize("policy", POLICIES)
-def test_assign_replacements_paths_agree_directly(policy):
-    # Unit-level: same inputs through both assignment paths, byte-equal
-    # destinations and identical projected-load evolution.
-    cfg = cfg_factory(num_osds=8, policy=policy, endurance="pe:5000")
-    rng = np.random.default_rng(3)
-    state = make_state(
-        cfg,
-        heat=rng.uniform(0.1, 5.0, cfg.num_chunks),
-        wear=rng.uniform(0.0, 50.0, cfg.num_osds),
-        load_ema=rng.uniform(0.5, 2.0, cfg.num_osds),
-    )
-    state.osd_alive[2] = False  # the "dead" source
-    pol = get_policy(policy)
-    order = np.flatnonzero(state.chunk_owner == 2)
-    order = order[np.argsort(-state.chunk_heat[order], kind="stable")]
-    alive_ids = np.flatnonzero(state.osd_alive)
-    proj_a = state.osd_load_ema.copy()
-    proj_b = state.osd_load_ema.copy()
-    dsts_loop = _assign_sequential(order, proj_a, alive_ids, pol, state, cfg)
-    dsts_batch = _assign_replacements_batched(order, proj_b, alive_ids, pol, state, cfg)
-    np.testing.assert_array_equal(dsts_loop, dsts_batch)
-    assert proj_a.tobytes() == proj_b.tobytes()  # bit-equal, not approx
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Differential tests: the engine's vectorized re-placement and selection
-paths against the per-chunk references in replacement_reference.py.
+"""Differential tests: the engine's re-placement and selection paths against
+the per-chunk references in replacement_reference.py.
 
-``_assign_sequential`` builds one destination picker per burst and narrows a
-fixed candidate set per chunk with a keep-mask built from a group-owner
-matrix; ``ThresholdPolicy.select`` does the same per selection round.  Both
-rest on the scorer contract (candidate-independent terms) to stay
-bit-identical to recomputing each chunk's candidates with ``np.isin`` and
-scoring them from scratch.  These tests pin that equality on every burst and
-every selection round of real runs -- destinations, the projected-load
-vector's bytes, and each explained decision's candidates, terms and scores --
-across the whole policy registry, plain and redundant placement, and all
+``_assign_sequential`` -- the one re-placement path, for every burst --
+builds one destination picker per burst and narrows a fixed candidate set
+per chunk with a keep-mask built from a group-owner matrix;
+``ThresholdPolicy.select`` does the same per selection round.  Both rest on
+the scorer contract (candidate-independent terms) to stay bit-identical to
+recomputing each chunk's candidates with ``np.isin`` and scoring them from
+scratch.  These tests pin that equality on every burst and every selection
+round of real runs -- destinations, the projected-load vector's bytes, and
+each explained decision's candidates, terms and scores -- across the whole
+policy registry, plain and redundant placement, explained or not, and all
 three re-placement triggers (failure, drain, wear-out).
 """
 
@@ -56,7 +57,7 @@ def assert_same_decisions(got, want):
 
 
 class Explaining(Recorder):
-    """Overrides on_decision, which puts every burst on the explained path."""
+    """Overrides on_decision, which makes every burst emit its decisions."""
 
     def on_decision(self, state, decision):
         pass
@@ -84,20 +85,21 @@ def test_assign_sequential_matches_reference_on_every_burst(policy, redundancy, 
         return dsts
 
     monkeypatch.setattr(core_mod, "_assign_sequential", checked)
-    # Plain placement only takes the sequential path when explaining.
-    recorders = () if redundancy else (Explaining(),)
-    metrics = simulate(scenario(policy, redundancy), recorders=recorders)
-    assert metrics["fault_failures"] == 1
-    assert metrics["wearouts_total"] == 1
-    assert metrics["drain_moves_total"] > 0
-    assert len(bursts) == 3 and all(bursts)
+    # Unexplained and explained runs: the engine passes ``emit`` through.
+    for recorders in ((), (Explaining(),)):
+        metrics = simulate(scenario(policy, redundancy), recorders=recorders)
+        assert metrics["fault_failures"] == 1
+        assert metrics["wearouts_total"] == 1
+        assert metrics["drain_moves_total"] > 0
+    assert len(bursts) == 6 and all(bursts)
 
 
-@pytest.mark.parametrize("redundancy", ["rep:3", "ec:4+2"])
+@pytest.mark.parametrize("redundancy", ["", "rep:3", "ec:4+2"], ids=lambda s: s or "plain")
 @pytest.mark.parametrize("policy", POLICIES)
 def test_replace_dead_chunks_matches_reference_for_every_victim(policy, redundancy):
-    # Random loads, each OSD the victim in turn: this reaches the trailing
-    # partial group, whose id window runs past the last chunk.
+    # Random loads, each OSD the victim in turn: under redundancy this
+    # reaches the trailing partial group, whose id window runs past the
+    # last chunk.
     rng = np.random.default_rng(9)
     cfg = cfg_factory(num_osds=8, policy=policy, redundancy=redundancy)
     pol = get_policy(policy)
@@ -157,7 +159,7 @@ class WorstFit(ThresholdPolicy):
         return chunk_ids
 
     def scorer(self, candidates, state, cfg):
-        return lambda proj: {"load": -proj.take(candidates, axis=-1)}
+        return lambda proj: {"load": -proj[candidates]}
 
 
 def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
@@ -182,27 +184,27 @@ def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
 
 
 def test_scorer_only_policy_takes_the_batched_rounds(monkeypatch):
-    # No opt-in: a plain burst of a policy that overrides only ``scorer``
-    # runs the batched rounds, and the whole run matches re-placing each
-    # chunk with the per-chunk reference.
+    # No opt-in: plain bursts of a policy that overrides only ``scorer`` run
+    # through ``_assign_sequential``, each matching the per-chunk reference,
+    # and the whole run matches re-placing each chunk with the reference.
     cfg = cfg_factory(num_osds=8, seed=7, faults="fail:1@4;fail:5@9")
     monkeypatch.setattr(core_mod, "get_policy", lambda name: WorstFit())
-    real = core_mod._assign_replacements_batched
+    real = core_mod._assign_sequential
     bursts = []
 
-    def counted(order, proj, alive_ids, pol, state, cfg):
+    def checked(order, proj, alive_ids, pol, state, cfg, forbid=None, emit=None):
         ref_proj = proj.copy()
         ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
-        dsts = real(order, proj, alive_ids, pol, state, cfg)
+        dsts = real(order, proj, alive_ids, pol, state, cfg, forbid, emit)
         assert dsts.tolist() == ref.tolist()
         assert proj.tobytes() == ref_proj.tobytes()
         bursts.append(order.size)
         return dsts
 
-    monkeypatch.setattr(core_mod, "_assign_replacements_batched", counted)
+    monkeypatch.setattr(core_mod, "_assign_sequential", checked)
     fast = simulate(cfg)
     assert len(bursts) == 2 and all(bursts)
-    monkeypatch.setattr(core_mod, "_assign_replacements_batched", assign_reference)
+    monkeypatch.setattr(core_mod, "_assign_sequential", assign_reference)
     assert simulate(cfg) == fast
 
 

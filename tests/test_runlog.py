@@ -185,5 +185,5 @@ def test_cached_metrics_never_contain_timings(tmp_path):
     grid = tiny_grid(n_policies=1)
     traced = sweep(grid, cache_dir=tmp_path / "c", workers=1, run_log=tmp_path / "l.jsonl")
     warm = sweep(grid, cache_dir=tmp_path / "c", workers=1)
-    assert "timings" not in traced.results[0]
-    assert warm.results == traced.results
+    assert "timings" not in traced.records[0]
+    assert warm.records == traced.records

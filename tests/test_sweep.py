@@ -49,7 +49,7 @@ def test_cold_then_warm_identical_results(tmp_path):
     warm = sweep(grid, cache_dir=tmp_path, workers=1)
     assert warm.simulated == 0
     assert warm.cache_hits == len(grid)
-    assert warm.results == cold.results
+    assert warm.records == cold.records
 
 
 def test_force_resimulates(tmp_path):
@@ -64,7 +64,7 @@ def test_parallel_matches_inline(tmp_path):
     grid = tiny_grid()
     inline = sweep(grid, cache_dir=tmp_path / "a", workers=1)
     pooled = sweep(grid, cache_dir=tmp_path / "b", workers=2)
-    assert inline.results == pooled.results
+    assert inline.records == pooled.records
 
 
 def test_no_cache_mode(tmp_path):
@@ -90,7 +90,7 @@ def test_sweep_result_rejects_incomplete_results(tmp_path):
 def test_results_in_config_order(tmp_path):
     grid = tiny_grid()
     res = sweep(grid, cache_dir=tmp_path, workers=1)
-    for cfg, metrics in zip(grid, res.results):
+    for cfg, metrics in zip(grid, res.records):
         assert metrics["workload"] == cfg.workload
         assert metrics["policy"] == cfg.policy
         assert metrics["num_osds"] == cfg.num_osds
@@ -178,11 +178,7 @@ def test_stream_summaries_match_eager_results(tmp_path):
     eager = sweep(grid, cache_dir=tmp_path / "a", workers=1)
     streamed = sweep(grid, cache_dir=tmp_path / "b", workers=1, stream=True)
     assert streamed.streamed and streamed.simulated == len(grid)
-    # The legacy accessor refuses to hand out summaries as if they were
-    # full metrics; .records is the honest surface for what crossed the pool.
-    with pytest.raises(RuntimeError, match="streamed sweep.*iter_results"):
-        streamed.results
-    for cfg, slim, full in zip(grid, streamed.records, eager.results):
+    for cfg, slim, full in zip(grid, streamed.records, eager.records):
         assert slim["streamed"] is True
         assert slim["config"] == cfg.cache_name()
         for key in SUMMARY_KEYS:
@@ -190,7 +186,7 @@ def test_stream_summaries_match_eager_results(tmp_path):
         assert "per_osd_wear" not in slim  # heavy payload never crosses the pool
     # Lazy reloads return the full metrics, in input order, bit-equal to the
     # eager run (both caches were populated by identical simulations).
-    assert list(streamed.iter_results()) == eager.results
+    assert list(streamed.iter_results()) == eager.records
     assert streamed.total_requests == eager.total_requests
 
 
@@ -219,7 +215,7 @@ def test_stream_matches_eager_across_pool_boundary(tmp_path):
     grid = tiny_grid()
     pooled = sweep(grid, cache_dir=tmp_path / "a", workers=2, stream=True)
     inline = sweep(grid, cache_dir=tmp_path / "b", workers=1)
-    assert list(pooled.iter_results()) == inline.results
+    assert list(pooled.iter_results()) == inline.records
 
 
 def test_stream_iter_results_raises_when_cache_evicted(tmp_path):

@@ -192,10 +192,10 @@ def test_sweep_timeseries_cache_semantics(tmp_path):
     first = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     warm = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     assert warm.simulated == 0
-    assert warm.results == first.results
+    assert warm.records == first.records
 
     series_path(ts_dir, grid[0]).unlink()
     repaired = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     assert repaired.simulated == 1
     assert series_path(ts_dir, grid[0]).exists()
-    assert repaired.results == first.results
+    assert repaired.records == first.records

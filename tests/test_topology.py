@@ -8,6 +8,7 @@ import pytest
 from edm.config import config_hash
 from edm.engine.core import simulate
 from edm.spec import SpecError
+from edm.telemetry import Recorder
 from edm.topology import TopologyPlan, TopologyRuntime
 
 # ---------------------------------------------------------------------------
@@ -234,6 +235,41 @@ def test_drain_end_to_end(make_cfg):
     assert m["drain_moves_total"] > 0  # evacuation actually moved chunks
     # The drained OSD's wear froze once it retired; survivors kept wearing.
     assert m["per_osd_wear"][0] < max(m["per_osd_wear"])
+
+
+class TopologyEvents(Recorder):
+    def __init__(self):
+        self.events = []
+
+    def on_topology(self, state, event, moved):
+        self.events.append(event)
+
+
+# Drains that would leave fewer than ``survivor_floor`` alive OSDs once
+# failures or wear-outs shrank the cluster; each used to crash the run.
+DRAIN_FLOOR_REPROS = {
+    "ec-after-wearout": dict(
+        num_osds=7, redundancy="ec:4+2",
+        endurance="pe:200@1,100000@0,100000@2-6", topology="drain:0@12",
+    ),
+    "last-after-failures": dict(
+        num_osds=3, faults="fail:0@4;fail:1@6", topology="drain:2@8",
+    ),
+    "last-after-wearouts": dict(
+        num_osds=3, endurance="pe:200@0-1,100000@2", topology="drain:2@12",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAIN_FLOOR_REPROS))
+def test_drain_at_survivor_floor_completes_without_draining(make_cfg, name):
+    cfg = make_cfg(chunks_per_osd=6, epochs=24, requests_per_epoch=512,
+                   **DRAIN_FLOOR_REPROS[name])
+    seen = TopologyEvents()
+    m = simulate(cfg, recorders=(seen,))
+    assert m["osds_drained_total"] == 0
+    assert m["drain_moves_total"] == 0
+    assert seen.events == []  # a skipped drain never fires
 
 
 def test_elastic_run_is_deterministic(make_cfg):
