@@ -237,12 +237,6 @@ def cmd_report(args) -> int:
 def cmd_plot(args) -> int:
     from edm.telemetry import plots
 
-    if not plots.have_matplotlib():
-        log.warning(
-            "matplotlib is not installed; skipping figure rendering "
-            "(pip install 'edm-sim[plot]' to enable)"
-        )
-        return 0
     series = plots.load_series_dir(args.timeseries_dir)
     if not series:
         log.error(
@@ -250,7 +244,7 @@ def cmd_plot(args) -> int:
             args.timeseries_dir,
         )
         return 1
-    written = plots.render_figures(series, args.out_dir, fmt=args.format)
+    written = plots.render_figures(series, args.out_dir)
     for path in written:
         print(path)
     return 0
@@ -507,13 +501,12 @@ def main(argv: list[str] | None = None) -> int:
     plot_p = sub.add_parser(
         "plot",
         parents=[common],
-        help="render the paper's figures from saved time series (needs matplotlib)",
+        help="render the paper's figures from saved time series as SVG",
     )
     plot_p.add_argument(
         "timeseries_dir", help="directory of .npz series from `sweep --timeseries`"
     )
     plot_p.add_argument("--out-dir", default="figures", help="output directory (default figures/)")
-    plot_p.add_argument("--format", choices=("png", "svg", "pdf"), default="png")
     plot_p.set_defaults(func=cmd_plot)
 
     args = ap.parse_args(argv)

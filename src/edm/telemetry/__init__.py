@@ -3,7 +3,8 @@
 The engine accepts any number of :class:`Recorder` observers; the built-in
 :class:`TimeSeriesRecorder` captures the paper's longitudinal curves into a
 :class:`TimeSeries` with ``.npz``/JSON/CSV exporters, and
-:mod:`edm.telemetry.plots` renders the figures (optional matplotlib).
+:mod:`edm.telemetry.plots` renders the figures as SVG.  The package needs
+only NumPy and reads one series format, the current one.
 """
 
 from edm.telemetry.openmetrics import (

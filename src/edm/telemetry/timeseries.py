@@ -64,28 +64,6 @@ _ARRAY_FIELDS = (
     "osds_total",
 )
 
-# Fields the current reader tolerates missing from older files, with the
-# fill value an engine of that vintage would have recorded.  A v2 ``.npz``
-# (no lifetime columns -- by definition written by an engine without an
-# endurance model) or a v3 one (no service columns -- written by an engine
-# whose requests had no duration) therefore loads and round-trips instead
-# of raising.
-_V2_COMPAT_FILLS = {
-    "remaining_life_min": np.inf,
-    "remaining_life_mean": np.inf,
-}
-_V3_COMPAT_FILLS = {
-    "queue_depth_mean": 0.0,
-    "queue_depth_cov": 0.0,
-    "service_lat_mean": 0.0,
-}
-_COMPAT_FILLS = {**_V2_COMPAT_FILLS, **_V3_COMPAT_FILLS}
-# v4 files lack ``osds_total``; its backfill is per-file (meta["num_osds"],
-# exact for any pre-v5 engine -- topologies were static), not a constant,
-# so it is handled separately from _COMPAT_FILLS in load_npz.
-_V4_COMPAT_FIELDS = ("osds_total",)
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Sampled per-epoch series for one simulation run.
@@ -143,25 +121,14 @@ class TimeSeries:
 
     @classmethod
     def load_npz(cls, path: str | os.PathLike) -> "TimeSeries":
-        """Load a ``.npz`` series; v2/v3 files (older column sets) still load.
+        """Load a ``.npz`` series written in the current format.
 
-        Missing v3 lifetime columns are backfilled with the values a
-        pre-endurance engine would have recorded (``+inf`` remaining life)
-        and missing v4 service columns with a pre-service engine's (0.0 --
-        requests had no duration), so an older file round-trips through
-        load -> save -> load.  A missing v5 ``osds_total`` column backfills
-        from ``meta["num_osds"]`` -- exact, since pre-v5 engines only ran
-        static topologies.  Files missing any *core* column are still
-        rejected.
+        A file missing any current column (an older format) is rejected
+        with the command that regenerates it.
         """
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"][()]))
-            missing = [
-                k for k in _ARRAY_FIELDS
-                if k not in npz.files
-                and k not in _COMPAT_FILLS
-                and k not in _V4_COMPAT_FIELDS
-            ]
+            missing = [k for k in _ARRAY_FIELDS if k not in npz.files]
             if missing:
                 raise ValueError(
                     f"{path}: series written by format "
@@ -169,15 +136,7 @@ class TimeSeries:
                     f"re-run `edm sweep --timeseries` to regenerate "
                     f"(current format v{SERIES_FORMAT_VERSION})"
                 )
-            arrays = {k: npz[k] for k in _ARRAY_FIELDS if k in npz.files}
-            samples = int(arrays["epoch"].shape[0])
-            for k, fill in _COMPAT_FILLS.items():
-                if k not in arrays:
-                    arrays[k] = np.full(samples, fill)
-            if "osds_total" not in arrays:
-                arrays["osds_total"] = np.full(
-                    samples, int(meta.get("num_osds", 0)), dtype=np.int64
-                )
+            arrays = {k: npz[k] for k in _ARRAY_FIELDS}
         return cls(meta=meta, **arrays)
 
     def to_json_dict(self) -> dict:

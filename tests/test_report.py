@@ -2,6 +2,7 @@
 
 import json
 import pickle
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -10,7 +11,8 @@ from edm import report
 from edm.cache import ResultCache
 from edm.cli import main
 from edm.sweep import default_grid, sweep
-from edm.telemetry.plots import POLICY_COLORS, have_matplotlib, policy_color
+from edm.config import POLICIES
+from edm.telemetry.plots import POLICY_COLORS
 
 TINY = dict(epochs=16, requests_per_epoch=256, chunks_per_osd=8)
 
@@ -168,35 +170,36 @@ def test_report_cli_empty_dir(tmp_path, capsys):
 
 
 def test_policy_colors_are_fixed_slots():
-    # Color follows the entity: a policy keeps its slot no matter the subset.
-    assert list(POLICY_COLORS) == ["baseline", "cdf", "hdf", "cmt"]
-    assert policy_color("cmt") == POLICY_COLORS["cmt"]
-    assert policy_color("some-future-policy") not in POLICY_COLORS.values()
+    # Color follows the entity: every policy owns a slot, in POLICIES order.
+    assert list(POLICY_COLORS) == list(POLICIES)
+    assert len(set(POLICY_COLORS.values())) == len(POLICIES)
 
 
-@pytest.mark.skipif(have_matplotlib(), reason="matplotlib installed; skip-path untestable")
-def test_plot_cli_skips_without_matplotlib(swept_cache, capsys):
-    assert main(["plot", str(swept_cache / "ts")]) == 0
-    assert "matplotlib is not installed" in capsys.readouterr().err
+def _marks(path, tag):
+    return len(ET.parse(path).getroot().findall(f"{{http://www.w3.org/2000/svg}}{tag}"))
 
 
-def test_plot_cli_renders_figures(swept_cache, tmp_path):
-    pytest.importorskip("matplotlib")
+def test_plot_cli_renders_figures(swept_cache, tmp_path, capsys):
     out_dir = tmp_path / "figs"
     assert main(["plot", str(swept_cache / "ts"), "--out-dir", str(out_dir)]) == 0
     names = {p.name for p in out_dir.iterdir()}
     assert names == {
-        "load_cov_deasna-4osd.png",
-        "load_cov_lair62-4osd.png",
-        "wear_final_deasna-4osd.png",
-        "wear_final_lair62-4osd.png",
-        "migration_cost_4osd.png",
+        "load_cov_deasna-4osd.svg",
+        "load_cov_lair62-4osd.svg",
+        "wear_final_deasna-4osd.svg",
+        "wear_final_lair62-4osd.svg",
+        "migration_cost_4osd.svg",
     }
-    assert all((out_dir / n).stat().st_size > 0 for n in names)
+    assert sorted(capsys.readouterr().out.split()) == sorted(str(out_dir / n) for n in names)
+    # 2 policies x 2 seeds per group; bars are policies x OSDs and
+    # policies x workloads.
+    for workload in ("deasna", "lair62"):
+        assert _marks(out_dir / f"load_cov_{workload}-4osd.svg", "polyline") == 4
+        assert _marks(out_dir / f"wear_final_{workload}-4osd.svg", "rect") == 2 * 4
+    assert _marks(out_dir / "migration_cost_4osd.svg", "rect") == 2 * 2
 
 
 def test_plot_cli_empty_dir(tmp_path, capsys):
-    pytest.importorskip("matplotlib")
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty")]) == 1
     assert "no .npz series" in capsys.readouterr().err

@@ -1,11 +1,14 @@
 """Telemetry layer: hook ordering, no-op overhead, series shape, round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
 from edm.engine.core import simulate
 from edm.sweep import default_grid, series_path, sweep
-from edm.telemetry import Recorder, TimeSeries, TimeSeriesRecorder
+from edm.telemetry import SERIES_FORMAT_VERSION, Recorder, TimeSeries, TimeSeriesRecorder
+from edm.telemetry.timeseries import _ARRAY_FIELDS
 
 
 class EventLog(Recorder):
@@ -124,13 +127,23 @@ def test_npz_roundtrip(small_cfg, tmp_path):
     path = rec.series.save_npz(tmp_path / "series.npz")
     loaded = TimeSeries.load_npz(path)
     assert loaded.meta == rec.series.meta
-    fields = (
-        "epoch", "load", "load_cov", "load_peak_ratio", "wear", "wear_cov",
-        "migrations", "alive", "replacements",
-        "remaining_life_min", "remaining_life_mean",
-    )
-    for name in fields:
+    assert loaded.meta["format_version"] == SERIES_FORMAT_VERSION
+    for name in _ARRAY_FIELDS:
         assert np.array_equal(getattr(loaded, name), getattr(rec.series, name)), name
+
+
+@pytest.mark.parametrize("column", ["osds_total", "alive", "wear", "epoch"])
+def test_npz_missing_column_rejected(small_cfg, tmp_path, column):
+    """A file without every current column -- a v4 file lacks ``osds_total``
+    -- is rejected with the command that regenerates it."""
+    rec = TimeSeriesRecorder(record_every=4)
+    simulate(small_cfg, recorders=(rec,))
+    meta = {**rec.series.meta, "format_version": 4}
+    arrays = {k: getattr(rec.series, k) for k in _ARRAY_FIELDS if k != column}
+    path = tmp_path / "old.npz"
+    np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **arrays)
+    with pytest.raises(ValueError, match=rf"v4 is missing \['{column}'\].*edm sweep --timeseries"):
+        TimeSeries.load_npz(path)
 
 
 def test_csv_and_json_export(small_cfg, tmp_path):

@@ -1,160 +1,27 @@
-"""TimeSeries format compatibility: v2 ``.npz`` files (written before the
-endurance lifetime columns existed), v3 files (written before the service
-columns existed), and v4 files (written before the elastic-topology
-``osds_total`` column existed) must still load, backfilled with the values
-an engine of that vintage would have recorded, and round-trip through
-save -> load as current-format files.  Files missing a *core* column still
-fail loudly."""
-
-import json
+"""TimeSeries format compatibility: a file written in the current format
+round-trips through save -> load exactly, every column and the meta.  Files
+in an older format are rejected (see ``test_npz_missing_column_rejected`` in
+``test_telemetry.py``)."""
 
 import numpy as np
 import pytest
 
 from edm.engine.core import simulate
-from edm.telemetry import TimeSeries, TimeSeriesRecorder
-from edm.telemetry.timeseries import (
-    _V2_COMPAT_FILLS,
-    _V3_COMPAT_FILLS,
-    SERIES_FORMAT_VERSION,
-)
-
-V2_FIELDS = (
-    "epoch", "load", "load_cov", "load_peak_ratio", "wear", "wear_cov",
-    "migrations", "alive", "replacements",
-)
-V3_FIELDS = (*V2_FIELDS, "remaining_life_min", "remaining_life_mean")
-V4_FIELDS = (
-    *V3_FIELDS, "queue_depth_mean", "queue_depth_cov", "service_lat_mean",
-)
-
-
-def write_v2_npz(path, series, drop=()):
-    """Write an ``.npz`` shaped exactly like a v2-era file: v2 meta, no
-    lifetime columns (optionally dropping core columns to simulate damage)."""
-    meta = {**series.meta, "format_version": 2}
-    meta.pop("endurance", None)  # v2 meta predates the endurance field
-    meta.pop("service", None)    # ...and the service field
-    meta.pop("topology", None)   # ...and the topology field
-    arrays = {k: getattr(series, k) for k in V2_FIELDS if k not in drop}
-    with open(path, "wb") as f:
-        np.savez_compressed(f, meta=np.asarray(json.dumps(meta)), **arrays)
-    return path
-
-
-def write_v3_npz(path, series):
-    """Write an ``.npz`` shaped exactly like a v3-era file: lifetime columns
-    present, service columns absent."""
-    meta = {**series.meta, "format_version": 3}
-    meta.pop("service", None)   # v3 meta predates the service field
-    meta.pop("topology", None)  # ...and the topology field
-    arrays = {k: getattr(series, k) for k in V3_FIELDS}
-    with open(path, "wb") as f:
-        np.savez_compressed(f, meta=np.asarray(json.dumps(meta)), **arrays)
-    return path
-
-
-def write_v4_npz(path, series):
-    """Write an ``.npz`` shaped exactly like a v4-era file: service columns
-    present, ``osds_total`` absent."""
-    meta = {**series.meta, "format_version": 4}
-    meta.pop("topology", None)  # v4 meta predates the topology field
-    arrays = {k: getattr(series, k) for k in V4_FIELDS}
-    with open(path, "wb") as f:
-        np.savez_compressed(f, meta=np.asarray(json.dumps(meta)), **arrays)
-    return path
+from edm.telemetry import SERIES_FORMAT_VERSION, TimeSeries, TimeSeriesRecorder
+from edm.telemetry.timeseries import _ARRAY_FIELDS
 
 
 @pytest.fixture
 def live_series(small_cfg):
-    """A series written by the *current* engine (format v5)."""
+    """A series written by the current engine."""
     rec = TimeSeriesRecorder(record_every=4)
     simulate(small_cfg, recorders=(rec,))
     return rec.series
-
-
-def test_v2_file_loads_with_backfilled_lifetime(tmp_path, live_series):
-    path = write_v2_npz(tmp_path / "v2.npz", live_series)
-    loaded = TimeSeries.load_npz(path)
-    assert loaded.meta["format_version"] == 2
-    # Core columns survive untouched ...
-    for name in V2_FIELDS:
-        assert np.array_equal(getattr(loaded, name), getattr(live_series, name)), name
-    # ... and the lifetime columns are backfilled with the pre-endurance
-    # values (infinite remaining rated life), one entry per sample.
-    for name, fill in _V2_COMPAT_FILLS.items():
-        col = getattr(loaded, name)
-        assert col.shape == (live_series.num_samples,)
-        assert (col == fill).all(), name
-
-
-def test_v2_file_round_trips_to_v3(tmp_path, live_series):
-    old = TimeSeries.load_npz(write_v2_npz(tmp_path / "v2.npz", live_series))
-    resaved = TimeSeries.load_npz(old.save_npz(tmp_path / "resaved.npz"))
-    assert resaved.meta == old.meta
-    for name in V2_FIELDS:
-        assert np.array_equal(getattr(resaved, name), getattr(old, name)), name
-    assert np.isinf(resaved.remaining_life_min).all()
-    assert np.isinf(resaved.remaining_life_mean).all()
-
-
-def test_v3_file_loads_with_backfilled_service_columns(tmp_path, live_series):
-    path = write_v3_npz(tmp_path / "v3.npz", live_series)
-    loaded = TimeSeries.load_npz(path)
-    assert loaded.meta["format_version"] == 3
-    # Lifetime columns survive untouched (a v3 writer recorded them) ...
-    for name in V3_FIELDS:
-        assert np.array_equal(getattr(loaded, name), getattr(live_series, name)), name
-    # ... and the service columns backfill with what a pre-service engine
-    # would have recorded: no queues, zero latency.
-    for name, fill in _V3_COMPAT_FILLS.items():
-        col = getattr(loaded, name)
-        assert col.shape == (live_series.num_samples,)
-        assert (col == fill).all(), name
-
-
-def test_v3_file_round_trips_to_v4(tmp_path, live_series):
-    old = TimeSeries.load_npz(write_v3_npz(tmp_path / "v3.npz", live_series))
-    resaved = TimeSeries.load_npz(old.save_npz(tmp_path / "resaved.npz"))
-    assert resaved.meta == old.meta
-    for name in V3_FIELDS:
-        assert np.array_equal(getattr(resaved, name), getattr(old, name)), name
-    assert (resaved.queue_depth_mean == 0).all()
-    assert (resaved.service_lat_mean == 0).all()
-
-
-def test_v4_file_loads_with_backfilled_osds_total(tmp_path, live_series):
-    path = write_v4_npz(tmp_path / "v4.npz", live_series)
-    loaded = TimeSeries.load_npz(path)
-    assert loaded.meta["format_version"] == 4
-    # Service columns survive untouched (a v4 writer recorded them) ...
-    for name in V4_FIELDS:
-        assert np.array_equal(getattr(loaded, name), getattr(live_series, name)), name
-    # ... and osds_total backfills from meta["num_osds"]: exact, since a
-    # pre-v5 engine's cluster size never moved.
-    assert loaded.osds_total.shape == (live_series.num_samples,)
-    assert (loaded.osds_total == live_series.meta["num_osds"]).all()
-
-
-def test_v4_file_round_trips_to_v5(tmp_path, live_series):
-    old = TimeSeries.load_npz(write_v4_npz(tmp_path / "v4.npz", live_series))
-    resaved = TimeSeries.load_npz(old.save_npz(tmp_path / "resaved.npz"))
-    assert resaved.meta == old.meta
-    for name in V4_FIELDS:
-        assert np.array_equal(getattr(resaved, name), getattr(old, name)), name
-    assert (resaved.osds_total == old.meta["num_osds"]).all()
 
 
 def test_current_format_file_round_trips_exactly(tmp_path, live_series):
     assert live_series.meta["format_version"] == SERIES_FORMAT_VERSION
     loaded = TimeSeries.load_npz(live_series.save_npz(tmp_path / "v5.npz"))
     assert loaded.meta == live_series.meta
-    for name in (*V2_FIELDS, *_V2_COMPAT_FILLS, *_V3_COMPAT_FILLS, "osds_total"):
+    for name in _ARRAY_FIELDS:
         assert np.array_equal(getattr(loaded, name), getattr(live_series, name)), name
-
-
-@pytest.mark.parametrize("core", ["alive", "wear", "epoch"])
-def test_missing_core_column_still_rejected(tmp_path, live_series, core):
-    path = write_v2_npz(tmp_path / "damaged.npz", live_series, drop=(core,))
-    with pytest.raises(ValueError, match=core):
-        TimeSeries.load_npz(path)
