@@ -20,8 +20,8 @@ Stable public API (everything in ``__all__``):
     RedundancyScheme   -- m+k chunk-group placement scheme parsed from a
                           ``--redundancy`` spec (``rep:3`` / ``ec:4+2``)
     SpecError          -- what every spec grammar (faults / endurance /
-                          service / topology) raises on a malformed or
-                          invalid spec string
+                          service / topology / redundancy) raises on a
+                          malformed or invalid spec string
     Recorder           -- observer protocol for per-epoch engine hooks
     TimeSeriesRecorder -- per-epoch series capture with downsampling
     TimeSeries         -- captured series + .npz/JSON/CSV exporters

@@ -6,19 +6,48 @@ alone is not trusted: each pickle stores the full config content hash, and a
 load only hits if that hash matches the requesting config.  Unreadable or
 stale pickles (old engine versions, foreign formats, corruption) are
 invalidated -- deleted and reported as a miss -- never silently returned.
+``edm report`` reads through :func:`read_entry`, which never deletes.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from edm.config import SimConfig, config_hash
+from edm.files import atomic_write
 
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 _PAYLOAD_VERSION = 1
+
+
+def read_entry(path: str | os.PathLike) -> dict | None:
+    """The payload stored at ``path``, or None if unreadable or stale.
+
+    Stale means another payload format, or a stored ``config_hash`` that
+    differs from the stored config's hash under the current engine.  Fields
+    ``SimConfig`` no longer has never fed the hash, so they are dropped
+    before re-hashing.  Read-only: a missing file raises ``FileNotFoundError``.
+    """
+    known = {f.name for f in fields(SimConfig)}
+    try:
+        with open(path, "rb") as f:
+            payload = pickle.load(f)
+        cfg = SimConfig.from_dict({k: v for k, v in payload["config"].items() if k in known})
+        fresh = (
+            payload["payload_version"] == _PAYLOAD_VERSION
+            and payload["config_hash"] == config_hash(cfg)
+            and isinstance(payload["metrics"], dict)
+        )
+    except FileNotFoundError:
+        raise
+    except Exception:
+        # Unreadable pickle (truncated capture, foreign class, corruption)
+        # or a foreign payload layout.
+        return None
+    return payload if fresh else None
 
 
 class ResultCache:
@@ -35,20 +64,11 @@ class ResultCache:
         """Return cached metrics for cfg, or None on miss/invalidation."""
         path = self.path_for(cfg)
         try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
+            payload = read_entry(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except Exception:
-            # Unreadable pickle (truncated capture, foreign class, corruption).
-            self._invalidate(path)
-            return None
-        if (
-            not isinstance(payload, dict)
-            or payload.get("payload_version") != _PAYLOAD_VERSION
-            or payload.get("config_hash") != config_hash(cfg)
-        ):
+        if payload is None or payload["config_hash"] != config_hash(cfg):
             self._invalidate(path)
             return None
         self.hits += 1
@@ -56,26 +76,16 @@ class ResultCache:
 
     def store(self, cfg: SimConfig, metrics: dict) -> Path:
         """Atomically write metrics for cfg (write to temp file, then rename)."""
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(cfg)
         payload = {
             "payload_version": _PAYLOAD_VERSION,
             "config_hash": config_hash(cfg),
             "config": cfg.to_dict(),
             "metrics": metrics,
         }
-        fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
-        return path
+        return atomic_write(
+            self.path_for(cfg),
+            lambda f: pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     def _invalidate(self, path: Path) -> None:
         self.misses += 1

@@ -60,17 +60,36 @@ def _overrides(args) -> dict:
     return out
 
 
-#: Grid-axis separator per scenario flag: a character the field's own spec
-#: grammar never uses, so one flag value can list several scenarios.
-#: Faults and service join clauses with ';', endurance bands with ',', and
-#: topology uses both (events ';', device-class attributes ',').
-SCENARIO_SEPS = {
-    "faults": ",",
-    "endurance": ";",
-    "service": ",",
-    "topology": "|",
-    "redundancy": ",",
+#: The scenario flags ``run`` and ``sweep`` share: per field, the grid-axis
+#: separator, an example spec, and what ``none`` means.  The separator is a
+#: character the field's own spec grammar never uses, so one ``sweep`` flag
+#: value can list several scenarios.  Faults and service join clauses with
+#: ';', endurance bands with ',', and topology uses both (events ';',
+#: device-class attributes ',').
+SCENARIO_FLAGS = {
+    "faults": (",", "fail:3@100;slow:5@50x0.5", "healthy"),
+    "endurance": (";", "pe:3000@0-3,10000@4-7", "unlimited rated lifetime"),
+    "service": (",", "rate:800;queue:64", "no request-level timing"),
+    "topology": ("|", "add:4@128/cap:2,rate:1600;drain:0@192", "static cluster"),
+    "redundancy": (",", "ec:4+2", "no redundancy"),
 }
+SCENARIO_SEPS = {name: sep for name, (sep, _example, _none) in SCENARIO_FLAGS.items()}
+
+
+def _add_scenario_args(ap: argparse.ArgumentParser, grid: bool) -> None:
+    """``--faults`` ... ``--redundancy``: one spec each, or with ``grid`` a
+    separated list of specs that become extra sweep grid axes."""
+    for name, (sep, example, none) in SCENARIO_FLAGS.items():
+        if grid:
+            text = (
+                f"'{sep}'-separated {name} specs as an extra grid axis "
+                f"('none' = {none}), e.g. 'none{sep}{example}'"
+            )
+        else:
+            text = f"{name} spec, e.g. '{example}' ('none' = {none})"
+        ap.add_argument(
+            f"--{name}", default="", metavar="SPECS" if grid else "SPEC", help=text
+        )
 
 
 def _scenarios(value: str, sep: str) -> list[str]:
@@ -273,40 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--osds", type=int, default=16)
     run_p.add_argument("--policy", choices=POLICY_CHOICES, default="cmt")
     run_p.add_argument("--seed", type=int, default=12345)
-    run_p.add_argument(
-        "--faults",
-        default="",
-        metavar="SPEC",
-        help="fault scenario, e.g. 'fail:3@100;slow:5@50x0.5' ('none' = healthy)",
-    )
-    run_p.add_argument(
-        "--endurance",
-        default="",
-        metavar="SPEC",
-        help="endurance model, e.g. 'pe:5000' or 'pe:3000@0-3,10000@4-7' "
-        "('none' = unlimited rated lifetime)",
-    )
-    run_p.add_argument(
-        "--service",
-        default="",
-        metavar="SPEC",
-        help="service model, e.g. 'rate:800;queue:64' or 'rate:800;rate:400@0-3' "
-        "('none' = no request-level timing)",
-    )
-    run_p.add_argument(
-        "--topology",
-        default="",
-        metavar="SPEC",
-        help="topology plan, e.g. 'add:4@128/cap:2,rate:1600;drain:0@192' "
-        "('none' = static cluster)",
-    )
-    run_p.add_argument(
-        "--redundancy",
-        default="",
-        metavar="SPEC",
-        help="redundancy scheme, e.g. 'rep:3' (3-way replication) or 'ec:4+2' "
-        "(4 data + 2 parity chunks per group; 'none' = no redundancy)",
-    )
+    _add_scenario_args(run_p, grid=False)
     run_p.add_argument(
         "--explain",
         nargs="?",
@@ -376,46 +362,7 @@ def main(argv: list[str] | None = None) -> int:
         "slim per-config summaries in the parent (memory independent of grid "
         "size; incompatible with --no-cache)",
     )
-    sweep_p.add_argument(
-        "--faults",
-        default="",
-        metavar="SPECS",
-        help="comma-separated fault scenarios as an extra grid axis "
-        "(events within a scenario join with ';'; 'none' = healthy), "
-        "e.g. 'none,fail:3@100;slow:5@50x0.5'",
-    )
-    sweep_p.add_argument(
-        "--endurance",
-        default="",
-        metavar="SPECS",
-        help="semicolon-separated endurance models as an extra grid axis "
-        "(bands within a model join with ','; 'none' = unlimited), "
-        "e.g. 'none;pe:5000;pe:3000@0-3,10000@4-7'",
-    )
-    sweep_p.add_argument(
-        "--service",
-        default="",
-        metavar="SPECS",
-        help="comma-separated service models as an extra grid axis "
-        "(clauses within a model join with ';'; 'none' = no request-level "
-        "timing), e.g. 'none,rate:800;queue:64'",
-    )
-    sweep_p.add_argument(
-        "--topology",
-        default="",
-        metavar="SPECS",
-        help="'|'-separated topology plans as an extra grid axis (plans use "
-        "';' and ',' internally; 'none' = static cluster), e.g. "
-        "'none|add:4@128/cap:2,rate:1600;drain:0@192'",
-    )
-    sweep_p.add_argument(
-        "--redundancy",
-        default="",
-        metavar="SPECS",
-        help="comma-separated redundancy schemes as an extra grid axis "
-        "(a scheme is a single 'rep:N' or 'ec:M+K' clause; 'none' = no "
-        "redundancy), e.g. 'none,rep:3,ec:4+2'",
-    )
+    _add_scenario_args(sweep_p, grid=True)
     sweep_p.add_argument(
         "--quick",
         action="store_true",

@@ -32,24 +32,22 @@ ENGINE_VERSION = 5
 # bump only to intentionally re-randomize every workload.
 SEED_SCHEMA_VERSION = 2
 
-# Fields excluded from the seed material.  The seed-material field set is
-# frozen at what SEED_SCHEMA_VERSION=2 hashed: every field added to SimConfig
-# since (fault scenarios, the endurance model and its knobs) must be listed
-# here, both because it must not perturb the frozen hash and because none of
-# them describe the *traffic* -- a degraded or endurance-rated cluster
-# replays exactly the healthy run's request stream.  The service model and
-# its knobs likewise only time the cluster's *response* to the traffic,
-# never the traffic itself.
-SEED_EXCLUDED_FIELDS = (
-    "faults",
-    "endurance",
-    "wear_rate_alpha",
-    "endurance_weight",
-    "service",
-    "service_migration_cost",
-    "service_cooldown_epochs",
-    "topology",
-    "redundancy",
+# The fields that make up the seed material: exactly what
+# SEED_SCHEMA_VERSION=2 hashed, so a field added to SimConfig stays out of
+# the traffic seed unless it is listed here (which re-seeds every workload).
+# None of the fields added since -- fault scenarios, the endurance, service,
+# topology and redundancy models and their knobs -- describe the *traffic*:
+# a degraded, rated, serviced, elastic or redundant cluster replays exactly
+# the plain run's request stream.  ``policy`` and the migration knobs do not
+# describe the traffic either, but dropping them re-seeds every workload, so
+# that waits for a deliberate SEED_SCHEMA_VERSION bump.
+SEED_FIELDS = (
+    "workload", "num_osds", "policy", "skew", "seed",
+    "epochs", "requests_per_epoch", "chunks_per_osd",
+    "heat_alpha", "load_alpha",
+    "wear_per_write", "migration_write_cost", "chunk_size_mb",
+    "migrate_interval", "overload_tolerance", "max_migrations_per_interval",
+    "migration_cooldown_epochs", "wear_weight",
 )
 
 # The scenario spec fields, in parse and cache-name order, with the tag that
@@ -327,16 +325,15 @@ def config_hash(cfg: SimConfig) -> str:
 def seed_material_hash(cfg: SimConfig) -> str:
     """Stable hash of the fields that identify a config's workload streams.
 
-    Unlike :func:`config_hash` (the cache key), this excludes every field in
-    :data:`SEED_EXCLUDED_FIELDS` -- fault scenarios and endurance ratings
-    degrade the *cluster*, never the traffic, so such runs replay exactly
-    the healthy run's request stream -- and pins
-    :data:`SEED_SCHEMA_VERSION` instead of :data:`ENGINE_VERSION`, so engine
-    format bumps don't silently reseed every workload.
+    Unlike :func:`config_hash` (the cache key), this hashes only the
+    fields in :data:`SEED_FIELDS` -- scenario layers degrade or time the
+    *cluster*, never the traffic, so such runs replay exactly the plain
+    run's request stream -- and pins :data:`SEED_SCHEMA_VERSION` instead of
+    :data:`ENGINE_VERSION`, so engine format bumps don't silently reseed
+    every workload.
     """
-    payload = {"engine_version": SEED_SCHEMA_VERSION, **cfg.to_dict()}
-    for field_name in SEED_EXCLUDED_FIELDS:
-        payload.pop(field_name, None)
+    payload = {"engine_version": SEED_SCHEMA_VERSION}
+    payload.update((name, getattr(cfg, name)) for name in SEED_FIELDS)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -14,6 +14,9 @@ Three pillars, all off the hot path by default:
   decompositions captured by :class:`DecisionRecorder`, queried by
   ``edm explain``.
 
+All three logs are one JSONL format: each module declares its records as a
+:class:`edm.files.RecordSchema` and writes and reads them through that codec.
+
 Plus :mod:`edm.obs.log` (the package logger behind ``-v``/``--log-level``)
 and :mod:`edm.obs.progress` (the live sweep progress line).
 """

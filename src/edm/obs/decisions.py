@@ -27,12 +27,12 @@ that gave the winner its margin over the runner-up -- per policy with
 
 from __future__ import annotations
 
-import json
 import os
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from edm.files import RecordSchema, append_jsonl, read_jsonl
 from edm.telemetry.recorder import Recorder
 
 #: Bump when the decision-record field set changes incompatibly.
@@ -41,19 +41,19 @@ DECISION_SCHEMA_VERSION = 1
 #: What drove a destination pick.
 TRIGGERS = ("threshold", "fault", "wearout", "drain")
 
-#: Fields every serialized decision record must carry.
-DECISION_FIELDS = (
-    "schema",
-    "epoch",
-    "trigger",
-    "policy",
-    "chunk",
-    "src",
-    "dst",
-    "candidates",
-    "terms",
-    "scores",
-)
+#: Fields every serialized decision record must carry, with their types.
+DECISION_FIELDS = {
+    "schema": int,
+    "epoch": int,
+    "trigger": str,
+    "policy": str,
+    "chunk": int,
+    "src": int,
+    "dst": int,
+    "candidates": list,
+    "terms": dict,
+    "scores": list,
+}
 
 
 @dataclass(frozen=True)
@@ -137,22 +137,9 @@ def decisive_term(record: dict) -> str | None:
     return best_name
 
 
-def validate_decision(record: dict) -> list[str]:
-    """Schema problems with one decision record (empty list == valid)."""
+def _check_decision(record: dict) -> list[str]:
+    """Cross-field problems: the trigger, the lengths, and the winner."""
     problems: list[str] = []
-    if not isinstance(record, dict):
-        return [f"record is {type(record).__name__}, not dict"]
-    for fld in DECISION_FIELDS:
-        if fld not in record:
-            problems.append(f"missing field {fld!r}")
-    if problems:
-        return problems
-    if not isinstance(record["schema"], int):
-        return ["schema is not an int"]
-    if record["schema"] > DECISION_SCHEMA_VERSION:
-        return [
-            f"schema {record['schema']} newer than supported {DECISION_SCHEMA_VERSION}"
-        ]
     if record["trigger"] not in TRIGGERS:
         problems.append(f"unknown trigger {record['trigger']!r}")
     n = len(record["candidates"])
@@ -164,6 +151,14 @@ def validate_decision(record: dict) -> list[str]:
     if not problems and record["dst"] not in record["candidates"]:
         problems.append(f"dst {record['dst']} not among candidates")
     return problems
+
+
+_SCHEMA = RecordSchema(DECISION_FIELDS, version=DECISION_SCHEMA_VERSION, check=_check_decision)
+
+
+def validate_decision(record: dict) -> list[str]:
+    """Schema problems with one decision record (empty list == valid)."""
+    return _SCHEMA.problems(record)
 
 
 class DecisionRecorder(Recorder):
@@ -182,16 +177,12 @@ class DecisionRecorder(Recorder):
         self.decisions: deque[Decision] = deque(maxlen=capacity)
         self.path = Path(path) if path is not None else None
         self.total = 0  # all decisions seen, including ring-evicted ones
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def on_decision(self, state, decision: Decision) -> None:
         self.decisions.append(decision)
         self.total += 1
         if self.path is not None:
-            line = json.dumps(decision.to_record(), separators=(",", ":")) + "\n"
-            with open(self.path, "a", encoding="utf-8") as f:
-                f.write(line)
+            append_jsonl(self.path, (decision.to_record(),))
 
     def records(self) -> list[dict]:
         """The retained decisions, serialized (oldest first)."""
@@ -209,25 +200,7 @@ def read_decision_log(path: str | os.PathLike, strict: bool = True) -> list[dict
     schema violation; ``strict=False`` skips bad lines (forward-compat with
     newer-schema records).
     """
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: not JSON: {e}") from e
-                continue
-            problems = validate_decision(record)
-            if problems:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {'; '.join(problems)}")
-                continue
-            records.append(record)
-    return records
+    return read_jsonl(path, validate_decision, strict)
 
 
 def query_decisions(

@@ -4,10 +4,10 @@ One append-only file records everything a sweep did: a ``sweep_start`` /
 ``sweep_end`` pair from the parent process and a ``run_start`` / ``run_end``
 pair per simulated config, emitted *from inside the worker* that ran it
 (mirroring the ``.npz`` streaming path, so the parent never buffers log
-payloads).  Every record is a single JSON object on its own line; writers
-open the file in append mode and emit each record as one ``write`` of one
-``\\n``-terminated line, which keeps concurrent worker appends intact on
-POSIX filesystems.
+payloads).  Records use the JSONL line format shared with the decision and
+span logs (:mod:`edm.files`): one JSON object per line, each appended as
+one ``write``, which keeps concurrent worker appends intact on POSIX
+filesystems.
 
 Record schema (all records)::
 
@@ -44,16 +44,12 @@ to check any single record against the schema.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 import uuid
 from pathlib import Path
 
-EVENTS = (
-    "sweep_start", "sweep_end", "run_start", "run_end", "fault", "topology",
-    "service",
-)
+from edm.files import NUMBER, RecordSchema, append_jsonl, read_jsonl
 
 #: Bump when the record field set changes incompatibly.  Readers skip (or,
 #: in strict mode, reject) records stamped with a *newer* schema than they
@@ -93,6 +89,17 @@ EVENT_FIELDS = {
     ),
     "service": ("run_id", "config", "lat_p50", "lat_p99", "lat_p999", "requests", "dropped"),
 }
+EVENTS = tuple(EVENT_FIELDS)
+
+#: Types checked on top of presence; every other field accepts any value.
+_FIELD_TYPES = {"ts": NUMBER, "timings": dict}
+_SCHEMAS = {
+    event: RecordSchema(
+        {f: _FIELD_TYPES.get(f, object) for f in BASE_FIELDS + names},
+        version=RUNLOG_SCHEMA_VERSION,
+    )
+    for event, names in EVENT_FIELDS.items()
+}
 
 
 def new_id() -> str:
@@ -124,38 +131,18 @@ class RunLogWriter:
             "pid": os.getpid(),
             **fields,
         }
-        line = json.dumps(record, sort_keys=False, separators=(",", ":")) + "\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(line)
+        append_jsonl(self.path, (record,))
         return record
 
 
 def validate_record(record: dict) -> list[str]:
     """Return a list of schema problems with ``record`` (empty == valid)."""
-    problems: list[str] = []
     if not isinstance(record, dict):
         return [f"record is {type(record).__name__}, not dict"]
     event = record.get("event")
     if event not in EVENTS:
         return [f"unknown event {event!r}"]
-    if "schema" in record:
-        schema = record["schema"]
-        if not isinstance(schema, int) or isinstance(schema, bool):
-            return [f"{event}: schema {schema!r} is not an int"]
-        if schema > RUNLOG_SCHEMA_VERSION:
-            return [
-                f"{event}: schema {schema} newer than supported "
-                f"{RUNLOG_SCHEMA_VERSION}"
-            ]
-    for field in BASE_FIELDS + EVENT_FIELDS[event]:
-        if field not in record:
-            problems.append(f"{event}: missing field {field!r}")
-    if "ts" in record and not isinstance(record["ts"], (int, float)):
-        problems.append("ts is not a number")
-    if "timings" in record and not isinstance(record["timings"], dict):
-        problems.append("timings is not a dict")
-    return problems
+    return [f"{event}: {p}" for p in _SCHEMAS[event].problems(record)]
 
 
 def read_run_log(path: str | os.PathLike, strict: bool = True) -> list[dict]:
@@ -164,22 +151,4 @@ def read_run_log(path: str | os.PathLike, strict: bool = True) -> list[dict]:
     ``strict=True`` (the default) raises ``ValueError`` on the first
     malformed line or schema violation; ``strict=False`` skips bad lines.
     """
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: not JSON: {e}") from e
-                continue
-            problems = validate_record(record)
-            if problems:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {'; '.join(problems)}")
-                continue
-            records.append(record)
-    return records
+    return read_jsonl(path, validate_record, strict)

@@ -22,7 +22,7 @@ Typical use::
     metrics = simulate(cfg, tracer=tr)   # metrics["timings"] == tr.summary()
     tr.summary()
     # {"simulate.workload_gen": {"count": 256, "total_s": 0.41, "mean_s": ...},
-    #  "simulate.routing": {...}, ...}
+    #  "simulate.kernel": {...}, ...}
 """
 
 from __future__ import annotations
@@ -128,18 +128,6 @@ class Tracer:
 
         return decorate
 
-    def reset(self) -> None:
-        """Drop all aggregated spans (the nesting stack must be empty)."""
-        self._agg.clear()
-        self._stack.clear()
-        if self._events is not None:
-            self._events.clear()
-
-    @property
-    def records_events(self) -> bool:
-        """True when this tracer keeps individual span occurrences."""
-        return self._events is not None
-
     def events(self) -> list[dict]:
         """Recorded span occurrences as serializable records, start order.
 
@@ -176,21 +164,6 @@ class Tracer:
             }
             for path, (count, total) in self._agg.items()
         }
-
-    def total_seconds(self, prefix: str = "") -> float:
-        """Sum of ``total_s`` over *top-level* spans matching ``prefix``.
-
-        Only spans with no parent (no ``.`` beyond the prefix itself) are
-        summed, so nested spans are not double-counted.
-        """
-        total = 0.0
-        for path, (_, secs) in self._agg.items():
-            if not path.startswith(prefix):
-                continue
-            if "." in path[len(prefix):].lstrip("."):
-                continue
-            total += secs
-        return total
 
 
 class NullTracer(Tracer):

@@ -19,38 +19,29 @@ from __future__ import annotations
 
 import json
 import os
-from pathlib import Path
 
-#: Fields every span-event record must carry.
-SPAN_EVENT_FIELDS = ("name", "ts", "dur", "pid", "tid")
+from edm.files import NUMBER, RecordSchema, append_jsonl, atomic_write, read_jsonl
+
+#: Fields every span-event record must carry, with their types.
+SPAN_EVENT_FIELDS = {"name": str, "ts": NUMBER, "dur": NUMBER, "pid": int, "tid": int}
+
+_SCHEMA = RecordSchema(SPAN_EVENT_FIELDS)
 
 
 def validate_span_event(record: dict) -> list[str]:
     """Schema problems with one span-event record (empty list == valid)."""
-    if not isinstance(record, dict):
-        return [f"record is {type(record).__name__}, not dict"]
-    problems = [f"missing field {f!r}" for f in SPAN_EVENT_FIELDS if f not in record]
-    if problems:
-        return problems
-    if not isinstance(record["name"], str):
-        problems.append("name is not a string")
-    for f in ("ts", "dur"):
-        if not isinstance(record[f], (int, float)) or isinstance(record[f], bool):
-            problems.append(f"{f} is not a number")
-    for f in ("pid", "tid"):
-        if not isinstance(record[f], int) or isinstance(record[f], bool):
-            problems.append(f"{f} is not an int")
-    return problems
+    return _SCHEMA.problems(record)
 
 
 def write_span_events(tracer, path: str | os.PathLike, label: str | None = None) -> int:
     """Append a tracer's recorded span events to a JSONL file.
 
     One JSON object per line, written as a single append so concurrent
-    workers' batches interleave without tearing lines (the run-log
-    convention).  ``label`` tags every event (e.g. the config's cache name)
-    so a merged multi-run timeline stays attributable.  Returns the number
-    of events written; a tracer without ``record_events=True`` writes none.
+    workers' batches interleave without tearing lines (the JSONL format
+    shared with the run and decision logs, :mod:`edm.files`).  ``label``
+    tags every event (e.g. the config's cache name) so a merged multi-run
+    timeline stays attributable.  Returns the number of events written; a
+    tracer without ``record_events=True`` writes none.
     """
     events = tracer.events()
     if not events:
@@ -58,11 +49,7 @@ def write_span_events(tracer, path: str | os.PathLike, label: str | None = None)
     if label is not None:
         for event in events:
             event["label"] = label
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    lines = "".join(json.dumps(e, separators=(",", ":")) + "\n" for e in events)
-    with open(out, "a", encoding="utf-8") as f:
-        f.write(lines)
+    append_jsonl(path, events)
     return len(events)
 
 
@@ -72,24 +59,7 @@ def read_span_events(path: str | os.PathLike, strict: bool = True) -> list[dict]
     ``strict=True`` raises ``ValueError`` on the first malformed line;
     ``strict=False`` skips bad lines.
     """
-    records: list[dict] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: not JSON: {e}") from e
-                continue
-            problems = validate_span_event(record)
-            if problems:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: {'; '.join(problems)}")
-                continue
-            records.append(record)
+    records = read_jsonl(path, validate_span_event, strict)
     records.sort(key=lambda e: (e["ts"], -e["dur"]))
     return records
 
@@ -145,10 +115,6 @@ def export_chrome_trace(
     Returns the number of span events exported.
     """
     events = read_span_events(in_path, strict=strict)
-    trace = to_chrome_trace(events)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as f:
-        json.dump(trace, f, separators=(",", ":"))
-        f.write("\n")
+    text = json.dumps(to_chrome_trace(events), separators=(",", ":")) + "\n"
+    atomic_write(out_path, lambda f: f.write(text.encode("utf-8")))
     return len(events)

@@ -1,8 +1,8 @@
 """Aggregate cached sweep results into the paper's comparison table.
 
-Reads every metrics pickle in a ``.repro-cache``-style directory, drops stale
-entries (engine-version or config drift, judged by recomputing the content
-hash from the stored config), and aggregates policy x workload cells --
+Reads every metrics pickle in a ``.repro-cache``-style directory, skips stale
+entries (engine-version or config drift; see :func:`edm.cache.read_entry`)
+without deleting them, and aggregates policy x workload cells --
 load CoV, wear spread, wear CoV, migration cost -- averaged across cluster
 sizes and seeds.  Serviced runs add tail-latency columns (p50/p99/p999 and
 the migration-spike ratio), elastic runs add topology columns (cold-drive
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-import pickle
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
-from edm.config import SimConfig, config_hash
+from edm.cache import read_entry
 
 # (metrics key, column header, format spec)
 TABLE_COLUMNS = (
@@ -65,32 +64,22 @@ class LoadedResults:
 
 
 def load_cached_metrics(cache_dir: str | Path) -> LoadedResults:
-    """Load every valid metrics payload under ``cache_dir`` (sorted by name).
+    """Load every fresh metrics payload under ``cache_dir`` (sorted by name).
 
-    The stored config is rebuilt from the fields ``SimConfig`` still has, so
-    an entry written while the config carried a since-removed field (which
-    never fed the hash) stays readable; the recomputed ``config_hash`` still
-    rejects any entry whose hashed content differs.
+    Freshness is :func:`~edm.cache.read_entry`'s; stale entries are counted
+    and left on disk.
     """
-    known = {f.name for f in fields(SimConfig)}
     rows: list[dict] = []
     stale = 0
     for path in sorted(Path(cache_dir).glob("*.pkl")):
         try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-            cfg = SimConfig.from_dict(
-                {k: v for k, v in payload["config"].items() if k in known}
-            )
-            fresh = payload["config_hash"] == config_hash(cfg)
-            metrics = payload["metrics"]
-        except Exception:
+            payload = read_entry(path)
+        except FileNotFoundError:  # invalidated by a concurrent sweep
+            payload = None
+        if payload is None:
             stale += 1
-            continue
-        if not fresh or not isinstance(metrics, dict):
-            stale += 1
-            continue
-        rows.append(metrics)
+        else:
+            rows.append(payload["metrics"])
     return LoadedResults(metrics=rows, stale=stale)
 
 

@@ -375,8 +375,6 @@ def sweep(
 
     cache = ResultCache(cache_dir) if use_cache else None
     ts_dir = Path(timeseries_dir) if timeseries_dir is not None else None
-    if ts_dir is not None:
-        ts_dir.mkdir(parents=True, exist_ok=True)
     slots: list[dict | None] = [None] * len(configs)
     pending: list[int] = []
 

@@ -22,6 +22,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from edm.files import atomic_write
 from edm.telemetry.recorder import Recorder, mean_std
 
 #: Metric family types this exporter emits.
@@ -134,11 +135,8 @@ class MetricsRegistry:
 
     def write(self, path: str | os.PathLike) -> None:
         """Atomically replace ``path`` with the rendered exposition."""
-        out = Path(path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        tmp = out.with_name(out.name + ".tmp")
-        tmp.write_text(self.render(), encoding="utf-8")
-        os.replace(tmp, out)
+        text = self.render().encode("utf-8")
+        atomic_write(path, lambda f: f.write(text))
 
 
 #: metrics-dict key -> (family name, type, help).  Keys absent from a run's

@@ -20,14 +20,14 @@ from __future__ import annotations
 import csv
 import json
 import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from edm.config import SimConfig, config_hash
+from edm.files import atomic_write
 from edm.telemetry.recorder import EpochStats, Recorder, mean_std
 from edm.topology.spec import TopologyPlan
 
@@ -46,23 +46,15 @@ if TYPE_CHECKING:
 #    to the plan's maximum cluster width, zero-filled before a drive joins.
 SERIES_FORMAT_VERSION = 5
 
-_ARRAY_FIELDS = (
-    "epoch",
-    "load",
-    "load_cov",
-    "load_peak_ratio",
-    "wear",
-    "wear_cov",
-    "migrations",
-    "alive",
-    "replacements",
-    "remaining_life_min",
-    "remaining_life_mean",
-    "queue_depth_mean",
-    "queue_depth_cov",
-    "service_lat_mean",
-    "osds_total",
-)
+#: Columns holding one value per OSD ([T, N]); the rest hold one per sample.
+_PER_OSD_COLUMNS = ("load", "wear")
+#: int64 columns; the rest are float64.
+_INT_COLUMNS = ("epoch", "migrations", "alive", "replacements", "osds_total")
+
+
+def _dtype(column: str) -> type:
+    return np.int64 if column in _INT_COLUMNS else np.float64
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -100,24 +92,14 @@ class TimeSeries:
 
     def save_npz(self, path: str | os.PathLike) -> Path:
         """Write a compressed ``.npz`` atomically (temp file, then rename)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                np.savez_compressed(
-                    f,
-                    meta=np.asarray(json.dumps(self.meta, sort_keys=True)),
-                    **{k: getattr(self, k) for k in _ARRAY_FIELDS},
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except FileNotFoundError:
-                pass
-            raise
-        return path
+        return atomic_write(
+            path,
+            lambda f: np.savez_compressed(
+                f,
+                meta=np.asarray(json.dumps(self.meta, sort_keys=True)),
+                **{k: getattr(self, k) for k in _ARRAY_FIELDS},
+            ),
+        )
 
     @classmethod
     def load_npz(cls, path: str | os.PathLike) -> "TimeSeries":
@@ -147,48 +129,28 @@ class TimeSeries:
         return out
 
     def save_json(self, path: str | os.PathLike) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json_dict()) + "\n")
-        return path
+        text = json.dumps(self.to_json_dict()) + "\n"
+        return atomic_write(path, lambda f: f.write(text.encode()))
 
     def save_csv(self, path: str | os.PathLike) -> Path:
         """One row per sample: scalar columns, then per-OSD load/wear columns."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         n = self.num_osds
-        header = (
-            ["epoch", "load_cov", "load_peak_ratio", "wear_cov", "migrations",
-             "alive", "replacements", "remaining_life_min", "remaining_life_mean",
-             "queue_depth_mean", "queue_depth_cov", "service_lat_mean",
-             "osds_total"]
-            + [f"load_osd{i}" for i in range(n)]
-            + [f"wear_osd{i}" for i in range(n)]
-        )
+        header = [*_SCALAR_COLUMNS, *(f"{k}_osd{i}" for k in _PER_OSD_COLUMNS for i in range(n))]
+        scalars = [getattr(self, k).astype(_dtype(k)).tolist() for k in _SCALAR_COLUMNS]
+        per_osd = [getattr(self, k).astype(np.float64).tolist() for k in _PER_OSD_COLUMNS]
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(header)
             for t in range(self.num_samples):
-                w.writerow(
-                    [
-                        int(self.epoch[t]),
-                        float(self.load_cov[t]),
-                        float(self.load_peak_ratio[t]),
-                        float(self.wear_cov[t]),
-                        int(self.migrations[t]),
-                        int(self.alive[t]),
-                        int(self.replacements[t]),
-                        float(self.remaining_life_min[t]),
-                        float(self.remaining_life_mean[t]),
-                        float(self.queue_depth_mean[t]),
-                        float(self.queue_depth_cov[t]),
-                        float(self.service_lat_mean[t]),
-                        int(self.osds_total[t]),
-                    ]
-                    + [float(v) for v in self.load[t]]
-                    + [float(v) for v in self.wear[t]]
-                )
+                w.writerow([c[t] for c in scalars] + [v for c in per_osd for v in c[t]])
         return path
+
+
+#: Every array column, in declaration (and export) order.
+_ARRAY_FIELDS = tuple(f.name for f in fields(TimeSeries) if f.name != "meta")
+_SCALAR_COLUMNS = tuple(k for k in _ARRAY_FIELDS if k not in _PER_OSD_COLUMNS)
 
 
 class TimeSeriesRecorder(Recorder):
@@ -218,21 +180,10 @@ class TimeSeriesRecorder(Recorder):
         n = TopologyPlan.parse(cfg.topology, num_osds=cfg.num_osds).max_osds(
             cfg.num_osds
         )
-        self._epoch = np.zeros(cap, dtype=np.int64)
-        self._load = np.zeros((cap, n))
-        self._load_cov = np.zeros(cap)
-        self._peak = np.zeros(cap)
-        self._wear = np.zeros((cap, n))
-        self._wear_cov = np.zeros(cap)
-        self._migrations = np.zeros(cap, dtype=np.int64)
-        self._alive = np.zeros(cap, dtype=np.int64)
-        self._replacements = np.zeros(cap, dtype=np.int64)
-        self._life_min = np.zeros(cap)
-        self._life_mean = np.zeros(cap)
-        self._qd_mean = np.zeros(cap)
-        self._qd_cov = np.zeros(cap)
-        self._lat_mean = np.zeros(cap)
-        self._osds_total = np.zeros(cap, dtype=np.int64)
+        self._cols = {
+            k: np.zeros((cap, n) if k in _PER_OSD_COLUMNS else cap, dtype=_dtype(k))
+            for k in _ARRAY_FIELDS
+        }
         self._i = 0
         self._window = 0       # moves applied since the last recorded sample
         self._repl_window = 0  # failure re-placements since the last sample
@@ -258,18 +209,19 @@ class TimeSeriesRecorder(Recorder):
         if cfg is None:
             raise RuntimeError("finalize() before on_run_start(); pass the recorder to simulate()")
         last = cfg.epochs - 1
-        if self._i and self._epoch[self._i - 1] == last:
+        c = self._cols
+        if self._i and c["epoch"][self._i - 1] == last:
             # The last sample already landed on the final epoch, but migrations
             # (and their wear) from that epoch's interval fired *after* it was
             # recorded -- fold them in so the final row is truly end-of-run.
             i = self._i - 1
-            self._migrations[i] += self._window
+            c["migrations"][i] += self._window
             self._window = 0
-            self._replacements[i] += self._repl_window
+            c["replacements"][i] += self._repl_window
             self._repl_window = 0
-            self._wear[i, : state.osd_wear.size] = state.osd_wear
+            c["wear"][i, : state.osd_wear.size] = state.osd_wear
             wm = state.osd_wear.mean()
-            self._wear_cov[i] = float(state.osd_wear.std() / wm) if wm > 0 else 0.0
+            c["wear_cov"][i] = float(state.osd_wear.std() / wm) if wm > 0 else 0.0
             self._record_lifetime(i, state)
         else:
             self._record(last, final_load, state)
@@ -292,51 +244,40 @@ class TimeSeriesRecorder(Recorder):
                 "service": cfg.service,
                 "topology": cfg.topology,
             },
-            epoch=self._epoch[:i].copy(),
-            load=self._load[:i].copy(),
-            load_cov=self._load_cov[:i].copy(),
-            load_peak_ratio=self._peak[:i].copy(),
-            wear=self._wear[:i].copy(),
-            wear_cov=self._wear_cov[:i].copy(),
-            migrations=self._migrations[:i].copy(),
-            alive=self._alive[:i].copy(),
-            replacements=self._replacements[:i].copy(),
-            remaining_life_min=self._life_min[:i].copy(),
-            remaining_life_mean=self._life_mean[:i].copy(),
-            queue_depth_mean=self._qd_mean[:i].copy(),
-            queue_depth_cov=self._qd_cov[:i].copy(),
-            service_lat_mean=self._lat_mean[:i].copy(),
-            osds_total=self._osds_total[:i].copy(),
+            **{k: buf[:i].copy() for k, buf in c.items()},
         )
         return self.series
 
     def _record_lifetime(self, i: int, state: "ClusterState") -> None:
         rem = state.remaining_life()[state.osd_alive]
-        self._life_min[i] = rem.min() if rem.size else 0.0
-        self._life_mean[i] = rem.mean() if rem.size else 0.0
+        self._cols["remaining_life_min"][i] = rem.min() if rem.size else 0.0
+        self._cols["remaining_life_mean"][i] = rem.mean() if rem.size else 0.0
 
     def _record(self, epoch: int, load: np.ndarray, state: "ClusterState") -> None:
+        c = self._cols
         wear = state.osd_wear
         i = self._i
-        self._epoch[i] = epoch
+        c["epoch"][i] = epoch
         # Partial-width assignment: under an elastic topology the live
         # arrays are narrower than the plan-width buffers until the last
         # scale-out fires (a full-width assignment when sizes match).
-        self._load[i, : load.size] = load
+        c["load"][i, : load.size] = load
         mean, std = mean_std(load)
         if mean > 0:
-            self._load_cov[i] = std / mean
-            self._peak[i] = load.max() / mean
-        self._wear[i, : wear.size] = wear
+            c["load_cov"][i] = std / mean
+            c["load_peak_ratio"][i] = load.max() / mean
+        c["wear"][i, : wear.size] = wear
         wm, wsd = mean_std(wear)
         if wm > 0:
-            self._wear_cov[i] = wsd / wm
-        self._migrations[i] = self._window
+            c["wear_cov"][i] = wsd / wm
+        c["migrations"][i] = self._window
         self._window = 0
-        self._alive[i] = int(state.osd_alive.sum())
-        self._replacements[i] = self._repl_window
+        c["alive"][i] = int(state.osd_alive.sum())
+        c["replacements"][i] = self._repl_window
         self._repl_window = 0
         self._record_lifetime(i, state)
-        self._qd_mean[i], self._qd_cov[i], self._lat_mean[i] = self._svc_last
-        self._osds_total[i] = state.num_osds
+        c["queue_depth_mean"][i], c["queue_depth_cov"][i], c["service_lat_mean"][i] = (
+            self._svc_last
+        )
+        c["osds_total"][i] = state.num_osds
         self._i = i + 1

@@ -209,7 +209,7 @@ def test_validate_decision_flags_problems():
     assert validate_decision([]) == ["record is list, not dict"]
     missing = {k: v for k, v in good.items() if k != "trigger"}
     assert any("trigger" in p for p in validate_decision(missing))
-    assert validate_decision({**good, "schema": "2"}) == ["schema is not an int"]
+    assert validate_decision({**good, "schema": "2"}) == ["schema '2' is not an int"]
     assert any(
         "newer" in p
         for p in validate_decision({**good, "schema": DECISION_SCHEMA_VERSION + 1})

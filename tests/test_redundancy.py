@@ -13,7 +13,7 @@ import pytest
 
 from conftest import cfg_factory
 from edm import report as report_mod
-from edm.config import SEED_EXCLUDED_FIELDS, SimConfig, config_hash
+from edm.config import SEED_FIELDS, SimConfig, config_hash
 from edm.engine.core import simulate
 from edm.engine.state import init_state
 from edm.redundancy import RedundancyRuntime, RedundancyScheme
@@ -65,7 +65,7 @@ def test_empty_redundancy_leaves_hash_and_name_untouched():
 def test_redundancy_is_seed_excluded():
     # Same derived RNG streams with and without a scheme: the workload replay
     # is identical, only placement and accounting differ.
-    assert "redundancy" in SEED_EXCLUDED_FIELDS
+    assert "redundancy" not in SEED_FIELDS
 
 
 def test_config_rejects_width_wider_than_cluster():

@@ -11,7 +11,7 @@ from edm import report
 from edm.cache import ResultCache
 from edm.cli import main
 from edm.sweep import default_grid, sweep
-from edm.config import POLICIES
+from edm.config import POLICIES, SimConfig
 from edm.telemetry.plots import POLICY_COLORS
 
 TINY = dict(epochs=16, requests_per_epoch=256, chunks_per_osd=8)
@@ -53,6 +53,24 @@ def test_stale_entries_skipped(swept_cache):
     loaded = report.load_cached_metrics(cache_dir)
     assert loaded.stale == 1
     assert len(loaded.metrics) == 7
+
+
+def test_report_leaves_stale_entries_on_disk(swept_cache, capsys):
+    # `edm report` only reads: an entry in another payload format is
+    # counted stale and stays where it is; the sweep's cache deletes it.
+    cache_dir = swept_cache / "cache"
+    victim = sorted(cache_dir.glob("*.pkl"))[0]
+    payload = pickle.loads(victim.read_bytes())
+    payload["payload_version"] = 0
+    victim.write_bytes(pickle.dumps(payload))
+    assert main(["report", str(cache_dir)]) == 0
+    assert "| deasna | baseline |" in capsys.readouterr().out
+    assert report.load_cached_metrics(cache_dir).stale == 1
+    assert victim.exists()
+    cache = ResultCache(cache_dir)
+    assert cache.load(SimConfig.from_dict(payload["config"])) is None
+    assert cache.invalidated == 1
+    assert not victim.exists()
 
 
 def test_entry_with_removed_kernel_field_is_fresh(tmp_path):

@@ -1,5 +1,6 @@
 """Telemetry layer: hook ordering, no-op overhead, series shape, round-trips."""
 
+import csv
 import json
 
 import numpy as np
@@ -159,14 +160,28 @@ def test_csv_and_json_export(small_cfg, tmp_path):
         "queue_depth_mean,queue_depth_cov,service_lat_mean,osds_total"
     )
     assert lines[0].count(",") == 12 + 2 * s.num_osds
+    # Every cell is the array value, written as its Python repr.
+    header, *rows = csv.reader(lines)
+    assert len(rows) == s.num_samples
+    for t, row in enumerate(rows):
+        assert len(row) == len(header)
+        cells = dict(zip(header, row))
+        for name in _ARRAY_FIELDS:
+            values = getattr(s, name)[t]
+            if values.ndim:
+                got = [cells[f"{name}_osd{i}"] for i in range(s.num_osds)]
+                assert got == [repr(v) for v in values.tolist()], (t, name)
+            else:
+                assert cells[name] == repr(values.item()), (t, name)
 
     json_path = s.save_json(tmp_path / "series.json")
-    import json
-
     payload = json.loads(json_path.read_text())
+    assert list(payload) == ["meta", *_ARRAY_FIELDS]
     assert payload["meta"] == s.meta
     assert payload["epoch"] == s.epoch.tolist()
     assert payload["wear"] == s.wear.tolist()
+    for name in _ARRAY_FIELDS:
+        assert payload[name] == getattr(s, name).tolist(), name
 
 
 TINY = dict(epochs=16, requests_per_epoch=256, chunks_per_osd=8)

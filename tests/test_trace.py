@@ -64,27 +64,6 @@ def test_decorator_default_name_is_qualname():
     assert any("helper" in k for k in tr.summary())
 
 
-def test_total_seconds_sums_only_top_level():
-    tr = Tracer()
-    with tr.span("a"):
-        with tr.span("b"):
-            pass
-    with tr.span("c"):
-        pass
-    total = tr.total_seconds()
-    assert total == pytest.approx(
-        tr.summary()["a"]["total_s"] + tr.summary()["c"]["total_s"]
-    )
-
-
-def test_reset_clears_aggregation():
-    tr = Tracer()
-    with tr.span("x"):
-        pass
-    tr.reset()
-    assert tr.summary() == {}
-
-
 def test_null_tracer_is_disabled_and_empty():
     assert NULL_TRACER.enabled is False
     with NULL_TRACER.span("anything"):

@@ -50,15 +50,7 @@ def test_tracer_without_recording_has_no_events():
     tr = Tracer()
     with tr.span("a"):
         pass
-    assert tr.records_events is False
     assert tr.events() == []
-
-
-def test_reset_clears_events():
-    tr = nested_tracer()
-    tr.reset()
-    assert tr.events() == []
-    assert tr.summary() == {}
 
 
 # --- JSONL round-trip --------------------------------------------------------
