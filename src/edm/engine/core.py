@@ -2,7 +2,10 @@
 
 One epoch is a handful of O(num_chunks) array ops:
 
-  1. draw per-chunk access/write counts (single multinomial + binomial)
+  1. take the epoch's per-chunk access/write counts (one multinomial +
+     binomial draw) from :func:`edm.workloads.traffic`, which draws them
+     inline or has a forked producer draw them ahead of the engine -- the
+     same draws in the same order either way
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
      scratch buffers
@@ -83,7 +86,7 @@ from edm.redundancy import RedundancyRuntime, RedundancyScheme
 from edm.service import ServiceModel, ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
 from edm.topology import TopologyPlan, TopologyRuntime
-from edm.workloads import make_workload
+from edm.workloads import make_workload, traffic
 
 
 def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> int:
@@ -260,8 +263,11 @@ def simulate(
 
     ``tracer`` (an :class:`edm.obs.Tracer`) times the run's phases -- workload
     generation, the fused epoch kernel (routing + heat/wear EMA updates),
-    observer fan-out, migration selection -- as ``simulate.*`` spans; when enabled, the aggregated span
-    summary is attached to the returned metrics under ``"timings"``.  The
+    observer fan-out, migration selection -- as ``simulate.*`` spans; when
+    enabled, the aggregated span summary is attached to the returned
+    metrics under ``"timings"``.  When a forked producer draws the traffic
+    (see :mod:`edm.workloads.producer`), ``simulate.workload_gen`` times the
+    engine's *wait* for each produced epoch, not the draw itself.  The
     default is the shared :data:`~edm.obs.trace.NULL_TRACER`, whose spans are
     no-ops, so untraced runs stay on the bare hot path.  Timings never feed
     back into the simulation: metrics (minus the ``"timings"`` key) are
@@ -332,83 +338,87 @@ def simulate(
         for rec in observers:
             rec.on_run_start(cfg, state)
         stats = EpochStats()
+        draws = traffic(workload, cfg.epochs)
 
     load = np.zeros(cfg.num_osds)
-    for epoch in range(cfg.epochs):
-        state.epoch = epoch
-        if topology is not None:
-            with tr.span("simulate.topology"):
-                # Topology steps first so faults/endurance/service all see
-                # the grown (or drained) cluster this epoch.
-                for event in topology.step(state, epoch):
-                    moved = 0
-                    if event.kind == "add":
-                        if endurance is not None:
-                            endurance.grow(state)
-                    else:  # drain: evacuate gracefully, then retire
-                        moved = replace_dead_chunks(
-                            state, event.osd, policy, cfg, emit=emit_drain,
-                            redundancy=redundancy,
-                        )
-                        topology.retire(state, event.osd)
-                    for rec in observers:
-                        rec.on_topology(state, event, moved)
-        if faults is not None:
-            with tr.span("simulate.faults"):
-                for event in faults.step(state, epoch):
-                    replaced = 0
-                    if event.kind == "fail":
-                        replaced = replace_dead_chunks(
-                            state, event.osd, policy, cfg, emit=emit_fault,
-                            redundancy=redundancy,
-                        )
-                    for rec in observers:
-                        rec.on_fault(state, event, replaced)
-        if endurance is not None:
-            with tr.span("simulate.endurance"):
-                # Wear-outs ride the fault machinery: same re-placement burst
-                # through the active policy, same on_fault observer fan-out.
-                for event in endurance.step(state, epoch):
-                    replaced = replace_dead_chunks(
-                        state, event.osd, policy, cfg, emit=emit_wearout,
-                        redundancy=redundancy,
-                    )
-                    for rec in observers:
-                        rec.on_fault(state, event, replaced)
-        with tr.span("simulate.workload_gen"):
-            counts, writes = workload.epoch_counts(epoch)
-        with tr.span("simulate.kernel"):
-            # Fused epoch math: routing bincounts, wear accrual, heat/load
-            # EMAs -- one kernel call on preallocated scratch.
-            load = kernel.epoch_update(state, counts, writes)
+    try:
+        for epoch in range(cfg.epochs):
+            state.epoch = epoch
+            if topology is not None:
+                with tr.span("simulate.topology"):
+                    # Topology steps first so faults/endurance/service all see
+                    # the grown (or drained) cluster this epoch.
+                    for event in topology.step(state, epoch):
+                        moved = 0
+                        if event.kind == "add":
+                            if endurance is not None:
+                                endurance.grow(state)
+                        else:  # drain: evacuate gracefully, then retire
+                            moved = replace_dead_chunks(
+                                state, event.osd, policy, cfg, emit=emit_drain,
+                                redundancy=redundancy,
+                            )
+                            topology.retire(state, event.osd)
+                        for rec in observers:
+                            rec.on_topology(state, event, moved)
+            if faults is not None:
+                with tr.span("simulate.faults"):
+                    for event in faults.step(state, epoch):
+                        replaced = 0
+                        if event.kind == "fail":
+                            replaced = replace_dead_chunks(
+                                state, event.osd, policy, cfg, emit=emit_fault,
+                                redundancy=redundancy,
+                            )
+                        for rec in observers:
+                            rec.on_fault(state, event, replaced)
             if endurance is not None:
-                # Fold this epoch's wear delta (routing writes plus any
-                # migration wear applied since the last update) into the
-                # per-OSD wear-rate EWMA before observers and policies look.
-                endurance.update_rate(state)
+                with tr.span("simulate.endurance"):
+                    # Wear-outs ride the fault machinery: same re-placement burst
+                    # through the active policy, same on_fault observer fan-out.
+                    for event in endurance.step(state, epoch):
+                        replaced = replace_dead_chunks(
+                            state, event.osd, policy, cfg, emit=emit_wearout,
+                            redundancy=redundancy,
+                        )
+                        for rec in observers:
+                            rec.on_fault(state, event, replaced)
+            with tr.span("simulate.workload_gen"):
+                counts, writes = next(draws)
+            with tr.span("simulate.kernel"):
+                # Fused epoch math: routing bincounts, wear accrual, heat/load
+                # EMAs -- one kernel call on preallocated scratch.
+                load = kernel.epoch_update(state, counts, writes)
+                if endurance is not None:
+                    # Fold this epoch's wear delta (routing writes plus any
+                    # migration wear applied since the last update) into the
+                    # per-OSD wear-rate EWMA before observers and policies look.
+                    endurance.update_rate(state)
 
-        if service is not None:
-            with tr.span("simulate.service"):
-                # Advance every OSD's queue by one epoch of service against
-                # this epoch's routed arrivals (the kernel's load vector is
-                # exactly the per-OSD request bincount) and fold accepted
-                # requests' latencies into the run histogram; fills the
-                # stats latency/queue fields observers read below.
-                service.step(state, load, stats)
+            if service is not None:
+                with tr.span("simulate.service"):
+                    # Advance every OSD's queue by one epoch of service against
+                    # this epoch's routed arrivals (the kernel's load vector is
+                    # exactly the per-OSD request bincount) and fold accepted
+                    # requests' latencies into the run histogram; fills the
+                    # stats latency/queue fields observers read below.
+                    service.step(state, load, stats)
 
-        with tr.span("simulate.observers"):
-            stats.epoch = epoch
-            stats.requests = int(counts.sum())
-            stats.writes = int(writes.sum())
-            for rec in observers:
-                rec.on_epoch(state, load, stats)
-
-        if (epoch + 1) % cfg.migrate_interval == 0:
-            with tr.span("simulate.migration"):
-                moves = policy.select(state, cfg, emit_threshold)
-                applied = apply_migrations(state, moves, cfg)
+            with tr.span("simulate.observers"):
+                stats.epoch = epoch
+                stats.requests = int(counts.sum())
+                stats.writes = int(writes.sum())
                 for rec in observers:
-                    rec.on_migration(state, applied, stats)
+                    rec.on_epoch(state, load, stats)
+
+            if (epoch + 1) % cfg.migrate_interval == 0:
+                with tr.span("simulate.migration"):
+                    moves = policy.select(state, cfg, emit_threshold)
+                    applied = apply_migrations(state, moves, cfg)
+                    for rec in observers:
+                        rec.on_migration(state, applied, stats)
+    finally:
+        draws.close()
 
     with tr.span("simulate.finalize"):
         state.validate()

@@ -10,6 +10,7 @@ from edm.workloads.deasna import DeasnaTrace
 from edm.workloads.deasna2 import Deasna2Trace
 from edm.workloads.lair62 import Lair62Trace
 from edm.workloads.lair62b import Lair62bTrace
+from edm.workloads.producer import traffic
 
 TRACES: dict[str, type[SyntheticTrace]] = {
     cls.name: cls for cls in (DeasnaTrace, Deasna2Trace, Lair62Trace, Lair62bTrace)
@@ -24,4 +25,4 @@ def make_workload(cfg: SimConfig, rng: np.random.Generator) -> SyntheticTrace:
     return cls(cfg, rng)
 
 
-__all__ = ["TRACES", "make_workload", "SyntheticTrace"]
+__all__ = ["TRACES", "make_workload", "SyntheticTrace", "traffic"]

@@ -5,6 +5,11 @@ exponent, read/write mix, hotspot drift, and burstiness.  The generator is
 fully vectorized: an epoch's accesses are drawn as a single multinomial over
 the chunk-popularity vector (one RNG call per epoch, O(num_chunks)), not as
 per-request samples.
+
+:meth:`SyntheticTrace.draw` is the one draw routine.  ``epoch_counts``
+draws into the trace's own buffers; :func:`edm.workloads.traffic` either
+calls it epoch by epoch or runs ``draw`` ahead of the engine in a forked
+producer.  Either way the same draws come out in the same order.
 """
 
 from __future__ import annotations
@@ -66,22 +71,28 @@ class SyntheticTrace:
             return max(1, int(round(base * scale)))
         return base
 
-    def epoch_counts(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Return (access_counts, write_counts) for one epoch.
+    def draw(self, epoch: int, counts_out: np.ndarray, writes_out: np.ndarray) -> None:
+        """Draw one epoch's (access, write) counts into the given float64 arrays.
 
-        Both are integer-valued **float64** arrays ``[num_chunks]``, written
-        into per-instance buffers reused across epochs: the engine's fused
-        kernel consumes float64 weights directly, so emitting float64 here
-        kills the per-epoch ``astype`` churn at the source.  Callers must
-        finish with an epoch's arrays before requesting the next epoch.
-
-        The underlying integer draws are unchanged from the historical
-        int64 path -- one multinomial over the popularity vector plus an
-        element-wise binomial split into writes.
+        The integer draws are unchanged from the historical int64 path --
+        one multinomial over the popularity vector plus an element-wise
+        binomial split into writes -- and land in ``counts_out`` /
+        ``writes_out`` as integer-valued float64, the dtype the engine's
+        fused kernel consumes without a cast.
         """
         volume = self.epoch_volume(epoch)
         counts = self.rng.multinomial(volume, self.probs(epoch))
         writes = self.rng.binomial(counts, self.write_ratio)
-        np.copyto(self._countsf, counts, casting="unsafe")
-        np.copyto(self._writesf, writes, casting="unsafe")
+        np.copyto(counts_out, counts, casting="unsafe")
+        np.copyto(writes_out, writes, casting="unsafe")
+
+    def epoch_counts(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Return (access_counts, write_counts) for one epoch.
+
+        Both are float64 arrays ``[num_chunks]`` (see :meth:`draw`), written
+        into per-instance buffers reused across epochs, so emitting float64
+        here kills the per-epoch ``astype`` churn at the source.  Callers
+        must finish with an epoch's arrays before requesting the next epoch.
+        """
+        self.draw(epoch, self._countsf, self._writesf)
         return self._countsf, self._writesf

@@ -1,6 +1,6 @@
 """Property-style invariant suite: randomized-but-seeded configurations over
-policy x workload x faults x endurance x service, each run checked
-epoch-by-epoch.
+policy x workload x faults x endurance x service (plus one scale-out and one
+drain case), each run checked epoch-by-epoch.
 
 Invariants (must hold for every policy, healthy or degraded, rated or not,
 serviced or not):
@@ -12,8 +12,8 @@ serviced or not):
   * dead OSDs own no chunks and serve zero load; chunks are conserved
   * queue depths and pending migration work are finite and never negative;
     dead OSDs carry no backlog; unserviced runs never grow a queue
-  * the alive count never increases, and state / metrics / TimeSeries agree
-    on it at every recorded epoch
+  * a dead OSD never comes back (only added drives raise the alive count),
+    and state / metrics / TimeSeries agree on it at every recorded epoch
 
 The sample is drawn from a fixed-seed RNG so failures reproduce exactly;
 every policy appears in the sample by construction.
@@ -32,6 +32,7 @@ SIZING = dict(num_osds=8, epochs=24, requests_per_epoch=512, chunks_per_osd=8)
 FAULT_SCENARIOS = ("", "fail:1@8", "slow:2@4x0.5;fail:1@8", "hiccup:3@6+4x0.25")
 ENDURANCE_MODELS = ("", "pe:900", "pe:1200@0-1,100000@2-7")
 SERVICE_MODELS = ("", "rate:100", "rate:80;queue:32", "rate:60;rate:200@4-7;queue:64")
+ELASTIC_TOPOLOGIES = ("add:2@8/cap:2", "drain:3@12")
 
 
 def sample_configs():
@@ -55,6 +56,21 @@ def sample_configs():
                     **SIZING,
                 )
             )
+    # Elastic cases come from their own RNG so the draws above stay put.
+    rng = np.random.default_rng(20261017)
+    for topology in ELASTIC_TOPOLOGIES:
+        cases.append(
+            cfg_factory(
+                policy=POLICIES[int(rng.integers(len(POLICIES)))],
+                workload=WORKLOADS[int(rng.integers(len(WORKLOADS)))],
+                faults=FAULT_SCENARIOS[int(rng.integers(len(FAULT_SCENARIOS)))],
+                endurance=ENDURANCE_MODELS[int(rng.integers(len(ENDURANCE_MODELS)))],
+                service=SERVICE_MODELS[int(rng.integers(len(SERVICE_MODELS)))],
+                topology=topology,
+                seed=int(rng.integers(1, 10_000)),
+                **SIZING,
+            )
+        )
     return cases
 
 
@@ -64,13 +80,16 @@ class InvariantRecorder(Recorder):
     def on_run_start(self, cfg, state):
         self.cfg = cfg
         self._prev_wear = None
+        self._prev_alive = None
         self.alive_per_epoch = []
 
     def on_epoch(self, state, load, stats):
         alive = state.osd_alive
-        # Wear only ever grows, rates are EWMAs of non-negative deltas.
+        # Wear only ever grows, rates are EWMAs of non-negative deltas.  A
+        # scale-out appends OSDs, so compare the ones that existed before.
         if self._prev_wear is not None:
-            assert (state.osd_wear >= self._prev_wear - 1e-9).all(), "wear decreased"
+            prev = self._prev_wear
+            assert (state.osd_wear[:prev.size] >= prev - 1e-9).all(), "wear decreased"
         self._prev_wear = state.osd_wear.copy()
         assert (state.osd_wear_rate >= 0).all(), "negative wear rate"
         # Remaining rated lifetime is clamped, never negative.
@@ -90,10 +109,12 @@ class InvariantRecorder(Recorder):
             assert (q[~alive] == 0).all(), f"dead OSD carries {name}"
             if not self.cfg.service:
                 assert (q == 0).all(), f"unserviced run grew {name}"
-        # Nobody comes back from the dead.
+        # Nobody comes back from the dead; only added drives join alive.
+        if self._prev_alive is not None:
+            prev = self._prev_alive
+            assert not (alive[:prev.size] & ~prev).any(), "OSD resurrected"
+        self._prev_alive = alive.copy()
         n_alive = int(alive.sum())
-        if self.alive_per_epoch:
-            assert n_alive <= self.alive_per_epoch[-1], "OSD resurrected"
         assert n_alive >= 1, "whole cluster died"
         self.alive_per_epoch.append(n_alive)
 
@@ -125,7 +146,8 @@ def test_invariants_hold_across_scenarios(cfg):
     else:
         assert final_alive == cfg.num_osds  # healthy unrated run: no deaths
     deaths = metrics.get("fault_failures", 0) + metrics.get("wearouts_total", 0)
-    assert final_alive == cfg.num_osds - deaths
+    drained = metrics.get("osds_drained_total", 0)
+    assert final_alive == metrics.get("osds_total_final", cfg.num_osds) - deaths - drained
 
     # Series wear matches the final per-OSD wear bit-for-bit.
     assert np.allclose(ts.series.wear[-1], metrics["per_osd_wear"])
@@ -140,6 +162,8 @@ def test_sample_covers_every_policy_and_scenario_kind():
     assert any(c.endurance for c in cases), "no rated config sampled"
     assert any(c.service for c in cases), "no serviced config sampled"
     assert any(not c.faults and not c.endurance and not c.service for c in cases)
+    assert any(c.topology.startswith("add:") for c in cases), "no scale-out sampled"
+    assert any(c.topology.startswith("drain:") for c in cases), "no drain sampled"
     # Reproducibility: the same seeded draw yields the same sample.
     assert [c.cache_name() for c in sample_configs()] == [c.cache_name() for c in cases]
 
