@@ -50,14 +50,15 @@ SEED_FIELDS = (
     "migration_cooldown_epochs", "wear_weight",
 )
 
-# The scenario spec fields, in parse and cache-name order, with the tag that
-# prefixes each one's digest in ``SimConfig.cache_name``.
+# The scenario spec fields, in parse, cache-name and report order, with the
+# tag that prefixes each one's digest in ``SimConfig.cache_name`` and the
+# label ``edm report`` prints for an empty spec.
 SCENARIO_FIELDS = (
-    ("faults", "f"),
-    ("endurance", "e"),
-    ("service", "q"),
-    ("topology", "t"),
-    ("redundancy", "g"),
+    ("faults", "f", "healthy"),
+    ("endurance", "e", "unrated"),
+    ("service", "q", "untimed"),
+    ("topology", "t", "static"),
+    ("redundancy", "g", "plain"),
 )
 
 WORKLOADS = ("deasna", "deasna2", "lair62", "lair62b")
@@ -217,7 +218,7 @@ class SimConfig:
         from edm.topology import TopologyPlan
 
         plans = []
-        for (name, _), parser in zip(
+        for (name, _, _), parser in zip(
             SCENARIO_FIELDS,
             (FaultPlan, EnduranceModel, ServiceModel, TopologyPlan, RedundancyScheme),
         ):
@@ -281,16 +282,13 @@ class SimConfig:
     def cache_name(self) -> str:
         """Filename stem matching the historical .repro-cache key format.
 
-        Fault scenarios append a short spec digest (``-f1a2b3c4``),
-        endurance models another (``-e5d6e7f8``), service models a third
-        (``-q9a8b7c6``), topology plans a fourth (``-t0d1e2f3``), and
-        redundancy schemes a fifth (``-g4e5f6a7``, g for *group*) so the
-        same base config under different scenarios never collides on
-        filename; healthy, unrated, unserviced, static, plain configs keep
-        the historical stem byte-for-byte.
+        Each non-empty scenario spec appends its :data:`SCENARIO_FIELDS`
+        tag and a short spec digest (``-f1a2b3c4`` for faults), so the same
+        base config under different scenarios never collides on filename;
+        configs with no scenario keep the historical stem byte-for-byte.
         """
         stem = f"{self.workload}-{self.num_osds}osd-{self.policy}-s{self.skew:g}-r{self.seed}"
-        for name, tag in SCENARIO_FIELDS:
+        for name, tag, _ in SCENARIO_FIELDS:
             spec = getattr(self, name)
             if spec:
                 stem += f"-{tag}{hashlib.sha256(spec.encode()).hexdigest()[:8]}"

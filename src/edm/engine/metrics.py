@@ -6,19 +6,11 @@ Paper metrics:
   * wear spread -- (max - min) erase count across SSDs at end of run,
     plus the CoV of wear; endurance-aware migration should shrink both.
   * migration cost -- total data moved (chunks x chunk size).
-  * endurance (rated configs only) -- min/mean/CoV of remaining rated
-    lifetime over surviving OSDs, predicted and actual first-wear-out
-    epochs, and wear-out event counts.
-  * service (serviced configs only) -- p50/p99/p999 request latency,
-    queue-depth aggregates, and migration-induced latency-spike stats,
-    accumulated by :class:`edm.service.ServiceRuntime` and merged here.
-  * topology (elastic configs only) -- add/drain event counts, drain
-    evacuation moves, and cold-drive wear uptake / final load share for
-    the drives scale-out added.
-  * redundancy (redundant configs only) -- reconstruction chunk/read
-    counts and data volumes, plus unrecoverable-group data loss,
-    accumulated by :class:`edm.redundancy.RedundancyRuntime` and merged
-    here.
+
+Faulted, rated, serviced, elastic and redundant runs add their layer's
+block (service and redundancy blocks come from their runtimes'
+``metrics_block``).  Every key the final dict may hold has a row, with its
+help text, in :mod:`edm.catalog`; ``finalize`` raises on a key without one.
 
 ``MetricsAccumulator`` is the engine's always-on :class:`~edm.telemetry.Recorder`:
 it rides the same observer hooks as user-supplied telemetry, and its
@@ -31,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from edm.catalog import KEYS
 from edm.config import SimConfig
 from edm.engine.state import ClusterState
 from edm.telemetry.recorder import EpochStats, Recorder, mean_std
@@ -43,12 +36,9 @@ _COV_BLOCK = 4096
 
 class MetricsAccumulator(Recorder):
     def __init__(self, service=None, redundancy=None):
-        # ``service`` is the run's ServiceRuntime (None when no service
-        # spec): its latency/queue aggregates join the final metrics dict,
-        # keyed on so unserviced dicts stay bit-identical to the
-        # service-unaware engine.  ``redundancy`` (the run's
-        # RedundancyRuntime, None when no scheme) contributes the
-        # reconstruction-traffic block the same way.
+        # ``service`` / ``redundancy`` are the run's ServiceRuntime and
+        # RedundancyRuntime (None without the layer): each contributes its
+        # metrics block to the final dict.
         self.cfg: SimConfig | None = None
         self._service = service
         self._redundancy = redundancy
@@ -176,6 +166,7 @@ class MetricsAccumulator(Recorder):
             raise RuntimeError("finalize() before on_run_start()")
         self._flush_loads()
         wear = state.osd_wear
+        alive = state.osd_alive
         wear_mean = float(wear.mean())
         epochs = max(self._epochs, 1)
         final_mean = float(final_load.mean())
@@ -203,12 +194,12 @@ class MetricsAccumulator(Recorder):
             "migrations_total": int(state.migrations_total),
             "migration_cost_mb": float(state.migrations_total * cfg.chunk_size_mb),
         }
+        # Each scenario block is present only when its layer is configured,
+        # so a run without the layer returns bit for bit the dict an engine
+        # without that layer returned.
         if self._faulted:
-            # Degraded-mode metrics, present only for faulted configs so
-            # healthy metrics dicts stay bit-identical to the fault-unaware
-            # engine.  ``*_alive`` variants exclude dead OSDs (a dead OSD's
-            # frozen zero load would otherwise inflate CoV forever).
-            alive = state.osd_alive
+            # ``*_alive`` variants exclude dead OSDs (a dead OSD's frozen
+            # zero load would otherwise inflate CoV forever).
             aw = wear[alive]
             awm = float(aw.mean()) if aw.size else 0.0
             out["faults"] = cfg.faults
@@ -222,13 +213,10 @@ class MetricsAccumulator(Recorder):
             out["wear_cov_alive"] = float(aw.std() / awm) if awm > 0 else 0.0
             out["osds_alive_final"] = int(alive.sum())
         if self._endured:
-            # Endurance metrics, present only for rated configs so unrated
-            # metrics dicts stay bit-identical to the endurance-unaware
-            # engine.  Lifetime stats are alive-masked: a worn-out OSD's
-            # zero remaining life describes a drive that already failed.
-            # Topology-added drives carry no rating (infinite remaining
-            # life) and are excluded, else their inf poisons mean/std.
-            alive = state.osd_alive
+            # Lifetime stats are alive-masked: a worn-out OSD's zero
+            # remaining life describes a drive that already failed.
+            # Topology-added drives carry no rating (infinite remaining life)
+            # and are excluded, else their inf poisons mean/std.
             rem = state.remaining_life()[alive]
             rem = rem[np.isfinite(rem)]
             rem_mean = float(rem.mean()) if rem.size else 0.0
@@ -246,12 +234,9 @@ class MetricsAccumulator(Recorder):
             out["wearout_replacements_total"] = int(self._wearout_replaced)
             out["osds_alive_final"] = int(alive.sum())
         if self._topology:
-            # Topology metrics, present only for elastic configs so static
-            # metrics dicts stay bit-identical to the topology-unaware
-            # engine.  "Cold" drives are the ones scale-out added: their
-            # wear uptake and final load share quantify how hard policies
-            # lean on fresh low-wear capacity.
-            alive = state.osd_alive
+            # "Cold" drives are the ones scale-out added: their wear uptake
+            # and final load share quantify how hard policies lean on fresh
+            # low-wear capacity.
             out["topology"] = cfg.topology
             out["osds_total_final"] = int(state.num_osds)
             out["osds_added_total"] = int(self._osds_added)
@@ -271,14 +256,10 @@ class MetricsAccumulator(Recorder):
                 )
             out["osds_alive_final"] = int(alive.sum())
         if self._service is not None:
-            # Service metrics (tail latency, queue depth, migration spikes),
-            # present only for serviced configs so unserviced metrics dicts
-            # stay bit-identical to the service-unaware engine.
             out.update(self._service.metrics_block())
         if self._redundancy is not None:
-            # Reconstruction metrics (group width, rebuild reads/writes,
-            # data loss), present only for redundant configs so plain
-            # metrics dicts stay bit-identical to the redundancy-unaware
-            # engine.
             out.update(self._redundancy.metrics_block())
+        unknown = [key for key in out if key not in KEYS]
+        if unknown:
+            raise RuntimeError(f"metrics keys with no row in edm.catalog: {', '.join(unknown)}")
         return out

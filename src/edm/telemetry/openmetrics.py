@@ -22,12 +22,9 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from edm.catalog import METRICS
 from edm.files import atomic_write
 from edm.telemetry.recorder import Recorder, mean_std
-
-#: Metric family types this exporter emits.
-TYPES = ("gauge", "counter", "info")
-
 
 def _escape(value: str) -> str:
     """Escape a label value or help string per the exposition format."""
@@ -139,126 +136,30 @@ class MetricsRegistry:
         atomic_write(path, lambda f: f.write(text))
 
 
-#: metrics-dict key -> (family name, type, help).  Keys absent from a run's
-#: metrics (fault/endurance/service blocks are conditional) are skipped.
-_SCALAR_FAMILIES = {
-    "epochs": ("epochs", "counter", "Epochs simulated."),
-    "total_requests": ("requests", "counter", "Requests routed over the run."),
-    "total_writes": ("writes", "counter", "Write requests among them."),
-    "load_cov_mean": (
-        "load_cov_mean", "gauge",
-        "Per-epoch load coefficient of variation, averaged over epochs.",
-    ),
-    "load_peak_ratio_mean": (
-        "load_peak_ratio_mean", "gauge", "Mean per-epoch max/mean load ratio.",
-    ),
-    "load_cov_final": ("load_cov_final", "gauge", "Load CoV of the final epoch."),
-    "wear_mean": ("wear_mean", "gauge", "Mean erase count across SSDs."),
-    "wear_max": ("wear_max", "gauge", "Max erase count across SSDs."),
-    "wear_min": ("wear_min", "gauge", "Min erase count across SSDs."),
-    "wear_spread": ("wear_spread", "gauge", "Max - min erase count across SSDs."),
-    "wear_cov": ("wear_cov", "gauge", "Erase-count CoV across SSDs."),
-    "migrations_total": ("migrations", "counter", "Chunks migrated over the run."),
-    "migration_cost_mb": (
-        "migration_cost_megabytes", "gauge", "Data moved by migration, MB.",
-    ),
-    # Degraded-mode block (faulted configs only).
-    "fault_failures": ("fault_failures", "counter", "OSD failure events fired."),
-    "fault_slow_events": ("fault_slow_events", "counter", "Slow-disk events fired."),
-    "fault_hiccups": ("fault_hiccups", "counter", "Hiccup events fired."),
-    "replacement_moves_total": (
-        "replacement_moves", "counter", "Chunks re-placed off failed OSDs.",
-    ),
-    "fault_recovery_epochs": (
-        "fault_recovery_epochs", "gauge",
-        "Epochs until survivor load CoV recovered (-1: never).",
-    ),
-    "load_cov_alive_mean": (
-        "load_cov_alive_mean", "gauge", "Load CoV over surviving OSDs, mean.",
-    ),
-    "osds_alive_final": ("osds_alive", "gauge", "OSDs alive at end of run."),
-    # Endurance block (rated configs only).
-    "remaining_life_min": (
-        "remaining_life_min", "gauge", "Min remaining rated P/E cycles, alive OSDs.",
-    ),
-    "remaining_life_mean": (
-        "remaining_life_mean", "gauge", "Mean remaining rated P/E cycles, alive OSDs.",
-    ),
-    "remaining_life_cov": (
-        "remaining_life_cov", "gauge", "Remaining-life CoV across alive OSDs.",
-    ),
-    "predicted_first_wearout_epoch": (
-        "predicted_first_wearout_epoch", "gauge",
-        "Predicted epoch of the next wear-out (-1: none in sight).",
-    ),
-    "wearouts_total": ("wearouts", "counter", "OSDs worn out during the run."),
-    "wearout_replacements_total": (
-        "wearout_replacements", "counter", "Chunks re-placed off worn-out OSDs.",
-    ),
-    "first_wearout_epoch": (
-        "first_wearout_epoch", "gauge", "Epoch of the first wear-out (-1: none).",
-    ),
-    # Service block (serviced configs only).
-    "service_lat_p50": (
-        "service_lat_p50_epochs", "gauge", "Request latency p50, in epochs of service time.",
-    ),
-    "service_lat_p99": (
-        "service_lat_p99_epochs", "gauge", "Request latency p99, in epochs of service time.",
-    ),
-    "service_lat_p999": (
-        "service_lat_p999_epochs", "gauge", "Request latency p99.9, in epochs of service time.",
-    ),
-    "service_requests_total": (
-        "service_requests", "counter", "Requests offered to the service model.",
-    ),
-    "service_dropped_total": (
-        "service_dropped", "counter", "Requests dropped by bounded queues.",
-    ),
-    # Redundancy block (redundant configs only).
-    "reconstruction_chunks_total": (
-        "reconstruction_chunks", "counter", "Chunks rebuilt from group survivors.",
-    ),
-    "reconstruction_reads_total": (
-        "reconstruction_reads", "counter", "Surviving-chunk reads for rebuilds.",
-    ),
-    "reconstruction_read_mb": (
-        "reconstruction_read_megabytes", "gauge", "Data read for rebuilds, MB.",
-    ),
-    "reconstruction_write_mb": (
-        "reconstruction_write_megabytes", "gauge", "Data rewritten by rebuilds, MB.",
-    ),
-    "data_loss_chunks_total": (
-        "data_loss_chunks", "counter",
-        "Chunks whose group lacked enough survivors to rebuild.",
-    ),
-}
-
-_INFO_LABELS = ("workload", "policy", "num_osds", "seed", "skew")
-
-
 def registry_from_metrics(metrics: dict, prefix: str = "edm") -> MetricsRegistry:
     """Build a registry exposing one run's metrics dict.
 
-    Run identity (workload, policy, size, seed) becomes the ``edm_run`` info
-    metric's labels; scalars map through a curated family table (conditional
-    fault/endurance/service blocks appear only when the run produced them);
-    ``per_osd_wear`` becomes the ``edm_osd_wear{osd="i"}`` gauge vector.
+    Families follow :data:`edm.catalog.METRICS`: its identity rows label the
+    ``edm_run`` info metric, its gauge and counter rows become one family
+    each when the run produced the key (scenario blocks are conditional),
+    and ``per_osd_wear`` becomes the ``edm_osd_wear{osd="i"}`` gauge vector.
     """
     reg = MetricsRegistry(prefix=prefix)
     reg.info("run", "Identity of the run this snapshot describes.")
     reg.sample(
         "run", 1,
-        {k: metrics[k] for k in _INFO_LABELS if k in metrics},
+        {m.key: metrics[m.key] for m in METRICS if m.type == "info" and m.key in metrics},
     )
-    for key, (name, type_, help_) in _SCALAR_FAMILIES.items():
-        if key not in metrics:
+    for m in METRICS:
+        if m.type not in ("gauge", "counter") or m.key not in metrics:
             continue
-        reg._declare(name, type_, help_)
-        reg.sample(name, metrics[key])
-    if "per_osd_wear" in metrics:
-        reg.gauge("osd_wear", "Erase count per OSD at end of run.")
-        for i, wear in enumerate(metrics["per_osd_wear"]):
-            reg.sample("osd_wear", wear, {"osd": i})
+        reg._declare(m.family, m.type, m.help)
+        value = metrics[m.key]
+        if isinstance(value, list):
+            for i, v in enumerate(value):
+                reg.sample(m.family, v, {"osd": i})
+        else:
+            reg.sample(m.family, value)
     return reg
 
 

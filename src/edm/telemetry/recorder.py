@@ -1,7 +1,7 @@
 """Observer hooks for the simulation engine.
 
 ``simulate(cfg, recorders=...)`` drives every recorder through the same
-four-call lifecycle:
+seven hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
     on_topology(state, event, moved)

@@ -1,6 +1,7 @@
 """Property-style invariant suite: randomized-but-seeded configurations over
-policy x workload x faults x endurance x service (plus one scale-out and one
-drain case), each run checked epoch-by-epoch.
+policy x workload x faults x endurance x service (plus one scale-out, one
+drain, one replicated and one erasure-coded case), each run checked
+epoch-by-epoch.
 
 Invariants (must hold for every policy, healthy or degraded, rated or not,
 serviced or not):
@@ -14,6 +15,7 @@ serviced or not):
     dead OSDs carry no backlog; unserviced runs never grow a queue
   * a dead OSD never comes back (only added drives raise the alive count),
     and state / metrics / TimeSeries agree on it at every recorded epoch
+  * on redundant runs, no placement group ever has two chunks on one OSD
 
 The sample is drawn from a fixed-seed RNG so failures reproduce exactly;
 every policy appears in the sample by construction.
@@ -33,6 +35,7 @@ FAULT_SCENARIOS = ("", "fail:1@8", "slow:2@4x0.5;fail:1@8", "hiccup:3@6+4x0.25")
 ENDURANCE_MODELS = ("", "pe:900", "pe:1200@0-1,100000@2-7")
 SERVICE_MODELS = ("", "rate:100", "rate:80;queue:32", "rate:60;rate:200@4-7;queue:64")
 ELASTIC_TOPOLOGIES = ("add:2@8/cap:2", "drain:3@12")
+REDUNDANCY_SCHEMES = ("rep:3", "ec:4+2")
 
 
 def sample_configs():
@@ -71,7 +74,31 @@ def sample_configs():
                 **SIZING,
             )
         )
+    # Redundant cases too, again from their own RNG.
+    rng = np.random.default_rng(20261018)
+    for redundancy in REDUNDANCY_SCHEMES:
+        cases.append(
+            cfg_factory(
+                policy=POLICIES[int(rng.integers(len(POLICIES)))],
+                workload=WORKLOADS[int(rng.integers(len(WORKLOADS)))],
+                faults=FAULT_SCENARIOS[int(rng.integers(len(FAULT_SCENARIOS)))],
+                endurance=ENDURANCE_MODELS[int(rng.integers(len(ENDURANCE_MODELS)))],
+                service=SERVICE_MODELS[int(rng.integers(len(SERVICE_MODELS)))],
+                redundancy=redundancy,
+                seed=int(rng.integers(1, 10_000)),
+                **SIZING,
+            )
+        )
     return cases
+
+
+def assert_groups_spread(state):
+    """No placement group has two chunks on one OSD."""
+    # Two chunks of one group on one OSD would collide in this key.
+    key = state.chunk_group.astype(np.int64) * state.num_osds + state.chunk_owner
+    assert np.unique(key).size == state.num_chunks, (
+        "placement group co-located two chunks on one OSD"
+    )
 
 
 class InvariantRecorder(Recorder):
@@ -117,6 +144,8 @@ class InvariantRecorder(Recorder):
         n_alive = int(alive.sum())
         assert n_alive >= 1, "whole cluster died"
         self.alive_per_epoch.append(n_alive)
+        if state.chunk_group is not None:
+            assert_groups_spread(state)
 
     def finalize(self, state, final_load):
         return None
@@ -164,6 +193,8 @@ def test_sample_covers_every_policy_and_scenario_kind():
     assert any(not c.faults and not c.endurance and not c.service for c in cases)
     assert any(c.topology.startswith("add:") for c in cases), "no scale-out sampled"
     assert any(c.topology.startswith("drain:") for c in cases), "no drain sampled"
+    assert any(c.redundancy.startswith("rep:") for c in cases), "no replicated config sampled"
+    assert any(c.redundancy.startswith("ec:") for c in cases), "no erasure-coded config sampled"
     # Reproducibility: the same seeded draw yields the same sample.
     assert [c.cache_name() for c in sample_configs()] == [c.cache_name() for c in cases]
 
@@ -193,14 +224,7 @@ class GroupSpreadRecorder(Recorder):
         self.epochs_checked = 0
 
     def on_epoch(self, state, load, stats):
-        # Two chunks of one group on one OSD would collide in this key.
-        key = (
-            state.chunk_group.astype(np.int64) * state.num_osds
-            + state.chunk_owner
-        )
-        assert np.unique(key).size == state.num_chunks, (
-            "placement group co-located two chunks on one OSD"
-        )
+        assert_groups_spread(state)
         self.epochs_checked += 1
 
     def finalize(self, state, final_load):

@@ -9,6 +9,7 @@ import pytest
 from conftest import cfg_factory
 from edm import report
 from edm.cache import ResultCache
+from edm.catalog import COLUMNS
 from edm.cli import main
 from edm.sweep import default_grid, sweep
 from edm.config import POLICIES, SimConfig
@@ -158,7 +159,7 @@ def test_overflowed_tail_latency_propagates_as_inf(tmp_path, capsys):
     assert "Infinity" in capsys.readouterr().out
 
     # NaN alone is dropped from the mean; inf beside a finite value wins.
-    base = {k: 1.0 for k, _h, _f in report.TABLE_COLUMNS}
+    base = {m.key: 1.0 for m in COLUMNS if m.scenario is None}
     nan_row = {**base, "workload": "w", "policy": "p", "service": "rate:2",
                "service_lat_p50": float("nan"), "service_lat_p99": float("inf"),
                "service_lat_p999": float("inf"), "migration_spike_ratio": 2.0}
