@@ -62,8 +62,8 @@ p50/p99/p999 latency block.  Unserviced configs skip this path entirely and
 stay bit-identical to the service-unaware engine.
 
 There is no per-request Python loop anywhere; a "request" only ever exists
-as a unit inside a counts vector (the service model's latency math is
-vectorized over each epoch's accepted-request batch the same way).
+as a unit inside a counts vector.  Service latencies are built once per
+epoch, for their sum, and binned per OSD run in blocks of runs.
 """
 
 from __future__ import annotations

@@ -111,6 +111,9 @@ class ClusterState:
             raise AssertionError("osd_queue_depth went negative or NaN")
         if np.isnan(self.osd_mig_backlog).any() or (self.osd_mig_backlog < 0).any():
             raise AssertionError("osd_mig_backlog went negative or NaN")
+        # The service step books a corpse's queue as lost work once, at death.
+        if (self.osd_queue_depth + self.osd_mig_backlog)[~self.osd_alive].any():
+            raise AssertionError("dead OSD holds queued or pending service work")
         if (self.osd_service_rate <= 0).any():
             raise AssertionError("osd_service_rate contains non-positive rates")
         # Growth invariant: every per-OSD array tracks num_osds in lockstep

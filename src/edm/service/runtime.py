@@ -26,7 +26,9 @@ compares it against clean epochs.
 
 The step never bins requests one by one: each OSD's latencies form a
 nondecreasing run, split only by the bin edges inside it (see
-:func:`run_latencies`).  tests/service_reference.py keeps the per-request
+:func:`bin_runs`), nor per epoch: each epoch's latencies are built once, for
+their sum, and its runs buffered until a block of ``RUN_BLOCK`` (or a read
+of ``hist``) bins them.  tests/service_reference.py keeps the per-request
 step as the oracle this one is pinned to bit for bit.
 """
 
@@ -37,7 +39,8 @@ import numpy as np
 from edm.service.spec import ServiceModel
 from edm.telemetry.recorder import mean_std
 
-__all__ = ["LATENCY_EDGES", "ServiceRuntime", "admit", "histogram_percentile", "run_latencies"]
+__all__ = ["LATENCY_EDGES", "ServiceRuntime", "admit", "bin_runs", "histogram_percentile",
+           "run_latencies"]
 
 # Fixed log-spaced latency bin edges (in epochs of service time): bin 0 is
 # [0, 1e-4), then 256 log-spaced bins up to 1e4.  The histogram carries one
@@ -53,6 +56,11 @@ _NUM_BINS = LATENCY_EDGES.size - 1
 _SPLITS = np.append(LATENCY_EDGES[1:-1], [np.nextafter(LATENCY_EDGES[-1], np.inf), np.inf])
 # Each split over its finite stand-in, for estimating where runs cross it.
 _SPLIT_TABLE = np.stack((_SPLITS, np.minimum(_SPLITS, np.finfo(np.float64).max)))
+# 1.0, 2.0, ...: each run's ``i + 1.0`` is a slice; grown, never rewritten.
+_RAMP = np.arange(1.0, 1025.0)
+# Runs buffered between binnings: ~6 epochs of a 20-OSD run share one pass of
+# bin_runs.  512 grew peak RSS by 2 MB (the split arrays); 32 lost the gain.
+RUN_BLOCK = 128
 
 
 def histogram_percentile(hist: np.ndarray, q: float) -> float:
@@ -68,8 +76,7 @@ def histogram_percentile(hist: np.ndarray, q: float) -> float:
     total = int(hist.sum())
     if total == 0:
         return float("nan")
-    target = q * total
-    idx = int(np.searchsorted(np.cumsum(hist), target, side="left"))
+    idx = int(np.searchsorted(np.cumsum(hist), q * total, side="left"))
     if idx >= _NUM_BINS:
         return float("inf")
     return float(LATENCY_EDGES[idx])
@@ -93,25 +100,39 @@ def admit(
 
 def run_latencies(
     accepted: np.ndarray, base: np.ndarray, rate: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latency histogram of one epoch's accepted requests, binned run by run.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """One epoch's accepted requests as runs, and all their latencies.
 
     The ``i``-th request OSD ``j`` accepts waits
     ``fl(fl(base[j] + (i + 1.0)) / rate[j])`` epochs, nondecreasing in
-    ``i``.  Returns ``(hist, lat, tails)``: the histogram increment
-    (overflow slot included, +inf counted there), every finite latency in
-    epoch order (OSD 0's requests first), and each run's last finite
-    latency.  Needs at least one accepted request.
+    ``i``.  Returns ``(runs, lat)``: each busy OSD's ``(a, b, r, head,
+    tail)`` -- accepted count, base, rate, first and last latency, as
+    :func:`bin_runs` takes them -- and every latency in epoch order, +inf
+    included.  Needs at least one accepted request.
     """
+    global _RAMP
     busy = accepted > 0
     a, b, r = accepted[busy], base[busy], rate[busy]
-    # ``i + 1.0`` is exact, so the last request's (a - 1) + 1.0 is just a.
-    tails = (b + a) / r
-    first = _SPLITS.searchsorted((b + 1.0) / r, "right")
-    span = _SPLITS.searchsorted(tails, "right") - first
+    stop, ks = a.cumsum(), a.tolist()
+    if _RAMP.size < max(ks):
+        _RAMP = np.arange(1.0, 2.0 * max(ks) + 1.0)
+    lat = np.concatenate([_RAMP[:k] for k in ks])  # i + 1.0, exact
+    lat += b.repeat(a)
+    lat /= r.repeat(a)
+    return (a, b, r, lat[stop - a], lat[stop - 1]), lat
+
+
+def bin_runs(
+    a: np.ndarray, b: np.ndarray, r: np.ndarray, head: np.ndarray, tail: np.ndarray
+) -> np.ndarray:
+    """Histogram increment of the runs :func:`run_latencies` describes (any
+    number of epochs' worth), +inf counted in the overflow slot."""
+    first = _SPLITS.searchsorted(head, "right")
+    last = _SPLITS.searchsorted(tail, "right")
+    span = last - first
     # One cell per (run, split strictly inside it).
-    split = np.arange(span.sum()) + (first - (span.cumsum() - span)).repeat(span)
-    bc, rc, ac = b.repeat(span), r.repeat(span), a.repeat(span)
+    split = np.arange(np.add.reduce(span)) + (first - (span.cumsum() - span)).repeat(span)
+    bc, rc = b.repeat(span), r.repeat(span)
     thr, est = _SPLIT_TABLE.take(split, axis=1)
     # Requests below the split, estimated from the closed form, then fixed
     # up by evaluating the very float expression on both sides of it.  The
@@ -124,28 +145,15 @@ def run_latencies(
             break
         below += up
         below -= down
-    # Each run lands whole at its first position; each split moves the
-    # requests at or past it one position on.
-    past = ac - below
-    counts = np.bincount(
-        np.concatenate((first, split + 1)), np.concatenate((a, past)), _NUM_BINS + 2
-    ) - np.bincount(split, past, _NUM_BINS + 2)
+    # A run puts ``below[s] - below[s - 1]`` requests at each position s
+    # from its first (where ``below[s - 1]`` is 0) to its last (where
+    # ``below[s]`` is all ``a`` of them); weights are exact integers.
+    below_at = np.bincount(split, below, _NUM_BINS + 2)
+    counts = np.bincount(last, a, _NUM_BINS + 2) + below_at
+    counts[1:] -= below_at[:-1]
     counts = counts.astype(np.int64)
-    fin = a
-    if counts[-1]:
-        # Runs reaching +inf (a rate so small the division overflows) keep
-        # only their finite prefix.
-        fin = np.where(first > _NUM_BINS, 0, a)
-        at_inf = split == _NUM_BINS
-        fin[np.arange(a.size).repeat(span)[at_inf]] = below[at_inf]
-        tails = ((b + fin) / r)[fin > 0]
-        counts[-2] += counts[-1]
-    # Materialized only for the sum, which must be numpy's pairwise sum
-    # over every finite latency, bit for bit.
-    stop = fin.cumsum()
-    ramp = np.arange(1.0, stop[-1] + 1.0) - (stop - fin).repeat(fin)  # i + 1.0
-    lat = (b.repeat(fin) + ramp) / r.repeat(fin)
-    return counts[:-1], lat, tails
+    counts[-2] += counts[-1]
+    return counts[:-1]
 
 
 class ServiceRuntime:
@@ -163,8 +171,11 @@ class ServiceRuntime:
         self._drain = 1.0 / float(cfg.service_cooldown_epochs)
         self._rates = model.per_osd(cfg.num_osds)
         # Run-level accumulators.  The histogram has one slot per real bin
-        # plus a trailing overflow slot for latencies past the last edge.
-        self.hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)
+        # plus a trailing overflow slot; runs wait in ``_runs`` to be binned.
+        self._hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)
+        self._runs: list[tuple[np.ndarray, ...]] = []
+        self._buffered = 0
+        self._dead = 0
         self.lat_sum = 0.0
         self.lat_count = 0
         self.stalled_total = 0
@@ -181,6 +192,22 @@ class ServiceRuntime:
         self._depth_max = 0.0
         self._epochs = 0
 
+    @property
+    def hist(self) -> np.ndarray:
+        """The run's latency histogram, every buffered run binned into it."""
+        self._bin_buffered()
+        return self._hist
+
+    @hist.setter
+    def hist(self, value: np.ndarray) -> None:  # lets ``rt.hist += h`` work
+        self._hist = value
+
+    def _bin_buffered(self) -> None:
+        if self._runs:
+            self._hist += bin_runs(*map(np.concatenate, zip(*self._runs)))
+            self._runs.clear()
+            self._buffered = 0
+
     def attach(self, state) -> None:
         """Install the model's rates on the cluster state."""
         state.osd_service_rate = self._rates.astype(np.float64).copy()
@@ -196,44 +223,57 @@ class ServiceRuntime:
         depth = state.osd_queue_depth
         pending = state.osd_mig_backlog
         alive = state.osd_alive
-        dead = ~alive
-        if dead.any():
+        dead = alive.size - np.count_nonzero(alive)
+        if dead != self._dead:
             # A dead OSD's backlog is lost, not served: account and zero it
-            # so corpse queues never leak into depth statistics.
-            self.lost_work += float(depth[dead].sum() + pending[dead].sum())
+            # so corpse queues never leak into depth statistics.  Once per
+            # death: OSDs never revive, nothing charges a corpse (validate).
+            self._dead = dead
+            dead = ~alive
+            self.lost_work += float(np.add.reduce(depth[dead]) + np.add.reduce(pending[dead]))
             depth[dead] = 0.0
             pending[dead] = 0.0
         # Drain pending migration work into the queues: a cooldown-sized
         # fraction per epoch, flushed outright once below one request.
         inject = np.where(pending < 1.0, pending, pending * self._drain)
         pending -= inject
-        mig_epoch = bool(inject.sum() > 0.0)
+        mig_epoch = bool(np.add.reduce(inject) > 0.0)
 
         base = depth + inject
         rate = state.osd_service_rate * state.osd_capacity * alive
         accepted, new_depth = admit(arrivals, base, rate, self.qbound)
         np.copyto(depth, new_depth)
 
-        offered = int(arrivals.sum())
-        served = int(accepted.sum())
+        offered = int(np.add.reduce(arrivals))
+        served = int(np.add.reduce(accepted))
         self.requests_total += offered
         self.dropped_total += offered - served
         lat_mean = 0.0
         if served:
-            hist, lat, tails = run_latencies(accepted, base, rate)
-            self.hist += hist
+            # Binned later, a block of runs at a time (see ``hist``).
+            runs, lat = run_latencies(accepted, base, rate)
+            self._runs.append(runs)
+            self._buffered += runs[0].size
+            if self._buffered >= RUN_BLOCK:
+                self._bin_buffered()
+            top = np.maximum.reduce(runs[-1])
+            if not top < np.inf:
+                # Runs reaching +inf (a rate so small the division
+                # overflows): only their finite latencies count.
+                lat = lat[lat < np.inf]
+                top = np.maximum.reduce(lat, initial=0.0)
             self.stalled_total += served - lat.size
             if lat.size:
-                fin_sum = float(lat.sum())
+                # The sum numpy's ``lat.sum()`` gives, bit for bit.
+                fin_sum = float(np.add.reduce(lat))
                 self.lat_sum += fin_sum
                 self.lat_count += lat.size
                 lat_mean = fin_sum / lat.size
                 if mig_epoch:
                     self._mig_lat_sum += fin_sum
                     self._mig_lat_count += lat.size
-                    epoch_max = float(tails.max())
-                    if not self.spike_lat_max >= epoch_max:
-                        self.spike_lat_max = epoch_max
+                    if not self.spike_lat_max >= top:
+                        self.spike_lat_max = float(top)
                 else:
                     self._clean_lat_sum += fin_sum
                     self._clean_lat_count += lat.size
@@ -244,38 +284,24 @@ class ServiceRuntime:
         # -- the same survivor-masking convention the load CoV uses.
         d_alive = depth[alive]
         if d_alive.size:
-            d_mean, d_std = mean_std(d_alive)
-            d_mean = float(d_mean)
-            d_cov = float(d_std / d_mean) if d_mean > 0 else 0.0
-            self._depth_max = max(self._depth_max, float(d_alive.max()))
+            d_mean, d_std = map(float, mean_std(d_alive))
+            d_cov = d_std / d_mean if d_mean > 0 else 0.0
+            self._depth_max = max(self._depth_max, float(np.maximum.reduce(d_alive)))
         else:
-            d_mean = 0.0
-            d_cov = 0.0
+            d_mean = d_cov = 0.0
         self._depth_mean_sum += d_mean
         self._depth_cov_sum += d_cov
         self._epochs += 1
         if stats is not None:
-            stats.lat_mean = lat_mean
-            stats.queue_depth_mean = d_mean
-            stats.queue_depth_cov = d_cov
+            stats.lat_mean, stats.queue_depth_mean, stats.queue_depth_cov = lat_mean, d_mean, d_cov
 
     def metrics_block(self) -> dict:
         """Run-level service metrics, merged into ``simulate``'s dict."""
-        lat_mean = self.lat_sum / self.lat_count if self.lat_count else float("nan")
-        mig_mean = (
-            self._mig_lat_sum / self._mig_lat_count
-            if self._mig_lat_count
-            else float("nan")
-        )
-        clean_mean = (
-            self._clean_lat_sum / self._clean_lat_count
-            if self._clean_lat_count
-            else float("nan")
-        )
-        if self._mig_lat_count and self._clean_lat_count and clean_mean > 0:
-            spike_ratio = mig_mean / clean_mean
-        else:
-            spike_ratio = float("nan")
+        nan = float("nan")
+        lat_mean = self.lat_sum / self.lat_count if self.lat_count else nan
+        mig_mean = self._mig_lat_sum / self._mig_lat_count if self._mig_lat_count else nan
+        clean = self._clean_lat_sum / self._clean_lat_count if self._clean_lat_count else nan
+        spike_ratio = mig_mean / clean if clean > 0 else nan  # NaN without either kind
         epochs = self._epochs
         return {
             "service": self.model.spec,

@@ -250,8 +250,9 @@ class TimeSeriesRecorder(Recorder):
 
     def _record_lifetime(self, i: int, state: "ClusterState") -> None:
         rem = state.remaining_life()[state.osd_alive]
-        self._cols["remaining_life_min"][i] = rem.min() if rem.size else 0.0
-        self._cols["remaining_life_mean"][i] = rem.mean() if rem.size else 0.0
+        # ``rem.min()`` and ``rem.mean()`` bit for bit, minus their wrappers.
+        self._cols["remaining_life_min"][i] = np.minimum.reduce(rem) if rem.size else 0.0
+        self._cols["remaining_life_mean"][i] = np.add.reduce(rem) / rem.size if rem.size else 0.0
 
     def _record(self, epoch: int, load: np.ndarray, state: "ClusterState") -> None:
         c = self._cols
@@ -272,7 +273,7 @@ class TimeSeriesRecorder(Recorder):
             c["wear_cov"][i] = wsd / wm
         c["migrations"][i] = self._window
         self._window = 0
-        c["alive"][i] = int(state.osd_alive.sum())
+        c["alive"][i] = np.count_nonzero(state.osd_alive)
         c["replacements"][i] = self._repl_window
         self._repl_window = 0
         self._record_lifetime(i, state)

@@ -18,7 +18,8 @@ from conftest import cfg_factory, make_state
 from edm.config import POLICIES
 from edm.engine.core import simulate
 from edm.service import LATENCY_EDGES, ServiceModel, histogram_percentile
-from edm.service.runtime import ServiceRuntime, admit, run_latencies
+from edm.service import runtime
+from edm.service.runtime import ServiceRuntime, admit, bin_runs, run_latencies
 from edm.spec import SpecError
 from edm.telemetry import EpochStats, TimeSeriesRecorder
 from edm.telemetry.recorder import mean_std
@@ -124,7 +125,7 @@ def arr(*xs):
 
 
 def serve(arrivals, base, rate, qbound):
-    """The runtime's epoch: ``(accepted, finite latencies, new depth)``."""
+    """The runtime's epoch: ``(accepted, latencies, new depth)``."""
     accepted, depth = admit(arrivals, base, rate, qbound)
     lat = run_latencies(accepted, base, rate)[1] if accepted.any() else np.empty(0)
     return accepted, lat, depth
@@ -206,7 +207,7 @@ def fuzz_epochs(seed, rounds):
 
 
 def test_epoch_step_matches_reference_fuzz():
-    """admit + run_latencies against the scalar per-request model."""
+    """admit + run_latencies + bin_runs against the scalar per-request model."""
     # The subnormal rates overflow to +inf, and so do sums near 1e308.
     with np.errstate(over="ignore"):
         for arrivals, base, rate, qbound in fuzz_epochs(20260808, 200):
@@ -222,13 +223,12 @@ def test_epoch_step_matches_reference_fuzz():
             if runs is None:
                 assert ref_lat.size == 0, case
                 continue
-            hist, lat, tails = runs
-            finite = ref_lat[np.isfinite(ref_lat)]
-            assert np.array_equal(hist, bin_latencies(ref_lat)), case
-            assert np.array_equal(lat, finite), case
-            assert lat.sum() == finite.sum(), case
-            if finite.size:
-                assert tails.max() == finite.max(), case
+            (a, b, r, head, tail), lat = runs
+            assert np.array_equal(bin_runs(a, b, r, head, tail), bin_latencies(ref_lat)), case
+            assert np.array_equal(lat, ref_lat), case
+            stop = np.cumsum(a)
+            assert np.array_equal(head, ref_lat[stop - a]), case
+            assert np.array_equal(tail, ref_lat[stop - 1]), case
 
 
 def test_run_binning_covers_the_special_cases():
@@ -294,6 +294,50 @@ def test_step_matches_reference_step_fuzz():
             assert fast_stats == ref_stats
 
 
+@pytest.mark.parametrize("block", [1, 7, runtime.RUN_BLOCK])
+def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
+    """Runs binned a block at a time, flushed by reads of ``hist`` at random
+    points, sum to the per-epoch histograms of run_latencies' runs bit for
+    bit."""
+    monkeypatch.setattr(runtime, "RUN_BLOCK", block)
+    seen = []  # (accepted, base, rate) of every epoch the step admits
+
+    def spy(arrivals, base, rate, qbound):
+        out = admit(arrivals, base, rate, qbound)
+        seen.append((out[0], base.copy(), rate.copy()))
+        return out
+
+    monkeypatch.setattr(runtime, "admit", spy)
+    rng = np.random.default_rng(2468 + block)
+    kinds = set()
+    for _ in range(12):
+        n = int(rng.integers(2, 10))
+        cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
+        rt = ServiceRuntime(ServiceModel.parse(cfg.service, num_osds=n), cfg)
+        state = clone_states(cfg, rng, n)[0]
+        expected = np.zeros_like(rt.hist)
+        for _epoch in range(40):
+            arrivals = rng.integers(0, 300, size=n).astype(np.float64)
+            if rng.random() < 0.2:
+                arrivals[:] = 0.0  # an epoch that accepts nothing
+            if rng.random() < 0.05:
+                state.osd_alive[rng.integers(n)] = False  # a death mid-run
+            with np.errstate(over="ignore"):
+                rt.step(state, arrivals)
+                accepted, base, rate = seen[-1]
+                if accepted.any():
+                    runs, lat = run_latencies(accepted, base, rate)
+                    expected += bin_runs(*runs)
+                    kinds.add("finite" if np.isfinite(lat).all() else "inf")
+                else:
+                    kinds.add("empty")
+            if rng.random() < 0.1:
+                assert np.array_equal(rt.hist, expected)
+        assert np.array_equal(rt.hist, expected)
+        kinds.add("overflow" if expected[-1] else "bounded")
+    assert kinds == {"inf", "finite", "empty", "overflow", "bounded"}
+
+
 def test_mean_std_matches_numpy_bit_for_bit():
     """mean_std == (x.mean(), x.std()) exactly: sizes 1-300, alive-masked
     subsets, all-zero and constant vectors."""
@@ -317,6 +361,12 @@ SCALAR_XCHECK_CASES = [
     # Unbounded queues that reach the overflow slot.
     pytest.param(dict(policy="cmt", service="rate:2", requests_per_epoch=4096),
                  id="cmt-overflow"),
+    # The composed bench's layer mix at test size: growth, a drain, a
+    # failure, a slow disk and a wear-out around the blocked binning.
+    pytest.param(dict(policy="cmt", num_osds=8, service="rate:120;queue:64",
+                      topology="add:2@6/cap:2,rate:240;drain:2@12",
+                      faults="fail:3@8;slow:5@4x0.5", endurance="pe:1500"),
+                 id="cmt-composed"),
 ]
 
 
@@ -383,6 +433,26 @@ def test_dead_osd_backlog_becomes_lost_work(make_cfg):
     assert degraded["service_lost_work"] > 0.0
     healthy = simulate(make_cfg(service="rate:100"))
     assert healthy["service_lost_work"] == 0.0
+
+
+def test_corpse_queue_fails_validate_until_the_step_books_it(make_cfg):
+    """Dead OSDs hold no queued or pending work: the step zeroes a corpse's
+    queues once, at death, and books them as lost work."""
+    cfg = make_cfg(num_osds=4, service="rate:10")
+    rt = ServiceRuntime(ServiceModel.parse(cfg.service, num_osds=4), cfg)
+    state = make_state(cfg)
+    rt.attach(state)
+    state.osd_queue_depth[2] = 3.0
+    state.osd_mig_backlog[2] = 0.5
+    state.validate()  # alive: fine
+    state.osd_alive[2] = False
+    state.osd_capacity[2] = 0.0
+    state.chunk_owner[state.chunk_owner == 2] = 0
+    with pytest.raises(AssertionError, match="dead OSD holds queued or pending"):
+        state.validate()
+    rt.step(state, np.zeros(4))
+    state.validate()
+    assert rt.lost_work == 3.5
 
 
 def test_queue_aggregates_exclude_dead_osds(make_cfg):
