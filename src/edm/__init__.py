@@ -11,7 +11,8 @@ Stable public API (everything in ``__all__``):
     SweepResult        -- a completed sweep; ``iter_results()`` is the documented
                           way to read full metrics (works eager or streamed),
                           ``records`` holds what the parent kept per config
-    default_grid       -- the paper's 64-config evaluation grid
+    default_grid       -- the 96-config six-policy evaluation grid; the paper's
+                          64 configs are ``policies=("baseline", "cdf", "hdf", "cmt")``
     EnduranceModel     -- per-OSD rated P/E budgets parsed from an ``--endurance`` spec
     ServiceModel       -- per-OSD service rates + queue bound parsed from a
                           ``--service`` spec (``rate:800;queue:64``)

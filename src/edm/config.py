@@ -81,7 +81,8 @@ class SimConfig:
     The first five fields mirror the cache-key filename
     ``<workload>-<N>osd-<policy>-s<skew>-r<seed>.pkl``; the rest are engine
     knobs with defaults sized so a full 64-config sweep stays well under a
-    minute on one core.
+    minute on one core.  ``plans``, an attribute rather than a field, maps
+    each :data:`SCENARIO_FIELDS` name to its parsed spec.
     """
 
     workload: str = "deasna"
@@ -217,14 +218,16 @@ class SimConfig:
         from edm.spec import SpecError
         from edm.topology import TopologyPlan
 
-        plans = []
+        plans = {}
         for (name, _, _), parser in zip(
             SCENARIO_FIELDS,
             (FaultPlan, EnduranceModel, ServiceModel, TopologyPlan, RedundancyScheme),
         ):
-            plans.append(parser.parse(getattr(self, name), num_osds=self.num_osds))
-            object.__setattr__(self, name, plans[-1].spec)
-        fault_plan, _, svc, topo_plan, scheme = plans
+            plans[name] = parser.parse(getattr(self, name), num_osds=self.num_osds)
+            object.__setattr__(self, name, plans[name].spec)
+        # Not a field: never hashed, compared or serialized by to_dict.
+        object.__setattr__(self, "plans", plans)
+        fault_plan, _, svc, topo_plan, scheme = plans.values()
         if svc and svc.default is None:
             for ev in topo_plan.adds:
                 if ev.rate is None:

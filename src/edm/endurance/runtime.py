@@ -64,20 +64,6 @@ class EnduranceTracker:
         state.osd_rated_life = self._ratings.copy()
         self._prev_wear = state.osd_wear.copy()
 
-    def grow(self, state: "ClusterState") -> None:
-        """Widen the wear-delta baseline after a topology scale-out event.
-
-        New drives enter with their current (zero) wear as the baseline, so
-        the next :meth:`update_rate` sees a zero first delta rather than a
-        spurious full-wear jump.  Ratings for added drives are installed by
-        the topology runtime (per-band ``pe:`` attribute), not re-derived
-        from the endurance model's initial-fleet layout.
-        """
-        if self._prev_wear is not None and self._prev_wear.size < state.num_osds:
-            self._prev_wear = np.concatenate(
-                [self._prev_wear, state.osd_wear[self._prev_wear.size :]]
-            )
-
     def step(self, state: "ClusterState", epoch: int) -> list[FaultEvent]:
         """Fail every alive OSD at or past its rated budget, down to the
         survivor floor; returns the events.
@@ -109,7 +95,14 @@ class EnduranceTracker:
         return events
 
     def update_rate(self, state: "ClusterState") -> None:
-        """EWMA the wear accrued since the previous update into the state."""
+        """EWMA the wear accrued since the previous update into the state.
+
+        Drives added by a topology scale-out since the previous update joined
+        at zero wear, so the baseline grows by zeros.
+        """
+        grown = state.num_osds - self._prev_wear.size
+        if grown:
+            self._prev_wear = np.concatenate([self._prev_wear, np.zeros(grown)])
         delta = state.osd_wear - self._prev_wear
         state.osd_wear_rate *= 1.0 - self._alpha
         state.osd_wear_rate += self._alpha * delta

@@ -1,69 +1,45 @@
 """Vectorized simulation core.
 
-One epoch is a handful of O(num_chunks) array ops:
+:class:`Run` advances one configuration one epoch at a time;
+:func:`simulate` is a ``Run``, a loop over :meth:`Run.step`, and
+:meth:`Run.finalize`.  :meth:`Run.advance` takes the epoch's per-chunk
+access/write counts from its caller, and :meth:`Run.step` first draws them
+(one multinomial + binomial draw) from :func:`edm.workloads.traffic`,
+inline or by a forked producer ahead of the engine -- the same draws in the
+same order either way.  One epoch is a handful of O(num_chunks) array ops:
 
-  1. take the epoch's per-chunk access/write counts (one multinomial +
-     binomial draw) from :func:`edm.workloads.traffic`, which draws them
-     inline or has a forked producer draw them ahead of the engine -- the
-     same draws in the same order either way
+  1. step each configured scenario runtime at the epoch boundary: topology
+     first (``add`` grows the cluster by cold drives, ``drain`` marks an
+     OSD), so faults (``fail`` / ``slow`` / ``hiccup``) and then endurance
+     (``wearout`` at the rated P/E budget) see the grown or drained cluster.
+     Every departure -- drain, fail, wear-out -- re-places the leaving
+     OSD's chunks through the active policy's destination scoring
+     (:func:`replace_dead_chunks`); a drain then retires its OSD, discarding
+     its queue and pending migration work without counting them as
+     ``service_lost_work``.  Each fired event fans out to recorders via
+     ``on_topology`` or ``on_fault``.
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
-     scratch buffers
-  3. every ``migrate_interval`` epochs, let the policy pick migrations and
+     scratch buffers; a rated run (``cfg.endurance``) then folds the wear
+     delta into the per-OSD wear-rate EWMA behind CMT's wear-out term
+  3. with a service model (``cfg.service``), one epoch of each OSD's
+     bounded queue against its routed arrivals; migrations charge work into
+     the queues too, and the metrics gain a p50/p99/p999 latency block
+  4. every ``migrate_interval`` epochs, let the policy pick migrations and
      apply them as a batch index assignment
 
-With a fault plan configured (``cfg.faults``), epoch boundaries additionally
-step the :class:`~edm.faults.FaultRuntime` before routing: failures trigger
-a re-placement burst of the dead OSD's chunks through the active policy's
-destination scoring, slow-disk and hiccup events scale per-OSD capacity, and
-every fired event fans out to recorders via ``on_fault``.  Healthy configs
-skip this path entirely.
+With a redundancy scheme (``cfg.redundancy``), chunks form placement groups
+(replica or erasure-code stripes, see :mod:`edm.redundancy`) whose members
+must live on pairwise-distinct OSDs: initial placement is round-robin, every
+destination pick is group-constrained, and a failed OSD's chunks are
+*reconstructed* -- reads charged to surviving group members' service
+queues, the rebuild write charged as migration wear.
 
-With an endurance model configured (``cfg.endurance``), every OSD carries a
-rated P/E budget: epoch boundaries also step the
-:class:`~edm.endurance.EnduranceTracker`, failing any OSD whose consumed
-cycles reached its rating through the same re-placement and ``on_fault``
-path (event kind ``"wearout"``), and each epoch's wear delta feeds the
-per-OSD wear-rate EWMA behind CMT's predicted-wear-out destination term.
-Unrated configs skip this path entirely and stay bit-identical to the
-endurance-unaware engine.
-
-With a topology plan configured (``cfg.topology``), the cluster is elastic:
-the :class:`~edm.topology.TopologyRuntime` steps first at each epoch
-boundary (before faults and endurance, so both see the grown arrays).
-``add`` events append cold drives of the event's device class -- zero wear,
-zero load, per-band capacity / service rate / rated P/E -- and the
-metrics accumulator's load buffer widens once per event; ``drain`` events
-gracefully evacuate the target's chunks through the active policy's
-destination scoring (trigger ``"drain"`` in decision provenance) and then
-retire it, discarding its queue and pending migration work without
-counting them as ``service_lost_work``.  Every fired event fans out to
-recorders via ``on_topology``.  Static configs skip this path entirely and
-stay bit-identical to the topology-unaware engine.
-
-With a redundancy scheme configured (``cfg.redundancy``), chunks form
-placement groups (replica or erasure-code stripes, see
-:mod:`edm.redundancy`) whose members must live on pairwise-distinct OSDs:
-initial placement is round-robin, every destination pick is
-group-constrained, and a failed OSD's chunks are *reconstructed* -- reads
-charged to surviving group members' service queues, the rebuild write
-charged as migration wear -- instead of merely re-placed.  A constrained
-burst builds one group-owner matrix and one frozen-term scorer, then masks
-each chunk's candidates out of a single score vector per pick; the
-reconstruction charge is one pass over the same member matrix.  Plain
-configs carry no group state and skip every constraint check.
-
-With a service model configured (``cfg.service``), every OSD additionally
-carries a service rate and a bounded queue: after each kernel call the
-:class:`~edm.service.ServiceRuntime` steps the per-OSD queue recursion
-against the epoch's routed arrivals, migrations charge work into the queues
-(drained over a cooldown window), and the run's metrics gain a
-p50/p99/p999 latency block.  Unserviced configs skip this path entirely and
-stay bit-identical to the service-unaware engine.
-
-There is no per-request Python loop anywhere; a "request" only ever exists
-as a unit inside a counts vector.  Service latencies are built once per
-epoch, for their sum, and binned per OSD run in blocks of runs.
+An unconfigured layer is skipped entirely, so its runs stay bit-identical
+to the engine without it.  There is no per-request Python loop anywhere; a
+"request" only ever exists as a unit inside a counts vector.  Service
+latencies are built once per epoch, for their sum, and binned per OSD run
+in blocks of runs.
 """
 
 from __future__ import annotations
@@ -73,19 +49,19 @@ from typing import Sequence
 import numpy as np
 
 from edm.config import SimConfig, rng_seed_sequence
-from edm.endurance import EnduranceModel, EnduranceTracker
+from edm.endurance import EnduranceTracker
 from edm.engine.kernels import EpochKernel
 from edm.engine.metrics import MetricsAccumulator
 from edm.engine.state import ClusterState, init_state
-from edm.faults import FaultPlan, FaultRuntime, effective_load
-from edm.obs.decisions import Decision
+from edm.faults import FaultRuntime, effective_load
+from edm.obs.decisions import TRIGGERS, Decision
 from edm.obs.trace import NULL_TRACER, Tracer
 from edm.policies import MigrationPolicy, get_policy
 from edm.policies.base import candidate_positions, destination_picker
-from edm.redundancy import RedundancyRuntime, RedundancyScheme
-from edm.service import ServiceModel, ServiceRuntime
+from edm.redundancy import RedundancyRuntime
+from edm.service import ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
-from edm.topology import TopologyPlan, TopologyRuntime
+from edm.topology import TopologyRuntime
 from edm.workloads import make_workload, traffic
 
 
@@ -247,12 +223,189 @@ def replace_dead_chunks(
     return apply_migrations(state, moves, cfg)
 
 
+# Which departure events re-place the leaving OSD's chunks, under which
+# decision trigger.  A drain's OSD is still alive while its chunks stream
+# off; the topology runtime retires it afterwards.
+_DEPARTURES = {"drain": "drain", "fail": "fault", "wearout": "wearout"}
+
+
+class Run:
+    """One configuration, advanced one epoch at a time.
+
+    ``recorders`` and ``tracer`` are as for :func:`simulate`.
+    :meth:`advance` simulates the next epoch on traffic the caller supplies;
+    :meth:`step` draws this run's own next epoch first, from
+    :func:`edm.workloads.traffic` (lazy: a producer, if any, forks on the
+    first draw, so a run driven only through :meth:`advance` never forks).
+    :meth:`finalize` closes that traffic, validates the state and returns the
+    metrics dict; :meth:`close` only closes the traffic.
+    """
+
+    def __init__(
+        self,
+        cfg: SimConfig,
+        recorders: Sequence[Recorder] = (),
+        tracer: Tracer | None = None,
+    ):
+        self.cfg = cfg
+        self.epoch = 0  # the next epoch to simulate
+        self._tr = tr = tracer if tracer is not None else NULL_TRACER
+        with tr.span("simulate.setup"):
+            wl_ss, _reserved = rng_seed_sequence(cfg).spawn(2)
+            workload = make_workload(cfg, np.random.default_rng(wl_ss))
+            self.policy = get_policy(cfg.policy)
+            self.state = state = init_state(cfg)
+            p = cfg.plans
+            faults = FaultRuntime(p["faults"]) if p["faults"] else None
+            endurance = EnduranceTracker(p["endurance"], cfg) if p["endurance"] else None
+            service = ServiceRuntime(p["service"], cfg) if p["service"] else None
+            for runtime in (endurance, service):
+                if runtime is not None:
+                    runtime.attach(state)
+            topology = (
+                TopologyRuntime(p["topology"], service=p["service"], endurance=p["endurance"])
+                if p["topology"] else None
+            )
+            redundancy = RedundancyRuntime(p["redundancy"], cfg) if p["redundancy"] else None
+            self._endurance, self._service, self._redundancy = endurance, service, redundancy
+            # Topology steps first, so faults and endurance see this epoch's
+            # grown (or drained) cluster.
+            self._boundary = [
+                (span, runtime, hook)
+                for span, runtime, hook in (
+                    ("simulate.topology", topology, "on_topology"),
+                    ("simulate.faults", faults, "on_fault"),
+                    ("simulate.endurance", endurance, "on_fault"),
+                )
+                if runtime is not None
+            ]
+            self._kernel = EpochKernel(cfg)
+            self._acc = MetricsAccumulator(service=service, redundancy=redundancy)
+            self._recorders = tuple(recorders)
+            self._observers = observers = (self._acc, *recorders)
+            # Decision provenance is opt-in: only recorders that *override*
+            # on_decision flip selection/re-placement onto the explained path
+            # (bit-identical picks, see edm.obs.decisions); without one, every
+            # emitter is None and every call site takes its plain branch.
+            self._deciders = [
+                rec for rec in observers
+                if type(rec).on_decision is not Recorder.on_decision
+            ]
+            self._emit = {t: self._emitter(t) if self._deciders else None for t in TRIGGERS}
+            for rec in observers:
+                rec.on_run_start(cfg, state)
+            self._stats = EpochStats()
+            self._load = np.zeros(cfg.num_osds)
+            self._draws = traffic(workload, cfg.epochs)
+
+    def _emitter(self, trigger: str):
+        def emit(chunk, src, dst, candidates, terms, scores):
+            decision = Decision(
+                epoch=int(self.state.epoch),
+                trigger=trigger,
+                policy=self.cfg.policy,
+                chunk=int(chunk),
+                src=int(src),
+                dst=int(dst),
+                candidates=tuple(int(c) for c in candidates),
+                terms={k: tuple(float(x) for x in v) for k, v in terms.items()},
+                scores=tuple(float(s) for s in scores),
+            )
+            for rec in self._deciders:
+                rec.on_decision(self.state, decision)
+
+        return emit
+
+    def step(self) -> None:
+        """Draw this run's next epoch of traffic and :meth:`advance` on it.
+
+        When a forked producer draws the traffic, ``simulate.workload_gen``
+        times the engine's *wait* for the produced epoch, not the draw.
+        """
+        with self._tr.span("simulate.workload_gen"):
+            counts, writes = next(self._draws)
+        self.advance(counts, writes)
+
+    def advance(self, counts: np.ndarray, writes: np.ndarray) -> None:
+        """Simulate the next epoch on per-chunk float64 ``counts``/``writes``."""
+        cfg, state, tr, observers = self.cfg, self.state, self._tr, self._observers
+        epoch = self.epoch
+        if epoch >= cfg.epochs:
+            raise RuntimeError(f"run of {cfg.epochs} epochs has no epoch {epoch}")
+        state.epoch, self.epoch = epoch, epoch + 1
+        for span, runtime, hook in self._boundary:
+            with tr.span(span):
+                for event in runtime.step(state, epoch):
+                    moved = 0
+                    trigger = _DEPARTURES.get(event.kind)
+                    if trigger is not None:
+                        # Every departure takes the same re-placement burst
+                        # through the active policy.
+                        moved = replace_dead_chunks(
+                            state, event.osd, self.policy, cfg,
+                            emit=self._emit[trigger], redundancy=self._redundancy,
+                        )
+                        if event.kind == "drain":
+                            runtime.retire(state, event.osd)
+                    for rec in observers:
+                        getattr(rec, hook)(state, event, moved)
+        with tr.span("simulate.kernel"):
+            # Fused epoch math: routing bincounts, wear accrual, heat/load
+            # EMAs -- one kernel call on preallocated scratch.
+            self._load = load = self._kernel.epoch_update(state, counts, writes)
+            if self._endurance is not None:
+                # Fold this epoch's wear delta (routing writes plus any
+                # migration wear applied since the last update) into the
+                # per-OSD wear-rate EWMA before observers and policies look.
+                self._endurance.update_rate(state)
+        stats = self._stats
+        if self._service is not None:
+            with tr.span("simulate.service"):
+                # Advance every OSD's queue by one epoch of service against
+                # this epoch's routed arrivals (the kernel's load vector is
+                # exactly the per-OSD request bincount) and fold accepted
+                # requests' latencies into the run histogram; fills the
+                # stats latency/queue fields observers read below.
+                self._service.step(state, load, stats)
+        with tr.span("simulate.observers"):
+            stats.epoch = epoch
+            stats.requests = int(counts.sum())
+            stats.writes = int(writes.sum())
+            for rec in observers:
+                rec.on_epoch(state, load, stats)
+        if (epoch + 1) % cfg.migrate_interval == 0:
+            with tr.span("simulate.migration"):
+                moves = self.policy.select(state, cfg, self._emit["threshold"])
+                applied = apply_migrations(state, moves, cfg)
+                for rec in observers:
+                    rec.on_migration(state, applied, stats)
+
+    def close(self) -> None:
+        """Close this run's traffic iterator, reaping its producer if any."""
+        self._draws.close()
+
+    def finalize(self) -> dict:
+        """Close the traffic, validate the state, and return the metrics dict."""
+        self.close()
+        tr, state, load = self._tr, self.state, self._load
+        with tr.span("simulate.finalize"):
+            state.validate()
+            metrics = self._acc.finalize(state, load)
+            for rec in self._recorders:
+                rec.finalize(state, load)
+        if tr.enabled:
+            metrics["timings"] = tr.summary()
+        return metrics
+
+
 def simulate(
     cfg: SimConfig,
     recorders: Sequence[Recorder] = (),
     tracer: Tracer | None = None,
 ) -> dict:
     """Run one configuration to completion and return its metrics dict.
+
+    A :class:`Run` stepped through every epoch, then finalized.
 
     ``recorders`` are observer hooks (see :mod:`edm.telemetry.recorder`)
     driven alongside the built-in :class:`MetricsAccumulator`; they see every
@@ -265,166 +418,16 @@ def simulate(
     generation, the fused epoch kernel (routing + heat/wear EMA updates),
     observer fan-out, migration selection -- as ``simulate.*`` spans; when
     enabled, the aggregated span summary is attached to the returned
-    metrics under ``"timings"``.  When a forked producer draws the traffic
-    (see :mod:`edm.workloads.producer`), ``simulate.workload_gen`` times the
-    engine's *wait* for each produced epoch, not the draw itself.  The
-    default is the shared :data:`~edm.obs.trace.NULL_TRACER`, whose spans are
-    no-ops, so untraced runs stay on the bare hot path.  Timings never feed
-    back into the simulation: metrics (minus the ``"timings"`` key) are
-    bit-identical with or without tracing.
+    metrics under ``"timings"``.  The default is the shared
+    :data:`~edm.obs.trace.NULL_TRACER`, whose spans are no-ops, so untraced
+    runs stay on the bare hot path.  Timings never feed back into the
+    simulation: metrics (minus the ``"timings"`` key) are bit-identical with
+    or without tracing.
     """
-    tr = tracer if tracer is not None else NULL_TRACER
-    with tr.span("simulate.setup"):
-        ss = rng_seed_sequence(cfg)
-        wl_ss, _reserved = ss.spawn(2)
-        workload = make_workload(cfg, np.random.default_rng(wl_ss))
-        policy = get_policy(cfg.policy)
-        state = init_state(cfg)
-        plan = FaultPlan.parse(cfg.faults, num_osds=cfg.num_osds)
-        faults = FaultRuntime(plan) if plan else None
-        model = EnduranceModel.parse(cfg.endurance, num_osds=cfg.num_osds)
-        endurance = EnduranceTracker(model, cfg) if model else None
-        if endurance is not None:
-            endurance.attach(state)
-        svc_model = ServiceModel.parse(cfg.service, num_osds=cfg.num_osds)
-        service = ServiceRuntime(svc_model, cfg) if svc_model else None
-        if service is not None:
-            service.attach(state)
-        topo_plan = TopologyPlan.parse(cfg.topology, num_osds=cfg.num_osds)
-        topology = (
-            TopologyRuntime(topo_plan, service=svc_model, endurance=model)
-            if topo_plan
-            else None
-        )
-        scheme = RedundancyScheme.parse(cfg.redundancy, num_osds=cfg.num_osds)
-        redundancy = RedundancyRuntime(scheme, cfg) if scheme else None
-        kernel = EpochKernel(cfg)
-        acc = MetricsAccumulator(service=service, redundancy=redundancy)
-        observers: tuple[Recorder, ...] = (acc, *recorders)
-        # Decision provenance is opt-in: only recorders that *override*
-        # on_decision flip selection/re-placement onto the explained path
-        # (bit-identical picks, see edm.obs.decisions); without one, both
-        # emitters stay None and every call site takes its historical branch.
-        decision_observers = tuple(
-            rec for rec in observers
-            if type(rec).on_decision is not Recorder.on_decision
-        )
-
-        def _decision_emitter(trigger: str):
-            if not decision_observers:
-                return None
-
-            def emit(chunk, src, dst, candidates, terms, scores):
-                decision = Decision(
-                    epoch=int(state.epoch),
-                    trigger=trigger,
-                    policy=cfg.policy,
-                    chunk=int(chunk),
-                    src=int(src),
-                    dst=int(dst),
-                    candidates=tuple(int(c) for c in candidates),
-                    terms={k: tuple(float(x) for x in v) for k, v in terms.items()},
-                    scores=tuple(float(s) for s in scores),
-                )
-                for rec in decision_observers:
-                    rec.on_decision(state, decision)
-
-            return emit
-
-        emit_threshold = _decision_emitter("threshold")
-        emit_fault = _decision_emitter("fault")
-        emit_wearout = _decision_emitter("wearout")
-        emit_drain = _decision_emitter("drain")
-        for rec in observers:
-            rec.on_run_start(cfg, state)
-        stats = EpochStats()
-        draws = traffic(workload, cfg.epochs)
-
-    load = np.zeros(cfg.num_osds)
+    run = Run(cfg, recorders, tracer)
     try:
-        for epoch in range(cfg.epochs):
-            state.epoch = epoch
-            if topology is not None:
-                with tr.span("simulate.topology"):
-                    # Topology steps first so faults/endurance/service all see
-                    # the grown (or drained) cluster this epoch.
-                    for event in topology.step(state, epoch):
-                        moved = 0
-                        if event.kind == "add":
-                            if endurance is not None:
-                                endurance.grow(state)
-                        else:  # drain: evacuate gracefully, then retire
-                            moved = replace_dead_chunks(
-                                state, event.osd, policy, cfg, emit=emit_drain,
-                                redundancy=redundancy,
-                            )
-                            topology.retire(state, event.osd)
-                        for rec in observers:
-                            rec.on_topology(state, event, moved)
-            if faults is not None:
-                with tr.span("simulate.faults"):
-                    for event in faults.step(state, epoch):
-                        replaced = 0
-                        if event.kind == "fail":
-                            replaced = replace_dead_chunks(
-                                state, event.osd, policy, cfg, emit=emit_fault,
-                                redundancy=redundancy,
-                            )
-                        for rec in observers:
-                            rec.on_fault(state, event, replaced)
-            if endurance is not None:
-                with tr.span("simulate.endurance"):
-                    # Wear-outs ride the fault machinery: same re-placement burst
-                    # through the active policy, same on_fault observer fan-out.
-                    for event in endurance.step(state, epoch):
-                        replaced = replace_dead_chunks(
-                            state, event.osd, policy, cfg, emit=emit_wearout,
-                            redundancy=redundancy,
-                        )
-                        for rec in observers:
-                            rec.on_fault(state, event, replaced)
-            with tr.span("simulate.workload_gen"):
-                counts, writes = next(draws)
-            with tr.span("simulate.kernel"):
-                # Fused epoch math: routing bincounts, wear accrual, heat/load
-                # EMAs -- one kernel call on preallocated scratch.
-                load = kernel.epoch_update(state, counts, writes)
-                if endurance is not None:
-                    # Fold this epoch's wear delta (routing writes plus any
-                    # migration wear applied since the last update) into the
-                    # per-OSD wear-rate EWMA before observers and policies look.
-                    endurance.update_rate(state)
-
-            if service is not None:
-                with tr.span("simulate.service"):
-                    # Advance every OSD's queue by one epoch of service against
-                    # this epoch's routed arrivals (the kernel's load vector is
-                    # exactly the per-OSD request bincount) and fold accepted
-                    # requests' latencies into the run histogram; fills the
-                    # stats latency/queue fields observers read below.
-                    service.step(state, load, stats)
-
-            with tr.span("simulate.observers"):
-                stats.epoch = epoch
-                stats.requests = int(counts.sum())
-                stats.writes = int(writes.sum())
-                for rec in observers:
-                    rec.on_epoch(state, load, stats)
-
-            if (epoch + 1) % cfg.migrate_interval == 0:
-                with tr.span("simulate.migration"):
-                    moves = policy.select(state, cfg, emit_threshold)
-                    applied = apply_migrations(state, moves, cfg)
-                    for rec in observers:
-                        rec.on_migration(state, applied, stats)
+        for _ in range(cfg.epochs):
+            run.step()
     finally:
-        draws.close()
-
-    with tr.span("simulate.finalize"):
-        state.validate()
-        metrics = acc.finalize(state, load)
-        for rec in recorders:
-            rec.finalize(state, load)
-    if tr.enabled:
-        metrics["timings"] = tr.summary()
-    return metrics
+        run.close()
+    return run.finalize()

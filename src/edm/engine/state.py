@@ -182,10 +182,7 @@ def init_state(cfg: SimConfig) -> ClusterState:
     group = None
     width = 0
     if cfg.redundancy:
-        from edm.redundancy.spec import RedundancyScheme
-
-        scheme = RedundancyScheme.parse(cfg.redundancy, num_osds=n)
-        width = scheme.group_width
+        width = cfg.plans["redundancy"].group_width
         owner = (np.arange(c, dtype=np.int64) % n).astype(np.int32)
         group = (np.arange(c, dtype=np.int64) // width).astype(np.int32)
     else:

@@ -1,7 +1,9 @@
 """Observer hooks for the simulation engine.
 
-``simulate(cfg, recorders=...)`` drives every recorder through the same
-seven hooks:
+``simulate(cfg, recorders=...)`` -- a :class:`~edm.engine.core.Run` stepped
+through every epoch, each :meth:`~edm.engine.core.Run.step` drawing the
+run's own traffic, or :meth:`~edm.engine.core.Run.advance` fed traffic by
+its caller -- drives every recorder through the same seven hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
     on_topology(state, event, moved)

@@ -29,7 +29,6 @@ import numpy as np
 from edm.config import SimConfig, config_hash
 from edm.files import atomic_write
 from edm.telemetry.recorder import EpochStats, Recorder, mean_std
-from edm.topology.spec import TopologyPlan
 
 if TYPE_CHECKING:
     from edm.engine.state import ClusterState
@@ -177,9 +176,7 @@ class TimeSeriesRecorder(Recorder):
         # Per-OSD buffers are sized to the topology plan's maximum cluster
         # width up front (== num_osds for static configs), so scale-out
         # never reallocates mid-run; columns of not-yet-added drives stay 0.
-        n = TopologyPlan.parse(cfg.topology, num_osds=cfg.num_osds).max_osds(
-            cfg.num_osds
-        )
+        n = cfg.plans["topology"].max_osds(cfg.num_osds)
         self._cols = {
             k: np.zeros((cap, n) if k in _PER_OSD_COLUMNS else cap, dtype=_dtype(k))
             for k in _ARRAY_FIELDS

@@ -1,6 +1,8 @@
 """Decision provenance: explained picks, recorder sinks, attribution, CLI."""
 
+import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -115,6 +117,25 @@ def test_explained_run_captures_all_triggers():
     # Every record's dst is the argmin of its scores over its candidates.
     for r in records:
         assert r["dst"] == r["candidates"][int(np.argmin(r["scores"]))]
+
+
+# sha256 of the sorted-key JSON of an all-trigger run's decision records.
+ALL_TRIGGERS_DIGEST = "950b180a5b75835901edf330b834398076f880daa583ce76ace71cb9ce470440"
+
+
+def test_all_trigger_decision_stream_pinned():
+    # Scale-out, drain, failure and wear-outs in one run: every departure
+    # event's re-placement burst, and the wear baseline of added drives.
+    cfg = cfg_factory(
+        policy="cmt", num_osds=8, epochs=48, topology="add:2@8;drain:5@20", **FAULTED_ENDURED
+    )
+    rec = DecisionRecorder(capacity=100_000)
+    simulate(cfg, recorders=(rec,))
+    records = rec.records()
+    triggers = Counter(r["trigger"] for r in records)
+    assert triggers == {"threshold": 35, "drain": 10, "wearout": 10, "fault": 7}
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == ALL_TRIGGERS_DIGEST
 
 
 def test_unexplained_run_never_calls_hook():
