@@ -9,7 +9,7 @@ Stable public API (everything in ``__all__``):
     simulate           -- run a configuration: ``simulate(cfg, recorders=())``
     sweep              -- run a grid with caching + parallelism (+ time-series export)
     SweepResult        -- a completed sweep; ``iter_results()`` is the documented
-                          way to read full metrics (works eager or streamed),
+                          way to read full metrics (cached or not),
                           ``records`` holds what the parent kept per config
     default_grid       -- the 96-config six-policy evaluation grid; the paper's
                           64 configs are ``policies=("baseline", "cdf", "hdf", "cmt")``

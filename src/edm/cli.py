@@ -145,9 +145,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.stream and args.no_cache:
-        log.error("--stream needs the result cache; drop --no-cache")
-        return 2
     grid = default_grid(
         workloads=_csv(args.workloads),
         osds=[int(n) for n in _csv(args.osds)],
@@ -169,14 +166,13 @@ def cmd_sweep(args) -> int:
         record_every=args.record_every,
         run_log=args.run_log,
         progress=args.progress,
-        stream=args.stream,
         trace_events=args.trace,
     )
-    for cfg, metrics in zip(grid, result.records):
+    for cfg, record in zip(grid, result.records):
         print(
-            f"{cfg.cache_name():44s} load_cov={metrics['load_cov_mean']:.4f} "
-            f"wear_spread={metrics['wear_spread']:.0f} "
-            f"migrations={metrics['migrations_total']}"
+            f"{cfg.cache_name():44s} load_cov={record['load_cov_mean']:.4f} "
+            f"wear_spread={record['wear_spread']:.0f} "
+            f"migrations={record['migrations_total']}"
         )
     print(
         f"# {len(grid)} configs: {result.simulated} simulated, "
@@ -354,13 +350,6 @@ def main(argv: list[str] | None = None) -> int:
         "--progress",
         action="store_true",
         help="live done/total + ETA + req/s line on stderr while the sweep runs",
-    )
-    sweep_p.add_argument(
-        "--stream",
-        action="store_true",
-        help="stream full metrics to the cache from inside workers and keep only "
-        "slim per-config summaries in the parent (memory independent of grid "
-        "size; incompatible with --no-cache)",
     )
     _add_scenario_args(sweep_p, grid=True)
     sweep_p.add_argument(

@@ -90,8 +90,6 @@ class EnduranceTracker:
             state.osd_alive[osd] = False
             state.osd_capacity[osd] = 0.0
             events.append(FaultEvent(kind="wearout", osd=int(osd), epoch=epoch))
-        if events:
-            state.degraded = True
         return events
 
     def update_rate(self, state: "ClusterState") -> None:

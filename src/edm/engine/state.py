@@ -7,11 +7,16 @@ are batch array ops rather than per-request Python loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from edm.config import SimConfig
+
+
+def _column(fill):
+    """A per-OSD column whose new drives start at ``fill`` (its dtype too)."""
+    return field(default=None, metadata={"fill": fill})
 
 
 @dataclass
@@ -25,49 +30,50 @@ class ClusterState:
     chunk_last_migrated: np.ndarray  # int64 [C], epoch of last migration
     #   (never-migrated sentinel -(10**9): far enough in the past that every
     #   chunk clears any cooldown window at epoch 0 without int64 overflow)
-    # Per-OSD
-    osd_wear: np.ndarray             # float64 [N], cumulative erase-count units
-    osd_load_ema: np.ndarray         # float64 [N], EMA of per-epoch load
-    # Fault state (healthy defaults filled in by __post_init__)
-    osd_alive: np.ndarray = None     # bool [N], False once an OSD has failed
-    osd_capacity: np.ndarray = None  # float64 [N], capacity multiplier (0 = dead)
-    # Endurance state (unlimited defaults filled in by __post_init__)
-    osd_rated_life: np.ndarray = None  # float64 [N], rated P/E budget in wear units (inf = unrated)
-    osd_wear_rate: np.ndarray = None   # float64 [N], EWMA of per-epoch wear increments
-    # Service state (idle defaults filled in by __post_init__; rate inf =
-    # no service model, any backlog retires instantly and queues never form)
-    osd_service_rate: np.ndarray = None  # float64 [N], requests/epoch at full capacity
-    osd_queue_depth: np.ndarray = None   # float64 [N], backlog carried across epochs
-    osd_mig_backlog: np.ndarray = None   # float64 [N], pending migration work (request-equivalents)
-    # Topology state (static defaults filled in by __post_init__; N grows at
-    # scale-out events, every per-OSD array above growing in lockstep)
-    osd_draining: np.ndarray = None  # bool [N], True once a drain marked the OSD source-only
+    # Per-OSD columns, each declared with the value a new drive starts with
+    # (a fresh cluster is num_osds new drives).  __post_init__, grow and
+    # validate all iterate OSD_COLUMNS, so every column tracks num_osds in
+    # lockstep.
+    osd_wear: np.ndarray = _column(0.0)         # float64 [N], cumulative erase-count units
+    osd_load_ema: np.ndarray = _column(0.0)     # float64 [N], EMA of per-epoch load
+    osd_alive: np.ndarray = _column(True)       # bool [N], False once an OSD has failed
+    osd_capacity: np.ndarray = _column(1.0)     # float64 [N], capacity multiplier (0 = dead)
+    osd_rated_life: np.ndarray = _column(np.inf)  # float64 [N], rated P/E budget in wear units (inf = unrated)
+    osd_wear_rate: np.ndarray = _column(0.0)    # float64 [N], EWMA of per-epoch wear increments
+    # Service rate inf = no service model: any backlog retires instantly and
+    # queues never form.
+    osd_service_rate: np.ndarray = _column(np.inf)  # float64 [N], requests/epoch at full capacity
+    osd_queue_depth: np.ndarray = _column(0.0)  # float64 [N], backlog carried across epochs
+    osd_mig_backlog: np.ndarray = _column(0.0)  # float64 [N], pending migration work (request-equivalents)
+    osd_draining: np.ndarray = _column(False)   # bool [N], True once a drain marked the OSD source-only
     # Redundancy state (plain configs carry None/0 and skip every group
     # check).  Groups are consecutive id ranges of group_width chunks whose
     # members must live on pairwise-distinct OSDs.
     chunk_group: np.ndarray = None   # int32 [C], placement-group id per chunk (None = plain)
     group_width: int = 0             # chunks per group (0 = plain)
-    degraded: bool = False           # True while any OSD is dead or off-nominal
     epoch: int = 0
     migrations_total: int = 0
 
     def __post_init__(self) -> None:
-        if self.osd_alive is None:
-            self.osd_alive = np.ones(self.num_osds, dtype=bool)
-        if self.osd_capacity is None:
-            self.osd_capacity = np.ones(self.num_osds)
-        if self.osd_rated_life is None:
-            self.osd_rated_life = np.full(self.num_osds, np.inf)
-        if self.osd_wear_rate is None:
-            self.osd_wear_rate = np.zeros(self.num_osds)
-        if self.osd_service_rate is None:
-            self.osd_service_rate = np.full(self.num_osds, np.inf)
-        if self.osd_queue_depth is None:
-            self.osd_queue_depth = np.zeros(self.num_osds)
-        if self.osd_mig_backlog is None:
-            self.osd_mig_backlog = np.zeros(self.num_osds)
-        if self.osd_draining is None:
-            self.osd_draining = np.zeros(self.num_osds, dtype=bool)
+        for name, fill in OSD_COLUMNS.items():
+            if getattr(self, name) is None:
+                setattr(self, name, np.full(self.num_osds, fill, dtype=type(fill)))
+
+    def grow(self, count: int, **fills) -> None:
+        """Append ``count`` new drives to every per-OSD column.
+
+        Each column extends by its new-drive value, or by ``fills[name]``
+        where that is given and not None (an added device class's
+        capacity, service rate or rating).
+        """
+        unknown = fills.keys() - OSD_COLUMNS.keys()
+        if unknown:
+            raise TypeError(f"not per-OSD columns: {sorted(unknown)}")
+        for name, fill in OSD_COLUMNS.items():
+            value = fill if fills.get(name) is None else fills[name]
+            added = np.full(count, value, dtype=type(fill))
+            setattr(self, name, np.concatenate([getattr(self, name), added]))
+        self.num_osds += count
 
     @property
     def survivor_floor(self) -> int:
@@ -85,28 +91,19 @@ class ClusterState:
             raise AssertionError("chunk_owner shape drifted")
         if self.chunk_owner.min() < 0 or self.chunk_owner.max() >= self.num_osds:
             raise AssertionError("chunk_owner contains out-of-range OSD id")
-        if self.osd_alive.shape != (self.num_osds,) or self.osd_capacity.shape != (
-            self.num_osds,
-        ):
-            raise AssertionError("osd_alive/osd_capacity shape drifted")
+        for name in OSD_COLUMNS:
+            if getattr(self, name).shape != (self.num_osds,):
+                raise AssertionError(f"{name} width drifted from num_osds")
         if (self.osd_capacity < 0).any():
             raise AssertionError("osd_capacity contains negative entries")
         if not self.osd_alive.all():
             dead = np.flatnonzero(~self.osd_alive)
             if np.isin(self.chunk_owner, dead).any():
                 raise AssertionError("dead OSD still owns chunks (re-placement missed)")
-        if self.osd_rated_life.shape != (self.num_osds,) or self.osd_wear_rate.shape != (
-            self.num_osds,
-        ):
-            raise AssertionError("osd_rated_life/osd_wear_rate shape drifted")
         if (self.osd_rated_life <= 0).any():
             raise AssertionError("osd_rated_life contains non-positive ratings")
         if (self.osd_wear_rate < 0).any():
             raise AssertionError("osd_wear_rate went negative (wear decreased?)")
-        if self.osd_queue_depth.shape != (self.num_osds,) or self.osd_mig_backlog.shape != (
-            self.num_osds,
-        ):
-            raise AssertionError("osd_queue_depth/osd_mig_backlog shape drifted")
         if np.isnan(self.osd_queue_depth).any() or (self.osd_queue_depth < 0).any():
             raise AssertionError("osd_queue_depth went negative or NaN")
         if np.isnan(self.osd_mig_backlog).any() or (self.osd_mig_backlog < 0).any():
@@ -116,14 +113,6 @@ class ClusterState:
             raise AssertionError("dead OSD holds queued or pending service work")
         if (self.osd_service_rate <= 0).any():
             raise AssertionError("osd_service_rate contains non-positive rates")
-        # Growth invariant: every per-OSD array tracks num_osds in lockstep
-        # (scale-out grows them all or none).
-        if self.osd_draining.shape != (self.num_osds,):
-            raise AssertionError("osd_draining shape drifted")
-        if self.osd_service_rate.shape != (self.num_osds,) or self.osd_wear.shape != (
-            self.num_osds,
-        ) or self.osd_load_ema.shape != (self.num_osds,):
-            raise AssertionError("per-OSD array widths drifted from num_osds")
         if (self.osd_draining & self.osd_alive & (self.osd_capacity > 0)).any():
             # A marked OSD should have been evacuated and retired within its
             # drain epoch; surviving the boundary means the engine skipped
@@ -164,6 +153,11 @@ class ClusterState:
         return out
 
 
+
+#: Per-OSD column name -> the value a new drive starts with, in field order.
+OSD_COLUMNS = {f.name: f.metadata["fill"] for f in fields(ClusterState) if "fill" in f.metadata}
+
+
 def init_state(cfg: SimConfig) -> ClusterState:
     """Contiguous block placement: chunk i lives on OSD i // chunks_per_osd.
 
@@ -194,8 +188,6 @@ def init_state(cfg: SimConfig) -> ClusterState:
         chunk_heat=np.zeros(c),
         chunk_write_heat=np.zeros(c),
         chunk_last_migrated=np.full(c, -(10**9), dtype=np.int64),
-        osd_wear=np.zeros(n),
-        osd_load_ema=np.zeros(n),
         chunk_group=group,
         group_width=width,
     )

@@ -3,8 +3,8 @@
 The engine calls :meth:`FaultRuntime.step` once per epoch *before* routing;
 the runtime flips ``osd_alive``, recomputes ``osd_capacity`` (base capacity
 eroded by ``slow`` events, further scaled by any active ``hiccup`` windows,
-zeroed for dead OSDs), and maintains ``state.degraded`` -- the cheap flag
-policies branch on so healthy runs never pay for fault support.
+zeroed for dead OSDs).  Policies rank OSDs by effective load
+(:func:`effective_load`), which on a healthy cluster equals raw load.
 
 Capacity semantics:
 
@@ -107,7 +107,4 @@ class FaultRuntime:
                 cap[ev.osd] *= ev.factor
             cap[~state.osd_alive] = 0.0
             state.osd_capacity = cap
-            state.degraded = bool(
-                (~state.osd_alive).any() or (cap != 1.0).any()
-            )
         return fired

@@ -9,13 +9,12 @@ by ``overload_tolerance``, walk their chunks in a policy-defined order, and
 ship each to a policy-chosen underloaded destination until the source is
 back within tolerance or the per-interval budget runs out.
 
-Degraded clusters: when ``state.degraded`` is set (any OSD dead or running
-at off-nominal capacity), selection ranks OSDs by *effective* load --
-``load / capacity``, infinite for dead OSDs -- and masks dead OSDs out of
-both source and destination candidates.  A half-capacity disk therefore
-reads as twice as loaded and sheds chunks; a dead disk can never be picked.
-On a healthy cluster the degraded branch is never taken and every operation
-is bit-identical to the fault-unaware engine.
+Selection ranks OSDs by *effective* load -- ``load / capacity``, infinite
+for dead OSDs -- and masks dead OSDs out of both source and destination
+candidates.  A half-capacity disk therefore reads as twice as loaded and
+sheds chunks; a dead disk can never be picked.  On a healthy cluster every
+capacity is exactly 1.0 and every OSD alive, so effective load is raw load
+and selection is bit-identical to a fault-unaware engine.
 
 Draining OSDs (topology scale-in, ``state.osd_draining``) are masked out of
 destination candidates everywhere a policy picks one: a drive being
@@ -138,14 +137,10 @@ class ThresholdPolicy(MigrationPolicy):
     def select(self, state: ClusterState, cfg: SimConfig, emit=None) -> np.ndarray:
         alive = state.osd_alive
         cap = state.osd_capacity
-        if state.degraded:
-            if not alive.any():
-                return EMPTY_MOVES
-            proj = effective_load(state.osd_load_ema, cap, alive)
-            mean = proj[alive].mean()
-        else:
-            proj = state.osd_load_ema.copy()
-            mean = proj.mean()
+        if not alive.any():
+            return EMPTY_MOVES
+        proj = effective_load(state.osd_load_ema, cap, alive)
+        mean = proj[alive].mean()
         if mean <= 0:
             return EMPTY_MOVES
         high = mean * (1.0 + cfg.overload_tolerance)

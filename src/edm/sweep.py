@@ -7,11 +7,15 @@ carries its own seed and derives its RNG streams from its content hash
 (see edm.config.rng_seed_sequence), so results are identical regardless of
 worker count or scheduling order.
 
-Dispatch is ``submit``/``as_completed``: results are cached **as they land**,
-so an interrupted sweep (a poisoned config, a dead worker, Ctrl-C between
-results) keeps every completed config's work -- the next sweep resumes from
-cache.  When any config fails, the remaining futures are still drained and
-stored before the first error is re-raised.
+Dispatch is ``submit``/``as_completed``.  With the cache on, each worker
+stores its own full metrics into the ``.repro-cache`` layout and returns
+only a slim summary record -- the handful of scalars the sweep table,
+progress meter, and report need -- so the parent's memory is independent
+of grid size, and an interrupted sweep (a poisoned config, a dead worker,
+Ctrl-C between results) keeps every completed config's work: the next
+sweep resumes from cache.  When any config fails, the remaining futures are
+still drained before the first error is re-raised.  Without the cache, full
+metrics cross the pool instead.
 
 With ``timeseries_dir`` set, each worker additionally runs a
 :class:`~edm.telemetry.TimeSeriesRecorder` and serializes its series to
@@ -27,15 +31,8 @@ log, and the parent brackets them with ``sweep_start``/``sweep_end`` records
 carrying cache counters and the parent-side stage spans (cache probe, pool
 startup, result collection).  See :mod:`edm.obs.runlog` for the schema.
 
-With ``stream=True``, result transport scales to 1000s-config grids: each
-worker spills its full metrics dict straight into the ``.repro-cache``
-layout (the same content-addressed pickles a normal sweep writes) and
-returns only a slim summary record -- the handful of scalars the sweep
-table, progress meter, and report need.  The parent never materializes the
-full result set, so its peak memory is independent of grid size;
-:meth:`SweepResult.iter_results` lazily re-loads full metrics from the
-cache, one config at a time, in input order.  Worker-side spilling also
-means an interrupted streaming sweep keeps every completed config's work.
+:meth:`SweepResult.iter_results` yields full metrics in input order,
+re-loading them lazily from the cache one config at a time.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ __all__ = ["SUMMARY_KEYS", "SweepResult", "default_grid", "series_path", "sweep"
 
 log = get_logger("sweep")
 
-#: Scalar metrics carried by a streaming sweep's slim summary records --
+#: Scalar metrics carried by a cached sweep's slim summary records --
 #: exactly what the sweep table, progress meter, and report-by-cache need.
 SUMMARY_KEYS = (
     "total_requests",
@@ -80,11 +77,10 @@ SUMMARY_KEYS = (
 
 
 def _summarize(cfg: SimConfig, metrics: dict) -> dict:
-    """Slim summary record for one config (what crosses the pool in stream mode)."""
+    """Slim summary record for one config (what a cached sweep keeps)."""
     summary = {k: metrics[k] for k in SUMMARY_KEYS}
     summary["config"] = cfg.cache_name()
     summary["config_hash"] = config_hash(cfg)
-    summary["streamed"] = True
     return summary
 
 
@@ -174,7 +170,7 @@ class _Task:
     record_every: int
     run_log: str | None
     sweep_id: str
-    stream_cache_dir: str | None = None  # set => spill metrics here, return summary
+    cache_dir: str | None = None  # set => store metrics here, return summary
     trace_events: str | None = None  # set => append span-event JSONL here
     # Parent's effective ``edm`` log level, re-applied inside the worker so
     # -v/--log-level reaches worker diagnostics under *any* multiprocessing
@@ -186,8 +182,9 @@ class _Task:
 def _run_config(task: _Task) -> dict:
     """Worker entry point (module-level for picklability).
 
-    Writes the ``.npz`` series and the run-log records from inside the
-    worker, so only the small metrics dict crosses the process boundary.
+    Writes the cache entry, the ``.npz`` series and the run-log records
+    from inside the worker, so only a slim summary (or, uncached, the
+    metrics dict) crosses the process boundary.
     With a run log, the worker runs under a fresh tracer and moves the
     resulting ``"timings"`` summary out of the metrics dict into the
     ``run_end`` record -- cached metrics stay timing-free and therefore
@@ -260,10 +257,8 @@ def _run_config(task: _Task) -> dict:
             requests_per_sec=metrics["total_requests"] / wall_s if wall_s > 0 else 0.0,
             timings=timings,
         )
-    if task.stream_cache_dir is not None:
-        # Spill the full (timing-free) metrics into the shared cache from
-        # inside the worker and send only a slim summary back to the parent.
-        ResultCache(task.stream_cache_dir).store(cfg, metrics)
+    if task.cache_dir is not None:
+        ResultCache(task.cache_dir).store(cfg, metrics)
         return _summarize(cfg, metrics)
     return metrics
 
@@ -273,11 +268,10 @@ class SweepResult:
     """Completed sweep: one record per input config, in input order.
 
     :meth:`iter_results` is the one access path that always yields *full*
-    metrics dicts, streamed or not -- new code should use it exclusively.
-    ``records`` holds what actually crossed the pool: full metrics dicts in
-    a normal sweep, slim summaries (:data:`SUMMARY_KEYS` plus identity
-    fields) in a streaming sweep, where the full metrics live only in the
-    result cache.
+    metrics dicts -- new code should use it exclusively.  ``records`` holds
+    slim summaries (:data:`SUMMARY_KEYS` plus identity fields) when the
+    sweep used the cache, where the full metrics live, and full metrics
+    dicts when it did not.
     """
 
     records: list[dict]
@@ -286,9 +280,8 @@ class SweepResult:
     cache_invalidated: int
     simulated: int
     timings: dict | None = None  # parent-side sweep.* span summary (None untraced)
-    streamed: bool = False
-    configs: tuple[SimConfig, ...] = ()  # input grid (set when streamed)
-    cache_dir: str | None = None  # where streamed full metrics live
+    configs: tuple[SimConfig, ...] = ()  # input grid
+    cache_dir: str | None = None  # where full metrics live (None: in records)
 
     def __post_init__(self) -> None:
         bad = [i for i, r in enumerate(self.records) if not isinstance(r, dict)]
@@ -305,12 +298,12 @@ class SweepResult:
     def iter_results(self):
         """Yield one *full* metrics dict per input config, in input order.
 
-        For a normal sweep this is just ``iter(records)``.  For a streaming
-        sweep each metrics dict is loaded from the cache on demand and
-        dropped before the next is read, so walking a huge grid keeps
-        memory bounded to a single config's metrics.
+        Uncached, this is just ``iter(records)``.  Cached, each metrics dict
+        is loaded from the cache on demand and dropped before the next is
+        read, so walking a huge grid keeps memory bounded to a single
+        config's metrics.
         """
-        if not self.streamed:
+        if self.cache_dir is None:
             yield from self.records
             return
         cache = ResultCache(self.cache_dir)
@@ -318,7 +311,7 @@ class SweepResult:
             metrics = cache.load(cfg)
             if metrics is None:
                 raise RuntimeError(
-                    f"streamed sweep result for {cfg.cache_name()} missing from "
+                    f"sweep result for {cfg.cache_name()} missing from "
                     f"cache {self.cache_dir} (evicted or engine version changed?)"
                 )
             yield metrics
@@ -335,7 +328,6 @@ def sweep(
     run_log: str | os.PathLike | None = None,
     progress: bool = False,
     tracer: Tracer | None = None,
-    stream: bool = False,
     trace_events: str | os.PathLike | None = None,
 ) -> SweepResult:
     """Run every config, returning results in the order given.
@@ -350,17 +342,15 @@ def sweep(
     ``tracer`` times the parent-side stages as ``sweep.*`` spans; a tracer is
     created implicitly when ``run_log`` is set so the ``sweep_end`` record
     always carries stage timings.  The summary lands on ``SweepResult.timings``.
-    ``stream=True`` keeps parent memory independent of grid size: workers
-    spill full metrics into the cache and return slim summaries (see module
-    docstring); requires ``use_cache``.
+    With the cache on, workers store full metrics and return slim
+    summaries (see module docstring); ``use_cache=False`` returns full
+    metrics in ``records`` and writes nothing.
     ``trace_events`` appends every span *occurrence* -- parent sweep stages
     and worker simulate phases alike -- as JSONL to one file, convertible to
     a Chrome/Perfetto timeline with ``edm trace export`` (see
     :mod:`edm.obs.trace_export`).  Note cached configs never re-simulate, so
     a warm sweep's timeline shows only the parent stages.
     """
-    if stream and not use_cache:
-        raise ValueError("stream=True requires use_cache=True (results live in the cache)")
     if tracer is not None:
         tr = tracer
     elif trace_events is not None:
@@ -384,9 +374,8 @@ def sweep(
             if cache is not None and not force and have_series:
                 hit = cache.load(cfg)
                 if hit is not None:
-                    # Stream mode keeps only the summary; the full metrics
-                    # stay on disk and are dropped as soon as summarized.
-                    slots[i] = _summarize(cfg, hit) if stream else hit
+                    # Keep only the summary; the full metrics stay on disk.
+                    slots[i] = _summarize(cfg, hit)
                     continue
             pending.append(i)
 
@@ -404,24 +393,20 @@ def sweep(
     meter = ProgressLine(total=len(pending), enabled=progress)
     first_error: BaseException | None = None
 
-    def _land(i: int, metrics: dict) -> None:
-        slots[i] = metrics
-        if cache is not None and not stream:
-            # In stream mode the worker already stored the full metrics;
-            # what lands here is only the slim summary.
-            cache.store(configs[i], metrics)
-        meter.advance(metrics.get("total_requests", 0))
+    def _land(i: int, record: dict) -> None:
+        slots[i] = record
+        meter.advance(record["total_requests"])
 
     if pending:
         ts_dir_arg = str(ts_dir) if ts_dir is not None else None
         run_log_arg = str(run_log) if run_log is not None else None
-        stream_dir = str(cache_dir) if stream else None
+        cache_arg = str(cache_dir) if use_cache else None
         trace_arg = str(trace_events) if trace_events is not None else None
         level = logging.getLogger(ROOT_LOGGER_NAME).getEffectiveLevel()
         tasks = [
             _Task(
                 configs[i].to_dict(), ts_dir_arg, record_every, run_log_arg,
-                sweep_id, stream_dir, trace_arg, level,
+                sweep_id, cache_arg, trace_arg, level,
             )
             for i in pending
         ]
@@ -456,9 +441,8 @@ def sweep(
         cache_invalidated=cache.invalidated if cache else 0,
         simulated=len(pending),
         timings=tr.summary() if tr.enabled else None,
-        streamed=stream,
-        configs=tuple(configs) if stream else (),
-        cache_dir=str(cache_dir) if stream else None,
+        configs=tuple(configs),
+        cache_dir=str(cache_dir) if use_cache else None,
     )
     if writer is not None:
         writer.emit(

@@ -2,8 +2,9 @@
 live cluster state.
 
 The engine calls :meth:`TopologyRuntime.step` once per epoch *before* the
-fault and endurance steps; the runtime grows every per-OSD array for ``add``
-events (new drives join cold: zero wear, zero load, empty queues) and marks
+fault and endurance steps; the runtime grows the cluster through
+:meth:`~edm.engine.state.ClusterState.grow` for ``add`` events (new drives
+join cold: zero wear, zero load, empty queues) and marks
 ``drain`` targets migration-source-only via ``osd_draining``.  The engine
 then evacuates a draining OSD's chunks through the active policy's
 destination scoring -- the same re-placement machinery a failure uses,
@@ -16,15 +17,13 @@ capacity 1.0, the service model's default rate (``inf`` without a service
 model: backlog retires instantly), the endurance model's default rating
 (``inf`` without one: unrated).
 
-This module only touches NumPy arrays on the state object (duck-typed, no
+This module only touches the state object it is handed (duck-typed, no
 engine imports), keeping the topology package import-cycle-free.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from edm.topology.spec import TopologyEvent, TopologyPlan
 
@@ -59,7 +58,13 @@ class TopologyRuntime:
         fired = []
         for ev in self._by_epoch.get(epoch, []):
             if ev.kind == "add":
-                self._grow(state, ev)
+                # Cold drives of the event's device class.
+                state.grow(
+                    ev.count,
+                    osd_capacity=ev.cap,
+                    osd_service_rate=ev.rate if ev.rate is not None else self._fallback_rate,
+                    osd_rated_life=ev.pe if ev.pe is not None else self._fallback_pe,
+                )
             elif state.osd_alive[ev.osd] and (
                 (state.osd_alive & ~state.osd_draining).sum() <= state.survivor_floor
             ):
@@ -68,36 +73,6 @@ class TopologyRuntime:
                 state.osd_draining[ev.osd] = True
             fired.append(ev)
         return fired
-
-    def _grow(self, state: "ClusterState", ev: TopologyEvent) -> None:
-        """Append ``ev.count`` cold drives of the event's device class."""
-        k = ev.count
-        rate = ev.rate if ev.rate is not None else self._fallback_rate
-        pe = ev.pe if ev.pe is not None else self._fallback_pe
-        state.osd_wear = np.concatenate([state.osd_wear, np.zeros(k)])
-        state.osd_load_ema = np.concatenate([state.osd_load_ema, np.zeros(k)])
-        state.osd_alive = np.concatenate([state.osd_alive, np.ones(k, dtype=bool)])
-        state.osd_capacity = np.concatenate([state.osd_capacity, np.full(k, ev.cap)])
-        state.osd_rated_life = np.concatenate(
-            [state.osd_rated_life, np.full(k, pe if pe is not None else np.inf)]
-        )
-        state.osd_wear_rate = np.concatenate([state.osd_wear_rate, np.zeros(k)])
-        state.osd_service_rate = np.concatenate(
-            [
-                state.osd_service_rate,
-                np.full(k, rate if rate is not None else np.inf),
-            ]
-        )
-        state.osd_queue_depth = np.concatenate([state.osd_queue_depth, np.zeros(k)])
-        state.osd_mig_backlog = np.concatenate([state.osd_mig_backlog, np.zeros(k)])
-        state.osd_draining = np.concatenate(
-            [state.osd_draining, np.zeros(k, dtype=bool)]
-        )
-        state.num_osds += k
-        if ev.cap != 1.0:
-            # Off-nominal capacity flips selection onto the effective-load
-            # path, exactly like a slow-disk fault would.
-            state.degraded = True
 
     def retire(self, state: "ClusterState", osd: int) -> None:
         """Finish a drain: the evacuated OSD leaves the cluster for good.
@@ -111,4 +86,3 @@ class TopologyRuntime:
         state.osd_capacity[osd] = 0.0
         state.osd_queue_depth[osd] = 0.0
         state.osd_mig_backlog[osd] = 0.0
-        state.degraded = True

@@ -76,14 +76,10 @@ def select_reference(policy, state, cfg, emit=None):
     """``ThresholdPolicy`` selection, recomputing candidates and scores per chunk."""
     alive = state.osd_alive
     cap = state.osd_capacity
-    if state.degraded:
-        if not alive.any():
-            return EMPTY_MOVES
-        proj = effective_load(state.osd_load_ema, cap, alive)
-        mean = proj[alive].mean()
-    else:
-        proj = state.osd_load_ema.copy()
-        mean = proj.mean()
+    if not alive.any():
+        return EMPTY_MOVES
+    proj = effective_load(state.osd_load_ema, cap, alive)
+    mean = proj[alive].mean()
     if mean <= 0:
         return EMPTY_MOVES
     high = mean * (1.0 + cfg.overload_tolerance)

@@ -53,42 +53,32 @@ def test_unknown_policy_rejected():
         main(["run", "--policy", "bogus"])
 
 
-def test_sweep_stream_flag(tmp_path, capsys):
-    assert (
-        main(
-            [
-                "sweep",
-                "--workloads", "deasna",
-                "--osds", "4",
-                "--policies", "baseline,cmt",
-                "--seeds", "1",
-                "--epochs", "8",
-                "--requests", "128",
-                "--cache-dir", str(tmp_path),
-                "--workers", "1",
-                "--stream",
-            ]
-        )
-        == 0
-    )
-    out = capsys.readouterr().out
-    # The per-config table renders from the slim summaries.
-    assert "deasna-4osd-baseline" in out and "load_cov=" in out
-    assert "2 configs: 2 simulated" in out
+def test_sweep_stream_flag(tmp_path):
+    # Cached workers always return slim summaries; there is no flag for it.
+    with pytest.raises(SystemExit):
+        main(["sweep", "--cache-dir", str(tmp_path), "--stream"])
 
 
-def test_sweep_stream_conflicts_with_no_cache(tmp_path):
-    assert (
-        main(
-            [
-                "sweep",
-                "--cache-dir", str(tmp_path),
-                "--stream",
-                "--no-cache",
-            ]
-        )
-        == 2
-    )
+def test_sweep_no_cache_pooled_matches_cached_table(tmp_path, capsys):
+    args = [
+        "sweep",
+        "--workloads", "deasna",
+        "--osds", "4",
+        "--policies", "baseline,cmt",
+        "--seeds", "1",
+        "--epochs", "8",
+        "--requests", "128",
+        "--workers", "2",
+    ]
+    assert main([*args, "--cache-dir", str(tmp_path / "c")]) == 0
+    cached = capsys.readouterr().out
+    # The cached table renders from the workers' slim summaries.
+    assert "deasna-4osd-baseline" in cached and "load_cov=" in cached
+    assert "2 configs: 2 simulated" in cached
+    # Uncached, full metrics cross the pool and render the same table.
+    assert main([*args, "--cache-dir", str(tmp_path / "none"), "--no-cache"]) == 0
+    assert capsys.readouterr().out == cached
+    assert not (tmp_path / "none").exists()
 
 
 def test_sweep_with_timeseries_flag(tmp_path, capsys):

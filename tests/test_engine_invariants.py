@@ -1,11 +1,41 @@
 """Migration invariants: no chunk lost or duplicated, wear only grows."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from conftest import make_state
 from edm.engine.core import apply_migrations, simulate
-from edm.engine.state import init_state
+from edm.engine.state import OSD_COLUMNS, ClusterState, init_state
+
+
+def test_osd_columns_are_the_per_osd_fields():
+    # __post_init__, grow and validate iterate the table, so an osd_* field
+    # outside it would neither start filled nor grow with the cluster.
+    assert set(OSD_COLUMNS) == {f.name for f in fields(ClusterState) if f.name.startswith("osd_")}
+
+
+def test_grow_fills_each_column(small_cfg):
+    state = make_state(small_cfg)
+    n0 = state.num_osds
+    state.grow(2, osd_capacity=0.5, osd_rated_life=None)
+    assert state.num_osds == n0 + 2
+    for name, fill in OSD_COLUMNS.items():
+        col = getattr(state, name)
+        assert col.dtype == np.asarray(fill).dtype, name
+        assert (col[n0:] == (0.5 if name == "osd_capacity" else fill)).all(), name
+    state.validate()
+    with pytest.raises(TypeError, match="osd_speed"):
+        state.grow(1, osd_speed=2.0)
+
+
+@pytest.mark.parametrize("name", OSD_COLUMNS)
+def test_validate_checks_every_column_width(small_cfg, name):
+    state = make_state(small_cfg)
+    setattr(state, name, getattr(state, name)[:-1])
+    with pytest.raises(AssertionError, match=f"{name} width"):
+        state.validate()
 
 
 @pytest.mark.parametrize("policy", ["baseline", "cdf", "hdf", "cmt"])

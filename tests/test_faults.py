@@ -86,7 +86,6 @@ def test_slow_events_compound_and_hiccup_restores(small_cfg):
         if epoch == 4:
             assert state.osd_capacity[0] == 0.25  # two slows compound
             assert state.osd_capacity[1] == 1.0  # window closed, restored
-    assert state.degraded
     assert state.osd_alive.all()
 
 
@@ -99,7 +98,6 @@ def test_fail_pins_alive_and_capacity(small_cfg):
     assert [ev.render() for ev in fired] == ["fail:2@5"]
     assert not state.osd_alive[2]
     assert state.osd_capacity[2] == 0.0
-    assert state.degraded
 
 
 # --- failure re-placement ----------------------------------------------------
@@ -111,7 +109,6 @@ def test_replace_dead_chunks_evacuates_via_policy(make_cfg, policy_name):
     state = init_state(cfg)
     state.osd_alive[1] = False
     state.osd_capacity[1] = 0.0
-    state.degraded = True
     evacuated = int((state.chunk_owner == 1).sum())
     moved = replace_dead_chunks(state, 1, get_policy(policy_name), cfg)
     assert moved == evacuated == cfg.chunks_per_osd

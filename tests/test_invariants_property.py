@@ -27,6 +27,7 @@ import pytest
 from conftest import cfg_factory
 from edm.config import POLICIES, WORKLOADS
 from edm.engine.core import simulate
+from edm.engine.state import OSD_COLUMNS
 from edm.telemetry import Recorder, TimeSeriesRecorder
 
 SIZING = dict(num_osds=8, epochs=24, requests_per_epoch=512, chunks_per_osd=8)
@@ -111,6 +112,8 @@ class InvariantRecorder(Recorder):
         self.alive_per_epoch = []
 
     def on_epoch(self, state, load, stats):
+        for name in OSD_COLUMNS:
+            assert getattr(state, name).shape == (state.num_osds,), f"{name} width drifted"
         alive = state.osd_alive
         # Wear only ever grows, rates are EWMAs of non-negative deltas.  A
         # scale-out appends OSDs, so compare the ones that existed before.

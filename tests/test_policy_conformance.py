@@ -82,7 +82,8 @@ def check_scorer_contract(policy, state, cfg, rows, rng):
 
 def state_kinds(state):
     """Which of the scorer-relevant state kinds ``state`` is."""
-    kinds = {"degraded" if state.degraded else "healthy"}
+    healthy = state.osd_alive.all() and (state.osd_capacity == 1.0).all()
+    kinds = {"healthy" if healthy else "degraded"}
     if np.isfinite(state.osd_rated_life).any():
         kinds.add("rated")
     if state.osd_draining.any():

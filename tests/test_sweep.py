@@ -50,6 +50,9 @@ def test_cold_then_warm_identical_results(tmp_path):
     assert warm.simulated == 0
     assert warm.cache_hits == len(grid)
     assert warm.records == cold.records
+    # Both read the same cache, so check it against a fresh simulation.
+    fresh = sweep(grid, workers=1, use_cache=False)
+    assert list(warm.iter_results()) == fresh.records
 
 
 def test_force_resimulates(tmp_path):
@@ -65,6 +68,7 @@ def test_parallel_matches_inline(tmp_path):
     inline = sweep(grid, cache_dir=tmp_path / "a", workers=1)
     pooled = sweep(grid, cache_dir=tmp_path / "b", workers=2)
     assert inline.records == pooled.records
+    assert list(inline.iter_results()) == list(pooled.iter_results())
 
 
 def test_no_cache_mode(tmp_path):
@@ -90,7 +94,9 @@ def test_sweep_result_rejects_incomplete_results(tmp_path):
 def test_results_in_config_order(tmp_path):
     grid = tiny_grid()
     res = sweep(grid, cache_dir=tmp_path, workers=1)
-    for cfg, metrics in zip(grid, res.records):
+    for cfg, record in zip(grid, res.records):
+        assert record["config"] == cfg.cache_name()
+    for cfg, metrics in zip(grid, res.iter_results()):
         assert metrics["workload"] == cfg.workload
         assert metrics["policy"] == cfg.policy
         assert metrics["num_osds"] == cfg.num_osds
@@ -165,62 +171,70 @@ def test_sweep_progress_smoke(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Streaming transport: workers spill to cache, parent holds slim summaries
-
-
-def test_stream_requires_cache(tmp_path):
-    with pytest.raises(ValueError, match="use_cache"):
-        sweep(tiny_grid()[:1], cache_dir=tmp_path, workers=1, use_cache=False, stream=True)
+# Result transport: cached workers store full metrics and return slim
+# summaries; uncached workers return full metrics.
 
 
 def test_stream_summaries_match_eager_results(tmp_path):
     grid = tiny_grid()
-    eager = sweep(grid, cache_dir=tmp_path / "a", workers=1)
-    streamed = sweep(grid, cache_dir=tmp_path / "b", workers=1, stream=True)
-    assert streamed.streamed and streamed.simulated == len(grid)
-    for cfg, slim, full in zip(grid, streamed.records, eager.records):
-        assert slim["streamed"] is True
+    eager = sweep(grid, workers=1, use_cache=False)
+    cached = sweep(grid, cache_dir=tmp_path, workers=1)
+    assert cached.simulated == len(grid)
+    for cfg, slim, full in zip(grid, cached.records, eager.records):
         assert slim["config"] == cfg.cache_name()
         for key in SUMMARY_KEYS:
             assert slim[key] == full[key]
         assert "per_osd_wear" not in slim  # heavy payload never crosses the pool
     # Lazy reloads return the full metrics, in input order, bit-equal to the
-    # eager run (both caches were populated by identical simulations).
-    assert list(streamed.iter_results()) == eager.records
-    assert streamed.total_requests == eager.total_requests
+    # uncached run.
+    assert list(cached.iter_results()) == eager.records
+    assert cached.total_requests == eager.total_requests
 
 
 def test_stream_warm_probe_summarizes_cache_hits(tmp_path):
     grid = tiny_grid()
-    sweep(grid, cache_dir=tmp_path, workers=1)  # populate eagerly
-    warm = sweep(grid, cache_dir=tmp_path, workers=1, stream=True)
+    cold = sweep(grid, cache_dir=tmp_path, workers=1)
+    warm = sweep(grid, cache_dir=tmp_path, workers=1)
     assert warm.cache_hits == len(grid) and warm.simulated == 0
-    assert all(r.get("streamed") for r in warm.records)
+    slim_keys = {"config", "config_hash", *SUMMARY_KEYS}
+    assert all(set(r) == slim_keys for r in warm.records)
+    assert warm.records == cold.records
 
 
 def test_stream_interrupted_sweep_resumes_from_worker_spills(tmp_path):
     # Workers store metrics themselves, so a poisoned config mid-pool loses
-    # nothing and the re-run is a pure warm probe.
+    # nothing, the re-run is a pure warm probe, and what the workers stored
+    # is the full result.
     good = tiny_grid()
     grid = [*good, poisoned_config()]
     with pytest.raises(ValueError, match="unknown workload 'poisoned'"):
-        sweep(grid, cache_dir=tmp_path, workers=2, stream=True)
-    probe = ResultCache(tmp_path)
-    assert all(probe.load(cfg) is not None for cfg in good)
-    resumed = sweep(good, cache_dir=tmp_path, workers=2, stream=True)
+        sweep(grid, cache_dir=tmp_path, workers=2)
+    resumed = sweep(good, cache_dir=tmp_path, workers=2)
     assert resumed.simulated == 0 and resumed.cache_hits == len(good)
+    assert list(resumed.iter_results()) == sweep(good, workers=1, use_cache=False).records
 
 
 def test_stream_matches_eager_across_pool_boundary(tmp_path):
     grid = tiny_grid()
-    pooled = sweep(grid, cache_dir=tmp_path / "a", workers=2, stream=True)
-    inline = sweep(grid, cache_dir=tmp_path / "b", workers=1)
+    pooled = sweep(grid, cache_dir=tmp_path, workers=2)
+    inline = sweep(grid, workers=1, use_cache=False)
     assert list(pooled.iter_results()) == inline.records
+
+
+def test_uncached_pool_matches_cached_pool(tmp_path):
+    # Uncached, full metrics cross the pool; cached, they go through the
+    # workers' cache stores.  Both transports carry the same results.
+    grid = tiny_grid()
+    uncached = sweep(grid, cache_dir=tmp_path / "none", workers=2, use_cache=False)
+    cached = sweep(grid, cache_dir=tmp_path / "c", workers=2)
+    assert uncached.simulated == cached.simulated == len(grid)
+    assert list(uncached.iter_results()) == list(cached.iter_results())
+    assert not (tmp_path / "none").exists()
 
 
 def test_stream_iter_results_raises_when_cache_evicted(tmp_path):
     grid = tiny_grid()[:1]
-    res = sweep(grid, cache_dir=tmp_path, workers=1, stream=True)
+    res = sweep(grid, cache_dir=tmp_path, workers=1)
     for p in tmp_path.rglob("*"):
         if p.is_file():
             p.unlink()
@@ -242,9 +256,9 @@ def test_stream_smoke_large_grid_parent_holds_only_summaries(tmp_path):
         chunks_per_osd=4,
     )
     assert len(grid) == 512
-    res = sweep(grid, cache_dir=tmp_path, workers=1, stream=True)
+    res = sweep(grid, cache_dir=tmp_path, workers=1)
     assert res.simulated == 512
-    slim_keys = {"config", "config_hash", "streamed", *SUMMARY_KEYS}
+    slim_keys = {"config", "config_hash", *SUMMARY_KEYS}
     assert all(set(r) == slim_keys for r in res.records)
     # Spot-check one lazy reload round-trips to full metrics.
     full = next(res.iter_results())

@@ -221,9 +221,12 @@ def test_sweep_timeseries_cache_semantics(tmp_path):
     warm = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     assert warm.simulated == 0
     assert warm.records == first.records
+    fresh = sweep(grid, workers=1, use_cache=False)
+    assert list(warm.iter_results()) == fresh.records
 
     series_path(ts_dir, grid[0]).unlink()
     repaired = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     assert repaired.simulated == 1
     assert series_path(ts_dir, grid[0]).exists()
     assert repaired.records == first.records
+    assert list(repaired.iter_results()) == fresh.records
