@@ -37,9 +37,10 @@ queues, the rebuild write charged as migration wear.
 
 An unconfigured layer is skipped entirely, so its runs stay bit-identical
 to the engine without it.  There is no per-request Python loop anywhere; a
-"request" only ever exists as a unit inside a counts vector.  Service
-latencies are built once per epoch, for their sum, and binned per OSD run
-in blocks of runs.
+"request" only ever exists as a unit inside a counts vector.  The service
+step keeps per epoch only queue admission; its latencies and depth
+aggregates are built once per block of epochs (each epoch still summed on
+its own), and latencies are binned per OSD run in blocks of runs.
 """
 
 from __future__ import annotations
@@ -294,6 +295,8 @@ class Run:
             self._emit = {t: self._emitter(t) if self._deciders else None for t in TRIGGERS}
             for rec in observers:
                 rec.on_run_start(cfg, state)
+                if service is not None:
+                    rec.on_service(service)
             self._stats = EpochStats()
             self._load = np.zeros(cfg.num_osds)
             self._draws = traffic(workload, cfg.epochs)
@@ -363,14 +366,13 @@ class Run:
             with tr.span("simulate.service"):
                 # Advance every OSD's queue by one epoch of service against
                 # this epoch's routed arrivals (the kernel's load vector is
-                # exactly the per-OSD request bincount) and fold accepted
-                # requests' latencies into the run histogram; fills the
-                # stats latency/queue fields observers read below.
-                self._service.step(state, load, stats)
+                # exactly the per-OSD request bincount); latencies and depth
+                # aggregates are accounted a block of epochs at a time.
+                self._service.step(state, load)
         with tr.span("simulate.observers"):
             stats.epoch = epoch
-            stats.requests = int(counts.sum())
-            stats.writes = int(writes.sum())
+            stats.requests = int(np.add.reduce(counts))  # ``counts.sum()``, minus its wrapper
+            stats.writes = int(np.add.reduce(writes))
             for rec in observers:
                 rec.on_epoch(state, load, stats)
         if (epoch + 1) % cfg.migrate_interval == 0:

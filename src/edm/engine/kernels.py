@@ -43,9 +43,8 @@ class EpochKernel:
 
         ``counts`` / ``writes`` are per-chunk float64 access and write
         counts (integer-valued; float64 so no cast happens on the hot
-        path).  Updates ``osd_wear``, ``chunk_heat``, ``chunk_write_heat``,
-        and ``osd_load_ema`` in place and returns the per-OSD load vector
-        for this epoch.
+        path).  Updates ``osd_wear``, ``chunk_heat`` and ``osd_load_ema``
+        in place and returns the per-OSD load vector for this epoch.
         """
         n = state.num_osds
         # Routing: per-OSD load and write mass via weighted bincounts over
@@ -56,16 +55,13 @@ class EpochKernel:
         # output, so scaling it in place is safe).
         np.multiply(wear_inc, self.wear_per_write, out=wear_inc)
         state.osd_wear += wear_inc
-        # Heat EMAs over chunks: scratch holds alpha * x so the update is
-        # two in-place passes with zero per-epoch allocation.
+        # Heat EMA over chunks: scratch holds alpha * counts so the update
+        # is two in-place passes with zero per-epoch allocation.
         a = self.heat_alpha
         scratch = self._scratch_c
         np.multiply(counts, a, out=scratch)
         state.chunk_heat *= 1.0 - a
         state.chunk_heat += scratch
-        np.multiply(writes, a, out=scratch)
-        state.chunk_write_heat *= 1.0 - a
-        state.chunk_write_heat += scratch
         # Load EMA over OSDs (tiny; reuse wear_inc as the N-sized scratch).
         np.multiply(load, self.load_alpha, out=wear_inc)
         state.osd_load_ema *= 1.0 - self.load_alpha

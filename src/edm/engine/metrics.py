@@ -34,6 +34,12 @@ from edm.telemetry.recorder import EpochStats, Recorder, mean_std
 _COV_BLOCK = 4096
 
 
+def _fold(total: float, values: np.ndarray) -> float:
+    """``total`` plus each of ``values`` in turn, the rounding of a scalar
+    ``+=`` per epoch: cumsum adds left to right."""
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
 class MetricsAccumulator(Recorder):
     def __init__(self, service=None, redundancy=None):
         # ``service`` / ``redundancy`` are the run's ServiceRuntime and
@@ -55,9 +61,12 @@ class MetricsAccumulator(Recorder):
         # flush (same per-row arithmetic as scalar mean/std calls, summed in
         # the same left-to-right order via cumsum, so the result is
         # bit-identical -- pinned by tests).  Anything that reads the
-        # running sums mid-run flushes first.
+        # running sums mid-run flushes first, and so does every fault and
+        # topology event: a block's rows share one width and alive set.
         self._load_hist = self._alloc_hist(state.num_osds)
         self._hist_fill = 0
+        self._hist_epoch = 0  # the epoch of the block's first row
+        self._alive_idx = np.flatnonzero(state.osd_alive)
         # Degraded-mode tracking (only exercised when cfg.faults is set, so
         # healthy runs keep their historical metrics dict bit-for-bit).
         self._faulted = bool(cfg.faults)
@@ -83,11 +92,16 @@ class MetricsAccumulator(Recorder):
     def _alloc_hist(self, num_osds: int) -> np.ndarray:
         return np.empty((min(_COV_BLOCK, max(self.cfg.epochs, 1)), num_osds))
 
+    def _new_block(self, state: ClusterState) -> None:
+        """Fold the buffered rows in, then start a block on ``state``'s
+        alive set (an event just changed it, or might have)."""
+        self._flush_loads()
+        self._alive_idx = np.flatnonzero(state.osd_alive)
+
     def on_topology(self, state: ClusterState, event, moved: int) -> None:
+        self._new_block(state)
         if event.kind == "add":
-            # Buffered rows keep their old width: fold them in before the
-            # buffer widens to the grown cluster.
-            self._flush_loads()
+            # The buffer widens to the grown cluster.
             self._load_hist = self._alloc_hist(state.num_osds)
             self._osds_added += event.count
             # The hook fires after growth: the newest ``count`` ids are the
@@ -100,6 +114,7 @@ class MetricsAccumulator(Recorder):
             self._drain_moves += moved
 
     def on_fault(self, state: ClusterState, event, replaced: int) -> None:
+        self._new_block(state)
         if event.kind == "wearout":
             self._wearouts += 1
             self._wearout_replaced += replaced
@@ -112,53 +127,55 @@ class MetricsAccumulator(Recorder):
             self._replacement_burst_max = max(self._replacement_burst_max, replaced)
             # Arm the recovery clock: how long until per-epoch load CoV over
             # the survivors returns to (near) its pre-failure running mean.
-            self._flush_loads()
             self._recover_baseline = self._cov_sum / max(self._epochs, 1)
             self._recover_start = state.epoch
             self._recovery_epochs = -1
 
     def on_epoch(self, state: ClusterState, load: np.ndarray, stats: EpochStats) -> None:
+        if self._hist_fill == 0:
+            self._hist_epoch = stats.epoch
         self._load_hist[self._hist_fill] = load
         self._hist_fill += 1
         if self._hist_fill == len(self._load_hist):
             self._flush_loads()
-        if self._faulted or self._topology:
-            self._track_degraded(state, load, stats)
         self._epochs += 1
         self._total_requests += stats.requests
         self._total_writes += stats.writes
 
     def _flush_loads(self) -> None:
-        """Fold the buffered load vectors into the running CoV / peak sums."""
+        """Fold the buffered load vectors into the running CoV / peak sums,
+        and on a faulted or elastic run the survivor CoV and recovery clock."""
         if self._hist_fill == 0:
             return
         block = self._load_hist[: self._hist_fill]
-        mean = block.mean(axis=1)
-        ok = mean > 0
-        cov = block.std(axis=1)[ok] / mean[ok]
-        peak = block.max(axis=1)[ok] / mean[ok]
-        if cov.size:
-            # cumsum folds left to right: the exact addition order (and
-            # rounding) of the scalar `+=` per epoch, resumed from the
-            # running totals.
-            self._cov_sum = float(np.cumsum(np.concatenate(([self._cov_sum], cov)))[-1])
-            self._peak_ratio_sum = float(
-                np.cumsum(np.concatenate(([self._peak_ratio_sum], peak)))[-1]
-            )
         self._hist_fill = 0
-
-    def _track_degraded(self, state: ClusterState, load: np.ndarray, stats: EpochStats) -> None:
-        alive = state.osd_alive
-        la = load[alive]
-        am, sd = mean_std(la) if la.size else (0.0, 0.0)
-        cov_alive = float(sd / am) if am > 0 else 0.0
-        self._cov_alive_sum += cov_alive
+        mean, std = mean_std(block)
+        ok = mean > 0
+        cov = np.divide(std, mean, out=np.zeros_like(mean), where=ok)
+        if ok.any():
+            peak = np.maximum.reduce(block, axis=1)[ok] / mean[ok]
+            self._cov_sum = _fold(self._cov_sum, cov[ok])
+            self._peak_ratio_sum = _fold(self._peak_ratio_sum, peak)
+        if not (self._faulted or self._topology):
+            return
+        # ``*_alive`` CoV: over the block's survivors, whose ids take keeps
+        # in a C-contiguous block (each row reduces as one vector).
+        idx = self._alive_idx
+        if idx.size == block.shape[1]:
+            cov_alive = cov  # nobody dead: the same rows
+        elif idx.size:
+            am, asd = mean_std(block.take(idx, axis=1))
+            cov_alive = np.divide(asd, am, out=np.zeros_like(am), where=am > 0)
+        else:
+            cov_alive = np.zeros(len(block))
+        self._cov_alive_sum = _fold(self._cov_alive_sum, cov_alive)
         if self._recover_start is not None and self._recovery_epochs < 0:
             # Recovered once survivor CoV is back within 10% of the
             # pre-failure mean (epsilon keeps a zero baseline reachable).
             threshold = max(self._recover_baseline * 1.1, self._recover_baseline + 1e-9)
-            if cov_alive <= threshold:
-                self._recovery_epochs = stats.epoch - self._recover_start
+            hit = np.flatnonzero(cov_alive <= threshold)
+            if hit.size:
+                self._recovery_epochs = self._hist_epoch + int(hit[0]) - self._recover_start
 
     def finalize(self, state: ClusterState, final_load: np.ndarray) -> dict:
         cfg = self.cfg

@@ -26,7 +26,6 @@ class ClusterState:
     # Per-chunk
     chunk_owner: np.ndarray          # int32 [C], OSD id owning each chunk
     chunk_heat: np.ndarray           # float64 [C], EMA of access counts
-    chunk_write_heat: np.ndarray     # float64 [C], EMA of write counts
     chunk_last_migrated: np.ndarray  # int64 [C], epoch of last migration
     #   (never-migrated sentinel -(10**9): far enough in the past that every
     #   chunk clears any cooldown window at epoch 0 without int64 overflow)
@@ -186,7 +185,6 @@ def init_state(cfg: SimConfig) -> ClusterState:
         num_chunks=c,
         chunk_owner=owner,
         chunk_heat=np.zeros(c),
-        chunk_write_heat=np.zeros(c),
         chunk_last_migrated=np.full(c, -(10**9), dtype=np.int64),
         chunk_group=group,
         group_width=width,

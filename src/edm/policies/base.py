@@ -140,7 +140,8 @@ class ThresholdPolicy(MigrationPolicy):
         if not alive.any():
             return EMPTY_MOVES
         proj = effective_load(state.osd_load_ema, cap, alive)
-        mean = proj[alive].mean()
+        live = proj[alive]
+        mean = np.add.reduce(live) / live.size  # ``live.mean()``, minus its wrapper
         if mean <= 0:
             return EMPTY_MOVES
         high = mean * (1.0 + cfg.overload_tolerance)
@@ -243,7 +244,7 @@ class NormalizedScorePolicy(ThresholdPolicy):
 
         def score(proj):
             load = proj[candidates]
-            mean = proj[alive_ids].mean() if alive_ids.size else 0.0
+            mean = np.add.reduce(proj[alive_ids]) / alive_ids.size if alive_ids.size else 0.0
             if mean > 0:
                 load = load / mean
             terms = dict(self.load_terms(load, state, cfg))

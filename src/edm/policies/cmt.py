@@ -43,12 +43,14 @@ class CmtPolicy(NormalizedScorePolicy):
         """
         alive = state.osd_alive
         wear = state.osd_wear[candidates]
-        wear_scale = state.osd_wear[alive].mean() if alive.any() else 0.0
+        n_alive = np.count_nonzero(alive)
+        # ``x[alive].mean()`` bit for bit, minus its wrapper.
+        wear_scale = np.add.reduce(state.osd_wear[alive]) / n_alive if n_alive else 0.0
         wear_norm = wear / wear_scale if wear_scale > 0 else wear
         terms = {"wear": cfg.wear_weight * wear_norm}
         if cfg.endurance:
             risk = wearout_risk(state)
-            risk_scale = risk[alive].mean() if alive.any() else 0.0
+            risk_scale = np.add.reduce(risk[alive]) / n_alive if n_alive else 0.0
             if risk_scale > 0:
                 terms["wearout_risk"] = cfg.endurance_weight * (
                     risk[candidates] / risk_scale

@@ -41,7 +41,9 @@ class PswlPolicy(NormalizedScorePolicy):
             wear_term = cfg.wear_weight * (p * p)
         else:
             wear = state.osd_wear[candidates]
-            scale = state.osd_wear[alive].mean() if alive.any() else 0.0
+            n_alive = np.count_nonzero(alive)
+            # ``x[alive].mean()`` bit for bit, minus its wrapper.
+            scale = np.add.reduce(state.osd_wear[alive]) / n_alive if n_alive else 0.0
             wear_norm = wear / scale if scale > 0 else wear
             wear_term = cfg.wear_weight * wear_norm
         terms = {"wear_prob": wear_term}

@@ -24,12 +24,19 @@ imbalance" into a visible latency tradeoff: epochs with in-flight migration
 work report their own latency aggregate, and ``migration_spike_ratio``
 compares it against clean epochs.
 
-The step never bins requests one by one: each OSD's latencies form a
-nondecreasing run, split only by the bin edges inside it (see
-:func:`bin_runs`), nor per epoch: each epoch's latencies are built once, for
-their sum, and its runs buffered until a block of ``RUN_BLOCK`` (or a read
-of ``hist``) bins them.  tests/service_reference.py keeps the per-request
-step as the oracle this one is pinned to bit for bit.
+The step keeps per epoch only what the next epoch reads: corpse booking,
+the pending drain and admission (:func:`admit`).  Each epoch's accepted
+counts, base, rate and post-service depth wait in a block of
+``EPOCH_BLOCK`` epochs; a flush -- when the block fills, before any read
+(``hist``, :meth:`ServiceRuntime.epoch_series`, ``metrics_block``), and
+whenever the alive set or the cluster width changes -- builds the block's
+latencies in one pass, sums each epoch's own slice, reduces the depth
+aggregates row-wise and folds every running sum in epoch order.  Requests
+are never binned one by one: each OSD's latencies form a nondecreasing
+run, split only by the bin edges inside it (see :func:`bin_runs`), and runs
+wait for a block of ``RUN_BLOCK`` to be binned.
+tests/service_reference.py keeps the per-request, per-epoch step as the
+oracle this one is pinned to bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +68,11 @@ _RAMP = np.arange(1.0, 1025.0)
 # Runs buffered between binnings: ~6 epochs of a 20-OSD run share one pass of
 # bin_runs.  512 grew peak RSS by 2 MB (the split arrays); 32 lost the gain.
 RUN_BLOCK = 128
+# Epochs stepped between accounting flushes.  A flush holds every latency
+# the block accepted at once: up to ~64K floats for 8 epochs of the 20-OSD,
+# 8192-request composed bench run, +1.4 MB (3%) peak RSS.  64 epochs grew
+# it by 12 MB and were no faster.
+EPOCH_BLOCK = 8
 
 
 def histogram_percentile(hist: np.ndarray, q: float) -> float:
@@ -159,10 +171,11 @@ def bin_runs(
 class ServiceRuntime:
     """Per-run queue state-stepper and latency accumulator.
 
-    Owns the latency histogram and the run-level service aggregates; the
-    per-OSD queue arrays (``osd_queue_depth``, ``osd_service_rate``,
-    ``osd_mig_backlog``) live on :class:`~edm.engine.state.ClusterState` so
-    recorders and policies can observe them like any other state.
+    Owns the latency histogram, the run-level service aggregates and three
+    per-epoch series; the per-OSD queue arrays (``osd_queue_depth``,
+    ``osd_service_rate``, ``osd_mig_backlog``) live on
+    :class:`~edm.engine.state.ClusterState` so recorders and policies can
+    observe them like any other state.
     """
 
     def __init__(self, model: ServiceModel, cfg) -> None:
@@ -191,10 +204,24 @@ class ServiceRuntime:
         self._depth_cov_sum = 0.0
         self._depth_max = 0.0
         self._epochs = 0
+        # Per-epoch series, one value per stepped epoch (see epoch_series).
+        self._lat_means: list[float] = []
+        self._depth_means: list[float] = []
+        self._depth_covs: list[float] = []
+        # The block of epochs stepped since the last flush: per-OSD rows of
+        # accepted counts, base, rate and post-service depth, plus each
+        # epoch's offered count and migration flag.  The rows share one
+        # width and one alive set; a change of either flushes first.
+        self._rows = np.empty((3, 0, 0))
+        self._accepted = np.empty((0, 0), dtype=np.int64)
+        self._offered: list[int] = []
+        self._mig: list[bool] = []
+        self._alive_idx = np.empty(0, dtype=np.intp)
 
     @property
     def hist(self) -> np.ndarray:
-        """The run's latency histogram, every buffered run binned into it."""
+        """The run's latency histogram, every stepped epoch binned into it."""
+        self._flush()
         self._bin_buffered()
         return self._hist
 
@@ -208,22 +235,42 @@ class ServiceRuntime:
             self._runs.clear()
             self._buffered = 0
 
+    def epoch_series(self) -> dict[str, np.ndarray]:
+        """Per-epoch mean finite latency (0.0 for an epoch that served none)
+        and alive-masked queue-depth mean and CoV, one value per stepped
+        epoch, keyed by their :class:`~edm.telemetry.TimeSeries` columns."""
+        self._flush()
+        return {
+            "queue_depth_mean": np.array(self._depth_means),
+            "queue_depth_cov": np.array(self._depth_covs),
+            "service_lat_mean": np.array(self._lat_means),
+        }
+
     def attach(self, state) -> None:
         """Install the model's rates on the cluster state."""
         state.osd_service_rate = self._rates.astype(np.float64).copy()
 
-    def step(self, state, arrivals: np.ndarray, stats=None) -> None:
-        """Advance every queue by one epoch and accumulate latency stats.
+    def step(self, state, arrivals: np.ndarray) -> None:
+        """Advance every queue by one epoch.
 
         ``arrivals`` is the per-OSD request-count vector the kernel routed
-        this epoch (integer-valued float64).  Fills ``stats`` (an
-        :class:`~edm.telemetry.recorder.EpochStats`) with this epoch's
-        latency mean and queue-depth aggregates when provided.
+        this epoch (integer-valued float64).  Only what the next epoch reads
+        happens here -- corpse booking, the pending drain and admission;
+        the epoch's rows wait in a block of ``EPOCH_BLOCK`` for
+        :meth:`_flush` to account them.
         """
         depth = state.osd_queue_depth
         pending = state.osd_mig_backlog
         alive = state.osd_alive
-        dead = alive.size - np.count_nonzero(alive)
+        n = alive.size
+        dead = n - np.count_nonzero(alive)
+        if dead != self._dead or n != self._accepted.shape[1]:
+            # The block's rows were stepped on the old alive set or width.
+            self._flush()
+            self._alive_idx = np.flatnonzero(alive)
+            if n != self._accepted.shape[1]:
+                self._rows = np.empty((3, EPOCH_BLOCK, n))
+                self._accepted = np.empty((EPOCH_BLOCK, n), dtype=np.int64)
         if dead != self._dead:
             # A dead OSD's backlog is lost, not served: account and zero it
             # so corpse queues never leak into depth statistics.  Once per
@@ -237,66 +284,108 @@ class ServiceRuntime:
         # fraction per epoch, flushed outright once below one request.
         inject = np.where(pending < 1.0, pending, pending * self._drain)
         pending -= inject
-        mig_epoch = bool(np.add.reduce(inject) > 0.0)
+        f = len(self._offered)
+        self._mig.append(bool(np.add.reduce(inject) > 0.0))
+        self._offered.append(int(np.add.reduce(arrivals)))
 
-        base = depth + inject
-        rate = state.osd_service_rate * state.osd_capacity * alive
+        base, rate, depth_row = self._rows[:, f]
+        np.add(depth, inject, out=base)
+        np.multiply(state.osd_service_rate, state.osd_capacity, out=rate)
+        np.multiply(rate, alive, out=rate)
         accepted, new_depth = admit(arrivals, base, rate, self.qbound)
         np.copyto(depth, new_depth)
+        self._accepted[f] = accepted
+        depth_row[:] = new_depth
+        if f + 1 == len(self._accepted):
+            self._flush()
 
-        offered = int(np.add.reduce(arrivals))
-        served = int(np.add.reduce(accepted))
+    def _flush(self) -> None:
+        """Account the buffered block of epochs, in epoch order.
+
+        Builds the block's latencies in one pass (row-major: the runs come
+        in the order the epochs stepped them) and sums each epoch's own
+        slice, so every running sum gets the additions, in the order, a
+        per-epoch step would make.
+        """
+        k = len(self._offered)
+        if not k:
+            return
+        accepted = self._accepted[:k]
+        base, rate, depth = self._rows[:, :k]
+        served = np.add.reduce(accepted, axis=1).tolist()
+        offered = sum(self._offered)
         self.requests_total += offered
-        self.dropped_total += offered - served
-        lat_mean = 0.0
-        if served:
+        self.dropped_total += offered - sum(served)
+        if any(served):
             # Binned later, a block of runs at a time (see ``hist``).
-            runs, lat = run_latencies(accepted, base, rate)
+            runs, lat = run_latencies(accepted.ravel(), base.ravel(), rate.ravel())
             self._runs.append(runs)
             self._buffered += runs[0].size
             if self._buffered >= RUN_BLOCK:
                 self._bin_buffered()
-            top = np.maximum.reduce(runs[-1])
-            if not top < np.inf:
-                # Runs reaching +inf (a rate so small the division
-                # overflows): only their finite latencies count.
-                lat = lat[lat < np.inf]
-                top = np.maximum.reduce(lat, initial=0.0)
-            self.stalled_total += served - lat.size
-            if lat.size:
-                # The sum numpy's ``lat.sum()`` gives, bit for bit.
-                fin_sum = float(np.add.reduce(lat))
-                self.lat_sum += fin_sum
-                self.lat_count += lat.size
-                lat_mean = fin_sum / lat.size
-                if mig_epoch:
-                    self._mig_lat_sum += fin_sum
-                    self._mig_lat_count += lat.size
-                    if not self.spike_lat_max >= top:
-                        self.spike_lat_max = float(top)
-                else:
-                    self._clean_lat_sum += fin_sum
-                    self._clean_lat_count += lat.size
-
+            # Each serving epoch's slowest request: the max of its run tails.
+            per_epoch = np.count_nonzero(accepted, axis=1)
+            firsts = (np.cumsum(per_epoch) - per_epoch)[per_epoch > 0]
+            tops = np.maximum.reduceat(runs[-1], firsts).tolist()
         # Queue-depth aggregates over *alive* OSDs only.  Dead queues were
-        # zeroed above; leaving them in would dilute the survivors' mean
+        # zeroed at death; leaving them in would dilute the survivors' mean
         # with permanent zeros and inflate the CoV for the rest of the run
-        # -- the same survivor-masking convention the load CoV uses.
-        d_alive = depth[alive]
-        if d_alive.size:
-            d_mean, d_std = map(float, mean_std(d_alive))
-            d_cov = d_std / d_mean if d_mean > 0 else 0.0
-            self._depth_max = max(self._depth_max, float(np.maximum.reduce(d_alive)))
+        # -- the same survivor-masking convention the load CoV uses.  take
+        # keeps the block C-contiguous, so each row reduces as one vector.
+        idx = self._alive_idx
+        if idx.size:
+            d_alive = depth.take(idx, axis=1)
+            d_mean, d_std = mean_std(d_alive)
+            d_cov = np.divide(d_std, d_mean, out=np.zeros(k), where=d_mean > 0)
+            d_max = np.maximum.reduce(d_alive, axis=1).tolist()
+            d_mean, d_cov = d_mean.tolist(), d_cov.tolist()
         else:
-            d_mean = d_cov = 0.0
-        self._depth_mean_sum += d_mean
-        self._depth_cov_sum += d_cov
-        self._epochs += 1
-        if stats is not None:
-            stats.lat_mean, stats.queue_depth_mean, stats.queue_depth_cov = lat_mean, d_mean, d_cov
+            d_mean = d_cov = [0.0] * k
+            d_max = []
+        # Python's max, row by row: a NaN row is passed over, as per epoch.
+        self._depth_max = max([self._depth_max, *d_max])
+        for dm, dc in zip(d_mean, d_cov):
+            self._depth_mean_sum += dm
+            self._depth_cov_sum += dc
+        self._depth_means += d_mean
+        self._depth_covs += d_cov
+
+        stop = j = 0
+        for count, mig_epoch in zip(served, self._mig):
+            lat_mean = 0.0
+            if count:
+                start, stop = stop, stop + count
+                epoch_lat = lat[start:stop]
+                top = tops[j]
+                j += 1
+                if not top < np.inf:
+                    # Runs reaching +inf (a rate so small the division
+                    # overflows): only their finite latencies count.
+                    epoch_lat = epoch_lat[epoch_lat < np.inf]
+                    top = float(np.maximum.reduce(epoch_lat, initial=0.0))
+                self.stalled_total += count - epoch_lat.size
+                if epoch_lat.size:
+                    # The sum numpy's ``epoch_lat.sum()`` gives, bit for bit.
+                    fin_sum = float(np.add.reduce(epoch_lat))
+                    self.lat_sum += fin_sum
+                    self.lat_count += epoch_lat.size
+                    lat_mean = fin_sum / epoch_lat.size
+                    if mig_epoch:
+                        self._mig_lat_sum += fin_sum
+                        self._mig_lat_count += epoch_lat.size
+                        if not self.spike_lat_max >= top:
+                            self.spike_lat_max = top
+                    else:
+                        self._clean_lat_sum += fin_sum
+                        self._clean_lat_count += epoch_lat.size
+            self._lat_means.append(lat_mean)
+        self._epochs += k
+        self._offered.clear()
+        self._mig.clear()
 
     def metrics_block(self) -> dict:
         """Run-level service metrics, merged into ``simulate``'s dict."""
+        self._flush()
         nan = float("nan")
         lat_mean = self.lat_sum / self.lat_count if self.lat_count else nan
         mig_mean = self._mig_lat_sum / self._mig_lat_count if self._mig_lat_count else nan

@@ -3,9 +3,12 @@
 ``simulate(cfg, recorders=...)`` -- a :class:`~edm.engine.core.Run` stepped
 through every epoch, each :meth:`~edm.engine.core.Run.step` drawing the
 run's own traffic, or :meth:`~edm.engine.core.Run.advance` fed traffic by
-its caller -- drives every recorder through the same seven hooks:
+its caller -- drives every recorder through the same eight hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
+    on_service(service)             once, after on_run_start, on a run with a
+                                    service model: its ServiceRuntime, whose
+                                    per-epoch series are complete by finalize
     on_topology(state, event, moved)
                                     when a topology event fires (scale-out /
                                     drain), after the add's growth or the
@@ -36,6 +39,10 @@ buffers, not copies.  A recorder must copy anything it wants to keep
 (``TimeSeriesRecorder`` writes into preallocated buffers for this reason)
 and must never mutate them.  ``stats`` is a single :class:`EpochStats`
 instance reused across epochs -- read it during the call, don't store it.
+Per-epoch work should be those copies and counters: a reduction over the
+OSD axis (a CoV, a mean) is cheaper done for a block of buffered rows at
+once (:func:`mean_std` takes a block), as ``MetricsAccumulator``,
+``TimeSeriesRecorder`` and the service layer do.
 """
 
 from __future__ import annotations
@@ -50,32 +57,41 @@ if TYPE_CHECKING:
     from edm.engine.state import ClusterState
     from edm.faults import FaultEvent
     from edm.obs.decisions import Decision
+    from edm.service import ServiceRuntime
     from edm.topology import TopologyEvent
 
 
-def mean_std(x: np.ndarray) -> tuple[np.float64, np.float64]:
-    """``(x.mean(), x.std())`` of a non-empty 1-D float64 array, bit for bit.
+def mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(x.mean(-1), x.std(-1))`` of a float64 array, bit for bit.
 
     The reductions numpy's ``mean``/``std`` perform, in the same order,
-    without their Python-level wrappers -- observers call this every epoch.
+    without their Python-level wrappers.  A 1-D ``x`` (non-empty) gives two
+    scalars; a 2-D block whose rows are each contiguous (a C-ordered block,
+    a slice of its leading columns, or ``take`` along axis 1 -- not a
+    fancy index, which reorders the reduction) gives one pair per row,
+    each row reduced exactly as the 1-D call on it would be.  Observers
+    can so buffer epochs and reduce a block of them at once.
     """
-    mean = np.add.reduce(x) / x.size
-    dev = x - mean
-    return mean, np.sqrt(np.add.reduce(dev * dev) / x.size)
+    n = x.shape[-1]
+    mean = np.add.reduce(x, axis=-1) / n
+    dev = x - mean[..., None]
+    dev *= dev  # in place, as numpy's own ``std`` squares: one block-sized temporary
+    return mean, np.sqrt(np.add.reduce(dev, axis=-1) / n)
 
 
 @dataclass
 class EpochStats:
-    """Mutable per-epoch scalars, updated in place by the engine each epoch."""
+    """Mutable per-epoch scalars, updated in place by the engine each epoch.
+
+    Only what the engine has at hand: the service layer's per-epoch latency
+    and queue-depth aggregates are reduced a block of epochs at a time, so
+    they are not ready here; a recorder reads them at finalize through
+    :meth:`Recorder.on_service`.
+    """
 
     epoch: int = 0
     requests: int = 0  # total requests routed this epoch
     writes: int = 0    # write requests among them
-    # Service-model scalars, filled by ServiceRuntime.step when a service
-    # spec is configured; all 0.0 otherwise (requests have no duration).
-    lat_mean: float = 0.0          # mean finite latency of this epoch's accepted requests
-    queue_depth_mean: float = 0.0  # mean per-OSD queue depth after service
-    queue_depth_cov: float = 0.0   # CoV of queue depth across OSDs
 
 
 class Recorder:
@@ -87,6 +103,12 @@ class Recorder:
 
     def on_run_start(self, cfg: "SimConfig", state: "ClusterState") -> None:
         """Called once before the first epoch; allocate buffers here."""
+
+    def on_service(self, service: "ServiceRuntime") -> None:
+        """Called after :meth:`on_run_start` when the run has a service
+        model, with the run's :class:`~edm.service.ServiceRuntime`.  Its
+        :meth:`~edm.service.ServiceRuntime.epoch_series` are complete by
+        :meth:`finalize`."""
 
     def on_topology(self, state: "ClusterState", event: "TopologyEvent", moved: int) -> None:
         """Called when a topology event fires; ``moved`` counts chunks

@@ -10,6 +10,12 @@ every ``record_every`` epochs.  ``finalize`` always captures the end-of-run
 state (after the last migration round), so the final row matches the scalar
 metrics dict exactly and ``migrations.sum()`` equals ``migrations_total``.
 
+A sampled epoch only copies rows and counters.  The CoV and peak-ratio
+columns are derived at ``finalize`` from the stored load and wear rows, and
+the service columns are read from the run's
+:meth:`~edm.service.ServiceRuntime.epoch_series` (see
+:meth:`~edm.telemetry.Recorder.on_service`).
+
 The product is a :class:`TimeSeries`: immutable arrays plus a JSON-able
 ``meta`` dict carrying the config identity (``cache_name``/``config_hash``),
 with ``.npz`` (compact, lossless), JSON, and CSV exporters.
@@ -158,7 +164,9 @@ class TimeSeriesRecorder(Recorder):
     Samples epochs ``0, record_every, 2*record_every, ...`` plus the end-of-run
     state.  Buffers are preallocated at ``on_run_start`` (which also makes one
     instance reusable across runs), so the per-epoch cost on sampled epochs is
-    a handful of slice assignments and on skipped epochs a single modulo.
+    a handful of slice assignments and on skipped epochs a single modulo;
+    every reduction over the OSD axis but the lifetime pair waits for
+    ``finalize``.
     """
 
     def __init__(self, record_every: int = 1):
@@ -184,13 +192,12 @@ class TimeSeriesRecorder(Recorder):
         self._i = 0
         self._window = 0       # moves applied since the last recorded sample
         self._repl_window = 0  # failure re-placements since the last sample
-        # Latest per-epoch service scalars, tracked every epoch (not just
-        # sampled ones) so the end-of-run row finalize() appends carries the
-        # final epoch's values even when sampling skipped it.
-        self._svc_last = (0.0, 0.0, 0.0)
+        self._service = None
+
+    def on_service(self, service) -> None:
+        self._service = service
 
     def on_epoch(self, state: "ClusterState", load: np.ndarray, stats: EpochStats) -> None:
-        self._svc_last = (stats.queue_depth_mean, stats.queue_depth_cov, stats.lat_mean)
         if stats.epoch % self.record_every:
             return
         self._record(stats.epoch, load, state)
@@ -217,12 +224,20 @@ class TimeSeriesRecorder(Recorder):
             c["replacements"][i] += self._repl_window
             self._repl_window = 0
             c["wear"][i, : state.osd_wear.size] = state.osd_wear
-            wm = state.osd_wear.mean()
-            c["wear_cov"][i] = float(state.osd_wear.std() / wm) if wm > 0 else 0.0
             self._record_lifetime(i, state)
         else:
             self._record(last, final_load, state)
         i = self._i
+        self._derive_covs(i)
+        if self._service is not None:
+            series = self._service.epoch_series()
+            stepped = series["queue_depth_mean"].size
+            if stepped:
+                # Sampled rows read their own epoch; the end-of-run row
+                # reads the last epoch stepped.
+                at = np.minimum(c["epoch"][:i], stepped - 1)
+                for k, v in series.items():
+                    c[k][:i] = v[at]
         self.series = TimeSeries(
             meta={
                 "format_version": SERIES_FORMAT_VERSION,
@@ -251,6 +266,25 @@ class TimeSeriesRecorder(Recorder):
         self._cols["remaining_life_min"][i] = np.minimum.reduce(rem) if rem.size else 0.0
         self._cols["remaining_life_mean"][i] = np.add.reduce(rem) / rem.size if rem.size else 0.0
 
+    def _derive_covs(self, rows: int) -> None:
+        """``load_cov``, ``load_peak_ratio`` and ``wear_cov`` of the first
+        ``rows`` samples, from their load and wear rows: one block per run
+        of samples of equal cluster width, whose rows (each contiguous)
+        reduce as the live vectors did; 0 where the mean is not positive."""
+        c = self._cols
+        widths = c["osds_total"][:rows]
+        cuts = np.flatnonzero(widths[1:] != widths[:-1]) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows]):
+            w = int(widths[lo])
+            load = c["load"][lo:hi, :w]
+            mean, std = mean_std(load)
+            ok = mean > 0
+            np.divide(std, mean, out=c["load_cov"][lo:hi], where=ok)
+            peak = np.maximum.reduce(load, axis=1)
+            np.divide(peak, mean, out=c["load_peak_ratio"][lo:hi], where=ok)
+            mean, std = mean_std(c["wear"][lo:hi, :w])
+            np.divide(std, mean, out=c["wear_cov"][lo:hi], where=mean > 0)
+
     def _record(self, epoch: int, load: np.ndarray, state: "ClusterState") -> None:
         c = self._cols
         wear = state.osd_wear
@@ -260,22 +294,12 @@ class TimeSeriesRecorder(Recorder):
         # arrays are narrower than the plan-width buffers until the last
         # scale-out fires (a full-width assignment when sizes match).
         c["load"][i, : load.size] = load
-        mean, std = mean_std(load)
-        if mean > 0:
-            c["load_cov"][i] = std / mean
-            c["load_peak_ratio"][i] = load.max() / mean
         c["wear"][i, : wear.size] = wear
-        wm, wsd = mean_std(wear)
-        if wm > 0:
-            c["wear_cov"][i] = wsd / wm
         c["migrations"][i] = self._window
         self._window = 0
         c["alive"][i] = np.count_nonzero(state.osd_alive)
         c["replacements"][i] = self._repl_window
         self._repl_window = 0
         self._record_lifetime(i, state)
-        c["queue_depth_mean"][i], c["queue_depth_cov"][i], c["service_lat_mean"][i] = (
-            self._svc_last
-        )
         c["osds_total"][i] = state.num_osds
         self._i = i + 1

@@ -57,7 +57,6 @@ def make_state(
             dtype=np.int32,
         ),
         chunk_heat=np.asarray(heat if heat is not None else np.ones(c), dtype=np.float64),
-        chunk_write_heat=np.zeros(c),
         chunk_last_migrated=np.full(c, -(10**9), dtype=np.int64),
         osd_wear=np.asarray(wear if wear is not None else np.zeros(n), dtype=np.float64),
         osd_load_ema=np.asarray(

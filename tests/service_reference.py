@@ -8,7 +8,7 @@ per-epoch step built on it -- binning every latency with ``searchsorted``
 -- so whole ``simulate()`` runs can be driven through the per-request path
 (``monkeypatch.setattr(ServiceRuntime, "step", reference_step)``) and
 compared bit for bit with :meth:`edm.service.ServiceRuntime.step`, which
-bins runs instead of requests.
+bins runs instead of requests and accounts a block of epochs at a time.
 """
 
 from __future__ import annotations
@@ -76,8 +76,9 @@ def bin_latencies(lat: np.ndarray) -> np.ndarray:
     return np.bincount(bins, minlength=NUM_BINS + 1)
 
 
-def reference_step(self, state, arrivals: np.ndarray, stats=None) -> None:
-    """Per-request drop-in for :meth:`ServiceRuntime.step`."""
+def reference_step(self, state, arrivals: np.ndarray) -> None:
+    """Per-request, per-epoch drop-in for :meth:`ServiceRuntime.step`:
+    accounts every epoch as it steps it, so nothing is left to flush."""
     depth = state.osd_queue_depth
     pending = state.osd_mig_backlog
     alive = state.osd_alive
@@ -130,7 +131,6 @@ def reference_step(self, state, arrivals: np.ndarray, stats=None) -> None:
     self._depth_mean_sum += d_mean
     self._depth_cov_sum += d_cov
     self._epochs += 1
-    if stats is not None:
-        stats.lat_mean = lat_mean
-        stats.queue_depth_mean = d_mean
-        stats.queue_depth_cov = d_cov
+    self._lat_means.append(lat_mean)
+    self._depth_means.append(d_mean)
+    self._depth_covs.append(d_cov)

@@ -9,6 +9,7 @@ import pytest
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
 from edm.config import rng_seed_sequence
+from edm.engine import metrics as metrics_module
 from edm.engine.core import replace_dead_chunks, simulate
 from edm.engine.state import init_state
 from edm.faults import FaultEvent, FaultPlan, FaultRuntime, effective_load
@@ -163,6 +164,45 @@ def test_failure_metrics_and_recovery(small_cfg):
     assert metrics["fault_recovery_epochs"] >= -1
     assert np.isfinite(metrics["load_cov_alive_mean"])
     assert np.isfinite(metrics["wear_cov_alive"])
+
+
+class SurvivorCovOracle(Recorder):
+    """The survivor CoV and recovery clock, reduced epoch by epoch with
+    numpy's own ``mean``/``std`` on the live alive set."""
+
+    def on_run_start(self, cfg, state):
+        self.covs, self.alive_covs = [], []
+        self.start, self.recovery, self.baseline = None, -1, 0.0
+
+    def on_fault(self, state, event, replaced):
+        if event.kind == "fail":
+            self.baseline = sum(self.covs) / max(len(self.covs), 1)
+            self.start, self.recovery = state.epoch, -1
+
+    def on_epoch(self, state, load, stats):
+        if load.mean() > 0:
+            self.covs.append(load.std() / load.mean())
+        live = load[state.osd_alive]
+        cov = float(live.std() / live.mean()) if live.size and live.mean() > 0 else 0.0
+        self.alive_covs.append(cov)
+        threshold = max(self.baseline * 1.1, self.baseline + 1e-9)
+        if self.start is not None and self.recovery < 0 and cov <= threshold:
+            self.recovery = stats.epoch - self.start
+
+
+@pytest.mark.parametrize("block", [1, 5, metrics_module._COV_BLOCK])
+@pytest.mark.parametrize("topology", ["", "drain:4@60;add:2@95"])
+def test_survivor_cov_blocks_match_per_epoch_oracle(block, topology, monkeypatch):
+    """Load rows reduced a block at a time, flushed at every fault and
+    topology event, give the per-epoch survivor CoV and recovery clock."""
+    monkeypatch.setattr(metrics_module, "_COV_BLOCK", block)
+    oracle = SurvivorCovOracle()
+    cfg = cfg_factory(workload="deasna2", num_osds=12, epochs=128, requests_per_epoch=2048,
+                      seed=0, faults="fail:2@90;fail:5@100", topology=topology)
+    m = simulate(cfg, recorders=(oracle,))
+    assert m["fault_recovery_epochs"] == oracle.recovery > 0
+    assert m["load_cov_alive_mean"] == sum(oracle.alive_covs) / cfg.epochs
+    assert m["load_cov_mean"] == sum(oracle.covs) / cfg.epochs
 
 
 def test_dead_osd_serves_no_load_after_failure():

@@ -146,12 +146,10 @@ def test_kernel_epoch_update_matches_unfused_reference(small_cfg):
     )
     a = cfg.heat_alpha
     ref.chunk_heat = (1.0 - a) * ref.chunk_heat + a * counts
-    ref.chunk_write_heat = (1.0 - a) * ref.chunk_write_heat + a * writes
     la = cfg.load_alpha
     ref.osd_load_ema = (1.0 - la) * ref.osd_load_ema + la * ref_load
 
     assert load.tobytes() == ref_load.tobytes()
     assert state.osd_wear.tobytes() == ref.osd_wear.tobytes()
     assert state.chunk_heat.tobytes() == ref.chunk_heat.tobytes()
-    assert state.chunk_write_heat.tobytes() == ref.chunk_write_heat.tobytes()
     assert state.osd_load_ema.tobytes() == ref.osd_load_ema.tobytes()

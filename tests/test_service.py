@@ -21,7 +21,7 @@ from edm.service import LATENCY_EDGES, ServiceModel, histogram_percentile
 from edm.service import runtime
 from edm.service.runtime import ServiceRuntime, admit, bin_runs, run_latencies
 from edm.spec import SpecError
-from edm.telemetry import EpochStats, TimeSeriesRecorder
+from edm.telemetry import TimeSeriesRecorder
 from edm.telemetry.recorder import mean_std
 from service_reference import (
     bin_latencies,
@@ -265,40 +265,53 @@ def clone_states(cfg, rng, n):
     return states
 
 
+# Every run-level service accumulator.
+ACCUMULATORS = ("hist", "lat_sum", "lat_count", "stalled_total", "requests_total",
+                "dropped_total", "lost_work", "spike_lat_max", "_mig_lat_sum",
+                "_mig_lat_count", "_clean_lat_sum", "_clean_lat_count",
+                "_depth_mean_sum", "_depth_cov_sum", "_depth_max", "_epochs")
+
+
+def assert_same_accounting(rt, ref):
+    """Every accumulator and per-epoch series of two runtimes, bit for bit.
+    ``epoch_series`` flushes both first."""
+    series, ref_series = rt.epoch_series(), ref.epoch_series()
+    for key, values in series.items():
+        assert values.tobytes() == ref_series[key].tobytes(), key
+    for key in ACCUMULATORS:
+        f, r = getattr(rt, key), getattr(ref, key)
+        assert np.asarray(f).tobytes() == np.asarray(r).tobytes(), (key, f, r)
+
+
 def test_step_matches_reference_step_fuzz():
-    """ServiceRuntime.step against the per-request step, epoch after epoch."""
+    """ServiceRuntime.step against the per-request step, epoch after epoch,
+    the blocked accounting read (and so flushed) at random epochs."""
     rng = np.random.default_rng(1357)
-    keys = ("hist", "lat_sum", "lat_count", "stalled_total", "requests_total",
-            "dropped_total", "lost_work", "spike_lat_max", "_mig_lat_sum",
-            "_mig_lat_count", "_clean_lat_sum", "_clean_lat_count",
-            "_depth_mean_sum", "_depth_cov_sum", "_depth_max", "_epochs")
+    reads = np.random.default_rng(7531)
     for _ in range(30):
         n = int(rng.integers(2, 10))
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
         model = ServiceModel.parse(cfg.service, num_osds=n)
         fast_rt, ref_rt = ServiceRuntime(model, cfg), ServiceRuntime(model, cfg)
         fast, ref = clone_states(cfg, rng, n)
-        for _epoch in range(6):
+        for epoch in range(6):
             arrivals = rng.integers(0, 300, size=n).astype(np.float64)
             if rng.random() < 0.2:
                 arrivals[:] = 0.0  # an epoch that accepts nothing
-            fast_stats, ref_stats = EpochStats(), EpochStats()
             with np.errstate(over="ignore"):
-                fast_rt.step(fast, arrivals, fast_stats)
-                reference_step(ref_rt, ref, arrivals, ref_stats)
-            for key in keys:
-                f, r = getattr(fast_rt, key), getattr(ref_rt, key)
-                assert np.array_equal(f, r, equal_nan=True), key
+                fast_rt.step(fast, arrivals)
+                reference_step(ref_rt, ref, arrivals)
+                if epoch == 5 or reads.random() < 0.3:
+                    assert_same_accounting(fast_rt, ref_rt)
             assert np.array_equal(fast.osd_queue_depth, ref.osd_queue_depth)
             assert np.array_equal(fast.osd_mig_backlog, ref.osd_mig_backlog)
-            assert fast_stats == ref_stats
 
 
 @pytest.mark.parametrize("block", [1, 7, runtime.RUN_BLOCK])
 def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
-    """Runs binned a block at a time, flushed by reads of ``hist`` at random
-    points, sum to the per-epoch histograms of run_latencies' runs bit for
-    bit."""
+    """Runs binned a block at a time, flushed (with the block of epochs
+    they came from) by reads of ``hist`` at random points, sum to the
+    per-epoch histograms of run_latencies' runs bit for bit."""
     monkeypatch.setattr(runtime, "RUN_BLOCK", block)
     seen = []  # (accepted, base, rate) of every epoch the step admits
 
@@ -331,11 +344,57 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
                     kinds.add("finite" if np.isfinite(lat).all() else "inf")
                 else:
                     kinds.add("empty")
-            if rng.random() < 0.1:
-                assert np.array_equal(rt.hist, expected)
-        assert np.array_equal(rt.hist, expected)
+                if rng.random() < 0.1:
+                    # Reading hist flushes the block of epochs first.
+                    assert np.array_equal(rt.hist, expected)
+        with np.errstate(over="ignore"):
+            assert np.array_equal(rt.hist, expected)
         kinds.add("overflow" if expected[-1] else "bounded")
     assert kinds == {"inf", "finite", "empty", "overflow", "bounded"}
+
+
+@pytest.mark.parametrize("block", [1, 3, runtime.EPOCH_BLOCK])
+def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
+    """Epochs accounted a block at a time -- flushed by a full block, by
+    reads at random points, and by deaths, adds and drains mid-block --
+    leave every accumulator and per-epoch series as a block of one does,
+    bit for bit, through +inf runs and zero-accept epochs."""
+    rng = np.random.default_rng(8642 + block)
+    reads = np.random.default_rng(2468)
+    seen = set()
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
+        model = ServiceModel.parse(cfg.service, num_osds=n)
+        states = clone_states(cfg, rng, n)
+        one, blocked = ServiceRuntime(model, cfg), ServiceRuntime(model, cfg)
+        for _epoch in range(30):
+            event = rng.choice(["none", "death", "add", "drain"], p=[0.85, 0.05, 0.05, 0.05])
+            osd = int(rng.integers(states[0].num_osds))
+            arrivals = rng.integers(0, 300, size=states[0].num_osds).astype(np.float64)
+            if rng.random() < 0.2:
+                arrivals[:] = 0.0  # an epoch that accepts nothing
+            add_rate = float(rng.choice([1e-308, 30.0]))
+            for state, size, rt in zip(states, (1, block), (one, blocked)):
+                if event == "add":
+                    state.grow(2, osd_service_rate=add_rate)
+                elif event != "none":
+                    state.osd_alive[osd] = False
+                    state.osd_capacity[osd] = 0.0
+                    if event == "drain":  # retired: its queues are discarded
+                        state.osd_queue_depth[osd] = state.osd_mig_backlog[osd] = 0.0
+                monkeypatch.setattr(runtime, "EPOCH_BLOCK", size)  # read at (re)allocation
+                with np.errstate(over="ignore"):
+                    rt.step(state, np.concatenate((arrivals, [7.0, 9.0]))[: state.num_osds])
+            seen.add(str(event))
+            if reads.random() < 0.1:
+                with np.errstate(over="ignore"):
+                    assert_same_accounting(blocked, one)
+        with np.errstate(over="ignore"):
+            assert_same_accounting(blocked, one)
+            assert np.array_equal(states[0].osd_queue_depth, states[1].osd_queue_depth)
+        seen.add("inf" if one.stalled_total else "finite")
+    assert seen == {"none", "death", "add", "drain", "inf", "finite"}
 
 
 def test_mean_std_matches_numpy_bit_for_bit():
@@ -350,6 +409,18 @@ def test_mean_std_matches_numpy_bit_for_bit():
             alive[0] = True
             sub = x[alive]
             assert mean_std(sub) == (sub.mean(), sub.std()), n
+
+
+def test_mean_std_rows_match_numpy_bit_for_bit():
+    """On a block, mean_std gives each row's (mean, std) exactly: a C-ordered
+    block, a slice of its leading columns, and ``take`` along axis 1."""
+    rng = np.random.default_rng(98)
+    for n in range(1, 130):
+        block = rng.lognormal(3.0, 2.0, size=(5, n + 7))
+        idx = np.flatnonzero(rng.random(n + 7) < 0.7)
+        for rows in (block, block[:, :n], block.take(idx, axis=1)):
+            mean, std = mean_std(rows)
+            assert [(m, s) for m, s in zip(mean, std)] == [(r.mean(), r.std()) for r in rows], n
 
 
 SCALAR_XCHECK_CASES = [
@@ -466,10 +537,13 @@ def test_queue_aggregates_exclude_dead_osds(make_cfg):
     state.osd_alive[0] = False
     arrivals = np.array([0.0, 30.0, 40.0, 50.0])
     rt.step(state, arrivals)
+    series = rt.epoch_series()  # flushes the block
     d = state.osd_queue_depth[1:]  # survivors
     assert rt._depth_mean_sum == pytest.approx(float(d.mean()))
     assert rt._depth_cov_sum == pytest.approx(float(d.std() / d.mean()))
     assert rt._depth_max == pytest.approx(float(d.max()))
+    assert series["queue_depth_mean"].tolist() == [rt._depth_mean_sum]
+    assert series["queue_depth_cov"].tolist() == [rt._depth_cov_sum]
 
 
 def test_degraded_queue_metrics_match_survivor_stats(make_cfg):

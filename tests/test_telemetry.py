@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from edm.engine.core import simulate
+from edm.service import ServiceRuntime
 from edm.sweep import default_grid, series_path, sweep
 from edm.telemetry import SERIES_FORMAT_VERSION, Recorder, TimeSeries, TimeSeriesRecorder
 from edm.telemetry.timeseries import _ARRAY_FIELDS
+from service_reference import reference_step
 
 
 class EventLog(Recorder):
@@ -110,6 +112,51 @@ def test_recorder_reusable_across_runs(small_cfg):
     simulate(small_cfg, recorders=(rec,))
     assert np.array_equal(first.load, rec.series.load)
     assert first.meta == rec.series.meta
+
+
+def _cov(x):
+    return float(x.std() / x.mean()) if x.size and x.mean() > 0 else 0.0
+
+
+class LiveColumns(Recorder):
+    """Each epoch's derived columns, reduced then and there from the live
+    vectors with numpy's own ``mean``/``std``/``max``."""
+
+    def on_run_start(self, cfg, state):
+        self.rows = {}
+
+    def on_epoch(self, state, load, stats):
+        peak = float(load.max() / load.mean()) if load.mean() > 0 else 0.0
+        depth = state.osd_queue_depth[state.osd_alive]
+        self.rows[stats.epoch] = {
+            "load_cov": _cov(load), "load_peak_ratio": peak, "wear_cov": _cov(state.osd_wear),
+            "queue_depth_mean": float(depth.mean()), "queue_depth_cov": _cov(depth),
+        }
+
+
+def test_sampled_series_across_scale_out_match_live_reductions(make_cfg, monkeypatch):
+    """record_every=3 across an add, a failure and a drain: columns derived
+    at finalize, one block per cluster width, equal the per-epoch
+    reductions; the whole series equals the per-request, per-epoch service
+    step's."""
+    cfg = make_cfg(num_osds=6, epochs=32, service="rate:120;queue:64", faults="fail:3@14",
+                   topology="add:2@10/cap:2,rate:240;drain:1@20")
+    rec, live = TimeSeriesRecorder(record_every=3), LiveColumns()
+    metrics = simulate(cfg, recorders=(rec, live))
+    s = rec.series
+    assert s.epoch.tolist() == [*range(0, 32, 3), 31]
+    assert s.osds_total.tolist() == [6] * 4 + [8] * 8
+    assert s.queue_depth_mean.max() > 0
+    for i, epoch in enumerate(s.epoch.tolist()):
+        expected = dict(live.rows[epoch])
+        if i == s.num_samples - 1:  # end-of-run wear: after the last migrations
+            expected["wear_cov"] = metrics["wear_cov"]
+        assert {k: float(getattr(s, k)[i]) for k in expected} == expected, epoch
+    monkeypatch.setattr(ServiceRuntime, "step", reference_step)
+    ref = TimeSeriesRecorder(record_every=3)
+    simulate(cfg, recorders=(ref,))
+    for k in _ARRAY_FIELDS:
+        assert getattr(s, k).tobytes() == getattr(ref.series, k).tobytes(), k
 
 
 def test_record_every_validation():
