@@ -14,17 +14,19 @@ same order either way.  One epoch is a handful of O(num_chunks) array ops:
      (``wearout`` at the rated P/E budget) see the grown or drained cluster.
      Every departure -- drain, fail, wear-out -- re-places the leaving
      OSD's chunks through the active policy's destination scoring
-     (:func:`replace_dead_chunks`); a drain then retires its OSD, discarding
-     its queue and pending migration work without counting them as
-     ``service_lost_work``.  Each fired event fans out to recorders via
-     ``on_topology`` or ``on_fault``.
+     (:func:`replace_dead_chunks`); a drain then retires its OSD.  Each
+     fired event fans out to recorders via ``on_topology`` or ``on_fault``
+     (the service recorder discards a drained OSD's queue there, uncounted
+     as ``service_lost_work``).
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
      scratch buffers; a rated run (``cfg.endurance``) then folds the wear
      delta into the per-OSD wear-rate EWMA behind CMT's wear-out term
   3. with a service model (``cfg.service``), one epoch of each OSD's
-     bounded queue against its routed arrivals; migrations charge work into
-     the queues too, and the metrics gain a p50/p99/p999 latency block
+     bounded queue against its routed arrivals, stepped by the run's
+     :class:`~edm.service.ServiceRuntime` -- a recorder that owns the
+     queues, charged with migration work through the ``on_move`` hook --
+     and the metrics gain a p50/p99/p999 latency block
   4. every ``migrate_interval`` epochs, let the policy pick migrations and
      apply them as a batch index assignment
 
@@ -32,8 +34,9 @@ With a redundancy scheme (``cfg.redundancy``), chunks form placement groups
 (replica or erasure-code stripes, see :mod:`edm.redundancy`) whose members
 must live on pairwise-distinct OSDs: initial placement is round-robin, every
 destination pick is group-constrained, and a failed OSD's chunks are
-*reconstructed* -- reads charged to surviving group members' service
-queues, the rebuild write charged as migration wear.
+*reconstructed* -- reads counted by the run's
+:class:`~edm.redundancy.RedundancyRuntime` and charged to surviving group
+members' service queues, the rebuild write charged as migration wear.
 
 An unconfigured layer is skipped entirely, so its runs stay bit-identical
 to the engine without it.  There is no per-request Python loop anywhere; a
@@ -66,12 +69,20 @@ from edm.topology import TopologyRuntime
 from edm.workloads import make_workload, traffic
 
 
-def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> int:
+def apply_migrations(
+    state: ClusterState,
+    moves: np.ndarray,
+    cfg: SimConfig,
+    trigger: str = "threshold",
+    recorders: Sequence[Recorder] = (),
+) -> int:
     """Apply policy-selected moves; returns how many were actually applied.
 
     ``moves`` is an int array of shape (k, 2): (chunk_id, dst_osd).  Duplicate
     chunk entries keep only the first; no-op and out-of-range moves are
-    dropped, so a buggy policy can never lose or duplicate a chunk.
+    dropped, so a buggy policy can never lose or duplicate a chunk.  The
+    moves kept reach every recorder's ``on_move`` under ``trigger`` (one of
+    :data:`~edm.obs.decisions.TRIGGERS`) while their sources still own them.
     """
     moves = np.asarray(moves, dtype=np.int64).reshape(-1, 2)
     if moves.size == 0:
@@ -89,19 +100,9 @@ def apply_migrations(state: ClusterState, moves: np.ndarray, cfg: SimConfig) -> 
     chunk, dst = chunk[ok], dst[ok]
     if chunk.size == 0:
         return 0
-    if cfg.service:
-        # Each move charges service work to both sides of the copy -- the
-        # source streams the chunk out, the destination writes it -- into
-        # the pending pool the ServiceRuntime drains over the cooldown
-        # window.  Dead sources are exempt: a re-placement burst reads from
-        # a corpse, which has no queue to occupy.  Must happen before the
-        # owner reassignment below, which is what loses the source ids.
-        src = state.chunk_owner[chunk].astype(np.int64)
-        work = np.bincount(dst, minlength=state.num_osds).astype(np.float64)
-        src_alive = src[state.osd_alive[src]]
-        if src_alive.size:
-            work += np.bincount(src_alive, minlength=state.num_osds)
-        state.osd_mig_backlog += work * cfg.service_migration_cost
+    src = state.chunk_owner[chunk]
+    for rec in recorders:
+        rec.on_move(state, chunk, src, dst, trigger)
     state.chunk_owner[chunk] = dst.astype(np.int32)
     # Migration rewrites the whole chunk on the destination SSD.  Bincount
     # the per-destination move counts and accrue wear in one vectorized add:
@@ -169,8 +170,9 @@ def replace_dead_chunks(
     dead_osd: int,
     policy: MigrationPolicy,
     cfg: SimConfig,
+    trigger: str = "fault",
     emit=None,
-    redundancy: RedundancyRuntime | None = None,
+    recorders: Sequence[Recorder] = (),
 ) -> int:
     """Re-place every chunk of a failed (or draining) OSD; returns how many moved.
 
@@ -180,17 +182,16 @@ def replace_dead_chunks(
     placed first against a projected effective-load vector.  The burst is
     forced -- it ignores the per-interval migration budget and the cooldown
     mask -- but is charged as ordinary migration wear through
-    :func:`apply_migrations`.
+    :func:`apply_migrations`, which hands it to ``recorders`` under
+    ``trigger`` (the departure: ``"fault"``, ``"wearout"`` or ``"drain"``).
 
     Every burst -- plain or redundant, explained (``emit`` set, see
     :mod:`edm.obs.decisions`) or not -- runs through
     :func:`_assign_sequential`, bit-identical to scoring each chunk's own
     candidate set from scratch.  Redundant configs forbid, per
-    chunk, every OSD holding a member of its placement group; when
-    ``redundancy`` (the run's :class:`~edm.redundancy.RedundancyRuntime`)
-    is given and ``dead_osd`` is actually dead, the burst is charged as
-    *reconstruction*: surviving group members are read into the service
-    queues on top of the ordinary migration-write wear.  A drain
+    chunk, every OSD holding a member of its placement group; the
+    redundancy and service recorders account a dead OSD's burst as
+    *reconstruction* reads of the surviving group members.  A drain
     (``dead_osd`` still alive) stays a plain group-constrained evacuation.
     """
     chunks = np.flatnonzero(state.chunk_owner == dead_osd)
@@ -216,12 +217,8 @@ def replace_dead_chunks(
         forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
     relay = None if emit is None else lambda c, *pick: emit(c, int(dead_osd), *pick)
     dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, forbid, relay)
-    if redundancy is not None and not state.osd_alive[dead_osd]:
-        # Charge the read side of the rebuild before ownership moves (the
-        # write side is ordinary migration wear via apply_migrations).
-        redundancy.on_reconstruction(state, order)
     moves = np.column_stack((order, dsts))
-    return apply_migrations(state, moves, cfg)
+    return apply_migrations(state, moves, cfg, trigger, recorders)
 
 
 # Which departure events re-place the leaving OSD's chunks, under which
@@ -259,16 +256,14 @@ class Run:
             p = cfg.plans
             faults = FaultRuntime(p["faults"]) if p["faults"] else None
             endurance = EnduranceTracker(p["endurance"], cfg) if p["endurance"] else None
+            if endurance is not None:
+                endurance.attach(state)
+            topology = TopologyRuntime(p["topology"], p["endurance"]) if p["topology"] else None
+            # Layers that only account ride the observer hooks.
             service = ServiceRuntime(p["service"], cfg) if p["service"] else None
-            for runtime in (endurance, service):
-                if runtime is not None:
-                    runtime.attach(state)
-            topology = (
-                TopologyRuntime(p["topology"], service=p["service"], endurance=p["endurance"])
-                if p["topology"] else None
-            )
             redundancy = RedundancyRuntime(p["redundancy"], cfg) if p["redundancy"] else None
-            self._endurance, self._service, self._redundancy = endurance, service, redundancy
+            layers = tuple(rt for rt in (service, redundancy) if rt is not None)
+            self._endurance, self._service = endurance, service
             # Topology steps first, so faults and endurance see this epoch's
             # grown (or drained) cluster.
             self._boundary = [
@@ -281,9 +276,12 @@ class Run:
                 if runtime is not None
             ]
             self._kernel = EpochKernel(cfg)
-            self._acc = MetricsAccumulator(service=service, redundancy=redundancy)
+            self._acc = MetricsAccumulator(layers)
             self._recorders = tuple(recorders)
-            self._observers = observers = (self._acc, *recorders)
+            # Every hook reaches every observer, except that the run's own
+            # service steps under its own span before the others' on_epoch.
+            self._epoch_observers = (self._acc, *self._recorders)
+            self._observers = observers = (*layers, *self._epoch_observers)
             # Decision provenance is opt-in: only recorders that *override*
             # on_decision flip selection/re-placement onto the explained path
             # (bit-identical picks, see edm.obs.decisions); without one, every
@@ -345,8 +343,8 @@ class Run:
                         # Every departure takes the same re-placement burst
                         # through the active policy.
                         moved = replace_dead_chunks(
-                            state, event.osd, self.policy, cfg,
-                            emit=self._emit[trigger], redundancy=self._redundancy,
+                            state, event.osd, self.policy, cfg, trigger,
+                            self._emit[trigger], observers,
                         )
                         if event.kind == "drain":
                             runtime.retire(state, event.osd)
@@ -373,12 +371,12 @@ class Run:
             stats.epoch = epoch
             stats.requests = int(np.add.reduce(counts))  # ``counts.sum()``, minus its wrapper
             stats.writes = int(np.add.reduce(writes))
-            for rec in observers:
+            for rec in self._epoch_observers:
                 rec.on_epoch(state, load, stats)
         if (epoch + 1) % cfg.migrate_interval == 0:
             with tr.span("simulate.migration"):
                 moves = self.policy.select(state, cfg, self._emit["threshold"])
-                applied = apply_migrations(state, moves, cfg)
+                applied = apply_migrations(state, moves, cfg, "threshold", observers)
                 for rec in observers:
                     rec.on_migration(state, applied, stats)
 
@@ -392,6 +390,8 @@ class Run:
         tr, state, load = self._tr, self.state, self._load
         with tr.span("simulate.finalize"):
             state.validate()
+            if self._service is not None:
+                self._service.validate(state)
             metrics = self._acc.finalize(state, load)
             for rec in self._recorders:
                 rec.finalize(state, load)

@@ -8,7 +8,7 @@ Paper metrics:
   * migration cost -- total data moved (chunks x chunk size).
 
 Faulted, rated, serviced, elastic and redundant runs add their layer's
-block (service and redundancy blocks come from their runtimes'
+block (service and redundancy blocks come from their recorders'
 ``metrics_block``).  Every key the final dict may hold has a row, with its
 help text, in :mod:`edm.catalog`; ``finalize`` raises on a key without one.
 
@@ -41,13 +41,11 @@ def _fold(total: float, values: np.ndarray) -> float:
 
 
 class MetricsAccumulator(Recorder):
-    def __init__(self, service=None, redundancy=None):
-        # ``service`` / ``redundancy`` are the run's ServiceRuntime and
-        # RedundancyRuntime (None without the layer): each contributes its
-        # metrics block to the final dict.
+    def __init__(self, layers=()):
+        # The run's accounting recorders (ServiceRuntime, RedundancyRuntime),
+        # in catalogue order: each contributes its metrics block.
         self.cfg: SimConfig | None = None
-        self._service = service
-        self._redundancy = redundancy
+        self._layers = layers
 
     def on_run_start(self, cfg: SimConfig, state: ClusterState) -> None:
         self.cfg = cfg
@@ -272,10 +270,8 @@ class MetricsAccumulator(Recorder):
                     else 0.0
                 )
             out["osds_alive_final"] = int(alive.sum())
-        if self._service is not None:
-            out.update(self._service.metrics_block())
-        if self._redundancy is not None:
-            out.update(self._redundancy.metrics_block())
+        for layer in self._layers:
+            out.update(layer.metrics_block())
         unknown = [key for key in out if key not in KEYS]
         if unknown:
             raise RuntimeError(f"metrics keys with no row in edm.catalog: {', '.join(unknown)}")

@@ -2,7 +2,9 @@
 
 Everything the engine and policies touch per epoch lives here as an array
 indexed by chunk or by OSD, so routing, wear accrual, and policy selection
-are batch array ops rather than per-request Python loops.
+are batch array ops rather than per-request Python loops.  State that
+steers no decision -- service queues, reconstruction counters -- lives on
+the recorder that accounts it (see :mod:`edm.telemetry.recorder`).
 """
 
 from __future__ import annotations
@@ -39,11 +41,6 @@ class ClusterState:
     osd_capacity: np.ndarray = _column(1.0)     # float64 [N], capacity multiplier (0 = dead)
     osd_rated_life: np.ndarray = _column(np.inf)  # float64 [N], rated P/E budget in wear units (inf = unrated)
     osd_wear_rate: np.ndarray = _column(0.0)    # float64 [N], EWMA of per-epoch wear increments
-    # Service rate inf = no service model: any backlog retires instantly and
-    # queues never form.
-    osd_service_rate: np.ndarray = _column(np.inf)  # float64 [N], requests/epoch at full capacity
-    osd_queue_depth: np.ndarray = _column(0.0)  # float64 [N], backlog carried across epochs
-    osd_mig_backlog: np.ndarray = _column(0.0)  # float64 [N], pending migration work (request-equivalents)
     osd_draining: np.ndarray = _column(False)   # bool [N], True once a drain marked the OSD source-only
     # Redundancy state (plain configs carry None/0 and skip every group
     # check).  Groups are consecutive id ranges of group_width chunks whose
@@ -63,7 +60,7 @@ class ClusterState:
 
         Each column extends by its new-drive value, or by ``fills[name]``
         where that is given and not None (an added device class's
-        capacity, service rate or rating).
+        capacity or rating).
         """
         unknown = fills.keys() - OSD_COLUMNS.keys()
         if unknown:
@@ -103,15 +100,6 @@ class ClusterState:
             raise AssertionError("osd_rated_life contains non-positive ratings")
         if (self.osd_wear_rate < 0).any():
             raise AssertionError("osd_wear_rate went negative (wear decreased?)")
-        if np.isnan(self.osd_queue_depth).any() or (self.osd_queue_depth < 0).any():
-            raise AssertionError("osd_queue_depth went negative or NaN")
-        if np.isnan(self.osd_mig_backlog).any() or (self.osd_mig_backlog < 0).any():
-            raise AssertionError("osd_mig_backlog went negative or NaN")
-        # The service step books a corpse's queue as lost work once, at death.
-        if (self.osd_queue_depth + self.osd_mig_backlog)[~self.osd_alive].any():
-            raise AssertionError("dead OSD holds queued or pending service work")
-        if (self.osd_service_rate <= 0).any():
-            raise AssertionError("osd_service_rate contains non-positive rates")
         if (self.osd_draining & self.osd_alive & (self.osd_capacity > 0)).any():
             # A marked OSD should have been evacuated and retired within its
             # drain epoch; surviving the boundary means the engine skipped

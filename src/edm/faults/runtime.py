@@ -60,6 +60,8 @@ class FaultRuntime:
             self._starts.setdefault(ev.epoch, []).append(ev)
             if ev.kind == "hiccup":
                 self._ends.setdefault(ev.epoch + ev.duration, []).append(ev)
+        # Epochs where a ``fail`` starts: only they need the alive count.
+        self._fail_epochs = {ev.epoch for ev in plan.events if ev.kind == "fail"}
         self._base: np.ndarray | None = None
         self._active_hiccups: list[FaultEvent] = []
 
@@ -87,7 +89,7 @@ class FaultRuntime:
             self._active_hiccups.remove(ev)
             changed = True
         fired = []
-        alive = int(state.osd_alive.sum())
+        alive = int(state.osd_alive.sum()) if epoch in self._fail_epochs else 0
         for ev in self._starts.get(epoch, []):
             if ev.kind == "fail":
                 if state.osd_alive[ev.osd]:

@@ -2,15 +2,15 @@
 
 The placement side of redundancy is static state (``ClusterState.chunk_group``
 / ``group_width``, laid out by :func:`edm.engine.state.init_state`, enforced
-by the policy layer and the engine's re-placement path).  This runtime owns
-the *dynamic* side: when an OSD fails (scheduled fault or wear-out), each of
-its chunks is rebuilt from surviving group members instead of merely
-re-placed --
+by the policy layer and the engine's re-placement path).  This runtime is a
+:class:`~edm.telemetry.Recorder` that accounts the *dynamic* side from the
+move hook: when an OSD fails (scheduled fault or wear-out), each of its
+chunks is rebuilt from surviving group members instead of merely copied --
 
   * ``reads_per_loss`` surviving chunks are read (1 for replication, M for
-    ``ec:M+K``), charged into the read sources' service queues when a
-    service model is configured (reads occupy queues but, unlike the rebuild
-    write, add no erase-count wear);
+    ``ec:M+K``), chosen by :func:`rebuild_reads`, which the service recorder
+    shares to charge those reads into the sources' queues (reads occupy
+    queues but, unlike the rebuild write, add no erase-count wear);
   * one fresh chunk is written at the destination the policy picked, charged
     as ordinary migration wear by :func:`edm.engine.core.apply_migrations`;
   * a group with fewer survivors than the scheme needs is counted as data
@@ -26,61 +26,65 @@ the redundancy-unaware engine.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from edm.config import SimConfig
-from edm.engine.state import ClusterState
 from edm.redundancy.spec import RedundancyScheme
+from edm.telemetry.recorder import Recorder
 
-__all__ = ["RedundancyRuntime"]
+if TYPE_CHECKING:
+    from edm.config import SimConfig
+    from edm.engine.state import ClusterState
+
+__all__ = ["RedundancyRuntime", "rebuild_reads"]
 
 
-class RedundancyRuntime:
+def rebuild_reads(
+    state: "ClusterState", lost: np.ndarray, reads_per_loss: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reads that rebuild ``lost`` chunks: ``(sources, reads, needed)``.
+
+    For each lost chunk, the first ``reads_per_loss`` surviving group
+    members in chunk-id order are read.  ``sources`` holds the OSD of every
+    read (chunk by chunk), ``reads`` and ``needed`` the reads each chunk
+    got and wanted: fewer than needed -- e.g. several same-epoch failures
+    hitting one group -- is data loss.  A trailing *partial* group (chunk
+    count not a multiple of the group width) is a narrower stripe: it needs
+    however many peers it actually has, capped at ``reads_per_loss``.
+    """
+    lost = np.asarray(lost, dtype=np.int64)
+    # One pass over the (lost x width) member matrix; ids past the last
+    # chunk (a trailing partial group) and the lost chunk are no peers.
+    w = state.group_width
+    members = (lost // w * w)[:, None] + np.arange(w)
+    peer = (members < state.num_chunks) & (members != lost[:, None])
+    owners = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+    live = peer & state.osd_alive[owners]
+    needed = np.minimum(reads_per_loss, peer.sum(axis=1))
+    read = live & (np.cumsum(live, axis=1) <= needed[:, None])
+    return owners[read], read.sum(axis=1), needed
+
+
+class RedundancyRuntime(Recorder):
     """Per-run reconstruction counters for one :class:`RedundancyScheme`."""
 
-    def __init__(self, scheme: RedundancyScheme, cfg: SimConfig):
+    def __init__(self, scheme: RedundancyScheme, cfg: "SimConfig"):
         self.scheme = scheme
         self.cfg = cfg
         self.reconstruction_chunks = 0
         self.reconstruction_reads = 0
         self.data_loss_chunks = 0
 
-    def on_reconstruction(self, state: ClusterState, lost: np.ndarray) -> None:
-        """Charge the rebuild of ``lost`` chunks (all on one just-dead OSD).
-
-        For each lost chunk, the first ``reads_per_loss`` surviving group
-        members in chunk-id order are read; their owners' queues absorb one
-        migration-equivalent of work each (when a service model is
-        configured).  Chunks whose groups lack enough survivors -- e.g.
-        several same-epoch failures hitting one group -- count as data loss
-        and charge whatever reads remain available.
-
-        A trailing *partial* group (chunk count not a multiple of the group
-        width) reconstructs as a narrower stripe: it reads however many
-        members it actually has, capped at ``reads_per_loss``, rather than
-        reporting a layout artifact as data loss.
-        """
-        cfg = self.cfg
-        lost = np.asarray(lost, dtype=np.int64)
-        # One pass over the (lost x width) member matrix; ids past the last
-        # chunk (a trailing partial group) and the lost chunk are no peers.
-        w = state.group_width
-        members = (lost // w * w)[:, None] + np.arange(w)
-        peer = (members < state.num_chunks) & (members != lost[:, None])
-        owners = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
-        live = peer & state.osd_alive[owners]
-        needed = np.minimum(self.scheme.reads_per_loss, peer.sum(axis=1))
-        read = live & (np.cumsum(live, axis=1) <= needed[:, None])
-        reads = read.sum(axis=1)
-        self.data_loss_chunks += int((reads < needed).sum())
-        self.reconstruction_reads += int(reads.sum())
-        self.reconstruction_chunks += int(lost.size)
-        read_work = np.bincount(owners[read], minlength=state.num_osds).astype(np.float64)
-        if cfg.service and read_work.any():
-            # Reads occupy the sources' queues exactly like the streaming
-            # side of a migration copy; they drain over the same cooldown
-            # window (see edm.service.runtime).
-            state.osd_mig_backlog += read_work * cfg.service_migration_cost
+    def on_move(self, state, chunks, src, dst, trigger) -> None:
+        """Count the rebuild of every chunk moved off a dead OSD (a failure's
+        or wear-out's burst); moves off live OSDs are plain copies."""
+        lost = chunks[~state.osd_alive[src]]
+        if lost.size:
+            _, reads, needed = rebuild_reads(state, lost, self.scheme.reads_per_loss)
+            self.data_loss_chunks += int((reads < needed).sum())
+            self.reconstruction_reads += int(reads.sum())
+            self.reconstruction_chunks += int(lost.size)
 
     def metrics_block(self) -> dict:
         """Reconstruction metrics, merged into the final dict for redundant runs."""

@@ -14,10 +14,12 @@ no per-request randomness.  Latencies accumulate into a fixed log-spaced
 histogram, so p50/p99/p999 come from bin edges and are bit-stable across
 runs and backends.
 
-Migrations and fault re-placement bursts charge
+Every batch of moves reaches :meth:`ServiceRuntime.on_move`, which charges
 ``cfg.service_migration_cost`` request-equivalents per moved chunk into a
 per-OSD pending pool (source and destination both pay -- a migration reads
-one replica and writes another); the pool drains into the queues at
+one replica and writes another; a dead source pays nothing, and on a
+redundant cluster the peers that rebuild its chunks pay for the reads
+first); the pool drains into the queues at
 ``1/cfg.service_cooldown_epochs`` per epoch, flushing outright once it falls
 below one request.  That drain is what turns "migrate vs. tolerate
 imbalance" into a visible latency tradeoff: epochs with in-flight migration
@@ -43,8 +45,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from edm.redundancy import rebuild_reads
 from edm.service.spec import ServiceModel
-from edm.telemetry.recorder import mean_std
+from edm.telemetry.recorder import Recorder, mean_std
 
 __all__ = ["LATENCY_EDGES", "ServiceRuntime", "admit", "bin_runs", "histogram_percentile",
            "run_latencies"]
@@ -168,21 +171,23 @@ def bin_runs(
     return counts[:-1]
 
 
-class ServiceRuntime:
-    """Per-run queue state-stepper and latency accumulator.
+class ServiceRuntime(Recorder):
+    """Per-run queue state-stepper and latency accumulator, as a recorder.
 
-    Owns the latency histogram, the run-level service aggregates and three
-    per-epoch series; the per-OSD queue arrays (``osd_queue_depth``,
-    ``osd_service_rate``, ``osd_mig_backlog``) live on
-    :class:`~edm.engine.state.ClusterState` so recorders and policies can
-    observe them like any other state.
+    Owns the per-OSD ``rate`` (requests per epoch at full capacity),
+    ``depth`` and ``backlog`` (pending migration work) arrays, the latency
+    histogram, the run-level aggregates and three per-epoch series.  ``cfg``
+    supplies the migration cost and cooldown; the run supplies the cluster.
+    No decision reads a queue, so more runtimes can ride a run as
+    ``recorders`` (stepped by :meth:`on_epoch`), each reporting its own
+    config's block.
     """
 
     def __init__(self, model: ServiceModel, cfg) -> None:
         self.model = model
         self.qbound = model.queue_bound
         self._drain = 1.0 / float(cfg.service_cooldown_epochs)
-        self._rates = model.per_osd(cfg.num_osds)
+        self._cost = cfg.service_migration_cost
         # Run-level accumulators.  The histogram has one slot per real bin
         # plus a trailing overflow slot; runs wait in ``_runs`` to be binned.
         self._hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)
@@ -225,10 +230,6 @@ class ServiceRuntime:
         self._bin_buffered()
         return self._hist
 
-    @hist.setter
-    def hist(self, value: np.ndarray) -> None:  # lets ``rt.hist += h`` work
-        self._hist = value
-
     def _bin_buffered(self) -> None:
         if self._runs:
             self._hist += bin_runs(*map(np.concatenate, zip(*self._runs)))
@@ -246,9 +247,48 @@ class ServiceRuntime:
             "service_lat_mean": np.array(self._lat_means),
         }
 
-    def attach(self, state) -> None:
-        """Install the model's rates on the cluster state."""
-        state.osd_service_rate = self._rates.astype(np.float64).copy()
+    def on_run_start(self, cfg, state) -> None:
+        """Give every OSD the model's rate and an empty queue."""
+        n = state.num_osds
+        self.rate = self.model.per_osd(n).astype(np.float64)
+        self.depth = np.zeros(n)
+        self.backlog = np.zeros(n)
+        scheme = cfg.plans["redundancy"]
+        self._reads_per_loss = scheme.reads_per_loss if scheme else 0
+
+    def on_topology(self, state, event, moved: int) -> None:
+        """Give added drives their class's rate (else the model's default);
+        discard a drained OSD's queue and pending work, not as lost work."""
+        if event.kind == "add":
+            rate = event.rate if event.rate is not None else self.model.default
+            rate = np.inf if rate is None else rate
+            self.rate = np.append(self.rate, np.full(event.count, rate))
+            self.depth = np.append(self.depth, np.zeros(event.count))
+            self.backlog = np.append(self.backlog, np.zeros(event.count))
+        else:
+            self.depth[event.osd] = 0.0
+            self.backlog[event.osd] = 0.0
+
+    def on_move(self, state, chunks, src, dst, trigger) -> None:
+        """Charge the moves' work into the pending pool: the reads that
+        rebuild chunks off a dead OSD (:func:`~edm.redundancy.rebuild_reads`)
+        first, then both ends of each copy, where a dead source has no
+        queue to occupy."""
+        n = state.num_osds
+        live = state.osd_alive[src]
+        if self._reads_per_loss and not live.all():
+            sources = rebuild_reads(state, chunks[~live], self._reads_per_loss)[0]
+            read_work = np.bincount(sources, minlength=n).astype(np.float64)
+            if read_work.any():
+                self.backlog += read_work * self._cost
+        work = np.bincount(dst, minlength=n).astype(np.float64)
+        if live.any():
+            work += np.bincount(src[live], minlength=n)
+        self.backlog += work * self._cost
+
+    def on_epoch(self, state, load: np.ndarray, stats) -> None:
+        """Step on the epoch's routed load, when riding a run as a recorder."""
+        self.step(state, load)
 
     def step(self, state, arrivals: np.ndarray) -> None:
         """Advance every queue by one epoch.
@@ -259,8 +299,8 @@ class ServiceRuntime:
         the epoch's rows wait in a block of ``EPOCH_BLOCK`` for
         :meth:`_flush` to account them.
         """
-        depth = state.osd_queue_depth
-        pending = state.osd_mig_backlog
+        depth = self.depth
+        pending = self.backlog
         alive = state.osd_alive
         n = alive.size
         dead = n - np.count_nonzero(alive)
@@ -290,7 +330,7 @@ class ServiceRuntime:
 
         base, rate, depth_row = self._rows[:, f]
         np.add(depth, inject, out=base)
-        np.multiply(state.osd_service_rate, state.osd_capacity, out=rate)
+        np.multiply(self.rate, state.osd_capacity, out=rate)
         np.multiply(rate, alive, out=rate)
         accepted, new_depth = admit(arrivals, base, rate, self.qbound)
         np.copyto(depth, new_depth)
@@ -409,3 +449,20 @@ class ServiceRuntime:
             "queue_depth_cov_mean": self._depth_cov_sum / epochs if epochs else 0.0,
         }
 
+    def validate(self, state) -> None:
+        """Queue invariants: one entry per OSD, no negative or NaN work, none
+        held by a dead OSD (the step books it as lost, once), positive rates."""
+        for name in ("rate", "depth", "backlog"):
+            if getattr(self, name).shape != (state.num_osds,):
+                raise AssertionError(f"service {name} width drifted from num_osds")
+            if name != "rate" and not (getattr(self, name) >= 0).all():  # NaN fails too
+                raise AssertionError(f"service {name} went negative or NaN")
+        if (self.depth + self.backlog)[~state.osd_alive].any():
+            raise AssertionError("dead OSD holds queued or pending service work")
+        if (self.rate <= 0).any():
+            raise AssertionError("service rate contains non-positive rates")
+
+    def finalize(self, state, final_load: np.ndarray) -> dict:
+        """Check the queue invariants; return :meth:`metrics_block`."""
+        self.validate(state)
+        return self.metrics_block()

@@ -3,7 +3,7 @@
 ``simulate(cfg, recorders=...)`` -- a :class:`~edm.engine.core.Run` stepped
 through every epoch, each :meth:`~edm.engine.core.Run.step` drawing the
 run's own traffic, or :meth:`~edm.engine.core.Run.advance` fed traffic by
-its caller -- drives every recorder through the same eight hooks:
+its caller -- drives every recorder through the same nine hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
     on_service(service)             once, after on_run_start, on a run with a
@@ -23,6 +23,10 @@ its caller -- drives every recorder through the same eight hooks:
                                     is what switches the engine onto the
                                     explained selection path; see
                                     edm.obs.decisions)
+    on_move(state, chunks, src, dst, trigger)
+                                    per batch of moves applied (a migration
+                                    round, a departure's burst), before
+                                    ownership changes
     on_epoch(state, load, stats)    every epoch, after routing/wear/EMA updates
                                     and *before* that epoch's migration round
     on_migration(state, applied, stats)
@@ -30,9 +34,10 @@ its caller -- drives every recorder through the same eight hooks:
     finalize(state, final_load)     once, after the last epoch
 
 The engine's scalar metrics dict is produced by a recorder too
-(:class:`edm.engine.metrics.MetricsAccumulator`), so telemetry, fault
-injection, and future observers all plug in through one surface without
-touching the hot path.
+(:class:`edm.engine.metrics.MetricsAccumulator`), as are the layers that
+steer no decision (:class:`edm.service.ServiceRuntime`,
+:class:`edm.redundancy.RedundancyRuntime`), so all plug in through one
+surface without touching the hot path.
 
 Hot-path contract: ``load`` and ``state`` arrays are the engine's live
 buffers, not copies.  A recorder must copy anything it wants to keep
@@ -128,6 +133,12 @@ class Recorder:
         (bit-identical) path; runs without such a recorder never pay for
         decision capture.  See :mod:`edm.obs.decisions`.
         """
+
+    def on_move(self, state: "ClusterState", chunks, src, dst, trigger: str) -> None:
+        """Called before ``chunks`` move from ``src`` to ``dst`` (aligned
+        arrays, no duplicates or no-ops), for one of the
+        :data:`~edm.obs.decisions.TRIGGERS`: a migration round's
+        ``"threshold"``, or the departure that forced the burst."""
 
     def on_epoch(self, state: "ClusterState", load: "np.ndarray", stats: EpochStats) -> None:
         """Called every epoch with that epoch's per-OSD load vector."""

@@ -4,18 +4,19 @@ live cluster state.
 The engine calls :meth:`TopologyRuntime.step` once per epoch *before* the
 fault and endurance steps; the runtime grows the cluster through
 :meth:`~edm.engine.state.ClusterState.grow` for ``add`` events (new drives
-join cold: zero wear, zero load, empty queues) and marks
+join cold: zero wear, zero load) and marks
 ``drain`` targets migration-source-only via ``osd_draining``.  The engine
 then evacuates a draining OSD's chunks through the active policy's
 destination scoring -- the same re-placement machinery a failure uses,
 but *graceful*: the drive is still alive while its chunks stream off, and
-:meth:`retire` only afterwards flips it dead, with no lost queue work.
+:meth:`retire` only afterwards flips it dead.  Queues are the service
+recorder's: it gives added drives their rate and discards a drained OSD's
+queue, uncounted as lost work, from ``on_topology``.
 
-Device classes: an added band's capacity, service rate, and rated P/E come
-from the event's attributes, falling back to the cluster's defaults --
-capacity 1.0, the service model's default rate (``inf`` without a service
-model: backlog retires instantly), the endurance model's default rating
-(``inf`` without one: unrated).
+Device classes: an added band's capacity and rated P/E come from the
+event's attributes, falling back to the cluster's defaults -- capacity
+1.0, the endurance model's default rating (``inf`` without one:
+unrated).
 
 This module only touches the state object it is handed (duck-typed, no
 engine imports), keeping the topology package import-cycle-free.
@@ -34,15 +35,13 @@ if TYPE_CHECKING:
 class TopologyRuntime:
     """Steps a plan's events into cluster state at epoch boundaries."""
 
-    def __init__(self, plan: TopologyPlan, service=None, endurance=None):
-        # ``service`` / ``endurance`` are the run's parsed models (or None /
-        # falsy): they supply the default rate and rating for added bands
-        # that don't pin their own.
+    def __init__(self, plan: TopologyPlan, endurance=None):
+        # ``endurance`` is the run's parsed model (or None / falsy): it
+        # supplies the default rating for added bands that don't pin one.
         self.plan = plan
         self._by_epoch: dict[int, list[TopologyEvent]] = {}
         for ev in plan.events:
             self._by_epoch.setdefault(ev.epoch, []).append(ev)
-        self._fallback_rate = service.default if service else None
         self._fallback_pe = endurance.default if endurance else None
 
     def step(self, state: "ClusterState", epoch: int) -> list[TopologyEvent]:
@@ -62,7 +61,6 @@ class TopologyRuntime:
                 state.grow(
                     ev.count,
                     osd_capacity=ev.cap,
-                    osd_service_rate=ev.rate if ev.rate is not None else self._fallback_rate,
                     osd_rated_life=ev.pe if ev.pe is not None else self._fallback_pe,
                 )
             elif state.osd_alive[ev.osd] and (
@@ -78,11 +76,7 @@ class TopologyRuntime:
         """Finish a drain: the evacuated OSD leaves the cluster for good.
 
         The engine evacuated its chunks while it was alive, so nothing
-        routes to it any more.  Its queue and pending migration work (which
-        holds the source-side charge of the evacuation) are discarded here
-        and, unlike a failure's, not counted as lost work.
+        routes to it any more.
         """
         state.osd_alive[osd] = False
         state.osd_capacity[osd] = 0.0
-        state.osd_queue_depth[osd] = 0.0
-        state.osd_mig_backlog[osd] = 0.0

@@ -8,12 +8,14 @@ paths, kept here as independent oracles for the differential tests:
     current owners, then scored from scratch (:func:`reference_pick`);
   * :func:`select_reference` -- threshold selection with per-chunk candidate
     filtering and per-pick scoring;
-  * :func:`reconstruction_reference` -- reconstruction read charging, one
-    lost chunk at a time.
+  * :func:`reconstruction_reference` -- reconstruction read counting, one
+    lost chunk at a time;
+  * :func:`move_charge_reference` -- the service work a batch of moves
+    charges, reconstruction reads included, one move at a time.
 
 The engine versions (``edm.engine.core._assign_sequential``,
-``ThresholdPolicy.select``, ``RedundancyRuntime.on_reconstruction``) must
-match these bit-for-bit.
+``ThresholdPolicy.select``, ``RedundancyRuntime.on_move``,
+``ServiceRuntime.on_move``) must match these bit-for-bit.
 """
 
 import numpy as np
@@ -127,21 +129,47 @@ def select_reference(policy, state, cfg, emit=None):
     return np.asarray(moves, dtype=np.int64)
 
 
+def rebuild_sources(state, chunk, reads_per_loss):
+    """``(owners read, reads needed)`` to rebuild one lost ``chunk``: the
+    first surviving peers of its group, in chunk-id order."""
+    members = group_members(state, int(chunk))
+    peers = members[members != chunk]
+    needed = min(reads_per_loss, int(peers.size))
+    owners = state.chunk_owner[peers]
+    return owners[state.osd_alive[owners]][:needed], needed
+
+
 def reconstruction_reference(runtime, state, lost):
-    """``RedundancyRuntime.on_reconstruction``, one lost chunk at a time."""
-    cfg = runtime.cfg
-    read_work = np.zeros(state.num_osds)
+    """``RedundancyRuntime.on_move`` on a dead OSD's ``lost`` chunks, one
+    lost chunk at a time."""
     for chunk in lost:
-        members = group_members(state, int(chunk))
-        peers = members[members != chunk]
-        needed = min(runtime.scheme.reads_per_loss, int(peers.size))
-        owners = state.chunk_owner[peers]
-        srcs = owners[state.osd_alive[owners]][:needed]
+        srcs, needed = rebuild_sources(state, chunk, runtime.scheme.reads_per_loss)
         if srcs.size < needed:
             runtime.data_loss_chunks += 1
         runtime.reconstruction_reads += int(srcs.size)
-        if srcs.size:
-            read_work += np.bincount(srcs, minlength=state.num_osds)
     runtime.reconstruction_chunks += int(len(lost))
-    if cfg.service and read_work.any():
-        state.osd_mig_backlog += read_work * cfg.service_migration_cost
+
+
+def move_charge_reference(backlog, state, chunks, dst, cost, reads_per_loss=0):
+    """``ServiceRuntime.on_move``'s pending pool after charging ``backlog``
+    for moving ``chunks`` to ``dst``, one move at a time: with
+    ``reads_per_loss`` (a dead OSD's burst on a redundant cluster) the
+    rebuild reads first, then both ends of every copy, dead sources
+    exempt."""
+    n = state.num_osds
+    backlog = backlog.copy()
+    if reads_per_loss:
+        read_work = np.zeros(n)
+        for chunk in chunks:
+            for osd in rebuild_sources(state, chunk, reads_per_loss)[0]:
+                read_work[osd] += 1
+        if read_work.any():
+            backlog += read_work * cost
+    work = np.zeros(n)
+    for chunk, d in zip(chunks, dst):
+        work[d] += 1
+        src = state.chunk_owner[chunk]
+        if state.osd_alive[src]:
+            work[src] += 1
+    backlog += work * cost
+    return backlog

@@ -79,8 +79,8 @@ def bin_latencies(lat: np.ndarray) -> np.ndarray:
 def reference_step(self, state, arrivals: np.ndarray) -> None:
     """Per-request, per-epoch drop-in for :meth:`ServiceRuntime.step`:
     accounts every epoch as it steps it, so nothing is left to flush."""
-    depth = state.osd_queue_depth
-    pending = state.osd_mig_backlog
+    depth = self.depth
+    pending = self.backlog
     alive = state.osd_alive
     dead = ~alive
     if dead.any():
@@ -92,7 +92,7 @@ def reference_step(self, state, arrivals: np.ndarray) -> None:
     mig_epoch = bool(inject.sum() > 0.0)
 
     base = depth + inject
-    rate = state.osd_service_rate * state.osd_capacity * alive
+    rate = self.rate * state.osd_capacity * alive
     accepted, lat, new_depth = epoch_service_vectorized(arrivals, base, rate, self.qbound)
     np.copyto(depth, new_depth)
 
@@ -104,7 +104,7 @@ def reference_step(self, state, arrivals: np.ndarray) -> None:
     self.stalled_total += lat.size - n_finite
     lat_mean = 0.0
     if lat.size:
-        self.hist += bin_latencies(lat)
+        self._hist += bin_latencies(lat)
     if n_finite:
         fin_sum = float(lat[finite].sum())
         self.lat_sum += fin_sum

@@ -107,6 +107,7 @@ class InvariantRecorder(Recorder):
 
     def on_run_start(self, cfg, state):
         self.cfg = cfg
+        self.service = None
         self._prev_wear = None
         self._prev_alive = None
         self.alive_per_epoch = []
@@ -130,15 +131,18 @@ class InvariantRecorder(Recorder):
         assert (load[~alive] == 0).all(), "dead OSD served load"
         assert (owned[~alive] == 0).all(), "dead OSD owns chunks"
         assert (state.osd_capacity[~alive] == 0).all(), "dead OSD has capacity"
-        # Queues: finite, never negative; corpse queues are swept before
-        # observers run; without a service model no queue ever forms.
-        for name in ("osd_queue_depth", "osd_mig_backlog"):
-            q = getattr(state, name)
-            assert np.isfinite(q).all(), f"non-finite {name}"
-            assert (q >= 0).all(), f"negative {name}"
-            assert (q[~alive] == 0).all(), f"dead OSD carries {name}"
-            if not self.cfg.service:
-                assert (q == 0).all(), f"unserviced run grew {name}"
+        # Queues: one per OSD, finite, never negative; corpse queues are
+        # swept before observers run; without a service model no queue
+        # ever forms, since the run has no service recorder.
+        assert (self.service is not None) == bool(self.cfg.service)
+        if self.service is not None:
+            assert self.service.rate.shape == (state.num_osds,), "service rate width drifted"
+            for name in ("depth", "backlog"):
+                q = getattr(self.service, name)
+                assert q.shape == (state.num_osds,), f"service {name} width drifted"
+                assert np.isfinite(q).all(), f"non-finite {name}"
+                assert (q >= 0).all(), f"negative {name}"
+                assert (q[~alive] == 0).all(), f"dead OSD carries {name}"
         # Nobody comes back from the dead; only added drives join alive.
         if self._prev_alive is not None:
             prev = self._prev_alive
@@ -149,6 +153,9 @@ class InvariantRecorder(Recorder):
         self.alive_per_epoch.append(n_alive)
         if state.chunk_group is not None:
             assert_groups_spread(state)
+
+    def on_service(self, service):
+        self.service = service
 
     def finalize(self, state, final_load):
         return None

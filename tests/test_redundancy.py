@@ -17,8 +17,14 @@ from edm.config import SEED_FIELDS, SimConfig, config_hash
 from edm.engine.core import simulate
 from edm.engine.state import init_state
 from edm.redundancy import RedundancyRuntime, RedundancyScheme
+from edm.service import ServiceRuntime
 from edm.spec import SpecError
-from replacement_reference import group_members, reconstruction_reference
+from edm.telemetry import Recorder
+from replacement_reference import (
+    group_members,
+    move_charge_reference,
+    reconstruction_reference,
+)
 
 # --- scheme arithmetic -------------------------------------------------------
 
@@ -137,43 +143,63 @@ def test_plain_config_has_no_grouping():
 # --- reconstruction charging -------------------------------------------------
 
 
+def _rebuild(cfg, state, lost, service=None):
+    """A dead OSD's ``lost`` chunks moved onto survivors, through the move
+    hook of a fresh redundancy recorder (and of ``service``, if given)."""
+    rt = RedundancyRuntime(RedundancyScheme.parse(cfg.redundancy), cfg)
+    alive = np.flatnonzero(state.osd_alive)
+    dst = alive[np.arange(lost.size) % alive.size]
+    for rec in (rt, service):
+        if rec is not None:
+            rec.on_move(state, lost, state.chunk_owner[lost], dst, "fault")
+    return rt, dst
+
+
 def test_reconstruction_counts_reads_and_charges_queues():
     cfg = cfg_factory(num_osds=8, redundancy="ec:2+1", service="rate:100")
     state = init_state(cfg)
-    rt = RedundancyRuntime(RedundancyScheme.parse(cfg.redundancy), cfg)
+    service = ServiceRuntime(cfg.plans["service"], cfg)
+    service.on_run_start(cfg, state)
     # Kill OSD 1: it owns chunks 1, 9, 17, ... (round-robin layout).
     state.osd_alive[1] = False
     lost = np.flatnonzero(state.chunk_owner == 1)[:2]
-    rt.on_reconstruction(state, lost)
+    rt, dst = _rebuild(cfg, state, lost, service)
     # ec:2+1 reads 2 survivors per lost chunk.
     assert rt.reconstruction_chunks == 2
     assert rt.reconstruction_reads == 4
     assert rt.data_loss_chunks == 0
-    # The reads landed in the surviving sources' queues, not the dead OSD's.
-    assert state.osd_mig_backlog[1] == 0
-    assert state.osd_mig_backlog.sum() == pytest.approx(
-        4 * cfg.service_migration_cost
-    )
+    # The reads landed in the surviving sources' queues, not the dead OSD's,
+    # on top of the rebuild writes at the destinations.
+    assert service.backlog[1] == 0
+    reads = service.backlog - np.bincount(dst, minlength=8) * cfg.service_migration_cost
+    assert reads.sum() == pytest.approx(4 * cfg.service_migration_cost)
 
 
 def test_reconstruction_without_service_model_charges_no_queues():
     cfg = cfg_factory(num_osds=8, redundancy="rep:3")
     state = init_state(cfg)
-    rt = RedundancyRuntime(RedundancyScheme.parse(cfg.redundancy), cfg)
     state.osd_alive[0] = False
-    rt.on_reconstruction(state, np.flatnonzero(state.chunk_owner == 0)[:3])
+    rt, _ = _rebuild(cfg, state, np.flatnonzero(state.chunk_owner == 0)[:3])
     assert rt.reconstruction_reads == 3  # rep reads one survivor per loss
-    assert (state.osd_mig_backlog == 0).all()
+    # Without a service model a run has no queues to charge.
+    services = []
+
+    class Services(Recorder):
+        def on_service(self, service):
+            services.append(service)
+
+    metrics = simulate(cfg_factory(num_osds=8, redundancy="rep:3", faults="fail:0@8"),
+                       recorders=(Services(),))
+    assert metrics["reconstruction_reads_total"] > 0 and services == []
 
 
 def test_too_few_survivors_counts_data_loss():
     cfg = cfg_factory(num_osds=8, redundancy="ec:4+2")
     state = init_state(cfg)
-    rt = RedundancyRuntime(RedundancyScheme.parse(cfg.redundancy), cfg)
     # Chunk 0's group is chunks 0-5 on OSDs 0-5; kill 0 and three peers so
     # only 2 of the 4 needed read sources survive.
     state.osd_alive[[0, 1, 2, 3]] = False
-    rt.on_reconstruction(state, np.array([0]))
+    rt, _ = _rebuild(cfg, state, np.array([0]))
     assert rt.data_loss_chunks == 1
     assert rt.reconstruction_reads == 2  # charges whatever reads remain
 
@@ -181,21 +207,26 @@ def test_too_few_survivors_counts_data_loss():
 def _killed_state(spec, dead, num_osds=8, service="rate:100"):
     cfg = cfg_factory(num_osds=num_osds, redundancy=spec, service=service)
     state = init_state(cfg)
+    service = ServiceRuntime(cfg.plans["service"], cfg)
+    service.on_run_start(cfg, state)
     state.osd_alive[list(dead)] = False
-    return cfg, state
+    return cfg, state, service
 
 
-def _reconstruct_both(cfg, state, lost):
-    """Run the vectorized and the reference charging on twin states."""
+def _reconstruct_both(cfg, state, service, lost):
+    """Run the vectorized and the reference counting and charging."""
     scheme = RedundancyScheme.parse(cfg.redundancy)
-    fast, ref = RedundancyRuntime(scheme, cfg), RedundancyRuntime(scheme, cfg)
-    twin = copy.copy(state)
-    twin.osd_mig_backlog = state.osd_mig_backlog.copy()
-    fast.on_reconstruction(state, lost)
-    reconstruction_reference(ref, twin, lost)
+    ref = RedundancyRuntime(scheme, cfg)
+    alive = np.flatnonzero(state.osd_alive)
+    expected = move_charge_reference(
+        service.backlog, state, lost, alive[np.arange(lost.size) % alive.size],
+        cfg.service_migration_cost, scheme.reads_per_loss,
+    )
+    fast, _ = _rebuild(cfg, state, lost, service)
+    reconstruction_reference(ref, state, lost)
     for key in ("reconstruction_chunks", "reconstruction_reads", "data_loss_chunks"):
         assert getattr(fast, key) == getattr(ref, key), key
-    assert state.osd_mig_backlog.tobytes() == twin.osd_mig_backlog.tobytes()
+    assert service.backlog.tobytes() == expected.tobytes()
     return fast
 
 
@@ -206,51 +237,61 @@ def test_vectorized_reconstruction_matches_per_chunk_reference(spec):
     rng = np.random.default_rng(11)
     for _ in range(20):
         dead = rng.choice(8, size=int(rng.integers(1, 4)), replace=False)
-        cfg, state = _killed_state(spec, dead)
-        state.osd_mig_backlog[:] = rng.uniform(0.0, 3.0, state.num_osds)
-        _reconstruct_both(cfg, state, np.flatnonzero(state.chunk_owner == dead[0]))
+        cfg, state, service = _killed_state(spec, dead)
+        service.backlog[:] = rng.uniform(0.0, 3.0, state.num_osds)
+        _reconstruct_both(cfg, state, service, np.flatnonzero(state.chunk_owner == dead[0]))
 
 
 def test_vectorized_reconstruction_trailing_partial_group():
     # ec:4+2 over 64 chunks: chunks 60-63 form a 4-wide trailing group, so a
     # lost member has 3 peers and reads all 3 -- no layout-artifact loss.
     # Round-robin layout: chunk 62 lives on OSD 62 % 8 = 6.
-    cfg, state = _killed_state("ec:4+2", dead=[6])
-    rt = _reconstruct_both(cfg, state, np.array([62]))
+    cfg, state, service = _killed_state("ec:4+2", dead=[6])
+    rt = _reconstruct_both(cfg, state, service, np.array([62]))
     assert rt.reconstruction_reads == 3 and rt.data_loss_chunks == 0
 
 
 def test_vectorized_reconstruction_two_failures_in_one_group():
     # rep:2 groups {0,1}, {2,3}, ... sit on OSDs (0,1), (2,3), ...: killing
     # OSDs 0 and 1 together leaves every lost chunk of OSD 0 with no live
-    # peer -- all data loss, no reads, no queue charge.
-    cfg, state = _killed_state("rep:2", dead=[0, 1])
+    # peer -- all data loss, no reads, no read charge.
+    cfg, state, service = _killed_state("rep:2", dead=[0, 1])
     lost = np.flatnonzero(state.chunk_owner == 0)
-    rt = _reconstruct_both(cfg, state, lost)
+    rt = _reconstruct_both(cfg, state, service, lost)
     assert rt.data_loss_chunks == lost.size and rt.reconstruction_reads == 0
 
 
 def test_same_epoch_failures_in_one_group_count_data_loss_end_to_end(monkeypatch):
-    # Every reconstruction burst of a real run is checked against the
-    # reference on twin state; two same-epoch failures hit shared groups.
-    checked = []
-    real = RedundancyRuntime.on_reconstruction
+    # Every batch of moves in a real run -- the two same-epoch failures'
+    # rebuilds, which hit shared groups, and every migration round -- is
+    # counted and charged as the references count and charge it.
+    checked, charged = [], []
+    real_count, real_charge = RedundancyRuntime.on_move, ServiceRuntime.on_move
 
-    def twin_checked(self, state, lost):
+    def count_checked(self, state, chunks, src, dst, trigger):
         ref = copy.copy(self)
-        twin = copy.copy(state)
-        twin.osd_mig_backlog = state.osd_mig_backlog.copy()
-        reconstruction_reference(ref, twin, lost)
-        real(self, state, lost)
+        if trigger == "fault":
+            reconstruction_reference(ref, state, chunks)
+            checked.append(len(chunks))
+        real_count(self, state, chunks, src, dst, trigger)
         assert vars(self) == vars(ref)
-        assert state.osd_mig_backlog.tobytes() == twin.osd_mig_backlog.tobytes()
-        checked.append(len(lost))
 
-    monkeypatch.setattr(RedundancyRuntime, "on_reconstruction", twin_checked)
+    def charge_checked(self, state, chunks, src, dst, trigger):
+        reads = self._reads_per_loss if trigger == "fault" else 0
+        expected = move_charge_reference(
+            self.backlog, state, chunks, dst, self._cost, reads
+        )
+        real_charge(self, state, chunks, src, dst, trigger)
+        assert self.backlog.tobytes() == expected.tobytes()
+        charged.append(trigger)
+
+    monkeypatch.setattr(RedundancyRuntime, "on_move", count_checked)
+    monkeypatch.setattr(ServiceRuntime, "on_move", charge_checked)
     cfg = cfg_factory(num_osds=8, seed=7, redundancy="rep:2", service="rate:100",
                       faults="fail:0@4;fail:1@4")
     metrics = simulate(cfg)
     assert len(checked) == 2
+    assert charged.count("fault") == 2 and "threshold" in charged
     assert metrics["data_loss_chunks_total"] > 0
 
 

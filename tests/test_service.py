@@ -10,6 +10,7 @@ hand-built states, and through entire simulate() runs via monkeypatch.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from edm.service.runtime import ServiceRuntime, admit, bin_runs, run_latencies
 from edm.spec import SpecError
 from edm.telemetry import TimeSeriesRecorder
 from edm.telemetry.recorder import mean_std
+from edm.topology import TopologyEvent
 from service_reference import (
     bin_latencies,
     epoch_service_reference,
@@ -244,8 +246,9 @@ def test_run_binning_covers_the_special_cases():
     assert np.isfinite(lat).sum() == 8 + 5 and np.isinf(lat).sum() == 12 + 20
 
 
-def clone_states(cfg, rng, n):
-    """Two identical hand-built service states for a step-vs-step fuzz."""
+def clone_runs(cfg, rng, n):
+    """Two identical hand-built (state, service runtime) pairs for a
+    step-vs-step fuzz."""
     rate = rng.uniform(0, 40, size=n)
     rate[rng.random(n) < 0.2] = 0.0  # zero-rate OSDs
     rate[rng.random(n) < 0.05] = 1e-308  # subnormal: finite prefix, then +inf
@@ -254,15 +257,16 @@ def clone_states(cfg, rng, n):
     depth[rng.random(n) < 0.1] = TWO53 * rng.integers(1, 4)
     pending = np.where(rng.random(n) < 0.5, rng.uniform(0, 500, size=n), 0.0)
     alive = rng.random(n) > 0.15
-    states = []
+    model = ServiceModel.parse(cfg.service, num_osds=n)
+    runs = []
     for _ in range(2):
         state = make_state(cfg)
-        state.osd_service_rate = rate.copy()
-        state.osd_queue_depth = depth.copy()
-        state.osd_mig_backlog = pending.copy()
         state.osd_alive = alive.copy()
-        states.append(state)
-    return states
+        rt = ServiceRuntime(model, cfg)
+        rt.on_run_start(cfg, state)
+        rt.rate, rt.depth, rt.backlog = rate.copy(), depth.copy(), pending.copy()
+        runs.append((state, rt))
+    return runs
 
 
 # Every run-level service accumulator.
@@ -291,9 +295,7 @@ def test_step_matches_reference_step_fuzz():
     for _ in range(30):
         n = int(rng.integers(2, 10))
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
-        model = ServiceModel.parse(cfg.service, num_osds=n)
-        fast_rt, ref_rt = ServiceRuntime(model, cfg), ServiceRuntime(model, cfg)
-        fast, ref = clone_states(cfg, rng, n)
+        (fast, fast_rt), (ref, ref_rt) = clone_runs(cfg, rng, n)
         for epoch in range(6):
             arrivals = rng.integers(0, 300, size=n).astype(np.float64)
             if rng.random() < 0.2:
@@ -303,8 +305,8 @@ def test_step_matches_reference_step_fuzz():
                 reference_step(ref_rt, ref, arrivals)
                 if epoch == 5 or reads.random() < 0.3:
                     assert_same_accounting(fast_rt, ref_rt)
-            assert np.array_equal(fast.osd_queue_depth, ref.osd_queue_depth)
-            assert np.array_equal(fast.osd_mig_backlog, ref.osd_mig_backlog)
+            assert np.array_equal(fast_rt.depth, ref_rt.depth)
+            assert np.array_equal(fast_rt.backlog, ref_rt.backlog)
 
 
 @pytest.mark.parametrize("block", [1, 7, runtime.RUN_BLOCK])
@@ -326,8 +328,7 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
     for _ in range(12):
         n = int(rng.integers(2, 10))
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
-        rt = ServiceRuntime(ServiceModel.parse(cfg.service, num_osds=n), cfg)
-        state = clone_states(cfg, rng, n)[0]
+        state, rt = clone_runs(cfg, rng, n)[0]
         expected = np.zeros_like(rt.hist)
         for _epoch in range(40):
             arrivals = rng.integers(0, 300, size=n).astype(np.float64)
@@ -365,24 +366,24 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
     for _ in range(12):
         n = int(rng.integers(2, 8))
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
-        model = ServiceModel.parse(cfg.service, num_osds=n)
-        states = clone_states(cfg, rng, n)
-        one, blocked = ServiceRuntime(model, cfg), ServiceRuntime(model, cfg)
-        for _epoch in range(30):
+        runs = clone_runs(cfg, rng, n)
+        (state0, one), (_, blocked) = runs
+        for epoch in range(30):
             event = rng.choice(["none", "death", "add", "drain"], p=[0.85, 0.05, 0.05, 0.05])
-            osd = int(rng.integers(states[0].num_osds))
-            arrivals = rng.integers(0, 300, size=states[0].num_osds).astype(np.float64)
+            osd = int(rng.integers(state0.num_osds))
+            arrivals = rng.integers(0, 300, size=state0.num_osds).astype(np.float64)
             if rng.random() < 0.2:
                 arrivals[:] = 0.0  # an epoch that accepts nothing
             add_rate = float(rng.choice([1e-308, 30.0]))
-            for state, size, rt in zip(states, (1, block), (one, blocked)):
+            for (state, rt), size in zip(runs, (1, block)):
                 if event == "add":
-                    state.grow(2, osd_service_rate=add_rate)
+                    state.grow(2)
+                    rt.on_topology(state, TopologyEvent("add", epoch, count=2, rate=add_rate), 0)
                 elif event != "none":
                     state.osd_alive[osd] = False
                     state.osd_capacity[osd] = 0.0
                     if event == "drain":  # retired: its queues are discarded
-                        state.osd_queue_depth[osd] = state.osd_mig_backlog[osd] = 0.0
+                        rt.on_topology(state, TopologyEvent("drain", epoch, osd=osd), 0)
                 monkeypatch.setattr(runtime, "EPOCH_BLOCK", size)  # read at (re)allocation
                 with np.errstate(over="ignore"):
                     rt.step(state, np.concatenate((arrivals, [7.0, 9.0]))[: state.num_osds])
@@ -392,7 +393,7 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
                     assert_same_accounting(blocked, one)
         with np.errstate(over="ignore"):
             assert_same_accounting(blocked, one)
-            assert np.array_equal(states[0].osd_queue_depth, states[1].osd_queue_depth)
+            assert np.array_equal(one.depth, blocked.depth)
         seen.add("inf" if one.stalled_total else "finite")
     assert seen == {"none", "death", "add", "drain", "inf", "finite"}
 
@@ -486,6 +487,24 @@ def test_serviced_run_keeps_shared_metrics_bit_identical(make_cfg):
         assert serviced[key] == value, key
 
 
+def test_second_service_recorder_reports_its_own_configs_block(make_cfg):
+    """No decision reads a queue, so a second ServiceRuntime riding a run
+    (here through an add, a drain, a failure and rep:3 reconstruction)
+    reports, byte for byte, the block its own config's run reports -- and
+    leaves the run's own metrics as they are without it."""
+    cfg = make_cfg(num_osds=8, epochs=32, service="rate:120;queue:64", redundancy="rep:3",
+                   topology="add:2@6/cap:2;add:1@10/rate:240;drain:2@12", faults="fail:1@8")
+    other = replace(cfg, service="rate:60;queue:8", service_migration_cost=3.0,
+                    service_cooldown_epochs=4)
+    extra = ServiceRuntime(other.plans["service"], other)
+    metrics = simulate(cfg, recorders=(extra,))
+    assert metrics["reconstruction_reads_total"] > 0 and metrics["osds_drained_total"] == 1
+    assert json.dumps(metrics) == json.dumps(simulate(cfg))
+    block, own = extra.metrics_block(), simulate(other)
+    assert json.dumps(block) == json.dumps({key: own[key] for key in block})
+    assert block != {key: metrics[key] for key in block}
+
+
 def test_unserviced_metrics_carry_no_service_keys(make_cfg):
     metrics = simulate(make_cfg())
     assert not [k for k in metrics if k.startswith(("service", "queue_depth"))]
@@ -512,18 +531,46 @@ def test_corpse_queue_fails_validate_until_the_step_books_it(make_cfg):
     cfg = make_cfg(num_osds=4, service="rate:10")
     rt = ServiceRuntime(ServiceModel.parse(cfg.service, num_osds=4), cfg)
     state = make_state(cfg)
-    rt.attach(state)
-    state.osd_queue_depth[2] = 3.0
-    state.osd_mig_backlog[2] = 0.5
-    state.validate()  # alive: fine
+    rt.on_run_start(cfg, state)
+    rt.depth[2] = 3.0
+    rt.backlog[2] = 0.5
+    rt.validate(state)  # alive: fine
     state.osd_alive[2] = False
     state.osd_capacity[2] = 0.0
     state.chunk_owner[state.chunk_owner == 2] = 0
+    state.validate()  # the cluster itself is consistent
     with pytest.raises(AssertionError, match="dead OSD holds queued or pending"):
-        state.validate()
+        rt.validate(state)
     rt.step(state, np.zeros(4))
-    state.validate()
+    rt.validate(state)
     assert rt.lost_work == 3.5
+
+
+@pytest.mark.parametrize("name", ["rate", "depth", "backlog"])
+def test_validate_checks_every_queue_width(make_cfg, name):
+    cfg = make_cfg(service="rate:10")
+    rt = ServiceRuntime(cfg.plans["service"], cfg)
+    state = make_state(cfg)
+    rt.on_run_start(cfg, state)
+    setattr(rt, name, getattr(rt, name)[:-1])
+    with pytest.raises(AssertionError, match=f"service {name} width"):
+        rt.validate(state)
+
+
+@pytest.mark.parametrize("name,value,message", [
+    ("depth", -1.0, "service depth went negative"),
+    ("backlog", np.nan, "service backlog went negative or NaN"),
+    ("rate", 0.0, "non-positive rates"),
+])
+def test_validate_checks_queue_values(make_cfg, name, value, message):
+    cfg = make_cfg(service="rate:10")
+    rt = ServiceRuntime(cfg.plans["service"], cfg)
+    state = make_state(cfg)
+    rt.on_run_start(cfg, state)
+    rt.validate(state)
+    getattr(rt, name)[1] = value
+    with pytest.raises(AssertionError, match=message):
+        rt.validate(state)
 
 
 def test_queue_aggregates_exclude_dead_osds(make_cfg):
@@ -533,12 +580,12 @@ def test_queue_aggregates_exclude_dead_osds(make_cfg):
     model = ServiceModel.parse(cfg.service, num_osds=4)
     rt = ServiceRuntime(model, cfg)
     state = make_state(cfg)
-    rt.attach(state)
+    rt.on_run_start(cfg, state)
     state.osd_alive[0] = False
     arrivals = np.array([0.0, 30.0, 40.0, 50.0])
     rt.step(state, arrivals)
     series = rt.epoch_series()  # flushes the block
-    d = state.osd_queue_depth[1:]  # survivors
+    d = rt.depth[1:]  # survivors
     assert rt._depth_mean_sum == pytest.approx(float(d.mean()))
     assert rt._depth_cov_sum == pytest.approx(float(d.std() / d.mean()))
     assert rt._depth_max == pytest.approx(float(d.max()))

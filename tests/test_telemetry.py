@@ -125,9 +125,12 @@ class LiveColumns(Recorder):
     def on_run_start(self, cfg, state):
         self.rows = {}
 
+    def on_service(self, service):
+        self.service = service
+
     def on_epoch(self, state, load, stats):
         peak = float(load.max() / load.mean()) if load.mean() > 0 else 0.0
-        depth = state.osd_queue_depth[state.osd_alive]
+        depth = self.service.depth[state.osd_alive]
         self.rows[stats.epoch] = {
             "load_cov": _cov(load), "load_peak_ratio": peak, "wear_cov": _cov(state.osd_wear),
             "queue_depth_mean": float(depth.mean()), "queue_depth_cov": _cov(depth),

@@ -8,6 +8,7 @@ import pytest
 from edm.config import config_hash
 from edm.engine.core import simulate
 from edm.engine.state import OSD_COLUMNS
+from edm.service import ServiceRuntime
 from edm.spec import SpecError
 from edm.telemetry import Recorder
 from edm.topology import TopologyPlan, TopologyRuntime
@@ -155,48 +156,77 @@ def _grown_state(cfg, plan):
     return state, runtime
 
 
+def _service(cfg, state):
+    """The run's service recorder, started on ``state``."""
+    service = ServiceRuntime(cfg.plans["service"], cfg)
+    service.on_run_start(cfg, state)
+    return service
+
+
 def test_scale_out_grows_every_array(make_cfg):
-    cfg = make_cfg()
+    cfg = make_cfg(service="rate:800")
     plan = TopologyPlan.parse("add:3@5/cap:2,rate:1600,pe:9000", num_osds=cfg.num_osds)
     state, runtime = _grown_state(cfg, plan)
+    service = _service(cfg, state)
     n0 = state.num_osds
     assert runtime.step(state, epoch=4) == []
     fired = runtime.step(state, epoch=5)
     assert len(fired) == 1 and fired[0].kind == "add"
+    service.on_topology(state, fired[0], 0)
     assert state.num_osds == n0 + 3
     for name in OSD_COLUMNS:
         assert getattr(state, name).shape == (n0 + 3,), name
+    for name in ("rate", "depth", "backlog"):
+        assert getattr(service, name).shape == (n0 + 3,), name
     # New drives join cold, with the event's device class.
     assert (state.osd_wear[n0:] == 0).all()
     assert (state.osd_capacity[n0:] == 2.0).all()
-    assert (state.osd_service_rate[n0:] == 1600.0).all()
+    assert (service.rate[n0:] == 1600.0).all()
+    assert (service.depth[n0:] == 0).all() and (service.backlog[n0:] == 0).all()
     assert (state.osd_rated_life[n0:] == 9000.0).all()
     assert state.osd_alive[n0:].all()
     state.validate()
+    service.validate(state)
 
 
 def test_add_defaults_inherit_cluster_defaults(make_cfg):
-    cfg = make_cfg()
+    cfg = make_cfg(service="rate:700")
     plan = TopologyPlan.parse("add:2@3", num_osds=cfg.num_osds)
     state, runtime = _grown_state(cfg, plan)
-    runtime.step(state, epoch=3)
+    service = _service(cfg, state)
+    (ev,) = runtime.step(state, epoch=3)
+    service.on_topology(state, ev, 0)
     assert (state.osd_capacity[-2:] == 1.0).all()
-    assert np.isinf(state.osd_service_rate[-2:]).all()
+    assert (service.rate[-2:] == 700.0).all()  # the service model's default band
     assert np.isinf(state.osd_rated_life[-2:]).all()
 
 
+def test_add_without_a_default_rate_serves_instantly(make_cfg):
+    cfg = make_cfg(num_osds=8, service="rate:400@0-3;rate:800@4-7")
+    state, runtime = _grown_state(cfg, TopologyPlan.parse("add:2@3", num_osds=8))
+    service = _service(cfg, state)
+    (ev,) = runtime.step(state, epoch=3)
+    service.on_topology(state, ev, 0)
+    assert np.isinf(service.rate[-2:]).all()  # no default: backlog retires instantly
+
+
 def test_drain_marks_then_retire_removes(make_cfg):
-    cfg = make_cfg()
+    cfg = make_cfg(service="rate:800")
     plan = TopologyPlan.parse("drain:1@7", num_osds=cfg.num_osds)
     state, runtime = _grown_state(cfg, plan)
-    state.osd_queue_depth[1] = 5.0
+    service = _service(cfg, state)
+    service.depth[1] = 5.0
+    service.backlog[1] = 2.0
     (ev,) = runtime.step(state, epoch=7)
     assert ev.kind == "drain" and ev.osd == 1
     assert state.osd_draining[1] and state.osd_alive[1]  # still alive: graceful
     runtime.retire(state, 1)
+    service.on_topology(state, ev, 0)
     assert not state.osd_alive[1]
     assert state.osd_capacity[1] == 0.0
-    assert state.osd_queue_depth[1] == 0.0  # no queue work counts as lost
+    assert service.depth[1] == 0.0 and service.backlog[1] == 0.0
+    service.step(state, np.zeros(state.num_osds))
+    assert service.lost_work == 0.0  # no queue work counts as lost
 
 
 # ---------------------------------------------------------------------------
