@@ -30,6 +30,7 @@ from edm.obs.decisions import (
 from edm.obs.log import level_from_args
 from edm.obs.trace_export import export_chrome_trace, write_span_events
 from edm.policies import resolve_policy
+from edm.spec import SpecError
 from edm.sweep import default_grid, sweep
 from edm.telemetry import MetricsSnapshotRecorder
 
@@ -449,7 +450,13 @@ def main(argv: list[str] | None = None) -> int:
     configure_logging(
         level_from_args(getattr(args, "verbose", 0), getattr(args, "log_level", None))
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SpecError as err:
+        # A malformed or infeasible scenario spec is a usage error: one
+        # line on stderr and argparse's exit status, no traceback.
+        print(f"error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -82,7 +82,9 @@ class SimConfig:
     ``<workload>-<N>osd-<policy>-s<skew>-r<seed>.pkl``; the rest are engine
     knobs with defaults sized so a full 64-config sweep stays well under a
     minute on one core.  ``plans``, an attribute rather than a field, maps
-    each :data:`SCENARIO_FIELDS` name to its parsed spec.
+    each :data:`SCENARIO_FIELDS` name to its parsed spec, and
+    ``"timeline"`` to the compiled departure timeline
+    (:func:`edm.faults.compile_timeline`).
     """
 
     workload: str = "deasna"
@@ -210,9 +212,10 @@ class SimConfig:
             )
         # Parse each scenario spec against the cluster size and store its
         # canonical string, so equivalent spellings hash alike.  Imported
-        # here: edm.redundancy.runtime imports this module.
+        # here: edm.redundancy.runtime and edm.engine.state import this module.
         from edm.endurance import EnduranceModel
-        from edm.faults import FaultPlan
+        from edm.engine.state import init_state
+        from edm.faults import FaultEvent, FaultPlan, Timeline, compile_timeline, departure_room
         from edm.redundancy import RedundancyScheme
         from edm.service import ServiceModel
         from edm.spec import SpecError
@@ -227,7 +230,7 @@ class SimConfig:
             object.__setattr__(self, name, plans[name].spec)
         # Not a field: never hashed, compared or serialized by to_dict.
         object.__setattr__(self, "plans", plans)
-        fault_plan, _, svc, topo_plan, scheme = plans.values()
+        fault_plan, _, svc, topo_plan, _ = plans.values()
         if svc and svc.default is None:
             for ev in topo_plan.adds:
                 if ev.rate is None:
@@ -238,38 +241,23 @@ class SimConfig:
                         f"give the add a 'rate:' attribute or add a "
                         f"default rate"
                     )
-        if scheme:
-            width = scheme.group_width
-            # A placement group needs `width` distinct live OSDs for its
-            # whole lifetime; catch plans that provably shrink the cluster
-            # below that at config time rather than mid-run.
-            failed = {ev.osd for ev in fault_plan.failures}
-            survivors = self.num_osds - len(failed)
-            if survivors < width:
-                raise SpecError(
-                    f"redundancy scheme {self.redundancy!r} needs "
-                    f"{width} distinct OSDs per group, but fault plan "
-                    f"{self.faults!r} leaves only {survivors} of "
-                    f"{self.num_osds} alive"
-                )
-            if topo_plan:
-                final = topo_plan.final_osds(self.num_osds)
-                if final < width:
-                    raise SpecError(
-                        f"redundancy scheme {self.redundancy!r} needs "
-                        f"{width} distinct OSDs per group, but topology plan "
-                        f"{self.topology!r} drains the cluster down to {final}"
-                    )
-                # Both plans together; a drive that fails and drains leaves once.
-                total = topo_plan.max_osds(self.num_osds)
-                left = total - len(failed | {ev.osd for ev in topo_plan.drains})
-                if failed and left < width:
-                    raise SpecError(
-                        f"redundancy scheme {self.redundancy!r} needs {width} "
-                        f"distinct OSDs per group, but fault plan {self.faults!r} "
-                        f"and topology plan {self.topology!r} together leave "
-                        f"only {left} of {total} alive"
-                    )
+        # One dry run of the departure timeline rejects the first departure
+        # the survivor floor refuses.  Wear-outs depend on traffic, so they
+        # are the only departures the floor can still refuse at run time.
+        plans["timeline"] = compile_timeline(fault_plan, topo_plan)
+
+        def refuse(state, event):
+            render = event.render() if isinstance(event, FaultEvent) else TopologyPlan.render(event)
+            alive = state.survivor_floor + departure_room(state)
+            needs = f" that redundancy scheme {self.redundancy!r} needs" if self.redundancy else ""
+            raise SpecError(
+                f"fault plan {self.faults!r} and topology plan {self.topology!r} "
+                f"leave {alive} alive at epoch {event.epoch}, so {render!r} "
+                f"would cross the survivor floor of {state.survivor_floor}{needs}"
+            )
+
+        if plans["timeline"]:
+            Timeline(plans["timeline"], refuse=refuse).dry_run(init_state(self))
 
     @property
     def num_chunks(self) -> int:

@@ -5,8 +5,10 @@
   ``pe:3000@0-3,10000@4-7``; seed-free, fully deterministic).
 * :mod:`edm.endurance.runtime` -- :class:`EnduranceTracker`: installs rated
   budgets on cluster state, maintains the per-OSD wear-rate EWMA, and fails
-  OSDs whose consumed cycles reach their rating; :func:`wearout_risk` is the
-  bounded epochs-to-wear-out transform CMT's destination score steers by.
+  OSDs whose consumed cycles reach their rating, as many as the survivor
+  floor every departure obeys allows (:func:`edm.faults.departure_room`);
+  :func:`wearout_risk` is the bounded epochs-to-wear-out transform CMT's
+  destination score steers by.
 
 The engine wires these together in :func:`edm.engine.core.simulate`: a
 wear-out fires a synthesized ``wearout`` :class:`~edm.faults.FaultEvent`

@@ -13,13 +13,15 @@ writes plus any migration wear applied since the previous update) into
 rate drives :meth:`~edm.engine.state.ClusterState.predicted_wearout_epochs`,
 the epochs-to-wear-out estimate CMT's destination score steers by.
 
-One deliberate safety valve: wear-outs never shrink the cluster below
-``state.survivor_floor`` (``max(1, group_width)``) alive OSDs -- the last
-survivor of a plain cluster, one full placement group of a redundant one,
-so every group can still spread its members over distinct OSDs.  If
-failing every worn OSD at a boundary would cross the floor, the worn OSDs
-with the most relative headroom keep serving past their budget (real
-clusters degrade, they don't evaporate); everything else fails normally.
+One deliberate safety valve: wear-outs obey the survivor floor every
+departure obeys (:func:`~edm.faults.departure_room`), so they never shrink
+the cluster below ``max(1, group_width)`` alive OSDs -- the last survivor
+of a plain cluster, one full placement group of a redundant one, so every
+group can still spread its members over distinct OSDs.  If failing every
+worn OSD at a boundary would cross the floor, the worn OSDs with the most
+relative headroom keep serving past their budget (real clusters degrade,
+they don't evaporate); everything else fails normally.  Wear-outs are the
+one departure the config-time dry run cannot foresee.
 
 This module only touches NumPy arrays on the state object (duck-typed, no
 engine imports), keeping the endurance package import-cycle-free.
@@ -33,6 +35,7 @@ import numpy as np
 
 from edm.endurance.spec import EnduranceModel
 from edm.faults.plan import FaultEvent
+from edm.faults.runtime import departure_room, leave
 
 if TYPE_CHECKING:
     from edm.config import SimConfig
@@ -55,53 +58,45 @@ class EnduranceTracker:
 
     def __init__(self, model: EnduranceModel, cfg: "SimConfig"):
         self.model = model
-        self._ratings = model.per_osd(cfg.num_osds)
         self._alpha = cfg.wear_rate_alpha
-        self._prev_wear: np.ndarray | None = None
 
     def attach(self, state: "ClusterState") -> None:
         """Install the rated budgets on freshly initialized state."""
-        state.osd_rated_life = self._ratings.copy()
-        self._prev_wear = state.osd_wear.copy()
+        state.osd_rated_life = self.model.per_osd(state.num_osds)
 
     def step(self, state: "ClusterState", epoch: int) -> list[FaultEvent]:
-        """Fail every alive OSD at or past its rated budget, down to the
-        survivor floor; returns the events.
+        """Fail alive OSDs at or past their rated budget, as many as
+        :func:`~edm.faults.departure_room` allows; returns the events.
 
-        Deterministic: candidates are found by a vectorized comparison and
-        fail in OSD-id order.  The engine re-places each failed OSD's chunks
-        immediately, so ``state.validate()`` holds after every event.
+        Deterministic: candidates are found by a vectorized comparison; when
+        the room is short, the worn OSDs with the largest overdraft leave
+        (ties to the higher OSD id), and they fail in OSD-id order.  The
+        engine re-places each failed OSD's chunks immediately, so
+        ``state.validate()`` holds after every event.
         """
         worn = state.osd_alive & (state.osd_wear >= state.osd_rated_life)
         if not worn.any():
             return []
         ids = np.flatnonzero(worn)
-        healthy = int(state.osd_alive.sum()) - ids.size
-        spare = state.survivor_floor - healthy
-        if spare > 0:
-            # Survivor floor: keep the worn OSDs with the most relative
-            # headroom serving past their rating rather than shrinking the
-            # cluster below one placement group (ties break to the lowest
-            # OSD id).
+        room = departure_room(state)
+        if room < ids.size:
+            # The least overdrawn keep serving past their rating rather than
+            # shrinking the cluster below the survivor floor.
             overdraft = state.osd_wear[ids] / state.osd_rated_life[ids]
-            ids = np.delete(ids, np.argsort(overdraft, kind="stable")[:spare])
+            ids = np.sort(ids[np.argsort(overdraft, kind="stable")[ids.size - room :]])
         events = []
         for osd in ids:
-            state.osd_alive[osd] = False
-            state.osd_capacity[osd] = 0.0
+            leave(state, osd)
             events.append(FaultEvent(kind="wearout", osd=int(osd), epoch=epoch))
         return events
 
     def update_rate(self, state: "ClusterState") -> None:
         """EWMA the wear accrued since the previous update into the state.
 
-        Drives added by a topology scale-out since the previous update joined
-        at zero wear, so the baseline grows by zeros.
+        ``osd_wear_seen`` holds each OSD's wear at the previous update; an
+        added drive joins with both at zero.
         """
-        grown = state.num_osds - self._prev_wear.size
-        if grown:
-            self._prev_wear = np.concatenate([self._prev_wear, np.zeros(grown)])
-        delta = state.osd_wear - self._prev_wear
+        delta = state.osd_wear - state.osd_wear_seen
         state.osd_wear_rate *= 1.0 - self._alpha
         state.osd_wear_rate += self._alpha * delta
-        np.copyto(self._prev_wear, state.osd_wear)
+        np.copyto(state.osd_wear_seen, state.osd_wear)

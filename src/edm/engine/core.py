@@ -8,16 +8,19 @@ access/write counts from its caller, and :meth:`Run.step` first draws them
 inline or by a forked producer ahead of the engine -- the same draws in the
 same order either way.  One epoch is a handful of O(num_chunks) array ops:
 
-  1. step each configured scenario runtime at the epoch boundary: topology
-     first (``add`` grows the cluster by cold drives, ``drain`` marks an
-     OSD), so faults (``fail`` / ``slow`` / ``hiccup``) and then endurance
-     (``wearout`` at the rated P/E budget) see the grown or drained cluster.
-     Every departure -- drain, fail, wear-out -- re-places the leaving
-     OSD's chunks through the active policy's destination scoring
-     (:func:`replace_dead_chunks`); a drain then retires its OSD.  Each
-     fired event fans out to recorders via ``on_topology`` or ``on_fault``
-     (the service recorder discards a drained OSD's queue there, uncounted
-     as ``service_lost_work``).
+  1. step the departure timeline (:class:`~edm.faults.Timeline`, the fault
+     and topology plans compiled into one event tuple at config time) at
+     the epoch boundary: topology events first (``add`` grows the cluster
+     by cold drives, ``drain`` marks an OSD), then fault events (``fail``
+     / ``slow`` / ``hiccup``), then endurance wear-outs at the rated P/E
+     budget, each batch applied whole before its bursts.  Every departure
+     -- drain, fail, wear-out -- obeys one survivor-floor rule
+     (:func:`~edm.faults.departure_room`) and re-places the leaving OSD's
+     chunks through the active policy's destination scoring
+     (:func:`replace_dead_chunks`); a drain's OSD then leaves.  Each fired
+     event fans out to recorders via ``on_topology`` or ``on_fault`` (the
+     service recorder discards a drained OSD's queue there, uncounted as
+     ``service_lost_work``).
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
      bincounts, wear accrual, and the heat/load EMA updates, with per-run
      scratch buffers; a rated run (``cfg.endurance``) then folds the wear
@@ -48,6 +51,7 @@ its own), and latencies are binned per OSD run in blocks of runs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +61,7 @@ from edm.endurance import EnduranceTracker
 from edm.engine.kernels import EpochKernel
 from edm.engine.metrics import MetricsAccumulator
 from edm.engine.state import ClusterState, init_state
-from edm.faults import FaultRuntime, effective_load
+from edm.faults import Timeline, effective_load, leave
 from edm.obs.decisions import TRIGGERS, Decision
 from edm.obs.trace import NULL_TRACER, Tracer
 from edm.policies import MigrationPolicy, get_policy
@@ -65,7 +69,6 @@ from edm.policies.base import candidate_positions, destination_picker
 from edm.redundancy import RedundancyRuntime
 from edm.service import ServiceRuntime
 from edm.telemetry.recorder import EpochStats, Recorder
-from edm.topology import TopologyRuntime
 from edm.workloads import make_workload, traffic
 
 
@@ -223,7 +226,7 @@ def replace_dead_chunks(
 
 # Which departure events re-place the leaving OSD's chunks, under which
 # decision trigger.  A drain's OSD is still alive while its chunks stream
-# off; the topology runtime retires it afterwards.
+# off; it leaves afterwards.
 _DEPARTURES = {"drain": "drain", "fail": "fault", "wearout": "wearout"}
 
 
@@ -254,11 +257,10 @@ class Run:
             self.policy = get_policy(cfg.policy)
             self.state = state = init_state(cfg)
             p = cfg.plans
-            faults = FaultRuntime(p["faults"]) if p["faults"] else None
+            timeline = Timeline(p["timeline"], p["endurance"].default) if p["timeline"] else None
             endurance = EnduranceTracker(p["endurance"], cfg) if p["endurance"] else None
             if endurance is not None:
                 endurance.attach(state)
-            topology = TopologyRuntime(p["topology"], p["endurance"]) if p["topology"] else None
             # Layers that only account ride the observer hooks.
             service = ServiceRuntime(p["service"], cfg) if p["service"] else None
             redundancy = RedundancyRuntime(p["redundancy"], cfg) if p["redundancy"] else None
@@ -267,14 +269,12 @@ class Run:
             # Topology steps first, so faults and endurance see this epoch's
             # grown (or drained) cluster.
             self._boundary = [
-                (span, runtime, hook)
-                for span, runtime, hook in (
-                    ("simulate.topology", topology, "on_topology"),
-                    ("simulate.faults", faults, "on_fault"),
-                    ("simulate.endurance", endurance, "on_fault"),
-                )
-                if runtime is not None
+                (f"simulate.{layer}", partial(timeline.step, layer=layer), hook)
+                for layer, hook in (("topology", "on_topology"), ("faults", "on_fault"))
+                if p[layer]
             ]
+            if endurance is not None:
+                self._boundary.append(("simulate.endurance", endurance.step, "on_fault"))
             self._kernel = EpochKernel(cfg)
             self._acc = MetricsAccumulator(layers)
             self._recorders = tuple(recorders)
@@ -334,9 +334,9 @@ class Run:
         if epoch >= cfg.epochs:
             raise RuntimeError(f"run of {cfg.epochs} epochs has no epoch {epoch}")
         state.epoch, self.epoch = epoch, epoch + 1
-        for span, runtime, hook in self._boundary:
+        for span, step, hook in self._boundary:
             with tr.span(span):
-                for event in runtime.step(state, epoch):
+                for event in step(state, epoch):
                     moved = 0
                     trigger = _DEPARTURES.get(event.kind)
                     if trigger is not None:
@@ -347,7 +347,7 @@ class Run:
                             self._emit[trigger], observers,
                         )
                         if event.kind == "drain":
-                            runtime.retire(state, event.osd)
+                            leave(state, event.osd)
                     for rec in observers:
                         getattr(rec, hook)(state, event, moved)
         with tr.span("simulate.kernel"):

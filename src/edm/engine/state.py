@@ -39,8 +39,10 @@ class ClusterState:
     osd_load_ema: np.ndarray = _column(0.0)     # float64 [N], EMA of per-epoch load
     osd_alive: np.ndarray = _column(True)       # bool [N], False once an OSD has failed
     osd_capacity: np.ndarray = _column(1.0)     # float64 [N], capacity multiplier (0 = dead)
+    osd_base_capacity: np.ndarray = _column(1.0)  # float64 [N], capacity before hiccups and death
     osd_rated_life: np.ndarray = _column(np.inf)  # float64 [N], rated P/E budget in wear units (inf = unrated)
     osd_wear_rate: np.ndarray = _column(0.0)    # float64 [N], EWMA of per-epoch wear increments
+    osd_wear_seen: np.ndarray = _column(0.0)    # float64 [N], osd_wear at the last wear-rate update
     osd_draining: np.ndarray = _column(False)   # bool [N], True once a drain marked the OSD source-only
     # Redundancy state (plain configs carry None/0 and skip every group
     # check).  Groups are consecutive id ranges of group_width chunks whose
@@ -73,11 +75,11 @@ class ClusterState:
 
     @property
     def survivor_floor(self) -> int:
-        """Fewest alive OSDs failures or drains may leave: one, or one full group.
+        """Fewest alive OSDs departures may leave: one, or one full group.
 
         Below ``max(1, group_width)`` a departing OSD's chunks have no
         (distinct) destination, so scheduled failures, wear-outs and drains
-        all stop here.
+        all stop here (see :func:`edm.faults.departure_room`).
         """
         return max(1, self.group_width)
 

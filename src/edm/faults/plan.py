@@ -79,10 +79,6 @@ class FaultPlan(ClauseSet):
     def events(self) -> tuple[FaultEvent, ...]:
         return self.items
 
-    @property
-    def failures(self) -> tuple[FaultEvent, ...]:
-        return tuple(ev for ev in self.items if ev.kind == "fail")
-
     def validate(self, num_osds: int | None = None) -> None:
         failed: set[int] = set()
         for ev in self.items:

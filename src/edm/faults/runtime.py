@@ -1,29 +1,32 @@
-"""Fault runtime: applies a :class:`~edm.faults.plan.FaultPlan` to live state.
+"""Departure timeline: the fault and topology plans as one event list.
 
-The engine calls :meth:`FaultRuntime.step` once per epoch *before* routing;
-the runtime flips ``osd_alive``, recomputes ``osd_capacity`` (base capacity
-eroded by ``slow`` events, further scaled by any active ``hiccup`` windows,
-zeroed for dead OSDs).  Policies rank OSDs by effective load
-(:func:`effective_load`), which on a healthy cluster equals raw load.
+:func:`compile_timeline` merges both plans into one ordered tuple of
+:class:`Tick` at config time (``cfg.plans["timeline"]``): by epoch,
+topology events before fault events, closing hiccup windows before new
+fault events, each plan's canonical order within its kind.
+:class:`Timeline` steps it one layer (a batch) at a time; the engine
+re-places departing OSDs' chunks after the whole batch is applied.
 
-Capacity semantics:
+Every departure -- ``fail``, ``drain`` and the endurance layer's
+``wearout`` -- obeys one rule, :func:`departure_room`: an alive OSD may
+leave only while more than ``state.survivor_floor`` OSDs are alive and not
+draining.  A refused departure does not fire; one aimed at an OSD that has
+already left still does.  :meth:`Timeline.dry_run` steps the tuple at
+config time, so only wear-outs can meet the floor at run time.
 
-* ``slow`` multiplies the OSD's *base* capacity permanently (two ``slow``
-  events compound).
-* ``hiccup`` scales the current base only inside its window; when the window
-  closes the OSD returns to its base capacity.
-* ``fail`` pins capacity to 0 and ``alive`` to False forever -- unless it
-  would leave fewer than ``state.survivor_floor`` OSDs alive (for example
-  after wear-outs already reached that floor), in which case it is skipped
-  and not reported as fired, the same floor wear-outs and drains stop at.
+``slow`` multiplies an OSD's ``osd_base_capacity`` for good (repeats
+compound); ``hiccup`` scales it only inside its window; ``fail`` pins
+capacity to 0 and ``alive`` to False.  ``add`` grows the cluster by cold
+drives of the event's device class; ``drain`` marks its OSD
+migration-source-only, and :func:`leave` retires it once evacuated.
 
-This module only touches NumPy arrays on the state object (duck-typed, no
+This module only touches the state object it is handed (duck-typed, no
 engine imports), keeping the faults package import-cycle-free.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from edm.faults.plan import FaultEvent, FaultPlan
 
 if TYPE_CHECKING:
     from edm.engine.state import ClusterState
+    from edm.topology.spec import TopologyEvent, TopologyPlan
 
 
 def effective_load(
@@ -49,64 +53,110 @@ def effective_load(
     return out
 
 
-class FaultRuntime:
-    """Steps a plan's events into cluster state at epoch boundaries."""
+def departure_room(state: "ClusterState") -> int:
+    """How many more OSDs may leave: those alive and not draining, above
+    ``state.survivor_floor``.  Every departure kind asks this one question."""
+    return int(np.count_nonzero(state.osd_alive & ~state.osd_draining)) - state.survivor_floor
 
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self._starts: dict[int, list[FaultEvent]] = {}
-        self._ends: dict[int, list[FaultEvent]] = {}
-        for ev in plan.events:
-            self._starts.setdefault(ev.epoch, []).append(ev)
-            if ev.kind == "hiccup":
-                self._ends.setdefault(ev.epoch + ev.duration, []).append(ev)
-        # Epochs where a ``fail`` starts: only they need the alive count.
-        self._fail_epochs = {ev.epoch for ev in plan.events if ev.kind == "fail"}
-        self._base: np.ndarray | None = None
-        self._active_hiccups: list[FaultEvent] = []
 
-    def step(self, state: "ClusterState", epoch: int) -> list[FaultEvent]:
-        """Apply events scheduled for ``epoch``; returns the events that fired.
+def leave(state: "ClusterState", osd: int) -> None:
+    """The OSD leaves the cluster for good: dead, zero capacity."""
+    state.osd_alive[osd] = False
+    state.osd_capacity[osd] = 0.0
 
-        Expiring hiccup windows are processed first, then this epoch's new
-        events, in the plan's canonical order -- fully deterministic.  A
-        ``fail`` that would cross the survivor floor does not fire.
+
+class Tick(NamedTuple):
+    """A timeline entry; ``ends`` marks a hiccup window closing (never fired)."""
+
+    epoch: int
+    layer: str
+    event: "FaultEvent | TopologyEvent"
+    ends: bool = False
+
+
+def compile_timeline(faults: FaultPlan, topology: "TopologyPlan") -> tuple[Tick, ...]:
+    """Both plans as one ordered tuple (see the module docstring)."""
+    ticks = [Tick(ev.epoch, "topology", ev) for ev in topology.events]
+    ticks += [
+        Tick(ev.epoch + ev.duration, "faults", ev, ends=True)
+        for ev in faults.events
+        if ev.kind == "hiccup"
+    ]
+    ticks += [Tick(ev.epoch, "faults", ev) for ev in faults.events]
+    # Stable: each plan's canonical order survives within a kind.
+    return tuple(sorted(ticks, key=lambda t: (t.epoch, t.layer == "faults", not t.ends)))
+
+
+class Timeline:
+    """Steps a compiled timeline into cluster state at epoch boundaries.
+
+    ``fallback_pe`` rates added drives whose event pins no ``pe`` (the
+    endurance model's default, ``None`` for unrated).  ``refuse(state,
+    event)`` is called for each departure the survivor floor refuses; by
+    default a refused departure is silently skipped.
+    """
+
+    def __init__(
+        self,
+        ticks: tuple[Tick, ...],
+        fallback_pe: float | None = None,
+        refuse: Callable | None = None,
+    ):
+        self._batches: dict[tuple[int, str], list[Tick]] = {}
+        for tick in ticks:
+            self._batches.setdefault((tick.epoch, tick.layer), []).append(tick)
+        self._fallback_pe = fallback_pe
+        self._refuse = refuse
+        self._hiccups: list[FaultEvent] = []  # open windows, in start order
+
+    def step(self, state: "ClusterState", epoch: int, layer: str) -> list:
+        """Apply ``layer``'s events for ``epoch``; returns the events that fired.
+
+        ``layer`` is ``"topology"`` or ``"faults"``.  A fault batch that
+        changed anything recomputes capacity.
         """
-        if self._base is None:
-            # Base capacity is whatever the cluster starts (or has grown)
-            # with -- all ones for a homogeneous cluster, the device-class
-            # factors under a heterogeneous topology plan -- so a later
-            # recompute never resets an added band to nominal.
-            self._base = state.osd_capacity.astype(np.float64).copy()
-        elif self._base.size < state.num_osds:
-            # Topology scale-out since the last step: adopt the new drives'
-            # device-class capacity as their base.
-            self._base = np.concatenate(
-                [self._base, state.osd_capacity[self._base.size :]]
-            )
-        changed = False
-        for ev in self._ends.pop(epoch, []):
-            self._active_hiccups.remove(ev)
-            changed = True
-        fired = []
-        alive = int(state.osd_alive.sum()) if epoch in self._fail_epochs else 0
-        for ev in self._starts.get(epoch, []):
-            if ev.kind == "fail":
-                if state.osd_alive[ev.osd]:
-                    if alive <= state.survivor_floor:
-                        continue
-                    alive -= 1
-                state.osd_alive[ev.osd] = False
-            elif ev.kind == "slow":
-                self._base[ev.osd] *= ev.factor
+        batch = self._batches.get((epoch, layer))
+        if batch is None:
+            return []
+        fired, closed = [], False
+        for tick in batch:
+            ev = tick.event
+            if tick.ends:
+                self._hiccups.remove(ev)
+                closed = True
+                continue
+            kind = ev.kind
+            if kind in ("fail", "drain") and state.osd_alive[ev.osd] and departure_room(state) <= 0:
+                if self._refuse is not None:
+                    self._refuse(state, ev)
+                continue
+            if kind == "add":
+                # Cold drives of the event's device class.
+                pe = ev.pe if ev.pe is not None else self._fallback_pe
+                state.grow(
+                    ev.count, osd_capacity=ev.cap, osd_base_capacity=ev.cap, osd_rated_life=pe
+                )
+            elif kind == "drain":
+                state.osd_draining[ev.osd] = True
+            elif kind == "fail":
+                leave(state, ev.osd)
+            elif kind == "slow":
+                state.osd_base_capacity[ev.osd] *= ev.factor
             else:  # hiccup
-                self._active_hiccups.append(ev)
+                self._hiccups.append(ev)
             fired.append(ev)
-            changed = True
-        if changed:
-            cap = self._base.copy()
-            for ev in self._active_hiccups:
+        if layer == "faults" and (fired or closed):
+            cap = state.osd_base_capacity.copy()
+            for ev in self._hiccups:
                 cap[ev.osd] *= ev.factor
             cap[~state.osd_alive] = 0.0
             state.osd_capacity = cap
         return fired
+
+    def dry_run(self, state: "ClusterState") -> None:
+        """Step every batch over ``state`` with no traffic, so no wear-outs
+        and no bursts: drains leave at once."""
+        for epoch, layer in self._batches:
+            for ev in self.step(state, epoch, layer):
+                if ev.kind == "drain":
+                    leave(state, ev.osd)

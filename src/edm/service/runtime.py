@@ -1,10 +1,11 @@
-"""Request-level service runtime: bounded queues, latency, migration spikes.
+"""Request-level service runtime: admission-bounded queues, latency, migration spikes.
 
 The engine is epoch-aggregate everywhere else: a request is a unit of load,
 never a unit of time.  :class:`ServiceRuntime` gives each OSD a service rate
-(requests retired per epoch, scaled by live capacity) and a bounded FIFO
-queue, then steps an M/D/1-style Lindley recursion over the OSD axis once
-per epoch:
+(requests retired per epoch, scaled by live capacity) and a FIFO queue
+whose optional bound limits admission -- injected migration work is never
+capped, so depth can exceed the bound -- then steps an M/D/1-style Lindley
+recursion over the OSD axis once per epoch:
 
     backlog' = max(backlog + injected_migration_work + accepted - rate, 0)
 
@@ -106,10 +107,12 @@ def admit(
     backlog each queue starts the epoch with (carried depth + injected
     migration work), ``rate`` the effective service rate (0 for dead OSDs).
     A queue has room for its bound plus one epoch of service beyond the
-    standing backlog; dead OSDs admit nothing.
+    standing backlog; dead OSDs admit nothing.  The bound limits admission
+    only: uncapped migration work can push ``base`` past it.  The room is
+    clipped at zero, so the cast truncates it exactly as ``floor`` would.
     """
     room = np.where(rate > 0, qbound + rate - base, 0.0)
-    accepted = np.minimum(arrivals, np.maximum(np.floor(room), 0.0)).astype(np.int64)
+    accepted = np.minimum(arrivals, np.maximum(room, 0.0)).astype(np.int64)
     return accepted, np.maximum(base + accepted - rate, 0.0)
 
 

@@ -14,7 +14,7 @@ scenarios).  Examples::
 
     rate:800                     every OSD retires 800 requests/epoch
     rate:800;rate:400@0-3        OSDs 0..3 at 400, the rest at 800
-    rate:800;queue:64            bounded queue: arrivals beyond backlog 64 drop
+    rate:800;queue:64            bounded admission: arrivals beyond backlog 64 drop
     rate:400@0-3;rate:800@4-7    per-band rates covering the whole cluster
 
 At most one rate clause may omit the ``@`` range; it becomes the default
@@ -43,6 +43,9 @@ from edm.spec import Band, BandSet, Clause, SpecError
 class ServiceModel(BandSet):
     """A validated service-rate model: rate bands plus an optional queue.
 
+    The ``queue`` bound limits admission, not depth: migration work is
+    injected uncapped, so a queue can stand far above its bound.
+
     ``per_osd(n)`` is the service rate per OSD in requests/epoch at full
     capacity; the empty model rates every OSD at ``inf`` -- the engine's
     "no service model" representation: an infinite rate retires any
@@ -70,7 +73,7 @@ class ServiceModel(BandSet):
 
     @property
     def queue_bound(self) -> float:
-        """Queue depth bound as a float; ``inf`` when unbounded."""
+        """Admission bound on queue depth as a float; ``inf`` when unbounded."""
         return float(self.queue) if self.queue is not None else np.inf
 
     @classmethod

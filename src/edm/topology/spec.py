@@ -126,18 +126,10 @@ class TopologyPlan(ClauseSet):
     def adds(self) -> tuple[TopologyEvent, ...]:
         return tuple(ev for ev in self.items if ev.kind == "add")
 
-    @property
-    def drains(self) -> tuple[TopologyEvent, ...]:
-        return tuple(ev for ev in self.items if ev.kind == "drain")
-
     def max_osds(self, initial: int) -> int:
         """Largest OSD-array width the plan ever reaches (drains don't shrink
         arrays -- a retired OSD keeps its slot, dead)."""
         return initial + sum(ev.count for ev in self.adds)
-
-    def final_osds(self, initial: int) -> int:
-        """Live OSD count once the whole plan has fired."""
-        return self.max_osds(initial) - len(self.drains)
 
     def validate(self, num_osds: int | None = None) -> None:
         drained: set[int] = set()

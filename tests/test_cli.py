@@ -174,3 +174,39 @@ def test_run_none_flags_mean_no_scenario(capsys):
     # empty (healthy runs omit the scenario blocks) and the run is the plain one.
     assert all(metrics.get(name, "") == "" for name in SCENARIO_SEPS)
     assert metrics == plain
+
+
+# A malformed spec, and the ec:4+2 fail + drain plan that used to pass
+# validation and die mid-run in re-placement.
+BAD_SPECS = {
+    "malformed": (["--faults", "bogus:1"], "error: bad fault event 'bogus:1'; expected"),
+    "infeasible": (
+        ["--osds", "8", "--redundancy", "ec:4+2",
+         "--faults", "fail:1@4;fail:2@6", "--topology", "drain:3@10"],
+        "error: fault plan 'fail:1@4;fail:2@6' and topology plan 'drain:3@10' "
+        "leave 6 alive at epoch 10, so 'drain:3@10' would cross the survivor "
+        "floor of 6 that redundancy scheme 'ec:4+2' needs",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_run_reports_a_spec_error_as_one_line(name, capsys):
+    flags, message = BAD_SPECS[name]
+    assert main(["run", "--epochs", "8", "--requests", "128", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_sweep_reports_a_spec_error_as_one_line(name, tmp_path, capsys):
+    flags, message = BAD_SPECS[name]
+    args = ["sweep", "--workloads", "deasna", "--policies", "cmt", "--seeds", "1",
+            "--epochs", "8", "--requests", "128", "--cache-dir", str(tmp_path),
+            "--workers", "1", *flags]
+    assert main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # nothing ran, nothing was cached

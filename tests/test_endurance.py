@@ -1,5 +1,5 @@
 """Endurance model: spec parsing, lifetime tracking, CMT steering, wear-out
-failures through the faults runtime, and config/CLI/cache integration."""
+failures under the departure timeline's survivor floor, and config/CLI/cache integration."""
 
 import json
 
@@ -11,7 +11,7 @@ from edm.cli import main as cli_main
 from edm.config import SimConfig, config_hash, rng_seed_sequence
 from edm.endurance import EnduranceModel, EnduranceTracker, wearout_risk
 from edm.engine.core import simulate
-from edm.faults import FaultEvent, FaultPlan, FaultRuntime
+from edm.faults import FaultEvent, Timeline
 from edm.obs import read_run_log
 from edm.policies import get_policy
 from edm.policies.base import destination_picker
@@ -233,12 +233,12 @@ def test_scheduled_fail_below_survivor_floor_is_skipped(kw):
 
 
 def test_fault_runtime_skips_fail_at_survivor_floor():
-    cfg = cfg_factory(num_osds=4)
+    cfg = cfg_factory(num_osds=4, faults="fail:2@5;fail:3@5;slow:3@5x0.5")
     state = make_state(cfg)
     state.osd_alive[[0, 1]] = False
     state.osd_capacity[[0, 1]] = 0.0
-    runtime = FaultRuntime(FaultPlan.parse("fail:2@5;fail:3@5;slow:3@5x0.5", num_osds=4))
-    fired = runtime.step(state, epoch=5)
+    runtime = Timeline(cfg.plans["timeline"])
+    fired = runtime.step(state, 5, "faults")
     # OSD 2 may fail (leaving one survivor); OSD 3 may not.
     assert [(ev.kind, ev.osd) for ev in fired] == [("fail", 2), ("slow", 3)]
     assert state.osd_alive.tolist() == [False, False, False, True]

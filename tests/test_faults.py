@@ -12,7 +12,7 @@ from edm.config import rng_seed_sequence
 from edm.engine import metrics as metrics_module
 from edm.engine.core import replace_dead_chunks, simulate
 from edm.engine.state import init_state
-from edm.faults import FaultEvent, FaultPlan, FaultRuntime, effective_load
+from edm.faults import FaultEvent, FaultPlan, Timeline, effective_load
 from edm.obs import read_run_log
 from edm.policies import get_policy
 from edm.telemetry import Recorder, TimeSeriesRecorder
@@ -29,7 +29,9 @@ def test_parse_round_trips_canonical_spec():
     plan = FaultPlan.parse("hiccup:3@12+4x0.25 ; slow:2@4x0.50;fail:1@8", num_osds=8)
     assert plan.spec == "slow:2@4x0.5;fail:1@8;hiccup:3@12+4x0.25"
     assert FaultPlan.parse(plan.spec, num_osds=8) == plan
-    assert plan.failures == (FaultEvent(kind="fail", osd=1, epoch=8),)
+    assert [ev for ev in plan.events if ev.kind == "fail"] == [
+        FaultEvent(kind="fail", osd=1, epoch=8)
+    ]
 
 
 def test_empty_and_none_mean_healthy():
@@ -59,7 +61,7 @@ def test_killing_every_osd_rejected():
     with pytest.raises(ValueError, match="at least one must survive"):
         FaultPlan.parse(spec, num_osds=4)
     # The same plan is fine on a bigger cluster.
-    assert len(FaultPlan.parse(spec, num_osds=8).failures) == 4
+    assert [ev.kind for ev in FaultPlan.parse(spec, num_osds=8).events] == ["fail"] * 4
 
 
 # --- runtime capacity semantics ---------------------------------------------
@@ -75,12 +77,12 @@ def test_effective_load_scales_and_masks():
     assert eff[2] == np.inf  # dead disk can never look underloaded
 
 
-def test_slow_events_compound_and_hiccup_restores(small_cfg):
-    plan = FaultPlan.parse("slow:0@1x0.5;slow:0@3x0.5;hiccup:1@2+2x0.25", num_osds=4)
-    rt = FaultRuntime(plan)
-    state = make_state(small_cfg)
+def test_slow_events_compound_and_hiccup_restores(make_cfg):
+    cfg = make_cfg(faults="slow:0@1x0.5;slow:0@3x0.5;hiccup:1@2+2x0.25")
+    rt = Timeline(cfg.plans["timeline"])
+    state = make_state(cfg)
     for epoch in range(6):
-        rt.step(state, epoch)
+        rt.step(state, epoch, "faults")
         if epoch == 2:
             assert state.osd_capacity[0] == 0.5
             assert state.osd_capacity[1] == 0.25  # hiccup window open
@@ -90,12 +92,13 @@ def test_slow_events_compound_and_hiccup_restores(small_cfg):
     assert state.osd_alive.all()
 
 
-def test_fail_pins_alive_and_capacity(small_cfg):
-    rt = FaultRuntime(FaultPlan.parse("fail:2@5", num_osds=4))
-    state = make_state(small_cfg)
+def test_fail_pins_alive_and_capacity(make_cfg):
+    cfg = make_cfg(faults="fail:2@5")
+    rt = Timeline(cfg.plans["timeline"])
+    state = make_state(cfg)
     fired = []
     for epoch in range(8):
-        fired += rt.step(state, epoch)
+        fired += rt.step(state, epoch, "faults")
     assert [ev.render() for ev in fired] == ["fail:2@5"]
     assert not state.osd_alive[2]
     assert state.osd_capacity[2] == 0.0

@@ -159,6 +159,14 @@ def test_bounded_queue_drops_beyond_room():
     assert depth.tolist() == [3.0]  # 0 + 5 - 2, clamped at the bound
 
 
+def test_backlog_past_the_bound_admits_nothing_and_stays():
+    # Injected migration work can push the base past bound + rate: the
+    # bound then stops admission, but depth is not clipped to it.
+    accepted, new_depth = admit(np.array([5.0]), arr(30), arr(10), 8.0)
+    assert accepted.tolist() == [0]
+    assert new_depth.tolist() == [20.0]
+
+
 def test_fifo_latency_positions():
     # 3 requests on a backlog of 2 at rate 4: sojourns (3,4,5)/4.
     _, lat, depth = serve(np.array([3]), arr(2), arr(4), np.inf)
@@ -523,6 +531,14 @@ def test_dead_osd_backlog_becomes_lost_work(make_cfg):
     assert degraded["service_lost_work"] > 0.0
     healthy = simulate(make_cfg(service="rate:100"))
     assert healthy["service_lost_work"] == 0.0
+
+
+def test_queue_bound_limits_admission_not_depth(make_cfg):
+    # Migration work is injected uncapped, so depth stands above the bound;
+    # without it the bound holds depth too.
+    assert simulate(make_cfg(service="rate:10;queue:8"))["queue_depth_max"] > 8.0
+    quiet = make_cfg(service="rate:10;queue:8", service_migration_cost=0.0)
+    assert simulate(quiet)["queue_depth_max"] <= 8.0
 
 
 def test_corpse_queue_fails_validate_until_the_step_books_it(make_cfg):

@@ -8,10 +8,11 @@ import pytest
 from edm.config import config_hash
 from edm.engine.core import simulate
 from edm.engine.state import OSD_COLUMNS
+from edm.faults import FaultPlan, Timeline, compile_timeline, leave
 from edm.service import ServiceRuntime
 from edm.spec import SpecError
 from edm.telemetry import Recorder
-from edm.topology import TopologyPlan, TopologyRuntime
+from edm.topology import TopologyPlan
 
 # ---------------------------------------------------------------------------
 # Grammar
@@ -54,11 +55,11 @@ def test_default_cap_not_rendered():
     assert TopologyPlan.parse("add:2@8/cap:1").spec == "add:2@8"
 
 
-def test_max_and_final_osds():
+def test_max_osds_counts_every_add():
     plan = TopologyPlan.parse("add:4@16;add:2@32;drain:0@48;drain:1@64")
-    assert plan.max_osds(8) == 14
-    assert plan.final_osds(8) == 12
-    assert len(plan.adds) == 2 and len(plan.drains) == 2
+    assert plan.max_osds(8) == 14  # drains keep their (dead) slots
+    assert len(plan.adds) == 2
+    assert [ev.kind for ev in plan.events] == ["add", "add", "drain", "drain"]
 
 
 TOPOLOGY_PINS = [
@@ -152,7 +153,7 @@ def _grown_state(cfg, plan):
     from conftest import make_state
 
     state = make_state(cfg, epoch=0)
-    runtime = TopologyRuntime(plan)
+    runtime = Timeline(compile_timeline(FaultPlan.parse(""), plan))
     return state, runtime
 
 
@@ -169,8 +170,8 @@ def test_scale_out_grows_every_array(make_cfg):
     state, runtime = _grown_state(cfg, plan)
     service = _service(cfg, state)
     n0 = state.num_osds
-    assert runtime.step(state, epoch=4) == []
-    fired = runtime.step(state, epoch=5)
+    assert runtime.step(state, 4, "topology") == []
+    fired = runtime.step(state, 5, "topology")
     assert len(fired) == 1 and fired[0].kind == "add"
     service.on_topology(state, fired[0], 0)
     assert state.num_osds == n0 + 3
@@ -194,7 +195,7 @@ def test_add_defaults_inherit_cluster_defaults(make_cfg):
     plan = TopologyPlan.parse("add:2@3", num_osds=cfg.num_osds)
     state, runtime = _grown_state(cfg, plan)
     service = _service(cfg, state)
-    (ev,) = runtime.step(state, epoch=3)
+    (ev,) = runtime.step(state, 3, "topology")
     service.on_topology(state, ev, 0)
     assert (state.osd_capacity[-2:] == 1.0).all()
     assert (service.rate[-2:] == 700.0).all()  # the service model's default band
@@ -205,7 +206,7 @@ def test_add_without_a_default_rate_serves_instantly(make_cfg):
     cfg = make_cfg(num_osds=8, service="rate:400@0-3;rate:800@4-7")
     state, runtime = _grown_state(cfg, TopologyPlan.parse("add:2@3", num_osds=8))
     service = _service(cfg, state)
-    (ev,) = runtime.step(state, epoch=3)
+    (ev,) = runtime.step(state, 3, "topology")
     service.on_topology(state, ev, 0)
     assert np.isinf(service.rate[-2:]).all()  # no default: backlog retires instantly
 
@@ -217,10 +218,10 @@ def test_drain_marks_then_retire_removes(make_cfg):
     service = _service(cfg, state)
     service.depth[1] = 5.0
     service.backlog[1] = 2.0
-    (ev,) = runtime.step(state, epoch=7)
+    (ev,) = runtime.step(state, 7, "topology")
     assert ev.kind == "drain" and ev.osd == 1
     assert state.osd_draining[1] and state.osd_alive[1]  # still alive: graceful
-    runtime.retire(state, 1)
+    leave(state, 1)
     service.on_topology(state, ev, 0)
     assert not state.osd_alive[1]
     assert state.osd_capacity[1] == 0.0
@@ -270,14 +271,12 @@ class TopologyEvents(Recorder):
 
 
 # Drains that would leave fewer than ``survivor_floor`` alive OSDs once
-# failures or wear-outs shrank the cluster; each used to crash the run.
+# wear-outs shrank the cluster; each used to crash the run.  Wear-outs are
+# the one departure the config-time dry run cannot foresee.
 DRAIN_FLOOR_REPROS = {
     "ec-after-wearout": dict(
         num_osds=7, redundancy="ec:4+2",
         endurance="pe:200@1,100000@0,100000@2-6", topology="drain:0@12",
-    ),
-    "last-after-failures": dict(
-        num_osds=3, faults="fail:0@4;fail:1@6", topology="drain:2@8",
     ),
     "last-after-wearouts": dict(
         num_osds=3, endurance="pe:200@0-1,100000@2", topology="drain:2@12",
@@ -294,6 +293,46 @@ def test_drain_at_survivor_floor_completes_without_draining(make_cfg, name):
     assert m["osds_drained_total"] == 0
     assert m["drain_moves_total"] == 0
     assert seen.events == []  # a skipped drain never fires
+
+
+# Plans whose own departures reach the survivor floor before a drain: the
+# config-time dry run of the departure timeline, which walks the alive set
+# in firing order, rejects them.
+FLOOR_REJECTED = {
+    # Two failures bring a plain cluster to its last OSD.
+    "last-after-failures": (
+        dict(num_osds=3, faults="fail:0@4;fail:1@6", topology="drain:2@8"),
+        "fault plan 'fail:0@4;fail:1@6' and topology plan 'drain:2@8' leave 1 "
+        "alive at epoch 8, so 'drain:2@8' would cross the survivor floor of 1",
+    ),
+    # The add comes too late to keep the drain above the floor.
+    "drain-before-add": (
+        dict(num_osds=6, redundancy="ec:4+2", topology="drain:0@5;add:2@11"),
+        "fault plan '' and topology plan 'drain:0@5;add:2@11' leave 6 alive at "
+        "epoch 5, so 'drain:0@5' would cross the survivor floor of 6 that "
+        "redundancy scheme 'ec:4+2' needs",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOOR_REJECTED))
+def test_drain_at_survivor_floor_is_rejected_at_config_time(make_cfg, name):
+    kw, message = FLOOR_REJECTED[name]
+    with pytest.raises(SpecError) as err:
+        make_cfg(chunks_per_osd=6, epochs=24, requests_per_epoch=512, **kw)
+    assert str(err.value) == message
+
+
+def test_fail_made_feasible_by_an_earlier_add_is_accepted(make_cfg):
+    # The earlier add keeps the failure above the ec:4+2 floor.
+    cfg = make_cfg(num_osds=6, redundancy="ec:4+2", faults="fail:1@10",
+                   topology="add:1@5", chunks_per_osd=6, epochs=24,
+                   requests_per_epoch=512)
+    m = simulate(cfg)
+    assert m["osds_added_total"] == 1
+    assert m["fault_failures"] == 1
+    assert m["replacement_moves_total"] > 0
+    assert m["osds_alive_final"] == 6
 
 
 # A departure event for an OSD that has already left still fires.  Skipping
