@@ -97,7 +97,3 @@ class FaultPlan(ClauseSet):
                 if ev.osd in failed:
                     raise SpecError(f"OSD {ev.osd} scheduled to fail more than once")
                 failed.add(ev.osd)
-        if num_osds is not None and len(failed) >= num_osds:
-            raise SpecError(
-                f"plan kills all {num_osds} OSDs; at least one must survive"
-            )

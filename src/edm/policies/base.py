@@ -67,25 +67,33 @@ def destination_picker(
 ):
     """``pick(proj_load, keep=None, explain=False) -> (dst, terms, scores)``.
 
-    Picks among ``candidates[keep]`` (all when ``keep`` is None); ``terms``
-    and ``scores`` cover that subset when ``explain``, else are None.  One
-    scorer is built up front, and each pick scores all candidates and then
-    subsets -- bit-identical to scoring the subset by the scorer contract,
-    and order-preserving so ``argmin`` keeps its first-minimum tie-break.
+    Picks among ``candidates[keep]`` (all when ``keep`` is None; ``keep``
+    keeps at least one); ``terms`` and ``scores`` cover that subset when
+    ``explain``, else are None.  One scorer is built up front, and each pick
+    scores all candidates -- bit-identical to scoring the subset by the
+    scorer contract.  Dropped candidates score +inf, so ``argmin`` finds the
+    subset's first minimum (or first NaN); when every kept score is +inf it
+    lands on a dropped one, and the first kept candidate wins instead, as in
+    the subset.
     """
     score = policy.scorer(candidates, state, cfg)
 
     def pick(proj_load, keep=None, explain=False):
         terms = score(proj_load)
         scores = sum_terms(terms)
-        cand = candidates
+        if keep is None:
+            i = scores.argmin()
+        else:
+            i = np.where(keep, scores, np.inf).argmin()
+            if not keep[i]:
+                i = keep.argmax()
+        dst = int(candidates[i])
+        if not explain:
+            return dst, None, None
         if keep is not None:
-            cand = candidates[keep]
+            terms = {k: v[keep] for k, v in terms.items()}
             scores = scores[keep]
-            if explain:
-                terms = {k: v[keep] for k, v in terms.items()}
-        dst = int(cand[np.argmin(scores)])
-        return (dst, terms, scores) if explain else (dst, None, None)
+        return dst, terms, scores
 
     return pick
 
@@ -229,7 +237,7 @@ class NormalizedScorePolicy(ThresholdPolicy):
     def load_terms(
         self, load_norm: np.ndarray, state: ClusterState, cfg: SimConfig
     ) -> dict[str, np.ndarray]:
-        """Score terms computed from the normalized projected load."""
+        """Score terms from the normalized projected load, in a fresh dict."""
         return {"load": load_norm}
 
     def static_destination_terms(
@@ -247,7 +255,7 @@ class NormalizedScorePolicy(ThresholdPolicy):
             mean = np.add.reduce(proj[alive_ids]) / alive_ids.size if alive_ids.size else 0.0
             if mean > 0:
                 load = load / mean
-            terms = dict(self.load_terms(load, state, cfg))
+            terms = self.load_terms(load, state, cfg)
             terms.update(static)
             return terms
 

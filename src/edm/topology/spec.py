@@ -133,36 +133,21 @@ class TopologyPlan(ClauseSet):
 
     def validate(self, num_osds: int | None = None) -> None:
         drained: set[int] = set()
-        running = num_osds
         for ev in self.items:
             if ev.kind == "add":
                 if ev.count < 1:
-                    raise SpecError(
-                        f"topology event {self.render(ev)!r}: count must be >= 1"
-                    )
-                if running is not None:
-                    running += ev.count
+                    raise SpecError(f"topology event {self.render(ev)!r}: count must be >= 1")
                 continue
             if ev.osd in drained:
-                raise SpecError(
-                    f"OSD {ev.osd} scheduled to drain more than once"
-                )
+                raise SpecError(f"OSD {ev.osd} scheduled to drain more than once")
             drained.add(ev.osd)
-            if running is not None:
-                # The id must exist by the drain's epoch: initial OSDs plus
-                # every band added at or before it (events are epoch-sorted,
-                # so ``running`` counts exactly those).
-                if ev.osd >= num_osds + sum(
-                    a.count for a in self.adds if a.epoch <= ev.epoch
-                ):
-                    raise SpecError(
-                        f"topology event {self.render(ev)!r}: OSD {ev.osd} does "
-                        f"not exist at epoch {ev.epoch} (cluster has grown "
-                        f"to {running} OSDs by then)"
-                    )
-                running -= 1
-                if running < 2:
-                    raise SpecError(
-                        f"topology event {self.render(ev)!r}: plan drains the "
-                        f"cluster below 2 OSDs; at least 2 must remain"
-                    )
+            if num_osds is None:
+                continue
+            # The id must exist by the drain's epoch: initial OSDs plus
+            # every band added at or before it.
+            grown = num_osds + sum(a.count for a in self.adds if a.epoch <= ev.epoch)
+            if ev.osd >= grown:
+                raise SpecError(
+                    f"topology event {self.render(ev)!r}: OSD {ev.osd} does not exist "
+                    f"at epoch {ev.epoch} (cluster has grown to {grown} OSDs by then)"
+                )

@@ -1,9 +1,8 @@
 """Synthetic workload base: Zipf-skewed chunk access with drift and bursts.
 
 Each trace family is a SyntheticTrace subclass that fixes a popularity
-exponent, read/write mix, hotspot drift, and burstiness.  The generator is
-fully vectorized: an epoch's accesses are drawn as a single multinomial over
-the chunk-popularity vector (one RNG call per epoch, O(num_chunks)), not as
+exponent, read/write mix, hotspot drift, and burstiness.  An epoch's
+accesses are one multinomial over the chunk-popularity vector, not
 per-request samples.
 
 :meth:`SyntheticTrace.draw` is the one draw routine.  ``epoch_counts``
@@ -78,13 +77,20 @@ class SyntheticTrace:
         one multinomial over the popularity vector plus an element-wise
         binomial split into writes -- and land in ``counts_out`` /
         ``writes_out`` as integer-valued float64, the dtype the engine's
-        fused kernel consumes without a cast.
+        fused kernel consumes without a cast.  When at most a quarter of
+        the chunks got a request, only those are split: a zero count draws
+        nothing, so values and generator state match the dense split's.
         """
-        volume = self.epoch_volume(epoch)
-        counts = self.rng.multinomial(volume, self.probs(epoch))
-        writes = self.rng.binomial(counts, self.write_ratio)
+        counts = self.rng.multinomial(self.epoch_volume(epoch), self.probs(epoch))
         np.copyto(counts_out, counts, casting="unsafe")
-        np.copyto(writes_out, writes, casting="unsafe")
+        if np.count_nonzero(counts) * 4 > counts.size:
+            np.copyto(writes_out, self.rng.binomial(counts, self.write_ratio), casting="unsafe")
+            return
+        nz = np.flatnonzero(counts)
+        n = counts[nz]
+        del counts  # the sparse split never holds more than the dense one
+        writes_out.fill(0.0)
+        writes_out[nz] = self.rng.binomial(n, self.write_ratio)
 
     def epoch_counts(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         """Return (access_counts, write_counts) for one epoch.

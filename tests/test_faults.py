@@ -15,6 +15,7 @@ from edm.engine.state import init_state
 from edm.faults import FaultEvent, FaultPlan, Timeline, effective_load
 from edm.obs import read_run_log
 from edm.policies import get_policy
+from edm.spec import SpecError
 from edm.telemetry import Recorder, TimeSeriesRecorder
 
 
@@ -56,12 +57,23 @@ def test_invalid_specs_rejected(spec, message):
         FaultPlan.parse(spec, num_osds=8)
 
 
-def test_killing_every_osd_rejected():
+def test_killing_every_osd_rejected(make_cfg):
+    # The grammar counts no survivors; the config-time dry run of the
+    # departure timeline refuses the last failure.
     spec = ";".join(f"fail:{i}@{i + 1}" for i in range(4))
-    with pytest.raises(ValueError, match="at least one must survive"):
-        FaultPlan.parse(spec, num_osds=4)
+    assert [ev.kind for ev in FaultPlan.parse(spec, num_osds=4).events] == ["fail"] * 4
+    with pytest.raises(SpecError, match=r"leave 1 alive at epoch 4, so 'fail:3@4' "
+                       r"would cross the survivor floor of 1$"):
+        make_cfg(num_osds=4, faults=spec)
     # The same plan is fine on a bigger cluster.
-    assert [ev.kind for ev in FaultPlan.parse(spec, num_osds=8).events] == ["fail"] * 4
+    assert make_cfg(num_osds=8, faults=spec).faults == spec
+
+
+def test_failures_after_growth_keep_a_survivor(make_cfg):
+    # Both initial OSDs fail, but an OSD added at epoch 1 survives them.
+    cfg = make_cfg(num_osds=2, faults="fail:0@5;fail:1@6", topology="add:1@1", epochs=16)
+    metrics = simulate(cfg)
+    assert metrics["osds_alive_final"] == 1
 
 
 # --- runtime capacity semantics ---------------------------------------------

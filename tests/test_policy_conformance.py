@@ -10,7 +10,11 @@ surface contract, not just the paper's four:
     masked to a subset equals ``scorer(subset)(proj)`` bit-for-bit -- the
     engine scores a burst's whole candidate set once per pick and subsets
     it per chunk, so a policy whose terms depend on who else is a candidate
-    would silently change results.
+    would silently change results;
+  * the masked pick is the subset pick: ``pick(proj, keep)`` lands where
+    scoring ``candidates[keep]`` from scratch does, and where the explained
+    pick does -- on random masks, tied scores, a kept subset scoring all
+    +inf (the picker's fallback) and a NaN score.
 
 The checks run against *live* engine states sampled mid-run (via a
 Recorder) across a seeded draw of the fault x endurance x service x
@@ -28,6 +32,7 @@ from conftest import cfg_factory
 from edm.config import POLICIES, WORKLOADS
 from edm.engine.core import simulate
 from edm.policies import get_policy
+from edm.policies.base import destination_picker, sum_terms
 from edm.telemetry import Recorder
 
 SIZING = dict(num_osds=8, epochs=16, requests_per_epoch=512, chunks_per_osd=8)
@@ -80,6 +85,46 @@ def check_scorer_contract(policy, state, cfg, rows, rng):
         assert_same_terms(masked, part(row))
 
 
+def check_masked_pick(policy, state, cfg, rows, rng):
+    """``pick(proj, keep)`` == the subset formulation == the explained pick.
+
+    Returns how many cases took the picker's fallback (every kept score
+    +inf).
+    """
+    candidates = np.flatnonzero(state.osd_alive & ~state.osd_draining)
+    # A twin in which a quarter of the candidates count as dead: their
+    # projected load may be +inf or NaN without reaching the alive-mean
+    # normalizers, so only their own scores turn +inf or NaN.
+    gone = rng.choice(candidates, size=max(1, candidates.size // 4), replace=False)
+    twin = copy.copy(state)
+    twin.osd_alive = state.osd_alive.copy()
+    twin.osd_alive[gone] = False
+    is_gone = np.isin(candidates, gone)
+    inf_row, nan_row = rows[0].copy(), rows[0].copy()
+    inf_row[gone] = np.inf
+    nan_row[gone[0]] = np.nan
+    cases = [
+        *((state, row, rng.random(candidates.size) < 0.5) for row in rows),
+        # Integer-valued loads: ties the argmin must break the same way.
+        *((state, rng.integers(0, 3, size=row.shape).astype(float),
+           rng.random(candidates.size) < 0.7) for row in rows),
+        (twin, inf_row, is_gone),
+        (twin, nan_row, is_gone | (rng.random(candidates.size) < 0.5)),
+    ]
+    fallbacks = 0
+    for st, proj, keep in cases:
+        keep[rng.integers(keep.size)] = True
+        pick = destination_picker(policy, candidates, st, cfg)
+        subset = candidates[keep]
+        with np.errstate(invalid="ignore"):  # inf - inf in the NaN cases
+            dst = pick(proj, keep)[0]
+            assert dst == pick(proj, keep, explain=True)[0]
+            scores = sum_terms(policy.scorer(subset, st, cfg)(proj))
+        assert dst == subset[np.argmin(scores)], (policy.name, proj, keep)
+        fallbacks += bool(np.all(scores == np.inf))
+    return fallbacks
+
+
 def state_kinds(state):
     """Which of the scorer-relevant state kinds ``state`` is."""
     healthy = state.osd_alive.all() and (state.osd_capacity == 1.0).all()
@@ -101,6 +146,7 @@ class ConformanceChecker(Recorder):
         self.states_checked = 0
         self.moves_checked = 0
         self.scorer_kinds = set()
+        self.fallbacks = 0
 
     def on_epoch(self, state, load, stats):
         cfg, policy = self.cfg, self.policy
@@ -126,6 +172,7 @@ class ConformanceChecker(Recorder):
         draining.osd_draining[candidates[-1]] = True
         for st in (state, draining):
             check_scorer_contract(policy, st, cfg, rows, self.rng)
+            self.fallbacks += check_masked_pick(policy, st, cfg, rows, self.rng)
             self.scorer_kinds |= state_kinds(st)
 
         # Selection: explained == plain, and no move lands on a dead or
@@ -175,6 +222,11 @@ def test_scorer_contract_holds_on_every_state_kind(policy):
         simulate(checker.cfg, recorders=(checker,))
     kinds = set().union(*(c.scorer_kinds for c in checkers))
     assert kinds >= {"healthy", "degraded", "rated", "draining"}
+    # Consolidate's packing term turns +inf load into NaN (-inf + inf), so
+    # its all-+inf case is another NaN case; every other policy's scores
+    # stay +inf and reach the picker's fallback.
+    fallbacks = sum(c.fallbacks for c in checkers)
+    assert fallbacks == 0 if policy == "consolidate" else fallbacks > 0
 
 
 def test_sample_covers_every_policy_and_scenario_kind():

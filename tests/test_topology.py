@@ -107,9 +107,22 @@ def test_drain_of_nonexistent_osd_rejected():
     TopologyPlan.parse("add:4@8;drain:7@16", num_osds=4)
 
 
-def test_drain_below_two_survivors_rejected():
-    with pytest.raises(SpecError, match="below 2"):
-        TopologyPlan.parse("drain:0@8;drain:1@16", num_osds=3)
+def test_drain_below_two_survivors_rejected(make_cfg):
+    # rep:2 needs two distinct survivors, so the config-time dry run refuses
+    # the second drain; the grammar alone counts no survivors.
+    spec = "drain:0@8;drain:1@16"
+    TopologyPlan.parse(spec, num_osds=3)
+    with pytest.raises(SpecError, match=r"leave 2 alive at epoch 16, so 'drain:1@16' "
+                       r"would cross the survivor floor of 2 that redundancy "
+                       r"scheme 'rep:2' needs$"):
+        make_cfg(num_osds=3, topology=spec, redundancy="rep:2")
+
+
+def test_plain_drain_to_one_survivor_accepted(make_cfg):
+    # A plain cluster's floor is one OSD, for drains as for failures.
+    cfg = make_cfg(num_osds=3, faults="fail:0@2", topology="drain:0@5;drain:1@6", epochs=16)
+    metrics = simulate(cfg)
+    assert metrics["osds_alive_final"] == 1
 
 
 # ---------------------------------------------------------------------------
