@@ -159,10 +159,9 @@ def cmd_sweep(args) -> int:
     )
     result = sweep(
         grid,
-        cache_dir=Path(args.cache_dir),
+        cache_dir=None if args.no_cache else Path(args.cache_dir),
         workers=args.workers,
         force=args.force,
-        use_cache=not args.no_cache,
         timeseries_dir=args.timeseries,
         record_every=args.record_every,
         run_log=args.run_log,

@@ -3,25 +3,20 @@
 * :mod:`edm.endurance.spec` -- :class:`EnduranceModel`: parse and
   canonicalize ``--endurance`` spec strings (``pe:5000``,
   ``pe:3000@0-3,10000@4-7``; seed-free, fully deterministic).
-* :mod:`edm.endurance.runtime` -- :class:`EnduranceTracker`: installs rated
-  budgets on cluster state, maintains the per-OSD wear-rate EWMA, and fails
-  OSDs whose consumed cycles reach their rating, as many as the survivor
-  floor every departure obeys allows (:func:`edm.faults.departure_room`);
-  :func:`wearout_risk` is the bounded epochs-to-wear-out transform CMT's
-  destination score steers by.
 
-The engine wires these together in :func:`edm.engine.core.simulate`: a
-wear-out fires a synthesized ``wearout`` :class:`~edm.faults.FaultEvent`
-through the same re-placement and ``on_fault`` observer path as a
-scheduled failure, so the fault and endurance layers share one degraded-mode
-machinery.
+Endurance is per-OSD state, so the layers that own that kind of work carry
+it: :func:`edm.engine.state.init_state` installs the ratings, the fused
+epoch kernel folds the wear-rate EWMA behind
+:meth:`~edm.engine.state.ClusterState.wearout_risk` (which CMT and PSWL
+score by), and the departure timeline's ``endurance`` layer
+(:mod:`edm.faults.runtime`) fails OSDs that reach their rating, under the
+survivor floor every departure obeys.  A wear-out is a ``wearout``
+:class:`~edm.faults.FaultEvent` taking a scheduled failure's re-placement
+and ``on_event`` path.
 """
 
-from edm.endurance.runtime import EnduranceTracker, wearout_risk
 from edm.endurance.spec import EnduranceModel
 
 __all__ = [
     "EnduranceModel",
-    "EnduranceTracker",
-    "wearout_risk",
 ]

@@ -10,21 +10,21 @@ same order either way.  One epoch is a handful of O(num_chunks) array ops:
 
   1. step the departure timeline (:class:`~edm.faults.Timeline`, the fault
      and topology plans compiled into one event tuple at config time) at
-     the epoch boundary: topology events first (``add`` grows the cluster
-     by cold drives, ``drain`` marks an OSD), then fault events (``fail``
-     / ``slow`` / ``hiccup``), then endurance wear-outs at the rated P/E
-     budget, each batch applied whole before its bursts.  Every departure
-     -- drain, fail, wear-out -- obeys one survivor-floor rule
-     (:func:`~edm.faults.departure_room`) and re-places the leaving OSD's
-     chunks through the active policy's destination scoring
-     (:func:`replace_dead_chunks`); a drain's OSD then leaves.  Each fired
-     event fans out to recorders via ``on_topology`` or ``on_fault`` (the
+     the epoch boundary, one layer at a time: topology events first
+     (``add`` grows the cluster by cold drives, ``drain`` marks an OSD),
+     then fault events (``fail`` / ``slow`` / ``hiccup``), then endurance
+     wear-outs at the rated P/E budget, each batch applied whole before
+     its bursts.  Every departure -- drain, fail, wear-out -- obeys one
+     survivor-floor rule (:func:`~edm.faults.departure_room`) and re-places
+     the leaving OSD's chunks through the active policy's destination
+     scoring (:func:`replace_dead_chunks`); a drain's OSD then leaves.
+     Each fired event reaches every recorder through ``on_event`` (the
      service recorder discards a drained OSD's queue there, uncounted as
      ``service_lost_work``).
   2. one fused kernel call (see :mod:`edm.engine.kernels`): routing
-     bincounts, wear accrual, and the heat/load EMA updates, with per-run
-     scratch buffers; a rated run (``cfg.endurance``) then folds the wear
-     delta into the per-OSD wear-rate EWMA behind CMT's wear-out term
+     bincounts, wear accrual, a rated run's (``cfg.endurance``) wear-rate
+     EWMA behind CMT's wear-out term, and the heat/load EMA updates, with
+     per-run scratch buffers
   3. with a service model (``cfg.service``), one epoch of each OSD's
      bounded queue against its routed arrivals, stepped by the run's
      :class:`~edm.service.ServiceRuntime` -- a recorder that owns the
@@ -51,13 +51,11 @@ its own), and latencies are binned per OSD run in blocks of runs.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from edm.config import SimConfig, rng_seed_sequence
-from edm.endurance import EnduranceTracker
 from edm.engine.kernels import EpochKernel
 from edm.engine.metrics import MetricsAccumulator
 from edm.engine.state import ClusterState, init_state
@@ -136,7 +134,8 @@ def _assign_sequential(
     ``forbid`` (redundant configs) holds, per chunk, the owners of its group
     members; one matrix serves the burst because ``chunk_owner`` is frozen
     until :func:`apply_migrations` and no two burst chunks share a group.
-    ``emit(chunk, dst, candidates, terms, scores)`` explains each pick.
+    ``emit(chunk, dst, candidates, keep, terms, scores)`` explains each
+    pick over ``alive_ids``, of which the chunk's own are ``keep``.
     """
     pick = destination_picker(policy, alive_ids, state, cfg)
     keep = None
@@ -155,14 +154,13 @@ def _assign_sequential(
                 f"{int(state.chunk_group[chunk])} has no constraint-"
                 f"satisfying destination among {m} surviving OSDs"
             )
-    explain = emit is not None
     cap = state.osd_capacity
     dsts = np.empty(order.size, dtype=np.int64)
     for k, chunk in enumerate(order):
         row = None if keep is None else keep[k]
-        dst, terms, scores = pick(proj, row, explain)
-        if explain:
-            emit(int(chunk), dst, alive_ids if row is None else alive_ids[row], terms, scores)
+        dst, terms, scores = pick(proj, row)
+        if emit is not None:
+            emit(int(chunk), dst, alive_ids, row, terms, scores)
         dsts[k] = dst
         proj[dst] += state.chunk_heat[chunk] / cap[dst]
     return dsts
@@ -257,24 +255,19 @@ class Run:
             self.policy = get_policy(cfg.policy)
             self.state = state = init_state(cfg)
             p = cfg.plans
-            timeline = Timeline(p["timeline"], p["endurance"].default) if p["timeline"] else None
-            endurance = EnduranceTracker(p["endurance"], cfg) if p["endurance"] else None
-            if endurance is not None:
-                endurance.attach(state)
+            self._timeline = Timeline(p["timeline"], p["endurance"].default)
+            # Topology steps first, so faults and endurance see this epoch's
+            # grown (or drained) cluster; an unconfigured layer never steps.
+            self._boundary = tuple(
+                (layer, f"simulate.{layer}")
+                for layer in ("topology", "faults", "endurance")
+                if p[layer]
+            )
             # Layers that only account ride the observer hooks.
             service = ServiceRuntime(p["service"], cfg) if p["service"] else None
             redundancy = RedundancyRuntime(p["redundancy"], cfg) if p["redundancy"] else None
             layers = tuple(rt for rt in (service, redundancy) if rt is not None)
-            self._endurance, self._service = endurance, service
-            # Topology steps first, so faults and endurance see this epoch's
-            # grown (or drained) cluster.
-            self._boundary = [
-                (f"simulate.{layer}", partial(timeline.step, layer=layer), hook)
-                for layer, hook in (("topology", "on_topology"), ("faults", "on_fault"))
-                if p[layer]
-            ]
-            if endurance is not None:
-                self._boundary.append(("simulate.endurance", endurance.step, "on_fault"))
+            self._service = service
             self._kernel = EpochKernel(cfg)
             self._acc = MetricsAccumulator(layers)
             self._recorders = tuple(recorders)
@@ -300,7 +293,12 @@ class Run:
             self._draws = traffic(workload, cfg.epochs)
 
     def _emitter(self, trigger: str):
-        def emit(chunk, src, dst, candidates, terms, scores):
+        def emit(chunk, src, dst, candidates, keep, terms, scores):
+            # The pick scored every candidate; the decision reports its own.
+            if keep is not None:
+                candidates = candidates[keep]
+                terms = {k: v[keep] for k, v in terms.items()}
+                scores = scores[keep]
             decision = Decision(
                 epoch=int(self.state.epoch),
                 trigger=trigger,
@@ -334,9 +332,9 @@ class Run:
         if epoch >= cfg.epochs:
             raise RuntimeError(f"run of {cfg.epochs} epochs has no epoch {epoch}")
         state.epoch, self.epoch = epoch, epoch + 1
-        for span, step, hook in self._boundary:
+        for layer, span in self._boundary:
             with tr.span(span):
-                for event in step(state, epoch):
+                for event in self._timeline.step(state, epoch, layer):
                     moved = 0
                     trigger = _DEPARTURES.get(event.kind)
                     if trigger is not None:
@@ -349,16 +347,12 @@ class Run:
                         if event.kind == "drain":
                             leave(state, event.osd)
                     for rec in observers:
-                        getattr(rec, hook)(state, event, moved)
+                        rec.on_event(state, event, moved)
         with tr.span("simulate.kernel"):
-            # Fused epoch math: routing bincounts, wear accrual, heat/load
-            # EMAs -- one kernel call on preallocated scratch.
+            # Fused epoch math: routing bincounts, wear accrual, a rated
+            # run's wear-rate EWMA, heat/load EMAs -- one kernel call on
+            # preallocated scratch.
             self._load = load = self._kernel.epoch_update(state, counts, writes)
-            if self._endurance is not None:
-                # Fold this epoch's wear delta (routing writes plus any
-                # migration wear applied since the last update) into the
-                # per-OSD wear-rate EWMA before observers and policies look.
-                self._endurance.update_rate(state)
         stats = self._stats
         if self._service is not None:
             with tr.span("simulate.service"):

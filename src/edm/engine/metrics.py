@@ -96,9 +96,10 @@ class MetricsAccumulator(Recorder):
         self._flush_loads()
         self._alive_idx = np.flatnonzero(state.osd_alive)
 
-    def on_topology(self, state: ClusterState, event, moved: int) -> None:
+    def on_event(self, state: ClusterState, event, moved: int) -> None:
         self._new_block(state)
-        if event.kind == "add":
+        kind = event.kind
+        if kind == "add":
             # The buffer widens to the grown cluster.
             self._load_hist = self._alloc_hist(state.num_osds)
             self._osds_added += event.count
@@ -107,22 +108,19 @@ class MetricsAccumulator(Recorder):
             self._cold_ids.extend(
                 range(state.num_osds - event.count, state.num_osds)
             )
-        else:
+        elif kind == "drain":
             self._osds_drained += 1
             self._drain_moves += moved
-
-    def on_fault(self, state: ClusterState, event, replaced: int) -> None:
-        self._new_block(state)
-        if event.kind == "wearout":
+        elif kind == "wearout":
             self._wearouts += 1
-            self._wearout_replaced += replaced
+            self._wearout_replaced += moved
             if self._first_wearout_epoch < 0:
                 self._first_wearout_epoch = event.epoch
-            return
-        self._fault_counts[event.kind] += 1
-        if event.kind == "fail":
-            self._replaced_total += replaced
-            self._replacement_burst_max = max(self._replacement_burst_max, replaced)
+        else:
+            self._fault_counts[kind] += 1
+        if kind == "fail":
+            self._replaced_total += moved
+            self._replacement_burst_max = max(self._replacement_burst_max, moved)
             # Arm the recovery clock: how long until per-epoch load CoV over
             # the survivors returns to (near) its pre-failure running mean.
             self._recover_baseline = self._cov_sum / max(self._epochs, 1)

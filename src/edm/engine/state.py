@@ -141,6 +141,11 @@ class ClusterState:
                   where=self.osd_wear_rate > 0)
         return out
 
+    def wearout_risk(self) -> np.ndarray:
+        """Per-OSD wear-out risk ``1 / (1 + predicted epochs)`` in ``[0, 1]``:
+        0 for an OSD predicted to live forever, 1 for one due now.  Bounded,
+        so CMT can normalize it by a cluster-wide mean like its other terms."""
+        return 1.0 / (1.0 + self.predicted_wearout_epochs())
 
 
 #: Per-OSD column name -> the value a new drive starts with, in field order.
@@ -160,6 +165,9 @@ def init_state(cfg: SimConfig) -> ClusterState:
     satisfies the spread constraint by construction: a group is a window of
     ``group_width`` consecutive ids, and ``group_width <= num_osds``
     (validated at config time), so its owners are pairwise distinct.
+
+    Each OSD starts with its rated P/E budget from the endurance model
+    (``inf`` on an unrated cluster).
     """
     c, n = cfg.num_chunks, cfg.num_osds
     group = None
@@ -178,4 +186,5 @@ def init_state(cfg: SimConfig) -> ClusterState:
         chunk_last_migrated=np.full(c, -(10**9), dtype=np.int64),
         chunk_group=group,
         group_width=width,
+        osd_rated_life=cfg.plans["endurance"].per_osd(n),
     )

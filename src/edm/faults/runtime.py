@@ -1,24 +1,27 @@
-"""Departure timeline: the fault and topology plans as one event list.
+"""Departure timeline: the fault and topology plans as one event list,
+with wear-outs as its third layer.
 
 :func:`compile_timeline` merges both plans into one ordered tuple of
 :class:`Tick` at config time (``cfg.plans["timeline"]``): by epoch,
 topology events before fault events, closing hiccup windows before new
 fault events, each plan's canonical order within its kind.
-:class:`Timeline` steps it one layer (a batch) at a time; the engine
-re-places departing OSDs' chunks after the whole batch is applied.
+:class:`Timeline` steps it one layer (a batch) at a time -- ``topology``,
+``faults``, then ``endurance``, whose unscheduled ``wearout`` events fail
+the alive OSDs that reached their rated budget; the engine re-places
+departing OSDs' chunks after the whole batch is applied.
 
-Every departure -- ``fail``, ``drain`` and the endurance layer's
-``wearout`` -- obeys one rule, :func:`departure_room`: an alive OSD may
-leave only while more than ``state.survivor_floor`` OSDs are alive and not
-draining.  A refused departure does not fire; one aimed at an OSD that has
-already left still does.  :meth:`Timeline.dry_run` steps the tuple at
-config time, so only wear-outs can meet the floor at run time.
+Every departure -- ``fail``, ``drain`` and ``wearout`` -- obeys one rule,
+:func:`departure_room`: an alive OSD may leave only while more than
+``state.survivor_floor`` OSDs are alive and not draining.  A refused
+departure does not fire; one aimed at an OSD that has already left still
+does.  :meth:`Timeline.dry_run` steps the plans at config time, so only
+wear-outs can meet the floor at run time.
 
 ``slow`` multiplies an OSD's ``osd_base_capacity`` for good (repeats
-compound); ``hiccup`` scales it only inside its window; ``fail`` pins
-capacity to 0 and ``alive`` to False.  ``add`` grows the cluster by cold
-drives of the event's device class; ``drain`` marks its OSD
-migration-source-only, and :func:`leave` retires it once evacuated.
+compound); ``hiccup`` scales it only inside its window; ``fail`` and
+``wearout`` pin capacity to 0 and ``alive`` to False.  ``add`` grows the
+cluster by cold drives of the event's device class; ``drain`` marks its
+OSD migration-source-only, and :func:`leave` retires it once evacuated.
 
 This module only touches the state object it is handed (duck-typed, no
 engine imports), keeping the faults package import-cycle-free.
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from edm.faults.plan import FaultEvent, FaultPlan
+from edm.faults.plan import WEAROUT_KIND, FaultEvent, FaultPlan
 
 if TYPE_CHECKING:
     from edm.engine.state import ClusterState
@@ -112,9 +115,22 @@ class Timeline:
     def step(self, state: "ClusterState", epoch: int, layer: str) -> list:
         """Apply ``layer``'s events for ``epoch``; returns the events that fired.
 
-        ``layer`` is ``"topology"`` or ``"faults"``.  A fault batch that
-        changed anything recomputes capacity.
+        ``layer`` is ``"topology"``, ``"faults"`` or ``"endurance"``.  A
+        fault batch that changed anything recomputes capacity.  When the
+        room is short for every worn OSD, the most overdrawn wear out (ties
+        to the higher id) and the rest keep serving past their budget.
         """
+        if layer == "endurance":
+            worn = np.flatnonzero(state.osd_alive & (state.osd_wear >= state.osd_rated_life))
+            if worn.size == 0:
+                return []
+            room = departure_room(state)
+            if room < worn.size:
+                overdraft = state.osd_wear[worn] / state.osd_rated_life[worn]
+                worn = np.sort(worn[np.argsort(overdraft, kind="stable")[worn.size - room :]])
+            for osd in worn:
+                leave(state, osd)
+            return [FaultEvent(WEAROUT_KIND, int(osd), epoch) for osd in worn]
         batch = self._batches.get((epoch, layer))
         if batch is None:
             return []
@@ -160,3 +176,4 @@ class Timeline:
             for ev in self.step(state, epoch, layer):
                 if ev.kind == "drain":
                     leave(state, ev.osd)
+

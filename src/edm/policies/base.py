@@ -65,20 +65,20 @@ def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
 def destination_picker(
     policy: "MigrationPolicy", candidates: np.ndarray, state: ClusterState, cfg: SimConfig
 ):
-    """``pick(proj_load, keep=None, explain=False) -> (dst, terms, scores)``.
+    """``pick(proj_load, keep=None) -> (dst, terms, scores)``.
 
     Picks among ``candidates[keep]`` (all when ``keep`` is None; ``keep``
-    keeps at least one); ``terms`` and ``scores`` cover that subset when
-    ``explain``, else are None.  One scorer is built up front, and each pick
-    scores all candidates -- bit-identical to scoring the subset by the
-    scorer contract.  Dropped candidates score +inf, so ``argmin`` finds the
-    subset's first minimum (or first NaN); when every kept score is +inf it
-    lands on a dropped one, and the first kept candidate wins instead, as in
-    the subset.
+    keeps at least one); ``terms`` and ``scores`` cover every candidate (a
+    decision's emitter narrows them to ``keep``).  One scorer is built up
+    front, and each pick scores all candidates -- bit-identical to scoring
+    the subset by the scorer contract.  Dropped candidates score +inf, so
+    ``argmin`` finds the subset's first minimum (or first NaN); when every
+    kept score is +inf it lands on a dropped one, and the first kept
+    candidate wins instead, as in the subset.
     """
     score = policy.scorer(candidates, state, cfg)
 
-    def pick(proj_load, keep=None, explain=False):
+    def pick(proj_load, keep=None):
         terms = score(proj_load)
         scores = sum_terms(terms)
         if keep is None:
@@ -87,13 +87,7 @@ def destination_picker(
             i = np.where(keep, scores, np.inf).argmin()
             if not keep[i]:
                 i = keep.argmax()
-        dst = int(candidates[i])
-        if not explain:
-            return dst, None, None
-        if keep is not None:
-            terms = {k: v[keep] for k, v in terms.items()}
-            scores = scores[keep]
-        return dst, terms, scores
+        return int(candidates[i]), terms, scores
 
     return pick
 
@@ -105,11 +99,12 @@ class MigrationPolicy(ABC):
     def select(self, state: ClusterState, cfg: SimConfig, emit=None) -> np.ndarray:
         """Return an int array (k, 2) of (chunk_id, dst_osd) moves.
 
-        ``emit(chunk, src, dst, candidates, terms, scores)``, when given, is
-        called once per selected move with the per-term score decomposition
-        (see :meth:`scorer`) over the candidate set.  Explanation observes
-        the pick, never changes it: the moves are the same with or without
-        ``emit``.
+        ``emit(chunk, src, dst, candidates, keep, terms, scores)``, when
+        given, is called once per selected move with the per-term score
+        decomposition (see :meth:`scorer`) over ``candidates``, of which the
+        pick's own are ``candidates[keep]`` (all when ``keep`` is None).
+        Explanation observes the pick, never changes it: the moves are the
+        same with or without ``emit``.
         """
 
     def scorer(self, candidates: np.ndarray, state: ClusterState, cfg: SimConfig):
@@ -161,7 +156,6 @@ class ThresholdPolicy(MigrationPolicy):
         # scoring it; each chunk narrows it with a keep-mask.
         dest = np.flatnonzero(alive & ~state.osd_draining)
         pick = destination_picker(self, dest, state, cfg)
-        explain = emit is not None
         w = state.group_width
         pos = candidate_positions(dest, state.num_osds) if w else None
         # Destinations already claimed this round, per placement group:
@@ -195,7 +189,7 @@ class ThresholdPolicy(MigrationPolicy):
                         # claimed for) a member of this chunk's placement
                         # group; the next chunk may differ.
                         continue
-                dst, terms, scores = pick(proj, keep, explain)
+                dst, terms, scores = pick(proj, keep)
                 heat = state.chunk_heat[chunk]
                 # A chunk's load lands scaled by the destination's capacity
                 # (cap == 1.0 everywhere on a healthy cluster, so these
@@ -204,8 +198,8 @@ class ThresholdPolicy(MigrationPolicy):
                 heat_dst = heat / cap[dst]
                 if proj[dst] + heat_dst >= proj[src]:
                     continue
-                if explain:
-                    emit(int(chunk), int(src), dst, dest[keep], terms, scores)
+                if emit is not None:
+                    emit(int(chunk), int(src), dst, dest, keep, terms, scores)
                 if w:
                     claimed.setdefault(group, []).append(dst)
                 moves.append((int(chunk), dst))

@@ -19,7 +19,6 @@ endurance-unaware policy.
 
 import numpy as np
 
-from edm.endurance import wearout_risk
 from edm.policies.base import NormalizedScorePolicy
 
 
@@ -49,7 +48,7 @@ class CmtPolicy(NormalizedScorePolicy):
         wear_norm = wear / wear_scale if wear_scale > 0 else wear
         terms = {"wear": cfg.wear_weight * wear_norm}
         if cfg.endurance:
-            risk = wearout_risk(state)
+            risk = state.wearout_risk()
             risk_scale = np.add.reduce(risk[alive]) / n_alive if n_alive else 0.0
             if risk_scale > 0:
                 terms["wearout_risk"] = cfg.endurance_weight * (

@@ -20,7 +20,6 @@ write traffic whose placement wear leveling exists to steer.
 
 import numpy as np
 
-from edm.endurance import wearout_risk
 from edm.policies.base import NormalizedScorePolicy
 
 
@@ -51,5 +50,5 @@ class PswlPolicy(NormalizedScorePolicy):
             # Bounded in [0, 1]; no cluster-mean normalization -- the
             # absolute proximity to wear-out is the signal, and a mean over
             # mostly-healthy drives would dilute the one that matters.
-            terms["life"] = cfg.endurance_weight * wearout_risk(state)[candidates]
+            terms["life"] = cfg.endurance_weight * state.wearout_risk()[candidates]
         return terms

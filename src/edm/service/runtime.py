@@ -259,7 +259,7 @@ class ServiceRuntime(Recorder):
         scheme = cfg.plans["redundancy"]
         self._reads_per_loss = scheme.reads_per_loss if scheme else 0
 
-    def on_topology(self, state, event, moved: int) -> None:
+    def on_event(self, state, event, moved: int) -> None:
         """Give added drives their class's rate (else the model's default);
         discard a drained OSD's queue and pending work, not as lost work."""
         if event.kind == "add":
@@ -268,7 +268,7 @@ class ServiceRuntime(Recorder):
             self.rate = np.append(self.rate, np.full(event.count, rate))
             self.depth = np.append(self.depth, np.zeros(event.count))
             self.backlog = np.append(self.backlog, np.zeros(event.count))
-        else:
+        elif event.kind == "drain":
             self.depth[event.osd] = 0.0
             self.backlog[event.osd] = 0.0
 

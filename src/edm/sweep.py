@@ -61,6 +61,7 @@ from edm.obs import (
 )
 from edm.obs.log import ROOT_LOGGER_NAME
 from edm.telemetry import Recorder, TimeSeriesRecorder
+from edm.topology import TOPOLOGY_KINDS
 
 __all__ = ["SUMMARY_KEYS", "SweepResult", "default_grid", "series_path", "sweep"]
 
@@ -135,30 +136,30 @@ class _FaultLogRecorder(Recorder):
         self._run_id = run_id
         self._config_name = config_name
 
-    def on_fault(self, state, event, replaced: int) -> None:
-        self._writer.emit(
-            "fault",
-            run_id=self._run_id,
-            config=self._config_name,
-            kind=event.kind,
-            osd=int(event.osd),
-            epoch=int(state.epoch),
-            factor=float(event.factor),
-            replaced=int(replaced),
-        )
-
-    def on_topology(self, state, event, moved: int) -> None:
-        self._writer.emit(
-            "topology",
-            run_id=self._run_id,
-            config=self._config_name,
-            kind=event.kind,
-            epoch=int(event.epoch),
-            count=int(event.count),
-            osd=int(event.osd),
-            moved=int(moved),
-            osds_total=int(state.num_osds),
-        )
+    def on_event(self, state, event, moved: int) -> None:
+        if event.kind in TOPOLOGY_KINDS:
+            self._writer.emit(
+                "topology",
+                run_id=self._run_id,
+                config=self._config_name,
+                kind=event.kind,
+                epoch=int(event.epoch),
+                count=int(event.count),
+                osd=int(event.osd),
+                moved=int(moved),
+                osds_total=int(state.num_osds),
+            )
+        else:
+            self._writer.emit(
+                "fault",
+                run_id=self._run_id,
+                config=self._config_name,
+                kind=event.kind,
+                osd=int(event.osd),
+                epoch=int(state.epoch),
+                factor=float(event.factor),
+                replaced=int(moved),
+            )
 
 
 @dataclass(frozen=True)
@@ -322,7 +323,6 @@ def sweep(
     cache_dir=DEFAULT_CACHE_DIR,
     workers: int | None = None,
     force: bool = False,
-    use_cache: bool = True,
     timeseries_dir: str | os.PathLike | None = None,
     record_every: int = 1,
     run_log: str | os.PathLike | None = None,
@@ -332,7 +332,9 @@ def sweep(
 ) -> SweepResult:
     """Run every config, returning results in the order given.
 
-    ``force=True`` re-simulates even on a cache hit (and refreshes the cache).
+    ``cache_dir=None`` runs uncached: full metrics cross back in
+    ``records`` and nothing is written.  ``force=True`` re-simulates even
+    on a cache hit (and refreshes the cache).
     ``workers`` <= 1 runs inline with no pool; the default is the CPU count.
     ``timeseries_dir`` additionally writes one ``.npz`` per config (sampled
     every ``record_every`` epochs), re-simulating configs whose series file
@@ -343,8 +345,7 @@ def sweep(
     created implicitly when ``run_log`` is set so the ``sweep_end`` record
     always carries stage timings.  The summary lands on ``SweepResult.timings``.
     With the cache on, workers store full metrics and return slim
-    summaries (see module docstring); ``use_cache=False`` returns full
-    metrics in ``records`` and writes nothing.
+    summaries (see module docstring).
     ``trace_events`` appends every span *occurrence* -- parent sweep stages
     and worker simulate phases alike -- as JSONL to one file, convertible to
     a Chrome/Perfetto timeline with ``edm trace export`` (see
@@ -363,7 +364,8 @@ def sweep(
     writer = RunLogWriter(run_log, sweep_id=sweep_id) if run_log is not None else None
     t_start = time.perf_counter()
 
-    cache = ResultCache(cache_dir) if use_cache else None
+    cache_arg = str(cache_dir) if cache_dir is not None else None
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
     ts_dir = Path(timeseries_dir) if timeseries_dir is not None else None
     slots: list[dict | None] = [None] * len(configs)
     pending: list[int] = []
@@ -400,7 +402,6 @@ def sweep(
     if pending:
         ts_dir_arg = str(ts_dir) if ts_dir is not None else None
         run_log_arg = str(run_log) if run_log is not None else None
-        cache_arg = str(cache_dir) if use_cache else None
         trace_arg = str(trace_events) if trace_events is not None else None
         level = logging.getLogger(ROOT_LOGGER_NAME).getEffectiveLevel()
         tasks = [
@@ -442,7 +443,7 @@ def sweep(
         simulated=len(pending),
         timings=tr.summary() if tr.enabled else None,
         configs=tuple(configs),
-        cache_dir=str(cache_dir) if use_cache else None,
+        cache_dir=cache_arg,
     )
     if writer is not None:
         writer.emit(

@@ -3,21 +3,18 @@
 ``simulate(cfg, recorders=...)`` -- a :class:`~edm.engine.core.Run` stepped
 through every epoch, each :meth:`~edm.engine.core.Run.step` drawing the
 run's own traffic, or :meth:`~edm.engine.core.Run.advance` fed traffic by
-its caller -- drives every recorder through the same nine hooks:
+its caller -- drives every recorder through the same eight hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
     on_service(service)             once, after on_run_start, on a run with a
                                     service model: its ServiceRuntime, whose
                                     per-epoch series are complete by finalize
-    on_topology(state, event, moved)
-                                    when a topology event fires (scale-out /
-                                    drain), after the add's growth or the
-                                    drain's evacuation + retire, before that
-                                    epoch's fault step and routing
-    on_fault(state, event, replaced)
-                                    when a fault event fires (failure /
-                                    slow-disk / hiccup), after any failure
-                                    re-placement, before that epoch's routing
+    on_event(state, event, moved)   when a departure-timeline event fires
+                                    (add / drain, fail / slow / hiccup,
+                                    wearout; in that layer order within an
+                                    epoch), after its growth or its
+                                    departure's re-placement burst, before
+                                    that epoch's routing
     on_decision(state, decision)    per destination pick, when *any* recorder
                                     overrides this hook (opt-in: overriding it
                                     is what switches the engine onto the
@@ -115,15 +112,16 @@ class Recorder:
         :meth:`~edm.service.ServiceRuntime.epoch_series` are complete by
         :meth:`finalize`."""
 
-    def on_topology(self, state: "ClusterState", event: "TopologyEvent", moved: int) -> None:
-        """Called when a topology event fires; ``moved`` counts chunks
-        evacuated off a drained OSD (0 for scale-out events).  For adds the
-        state has already grown -- the newest ``event.count`` ids are the
-        cold drives; for drains the target is already retired."""
-
-    def on_fault(self, state: "ClusterState", event: "FaultEvent", replaced: int) -> None:
-        """Called when a fault event fires; ``replaced`` counts chunks
-        re-placed off a failed OSD (0 for slow-disk / hiccup events)."""
+    def on_event(
+        self, state: "ClusterState", event: "TopologyEvent | FaultEvent", moved: int
+    ) -> None:
+        """Called when a departure-timeline event fires; ``event.kind``
+        tells which.  ``moved`` counts the chunks re-placed off the leaving
+        OSD of a ``fail``, ``wearout`` or ``drain`` -- the batch
+        :meth:`on_move` saw just before, or 0 with no batch when the OSD
+        held none -- and is 0 for ``add``, ``slow`` and ``hiccup``.  For
+        an add the state has already grown -- the newest ``event.count``
+        ids are the cold drives; a departed OSD has already left."""
 
     def on_decision(self, state: "ClusterState", decision: "Decision") -> None:
         """Called per destination pick with its score decomposition.

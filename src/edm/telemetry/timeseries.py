@@ -205,8 +205,9 @@ class TimeSeriesRecorder(Recorder):
     def on_migration(self, state: "ClusterState", applied: int, stats: EpochStats) -> None:
         self._window += applied
 
-    def on_fault(self, state: "ClusterState", event, replaced: int) -> None:
-        self._repl_window += replaced
+    def on_event(self, state: "ClusterState", event, moved: int) -> None:
+        if event.kind != "drain":  # an evacuation is no failure re-placement
+            self._repl_window += moved
 
     def finalize(self, state: "ClusterState", final_load: np.ndarray) -> TimeSeries:
         cfg = self._cfg

@@ -10,7 +10,7 @@ every per-OSD column with cold drives of the event's device class (zero
 wear and load, so policies see them as prime destinations -- the paper's
 wear-vs-load tension at its sharpest), and a ``drain``'s OSD is evacuated
 through the active policy's destination scoring while still alive, then
-retired.  Every fired event fans out to recorders via ``on_topology``.
+retired.  Every fired event fans out to recorders via ``on_event``.
 """
 
 from edm.topology.spec import ADD_ATTRS, TOPOLOGY_KINDS, TopologyEvent, TopologyPlan

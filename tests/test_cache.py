@@ -171,9 +171,9 @@ def test_forced_sweep_probes_nothing(tmp_path):
     assert res.simulated == len(grid)
 
 
-def test_no_cache_sweep_reports_pending_as_misses(tmp_path):
+def test_no_cache_sweep_reports_pending_as_misses():
     grid = counter_grid()[:3]
-    res = sweep(grid, cache_dir=tmp_path, workers=1, use_cache=False)
+    res = sweep(grid, cache_dir=None, workers=1)
     assert (res.cache_hits, res.cache_misses, res.cache_invalidated) == (0, 3, 0)
     assert res.simulated == 3
 
@@ -187,5 +187,5 @@ def test_corrupt_entry_counts_invalidated_and_resimulates(tmp_path):
     assert (res.cache_hits, res.cache_misses, res.cache_invalidated) == (3, 1, 1)
     assert res.simulated == 1
     # The corrupt entry was rewritten with a good result.
-    fresh = sweep(grid[:1], workers=1, use_cache=False)
+    fresh = sweep(grid[:1], cache_dir=None, workers=1)
     assert ResultCache(tmp_path).load(grid[0]) == fresh.records[0]

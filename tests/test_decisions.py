@@ -25,7 +25,7 @@ from edm.obs.decisions import (
     winner_index,
 )
 from edm.policies import POLICIES, get_policy
-from edm.policies.base import destination_picker
+from edm.policies.base import destination_picker, sum_terms
 
 FAULTED_ENDURED = dict(faults="fail:1@12", endurance="pe:2000")
 
@@ -65,9 +65,15 @@ def test_explain_destination_matches_pick(policy_name, endurance):
         keep[int(rng.integers(k))] = True
         proj = rng.uniform(0.1, 4.0, size=cfg.num_osds)
         pick = destination_picker(policy, candidates, state, cfg)
-        dst, terms, scores = pick(proj, keep, explain=True)
-        assert dst == pick(proj, keep)[0]
-        assert dst == int(candidates[keep][np.argmin(scores)])
+        dst, terms, scores = pick(proj, keep)
+        # Every candidate is scored; narrowed to ``keep`` (as the run's
+        # emitter narrows a decision), they are the subset scorer's.
+        want = policy.scorer(candidates[keep], state, cfg)(proj)
+        assert list(terms) == list(want)
+        for key in terms:
+            np.testing.assert_array_equal(terms[key][keep], want[key])
+        np.testing.assert_array_equal(scores[keep], sum_terms(want))
+        assert dst == int(candidates[keep][np.argmin(scores[keep])])
         # The folded terms ARE the scores (left-to-right addition order).
         folded = None
         for term in terms.values():
@@ -77,7 +83,7 @@ def test_explain_destination_matches_pick(policy_name, endurance):
 
 def explained_terms(policy, cfg, state):
     pick = destination_picker(policy, np.arange(cfg.num_osds), state, cfg)
-    return pick(np.ones(cfg.num_osds), explain=True)[1]
+    return pick(np.ones(cfg.num_osds))[1]
 
 
 def test_cmt_terms_include_wear_and_risk():

@@ -21,7 +21,7 @@ import pytest
 
 from edm.config import POLICIES, WORKLOADS, SimConfig
 from edm.engine.core import simulate
-from edm.faults import FaultPlan
+from edm.faults import FaultPlan, Timeline
 from edm.redundancy import RedundancyScheme
 from edm.spec import SpecError
 from edm.telemetry import Recorder
@@ -101,10 +101,7 @@ class FiredEvents(Recorder):
         self.fired = []
         self.alive = []
 
-    def on_fault(self, state, event, moved):
-        self.fired.append((event.epoch, event.kind, event.osd, moved))
-
-    def on_topology(self, state, event, moved):
+    def on_event(self, state, event, moved):
         self.fired.append((event.epoch, event.kind, event.osd, moved))
 
     def on_epoch(self, state, load, stats):
@@ -171,3 +168,62 @@ def test_fired_sequences_are_pinned():
     fired = [run_plan(kw)[0] for kw in ACCEPTED]
     assert sum(map(len, fired)) == 1030
     assert hashlib.sha256(json.dumps(fired).encode()).hexdigest() == FIRED_DIGEST
+
+
+# Every layer fires at epoch 4: the add and the drain, then the failure,
+# hiccup and slow-down, then OSD 0's wear-out, whose rating it reaches then.
+EVERY_LAYER = dict(
+    num_osds=8, chunks_per_osd=8, epochs=24, requests_per_epoch=1024, seed=1,
+    topology="add:2@4;drain:3@4", faults="slow:2@4x0.5;hiccup:4@4+3x0.25;fail:1@4",
+    endurance="pe:800@0,100000@1-7",
+)
+LAYER_RANK = {"add": 0, "drain": 0, "fail": 1, "slow": 1, "hiccup": 1, "wearout": 2}
+BURST_TRIGGER = {"fail": "fault", "wearout": "wearout", "drain": "drain"}
+
+
+class EventMoveSpy(Recorder):
+    """Checks each event's ``moved`` against the ``on_move`` batches that
+    fired since the previous event (or migration round)."""
+
+    def __init__(self):
+        self.events = []   # (epoch, event, moved)
+        self.batches = []  # (trigger, size) since the last event or round
+
+    def on_move(self, state, chunks, src, dst, trigger):
+        self.batches.append((trigger, chunks.size))
+
+    def on_event(self, state, event, moved):
+        trigger = BURST_TRIGGER.get(event.kind)
+        if trigger is None:
+            assert moved == 0 and self.batches == [], event
+        else:
+            # An OSD that held no chunks moves none and fires no batch.
+            assert self.batches == ([(trigger, moved)] if moved else []), event
+        self.batches = []
+        self.events.append((state.epoch, event, moved))
+
+    def on_migration(self, state, applied, stats):
+        self.batches = []
+
+
+def test_every_timeline_layer_reaches_on_event_once_in_order(monkeypatch):
+    cfg = SimConfig(**EVERY_LAYER)  # before the spy: the dry run steps too
+    fired, real = [], Timeline.step
+
+    def step(self, state, epoch, layer):
+        events = real(self, state, epoch, layer)
+        fired.extend(events)
+        return events
+
+    monkeypatch.setattr(Timeline, "step", step)
+    spy = EventMoveSpy()
+    simulate(cfg, recorders=(spy,))
+    # Each fired event reaches the hook once, in firing order ...
+    assert len(spy.events) == len(fired)
+    assert all(ev is want for (_, ev, _), want in zip(spy.events, fired))
+    # ... which is layer order within an epoch.
+    ranks = [(epoch, LAYER_RANK[ev.kind]) for epoch, ev, _ in spy.events]
+    assert ranks == sorted(ranks)
+    assert {ev.kind for _, ev, _ in spy.events} == set(LAYER_RANK)
+    assert {rank for epoch, rank in ranks if epoch == 4} == {0, 1, 2}
+    assert all(moved > 0 for _, ev, moved in spy.events if ev.kind in BURST_TRIGGER)

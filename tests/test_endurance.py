@@ -1,5 +1,7 @@
-"""Endurance model: spec parsing, lifetime tracking, CMT steering, wear-out
-failures under the departure timeline's survivor floor, and config/CLI/cache integration."""
+"""Endurance model: spec parsing, lifetime tracking (ratings installed by
+``init_state``, the wear-rate EWMA folded by the epoch kernel), CMT steering,
+wear-out failures as the departure timeline's ``endurance`` layer under its
+survivor floor, and config/CLI/cache integration."""
 
 import json
 
@@ -9,8 +11,10 @@ import pytest
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
 from edm.config import SimConfig, config_hash, rng_seed_sequence
-from edm.endurance import EnduranceModel, EnduranceTracker, wearout_risk
+from edm.endurance import EnduranceModel
 from edm.engine.core import simulate
+from edm.engine.kernels import EpochKernel
+from edm.engine.state import init_state
 from edm.faults import FaultEvent, Timeline
 from edm.obs import read_run_log
 from edm.policies import get_policy
@@ -135,47 +139,66 @@ def test_remaining_life_and_prediction(small_cfg):
     assert np.isinf(pred[1])  # no measured write rate -> never
     assert pred[2] == 0.0
     assert np.isinf(pred[3])  # unrated -> never
-    risk = wearout_risk(state)
+    risk = state.wearout_risk()
     assert risk[0] == pytest.approx(1.0 / 9.0)
     assert risk[1] == 0.0
     assert risk[2] == 1.0
     assert (risk >= 0).all() and (risk <= 1).all()
 
 
-def test_tracker_attach_and_rate_ewma(small_cfg):
+def rated_state(cfg, wear):
+    """``init_state(cfg)`` (ratings installed) with the given per-OSD wear."""
+    state = init_state(cfg)
+    state.osd_wear[:] = wear
+    return state
+
+
+def wear_outs(state, epoch):
+    """The departure timeline's endurance layer, stepped once."""
+    return Timeline(()).step(state, epoch, "endurance")
+
+
+def test_init_state_rates_and_kernel_folds_rate_ewma():
     cfg = cfg_factory(endurance="pe:5000", wear_rate_alpha=0.5)
-    state = make_state(cfg)
-    tracker = EnduranceTracker(EnduranceModel.parse(cfg.endurance, 4), cfg)
-    tracker.attach(state)
+    state = init_state(cfg)
     assert state.osd_rated_life.tolist() == [5000.0] * 4
+    kernel = EpochKernel(cfg)
+    idle = np.zeros(cfg.num_chunks)
+    # Wear applied between folds (as migration wear is) enters the delta.
     state.osd_wear += np.array([10.0, 0.0, 20.0, 0.0])
-    tracker.update_rate(state)
+    kernel.epoch_update(state, idle, idle)
     assert state.osd_wear_rate.tolist() == [5.0, 0.0, 10.0, 0.0]
     state.osd_wear += 10.0
-    tracker.update_rate(state)
+    kernel.epoch_update(state, idle, idle)
     assert state.osd_wear_rate.tolist() == [7.5, 5.0, 10.0, 5.0]
 
 
-def test_tracker_fails_worn_osds_in_id_order(small_cfg):
+def test_unrated_kernel_folds_no_rate():
+    cfg = cfg_factory()
+    state = init_state(cfg)
+    assert np.isinf(state.osd_rated_life).all()
+    writes = np.ones(cfg.num_chunks)
+    EpochKernel(cfg).epoch_update(state, writes, writes)
+    assert state.osd_wear.sum() > 0
+    assert (state.osd_wear_rate == 0).all() and (state.osd_wear_seen == 0).all()
+
+
+def test_wearouts_fail_worn_osds_in_id_order():
     cfg = cfg_factory(endurance="pe:1000,500@1,200@3")
-    state = make_state(cfg, wear=[100.0, 600.0, 100.0, 300.0])
-    tracker = EnduranceTracker(EnduranceModel.parse(cfg.endurance, 4), cfg)
-    tracker.attach(state)
-    events = tracker.step(state, epoch=9)
+    state = rated_state(cfg, [100.0, 600.0, 100.0, 300.0])
+    events = wear_outs(state, epoch=9)
     assert [ev.render() for ev in events] == ["wearout:1@9", "wearout:3@9"]
     assert state.osd_alive.tolist() == [True, False, True, False]
     assert state.osd_capacity[1] == state.osd_capacity[3] == 0.0
     # Dead OSDs are never re-failed on later steps.
-    assert tracker.step(state, epoch=10) == []
+    assert wear_outs(state, epoch=10) == []
 
 
-def test_last_survivor_guard_keeps_most_headroom(small_cfg):
+def test_last_survivor_guard_keeps_most_headroom():
     cfg = cfg_factory(endurance="pe:100")
     # Everyone past the rating at once: the least-overdrawn OSD (2) survives.
-    state = make_state(cfg, wear=[250.0, 300.0, 120.0, 180.0])
-    tracker = EnduranceTracker(EnduranceModel.parse(cfg.endurance, 4), cfg)
-    tracker.attach(state)
-    events = tracker.step(state, epoch=3)
+    state = rated_state(cfg, [250.0, 300.0, 120.0, 180.0])
+    events = wear_outs(state, epoch=3)
     assert sorted(ev.osd for ev in events) == [0, 1, 3]
     assert state.osd_alive.tolist() == [False, False, True, False]
 
@@ -185,16 +208,14 @@ def test_survivor_floor_keeps_one_placement_group_alive():
     # fresh, so two worn OSDs are spared -- the least overdrawn, and on the
     # 1.5 tie between OSDs 2 and 5 the lower id.
     cfg = cfg_factory(num_osds=6, endurance="pe:100", redundancy="rep:3")
-    state = make_state(cfg, wear=[50.0, 300.0, 150.0, 200.0, 120.0, 150.0])
-    state.group_width = 3
-    tracker = EnduranceTracker(EnduranceModel.parse(cfg.endurance, 6), cfg)
-    tracker.attach(state)
-    events = tracker.step(state, epoch=3)
+    state = rated_state(cfg, [50.0, 300.0, 150.0, 200.0, 120.0, 150.0])
+    assert state.group_width == 3
+    events = wear_outs(state, epoch=3)
     assert [ev.osd for ev in events] == [1, 3, 5]
     assert state.osd_alive.tolist() == [True, False, True, False, True, False]
     # At the floor, nothing more wears out.
     state.osd_wear[:] = 1e6
-    assert tracker.step(state, epoch=4) == []
+    assert wear_outs(state, epoch=4) == []
 
 
 @pytest.mark.parametrize("redundancy", ["rep:3", "ec:4+2"])

@@ -189,7 +189,7 @@ class SurvivorCovOracle(Recorder):
         self.covs, self.alive_covs = [], []
         self.start, self.recovery, self.baseline = None, -1, 0.0
 
-    def on_fault(self, state, event, replaced):
+    def on_event(self, state, event, moved):
         if event.kind == "fail":
             self.baseline = sum(self.covs) / max(len(self.covs), 1)
             self.start, self.recovery = state.epoch, -1
@@ -234,12 +234,12 @@ def test_dead_osd_serves_no_load_after_failure():
     assert s.replacements[s.epoch == 8].sum() == s.replacements.sum()
 
 
-def test_on_fault_hook_fires_in_schedule_order():
+def test_on_event_hook_fires_in_schedule_order():
     seen = []
 
     class Spy(Recorder):
-        def on_fault(self, state, event, replaced):
-            seen.append((state.epoch, event.render(), replaced))
+        def on_event(self, state, event, moved):
+            seen.append((state.epoch, event.render(), moved))
 
     cfg = cfg_with(faults="slow:2@4x0.5;fail:1@8")
     simulate(cfg, recorders=(Spy(),))

@@ -5,16 +5,18 @@ surface contract, not just the paper's four:
 
   * selection never lands a chunk on a dead or draining OSD, and
     ``select(..., emit)`` returns the same moves as ``select(...)``, each
-    emitted once -- an explained pick is always the pick;
+    emitted once with a keep-mask that holds its destination -- an
+    explained pick is always the pick;
   * ``scorer`` is **candidate-independent**: ``scorer(superset)(proj)``
     masked to a subset equals ``scorer(subset)(proj)`` bit-for-bit -- the
     engine scores a burst's whole candidate set once per pick and subsets
     it per chunk, so a policy whose terms depend on who else is a candidate
     would silently change results;
   * the masked pick is the subset pick: ``pick(proj, keep)`` lands where
-    scoring ``candidates[keep]`` from scratch does, and where the explained
-    pick does -- on random masks, tied scores, a kept subset scoring all
-    +inf (the picker's fallback) and a NaN score.
+    scoring ``candidates[keep]`` from scratch does, and its terms and
+    scores narrowed to ``keep`` -- what a decision reports -- are that
+    subset scorer's, bit for bit -- on random masks, tied scores, a kept
+    subset scoring all +inf (the picker's fallback) and a NaN score.
 
 The checks run against *live* engine states sampled mid-run (via a
 Recorder) across a seeded draw of the fault x endurance x service x
@@ -86,7 +88,7 @@ def check_scorer_contract(policy, state, cfg, rows, rng):
 
 
 def check_masked_pick(policy, state, cfg, rows, rng):
-    """``pick(proj, keep)`` == the subset formulation == the explained pick.
+    """``pick(proj, keep)`` == the subset formulation, pick and scores.
 
     Returns how many cases took the picker's fallback (every kept score
     +inf).
@@ -117,10 +119,12 @@ def check_masked_pick(policy, state, cfg, rows, rng):
         pick = destination_picker(policy, candidates, st, cfg)
         subset = candidates[keep]
         with np.errstate(invalid="ignore"):  # inf - inf in the NaN cases
-            dst = pick(proj, keep)[0]
-            assert dst == pick(proj, keep, explain=True)[0]
-            scores = sum_terms(policy.scorer(subset, st, cfg)(proj))
+            dst, terms, picked = pick(proj, keep)
+            want = policy.scorer(subset, st, cfg)(proj)
+            scores = sum_terms(want)
         assert dst == subset[np.argmin(scores)], (policy.name, proj, keep)
+        assert_same_terms({k: v[keep] for k, v in terms.items()}, want)
+        assert picked[keep].tobytes() == scores.tobytes()
         fallbacks += bool(np.all(scores == np.inf))
     return fallbacks
 
@@ -179,9 +183,12 @@ class ConformanceChecker(Recorder):
         # draining OSD.  (select never mutates state, so calling it here
         # does not perturb the run.)
         picks = []
-        moves = policy.select(
-            state, cfg, lambda c, s, d, cand, t, sc: picks.append((c, d))
-        )
+
+        def emit(c, s, d, cand, keep, t, sc):
+            assert d in (cand if keep is None else cand[keep])
+            picks.append((c, d))
+
+        moves = policy.select(state, cfg, emit)
         plain = policy.select(state, cfg)
         assert np.array_equal(moves, plain), (
             f"{policy.name}: explained select diverged from plain select"

@@ -45,22 +45,29 @@ def scenario(policy, redundancy):
 
 
 def assert_same_decisions(got, want):
-    """Emitted ``(*ids, candidates, terms, scores)`` tuples, compared bytewise."""
+    """The run's emitted :class:`Decision` records against the reference's
+    ``(*ids, candidates, terms, scores)`` tuples over each pick's own
+    candidate subset, compared bytewise."""
     assert len(got) == len(want)
-    for (*ids, cand, terms, scores), (*rids, rcand, rterms, rscores) in zip(got, want):
+    for d, (*rids, rcand, rterms, rscores) in zip(got, want):
+        ids = [d.chunk, d.src, d.dst] if len(rids) == 3 else [d.chunk, d.dst]
         assert ids == rids
-        assert cand.tobytes() == rcand.tobytes()
-        assert list(terms) == list(rterms)
-        for key in terms:
-            assert np.asarray(terms[key]).tobytes() == np.asarray(rterms[key]).tobytes(), key
-        assert scores.tobytes() == rscores.tobytes()
+        assert np.array(d.candidates).tobytes() == rcand.astype(np.int64).tobytes()
+        assert list(d.terms) == list(rterms)
+        for key in d.terms:
+            want = np.asarray(rterms[key], dtype=np.float64)
+            assert np.array(d.terms[key]).tobytes() == want.tobytes(), key
+        assert np.array(d.scores).tobytes() == rscores.astype(np.float64).tobytes()
 
 
 class Explaining(Recorder):
     """Overrides on_decision, which makes every burst emit its decisions."""
 
+    def __init__(self):
+        self.decisions = []
+
     def on_decision(self, state, decision):
-        pass
+        self.decisions.append(decision)
 
 
 @pytest.mark.parametrize("redundancy", SCHEMES, ids=lambda s: s or "plain")
@@ -68,30 +75,35 @@ class Explaining(Recorder):
 def test_assign_sequential_matches_reference_on_every_burst(policy, redundancy, monkeypatch):
     real = core_mod._assign_sequential
     bursts = []
+    explaining = Explaining()
 
     def checked(order, proj, alive_ids, pol, state, cfg, forbid=None, emit=None):
         ref_proj, ref_log = proj.copy(), []
         ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
         assign_reference(order, proj.copy(), alive_ids, pol, state, cfg,
                          emit=lambda *d: ref_log.append(d))
-        exp_proj, log = proj.copy(), []
+        exp_proj = proj.copy()
         explained = real(order, exp_proj, alive_ids, pol, state, cfg, forbid,
-                         emit=lambda *d: log.append(d))
+                         emit=lambda *d: None)
+        seen = len(explaining.decisions)
         dsts = real(order, proj, alive_ids, pol, state, cfg, forbid, emit)
         assert dsts.tolist() == ref.tolist() == explained.tolist()
         assert proj.tobytes() == ref_proj.tobytes() == exp_proj.tobytes()
-        assert_same_decisions(log, ref_log)
+        if emit is not None:
+            # The run's emitter narrows each pick to its own candidates.
+            assert_same_decisions(explaining.decisions[seen:], ref_log)
         bursts.append(order.size)
         return dsts
 
     monkeypatch.setattr(core_mod, "_assign_sequential", checked)
     # Unexplained and explained runs: the engine passes ``emit`` through.
-    for recorders in ((), (Explaining(),)):
+    for recorders in ((), (explaining,)):
         metrics = simulate(scenario(policy, redundancy), recorders=recorders)
         assert metrics["fault_failures"] == 1
         assert metrics["wearouts_total"] == 1
         assert metrics["drain_moves_total"] > 0
     assert len(bursts) == 6 and all(bursts)
+    assert {d.trigger for d in explaining.decisions} >= {"fault", "drain", "wearout"}
 
 
 @pytest.mark.parametrize("redundancy", ["", "rep:3", "ec:4+2"], ids=lambda s: s or "plain")
@@ -120,23 +132,33 @@ def test_replace_dead_chunks_matches_reference_for_every_victim(policy, redundan
 
 
 class SelectionChecker(Recorder):
-    """Compares every round's selection with the reference on the live state."""
+    """Compares every round's selection with the reference on the live state,
+    and the run's emitted decisions with the reference's."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.policy = get_policy(cfg.policy)
         self.rounds = 0
+        self.ref_log, self.decisions = [], []
+        self.emitted = 0  # decisions checked against the reference
 
     def on_epoch(self, state, load, stats):
         cfg = self.cfg
-        log, ref_log = [], []
-        moves = self.policy.select(state, cfg, lambda *d: log.append(d))
-        ref = select_reference(self.policy, state, cfg, emit=lambda *d: ref_log.append(d))
+        self.ref_log, self.decisions = [], []
+        moves = self.policy.select(state, cfg, lambda *d: None)
+        ref = select_reference(self.policy, state, cfg, emit=lambda *d: self.ref_log.append(d))
         assert moves.tobytes() == ref.tobytes()
         assert self.policy.select(state, cfg).tobytes() == ref.tobytes()
         assert select_reference(self.policy, state, cfg).tobytes() == ref.tobytes()
-        assert_same_decisions(log, ref_log)
         self.rounds += bool(ref.size)
+
+    def on_decision(self, state, decision):
+        self.decisions.append(decision)
+
+    def on_migration(self, state, applied, stats):
+        # The engine selected on the state on_epoch saw, through its emitter.
+        assert_same_decisions(self.decisions, self.ref_log)
+        self.emitted += len(self.decisions)
 
 
 @pytest.mark.parametrize("redundancy", SCHEMES, ids=lambda s: s or "plain")
@@ -148,6 +170,7 @@ def test_threshold_selection_matches_reference_every_epoch(policy, redundancy):
     checker = SelectionChecker(cfg)
     simulate(cfg, recorders=(checker,))
     assert checker.rounds > 0
+    assert checker.emitted > 0
 
 
 class WorstFit(ThresholdPolicy):

@@ -185,7 +185,7 @@ def test_cached_metrics_never_contain_timings(tmp_path):
     grid = tiny_grid(n_policies=1)
     traced = sweep(grid, cache_dir=tmp_path / "c", workers=1, run_log=tmp_path / "l.jsonl")
     warm = sweep(grid, cache_dir=tmp_path / "c", workers=1)
-    plain = sweep(grid, workers=1, use_cache=False)
+    plain = sweep(grid, cache_dir=None, workers=1)
     assert all("timings" not in m for m in traced.iter_results())
     assert list(traced.iter_results()) == plain.records
     assert warm.records == traced.records

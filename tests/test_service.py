@@ -386,12 +386,12 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
             for (state, rt), size in zip(runs, (1, block)):
                 if event == "add":
                     state.grow(2)
-                    rt.on_topology(state, TopologyEvent("add", epoch, count=2, rate=add_rate), 0)
+                    rt.on_event(state, TopologyEvent("add", epoch, count=2, rate=add_rate), 0)
                 elif event != "none":
                     state.osd_alive[osd] = False
                     state.osd_capacity[osd] = 0.0
                     if event == "drain":  # retired: its queues are discarded
-                        rt.on_topology(state, TopologyEvent("drain", epoch, osd=osd), 0)
+                        rt.on_event(state, TopologyEvent("drain", epoch, osd=osd), 0)
                 monkeypatch.setattr(runtime, "EPOCH_BLOCK", size)  # read at (re)allocation
                 with np.errstate(over="ignore"):
                     rt.step(state, np.concatenate((arrivals, [7.0, 9.0]))[: state.num_osds])

@@ -51,7 +51,7 @@ def test_cold_then_warm_identical_results(tmp_path):
     assert warm.cache_hits == len(grid)
     assert warm.records == cold.records
     # Both read the same cache, so check it against a fresh simulation.
-    fresh = sweep(grid, workers=1, use_cache=False)
+    fresh = sweep(grid, cache_dir=None, workers=1)
     assert list(warm.iter_results()) == fresh.records
 
 
@@ -71,9 +71,12 @@ def test_parallel_matches_inline(tmp_path):
     assert list(inline.iter_results()) == list(pooled.iter_results())
 
 
-def test_no_cache_mode(tmp_path):
+def test_no_cache_mode(tmp_path, monkeypatch):
+    # Uncached, nothing is written anywhere: not even the default cache
+    # directory under the working directory.
+    monkeypatch.chdir(tmp_path)
     grid = tiny_grid()[:2]
-    res = sweep(grid, cache_dir=tmp_path, workers=1, use_cache=False)
+    res = sweep(grid, cache_dir=None, workers=1)
     assert res.simulated == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -177,7 +180,7 @@ def test_sweep_progress_smoke(tmp_path, capsys):
 
 def test_stream_summaries_match_eager_results(tmp_path):
     grid = tiny_grid()
-    eager = sweep(grid, workers=1, use_cache=False)
+    eager = sweep(grid, cache_dir=None, workers=1)
     cached = sweep(grid, cache_dir=tmp_path, workers=1)
     assert cached.simulated == len(grid)
     for cfg, slim, full in zip(grid, cached.records, eager.records):
@@ -211,25 +214,26 @@ def test_stream_interrupted_sweep_resumes_from_worker_spills(tmp_path):
         sweep(grid, cache_dir=tmp_path, workers=2)
     resumed = sweep(good, cache_dir=tmp_path, workers=2)
     assert resumed.simulated == 0 and resumed.cache_hits == len(good)
-    assert list(resumed.iter_results()) == sweep(good, workers=1, use_cache=False).records
+    assert list(resumed.iter_results()) == sweep(good, cache_dir=None, workers=1).records
 
 
 def test_stream_matches_eager_across_pool_boundary(tmp_path):
     grid = tiny_grid()
     pooled = sweep(grid, cache_dir=tmp_path, workers=2)
-    inline = sweep(grid, workers=1, use_cache=False)
+    inline = sweep(grid, cache_dir=None, workers=1)
     assert list(pooled.iter_results()) == inline.records
 
 
-def test_uncached_pool_matches_cached_pool(tmp_path):
+def test_uncached_pool_matches_cached_pool(tmp_path, monkeypatch):
     # Uncached, full metrics cross the pool; cached, they go through the
     # workers' cache stores.  Both transports carry the same results.
+    monkeypatch.chdir(tmp_path)
     grid = tiny_grid()
-    uncached = sweep(grid, cache_dir=tmp_path / "none", workers=2, use_cache=False)
+    uncached = sweep(grid, cache_dir=None, workers=2)
+    assert list(tmp_path.iterdir()) == []
     cached = sweep(grid, cache_dir=tmp_path / "c", workers=2)
     assert uncached.simulated == cached.simulated == len(grid)
     assert list(uncached.iter_results()) == list(cached.iter_results())
-    assert not (tmp_path / "none").exists()
 
 
 def test_stream_iter_results_raises_when_cache_evicted(tmp_path):

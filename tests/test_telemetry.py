@@ -271,7 +271,7 @@ def test_sweep_timeseries_cache_semantics(tmp_path):
     warm = sweep(grid, cache_dir=tmp_path / "c", workers=1, timeseries_dir=ts_dir)
     assert warm.simulated == 0
     assert warm.records == first.records
-    fresh = sweep(grid, workers=1, use_cache=False)
+    fresh = sweep(grid, cache_dir=None, workers=1)
     assert list(warm.iter_results()) == fresh.records
 
     series_path(ts_dir, grid[0]).unlink()

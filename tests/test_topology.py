@@ -12,7 +12,7 @@ from edm.faults import FaultPlan, Timeline, compile_timeline, leave
 from edm.service import ServiceRuntime
 from edm.spec import SpecError
 from edm.telemetry import Recorder
-from edm.topology import TopologyPlan
+from edm.topology import TOPOLOGY_KINDS, TopologyPlan
 
 # ---------------------------------------------------------------------------
 # Grammar
@@ -186,7 +186,7 @@ def test_scale_out_grows_every_array(make_cfg):
     assert runtime.step(state, 4, "topology") == []
     fired = runtime.step(state, 5, "topology")
     assert len(fired) == 1 and fired[0].kind == "add"
-    service.on_topology(state, fired[0], 0)
+    service.on_event(state, fired[0], 0)
     assert state.num_osds == n0 + 3
     for name in OSD_COLUMNS:
         assert getattr(state, name).shape == (n0 + 3,), name
@@ -209,7 +209,7 @@ def test_add_defaults_inherit_cluster_defaults(make_cfg):
     state, runtime = _grown_state(cfg, plan)
     service = _service(cfg, state)
     (ev,) = runtime.step(state, 3, "topology")
-    service.on_topology(state, ev, 0)
+    service.on_event(state, ev, 0)
     assert (state.osd_capacity[-2:] == 1.0).all()
     assert (service.rate[-2:] == 700.0).all()  # the service model's default band
     assert np.isinf(state.osd_rated_life[-2:]).all()
@@ -220,7 +220,7 @@ def test_add_without_a_default_rate_serves_instantly(make_cfg):
     state, runtime = _grown_state(cfg, TopologyPlan.parse("add:2@3", num_osds=8))
     service = _service(cfg, state)
     (ev,) = runtime.step(state, 3, "topology")
-    service.on_topology(state, ev, 0)
+    service.on_event(state, ev, 0)
     assert np.isinf(service.rate[-2:]).all()  # no default: backlog retires instantly
 
 
@@ -235,7 +235,7 @@ def test_drain_marks_then_retire_removes(make_cfg):
     assert ev.kind == "drain" and ev.osd == 1
     assert state.osd_draining[1] and state.osd_alive[1]  # still alive: graceful
     leave(state, 1)
-    service.on_topology(state, ev, 0)
+    service.on_event(state, ev, 0)
     assert not state.osd_alive[1]
     assert state.osd_capacity[1] == 0.0
     assert service.depth[1] == 0.0 and service.backlog[1] == 0.0
@@ -279,8 +279,9 @@ class TopologyEvents(Recorder):
     def __init__(self):
         self.events = []
 
-    def on_topology(self, state, event, moved):
-        self.events.append(event)
+    def on_event(self, state, event, moved):
+        if event.kind in TOPOLOGY_KINDS:
+            self.events.append(event)
 
 
 # Drains that would leave fewer than ``survivor_floor`` alive OSDs once
