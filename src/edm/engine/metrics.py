@@ -26,18 +26,7 @@ import numpy as np
 from edm.catalog import KEYS
 from edm.config import SimConfig
 from edm.engine.state import ClusterState
-from edm.telemetry.recorder import EpochStats, Recorder, mean_std
-
-
-# Rows buffered per CoV block (see MetricsAccumulator._flush_loads): bounds
-# the history to block_size x num_osds floats regardless of epoch count.
-_COV_BLOCK = 4096
-
-
-def _fold(total: float, values: np.ndarray) -> float:
-    """``total`` plus each of ``values`` in turn, the rounding of a scalar
-    ``+=`` per epoch: cumsum adds left to right."""
-    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+from edm.telemetry.recorder import EpochBlock, Recorder, mean_std
 
 
 class MetricsAccumulator(Recorder):
@@ -54,17 +43,6 @@ class MetricsAccumulator(Recorder):
         self._epochs = 0
         self._total_requests = 0
         self._total_writes = 0
-        # The per-epoch load CoV / peak-ratio math is deferred: load vectors
-        # are copied into a fixed block buffer and reduced row-wise per
-        # flush (same per-row arithmetic as scalar mean/std calls, summed in
-        # the same left-to-right order via cumsum, so the result is
-        # bit-identical -- pinned by tests).  Anything that reads the
-        # running sums mid-run flushes first, and so does every fault and
-        # topology event: a block's rows share one width and alive set.
-        self._load_hist = self._alloc_hist(state.num_osds)
-        self._hist_fill = 0
-        self._hist_epoch = 0  # the epoch of the block's first row
-        self._alive_idx = np.flatnonzero(state.osd_alive)
         # Degraded-mode tracking (only exercised when cfg.faults is set, so
         # healthy runs keep their historical metrics dict bit-for-bit).
         self._faulted = bool(cfg.faults)
@@ -87,21 +65,9 @@ class MetricsAccumulator(Recorder):
         self._drain_moves = 0
         self._cold_ids: list[int] = []
 
-    def _alloc_hist(self, num_osds: int) -> np.ndarray:
-        return np.empty((min(_COV_BLOCK, max(self.cfg.epochs, 1)), num_osds))
-
-    def _new_block(self, state: ClusterState) -> None:
-        """Fold the buffered rows in, then start a block on ``state``'s
-        alive set (an event just changed it, or might have)."""
-        self._flush_loads()
-        self._alive_idx = np.flatnonzero(state.osd_alive)
-
     def on_event(self, state: ClusterState, event, moved: int) -> None:
-        self._new_block(state)
         kind = event.kind
         if kind == "add":
-            # The buffer widens to the grown cluster.
-            self._load_hist = self._alloc_hist(state.num_osds)
             self._osds_added += event.count
             # The hook fires after growth: the newest ``count`` ids are the
             # cold drives this event added.
@@ -127,57 +93,44 @@ class MetricsAccumulator(Recorder):
             self._recover_start = state.epoch
             self._recovery_epochs = -1
 
-    def on_epoch(self, state: ClusterState, load: np.ndarray, stats: EpochStats) -> None:
-        if self._hist_fill == 0:
-            self._hist_epoch = stats.epoch
-        self._load_hist[self._hist_fill] = load
-        self._hist_fill += 1
-        if self._hist_fill == len(self._load_hist):
-            self._flush_loads()
-        self._epochs += 1
-        self._total_requests += stats.requests
-        self._total_writes += stats.writes
-
-    def _flush_loads(self) -> None:
-        """Fold the buffered load vectors into the running CoV / peak sums,
-        and on a faulted or elastic run the survivor CoV and recovery clock."""
-        if self._hist_fill == 0:
-            return
-        block = self._load_hist[: self._hist_fill]
-        self._hist_fill = 0
-        mean, std = mean_std(block)
-        ok = mean > 0
-        cov = np.divide(std, mean, out=np.zeros_like(mean), where=ok)
-        if ok.any():
-            peak = np.maximum.reduce(block, axis=1)[ok] / mean[ok]
-            self._cov_sum = _fold(self._cov_sum, cov[ok])
-            self._peak_ratio_sum = _fold(self._peak_ratio_sum, peak)
+    def on_block(self, state: ClusterState, block: EpochBlock) -> None:
+        """Add the block's load CoV and peak rows to the running sums, and on
+        a faulted or elastic run the survivor CoV, and step the recovery
+        clock: each row's own reduction, added in epoch order."""
+        self._epochs += len(block)
+        self._total_requests += int(np.add.reduce(block.requests))
+        self._total_writes += int(np.add.reduce(block.writes))
+        cov = block.cov
+        # An idle epoch's CoV and peak ratio are 0.0: they add nothing.
+        for row_cov, peak in zip(cov.tolist(), block.peak.tolist()):
+            self._cov_sum += row_cov
+            self._peak_ratio_sum += peak
         if not (self._faulted or self._topology):
             return
         # ``*_alive`` CoV: over the block's survivors, whose ids take keeps
         # in a C-contiguous block (each row reduces as one vector).
-        idx = self._alive_idx
-        if idx.size == block.shape[1]:
+        idx = block.alive_ids
+        if idx.size == block.width:
             cov_alive = cov  # nobody dead: the same rows
         elif idx.size:
-            am, asd = mean_std(block.take(idx, axis=1))
+            am, asd = mean_std(block.load.take(idx, axis=1))
             cov_alive = np.divide(asd, am, out=np.zeros_like(am), where=am > 0)
         else:
             cov_alive = np.zeros(len(block))
-        self._cov_alive_sum = _fold(self._cov_alive_sum, cov_alive)
-        if self._recover_start is not None and self._recovery_epochs < 0:
-            # Recovered once survivor CoV is back within 10% of the
-            # pre-failure mean (epsilon keeps a zero baseline reachable).
-            threshold = max(self._recover_baseline * 1.1, self._recover_baseline + 1e-9)
-            hit = np.flatnonzero(cov_alive <= threshold)
-            if hit.size:
-                self._recovery_epochs = self._hist_epoch + int(hit[0]) - self._recover_start
+        # Recovered once survivor CoV is back within 10% of the pre-failure
+        # mean (epsilon keeps a zero baseline reachable).
+        armed = self._recover_start is not None and self._recovery_epochs < 0
+        threshold = max(self._recover_baseline * 1.1, self._recover_baseline + 1e-9)
+        for epoch, row_cov in zip(block.epochs, cov_alive.tolist()):
+            self._cov_alive_sum += row_cov
+            if armed and row_cov <= threshold:
+                self._recovery_epochs = epoch - self._recover_start
+                armed = False
 
     def finalize(self, state: ClusterState, final_load: np.ndarray) -> dict:
         cfg = self.cfg
         if cfg is None:
             raise RuntimeError("finalize() before on_run_start()")
-        self._flush_loads()
         wear = state.osd_wear
         alive = state.osd_alive
         wear_mean = float(wear.mean())

@@ -112,28 +112,34 @@ class Timeline:
         self._refuse = refuse
         self._hiccups: list[FaultEvent] = []  # open windows, in start order
 
-    def step(self, state: "ClusterState", epoch: int, layer: str) -> list:
+    def step(
+        self, state: "ClusterState", epoch: int, layer: str, before: Callable = lambda: None
+    ) -> list:
         """Apply ``layer``'s events for ``epoch``; returns the events that fired.
 
-        ``layer`` is ``"topology"``, ``"faults"`` or ``"endurance"``.  A
-        fault batch that changed anything recomputes capacity.  When the
-        room is short for every worn OSD, the most overdrawn wear out (ties
-        to the higher id) and the rest keep serving past their budget.
+        ``layer`` is ``"topology"``, ``"faults"`` or ``"endurance"``.
+        ``before()`` is called first whenever the step may change ``state``:
+        a batch is scheduled, or an OSD wears out.  A fault batch that
+        changed anything recomputes capacity.  When the room is short for
+        every worn OSD, the most overdrawn wear out (ties to the higher id)
+        and the rest keep serving past their budget.
         """
         if layer == "endurance":
             worn = np.flatnonzero(state.osd_alive & (state.osd_wear >= state.osd_rated_life))
-            if worn.size == 0:
+            room = departure_room(state) if worn.size else 0
+            if room <= 0:
                 return []
-            room = departure_room(state)
             if room < worn.size:
                 overdraft = state.osd_wear[worn] / state.osd_rated_life[worn]
                 worn = np.sort(worn[np.argsort(overdraft, kind="stable")[worn.size - room :]])
+            before()
             for osd in worn:
                 leave(state, osd)
             return [FaultEvent(WEAROUT_KIND, int(osd), epoch) for osd in worn]
         batch = self._batches.get((epoch, layer))
         if batch is None:
             return []
+        before()
         fired, closed = [], False
         for tick in batch:
             ev = tick.event

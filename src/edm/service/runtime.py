@@ -27,19 +27,18 @@ imbalance" into a visible latency tradeoff: epochs with in-flight migration
 work report their own latency aggregate, and ``migration_spike_ratio``
 compares it against clean epochs.
 
-The step keeps per epoch only what the next epoch reads: corpse booking,
-the pending drain and admission (:func:`admit`).  Each epoch's accepted
-counts, base, rate and post-service depth wait in a block of
-``EPOCH_BLOCK`` epochs; a flush -- when the block fills, before any read
-(``hist``, :meth:`ServiceRuntime.epoch_series`, ``metrics_block``), and
-whenever the alive set or the cluster width changes -- builds the block's
-latencies in one pass, sums each epoch's own slice, reduces the depth
-aggregates row-wise and folds every running sum in epoch order.  Requests
-are never binned one by one: each OSD's latencies form a nondecreasing
-run, split only by the bin edges inside it (see :func:`bin_runs`), and runs
-wait for a block of ``RUN_BLOCK`` to be binned.
-tests/service_reference.py keeps the per-request, per-epoch step as the
-oracle this one is pinned to bit for bit.
+The runtime steps a block of epochs at a time
+(:meth:`ServiceRuntime.on_block`; the engine cuts blocks so that no move,
+no timeline event and no change of the alive set or the cluster width falls
+inside one).  Per epoch it keeps only what the next epoch reads: the
+pending drain and admission (:func:`admit`).  The block is then accounted
+in one pass: its latencies are built at once, each epoch's own slice is
+summed, the depth aggregates are reduced row-wise and every running sum is
+folded in epoch order.  Requests are never binned one by one: each OSD's
+latencies form a nondecreasing run, split only by the bin edges inside it
+(see :func:`bin_runs`), and runs wait for a block of ``RUN_BLOCK`` to be
+binned.  tests/service_reference.py keeps the per-request, per-epoch step
+as the oracle this one is pinned to bit for bit.
 """
 
 from __future__ import annotations
@@ -72,11 +71,6 @@ _RAMP = np.arange(1.0, 1025.0)
 # Runs buffered between binnings: ~6 epochs of a 20-OSD run share one pass of
 # bin_runs.  512 grew peak RSS by 2 MB (the split arrays); 32 lost the gain.
 RUN_BLOCK = 128
-# Epochs stepped between accounting flushes.  A flush holds every latency
-# the block accepted at once: up to ~64K floats for 8 epochs of the 20-OSD,
-# 8192-request composed bench run, +1.4 MB (3%) peak RSS.  64 epochs grew
-# it by 12 MB and were no faster.
-EPOCH_BLOCK = 8
 
 
 def histogram_percentile(hist: np.ndarray, q: float) -> float:
@@ -182,8 +176,7 @@ class ServiceRuntime(Recorder):
     histogram, the run-level aggregates and three per-epoch series.  ``cfg``
     supplies the migration cost and cooldown; the run supplies the cluster.
     No decision reads a queue, so more runtimes can ride a run as
-    ``recorders`` (stepped by :meth:`on_epoch`), each reporting its own
-    config's block.
+    ``recorders``, each reporting its own config's block.
     """
 
     def __init__(self, model: ServiceModel, cfg) -> None:
@@ -216,20 +209,10 @@ class ServiceRuntime(Recorder):
         self._lat_means: list[float] = []
         self._depth_means: list[float] = []
         self._depth_covs: list[float] = []
-        # The block of epochs stepped since the last flush: per-OSD rows of
-        # accepted counts, base, rate and post-service depth, plus each
-        # epoch's offered count and migration flag.  The rows share one
-        # width and one alive set; a change of either flushes first.
-        self._rows = np.empty((3, 0, 0))
-        self._accepted = np.empty((0, 0), dtype=np.int64)
-        self._offered: list[int] = []
-        self._mig: list[bool] = []
-        self._alive_idx = np.empty(0, dtype=np.intp)
 
     @property
     def hist(self) -> np.ndarray:
         """The run's latency histogram, every stepped epoch binned into it."""
-        self._flush()
         self._bin_buffered()
         return self._hist
 
@@ -243,7 +226,6 @@ class ServiceRuntime(Recorder):
         """Per-epoch mean finite latency (0.0 for an epoch that served none)
         and alive-masked queue-depth mean and CoV, one value per stepped
         epoch, keyed by their :class:`~edm.telemetry.TimeSeries` columns."""
-        self._flush()
         return {
             "queue_depth_mean": np.array(self._depth_means),
             "queue_depth_cov": np.array(self._depth_covs),
@@ -289,79 +271,53 @@ class ServiceRuntime(Recorder):
             work += np.bincount(src[live], minlength=n)
         self.backlog += work * self._cost
 
-    def on_epoch(self, state, load: np.ndarray, stats) -> None:
-        """Step on the epoch's routed load, when riding a run as a recorder."""
-        self.step(state, load)
+    def on_block(self, state, block) -> None:
+        """Advance every queue through the block's epochs, then account them.
 
-    def step(self, state, arrivals: np.ndarray) -> None:
-        """Advance every queue by one epoch.
-
-        ``arrivals`` is the per-OSD request-count vector the kernel routed
-        this epoch (integer-valued float64).  Only what the next epoch reads
-        happens here -- corpse booking, the pending drain and admission;
-        the epoch's rows wait in a block of ``EPOCH_BLOCK`` for
-        :meth:`_flush` to account them.
+        Each epoch's arrivals are the per-OSD request counts the kernel
+        routed (``block.load``, integer-valued float64).  The block shares
+        one alive set and one capacity vector, so corpse booking and the
+        effective rates happen once; per epoch come the pending drain and
+        admission.  The block's latencies are then built in one pass
+        (row-major: the runs come in the order the epochs stepped them) and
+        each epoch's own slice is summed, so every running sum gets the
+        additions, in the order, a per-epoch step would make.
         """
-        depth = self.depth
-        pending = self.backlog
-        alive = state.osd_alive
-        n = alive.size
+        arrivals, alive = block.load, block.alive
+        k, n = arrivals.shape
+        depth_now, pending = self.depth, self.backlog
         dead = n - np.count_nonzero(alive)
-        if dead != self._dead or n != self._accepted.shape[1]:
-            # The block's rows were stepped on the old alive set or width.
-            self._flush()
-            self._alive_idx = np.flatnonzero(alive)
-            if n != self._accepted.shape[1]:
-                self._rows = np.empty((3, EPOCH_BLOCK, n))
-                self._accepted = np.empty((EPOCH_BLOCK, n), dtype=np.int64)
         if dead != self._dead:
             # A dead OSD's backlog is lost, not served: account and zero it
             # so corpse queues never leak into depth statistics.  Once per
             # death: OSDs never revive, nothing charges a corpse (validate).
             self._dead = dead
             dead = ~alive
-            self.lost_work += float(np.add.reduce(depth[dead]) + np.add.reduce(pending[dead]))
-            depth[dead] = 0.0
+            self.lost_work += float(
+                np.add.reduce(depth_now[dead]) + np.add.reduce(pending[dead])
+            )
+            depth_now[dead] = 0.0
             pending[dead] = 0.0
-        # Drain pending migration work into the queues: a cooldown-sized
-        # fraction per epoch, flushed outright once below one request.
-        inject = np.where(pending < 1.0, pending, pending * self._drain)
-        pending -= inject
-        f = len(self._offered)
-        self._mig.append(bool(np.add.reduce(inject) > 0.0))
-        self._offered.append(int(np.add.reduce(arrivals)))
-
-        base, rate, depth_row = self._rows[:, f]
-        np.add(depth, inject, out=base)
-        np.multiply(self.rate, state.osd_capacity, out=rate)
-        np.multiply(rate, alive, out=rate)
-        accepted, new_depth = admit(arrivals, base, rate, self.qbound)
-        np.copyto(depth, new_depth)
-        self._accepted[f] = accepted
-        depth_row[:] = new_depth
-        if f + 1 == len(self._accepted):
-            self._flush()
-
-    def _flush(self) -> None:
-        """Account the buffered block of epochs, in epoch order.
-
-        Builds the block's latencies in one pass (row-major: the runs come
-        in the order the epochs stepped them) and sums each epoch's own
-        slice, so every running sum gets the additions, in the order, a
-        per-epoch step would make.
-        """
-        k = len(self._offered)
-        if not k:
-            return
-        accepted = self._accepted[:k]
-        base, rate, depth = self._rows[:, :k]
+        rate = self.rate * block.capacity * alive
+        base, depth = np.empty((2, k, n))
+        accepted = np.empty((k, n), dtype=np.int64)
+        mig = []
+        for i in range(k):
+            # Drain pending migration work into the queues: a cooldown-sized
+            # fraction per epoch, flushed outright once below one request.
+            inject = np.where(pending < 1.0, pending, pending * self._drain)
+            pending -= inject
+            mig.append(bool(np.add.reduce(inject) > 0.0))
+            np.add(depth_now, inject, out=base[i])
+            accepted[i], depth[i] = admit(arrivals[i], base[i], rate, self.qbound)
+            np.copyto(depth_now, depth[i])
         served = np.add.reduce(accepted, axis=1).tolist()
-        offered = sum(self._offered)
+        offered = int(np.add.reduce(arrivals, axis=None))
         self.requests_total += offered
         self.dropped_total += offered - sum(served)
         if any(served):
             # Binned later, a block of runs at a time (see ``hist``).
-            runs, lat = run_latencies(accepted.ravel(), base.ravel(), rate.ravel())
+            runs, lat = run_latencies(accepted.ravel(), base.ravel(), np.tile(rate, k))
             self._runs.append(runs)
             self._buffered += runs[0].size
             if self._buffered >= RUN_BLOCK:
@@ -375,7 +331,7 @@ class ServiceRuntime(Recorder):
         # with permanent zeros and inflate the CoV for the rest of the run
         # -- the same survivor-masking convention the load CoV uses.  take
         # keeps the block C-contiguous, so each row reduces as one vector.
-        idx = self._alive_idx
+        idx = block.alive_ids
         if idx.size:
             d_alive = depth.take(idx, axis=1)
             d_mean, d_std = mean_std(d_alive)
@@ -394,7 +350,7 @@ class ServiceRuntime(Recorder):
         self._depth_covs += d_cov
 
         stop = j = 0
-        for count, mig_epoch in zip(served, self._mig):
+        for count, mig_epoch in zip(served, mig):
             lat_mean = 0.0
             if count:
                 start, stop = stop, stop + count
@@ -423,12 +379,9 @@ class ServiceRuntime(Recorder):
                         self._clean_lat_count += epoch_lat.size
             self._lat_means.append(lat_mean)
         self._epochs += k
-        self._offered.clear()
-        self._mig.clear()
 
     def metrics_block(self) -> dict:
         """Run-level service metrics, merged into ``simulate``'s dict."""
-        self._flush()
         nan = float("nan")
         lat_mean = self.lat_sum / self.lat_count if self.lat_count else nan
         mig_mean = self._mig_lat_sum / self._mig_lat_count if self._mig_lat_count else nan
@@ -454,7 +407,7 @@ class ServiceRuntime(Recorder):
 
     def validate(self, state) -> None:
         """Queue invariants: one entry per OSD, no negative or NaN work, none
-        held by a dead OSD (the step books it as lost, once), positive rates."""
+        held by a dead OSD (on_block books it as lost, once), positive rates."""
         for name in ("rate", "depth", "backlog"):
             if getattr(self, name).shape != (state.num_osds,):
                 raise AssertionError(f"service {name} width drifted from num_osds")

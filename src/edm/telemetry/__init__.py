@@ -12,11 +12,11 @@ from edm.telemetry.openmetrics import (
     MetricsSnapshotRecorder,
     registry_from_metrics,
 )
-from edm.telemetry.recorder import EpochStats, Recorder
+from edm.telemetry.recorder import EpochBlock, Recorder
 from edm.telemetry.timeseries import SERIES_FORMAT_VERSION, TimeSeries, TimeSeriesRecorder
 
 __all__ = [
-    "EpochStats",
+    "EpochBlock",
     "MetricsRegistry",
     "MetricsSnapshotRecorder",
     "Recorder",

@@ -22,9 +22,11 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from edm.catalog import METRICS
 from edm.files import atomic_write
-from edm.telemetry.recorder import Recorder, mean_std
+from edm.telemetry.recorder import Recorder
 
 def _escape(value: str) -> str:
     """Escape a label value or help string per the exposition format."""
@@ -196,20 +198,28 @@ class MetricsSnapshotRecorder(Recorder):
     def on_run_start(self, cfg, state) -> None:
         self._requests = 0
 
-    def on_epoch(self, state, load, stats) -> None:
-        self._requests += stats.requests
+    def on_block(self, state, block) -> None:
+        """Set the gauges from each of the block's epochs a snapshot is due
+        at, writing it, and from the block's last epoch."""
         reg = self.registry
-        mean, std = mean_std(load)
-        reg.set("epoch", int(state.epoch))
-        reg.set("load_cov", float(std / mean) if mean > 0 else 0.0)
-        reg.set("requests", self._requests)
-        reg.set("migrations", int(state.migrations_total))
-        reg.set("osds_alive", int(state.osd_alive.sum()))
-        reg.set("wear_max", float(state.osd_wear.max()))
-        reg.set("wear_mean", float(state.osd_wear.mean()))
-        if (state.epoch + 1) % self.every == 0:
-            self.registry.write(self.path)
-            self.snapshots += 1
+        requests = self._requests + np.cumsum(block.requests)
+        self._requests = int(requests[-1])
+        last = len(block) - 1
+        for j, epoch in enumerate(block.epochs):
+            due = (epoch + 1) % self.every == 0
+            if not (due or j == last):
+                continue
+            wear = block.wear[j]
+            reg.set("epoch", epoch)
+            reg.set("load_cov", float(block.cov[j]))
+            reg.set("requests", int(requests[j]))
+            reg.set("migrations", int(state.migrations_total))
+            reg.set("osds_alive", int(block.alive_ids.size))
+            reg.set("wear_max", float(wear.max()))
+            reg.set("wear_mean", float(wear.mean()))
+            if due:
+                reg.write(self.path)
+                self.snapshots += 1
 
     def finalize(self, state, final_load) -> None:
         self.registry.write(self.path)

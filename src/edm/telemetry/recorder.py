@@ -3,7 +3,7 @@
 ``simulate(cfg, recorders=...)`` -- a :class:`~edm.engine.core.Run` stepped
 through every epoch, each :meth:`~edm.engine.core.Run.step` drawing the
 run's own traffic, or :meth:`~edm.engine.core.Run.advance` fed traffic by
-its caller -- drives every recorder through the same eight hooks:
+its caller -- drives every recorder through the same seven hooks:
 
     on_run_start(cfg, state)        once, after state init, before epoch 0
     on_service(service)             once, after on_run_start, on a run with a
@@ -24,11 +24,18 @@ its caller -- drives every recorder through the same eight hooks:
                                     per batch of moves applied (a migration
                                     round, a departure's burst), before
                                     ownership changes
-    on_epoch(state, load, stats)    every epoch, after routing/wear/EMA updates
-                                    and *before* that epoch's migration round
-    on_migration(state, applied, stats)
-                                    after each migration interval fires
+    on_block(state, block)          per EpochBlock: the epochs routed since
+                                    the last cut, each after its routing,
+                                    wear and EMA updates
     finalize(state, final_load)     once, after the last epoch
+
+The engine cuts a block before any departure-timeline event changes the
+cluster, before each migration round, every ``EPOCH_BLOCK`` epochs
+(:mod:`edm.engine.core`) and at finalize, so a block's epochs share one
+width, one alive set and one capacity vector, no move or event falls
+between them, and every epoch lands in exactly one block, in order.  With
+``EPOCH_BLOCK`` set to 1 a block is one epoch, delivered after its routing
+and before its migration round.
 
 The engine's scalar metrics dict is produced by a recorder too
 (:class:`edm.engine.metrics.MetricsAccumulator`), as are the layers that
@@ -36,20 +43,17 @@ steer no decision (:class:`edm.service.ServiceRuntime`,
 :class:`edm.redundancy.RedundancyRuntime`), so all plug in through one
 surface without touching the hot path.
 
-Hot-path contract: ``load`` and ``state`` arrays are the engine's live
-buffers, not copies.  A recorder must copy anything it wants to keep
-(``TimeSeriesRecorder`` writes into preallocated buffers for this reason)
-and must never mutate them.  ``stats`` is a single :class:`EpochStats`
-instance reused across epochs -- read it during the call, don't store it.
-Per-epoch work should be those copies and counters: a reduction over the
-OSD axis (a CoV, a mean) is cheaper done for a block of buffered rows at
-once (:func:`mean_std` takes a block), as ``MetricsAccumulator``,
-``TimeSeriesRecorder`` and the service layer do.
+Hot-path contract: a block's rows and ``state``'s arrays are the engine's
+live buffers, not copies, and the rows are reused for the next block.  A
+recorder must copy anything it wants to keep (``TimeSeriesRecorder``
+writes into preallocated buffers for this reason) and must never mutate
+them.  A reduction over the OSD axis (a CoV, a mean) is cheaper done for a
+block of rows at once (:func:`mean_std` takes a block); the block computes
+its load rows' mean, std, CoV and peak ratio once, for every reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -81,19 +85,49 @@ def mean_std(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(np.add.reduce(dev, axis=-1) / n)
 
 
-@dataclass
-class EpochStats:
-    """Mutable per-epoch scalars, updated in place by the engine each epoch.
+class EpochBlock:
+    """Consecutive epochs between two cuts, as :meth:`Recorder.on_block` sees them.
 
-    Only what the engine has at hand: the service layer's per-epoch latency
-    and queue-depth aggregates are reduced a block of epochs at a time, so
-    they are not ready here; a recorder reads them at finalize through
-    :meth:`Recorder.on_service`.
+    Per-epoch rows, one per epoch of ``epochs`` (a ``range``): ``load`` and
+    ``wear`` ``(k, width)`` -- the per-OSD requests routed that epoch and the
+    cumulative wear after its routing -- and ``requests`` and ``writes``
+    ``(k,)`` int64 totals.  Shared by every row: ``alive`` (bool mask) and
+    ``capacity`` per OSD.  Computed on first read, once for every reader:
+    ``alive_ids``, and each load row's ``mean``, ``std``, ``cov`` (std /
+    mean) and ``peak`` (max / mean), the last two 0 where the mean is not
+    positive.
     """
 
-    epoch: int = 0
-    requests: int = 0  # total requests routed this epoch
-    writes: int = 0    # write requests among them
+    def __init__(self, epochs: range, load, wear, requests, writes, alive, capacity):
+        self.epochs = epochs
+        self.load = load
+        self.wear = wear
+        self.requests = requests
+        self.writes = writes
+        self.alive = alive
+        self.capacity = capacity
+
+    def __len__(self) -> int:
+        return len(self.epochs)
+
+    @property
+    def width(self) -> int:
+        return self.load.shape[1]
+
+    def __getattr__(self, name: str):
+        # Only reached for an attribute not yet set: compute it (and its
+        # siblings) once, then read it as a plain attribute.
+        if name == "alive_ids":
+            self.alive_ids = np.flatnonzero(self.alive)
+        elif name in ("mean", "std", "cov", "peak"):
+            self.mean, self.std = mean, std = mean_std(self.load)
+            ok = mean > 0
+            self.cov = np.divide(std, mean, out=np.zeros_like(mean), where=ok)
+            peak = np.maximum.reduce(self.load, axis=1)
+            self.peak = np.divide(peak, mean, out=np.zeros_like(mean), where=ok)
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
 
 
 class Recorder:
@@ -138,11 +172,9 @@ class Recorder:
         :data:`~edm.obs.decisions.TRIGGERS`: a migration round's
         ``"threshold"``, or the departure that forced the burst."""
 
-    def on_epoch(self, state: "ClusterState", load: "np.ndarray", stats: EpochStats) -> None:
-        """Called every epoch with that epoch's per-OSD load vector."""
-
-    def on_migration(self, state: "ClusterState", applied: int, stats: EpochStats) -> None:
-        """Called after a migration interval applies ``applied`` moves."""
+    def on_block(self, state: "ClusterState", block: EpochBlock) -> None:
+        """Called per block of epochs, in epoch order (see the module
+        docstring for where blocks are cut)."""
 
     def finalize(self, state: "ClusterState", final_load: "np.ndarray") -> Any:
         """Called once after the last epoch; return this recorder's product."""

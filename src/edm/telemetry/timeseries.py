@@ -10,10 +10,11 @@ every ``record_every`` epochs.  ``finalize`` always captures the end-of-run
 state (after the last migration round), so the final row matches the scalar
 metrics dict exactly and ``migrations.sum()`` equals ``migrations_total``.
 
-A sampled epoch only copies rows and counters.  The CoV and peak-ratio
-columns are derived at ``finalize`` from the stored load and wear rows, and
-the service columns are read from the run's
-:meth:`~edm.service.ServiceRuntime.epoch_series` (see
+Each block of epochs (:meth:`~edm.telemetry.Recorder.on_block`) copies its
+sampled rows; the load CoV and peak-ratio columns come from the block's own
+row reductions, the wear CoV and lifetime columns from one reduction over
+the sampled rows, and the service columns are read at ``finalize`` from the
+run's :meth:`~edm.service.ServiceRuntime.epoch_series` (see
 :meth:`~edm.telemetry.Recorder.on_service`).
 
 The product is a :class:`TimeSeries`: immutable arrays plus a JSON-able
@@ -34,7 +35,7 @@ import numpy as np
 
 from edm.config import SimConfig, config_hash
 from edm.files import atomic_write
-from edm.telemetry.recorder import EpochStats, Recorder, mean_std
+from edm.telemetry.recorder import EpochBlock, Recorder, mean_std
 
 if TYPE_CHECKING:
     from edm.engine.state import ClusterState
@@ -163,10 +164,8 @@ class TimeSeriesRecorder(Recorder):
 
     Samples epochs ``0, record_every, 2*record_every, ...`` plus the end-of-run
     state.  Buffers are preallocated at ``on_run_start`` (which also makes one
-    instance reusable across runs), so the per-epoch cost on sampled epochs is
-    a handful of slice assignments and on skipped epochs a single modulo;
-    every reduction over the OSD axis but the lifetime pair waits for
-    ``finalize``.
+    instance reusable across runs), so a block costs a handful of slice
+    assignments and row reductions over its sampled epochs.
     """
 
     def __init__(self, record_every: int = 1):
@@ -197,13 +196,14 @@ class TimeSeriesRecorder(Recorder):
     def on_service(self, service) -> None:
         self._service = service
 
-    def on_epoch(self, state: "ClusterState", load: np.ndarray, stats: EpochStats) -> None:
-        if stats.epoch % self.record_every:
-            return
-        self._record(stats.epoch, load, state)
+    def on_block(self, state: "ClusterState", block: EpochBlock) -> None:
+        rows = slice(-block.epochs.start % self.record_every, len(block), self.record_every)
+        if block.epochs[rows]:
+            self._record(state, block, rows)
 
-    def on_migration(self, state: "ClusterState", applied: int, stats: EpochStats) -> None:
-        self._window += applied
+    def on_move(self, state: "ClusterState", chunks, src, dst, trigger: str) -> None:
+        if trigger == "threshold":
+            self._window += chunks.size
 
     def on_event(self, state: "ClusterState", event, moved: int) -> None:
         if event.kind != "drain":  # an evacuation is no failure re-placement
@@ -218,18 +218,15 @@ class TimeSeriesRecorder(Recorder):
         if self._i and c["epoch"][self._i - 1] == last:
             # The last sample already landed on the final epoch, but migrations
             # (and their wear) from that epoch's interval fired *after* it was
-            # recorded -- fold them in so the final row is truly end-of-run.
-            i = self._i - 1
-            c["migrations"][i] += self._window
-            self._window = 0
-            c["replacements"][i] += self._repl_window
-            self._repl_window = 0
-            c["wear"][i, : state.osd_wear.size] = state.osd_wear
-            self._record_lifetime(i, state)
-        else:
-            self._record(last, final_load, state)
+            # recorded: record it again from the end-of-run state, its windows
+            # kept, so the final row is truly end-of-run.
+            self._i -= 1
+            self._window += c["migrations"][self._i]
+            self._repl_window += c["replacements"][self._i]
+        end = EpochBlock(range(last, last + 1), final_load[None], state.osd_wear[None],
+                         None, None, state.osd_alive, state.osd_capacity)
+        self._record(state, end, slice(0, 1))
         i = self._i
-        self._derive_covs(i)
         if self._service is not None:
             series = self._service.epoch_series()
             stepped = series["queue_depth_mean"].size
@@ -261,46 +258,31 @@ class TimeSeriesRecorder(Recorder):
         )
         return self.series
 
-    def _record_lifetime(self, i: int, state: "ClusterState") -> None:
-        rem = state.remaining_life()[state.osd_alive]
-        # ``rem.min()`` and ``rem.mean()`` bit for bit, minus their wrappers.
-        self._cols["remaining_life_min"][i] = np.minimum.reduce(rem) if rem.size else 0.0
-        self._cols["remaining_life_mean"][i] = np.add.reduce(rem) / rem.size if rem.size else 0.0
-
-    def _derive_covs(self, rows: int) -> None:
-        """``load_cov``, ``load_peak_ratio`` and ``wear_cov`` of the first
-        ``rows`` samples, from their load and wear rows: one block per run
-        of samples of equal cluster width, whose rows (each contiguous)
-        reduce as the live vectors did; 0 where the mean is not positive."""
-        c = self._cols
-        widths = c["osds_total"][:rows]
-        cuts = np.flatnonzero(widths[1:] != widths[:-1]) + 1
-        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), rows]):
-            w = int(widths[lo])
-            load = c["load"][lo:hi, :w]
-            mean, std = mean_std(load)
-            ok = mean > 0
-            np.divide(std, mean, out=c["load_cov"][lo:hi], where=ok)
-            peak = np.maximum.reduce(load, axis=1)
-            np.divide(peak, mean, out=c["load_peak_ratio"][lo:hi], where=ok)
-            mean, std = mean_std(c["wear"][lo:hi, :w])
-            np.divide(std, mean, out=c["wear_cov"][lo:hi], where=mean > 0)
-
-    def _record(self, epoch: int, load: np.ndarray, state: "ClusterState") -> None:
-        c = self._cols
-        wear = state.osd_wear
-        i = self._i
-        c["epoch"][i] = epoch
-        # Partial-width assignment: under an elastic topology the live
-        # arrays are narrower than the plan-width buffers until the last
-        # scale-out fires (a full-width assignment when sizes match).
-        c["load"][i, : load.size] = load
-        c["wear"][i, : wear.size] = wear
+    def _record(self, state: "ClusterState", block: EpochBlock, rows: slice) -> None:
+        """Copy the block's ``rows`` into the next samples: the first closes
+        the move windows, as no move falls between a block's epochs."""
+        c, i, n = self._cols, self._i, block.width
+        epochs = block.epochs[rows]
+        at = slice(i, i + len(epochs))
+        c["epoch"][at] = epochs
+        # Partial-width assignment: under an elastic topology the block is
+        # narrower than the plan-width buffers until the last scale-out.
+        c["load"][at, :n] = block.load[rows]
+        c["wear"][at, :n] = wear = block.wear[rows]
+        c["load_cov"][at] = block.cov[rows]
+        c["load_peak_ratio"][at] = block.peak[rows]
+        mean, std = mean_std(wear)
+        np.divide(std, mean, out=c["wear_cov"][at], where=mean > 0)
         c["migrations"][i] = self._window
-        self._window = 0
-        c["alive"][i] = np.count_nonzero(state.osd_alive)
         c["replacements"][i] = self._repl_window
-        self._repl_window = 0
-        self._record_lifetime(i, state)
-        c["osds_total"][i] = state.num_osds
-        self._i = i + 1
+        self._window = self._repl_window = 0
+        ids = block.alive_ids
+        c["alive"][at] = ids.size
+        c["osds_total"][at] = n
+        if ids.size:
+            # ``remaining_life()[alive]``, its ``min()`` and ``mean()`` bit
+            # for bit, minus their wrappers.
+            rem = np.maximum(state.osd_rated_life[ids] - wear.take(ids, axis=1), 0.0)
+            c["remaining_life_min"][at] = np.minimum.reduce(rem, axis=1)
+            c["remaining_life_mean"][at] = np.add.reduce(rem, axis=1) / ids.size
+        self._i = at.stop

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from edm.config import SimConfig
+from edm.engine import core
 from edm.engine.state import ClusterState
 
 # Shared tiny sizing: fast enough that a module can run dozens of full
@@ -37,6 +38,13 @@ def make_cfg():
 def small_cfg():
     """Tiny config for fast unit runs (the factory's defaults, unchanged)."""
     return cfg_factory()
+
+
+@pytest.fixture
+def blocks_of_one(monkeypatch):
+    """Runs deliver every epoch as its own block, after its routing and
+    before its migration round: for recorders that check live state."""
+    monkeypatch.setattr(core, "EPOCH_BLOCK", 1)
 
 
 def make_state(

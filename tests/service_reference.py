@@ -4,11 +4,12 @@
 per-request Python loops.  :func:`epoch_service_vectorized` performs the
 same IEEE-754 operations in the same order over every accepted request
 (``np.repeat`` + ``arange``), and :func:`reference_step` is the whole
-per-epoch step built on it -- binning every latency with ``searchsorted``
--- so whole ``simulate()`` runs can be driven through the per-request path
-(``monkeypatch.setattr(ServiceRuntime, "step", reference_step)``) and
-compared bit for bit with :meth:`edm.service.ServiceRuntime.step`, which
-bins runs instead of requests and accounts a block of epochs at a time.
+per-epoch step built on it -- binning every latency with ``searchsorted``.
+:func:`reference_block` steps a block's epochs through it one by one, so
+whole ``simulate()`` runs can be driven through the per-request path
+(``monkeypatch.setattr(ServiceRuntime, "on_block", reference_block)``) and
+compared bit for bit with :meth:`edm.service.ServiceRuntime.on_block`,
+which bins runs instead of requests and accounts a block of epochs at once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from edm.service import LATENCY_EDGES
+from edm.telemetry import EpochBlock
 
 NUM_BINS = LATENCY_EDGES.size - 1
 
@@ -76,9 +78,25 @@ def bin_latencies(lat: np.ndarray) -> np.ndarray:
     return np.bincount(bins, minlength=NUM_BINS + 1)
 
 
+def epoch_block(state, arrivals: np.ndarray, start: int = 0) -> EpochBlock:
+    """Per-OSD ``arrivals`` rows ``(k, n)`` (or one row) as a block of
+    epochs from ``start`` on ``state``'s alive set and capacities -- all
+    the service runtime reads of a block."""
+    rows = np.atleast_2d(arrivals)
+    return EpochBlock(range(start, start + len(rows)), rows, None, None, None,
+                      state.osd_alive, state.osd_capacity)
+
+
+def reference_block(self, state, block) -> None:
+    """Per-request, per-epoch drop-in for :meth:`ServiceRuntime.on_block`:
+    steps the block's epochs one at a time on the live state, whose alive
+    set and capacities are the block's."""
+    for arrivals in block.load:
+        reference_step(self, state, arrivals)
+
+
 def reference_step(self, state, arrivals: np.ndarray) -> None:
-    """Per-request, per-epoch drop-in for :meth:`ServiceRuntime.step`:
-    accounts every epoch as it steps it, so nothing is left to flush."""
+    """One epoch, per request: accounts the epoch as it steps it."""
     depth = self.depth
     pending = self.backlog
     alive = state.osd_alive

@@ -20,11 +20,13 @@ import numpy as np
 import pytest
 
 from edm.config import POLICIES, WORKLOADS, SimConfig
+from edm.engine import core
 from edm.engine.core import simulate
 from edm.faults import FaultPlan, Timeline
 from edm.redundancy import RedundancyScheme
 from edm.spec import SpecError
-from edm.telemetry import Recorder
+from edm.telemetry import Recorder, TimeSeriesRecorder
+from edm.telemetry.timeseries import _ARRAY_FIELDS
 from edm.topology import TopologyPlan
 
 SIZING = dict(epochs=24, requests_per_epoch=512, chunks_per_osd=6)
@@ -104,8 +106,8 @@ class FiredEvents(Recorder):
     def on_event(self, state, event, moved):
         self.fired.append((event.epoch, event.kind, event.osd, moved))
 
-    def on_epoch(self, state, load, stats):
-        self.alive.append(int(state.osd_alive.sum()))
+    def on_block(self, state, block):
+        self.alive += [int(block.alive.sum())] * len(block)
 
     def finalize(self, state, final_load):
         return None
@@ -183,14 +185,15 @@ BURST_TRIGGER = {"fail": "fault", "wearout": "wearout", "drain": "drain"}
 
 class EventMoveSpy(Recorder):
     """Checks each event's ``moved`` against the ``on_move`` batches that
-    fired since the previous event (or migration round)."""
+    fired since the previous event or block."""
 
     def __init__(self):
         self.events = []   # (epoch, event, moved)
-        self.batches = []  # (trigger, size) since the last event or round
+        self.batches = []  # (trigger, size) since the last event or block
 
     def on_move(self, state, chunks, src, dst, trigger):
-        self.batches.append((trigger, chunks.size))
+        if trigger != "threshold":  # a migration round's batch is no event's
+            self.batches.append((trigger, chunks.size))
 
     def on_event(self, state, event, moved):
         trigger = BURST_TRIGGER.get(event.kind)
@@ -202,16 +205,16 @@ class EventMoveSpy(Recorder):
         self.batches = []
         self.events.append((state.epoch, event, moved))
 
-    def on_migration(self, state, applied, stats):
-        self.batches = []
+    def on_block(self, state, block):
+        assert self.batches == []
 
 
 def test_every_timeline_layer_reaches_on_event_once_in_order(monkeypatch):
     cfg = SimConfig(**EVERY_LAYER)  # before the spy: the dry run steps too
     fired, real = [], Timeline.step
 
-    def step(self, state, epoch, layer):
-        events = real(self, state, epoch, layer)
+    def step(self, state, epoch, layer, *before):
+        events = real(self, state, epoch, layer, *before)
         fired.extend(events)
         return events
 
@@ -227,3 +230,47 @@ def test_every_timeline_layer_reaches_on_event_once_in_order(monkeypatch):
     assert {ev.kind for _, ev, _ in spy.events} == set(LAYER_RANK)
     assert {rank for epoch, rank in ranks if epoch == 4} == {0, 1, 2}
     assert all(moved > 0 for _, ev, moved in spy.events if ev.kind in BURST_TRIGGER)
+
+
+class Replay(Recorder):
+    """A per-epoch twin: walks each block's rows one by one, keeping copies."""
+
+    def on_run_start(self, cfg, state):
+        self.epochs, self.rows, self.sizes = [], [], []
+
+    def on_service(self, service):
+        self.service = service
+
+    def on_block(self, state, block):
+        self.sizes.append(len(block))
+        rows = zip(block.epochs, block.load, block.wear, block.requests, block.writes)
+        for epoch, load, wear, requests, writes in rows:
+            self.epochs.append(epoch)
+            self.rows.append((load.tobytes(), wear.tobytes(), int(requests), int(writes)))
+
+
+@pytest.mark.parametrize("kw", [
+    EVERY_LAYER,
+    # Wear-outs alone, at epochs no plan schedules.
+    dict(num_osds=8, epochs=32, requests_per_epoch=512, seed=7, endurance="pe:900"),
+], ids=["every-layer", "wearouts"])
+def test_block_size_never_changes_a_run(kw, monkeypatch):
+    """With a service model: blocks of 1, 3 and the default size give
+    byte-identical metrics, time series and service epoch series, and a
+    per-epoch twin sees every epoch once, in order, with the same rows."""
+    cfg = SimConfig(**kw, service="rate:120;queue:64")
+    runs = []
+    for size in (1, 3, core.EPOCH_BLOCK):
+        monkeypatch.setattr(core, "EPOCH_BLOCK", size)
+        series, replay = TimeSeriesRecorder(record_every=1), Replay()
+        metrics = simulate(cfg, recorders=(series, replay))
+        assert replay.epochs == list(range(cfg.epochs))
+        assert max(replay.sizes) == size
+        runs.append((
+            json.dumps(metrics),
+            [getattr(series.series, k).tobytes() for k in _ARRAY_FIELDS],
+            {k: v.tobytes() for k, v in replay.service.epoch_series().items()},
+            replay.rows,
+        ))
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0][0])["wearouts_total"] > 0

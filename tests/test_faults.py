@@ -9,7 +9,7 @@ import pytest
 from conftest import cfg_factory, make_state
 from edm.cli import main as cli_main
 from edm.config import rng_seed_sequence
-from edm.engine import metrics as metrics_module
+from edm.engine import core
 from edm.engine.core import replace_dead_chunks, simulate
 from edm.engine.state import init_state
 from edm.faults import FaultEvent, FaultPlan, Timeline, effective_load
@@ -183,7 +183,7 @@ def test_failure_metrics_and_recovery(small_cfg):
 
 class SurvivorCovOracle(Recorder):
     """The survivor CoV and recovery clock, reduced epoch by epoch with
-    numpy's own ``mean``/``std`` on the live alive set."""
+    numpy's own ``mean``/``std`` on each block row's alive set."""
 
     def on_run_start(self, cfg, state):
         self.covs, self.alive_covs = [], []
@@ -194,23 +194,25 @@ class SurvivorCovOracle(Recorder):
             self.baseline = sum(self.covs) / max(len(self.covs), 1)
             self.start, self.recovery = state.epoch, -1
 
-    def on_epoch(self, state, load, stats):
-        if load.mean() > 0:
-            self.covs.append(load.std() / load.mean())
-        live = load[state.osd_alive]
-        cov = float(live.std() / live.mean()) if live.size and live.mean() > 0 else 0.0
-        self.alive_covs.append(cov)
-        threshold = max(self.baseline * 1.1, self.baseline + 1e-9)
-        if self.start is not None and self.recovery < 0 and cov <= threshold:
-            self.recovery = stats.epoch - self.start
+    def on_block(self, state, block):
+        for epoch, load in zip(block.epochs, block.load):
+            if load.mean() > 0:
+                self.covs.append(load.std() / load.mean())
+            live = load[block.alive]
+            cov = float(live.std() / live.mean()) if live.size and live.mean() > 0 else 0.0
+            self.alive_covs.append(cov)
+            threshold = max(self.baseline * 1.1, self.baseline + 1e-9)
+            if self.start is not None and self.recovery < 0 and cov <= threshold:
+                self.recovery = epoch - self.start
 
 
-@pytest.mark.parametrize("block", [1, 5, metrics_module._COV_BLOCK])
+@pytest.mark.parametrize("block", [1, 5, 4096])
 @pytest.mark.parametrize("topology", ["", "drain:4@60;add:2@95"])
 def test_survivor_cov_blocks_match_per_epoch_oracle(block, topology, monkeypatch):
-    """Load rows reduced a block at a time, flushed at every fault and
-    topology event, give the per-epoch survivor CoV and recovery clock."""
-    monkeypatch.setattr(metrics_module, "_COV_BLOCK", block)
+    """Load rows reduced a block at a time -- of one epoch, of five, or cut
+    only by fault and topology events and migration rounds (4096 outlasts
+    the run) -- give the per-epoch survivor CoV and recovery clock."""
+    monkeypatch.setattr(core, "EPOCH_BLOCK", block)
     oracle = SurvivorCovOracle()
     cfg = cfg_factory(workload="deasna2", num_osds=12, epochs=128, requests_per_epoch=2048,
                       seed=0, faults="fail:2@90;fail:5@100", topology=topology)
@@ -251,20 +253,21 @@ def test_on_event_hook_fires_in_schedule_order():
 def test_policies_never_target_dead_osds():
     """No post-failure migration may land a chunk on the dead OSD."""
 
-    class OwnerSpy(Recorder):
+    class DstSpy(Recorder):
         def __init__(self):
-            self.owners_after = []
+            self.rounds = []
 
-        def on_migration(self, state, applied, stats):
-            self.owners_after.append((state.epoch, state.chunk_owner.copy()))
+        def on_move(self, state, chunks, src, dst, trigger):
+            if trigger == "threshold":
+                self.rounds.append((state.epoch, dst.copy()))
 
     for policy in ("cdf", "hdf", "cmt"):
-        spy = OwnerSpy()
+        spy = DstSpy()
         simulate(cfg_with(faults="fail:1@4", policy=policy), recorders=(spy,))
-        post = [owners for epoch, owners in spy.owners_after if epoch >= 4]
+        post = [dst for epoch, dst in spy.rounds if epoch >= 4]
         assert post, policy
-        for owners in post:
-            assert not (owners == 1).any(), policy
+        for dst in post:
+            assert not (dst == 1).any(), policy
 
 
 def test_slow_disk_sheds_load():

@@ -112,7 +112,8 @@ class InvariantRecorder(Recorder):
         self._prev_alive = None
         self.alive_per_epoch = []
 
-    def on_epoch(self, state, load, stats):
+    def on_block(self, state, block):
+        (load,) = block.load  # blocks of one: the live state is this epoch's
         for name in OSD_COLUMNS:
             assert getattr(state, name).shape == (state.num_osds,), f"{name} width drifted"
         alive = state.osd_alive
@@ -161,6 +162,7 @@ class InvariantRecorder(Recorder):
         return None
 
 
+@pytest.mark.usefixtures("blocks_of_one")
 @pytest.mark.parametrize("cfg", sample_configs(), ids=lambda c: c.cache_name())
 def test_invariants_hold_across_scenarios(cfg):
     inv = InvariantRecorder()
@@ -233,7 +235,8 @@ class GroupSpreadRecorder(Recorder):
         assert state.chunk_group is not None, "redundant run lost its grouping"
         self.epochs_checked = 0
 
-    def on_epoch(self, state, load, stats):
+    def on_block(self, state, block):
+        assert len(block) == 1  # blocks of one: the live state is this epoch's
         assert_groups_spread(state)
         self.epochs_checked += 1
 
@@ -247,6 +250,7 @@ class GroupSpreadRecorder(Recorder):
     ids=[f"{s}-{'+'.join(sorted(o)) or 'plain'}" for s, o in REDUNDANT_SCENARIOS],
 )
 @pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.usefixtures("blocks_of_one")
 def test_redundant_groups_never_colocate(policy, scheme, overrides):
     cfg = cfg_factory(policy=policy, redundancy=scheme, seed=11, **SIZING, **overrides)
     spread = GroupSpreadRecorder()

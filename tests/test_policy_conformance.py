@@ -152,7 +152,8 @@ class ConformanceChecker(Recorder):
         self.scorer_kinds = set()
         self.fallbacks = 0
 
-    def on_epoch(self, state, load, stats):
+    def on_block(self, state, block):
+        assert len(block) == 1  # blocks of one: the live state is this epoch's
         cfg, policy = self.cfg, self.policy
         candidates = np.flatnonzero(state.osd_alive & ~state.osd_draining)
         if candidates.size < 2:
@@ -207,6 +208,7 @@ class ConformanceChecker(Recorder):
         return None
 
 
+@pytest.mark.usefixtures("blocks_of_one")
 @pytest.mark.parametrize("cfg", sample_cases(), ids=lambda c: c.cache_name())
 def test_policy_surface_contracts(cfg):
     checker = ConformanceChecker(cfg)
@@ -214,6 +216,7 @@ def test_policy_surface_contracts(cfg):
     assert checker.states_checked > 0
 
 
+@pytest.mark.usefixtures("blocks_of_one")
 @pytest.mark.parametrize("policy", POLICIES)
 def test_scorer_contract_holds_on_every_state_kind(policy):
     # Healthy epochs, then degraded after the failure; a rated cluster with

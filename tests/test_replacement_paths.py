@@ -132,8 +132,8 @@ def test_replace_dead_chunks_matches_reference_for_every_victim(policy, redundan
 
 
 class SelectionChecker(Recorder):
-    """Compares every round's selection with the reference on the live state,
-    and the run's emitted decisions with the reference's."""
+    """Compares every epoch's selection with the reference on the live state,
+    and each round's emitted decisions with the reference's."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -142,25 +142,36 @@ class SelectionChecker(Recorder):
         self.ref_log, self.decisions = [], []
         self.emitted = 0  # decisions checked against the reference
 
-    def on_epoch(self, state, load, stats):
+    def on_block(self, state, block):
+        (epoch,) = block.epochs  # blocks of one: the live state is this epoch's
+        self._check_round()
         cfg = self.cfg
-        self.ref_log, self.decisions = [], []
+        ref_log = []
         moves = self.policy.select(state, cfg, lambda *d: None)
-        ref = select_reference(self.policy, state, cfg, emit=lambda *d: self.ref_log.append(d))
+        ref = select_reference(self.policy, state, cfg, emit=lambda *d: ref_log.append(d))
         assert moves.tobytes() == ref.tobytes()
         assert self.policy.select(state, cfg).tobytes() == ref.tobytes()
         assert select_reference(self.policy, state, cfg).tobytes() == ref.tobytes()
         self.rounds += bool(ref.size)
+        if (epoch + 1) % cfg.migrate_interval == 0:  # a round follows the block
+            self.ref_log = ref_log
 
     def on_decision(self, state, decision):
-        self.decisions.append(decision)
+        if decision.trigger == "threshold":
+            self.decisions.append(decision)
 
-    def on_migration(self, state, applied, stats):
-        # The engine selected on the state on_epoch saw, through its emitter.
+    def finalize(self, state, final_load):
+        self._check_round()
+
+    def _check_round(self):
+        # The engine selected on the state the last block saw, through its
+        # emitter.
         assert_same_decisions(self.decisions, self.ref_log)
         self.emitted += len(self.decisions)
+        self.ref_log, self.decisions = [], []
 
 
+@pytest.mark.usefixtures("blocks_of_one")
 @pytest.mark.parametrize("redundancy", SCHEMES, ids=lambda s: s or "plain")
 @pytest.mark.parametrize(
     "policy", [p for p in POLICIES if isinstance(get_policy(p), ThresholdPolicy)]

@@ -3,10 +3,10 @@ metrics, and the run-binned-vs-per-request bit-identity contract.
 
 The service layer must never perturb what the engine computes without it:
 shared metrics of a serviced run stay bit-identical to the unserviced run
-(pinned here and by the untouched pre-service golden digests).  The step
-bins each OSD's latency run at the edges inside it; it is pinned against
-the per-request references in service_reference.py on raw arrays, on
-hand-built states, and through entire simulate() runs via monkeypatch.
+(pinned here and by the untouched pre-service golden digests).  A block
+of epochs bins each OSD's latency run at the edges inside it; it is pinned
+against the per-request references in service_reference.py on raw arrays,
+on hand-built states, and through entire simulate() runs via monkeypatch.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 
 from conftest import cfg_factory, make_state
 from edm.config import POLICIES
+from edm.engine import core
 from edm.engine.core import simulate
 from edm.service import LATENCY_EDGES, ServiceModel, histogram_percentile
 from edm.service import runtime
@@ -27,8 +28,10 @@ from edm.telemetry.recorder import mean_std
 from edm.topology import TopologyEvent
 from service_reference import (
     bin_latencies,
+    epoch_block,
     epoch_service_reference,
     epoch_service_vectorized,
+    reference_block,
     reference_step,
 )
 
@@ -285,8 +288,7 @@ ACCUMULATORS = ("hist", "lat_sum", "lat_count", "stalled_total", "requests_total
 
 
 def assert_same_accounting(rt, ref):
-    """Every accumulator and per-epoch series of two runtimes, bit for bit.
-    ``epoch_series`` flushes both first."""
+    """Every accumulator and per-epoch series of two runtimes, bit for bit."""
     series, ref_series = rt.epoch_series(), ref.epoch_series()
     for key, values in series.items():
         assert values.tobytes() == ref_series[key].tobytes(), key
@@ -296,22 +298,25 @@ def assert_same_accounting(rt, ref):
 
 
 def test_step_matches_reference_step_fuzz():
-    """ServiceRuntime.step against the per-request step, epoch after epoch,
-    the blocked accounting read (and so flushed) at random epochs."""
+    """ServiceRuntime.on_block against the per-request step, over blocks of
+    one to four epochs, the accounting read after random blocks."""
     rng = np.random.default_rng(1357)
     reads = np.random.default_rng(7531)
     for _ in range(30):
         n = int(rng.integers(2, 10))
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
         (fast, fast_rt), (ref, ref_rt) = clone_runs(cfg, rng, n)
-        for epoch in range(6):
-            arrivals = rng.integers(0, 300, size=n).astype(np.float64)
-            if rng.random() < 0.2:
-                arrivals[:] = 0.0  # an epoch that accepts nothing
+        epoch = 0
+        while epoch < 6:
+            k = int(rng.integers(1, 5))
+            arrivals = rng.integers(0, 300, size=(k, n)).astype(np.float64)
+            arrivals[rng.random(k) < 0.2] = 0.0  # epochs that accept nothing
             with np.errstate(over="ignore"):
-                fast_rt.step(fast, arrivals)
-                reference_step(ref_rt, ref, arrivals)
-                if epoch == 5 or reads.random() < 0.3:
+                fast_rt.on_block(fast, epoch_block(fast, arrivals, epoch))
+                for row in arrivals:
+                    reference_step(ref_rt, ref, row)
+                epoch += k
+                if epoch >= 6 or reads.random() < 0.3:
                     assert_same_accounting(fast_rt, ref_rt)
             assert np.array_equal(fast_rt.depth, ref_rt.depth)
             assert np.array_equal(fast_rt.backlog, ref_rt.backlog)
@@ -319,9 +324,9 @@ def test_step_matches_reference_step_fuzz():
 
 @pytest.mark.parametrize("block", [1, 7, runtime.RUN_BLOCK])
 def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
-    """Runs binned a block at a time, flushed (with the block of epochs
-    they came from) by reads of ``hist`` at random points, sum to the
-    per-epoch histograms of run_latencies' runs bit for bit."""
+    """Runs binned a block at a time, flushed by reads of ``hist`` at
+    random points, sum to the per-epoch histograms of run_latencies' runs
+    bit for bit."""
     monkeypatch.setattr(runtime, "RUN_BLOCK", block)
     seen = []  # (accepted, base, rate) of every epoch the step admits
 
@@ -338,14 +343,14 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
         state, rt = clone_runs(cfg, rng, n)[0]
         expected = np.zeros_like(rt.hist)
-        for _epoch in range(40):
+        for epoch in range(40):
             arrivals = rng.integers(0, 300, size=n).astype(np.float64)
             if rng.random() < 0.2:
                 arrivals[:] = 0.0  # an epoch that accepts nothing
             if rng.random() < 0.05:
                 state.osd_alive[rng.integers(n)] = False  # a death mid-run
             with np.errstate(over="ignore"):
-                rt.step(state, arrivals)
+                rt.on_block(state, epoch_block(state, arrivals, epoch))
                 accepted, base, rate = seen[-1]
                 if accepted.any():
                     runs, lat = run_latencies(accepted, base, rate)
@@ -354,7 +359,7 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
                 else:
                     kinds.add("empty")
                 if rng.random() < 0.1:
-                    # Reading hist flushes the block of epochs first.
+                    # Reading hist bins the buffered runs first.
                     assert np.array_equal(rt.hist, expected)
         with np.errstate(over="ignore"):
             assert np.array_equal(rt.hist, expected)
@@ -362,12 +367,12 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
     assert kinds == {"inf", "finite", "empty", "overflow", "bounded"}
 
 
-@pytest.mark.parametrize("block", [1, 3, runtime.EPOCH_BLOCK])
-def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
-    """Epochs accounted a block at a time -- flushed by a full block, by
-    reads at random points, and by deaths, adds and drains mid-block --
-    leave every accumulator and per-epoch series as a block of one does,
-    bit for bit, through +inf runs and zero-accept epochs."""
+@pytest.mark.parametrize("block", [1, 3, core.EPOCH_BLOCK])
+def test_blocked_accounting_equals_block_of_one(block):
+    """Epochs accounted a block at a time -- cut, as the engine cuts them,
+    when the block fills, before every death, add and drain, and at random
+    reads -- leave every accumulator and per-epoch series as blocks of one
+    do, bit for bit, through +inf runs and zero-accept epochs."""
     rng = np.random.default_rng(8642 + block)
     reads = np.random.default_rng(2468)
     seen = set()
@@ -376,6 +381,15 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
         runs = clone_runs(cfg, rng, n)
         (state0, one), (_, blocked) = runs
+        rows = [[], []]  # each run's open block of arrival rows
+
+        def cut(r):
+            if rows[r]:
+                state, rt = runs[r]
+                with np.errstate(over="ignore"):
+                    rt.on_block(state, epoch_block(state, np.array(rows[r])))
+                rows[r].clear()
+
         for epoch in range(30):
             event = rng.choice(["none", "death", "add", "drain"], p=[0.85, 0.05, 0.05, 0.05])
             osd = int(rng.integers(state0.num_osds))
@@ -383,7 +397,9 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
             if rng.random() < 0.2:
                 arrivals[:] = 0.0  # an epoch that accepts nothing
             add_rate = float(rng.choice([1e-308, 30.0]))
-            for (state, rt), size in zip(runs, (1, block)):
+            for r, ((state, rt), size) in enumerate(zip(runs, (1, block))):
+                if event != "none":
+                    cut(r)
                 if event == "add":
                     state.grow(2)
                     rt.on_event(state, TopologyEvent("add", epoch, count=2, rate=add_rate), 0)
@@ -392,13 +408,15 @@ def test_blocked_accounting_equals_block_of_one(block, monkeypatch):
                     state.osd_capacity[osd] = 0.0
                     if event == "drain":  # retired: its queues are discarded
                         rt.on_event(state, TopologyEvent("drain", epoch, osd=osd), 0)
-                monkeypatch.setattr(runtime, "EPOCH_BLOCK", size)  # read at (re)allocation
-                with np.errstate(over="ignore"):
-                    rt.step(state, np.concatenate((arrivals, [7.0, 9.0]))[: state.num_osds])
+                rows[r].append(np.concatenate((arrivals, [7.0, 9.0]))[: state.num_osds])
+                if len(rows[r]) == size:
+                    cut(r)
             seen.add(str(event))
             if reads.random() < 0.1:
+                cut(1)
                 with np.errstate(over="ignore"):
                     assert_same_accounting(blocked, one)
+        cut(1)
         with np.errstate(over="ignore"):
             assert_same_accounting(blocked, one)
             assert np.array_equal(one.depth, blocked.depth)
@@ -457,7 +475,7 @@ def test_whole_run_scalar_reference_bit_identical(case, monkeypatch):
     """Drive entire simulate() runs through the per-request step: zero metric diffs."""
     cfg = cfg_factory(**{"epochs": 24, "requests_per_epoch": 512, **case})
     fast = simulate(cfg)
-    monkeypatch.setattr(ServiceRuntime, "step", reference_step)
+    monkeypatch.setattr(ServiceRuntime, "on_block", reference_block)
     slow = simulate(cfg)
     assert set(fast) == set(slow)
     for key in fast:
@@ -557,7 +575,7 @@ def test_corpse_queue_fails_validate_until_the_step_books_it(make_cfg):
     state.validate()  # the cluster itself is consistent
     with pytest.raises(AssertionError, match="dead OSD holds queued or pending"):
         rt.validate(state)
-    rt.step(state, np.zeros(4))
+    rt.on_block(state, epoch_block(state, np.zeros(4)))
     rt.validate(state)
     assert rt.lost_work == 3.5
 
@@ -599,8 +617,8 @@ def test_queue_aggregates_exclude_dead_osds(make_cfg):
     rt.on_run_start(cfg, state)
     state.osd_alive[0] = False
     arrivals = np.array([0.0, 30.0, 40.0, 50.0])
-    rt.step(state, arrivals)
-    series = rt.epoch_series()  # flushes the block
+    rt.on_block(state, epoch_block(state, arrivals))
+    series = rt.epoch_series()
     d = rt.depth[1:]  # survivors
     assert rt._depth_mean_sum == pytest.approx(float(d.mean()))
     assert rt._depth_cov_sum == pytest.approx(float(d.std() / d.mean()))

@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from edm.engine import core
 from edm.engine.core import simulate
 from edm.service import ServiceRuntime
 from edm.sweep import default_grid, series_path, sweep
 from edm.telemetry import SERIES_FORMAT_VERSION, Recorder, TimeSeries, TimeSeriesRecorder
 from edm.telemetry.timeseries import _ARRAY_FIELDS
-from service_reference import reference_step
+from service_reference import reference_block
 
 
 class EventLog(Recorder):
@@ -23,11 +24,11 @@ class EventLog(Recorder):
     def on_run_start(self, cfg, state):
         self.events.append(("start", state.epoch))
 
-    def on_epoch(self, state, load, stats):
-        self.events.append(("epoch", stats.epoch))
+    def on_block(self, state, block):
+        self.events.append(("block", block.epochs))
 
-    def on_migration(self, state, applied, stats):
-        self.events.append(("migration", stats.epoch, applied))
+    def on_move(self, state, chunks, src, dst, trigger):
+        self.events.append(("move", state.epoch, trigger))
 
     def finalize(self, state, final_load):
         self.events.append(("finalize", state.epoch))
@@ -41,20 +42,17 @@ def test_hook_ordering(small_cfg):
     assert events[0] == ("start", 0)
     assert events[-1] == ("finalize", small_cfg.epochs - 1)
 
-    epoch_events = [e for e in events if e[0] == "epoch"]
-    assert [e[1] for e in epoch_events] == list(range(small_cfg.epochs))
+    # The blocks partition the run's epochs, in order.
+    blocks = [e[1] for e in events if e[0] == "block"]
+    assert [epoch for block in blocks for epoch in block] == list(range(small_cfg.epochs))
 
-    migration_events = [e for e in events if e[0] == "migration"]
-    expected_epochs = [
-        e for e in range(small_cfg.epochs) if (e + 1) % small_cfg.migrate_interval == 0
-    ]
-    assert [e[1] for e in migration_events] == expected_epochs
-
-    # Each migration event lands after its epoch's epoch-event.
-    for ev_epoch in expected_epochs:
-        assert events.index(("epoch", ev_epoch)) < next(
-            i for i, e in enumerate(events) if e[0] == "migration" and e[1] == ev_epoch
-        )
+    # Every round's moves land after the block that ends at its epoch.
+    moves = [(i, e[1]) for i, e in enumerate(events) if e[0] == "move"]
+    assert moves and all(e[2] == "threshold" for e in events if e[0] == "move")
+    ends = {e[1][-1]: i for i, e in enumerate(events) if e[0] == "block"}
+    for i, epoch in moves:
+        assert (epoch + 1) % small_cfg.migrate_interval == 0
+        assert ends[epoch] < i
 
 
 def test_recorders_do_not_perturb_metrics(small_cfg):
@@ -120,7 +118,7 @@ def _cov(x):
 
 class LiveColumns(Recorder):
     """Each epoch's derived columns, reduced then and there from the live
-    vectors with numpy's own ``mean``/``std``/``max``."""
+    vectors with numpy's own ``mean``/``std``/``max`` (blocks of one)."""
 
     def on_run_start(self, cfg, state):
         self.rows = {}
@@ -128,24 +126,28 @@ class LiveColumns(Recorder):
     def on_service(self, service):
         self.service = service
 
-    def on_epoch(self, state, load, stats):
+    def on_block(self, state, block):
+        ((epoch,), (load,)) = block.epochs, block.load
         peak = float(load.max() / load.mean()) if load.mean() > 0 else 0.0
         depth = self.service.depth[state.osd_alive]
-        self.rows[stats.epoch] = {
+        self.rows[epoch] = {
             "load_cov": _cov(load), "load_peak_ratio": peak, "wear_cov": _cov(state.osd_wear),
             "queue_depth_mean": float(depth.mean()), "queue_depth_cov": _cov(depth),
         }
 
 
 def test_sampled_series_across_scale_out_match_live_reductions(make_cfg, monkeypatch):
-    """record_every=3 across an add, a failure and a drain: columns derived
-    at finalize, one block per cluster width, equal the per-epoch
-    reductions; the whole series equals the per-request, per-epoch service
-    step's."""
+    """record_every=3 across an add, a failure and a drain: columns taken
+    from blocks of epochs equal the per-epoch reductions of a run in
+    blocks of one; the whole series equals the per-request, per-epoch
+    service step's."""
     cfg = make_cfg(num_osds=6, epochs=32, service="rate:120;queue:64", faults="fail:3@14",
                    topology="add:2@10/cap:2,rate:240;drain:1@20")
     rec, live = TimeSeriesRecorder(record_every=3), LiveColumns()
-    metrics = simulate(cfg, recorders=(rec, live))
+    metrics = simulate(cfg, recorders=(rec,))
+    with monkeypatch.context() as m:
+        m.setattr(core, "EPOCH_BLOCK", 1)
+        assert simulate(cfg, recorders=(live,)) == metrics
     s = rec.series
     assert s.epoch.tolist() == [*range(0, 32, 3), 31]
     assert s.osds_total.tolist() == [6] * 4 + [8] * 8
@@ -155,7 +157,7 @@ def test_sampled_series_across_scale_out_match_live_reductions(make_cfg, monkeyp
         if i == s.num_samples - 1:  # end-of-run wear: after the last migrations
             expected["wear_cov"] = metrics["wear_cov"]
         assert {k: float(getattr(s, k)[i]) for k in expected} == expected, epoch
-    monkeypatch.setattr(ServiceRuntime, "step", reference_step)
+    monkeypatch.setattr(ServiceRuntime, "on_block", reference_block)
     ref = TimeSeriesRecorder(record_every=3)
     simulate(cfg, recorders=(ref,))
     for k in _ARRAY_FIELDS:

@@ -13,6 +13,7 @@ from edm.service import ServiceRuntime
 from edm.spec import SpecError
 from edm.telemetry import Recorder
 from edm.topology import TOPOLOGY_KINDS, TopologyPlan
+from service_reference import epoch_block
 
 # ---------------------------------------------------------------------------
 # Grammar
@@ -239,7 +240,7 @@ def test_drain_marks_then_retire_removes(make_cfg):
     assert not state.osd_alive[1]
     assert state.osd_capacity[1] == 0.0
     assert service.depth[1] == 0.0 and service.backlog[1] == 0.0
-    service.step(state, np.zeros(state.num_osds))
+    service.on_block(state, epoch_block(state, np.zeros(state.num_osds)))
     assert service.lost_work == 0.0  # no queue work counts as lost
 
 

@@ -138,11 +138,13 @@ class RaisesAt(Recorder):
     def __init__(self, epoch):
         self.epoch = epoch
 
-    def on_epoch(self, state, load, stats):
-        if stats.epoch == self.epoch:
-            raise Boom(f"recorder failed at epoch {stats.epoch}")
+    def on_block(self, state, block):
+        (epoch,) = block.epochs
+        if epoch == self.epoch:
+            raise Boom(f"recorder failed at epoch {epoch}")
 
 
+@pytest.mark.usefixtures("blocks_of_one")
 @pytest.mark.parametrize("at", [0, 5, 47])
 def test_recorder_exception_propagates_and_reaps(force_producer, at):
     cfg = cfg_factory(epochs=48)
