@@ -134,7 +134,6 @@ def _assign_sequential(
     policy: MigrationPolicy,
     state: ClusterState,
     cfg: SimConfig,
-    forbid: np.ndarray | None = None,
     emit=None,
 ) -> np.ndarray:
     """Greedy assignment one chunk at a time, hottest first.
@@ -142,36 +141,35 @@ def _assign_sequential(
     One :func:`~edm.policies.base.destination_picker` serves the burst: its
     scorer (static terms frozen) scores all of ``alive_ids`` per chunk and
     the chunk's keep-mask subsets it, bit-identical to scoring the subset.
-    ``forbid`` (redundant configs) holds, per chunk, the owners of its group
-    members; one matrix serves the burst because ``chunk_owner`` is frozen
-    until :func:`apply_migrations` and no two burst chunks share a group.
+    Each chunk's keep row drops the owners of its placement group's members
+    (:meth:`~edm.engine.state.ClusterState.group_owners`); one matrix serves
+    the burst because ``chunk_owner`` is frozen until
+    :func:`apply_migrations` and no two burst chunks share a group.  On a
+    plain cluster the only member is the chunk itself, on the leaving OSD,
+    which is no candidate: every row keeps every candidate.
     ``emit(chunk, dst, candidates, keep, terms, scores)`` explains each
     pick over ``alive_ids``, of which the chunk's own are ``keep``.
     """
     pick = destination_picker(policy, alive_ids, state, cfg)
-    keep = None
-    if forbid is not None:
-        m = alive_ids.size
-        pos = candidate_positions(alive_ids, state.num_osds)
-        # One spare trailing column absorbs owners that are not candidates.
-        keep = np.ones((order.size, m + 1), dtype=bool)
-        keep[np.arange(order.size)[:, None], pos[forbid]] = False
-        keep = keep[:, :m]
-        stuck = ~keep.any(axis=1)
-        if stuck.any():
-            chunk = int(order[np.argmax(stuck)])
-            raise RuntimeError(
-                f"chunk {chunk} of placement group "
-                f"{int(state.chunk_group[chunk])} has no constraint-"
-                f"satisfying destination among {m} surviving OSDs"
-            )
+    m = alive_ids.size
+    pos = candidate_positions(alive_ids, state.num_osds)
+    # One spare trailing column absorbs owners that are not candidates.
+    keep = np.ones((order.size, m + 1), dtype=bool)
+    keep[np.arange(order.size)[:, None], pos[state.group_owners(order)[1]]] = False
+    keep = keep[:, :m]
+    stuck = ~keep.any(axis=1)
+    if stuck.any():
+        raise RuntimeError(
+            f"chunk {int(order[np.argmax(stuck)])} has no constraint-satisfying "
+            f"destination among {m} surviving OSDs: each holds a member of "
+            f"its placement group"
+        )
     cap = state.osd_capacity
     dsts = np.empty(order.size, dtype=np.int64)
     for k, chunk in enumerate(order):
-        row = None if keep is None else keep[k]
-        dst, terms, scores = pick(proj, row)
+        dst, terms, scores = pick(proj, keep[k])
         if emit is not None:
-            emit(int(chunk), dst, alive_ids, row, terms, scores)
+            emit(int(chunk), dst, alive_ids, keep[k], terms, scores)
         dsts[k] = dst
         proj[dst] += state.chunk_heat[chunk] / cap[dst]
     return dsts
@@ -200,11 +198,11 @@ def replace_dead_chunks(
     Every burst -- plain or redundant, explained (``emit`` set, see
     :mod:`edm.obs.decisions`) or not -- runs through
     :func:`_assign_sequential`, bit-identical to scoring each chunk's own
-    candidate set from scratch.  Redundant configs forbid, per
-    chunk, every OSD holding a member of its placement group; the
-    redundancy and service recorders account a dead OSD's burst as
-    *reconstruction* reads of the surviving group members.  A drain
-    (``dead_osd`` still alive) stays a plain group-constrained evacuation.
+    candidate set from scratch, which excludes every OSD holding a member
+    of the chunk's placement group.  On a redundant cluster the redundancy
+    and service recorders account a dead OSD's burst as *reconstruction*
+    reads of the surviving group members.  A drain (``dead_osd`` still
+    alive) stays a plain group-constrained evacuation.
     """
     chunks = np.flatnonzero(state.chunk_owner == dead_osd)
     if chunks.size == 0:
@@ -220,15 +218,8 @@ def replace_dead_chunks(
         )
     proj = effective_load(state.osd_load_ema, state.osd_capacity, state.osd_alive)
     order = chunks[np.argsort(-state.chunk_heat[chunks], kind="stable")]
-    forbid = None
-    if state.chunk_group is not None:
-        # Owners of each chunk's group members; ids past the last chunk
-        # clip onto it, a member of the same (trailing, narrower) group.
-        w = state.group_width
-        members = (order // w * w)[:, None] + np.arange(w)
-        forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
     relay = None if emit is None else lambda c, *pick: emit(c, int(dead_osd), *pick)
-    dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, forbid, relay)
+    dsts = _assign_sequential(order, proj, alive_ids, policy, state, cfg, relay)
     moves = np.column_stack((order, dsts))
     return apply_migrations(state, moves, cfg, trigger, recorders)
 
@@ -311,10 +302,6 @@ class Run:
     def _emitter(self, trigger: str):
         def emit(chunk, src, dst, candidates, keep, terms, scores):
             # The pick scored every candidate; the decision reports its own.
-            if keep is not None:
-                candidates = candidates[keep]
-                terms = {k: v[keep] for k, v in terms.items()}
-                scores = scores[keep]
             decision = Decision(
                 epoch=int(self.state.epoch),
                 trigger=trigger,
@@ -322,9 +309,9 @@ class Run:
                 chunk=int(chunk),
                 src=int(src),
                 dst=int(dst),
-                candidates=tuple(int(c) for c in candidates),
-                terms={k: tuple(float(x) for x in v) for k, v in terms.items()},
-                scores=tuple(float(s) for s in scores),
+                candidates=tuple(int(c) for c in candidates[keep]),
+                terms={k: tuple(float(x) for x in v[keep]) for k, v in terms.items()},
+                scores=tuple(float(s) for s in scores[keep]),
             )
             for rec in self._deciders:
                 rec.on_decision(self.state, decision)

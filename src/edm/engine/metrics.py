@@ -60,29 +60,18 @@ class MetricsAccumulator(Recorder):
         self._first_wearout_epoch = -1
         # Topology tracking (only surfaced when cfg.topology is set).
         self._topology = bool(cfg.topology)
-        self._osds_added = 0
-        self._osds_drained = 0
         self._drain_moves = 0
-        self._cold_ids: list[int] = []
 
     def on_event(self, state: ClusterState, event, moved: int) -> None:
         kind = event.kind
-        if kind == "add":
-            self._osds_added += event.count
-            # The hook fires after growth: the newest ``count`` ids are the
-            # cold drives this event added.
-            self._cold_ids.extend(
-                range(state.num_osds - event.count, state.num_osds)
-            )
-        elif kind == "drain":
-            self._osds_drained += 1
+        if kind == "drain":
             self._drain_moves += moved
         elif kind == "wearout":
             self._wearouts += 1
             self._wearout_replaced += moved
             if self._first_wearout_epoch < 0:
                 self._first_wearout_epoch = event.epoch
-        else:
+        elif kind != "add":  # the state holds the added drives (see finalize)
             self._fault_counts[kind] += 1
         if kind == "fail":
             self._replaced_total += moved
@@ -200,16 +189,17 @@ class MetricsAccumulator(Recorder):
             out["wearout_replacements_total"] = int(self._wearout_replaced)
             out["osds_alive_final"] = int(alive.sum())
         if self._topology:
-            # "Cold" drives are the ones scale-out added: their wear uptake
-            # and final load share quantify how hard policies lean on fresh
-            # low-wear capacity.
+            # "Cold" drives are the ones scale-out added, after the initial
+            # ones (adds only append; every drained OSD stays marked): their
+            # wear uptake and final load share quantify how hard policies
+            # lean on fresh low-wear capacity.
+            cold = np.arange(cfg.num_osds, state.num_osds)
             out["topology"] = cfg.topology
             out["osds_total_final"] = int(state.num_osds)
-            out["osds_added_total"] = int(self._osds_added)
-            out["osds_drained_total"] = int(self._osds_drained)
+            out["osds_added_total"] = int(cold.size)
+            out["osds_drained_total"] = int(np.count_nonzero(state.osd_draining))
             out["drain_moves_total"] = int(self._drain_moves)
             out["load_cov_alive_mean"] = self._cov_alive_sum / epochs
-            cold = np.asarray(self._cold_ids, dtype=np.int64)
             if cold.size:
                 cw = wear[cold]
                 out["cold_wear_mean"] = float(cw.mean())

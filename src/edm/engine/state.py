@@ -2,9 +2,12 @@
 
 Everything the engine and policies touch per epoch lives here as an array
 indexed by chunk or by OSD, so routing, wear accrual, and policy selection
-are batch array ops rather than per-request Python loops.  State that
-steers no decision -- service queues, reconstruction counters -- lives on
-the recorder that accounts it (see :mod:`edm.telemetry.recorder`).
+are batch array ops rather than per-request Python loops.  Placement
+groups are a width, not a per-chunk array: :meth:`ClusterState.group_owners`
+derives any chunks' groups and their owners (a plain cluster's groups are
+single chunks, width 1).  State that steers no decision -- service queues,
+reconstruction counters -- lives on the recorder that accounts it (see
+:mod:`edm.telemetry.recorder`).
 """
 
 from __future__ import annotations
@@ -44,11 +47,10 @@ class ClusterState:
     osd_wear_rate: np.ndarray = _column(0.0)    # float64 [N], EWMA of per-epoch wear increments
     osd_wear_seen: np.ndarray = _column(0.0)    # float64 [N], osd_wear at the last wear-rate update
     osd_draining: np.ndarray = _column(False)   # bool [N], True once a drain marked the OSD source-only
-    # Redundancy state (plain configs carry None/0 and skip every group
-    # check).  Groups are consecutive id ranges of group_width chunks whose
-    # members must live on pairwise-distinct OSDs.
-    chunk_group: np.ndarray = None   # int32 [C], placement-group id per chunk (None = plain)
-    group_width: int = 0             # chunks per group (0 = plain)
+    # Chunks per placement group, whose members must live on pairwise-
+    # distinct OSDs (see group_owners); 1 on a plain cluster, where every
+    # chunk is a group of its own.
+    group_width: int = 1
     epoch: int = 0
     migrations_total: int = 0
 
@@ -75,13 +77,28 @@ class ClusterState:
 
     @property
     def survivor_floor(self) -> int:
-        """Fewest alive OSDs departures may leave: one, or one full group.
+        """Fewest alive OSDs departures may leave: one full group.
 
-        Below ``max(1, group_width)`` a departing OSD's chunks have no
-        (distinct) destination, so scheduled failures, wear-outs and drains
-        all stop here (see :func:`edm.faults.departure_room`).
+        Below ``group_width`` a departing OSD's chunks have no (distinct)
+        destination, so scheduled failures, wear-outs and drains all stop
+        here (see :func:`edm.faults.departure_room`).
         """
-        return max(1, self.group_width)
+        return self.group_width
+
+    def group_owners(self, chunks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(members, owners)``: each chunk's placement group and its OSDs.
+
+        Both are ``(len(chunks), group_width)``: row ``i`` holds the ids of
+        ``chunks[i]``'s group members in increasing order, itself included,
+        and the OSD owning each.  Groups are windows of ``group_width``
+        consecutive ids; this is the one place that knows it.  When the
+        chunk count is not a multiple of the width, the trailing group is
+        narrower and its rows repeat its last chunk to fill the width.
+        """
+        w = self.group_width
+        members = (np.asarray(chunks, dtype=np.int64) // w * w)[:, None] + np.arange(w)
+        np.minimum(members, self.num_chunks - 1, out=members)
+        return members, self.chunk_owner[members]
 
     def validate(self) -> None:
         """Cheap invariant check: every chunk owned by exactly one valid OSD."""
@@ -107,10 +124,12 @@ class ClusterState:
             # drain epoch; surviving the boundary means the engine skipped
             # the retire step.
             raise AssertionError("draining OSD survived its drain epoch un-retired")
-        if self.chunk_group is not None:
+        w = self.group_width
+        if w > 1:
             # The redundancy spread constraint: every (group, owner) pair is
             # unique, i.e. no placement group co-locates two chunks.
-            key = self.chunk_group.astype(np.int64) * self.num_osds + self.chunk_owner
+            group = np.arange(self.num_chunks, dtype=np.int64) // w
+            key = group * self.num_osds + self.chunk_owner
             if np.unique(key).size != self.num_chunks:
                 raise AssertionError(
                     "placement group co-locates two chunks on one OSD"
@@ -163,28 +182,23 @@ def init_state(cfg: SimConfig) -> ClusterState:
     round-robin instead -- chunk i on OSD i % num_osds -- because contiguous
     blocks would put a whole placement group on one OSD.  Round-robin
     satisfies the spread constraint by construction: a group is a window of
-    ``group_width`` consecutive ids, and ``group_width <= num_osds``
-    (validated at config time), so its owners are pairwise distinct.
+    consecutive ids (:meth:`ClusterState.group_owners`) no wider than the
+    cluster (validated at config time), so its owners are pairwise distinct.
+    A plain cluster's groups are single chunks.
 
     Each OSD starts with its rated P/E budget from the endurance model
     (``inf`` on an unrated cluster).
     """
     c, n = cfg.num_chunks, cfg.num_osds
-    group = None
-    width = 0
-    if cfg.redundancy:
-        width = cfg.plans["redundancy"].group_width
-        owner = (np.arange(c, dtype=np.int64) % n).astype(np.int32)
-        group = (np.arange(c, dtype=np.int64) // width).astype(np.int32)
-    else:
-        owner = (np.arange(c, dtype=np.int64) // cfg.chunks_per_osd).astype(np.int32)
+    ids = np.arange(c, dtype=np.int64)
+    scheme = cfg.plans["redundancy"]
+    owner = ids % n if scheme else ids // cfg.chunks_per_osd
     return ClusterState(
         num_osds=n,
         num_chunks=c,
-        chunk_owner=owner,
+        chunk_owner=owner.astype(np.int32),
         chunk_heat=np.zeros(c),
         chunk_last_migrated=np.full(c, -(10**9), dtype=np.int64),
-        chunk_group=group,
-        group_width=width,
+        group_width=scheme.group_width if scheme else 1,
         osd_rated_life=cfg.plans["endurance"].per_osd(n),
     )

@@ -20,11 +20,12 @@ Draining OSDs (topology scale-in, ``state.osd_draining``) are masked out of
 destination candidates everywhere a policy picks one: a drive being
 evacuated is a migration *source* only, never a landing spot.
 
-Redundant placement (``state.chunk_group`` set, see :mod:`edm.redundancy`):
+Redundant placement (``state.group_width > 1``, see :mod:`edm.redundancy`):
 a chunk's destination candidates additionally exclude every OSD holding
-another member of its placement group, so no group ever co-locates two
-chunks on one OSD.  Plain configs carry ``chunk_group=None`` and skip the
-filter entirely, keeping their selection bit-identical.
+another member of its placement group
+(:meth:`~edm.engine.state.ClusterState.group_owners`), so no group ever
+co-locates two chunks on one OSD.  A plain cluster's groups are single
+chunks, whose only member sits on the source selection already excludes.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ def sum_terms(terms: dict[str, np.ndarray]) -> np.ndarray:
     return score
 
 
+def coldest_active_first(chunk_ids: np.ndarray, state: ClusterState) -> np.ndarray:
+    """Chunks with traffic, coldest first: each move disturbs little ongoing
+    traffic, and stone-cold chunks, which shed no load, are never moved."""
+    heat = state.chunk_heat[chunk_ids]
+    active = heat > 0
+    return chunk_ids[active][np.argsort(heat[active])]
+
+
 def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
     """Map OSD id -> index into ``candidates`` (``candidates.size`` if absent),
     so dropping OSD ids is a keep-mask write instead of an ``np.isin``."""
@@ -65,11 +74,11 @@ def candidate_positions(candidates: np.ndarray, num_osds: int) -> np.ndarray:
 def destination_picker(
     policy: "MigrationPolicy", candidates: np.ndarray, state: ClusterState, cfg: SimConfig
 ):
-    """``pick(proj_load, keep=None) -> (dst, terms, scores)``.
+    """``pick(proj_load, keep) -> (dst, terms, scores)``.
 
-    Picks among ``candidates[keep]`` (all when ``keep`` is None; ``keep``
-    keeps at least one); ``terms`` and ``scores`` cover every candidate (a
-    decision's emitter narrows them to ``keep``).  One scorer is built up
+    Picks among ``candidates[keep]`` (``keep`` keeps at least one);
+    ``terms`` and ``scores`` cover every candidate (a decision's emitter
+    narrows them to ``keep``).  One scorer is built up
     front, and each pick scores all candidates -- bit-identical to scoring
     the subset by the scorer contract.  Dropped candidates score +inf, so
     ``argmin`` finds the subset's first minimum (or first NaN); when every
@@ -78,15 +87,12 @@ def destination_picker(
     """
     score = policy.scorer(candidates, state, cfg)
 
-    def pick(proj_load, keep=None):
+    def pick(proj_load, keep):
         terms = score(proj_load)
         scores = sum_terms(terms)
-        if keep is None:
-            i = scores.argmin()
-        else:
-            i = np.where(keep, scores, np.inf).argmin()
-            if not keep[i]:
-                i = keep.argmax()
+        i = np.where(keep, scores, np.inf).argmin()
+        if not keep[i]:
+            i = keep.argmax()
         return int(candidates[i]), terms, scores
 
     return pick
@@ -102,7 +108,7 @@ class MigrationPolicy(ABC):
         ``emit(chunk, src, dst, candidates, keep, terms, scores)``, when
         given, is called once per selected move with the per-term score
         decomposition (see :meth:`scorer`) over ``candidates``, of which the
-        pick's own are ``candidates[keep]`` (all when ``keep`` is None).
+        pick's own are ``candidates[keep]``.
         Explanation observes the pick, never changes it: the moves are the
         same with or without ``emit``.
         """
@@ -134,8 +140,9 @@ class ThresholdPolicy(MigrationPolicy):
     """Overload-threshold skeleton shared by CDF / HDF / CMT."""
 
     def chunk_order(self, chunk_ids: np.ndarray, state: ClusterState) -> np.ndarray:
-        """Order candidate chunks on an overloaded OSD (first = first moved)."""
-        raise NotImplementedError
+        """Order candidate chunks on an overloaded OSD (first = first moved):
+        hottest first, unless a policy overrides it."""
+        return chunk_ids[np.argsort(-state.chunk_heat[chunk_ids])]
 
     def select(self, state: ClusterState, cfg: SimConfig, emit=None) -> np.ndarray:
         alive = state.osd_alive
@@ -156,12 +163,14 @@ class ThresholdPolicy(MigrationPolicy):
         # scoring it; each chunk narrows it with a keep-mask.
         dest = np.flatnonzero(alive & ~state.osd_draining)
         pick = destination_picker(self, dest, state, cfg)
-        w = state.group_width
-        pos = candidate_positions(dest, state.num_osds) if w else None
-        # Destinations already claimed this round, per placement group:
-        # chunk_owner only changes when the engine applies the moves, so two
-        # same-group chunks selected in one round would otherwise not see
-        # each other's landing spots.  (Redundant configs only.)
+        # Group constraints bind only wider than one chunk: a single chunk's
+        # only member sits on its source, which is no underloaded candidate.
+        grouped = state.group_width > 1
+        pos = candidate_positions(dest, state.num_osds) if grouped else None
+        # Destinations already claimed this round, per placement group (keyed
+        # by its first member): chunk_owner only changes when the engine
+        # applies the moves, so two same-group chunks selected in one round
+        # would otherwise not see each other's landing spots.
         claimed: dict[int, list[int]] = {}
 
         budget = cfg.max_migrations_per_interval
@@ -173,16 +182,18 @@ class ThresholdPolicy(MigrationPolicy):
             mine = np.flatnonzero((state.chunk_owner == src) & eligible)
             if mine.size == 0:
                 continue
-            for chunk in self.chunk_order(mine, state):
+            order = self.chunk_order(mine, state)
+            if grouped:
+                members, owners = state.group_owners(order)
+            for i, chunk in enumerate(order):
                 if budget <= 0 or proj[src] <= high:
                     break
                 keep = proj[dest] < mean
                 if not keep.any():
                     break
-                if w:
-                    group = int(state.chunk_group[chunk])
-                    lo = (int(chunk) // w) * w
-                    hit = pos[[*state.chunk_owner[lo : lo + w], *claimed.get(group, ())]]
+                if grouped:
+                    group = int(members[i, 0])
+                    hit = pos[[*owners[i], *claimed.get(group, ())]]
                     keep[hit[hit < dest.size]] = False
                     if not keep.any():
                         # Every underloaded OSD already holds (or was just
@@ -200,7 +211,7 @@ class ThresholdPolicy(MigrationPolicy):
                     continue
                 if emit is not None:
                     emit(int(chunk), int(src), dst, dest, keep, terms, scores)
-                if w:
+                if grouped:
                     claimed.setdefault(group, []).append(dst)
                 moves.append((int(chunk), dst))
                 proj[src] -= heat / cap[src]

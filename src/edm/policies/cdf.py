@@ -5,17 +5,9 @@ traffic -- at the cost of needing many more moves (higher migration cost)
 to shed the same load.
 """
 
-import numpy as np
-
-from edm.policies.base import ThresholdPolicy
+from edm.policies.base import ThresholdPolicy, coldest_active_first
 
 
 class CdfPolicy(ThresholdPolicy):
     name = "cdf"
-
-    def chunk_order(self, chunk_ids, state):
-        heat = state.chunk_heat[chunk_ids]
-        # Stone-cold chunks shed no load; consider only chunks with traffic,
-        # coldest first.
-        active = chunk_ids[heat > 0]
-        return active[np.argsort(state.chunk_heat[active])]
+    chunk_order = staticmethod(coldest_active_first)

@@ -25,9 +25,6 @@ from edm.policies.base import NormalizedScorePolicy
 class CmtPolicy(NormalizedScorePolicy):
     name = "cmt"
 
-    def chunk_order(self, chunk_ids, state):
-        return chunk_ids[np.argsort(-state.chunk_heat[chunk_ids])]
-
     def static_destination_terms(self, candidates, state, cfg):
         """CMT's load-independent score terms: wear (+ wear-out risk).
 

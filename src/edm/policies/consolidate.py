@@ -23,7 +23,7 @@ which is the Serifos trade -- many cheap moves over few disruptive ones.
 
 import numpy as np
 
-from edm.policies.base import NormalizedScorePolicy
+from edm.policies.base import NormalizedScorePolicy, coldest_active_first
 
 # Saturation penalty: large enough that a saturated candidate never outranks
 # an unsaturated one (normalized packing scores live in [-O(1), 0]), finite
@@ -33,11 +33,7 @@ _SATURATION_PENALTY = 1e6
 
 class ConsolidatePolicy(NormalizedScorePolicy):
     name = "consolidate"
-
-    def chunk_order(self, chunk_ids, state):
-        heat = state.chunk_heat[chunk_ids]
-        active = chunk_ids[heat > 0]
-        return active[np.argsort(state.chunk_heat[active])]
+    chunk_order = staticmethod(coldest_active_first)
 
     def load_terms(self, load_norm, state, cfg):
         saturation = 1.0 + cfg.overload_tolerance

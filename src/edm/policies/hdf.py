@@ -5,13 +5,8 @@ OSD.  Rebalances in few moves but concentrates write traffic -- and hence
 wear -- on whichever SSD happens to be coldest, ignoring endurance.
 """
 
-import numpy as np
-
 from edm.policies.base import ThresholdPolicy
 
 
 class HdfPolicy(ThresholdPolicy):
     name = "hdf"
-
-    def chunk_order(self, chunk_ids, state):
-        return chunk_ids[np.argsort(-state.chunk_heat[chunk_ids])]

@@ -26,9 +26,6 @@ from edm.policies.base import NormalizedScorePolicy
 class PswlPolicy(NormalizedScorePolicy):
     name = "pswl"
 
-    def chunk_order(self, chunk_ids, state):
-        return chunk_ids[np.argsort(-state.chunk_heat[chunk_ids])]
-
     def static_destination_terms(self, candidates, state, cfg):
         alive = state.osd_alive
         rated = state.osd_rated_life

@@ -1,8 +1,9 @@
 """Reconstruction-traffic accounting for redundant placement.
 
-The placement side of redundancy is static state (``ClusterState.chunk_group``
-/ ``group_width``, laid out by :func:`edm.engine.state.init_state`, enforced
-by the policy layer and the engine's re-placement path).  This runtime is a
+The placement side of redundancy is static state (``ClusterState.group_width``,
+laid out by :func:`edm.engine.state.init_state`, read through
+:meth:`~edm.engine.state.ClusterState.group_owners` and enforced by the policy
+layer and the engine's re-placement path).  This runtime is a
 :class:`~edm.telemetry.Recorder` that accounts the *dynamic* side from the
 move hook: when an OSD fails (scheduled fault or wear-out), each of its
 chunks is rebuilt from surviving group members instead of merely copied --
@@ -54,12 +55,11 @@ def rebuild_reads(
     however many peers it actually has, capped at ``reads_per_loss``.
     """
     lost = np.asarray(lost, dtype=np.int64)
-    # One pass over the (lost x width) member matrix; ids past the last
-    # chunk (a trailing partial group) and the lost chunk are no peers.
-    w = state.group_width
-    members = (lost // w * w)[:, None] + np.arange(w)
-    peer = (members < state.num_chunks) & (members != lost[:, None])
-    owners = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+    # One pass over the (lost x width) member matrix; the lost chunk and a
+    # trailing partial group's repeats of its last member are no peers.
+    members, owners = state.group_owners(lost)
+    peer = members != lost[:, None]
+    peer[:, 1:] &= members[:, 1:] != members[:, :-1]
     live = peer & state.osd_alive[owners]
     needed = np.minimum(reads_per_loss, peer.sum(axis=1))
     read = live & (np.cumsum(live, axis=1) <= needed[:, None])

@@ -78,12 +78,6 @@ class RedundancyScheme(ClauseSet):
         """
         return 1 if self._scheme.kind == "rep" else self._scheme.m
 
-    @property
-    def tolerated_losses(self) -> int:
-        """Group members that can be lost before data becomes unrecoverable."""
-        s = self._scheme
-        return s.m - 1 if s.kind == "rep" else s.k
-
     @classmethod
     def from_clauses(cls, schemes: list, spec: str | None) -> "RedundancyScheme":
         if len(schemes) > 1:

@@ -36,8 +36,8 @@ in one pass: its latencies are built at once, each epoch's own slice is
 summed, the depth aggregates are reduced row-wise and every running sum is
 folded in epoch order.  Requests are never binned one by one: each OSD's
 latencies form a nondecreasing run, split only by the bin edges inside it
-(see :func:`bin_runs`), and runs wait for a block of ``RUN_BLOCK`` to be
-binned.  tests/service_reference.py keeps the per-request, per-epoch step
+(see :func:`bin_runs`), and each block's runs are binned in one pass.
+tests/service_reference.py keeps the per-request, per-epoch step
 as the oracle this one is pinned to bit for bit.
 """
 
@@ -68,9 +68,6 @@ _SPLITS = np.append(LATENCY_EDGES[1:-1], [np.nextafter(LATENCY_EDGES[-1], np.inf
 _SPLIT_TABLE = np.stack((_SPLITS, np.minimum(_SPLITS, np.finfo(np.float64).max)))
 # 1.0, 2.0, ...: each run's ``i + 1.0`` is a slice; grown, never rewritten.
 _RAMP = np.arange(1.0, 1025.0)
-# Runs buffered between binnings: ~6 epochs of a 20-OSD run share one pass of
-# bin_runs.  512 grew peak RSS by 2 MB (the split arrays); 32 lost the gain.
-RUN_BLOCK = 128
 
 
 def histogram_percentile(hist: np.ndarray, q: float) -> float:
@@ -184,14 +181,11 @@ class ServiceRuntime(Recorder):
         self.qbound = model.queue_bound
         self._drain = 1.0 / float(cfg.service_cooldown_epochs)
         self._cost = cfg.service_migration_cost
-        # Run-level accumulators.  The histogram has one slot per real bin
-        # plus a trailing overflow slot; runs wait in ``_runs`` to be binned.
-        self._hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)
-        self._runs: list[tuple[np.ndarray, ...]] = []
-        self._buffered = 0
+        # Run-level accumulators.  The latency histogram has one slot per
+        # real bin plus a trailing overflow slot.
+        self.hist = np.zeros(_NUM_BINS + 1, dtype=np.int64)
         self._dead = 0
         self.lat_sum = 0.0
-        self.lat_count = 0
         self.stalled_total = 0
         self.requests_total = 0
         self.dropped_total = 0
@@ -201,26 +195,11 @@ class ServiceRuntime(Recorder):
         self._mig_lat_count = 0
         self._clean_lat_sum = 0.0
         self._clean_lat_count = 0
-        self._depth_mean_sum = 0.0
-        self._depth_cov_sum = 0.0
         self._depth_max = 0.0
-        self._epochs = 0
         # Per-epoch series, one value per stepped epoch (see epoch_series).
         self._lat_means: list[float] = []
         self._depth_means: list[float] = []
         self._depth_covs: list[float] = []
-
-    @property
-    def hist(self) -> np.ndarray:
-        """The run's latency histogram, every stepped epoch binned into it."""
-        self._bin_buffered()
-        return self._hist
-
-    def _bin_buffered(self) -> None:
-        if self._runs:
-            self._hist += bin_runs(*map(np.concatenate, zip(*self._runs)))
-            self._runs.clear()
-            self._buffered = 0
 
     def epoch_series(self) -> dict[str, np.ndarray]:
         """Per-epoch mean finite latency (0.0 for an epoch that served none)
@@ -316,12 +295,8 @@ class ServiceRuntime(Recorder):
         self.requests_total += offered
         self.dropped_total += offered - sum(served)
         if any(served):
-            # Binned later, a block of runs at a time (see ``hist``).
             runs, lat = run_latencies(accepted.ravel(), base.ravel(), np.tile(rate, k))
-            self._runs.append(runs)
-            self._buffered += runs[0].size
-            if self._buffered >= RUN_BLOCK:
-                self._bin_buffered()
+            self.hist += bin_runs(*runs)
             # Each serving epoch's slowest request: the max of its run tails.
             per_epoch = np.count_nonzero(accepted, axis=1)
             firsts = (np.cumsum(per_epoch) - per_epoch)[per_epoch > 0]
@@ -343,9 +318,6 @@ class ServiceRuntime(Recorder):
             d_max = []
         # Python's max, row by row: a NaN row is passed over, as per epoch.
         self._depth_max = max([self._depth_max, *d_max])
-        for dm, dc in zip(d_mean, d_cov):
-            self._depth_mean_sum += dm
-            self._depth_cov_sum += dc
         self._depth_means += d_mean
         self._depth_covs += d_cov
 
@@ -367,7 +339,6 @@ class ServiceRuntime(Recorder):
                     # The sum numpy's ``epoch_lat.sum()`` gives, bit for bit.
                     fin_sum = float(np.add.reduce(epoch_lat))
                     self.lat_sum += fin_sum
-                    self.lat_count += epoch_lat.size
                     lat_mean = fin_sum / epoch_lat.size
                     if mig_epoch:
                         self._mig_lat_sum += fin_sum
@@ -378,16 +349,23 @@ class ServiceRuntime(Recorder):
                         self._clean_lat_sum += fin_sum
                         self._clean_lat_count += epoch_lat.size
             self._lat_means.append(lat_mean)
-        self._epochs += k
 
     def metrics_block(self) -> dict:
         """Run-level service metrics, merged into ``simulate``'s dict."""
         nan = float("nan")
-        lat_mean = self.lat_sum / self.lat_count if self.lat_count else nan
+        # Every epoch that served a finite latency counts as migrating or clean.
+        lat_count = self._mig_lat_count + self._clean_lat_count
+        lat_mean = self.lat_sum / lat_count if lat_count else nan
         mig_mean = self._mig_lat_sum / self._mig_lat_count if self._mig_lat_count else nan
         clean = self._clean_lat_sum / self._clean_lat_count if self._clean_lat_count else nan
         spike_ratio = mig_mean / clean if clean > 0 else nan  # NaN without either kind
-        epochs = self._epochs
+        # The per-epoch depth aggregates, summed left to right from 0.0 as a
+        # running sum would add them (``sum()`` compensates on Python 3.12+).
+        epochs = len(self._lat_means)
+        depth_sum = cov_sum = 0.0
+        for dm, dc in zip(self._depth_means, self._depth_covs):
+            depth_sum += dm
+            cov_sum += dc
         return {
             "service": self.model.spec,
             "service_lat_p50": histogram_percentile(self.hist, 0.50),
@@ -400,9 +378,9 @@ class ServiceRuntime(Recorder):
             "service_lost_work": self.lost_work,
             "migration_spike_ratio": spike_ratio,
             "migration_spike_lat_max": self.spike_lat_max,
-            "queue_depth_mean": self._depth_mean_sum / epochs if epochs else 0.0,
+            "queue_depth_mean": depth_sum / epochs if epochs else 0.0,
             "queue_depth_max": self._depth_max,
-            "queue_depth_cov_mean": self._depth_cov_sum / epochs if epochs else 0.0,
+            "queue_depth_cov_mean": cov_sum / epochs if epochs else 0.0,
         }
 
     def validate(self, state) -> None:

@@ -8,7 +8,9 @@ scalars (queue depth mean/CoV, mean latency; all 0.0 without a service
 model) -- into preallocated NumPy buffers, sampling
 every ``record_every`` epochs.  ``finalize`` always captures the end-of-run
 state (after the last migration round), so the final row matches the scalar
-metrics dict exactly and ``migrations.sum()`` equals ``migrations_total``.
+metrics dict exactly.  ``migrations`` counts threshold-round moves only;
+every move a run made, re-placement bursts included, is ``meta``'s
+``migrations_total``, as in the metrics dict.
 
 Each block of epochs (:meth:`~edm.telemetry.Recorder.on_block`) copies its
 sampled rows; the load CoV and peak-ratio columns come from the block's own
@@ -50,7 +52,8 @@ if TYPE_CHECKING:
 # 5: added ``osds_total`` (cluster size at each sample, elastic under a
 #    topology plan) and the ``topology`` meta key; per-OSD columns are sized
 #    to the plan's maximum cluster width, zero-filled before a drive joins.
-SERIES_FORMAT_VERSION = 5
+# 6: added the ``migrations_total`` meta key (every move of the run).
+SERIES_FORMAT_VERSION = 6
 
 #: Columns holding one value per OSD ([T, N]); the rest hold one per sample.
 _PER_OSD_COLUMNS = ("load", "wear")
@@ -111,16 +114,17 @@ class TimeSeries:
     def load_npz(cls, path: str | os.PathLike) -> "TimeSeries":
         """Load a ``.npz`` series written in the current format.
 
-        A file missing any current column (an older format) is rejected
-        with the command that regenerates it.
+        A file in any other format, or missing any current column, is
+        rejected with the command that regenerates it.
         """
         with np.load(path, allow_pickle=False) as npz:
             meta = json.loads(str(npz["meta"][()]))
+            version = meta.get("format_version")
             missing = [k for k in _ARRAY_FIELDS if k not in npz.files]
-            if missing:
+            if missing or version != SERIES_FORMAT_VERSION:
+                lacks = f" is missing {missing}" if missing else ""
                 raise ValueError(
-                    f"{path}: series written by format "
-                    f"v{meta.get('format_version')} is missing {missing}; "
+                    f"{path}: series written by format v{version}{lacks}; "
                     f"re-run `edm sweep --timeseries` to regenerate "
                     f"(current format v{SERIES_FORMAT_VERSION})"
                 )
@@ -253,6 +257,7 @@ class TimeSeriesRecorder(Recorder):
                 "endurance": cfg.endurance,
                 "service": cfg.service,
                 "topology": cfg.topology,
+                "migrations_total": int(state.migrations_total),
             },
             **{k: buf[:i].copy() for k, buf in c.items()},
         )

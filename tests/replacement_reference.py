@@ -36,9 +36,8 @@ def group_members(state, chunk):
 
 
 def group_constrained(candidates, state, chunk):
-    """Drop candidates already holding a member of ``chunk``'s group."""
-    if state.chunk_group is None:
-        return candidates
+    """Drop candidates already holding a member of ``chunk``'s group (on a
+    plain cluster, ``chunk``'s own owner)."""
     owners = state.chunk_owner[group_members(state, chunk)]
     return candidates[~np.isin(candidates, owners)]
 
@@ -51,12 +50,12 @@ def reference_pick(policy, candidates, proj, state, cfg):
     return int(candidates[np.argmin(scores)]), terms, scores
 
 
-def assign_reference(order, proj, alive_ids, policy, state, cfg, forbid=None, emit=None):
+def assign_reference(order, proj, alive_ids, policy, state, cfg, emit=None):
     """One pick per chunk over its own constrained candidate set.
 
     Takes ``_assign_sequential``'s arguments, so it can stand in for it in a
-    whole run; ``forbid`` is ignored, since each chunk's group constraint is
-    recomputed from ``state``.  Mutates ``proj`` like the engine does;
+    whole run; each chunk's group constraint is recomputed from ``state``.
+    Mutates ``proj`` like the engine does;
     ``emit(chunk, dst, candidates, terms, scores)`` reports each explained
     pick.
     """
@@ -91,7 +90,8 @@ def select_reference(policy, state, cfg, emit=None):
     eligible = state.eligible_mask(cfg)
     budget = cfg.max_migrations_per_interval
     moves = []
-    claimed = {} if state.chunk_group is not None else None
+    w = state.group_width
+    claimed = {}  # group id (chunk // w) -> destinations claimed this round
     for src in overloaded[np.argsort(-proj[overloaded])]:
         if budget <= 0:
             break
@@ -105,10 +105,9 @@ def select_reference(policy, state, cfg, emit=None):
             if under.size == 0:
                 break
             under = group_constrained(under, state, chunk)
-            if claimed is not None:
-                taken = claimed.get(int(state.chunk_group[chunk]))
-                if taken:
-                    under = under[~np.isin(under, taken)]
+            taken = claimed.get(int(chunk) // w)
+            if taken:
+                under = under[~np.isin(under, taken)]
             if under.size == 0:
                 continue
             dst, terms, scores = reference_pick(policy, under, proj, state, cfg)
@@ -118,8 +117,7 @@ def select_reference(policy, state, cfg, emit=None):
                 continue
             if emit is not None:
                 emit(int(chunk), int(src), dst, under, terms, scores)
-            if claimed is not None:
-                claimed.setdefault(int(state.chunk_group[chunk]), []).append(dst)
+            claimed.setdefault(int(chunk) // w, []).append(dst)
             moves.append((int(chunk), dst))
             proj[src] -= heat / cap[src]
             proj[dst] += heat_dst

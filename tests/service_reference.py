@@ -122,11 +122,10 @@ def reference_step(self, state, arrivals: np.ndarray) -> None:
     self.stalled_total += lat.size - n_finite
     lat_mean = 0.0
     if lat.size:
-        self._hist += bin_latencies(lat)
+        self.hist += bin_latencies(lat)
     if n_finite:
         fin_sum = float(lat[finite].sum())
         self.lat_sum += fin_sum
-        self.lat_count += n_finite
         lat_mean = fin_sum / n_finite
         if mig_epoch:
             self._mig_lat_sum += fin_sum
@@ -146,9 +145,6 @@ def reference_step(self, state, arrivals: np.ndarray) -> None:
     else:
         d_mean = 0.0
         d_cov = 0.0
-    self._depth_mean_sum += d_mean
-    self._depth_cov_sum += d_cov
-    self._epochs += 1
     self._lat_means.append(lat_mean)
     self._depth_means.append(d_mean)
     self._depth_covs.append(d_cov)

@@ -29,7 +29,7 @@ import pytest
 
 from edm.config import SimConfig
 from edm.engine.core import simulate
-from edm.workloads.lair62 import Lair62Trace
+from edm.workloads import TRACES
 
 N, CHUNKS_PER_OSD, V, T = 8, 64, 512, 600
 SEEDS = range(1, 13)
@@ -46,7 +46,7 @@ REGIMES = {
 def osd_shares() -> np.ndarray:
     """``q_j``: each OSD's share of the Zipf popularity under contiguous
     block placement (chunk ``i`` on OSD ``i // chunks_per_osd``)."""
-    theta = Lair62Trace.base_zipf + SimConfig().skew
+    theta = TRACES["lair62"].base_zipf + SimConfig().skew
     p = np.arange(1, N * CHUNKS_PER_OSD + 1, dtype=np.float64) ** -theta
     return (p / p.sum()).reshape(N, CHUNKS_PER_OSD).sum(axis=1)
 
@@ -140,6 +140,6 @@ def test_routed_wear_matches_its_expectation(runs):
     wear = np.array([m["per_osd_wear"] for m in runs["under"]])
     for regime in ("near", "over"):
         assert np.array_equal(np.array([m["per_osd_wear"] for m in runs[regime]]), wear)
-    expected = T * V * osd_shares() * Lair62Trace.write_ratio
+    expected = T * V * osd_shares() * TRACES["lair62"].write_ratio
     for j in range(N):
         assert_within(wear[:, j], expected[j], 1.0, ("wear", j))

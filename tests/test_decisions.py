@@ -83,7 +83,7 @@ def test_explain_destination_matches_pick(policy_name, endurance):
 
 def explained_terms(policy, cfg, state):
     pick = destination_picker(policy, np.arange(cfg.num_osds), state, cfg)
-    return pick(np.ones(cfg.num_osds))[1]
+    return pick(np.ones(cfg.num_osds), np.ones(cfg.num_osds, dtype=bool))[1]
 
 
 def test_cmt_terms_include_wear_and_risk():

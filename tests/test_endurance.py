@@ -289,7 +289,8 @@ def test_cmt_steers_away_from_near_death_osd():
         return state
 
     def pick(cfg):
-        return destination_picker(policy, candidates, fresh_state(cfg), cfg)(proj_load)[0]
+        keep = np.ones(candidates.size, dtype=bool)
+        return destination_picker(policy, candidates, fresh_state(cfg), cfg)(proj_load, keep)[0]
 
     assert pick(unrated) == 0
     assert pick(rated) == 1

@@ -96,7 +96,8 @@ def sample_configs():
 def assert_groups_spread(state):
     """No placement group has two chunks on one OSD."""
     # Two chunks of one group on one OSD would collide in this key.
-    key = state.chunk_group.astype(np.int64) * state.num_osds + state.chunk_owner
+    group = np.arange(state.num_chunks, dtype=np.int64) // state.group_width
+    key = group * state.num_osds + state.chunk_owner
     assert np.unique(key).size == state.num_chunks, (
         "placement group co-located two chunks on one OSD"
     )
@@ -152,7 +153,7 @@ class InvariantRecorder(Recorder):
         n_alive = int(alive.sum())
         assert n_alive >= 1, "whole cluster died"
         self.alive_per_epoch.append(n_alive)
-        if state.chunk_group is not None:
+        if state.group_width > 1:
             assert_groups_spread(state)
 
     def on_service(self, service):
@@ -232,7 +233,7 @@ class GroupSpreadRecorder(Recorder):
     """Asserts the no-co-location invariant on the live state every epoch."""
 
     def on_run_start(self, cfg, state):
-        assert state.chunk_group is not None, "redundant run lost its grouping"
+        assert state.group_width > 1, "redundant run lost its grouping"
         self.epochs_checked = 0
 
     def on_block(self, state, block):

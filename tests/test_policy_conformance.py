@@ -186,7 +186,7 @@ class ConformanceChecker(Recorder):
         picks = []
 
         def emit(c, s, d, cand, keep, t, sc):
-            assert d in (cand if keep is None else cand[keep])
+            assert d in cand[keep]
             picks.append((c, d))
 
         moves = policy.select(state, cfg, emit)

@@ -41,7 +41,8 @@ def test_scheme_arithmetic(spec, width, reads, tolerated):
     scheme = RedundancyScheme.parse(spec, num_osds=16)
     assert scheme.group_width == width
     assert scheme.reads_per_loss == reads
-    assert scheme.tolerated_losses == tolerated
+    # A group survives losing every member a rebuild need not read.
+    assert scheme.group_width - scheme.reads_per_loss == tolerated
     assert bool(scheme) == bool(spec)
 
 
@@ -132,12 +133,16 @@ def test_init_state_lays_out_round_robin_groups():
     cfg = cfg_factory(num_osds=8, redundancy="ec:4+2")
     state = init_state(cfg)
     assert state.group_width == 6
+    chunks = np.arange(cfg.num_chunks)
+    members, owners = state.group_owners(chunks)
     # Consecutive-id windows of `width` chunks share a group...
-    assert np.array_equal(state.chunk_group, np.arange(cfg.num_chunks) // 6)
+    assert np.array_equal(members[:60], (chunks[:60] // 6 * 6)[:, None] + np.arange(6))
     # ...and the round-robin owners give every full group distinct OSDs.
     assert np.array_equal(
         state.chunk_owner, (np.arange(cfg.num_chunks) % 8).astype(np.int32)
     )
+    assert np.array_equal(owners, members % 8)
+    assert all(len(set(row)) == 6 for row in owners[:60].tolist())
     state.validate()  # group-uniqueness holds at epoch 0
 
 
@@ -149,10 +154,31 @@ def test_group_members_window_and_trailing_partial():
     assert group_members(state, 63).tolist() == [60, 61, 62, 63]
 
 
+def test_group_owners_pads_a_trailing_partial_group():
+    # SimConfig's 64 chunks per OSD: 512 = 85 full groups of 6 + a trailing
+    # group of 2 (chunks 510 and 511).
+    cfg = SimConfig(num_osds=8, redundancy="ec:4+2")
+    state = init_state(cfg)
+    assert cfg.num_chunks % 6 == 2
+    members, owners = state.group_owners(np.array([7, 509, 510, 511]))
+    assert members.tolist() == [
+        [6, 7, 8, 9, 10, 11],
+        [504, 505, 506, 507, 508, 509],
+        [510, 511, 511, 511, 511, 511],  # ids past the last chunk clip onto it
+        [510, 511, 511, 511, 511, 511],
+    ]
+    assert np.array_equal(owners, state.chunk_owner[members])
+    assert group_members(state, 511).tolist() == [510, 511]
+
+
 def test_plain_config_has_no_grouping():
     state = init_state(cfg_factory())
-    assert state.chunk_group is None
-    assert state.group_width == 0
+    assert state.group_width == 1
+    # Every chunk is a group of its own, on its own owner.
+    chunks = np.arange(state.num_chunks)
+    members, owners = state.group_owners(chunks)
+    assert np.array_equal(members, chunks[:, None])
+    assert np.array_equal(owners, state.chunk_owner[:, None])
 
 
 # --- reconstruction charging -------------------------------------------------

@@ -77,16 +77,15 @@ def test_assign_sequential_matches_reference_on_every_burst(policy, redundancy, 
     bursts = []
     explaining = Explaining()
 
-    def checked(order, proj, alive_ids, pol, state, cfg, forbid=None, emit=None):
+    def checked(order, proj, alive_ids, pol, state, cfg, emit=None):
         ref_proj, ref_log = proj.copy(), []
         ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
         assign_reference(order, proj.copy(), alive_ids, pol, state, cfg,
                          emit=lambda *d: ref_log.append(d))
         exp_proj = proj.copy()
-        explained = real(order, exp_proj, alive_ids, pol, state, cfg, forbid,
-                         emit=lambda *d: None)
+        explained = real(order, exp_proj, alive_ids, pol, state, cfg, emit=lambda *d: None)
         seen = len(explaining.decisions)
-        dsts = real(order, proj, alive_ids, pol, state, cfg, forbid, emit)
+        dsts = real(order, proj, alive_ids, pol, state, cfg, emit)
         assert dsts.tolist() == ref.tolist() == explained.tolist()
         assert proj.tobytes() == ref_proj.tobytes() == exp_proj.tobytes()
         if emit is not None:
@@ -203,18 +202,19 @@ def test_scalar_only_policy_keeps_per_chunk_picks_under_constraints():
     state.osd_alive[3] = False
     order = np.flatnonzero(state.chunk_owner == 3)
     alive_ids = np.flatnonzero(state.osd_alive)
+    # Each chunk's group peers' owners: windows of ``c // w``.
     w = state.group_width
-    members = (order // w * w)[:, None] + np.arange(w)
-    forbid = state.chunk_owner[np.minimum(members, state.num_chunks - 1)]
+    group = np.arange(cfg.num_chunks) // w
+    peers = [state.chunk_owner[group == group[c]] for c in order]
     pol = WorstFit()
     proj, ref_proj = state.osd_load_ema.copy(), state.osd_load_ema.copy()
-    dsts = _assign_sequential(order, proj, alive_ids, pol, state, cfg, forbid)
+    dsts = _assign_sequential(order, proj, alive_ids, pol, state, cfg)
     ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
     assert dsts.tolist() == ref.tolist()
     assert proj.tobytes() == ref_proj.tobytes()
     # Worst-fit picks, yet never onto a group peer's OSD.
-    for peers, dst in zip(forbid, dsts):
-        assert dst not in peers
+    for owners, dst in zip(peers, dsts):
+        assert dst not in owners
 
 
 def test_scorer_only_policy_takes_the_batched_rounds(monkeypatch):
@@ -226,10 +226,10 @@ def test_scorer_only_policy_takes_the_batched_rounds(monkeypatch):
     real = core_mod._assign_sequential
     bursts = []
 
-    def checked(order, proj, alive_ids, pol, state, cfg, forbid=None, emit=None):
+    def checked(order, proj, alive_ids, pol, state, cfg, emit=None):
         ref_proj = proj.copy()
         ref = assign_reference(order, ref_proj, alive_ids, pol, state, cfg)
-        dsts = real(order, proj, alive_ids, pol, state, cfg, forbid, emit)
+        dsts = real(order, proj, alive_ids, pol, state, cfg, emit)
         assert dsts.tolist() == ref.tolist()
         assert proj.tobytes() == ref_proj.tobytes()
         bursts.append(order.size)
@@ -247,10 +247,11 @@ def test_unsatisfiable_group_constraint_raises():
     state = make_state(cfg)
     alive_ids = np.array([1, 2])
     order = np.array([0])
-    forbid = np.array([[0, 1, 2]])  # every survivor holds a group peer
-    state.chunk_group = np.arange(cfg.num_chunks) // 3
+    # Chunk 0's group is chunks 0-2 (``c // 3``), on OSDs 0, 1 and 2: every
+    # survivor holds a group peer.
+    state.chunk_owner[:3] = [0, 1, 2]
     state.group_width = 3
     with pytest.raises(RuntimeError, match="no constraint-satisfying destination"):
         _assign_sequential(
-            order, state.osd_load_ema.copy(), alive_ids, get_policy("hdf"), state, cfg, forbid
+            order, state.osd_load_ema.copy(), alive_ids, get_policy("hdf"), state, cfg
         )

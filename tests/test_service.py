@@ -280,21 +280,24 @@ def clone_runs(cfg, rng, n):
     return runs
 
 
-# Every run-level service accumulator.
-ACCUMULATORS = ("hist", "lat_sum", "lat_count", "stalled_total", "requests_total",
+# Every run-level service accumulator; the per-epoch series hold the rest
+# (the depth sums and the epoch count that metrics_block derives).
+ACCUMULATORS = ("hist", "lat_sum", "stalled_total", "requests_total",
                 "dropped_total", "lost_work", "spike_lat_max", "_mig_lat_sum",
-                "_mig_lat_count", "_clean_lat_sum", "_clean_lat_count",
-                "_depth_mean_sum", "_depth_cov_sum", "_depth_max", "_epochs")
+                "_mig_lat_count", "_clean_lat_sum", "_clean_lat_count", "_depth_max")
 
 
 def assert_same_accounting(rt, ref):
-    """Every accumulator and per-epoch series of two runtimes, bit for bit."""
+    """Every accumulator, per-epoch series and derived metric of two
+    runtimes, bit for bit."""
     series, ref_series = rt.epoch_series(), ref.epoch_series()
     for key, values in series.items():
         assert values.tobytes() == ref_series[key].tobytes(), key
     for key in ACCUMULATORS:
         f, r = getattr(rt, key), getattr(ref, key)
         assert np.asarray(f).tobytes() == np.asarray(r).tobytes(), (key, f, r)
+    # repr is exact for floats (and tells -0.0 from 0.0, nan from inf).
+    assert repr(rt.metrics_block()) == repr(ref.metrics_block())
 
 
 def test_step_matches_reference_step_fuzz():
@@ -322,12 +325,10 @@ def test_step_matches_reference_step_fuzz():
             assert np.array_equal(fast_rt.backlog, ref_rt.backlog)
 
 
-@pytest.mark.parametrize("block", [1, 7, runtime.RUN_BLOCK])
+@pytest.mark.parametrize("block", [1, 7, 128])
 def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
-    """Runs binned a block at a time, flushed by reads of ``hist`` at
-    random points, sum to the per-epoch histograms of run_latencies' runs
-    bit for bit."""
-    monkeypatch.setattr(runtime, "RUN_BLOCK", block)
+    """Runs binned ``block`` epochs at a time sum to the per-epoch
+    histograms of run_latencies' runs bit for bit, after every block."""
     seen = []  # (accepted, base, rate) of every epoch the step admits
 
     def spy(arrivals, base, rate, qbound):
@@ -343,26 +344,24 @@ def test_blocked_histogram_equals_per_epoch_histograms(block, monkeypatch):
         cfg = cfg_factory(num_osds=n, service=str(rng.choice(["rate:5", "rate:20;queue:256"])))
         state, rt = clone_runs(cfg, rng, n)[0]
         expected = np.zeros_like(rt.hist)
-        for epoch in range(40):
-            arrivals = rng.integers(0, 300, size=n).astype(np.float64)
-            if rng.random() < 0.2:
-                arrivals[:] = 0.0  # an epoch that accepts nothing
+        epoch = 0
+        while epoch < 40:
+            k = min(block, 40 - epoch)
+            arrivals = rng.integers(0, 300, size=(k, n)).astype(np.float64)
+            arrivals[rng.random(k) < 0.2] = 0.0  # epochs that accept nothing
             if rng.random() < 0.05:
-                state.osd_alive[rng.integers(n)] = False  # a death mid-run
+                state.osd_alive[rng.integers(n)] = False  # a death between blocks
             with np.errstate(over="ignore"):
                 rt.on_block(state, epoch_block(state, arrivals, epoch))
-                accepted, base, rate = seen[-1]
-                if accepted.any():
-                    runs, lat = run_latencies(accepted, base, rate)
-                    expected += bin_runs(*runs)
-                    kinds.add("finite" if np.isfinite(lat).all() else "inf")
-                else:
-                    kinds.add("empty")
-                if rng.random() < 0.1:
-                    # Reading hist bins the buffered runs first.
-                    assert np.array_equal(rt.hist, expected)
-        with np.errstate(over="ignore"):
-            assert np.array_equal(rt.hist, expected)
+                for accepted, base, rate in seen[-k:]:
+                    if accepted.any():
+                        runs, lat = run_latencies(accepted, base, rate)
+                        expected += bin_runs(*runs)
+                        kinds.add("finite" if np.isfinite(lat).all() else "inf")
+                    else:
+                        kinds.add("empty")
+                assert np.array_equal(rt.hist, expected)
+            epoch += k
         kinds.add("overflow" if expected[-1] else "bounded")
     assert kinds == {"inf", "finite", "empty", "overflow", "bounded"}
 
@@ -618,13 +617,13 @@ def test_queue_aggregates_exclude_dead_osds(make_cfg):
     state.osd_alive[0] = False
     arrivals = np.array([0.0, 30.0, 40.0, 50.0])
     rt.on_block(state, epoch_block(state, arrivals))
-    series = rt.epoch_series()
+    series, block = rt.epoch_series(), rt.metrics_block()
     d = rt.depth[1:]  # survivors
-    assert rt._depth_mean_sum == pytest.approx(float(d.mean()))
-    assert rt._depth_cov_sum == pytest.approx(float(d.std() / d.mean()))
+    assert block["queue_depth_mean"] == pytest.approx(float(d.mean()))
+    assert block["queue_depth_cov_mean"] == pytest.approx(float(d.std() / d.mean()))
     assert rt._depth_max == pytest.approx(float(d.max()))
-    assert series["queue_depth_mean"].tolist() == [rt._depth_mean_sum]
-    assert series["queue_depth_cov"].tolist() == [rt._depth_cov_sum]
+    assert series["queue_depth_mean"].tolist() == [block["queue_depth_mean"]]
+    assert series["queue_depth_cov"].tolist() == [block["queue_depth_cov_mean"]]
 
 
 def test_degraded_queue_metrics_match_survivor_stats(make_cfg):

@@ -6,11 +6,13 @@ import json
 import numpy as np
 import pytest
 
+from edm.config import SimConfig
 from edm.engine import core
 from edm.engine.core import simulate
 from edm.service import ServiceRuntime
 from edm.sweep import default_grid, series_path, sweep
 from edm.telemetry import SERIES_FORMAT_VERSION, Recorder, TimeSeries, TimeSeriesRecorder
+from edm.telemetry.plots import migration_cost_mb
 from edm.telemetry.timeseries import _ARRAY_FIELDS
 from service_reference import reference_block
 
@@ -185,18 +187,38 @@ def test_npz_roundtrip(small_cfg, tmp_path):
         assert np.array_equal(getattr(loaded, name), getattr(rec.series, name)), name
 
 
-@pytest.mark.parametrize("column", ["osds_total", "alive", "wear", "epoch"])
+@pytest.mark.parametrize("column", ["osds_total", "alive", "wear", "epoch", None])
 def test_npz_missing_column_rejected(small_cfg, tmp_path, column):
     """A file without every current column -- a v4 file lacks ``osds_total``
-    -- is rejected with the command that regenerates it."""
+    -- or in another format with every column -- a v5 file's meta lacks
+    ``migrations_total`` -- is rejected with the command that regenerates it."""
     rec = TimeSeriesRecorder(record_every=4)
     simulate(small_cfg, recorders=(rec,))
-    meta = {**rec.series.meta, "format_version": 4}
+    meta = {k: v for k, v in rec.series.meta.items() if k != "migrations_total"}
+    meta["format_version"] = version = 4 if column else 5
     arrays = {k: getattr(rec.series, k) for k in _ARRAY_FIELDS if k != column}
     path = tmp_path / "old.npz"
     np.savez_compressed(path, meta=np.asarray(json.dumps(meta)), **arrays)
-    with pytest.raises(ValueError, match=rf"v4 is missing \['{column}'\].*edm sweep --timeseries"):
+    lacks = rf" is missing \['{column}'\]" if column else ""
+    with pytest.raises(ValueError, match=rf"v{version}{lacks};.*edm sweep --timeseries"):
         TimeSeries.load_npz(path)
+
+
+def test_migration_cost_figure_counts_every_move(tmp_path):
+    """The figure's migration cost is the metrics dict's: a failure, a
+    wear-out and a drain each re-place 64+ chunks, which the threshold-round
+    ``migrations`` column does not count."""
+    cfg = SimConfig(num_osds=8, epochs=48, seed=7, faults="fail:1@8",
+                    endurance="pe:1000000,900@5", topology="drain:2@20")
+    rec = TimeSeriesRecorder()
+    metrics = simulate(cfg, recorders=(rec,))
+    assert metrics["replacement_moves_total"] > 0
+    assert metrics["wearout_replacements_total"] > 0
+    assert metrics["drain_moves_total"] > 0
+    assert rec.series.meta["migrations_total"] == metrics["migrations_total"]
+    assert rec.series.migrations.sum() < metrics["migrations_total"]
+    loaded = TimeSeries.load_npz(rec.series.save_npz(tmp_path / "series.npz"))
+    assert migration_cost_mb(loaded) == metrics["migration_cost_mb"]
 
 
 def test_csv_and_json_export(small_cfg, tmp_path):
