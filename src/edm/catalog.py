@@ -2,7 +2,8 @@
 
 A row is the one place a key's facts live: its help text, how the
 OpenMetrics exporter (:func:`edm.telemetry.registry_from_metrics`) exposes
-it, and which ``edm report`` column shows it.  To add a metric, add its
+it -- at the end of a run, and mid-run in a live snapshot -- and which
+``edm report`` column shows it.  To add a metric, add its
 row here and the code that computes it; without the row,
 :class:`~edm.engine.metrics.MetricsAccumulator` refuses to return the key.
 
@@ -24,7 +25,7 @@ class Metric:
     a label of the ``edm_run`` info sample; None when it is not exported.
     ``name`` is the family name where that differs from the key.  ``column``
     and ``fmt`` are the report header and format spec; ``scenario`` is the
-    field of :data:`edm.config.SCENARIO_FIELDS` whose presence shows the
+    field of :data:`edm.config.SCENARIOS` whose presence shows the
     column, None when it always shows.
     """
 
@@ -56,7 +57,7 @@ METRICS = (
            "gauge", column="load CoV", fmt=".4f"),
     Metric("load_peak_ratio_mean", "Mean per-epoch max/mean load ratio.",
            "gauge", column="peak ratio", fmt=".3f"),
-    Metric("load_cov_final", "Load CoV of the final epoch.", "gauge"),
+    Metric("load_cov_final", "Load CoV of the latest epoch simulated.", "gauge"),
     Metric("wear_mean", "Mean erase count across SSDs.", "gauge"),
     Metric("wear_max", "Max erase count across SSDs.", "gauge"),
     Metric("wear_min", "Min erase count across SSDs.", "gauge"),
@@ -78,7 +79,8 @@ METRICS = (
            "gauge"),
     Metric("load_cov_alive_mean", "Load CoV over surviving OSDs, mean.", "gauge"),
     Metric("wear_cov_alive", "Erase-count CoV across surviving OSDs."),
-    Metric("osds_alive_final", "OSDs alive at end of run.", "gauge", "osds_alive"),
+    Metric("osds_alive_final", "OSDs alive after the latest epoch simulated.",
+           "gauge", "osds_alive"),
     # Rated runs.
     Metric("endurance", "Endurance model, as a canonical spec."),
     Metric("remaining_life_min", "Min remaining rated P/E cycles, alive OSDs.", "gauge"),

@@ -4,6 +4,11 @@ Primary results (metrics JSON, sweep tables, report output) go to stdout;
 everything diagnostic goes through the ``edm.*`` package logger on stderr,
 controlled by the global ``-v``/``-vv`` and ``--log-level`` flags (accepted
 both before and after the subcommand).
+
+``run`` and ``sweep`` take one ``--<field>`` flag per scenario field of
+:data:`edm.config.SCENARIOS`, whose help quotes that table's example spec
+and what ``none`` means; a ``sweep`` flag lists several specs, joined by
+the field's separator, as an extra grid axis.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from pathlib import Path
 
 from edm import report as report_mod
 from edm.cache import DEFAULT_CACHE_DIR
-from edm.config import POLICY_ALIASES, POLICIES, WORKLOADS, SimConfig
+from edm.config import POLICY_ALIASES, POLICIES, SCENARIOS, WORKLOADS, SimConfig
 from edm.engine.core import simulate
 from edm.obs import NULL_TRACER, Tracer, configure_logging, get_logger
 from edm.obs.decisions import (
@@ -61,33 +66,18 @@ def _overrides(args) -> dict:
     return out
 
 
-#: The scenario flags ``run`` and ``sweep`` share: per field, the grid-axis
-#: separator, an example spec, and what ``none`` means.  The separator is a
-#: character the field's own spec grammar never uses, so one ``sweep`` flag
-#: value can list several scenarios.  Faults and service join clauses with
-#: ';', endurance bands with ',', and topology uses both (events ';',
-#: device-class attributes ',').
-SCENARIO_FLAGS = {
-    "faults": (",", "fail:3@100;slow:5@50x0.5", "healthy"),
-    "endurance": (";", "pe:3000@0-3,10000@4-7", "unlimited rated lifetime"),
-    "service": (",", "rate:800;queue:64", "no request-level timing"),
-    "topology": ("|", "add:4@128/cap:2,rate:1600;drain:0@192", "static cluster"),
-    "redundancy": (",", "ec:4+2", "no redundancy"),
-}
-SCENARIO_SEPS = {name: sep for name, (sep, _example, _none) in SCENARIO_FLAGS.items()}
-
-
 def _add_scenario_args(ap: argparse.ArgumentParser, grid: bool) -> None:
-    """``--faults`` ... ``--redundancy``: one spec each, or with ``grid`` a
-    separated list of specs that become extra sweep grid axes."""
-    for name, (sep, example, none) in SCENARIO_FLAGS.items():
+    """``--faults`` ... ``--redundancy``, one per :data:`~edm.config.SCENARIOS`
+    field: one spec each, or with ``grid`` a separated list of specs that
+    become extra sweep grid axes."""
+    for name, s in SCENARIOS.items():
         if grid:
             text = (
-                f"'{sep}'-separated {name} specs as an extra grid axis "
-                f"('none' = {none}), e.g. 'none{sep}{example}'"
+                f"'{s.sep}'-separated {name} specs as an extra grid axis "
+                f"('none' = {s.none}), e.g. 'none{s.sep}{s.example}'"
             )
         else:
-            text = f"{name} spec, e.g. '{example}' ('none' = {none})"
+            text = f"{name} spec, e.g. '{s.example}' ('none' = {s.none})"
         ap.add_argument(
             f"--{name}", default="", metavar="SPECS" if grid else "SPEC", help=text
         )
@@ -106,7 +96,7 @@ def cmd_run(args) -> int:
         num_osds=args.osds,
         policy=resolve_policy(args.policy),
         seed=args.seed,
-        **{name: getattr(args, name) for name in SCENARIO_SEPS},
+        **{name: getattr(args, name) for name in SCENARIOS},
         **_overrides(args),
     )
     recorders = []
@@ -151,10 +141,7 @@ def cmd_sweep(args) -> int:
         osds=[int(n) for n in _csv(args.osds)],
         policies=[resolve_policy(p) for p in _csv(args.policies)],
         seeds=[int(s) for s in _csv(args.seeds)],
-        **{
-            name: _scenarios(getattr(args, name), sep)
-            for name, sep in SCENARIO_SEPS.items()
-        },
+        **{name: _scenarios(getattr(args, name), s.sep) for name, s in SCENARIOS.items()},
         **_overrides(args),
     )
     result = sweep(

@@ -4,6 +4,9 @@ A SimConfig fully determines a simulation run: identical configs produce
 bit-identical metrics.  ``config_hash`` is the content key used by the
 result cache -- any field change (or an engine format bump) invalidates
 previously cached pickles.
+
+It also holds the tables the package reads by name: :data:`TRACES`,
+:data:`POLICIES` and :data:`SCENARIOS`, the one list of scenario fields.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 # Bump when the engine's semantics or the metrics format change, so stale
 # cached results from older engines are never returned.
@@ -50,18 +54,71 @@ SEED_FIELDS = (
     "migration_cooldown_epochs", "wear_weight",
 )
 
-# The scenario spec fields, in parse, cache-name and report order, with the
-# tag that prefixes each one's digest in ``SimConfig.cache_name`` and the
-# label ``edm report`` prints for an empty spec.
-SCENARIO_FIELDS = (
-    ("faults", "f", "healthy"),
-    ("endurance", "e", "unrated"),
-    ("service", "q", "untimed"),
-    ("topology", "t", "static"),
-    ("redundancy", "g", "plain"),
-)
 
-WORKLOADS = ("deasna", "deasna2", "lair62", "lair62b")
+class Scenario(NamedTuple):
+    """How a scenario spec field shows outside :class:`SimConfig`."""
+
+    tag: str      # prefixes the spec's digest in cache names and figure stems
+    none: str     # what an empty spec means, in ``edm report`` and CLI help
+    sep: str      # separates the specs of one ``edm sweep`` grid axis
+    example: str  # a spec the CLI help quotes
+
+
+#: The scenario spec fields, in parse, cache-name, grid-axis and report
+#: order.  Each grid separator is a character the field's own grammar never
+#: uses: faults and service join clauses with ';', endurance bands with
+#: ',', and topology uses both (events ';', device-class attributes ',').
+SCENARIOS = {
+    "faults": Scenario("f", "healthy", ",", "fail:3@100;slow:5@50x0.5"),
+    "endurance": Scenario("e", "unrated", ";", "pe:3000@0-3,10000@4-7"),
+    "service": Scenario("q", "untimed", ",", "rate:800;queue:64"),
+    "topology": Scenario("t", "static", "|", "add:4@128/cap:2,rate:1600;drain:0@192"),
+    "redundancy": Scenario("g", "plain", ",", "ec:4+2"),
+}
+
+
+def scenario_suffix(specs) -> str:
+    """``-<tag><sha8>`` per non-empty spec of ``specs`` (a mapping from
+    :data:`SCENARIOS` field names, missing names empty): ``""`` with no
+    scenario, so the same base config under different scenarios never
+    shares a cache name or a figure."""
+    return "".join(
+        f"-{s.tag}{hashlib.sha256(spec.encode()).hexdigest()[:8]}"
+        for name, s in SCENARIOS.items()
+        if (spec := specs.get(name))
+    )
+
+
+class Trace(NamedTuple):
+    """One workload trace's personality."""
+
+    base_zipf: float    # popularity exponent theta; p(rank r) ~ r^-theta
+    write_ratio: float  # fraction of accesses that are writes
+    drift_period: int   # epochs between hotspot shifts (0 = static hotset)
+    drift_step: int     # chunks the hotspot rotates per shift
+    burstiness: float   # 0 = constant epoch volume; >0 = gamma-modulated
+
+
+#: The NFS trace stand-ins of the paper's evaluation, by workload name
+#: (:class:`edm.workloads.SyntheticTrace` draws them).
+TRACES: dict[str, Trace] = {
+    # Research-department NFS: mixed read/write with a moderately skewed,
+    # slowly drifting hotset -- the working set migrates as projects come
+    # and go.
+    "deasna": Trace(0.9, 0.45, 32, 16, 0.0),
+    # Its second year: heavier skew and bursty epoch volume (batch jobs),
+    # slightly more write-intensive than deasna.
+    "deasna2": Trace(1.1, 0.5, 32, 16, 0.25),
+    # Home directories: read-heavy with a strongly skewed, static hotset --
+    # a few popular home directories dominate.
+    "lair62": Trace(1.2, 0.25, 0, 0, 0.0),
+    # lair62 with periodic hotspot shifts: the same read-heavy mix, but the
+    # popular set rotates abruptly (semester turnover), stressing migration
+    # policies with a moving target.
+    "lair62b": Trace(1.05, 0.25, 48, 96, 0.1),
+}
+WORKLOADS = tuple(TRACES)
+
 # Canonical policy names.  Kept as a literal tuple (the config layer cannot
 # import edm.policies -- policies import this module); the registry in
 # edm.policies asserts at import time that its classes match this list, and
@@ -82,7 +139,7 @@ class SimConfig:
     ``<workload>-<N>osd-<policy>-s<skew>-r<seed>.pkl``; the rest are engine
     knobs with defaults sized so a full 64-config sweep stays well under a
     minute on one core.  ``plans``, an attribute rather than a field, maps
-    each :data:`SCENARIO_FIELDS` name to its parsed spec, and
+    each :data:`SCENARIOS` field to its parsed spec, and
     ``"timeline"`` to the compiled departure timeline
     (:func:`edm.faults.compile_timeline`).
     """
@@ -221,16 +278,15 @@ class SimConfig:
         from edm.spec import SpecError
         from edm.topology import TopologyPlan
 
+        parsers = dict(faults=FaultPlan, endurance=EnduranceModel, service=ServiceModel,
+                       topology=TopologyPlan, redundancy=RedundancyScheme)
         plans = {}
-        for (name, _, _), parser in zip(
-            SCENARIO_FIELDS,
-            (FaultPlan, EnduranceModel, ServiceModel, TopologyPlan, RedundancyScheme),
-        ):
-            plans[name] = parser.parse(getattr(self, name), num_osds=self.num_osds)
+        for name in SCENARIOS:
+            plans[name] = parsers[name].parse(getattr(self, name), num_osds=self.num_osds)
             object.__setattr__(self, name, plans[name].spec)
         # Not a field: never hashed, compared or serialized by to_dict.
         object.__setattr__(self, "plans", plans)
-        fault_plan, _, svc, topo_plan, _ = plans.values()
+        svc, topo_plan = plans["service"], plans["topology"]
         if svc and svc.default is None:
             for ev in topo_plan.adds:
                 if ev.rate is None:
@@ -244,7 +300,7 @@ class SimConfig:
         # One dry run of the departure timeline rejects the first departure
         # the survivor floor refuses.  Wear-outs depend on traffic, so they
         # are the only departures the floor can still refuse at run time.
-        plans["timeline"] = compile_timeline(fault_plan, topo_plan)
+        plans["timeline"] = compile_timeline(plans["faults"], topo_plan)
 
         def refuse(state, event):
             render = event.render() if isinstance(event, FaultEvent) else TopologyPlan.render(event)
@@ -271,19 +327,11 @@ class SimConfig:
         return cls(**d)
 
     def cache_name(self) -> str:
-        """Filename stem matching the historical .repro-cache key format.
-
-        Each non-empty scenario spec appends its :data:`SCENARIO_FIELDS`
-        tag and a short spec digest (``-f1a2b3c4`` for faults), so the same
-        base config under different scenarios never collides on filename;
-        configs with no scenario keep the historical stem byte-for-byte.
-        """
+        """Filename stem matching the historical .repro-cache key format,
+        plus the :func:`scenario_suffix` of the config's scenario specs
+        (configs with no scenario keep the historical stem byte-for-byte)."""
         stem = f"{self.workload}-{self.num_osds}osd-{self.policy}-s{self.skew:g}-r{self.seed}"
-        for name, tag, _ in SCENARIO_FIELDS:
-            spec = getattr(self, name)
-            if spec:
-                stem += f"-{tag}{hashlib.sha256(spec.encode()).hexdigest()[:8]}"
-        return stem
+        return stem + scenario_suffix(vars(self))
 
 
 def config_hash(cfg: SimConfig) -> str:

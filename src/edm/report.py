@@ -19,7 +19,7 @@ from pathlib import Path
 
 from edm.cache import read_entry
 from edm.catalog import COLUMNS
-from edm.config import SCENARIO_FIELDS
+from edm.config import SCENARIOS
 
 
 @dataclass(frozen=True)
@@ -62,14 +62,13 @@ def aggregate(metrics_rows: list[dict]) -> list[dict]:
     poison the cell mean.  A ``+inf`` percentile (past the 1e4-epoch top
     edge) is a real tail and propagates into the mean.
     """
-    names = [name for name, _tag, _label in SCENARIO_FIELDS]
     groups: dict[tuple, list[dict]] = {}
     for m in metrics_rows:
-        key = (m["workload"], m["policy"], *(m.get(name, "") for name in names))
+        key = (m["workload"], m["policy"], *(m.get(name, "") for name in SCENARIOS))
         groups.setdefault(key, []).append(m)
     out = []
     for (workload, policy, *specs), rows in sorted(groups.items()):
-        cell = {"workload": workload, "policy": policy, **dict(zip(names, specs))}
+        cell = {"workload": workload, "policy": policy, **dict(zip(SCENARIOS, specs))}
         cell["runs"] = len(rows)
         for col in COLUMNS:
             if col.scenario is None or cell[col.scenario]:
@@ -83,9 +82,7 @@ def render_markdown(cells: list[dict]) -> str:
     # A scenario's spec column, and its metric columns, only appear once
     # such a scenario is present, so plain healthy-cluster reports keep
     # their historical shape.
-    shown = {
-        name: label for name, _tag, label in SCENARIO_FIELDS if any(c.get(name) for c in cells)
-    }
+    shown = {name: s.none for name, s in SCENARIOS.items() if any(c.get(name) for c in cells)}
     columns = [col for col in COLUMNS if col.scenario is None or col.scenario in shown]
     headers = ["workload", "policy", *shown, "runs", *(col.column for col in columns)]
     lines = [

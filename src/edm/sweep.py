@@ -47,7 +47,7 @@ from pathlib import Path
 import logging
 
 from edm.cache import DEFAULT_CACHE_DIR, ResultCache
-from edm.config import POLICIES, WORKLOADS, SimConfig, config_hash, ENGINE_VERSION
+from edm.config import POLICIES, SCENARIOS, WORKLOADS, SimConfig, config_hash, ENGINE_VERSION
 from edm.engine.core import simulate
 from edm.obs import (
     NULL_TRACER,
@@ -91,35 +91,25 @@ def default_grid(
     policies=POLICIES,
     seeds=(12345, 54321),
     skew: float = 0.02,
-    faults=("",),
-    endurance=("",),
-    service=("",),
-    topology=("",),
-    redundancy=("",),
     **overrides,
 ) -> list[SimConfig]:
     """The default evaluation grid: 4 workloads x {16,20} OSDs x the policy zoo x 2 seeds.
 
-    ``faults``, ``endurance``, ``service``, ``topology``, and ``redundancy``
-    are extra grid axes of fault-scenario, endurance-model, service-model,
-    topology-plan, and redundancy-scheme specs (see :mod:`edm.faults.plan` /
-    :mod:`edm.endurance.spec` / :mod:`edm.service.spec` /
-    :mod:`edm.topology.spec` / :mod:`edm.redundancy.spec`); the default
-    single empty spec on each is the healthy, unrated, unserviced, static,
-    redundancy-free cluster.  Restricting ``policies`` to the paper's four
-    (as the ``paper-grid`` benchmark does) recovers the paper's 64-config
-    grid exactly.
+    A keyword named after a :data:`~edm.config.SCENARIOS` field
+    (``faults=``, ..., ``redundancy=``) is an extra grid axis of that
+    field's specs, in the table's order after the seeds; a missing one is
+    the single empty spec (healthy, unrated, untimed, static, plain).  Any
+    other keyword is a :class:`SimConfig` field set on every config.
+    Restricting ``policies`` to the paper's four (as the ``paper-grid``
+    benchmark does) recovers the paper's 64-config grid exactly.
     """
+    axes = [overrides.pop(name, ("",)) for name in SCENARIOS]
     return [
         SimConfig(
             workload=w, num_osds=n, policy=p, seed=s, skew=skew,
-            faults=f, endurance=e, service=v, topology=t, redundancy=r,
-            **overrides,
+            **dict(zip(SCENARIOS, specs)), **overrides,
         )
-        for w, n, p, s, f, e, v, t, r in product(
-            workloads, osds, policies, seeds, faults, endurance, service,
-            topology, redundancy,
-        )
+        for w, n, p, s, *specs in product(workloads, osds, policies, seeds, *axes)
     ]
 
 

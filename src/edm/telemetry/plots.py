@@ -1,6 +1,8 @@
 """Render the paper's evaluation figures from saved time series as SVG.
 
-Three figure families, one file per (workload, cluster-size) group:
+Three figure families, drawn apart per scenario: runs whose series meta
+holds different :data:`edm.config.SCENARIOS` specs never share a figure,
+and stems end in the scenario's :func:`~edm.config.scenario_suffix`:
 
   * load-balance degree (load CoV) over time, one line per run
   * final per-OSD cumulative wear, grouped bars per policy
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from edm.config import scenario_suffix
 from edm.telemetry.timeseries import TimeSeries
 
 # Fixed categorical slots (validated palette, light mode), one per policy in
@@ -168,11 +171,13 @@ def _bar_chart(path: Path, title: str, xlabel: str, ylabel: str, categories, gro
     return _write(path, parts)
 
 
-def group_series(series_list: list[TimeSeries]) -> dict[tuple[str, int], list[TimeSeries]]:
-    """Group by (workload, num_osds) -- the axes of one paper figure."""
-    groups: dict[tuple[str, int], list[TimeSeries]] = {}
+def group_series(series_list: list[TimeSeries]) -> dict[tuple[str, int, str], list[TimeSeries]]:
+    """Group by (workload, num_osds, scenario suffix) -- the axes of one
+    paper figure, under one scenario: runs under different scenarios
+    never share a figure."""
+    groups: dict[tuple[str, int, str], list[TimeSeries]] = {}
     for s in series_list:
-        key = (str(s.meta["workload"]), int(s.meta["num_osds"]))
+        key = (str(s.meta["workload"]), int(s.meta["num_osds"]), scenario_suffix(s.meta))
         groups.setdefault(key, []).append(s)
     return groups
 
@@ -196,8 +201,9 @@ def render_figures(series_list: list[TimeSeries], out_dir: str | Path) -> list[P
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for (workload, num_osds), runs in sorted(group_series(series_list).items()):
-        stem = f"{workload}-{num_osds}osd"
+    groups = sorted(group_series(series_list).items())
+    for (workload, num_osds, suffix), runs in groups:
+        stem = f"{workload}-{num_osds}osd{suffix}"
         by_policy = _by_policy(runs)
         written.append(_line_chart(
             out_dir / f"load_cov_{stem}.svg",
@@ -216,12 +222,14 @@ def render_figures(series_list: list[TimeSeries], out_dir: str | Path) -> list[P
             {policy: np.mean([s.wear[-1] for s in ps], axis=0)
              for policy, ps in by_policy.items()},
         ))
-    for num_osds in sorted({int(s.meta["num_osds"]) for s in series_list}):
-        subset = [s for s in series_list if int(s.meta["num_osds"]) == num_osds]
+    by_size: dict[tuple[int, str], list[TimeSeries]] = {}
+    for (_, num_osds, suffix), runs in groups:
+        by_size.setdefault((num_osds, suffix), []).extend(runs)
+    for (num_osds, suffix), subset in sorted(by_size.items()):
         workloads = sorted({str(s.meta["workload"]) for s in subset})
         written.append(_bar_chart(
-            out_dir / f"migration_cost_{num_osds}osd.svg",
-            f"Migration cost per policy — {num_osds} OSDs",
+            out_dir / f"migration_cost_{num_osds}osd{suffix}.svg",
+            f"Migration cost per policy — {num_osds} OSDs{suffix}",
             "workload",
             "migration cost (MB)",
             workloads,

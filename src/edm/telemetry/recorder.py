@@ -92,7 +92,7 @@ class EpochBlock:
     ``wear`` ``(k, width)`` -- the per-OSD requests routed that epoch and the
     cumulative wear after its routing -- and ``requests`` and ``writes``
     ``(k,)`` int64 totals.  Shared by every row: ``alive`` (bool mask) and
-    ``capacity`` per OSD.  Computed on first read, once for every reader:
+    ``capacity`` per OSD.  Computed at the cut, once for every reader:
     ``alive_ids``, and each load row's ``mean``, ``std``, ``cov`` (std /
     mean) and ``peak`` (max / mean), the last two 0 where the mean is not
     positive.
@@ -106,6 +106,12 @@ class EpochBlock:
         self.writes = writes
         self.alive = alive
         self.capacity = capacity
+        self.alive_ids = np.flatnonzero(alive)
+        self.mean, self.std = mean, std = mean_std(load)
+        ok = mean > 0
+        self.cov = np.divide(std, mean, out=np.zeros_like(mean), where=ok)
+        peak = np.maximum.reduce(load, axis=1)
+        self.peak = np.divide(peak, mean, out=np.zeros_like(mean), where=ok)
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -113,21 +119,6 @@ class EpochBlock:
     @property
     def width(self) -> int:
         return self.load.shape[1]
-
-    def __getattr__(self, name: str):
-        # Only reached for an attribute not yet set: compute it (and its
-        # siblings) once, then read it as a plain attribute.
-        if name == "alive_ids":
-            self.alive_ids = np.flatnonzero(self.alive)
-        elif name in ("mean", "std", "cov", "peak"):
-            self.mean, self.std = mean, std = mean_std(self.load)
-            ok = mean > 0
-            self.cov = np.divide(std, mean, out=np.zeros_like(mean), where=ok)
-            peak = np.maximum.reduce(self.load, axis=1)
-            self.peak = np.divide(peak, mean, out=np.zeros_like(mean), where=ok)
-        else:
-            raise AttributeError(name)
-        return self.__dict__[name]
 
 
 class Recorder:

@@ -20,8 +20,10 @@ run's :meth:`~edm.service.ServiceRuntime.epoch_series` (see
 :meth:`~edm.telemetry.Recorder.on_service`).
 
 The product is a :class:`TimeSeries`: immutable arrays plus a JSON-able
-``meta`` dict carrying the config identity (``cache_name``/``config_hash``),
-with ``.npz`` (compact, lossless), JSON, and CSV exporters.
+``meta`` dict carrying the config identity (``cache_name``/``config_hash``,
+the workload, policy, size and seed, and every scenario spec of
+:data:`edm.config.SCENARIOS`), with ``.npz`` (compact, lossless), JSON, and
+CSV exporters.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from edm.config import SimConfig, config_hash
+from edm.config import SCENARIOS, SimConfig, config_hash
 from edm.files import atomic_write
 from edm.telemetry.recorder import EpochBlock, Recorder, mean_std
 
@@ -53,7 +55,9 @@ if TYPE_CHECKING:
 #    topology plan) and the ``topology`` meta key; per-OSD columns are sized
 #    to the plan's maximum cluster width, zero-filled before a drive joins.
 # 6: added the ``migrations_total`` meta key (every move of the run).
-SERIES_FORMAT_VERSION = 6
+# 7: meta carries every :data:`~edm.config.SCENARIOS` spec (``redundancy``
+#    was missing), which figures group runs by.
+SERIES_FORMAT_VERSION = 7
 
 #: Columns holding one value per OSD ([T, N]); the rest hold one per sample.
 _PER_OSD_COLUMNS = ("load", "wear")
@@ -253,10 +257,7 @@ class TimeSeriesRecorder(Recorder):
                 "epochs": cfg.epochs,
                 "record_every": self.record_every,
                 "chunk_size_mb": cfg.chunk_size_mb,
-                "faults": cfg.faults,
-                "endurance": cfg.endurance,
-                "service": cfg.service,
-                "topology": cfg.topology,
+                **{name: getattr(cfg, name) for name in SCENARIOS},
                 "migrations_total": int(state.migrations_total),
             },
             **{k: buf[:i].copy() for k, buf in c.items()},

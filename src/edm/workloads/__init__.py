@@ -1,7 +1,8 @@
 """Workload registry: the four named traces from the paper's evaluation,
 one :data:`TRACES` row each."""
 
-from edm.workloads.base import TRACES, SyntheticTrace
+from edm.config import TRACES
+from edm.workloads.base import SyntheticTrace
 from edm.workloads.producer import traffic
 
 #: A run's workload: the trace its config names.

@@ -2,8 +2,8 @@
 
 The four traces of the paper's evaluation differ only in five numbers -- a
 popularity exponent, read/write mix, hotspot drift and burstiness -- each
-one a row of :data:`TRACES`.  :class:`SyntheticTrace` draws the configured
-trace's row.  An epoch's accesses are one multinomial over the
+one a row of :data:`edm.config.TRACES`.  :class:`SyntheticTrace` draws the
+configured trace's row.  An epoch's accesses are one multinomial over the
 chunk-popularity vector, not per-request samples.
 
 :meth:`SyntheticTrace.draw` is the one draw routine.  ``epoch_counts``
@@ -14,40 +14,9 @@ producer.  Either way the same draws come out in the same order.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
-from edm.config import SimConfig
-
-
-class Trace(NamedTuple):
-    """One trace's personality."""
-
-    base_zipf: float    # popularity exponent theta; p(rank r) ~ r^-theta
-    write_ratio: float  # fraction of accesses that are writes
-    drift_period: int   # epochs between hotspot shifts (0 = static hotset)
-    drift_step: int     # chunks the hotspot rotates per shift
-    burstiness: float   # 0 = constant epoch volume; >0 = gamma-modulated
-
-
-#: The NFS trace stand-ins, by workload name.
-TRACES: dict[str, Trace] = {
-    # Research-department NFS: mixed read/write with a moderately skewed,
-    # slowly drifting hotset -- the working set migrates as projects come
-    # and go.
-    "deasna": Trace(0.9, 0.45, 32, 16, 0.0),
-    # Its second year: heavier skew and bursty epoch volume (batch jobs),
-    # slightly more write-intensive than deasna.
-    "deasna2": Trace(1.1, 0.5, 32, 16, 0.25),
-    # Home directories: read-heavy with a strongly skewed, static hotset --
-    # a few popular home directories dominate.
-    "lair62": Trace(1.2, 0.25, 0, 0, 0.0),
-    # lair62 with periodic hotspot shifts: the same read-heavy mix, but the
-    # popular set rotates abruptly (semester turnover), stressing migration
-    # policies with a moving target.
-    "lair62b": Trace(1.05, 0.25, 48, 96, 0.1),
-}
+from edm.config import TRACES, SimConfig
 
 
 class SyntheticTrace:
@@ -56,11 +25,8 @@ class SyntheticTrace:
     epoch."""
 
     def __init__(self, cfg: SimConfig, rng: np.random.Generator):
-        try:
-            trace = TRACES[cfg.workload]
-        except KeyError:
-            raise ValueError(f"unknown workload {cfg.workload!r}; have {sorted(TRACES)}") from None
-        self.base_zipf, self.write_ratio, self.drift_period, self.drift_step, self.burstiness = trace
+        (self.base_zipf, self.write_ratio, self.drift_period, self.drift_step,
+         self.burstiness) = TRACES[cfg.workload]
         self.cfg = cfg
         self.rng = rng
         theta = self.base_zipf + cfg.skew

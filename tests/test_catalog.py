@@ -15,7 +15,7 @@ import pytest
 
 from conftest import cfg_factory
 from edm.catalog import KEYS, METRICS
-from edm.config import SCENARIO_FIELDS
+from edm.config import SCENARIOS
 from edm.engine.core import simulate
 from edm.redundancy.runtime import RedundancyRuntime
 from edm.sweep import SUMMARY_KEYS
@@ -47,7 +47,7 @@ def metrics_reference() -> str:
 
 def test_rows_are_well_formed():
     assert len(KEYS) == len(METRICS), "a key has two rows"
-    scenarios = {name for name, _tag, _label in SCENARIO_FIELDS}
+    scenarios = set(SCENARIOS)
     for m in METRICS:
         assert m.help.endswith("."), m.key
         assert m.type in (None, "gauge", "counter", "info"), m.key

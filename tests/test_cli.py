@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from edm.cli import SCENARIO_SEPS, main
+from edm.cli import main
+from edm.config import SCENARIOS
 
 
 def test_run_prints_metrics(capsys):
@@ -167,12 +168,12 @@ def test_run_none_flags_mean_no_scenario(capsys):
     base = ["run", "--osds", "4", "--epochs", "8", "--requests", "128"]
     assert main(base) == 0
     plain = json.loads(capsys.readouterr().out)
-    none = [f"--{name}=none" for name in SCENARIO_SEPS]
+    none = [f"--{name}=none" for name in SCENARIOS]
     assert main(base + none) == 0
     metrics = json.loads(capsys.readouterr().out)
     # "none" canonicalizes to "" in SimConfig: every scenario field echoes
     # empty (healthy runs omit the scenario blocks) and the run is the plain one.
-    assert all(metrics.get(name, "") == "" for name in SCENARIO_SEPS)
+    assert all(metrics.get(name, "") == "" for name in SCENARIOS)
     assert metrics == plain
 
 

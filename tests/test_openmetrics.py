@@ -2,13 +2,20 @@
 
 import json
 import math
+import re
 
 import pytest
 
 from conftest import cfg_factory
 from edm.cli import main
+from edm.catalog import METRICS
 from edm.engine.core import simulate
-from edm.telemetry import MetricsRegistry, MetricsSnapshotRecorder, registry_from_metrics
+from edm.telemetry import (
+    MetricsRegistry,
+    MetricsSnapshotRecorder,
+    Recorder,
+    registry_from_metrics,
+)
 from edm.telemetry.openmetrics import format_value
 
 
@@ -33,10 +40,10 @@ def test_format_value(value, expected):
 
 def test_render_basic_families():
     reg = MetricsRegistry()
-    reg.gauge("load_cov", "Load CoV.")
-    reg.sample("load_cov", 0.25)
-    reg.counter("requests", "Requests routed.")
-    reg.sample("requests", 4096)
+    reg.declare("edm_load_cov", "gauge", "Load CoV.")
+    reg.sample("edm_load_cov", 0.25)
+    reg.declare("edm_requests", "counter", "Requests routed.")
+    reg.sample("edm_requests", 4096)
     text = reg.render()
     assert "# TYPE edm_load_cov gauge" in text
     assert "# HELP edm_load_cov Load CoV." in text
@@ -48,8 +55,8 @@ def test_render_basic_families():
 
 
 def test_render_escapes_labels_and_help():
-    reg = MetricsRegistry(prefix="")
-    reg.gauge("g", 'help with "quotes"\nand newline')
+    reg = MetricsRegistry()
+    reg.declare("g", "gauge", 'help with "quotes"\nand newline')
     reg.sample("g", 1, {"k": 'va"l\\ue\n'})
     text = reg.render()
     assert '# HELP g help with \\"quotes\\"\\nand newline' in text
@@ -58,20 +65,11 @@ def test_render_escapes_labels_and_help():
 
 def test_registry_rejects_type_conflicts_and_undeclared_samples():
     reg = MetricsRegistry()
-    reg.gauge("x", "a gauge")
+    reg.declare("x", "gauge", "a gauge")
     with pytest.raises(ValueError, match="already declared"):
-        reg.counter("x", "now a counter?")
+        reg.declare("x", "counter", "now a counter?")
     with pytest.raises(KeyError):
         reg.sample("never_declared", 1)
-
-
-def test_set_replaces_matching_labels():
-    reg = MetricsRegistry()
-    reg.gauge("epoch", "h")
-    reg.set("epoch", 1)
-    reg.set("epoch", 2)
-    assert reg.render().count("\nedm_epoch ") == 1  # one sample line
-    assert "edm_epoch 2" in reg.render()
 
 
 # --- mapping a run's metrics dict --------------------------------------------
@@ -149,12 +147,40 @@ def test_snapshot_recorder_writes_periodically(tmp_path):
     # 32 epochs / every-8 = 4 periodic writes + 1 finalize write.
     assert rec.snapshots == 5
     text = out.read_text()
-    assert f"edm_epoch {cfg.epochs - 1}" in text
+    assert f"edm_epochs_total {cfg.epochs}" in text
     assert f"edm_requests_total {metrics['total_requests']}" in text
     assert "edm_osds_alive 4" in text
     assert text.endswith("# EOF\n")
     # Attaching the recorder never perturbs the run.
     assert metrics == simulate(cfg)
+
+
+def test_live_snapshots_export_only_catalogue_families(tmp_path):
+    """Mid-run snapshots render catalogue rows: every family is one of the
+    catalogue's, with the catalogue's type and help text."""
+    out = tmp_path / "live.prom"
+    seen = []
+
+    class Reader(Recorder):
+        def on_block(self, state, block):
+            if out.exists():
+                seen.append(out.read_text())
+
+    cfg = cfg_factory(epochs=32, migrate_interval=8)
+    simulate(cfg, recorders=(MetricsSnapshotRecorder(out, every=8), Reader()))
+    catalogue = {f"edm_{m.family}": m for m in METRICS if m.type}
+    # One snapshot per block, written at its last epoch: a block is cut
+    # before each migration round.
+    assert len(seen) == 4
+    for epochs, text in zip((8, 16, 24, 32), seen):
+        typed = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+        assert typed.keys() <= catalogue.keys(), sorted(typed.keys() - catalogue.keys())
+        for name, type_ in typed.items():
+            assert type_ == catalogue[name].type, name
+            if name != "edm_run":
+                assert f"# HELP {name} {catalogue[name].help}\n" in text
+        assert f"edm_epochs_total {epochs}\n" in text
+        assert 'edm_run_info{workload="deasna",policy="cmt"' in text
 
 
 def test_snapshot_recorder_rejects_bad_every(tmp_path):

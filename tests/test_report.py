@@ -12,7 +12,7 @@ from edm.cache import ResultCache
 from edm.catalog import COLUMNS
 from edm.cli import main
 from edm.sweep import default_grid, sweep
-from edm.config import POLICIES, SimConfig
+from edm.config import POLICIES, SimConfig, scenario_suffix
 from edm.telemetry.plots import POLICY_COLORS
 
 TINY = dict(epochs=16, requests_per_epoch=256, chunks_per_osd=8)
@@ -216,6 +216,38 @@ def test_plot_cli_renders_figures(swept_cache, tmp_path, capsys):
         assert _marks(out_dir / f"load_cov_{workload}-4osd.svg", "polyline") == 4
         assert _marks(out_dir / f"wear_final_{workload}-4osd.svg", "rect") == 2 * 4
     assert _marks(out_dir / "migration_cost_4osd.svg", "rect") == 2 * 2
+
+
+def test_plot_cli_keeps_scenarios_apart(tmp_path, capsys):
+    """A sweep over a topology and a fault axis plots one figure set per
+    scenario combination, each load-CoV figure holding only its own runs:
+    elastic runs' wider wear rows never meet static ones in one mean, and
+    healthy and faulted runs never share a line chart."""
+    ts, figs = tmp_path / "ts", tmp_path / "figs"
+    assert main([
+        "sweep", "--workloads", "deasna", "--osds", "4", "--policies", "baseline,cmt",
+        "--seeds", "1", "--epochs", "16", "--requests", "256",
+        "--topology", "none|add:2@8", "--faults", "none,fail:1@10",
+        "--cache-dir", str(tmp_path / "cache"), "--workers", "1", "--timeseries", str(ts),
+    ]) == 0
+    assert main(["plot", str(ts), "--out-dir", str(figs)]) == 0
+    suffixes = {
+        scenario_suffix({"topology": t, "faults": f})
+        for t in ("", "add:2@8") for f in ("", "fail:1@10")
+    }
+    assert len(suffixes) == 4 and "" in suffixes
+    names = {p.name for p in figs.iterdir()}
+    assert names == {
+        name for sfx in suffixes
+        for name in (f"load_cov_deasna-4osd{sfx}.svg", f"wear_final_deasna-4osd{sfx}.svg",
+                     f"migration_cost_4osd{sfx}.svg")
+    }
+    for sfx in suffixes:
+        # One line per policy, one seed each; the elastic figures' bars
+        # span the grown cluster.
+        assert _marks(figs / f"load_cov_deasna-4osd{sfx}.svg", "polyline") == 2
+        width = 6 if "-t" in sfx else 4
+        assert _marks(figs / f"wear_final_deasna-4osd{sfx}.svg", "rect") == 2 * width
 
 
 def test_plot_cli_empty_dir(tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from edm.config import SimConfig
+from edm.config import SCENARIOS, SimConfig
 from edm.engine import core
 from edm.engine.core import simulate
 from edm.service import ServiceRuntime
@@ -202,6 +202,21 @@ def test_npz_missing_column_rejected(small_cfg, tmp_path, column):
     lacks = rf" is missing \['{column}'\]" if column else ""
     with pytest.raises(ValueError, match=rf"v{version}{lacks};.*edm sweep --timeseries"):
         TimeSeries.load_npz(path)
+
+
+def test_series_meta_carries_every_scenario_spec(tmp_path):
+    """The meta holds each SCENARIOS spec, redundancy too, so figures can
+    keep scenarios apart."""
+    cfg = SimConfig(num_osds=8, epochs=16, requests_per_epoch=256, chunks_per_osd=8,
+                    faults="fail:1@8", endurance="pe:100000", service="rate:80;queue:32",
+                    topology="add:2@8", redundancy="rep:2")
+    rec = TimeSeriesRecorder(record_every=4)
+    simulate(cfg, recorders=(rec,))
+    specs = {name: rec.series.meta[name] for name in SCENARIOS}
+    assert specs == {name: getattr(cfg, name) for name in SCENARIOS}
+    assert all(specs.values())
+    loaded = TimeSeries.load_npz(rec.series.save_npz(tmp_path / "series.npz"))
+    assert {name: loaded.meta[name] for name in SCENARIOS} == specs
 
 
 def test_migration_cost_figure_counts_every_move(tmp_path):
