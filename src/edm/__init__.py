@@ -30,16 +30,15 @@ Stable public API (everything in ``__all__``):
     config_hash        -- content hash keying the result cache
     Tracer             -- span timer: ``simulate(cfg, tracer=Tracer())`` puts
                           phase timings in ``metrics["timings"]``
-    RunLogWriter       -- structured JSONL run-log emitter (see edm.obs.runlog)
+    RunLogWriter       -- the one JSONL run log's writer (see edm.obs.runlog):
+                          run, fault, topology, service, decision and span
+                          records from ``edm run --run-log`` and sweeps
     read_run_log       -- parse + schema-validate a run log back into records
     DecisionRecorder   -- captures per-migration decision records (``--explain``)
-    read_decision_log  -- parse + schema-validate a decision log
     query_decisions    -- filter decisions by chunk / osd / epoch / trigger / policy
     attribution_summary-- per-policy fraction of moves each score term decided
-    write_span_events  -- dump a recording Tracer's span occurrences to JSONL
-    export_chrome_trace-- convert a span-event JSONL to Perfetto/Chrome JSON
-    MetricsRegistry    -- OpenMetrics text-exposition renderer
-    registry_from_metrics -- map a run's metrics dict onto a MetricsRegistry
+    export_chrome_trace-- convert a run log's span records to Perfetto/Chrome JSON
+    openmetrics_text   -- a run's metrics dict as OpenMetrics text exposition
     MetricsSnapshotRecorder -- live ``.prom`` snapshots during a run
 """
 
@@ -54,9 +53,7 @@ from edm.obs import (
     attribution_summary,
     export_chrome_trace,
     query_decisions,
-    read_decision_log,
     read_run_log,
-    write_span_events,
 )
 from edm.policies import resolve_policy
 from edm.redundancy import RedundancyScheme
@@ -64,12 +61,11 @@ from edm.service import ServiceModel
 from edm.spec import SpecError
 from edm.sweep import SweepResult, default_grid, sweep
 from edm.telemetry import (
-    MetricsRegistry,
     MetricsSnapshotRecorder,
     Recorder,
     TimeSeries,
     TimeSeriesRecorder,
-    registry_from_metrics,
+    openmetrics_text,
 )
 from edm.topology import TopologyPlan
 
@@ -80,7 +76,6 @@ __all__ = [
     "EnduranceModel",
     "FaultEvent",
     "FaultPlan",
-    "MetricsRegistry",
     "MetricsSnapshotRecorder",
     "ServiceModel",
     "SimConfig",
@@ -97,13 +92,11 @@ __all__ = [
     "config_hash",
     "default_grid",
     "export_chrome_trace",
+    "openmetrics_text",
     "query_decisions",
-    "read_decision_log",
     "read_run_log",
-    "registry_from_metrics",
     "resolve_policy",
     "simulate",
     "sweep",
-    "write_span_events",
     "__version__",
 ]

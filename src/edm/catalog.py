@@ -1,7 +1,7 @@
 """The metrics catalogue: one row per key of a run's metrics dict.
 
 A row is the one place a key's facts live: its help text, how the
-OpenMetrics exporter (:func:`edm.telemetry.registry_from_metrics`) exposes
+OpenMetrics exporter (:func:`edm.telemetry.openmetrics_text`) exposes
 it -- at the end of a run, and mid-run in a live snapshot -- and which
 ``edm report`` column shows it.  To add a metric, add its
 row here and the code that computes it; without the row,

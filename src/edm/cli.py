@@ -14,6 +14,7 @@ the field's separator, as an extra grid axis.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from edm import report as report_mod
 from edm.cache import DEFAULT_CACHE_DIR
 from edm.config import POLICY_ALIASES, POLICIES, SCENARIOS, WORKLOADS, SimConfig
 from edm.engine.core import simulate
-from edm.obs import NULL_TRACER, Tracer, configure_logging, get_logger
+from edm.obs import RunLogWriter, configure_logging, get_logger, new_id, read_run_log
 from edm.obs.decisions import (
     TRIGGERS,
     DecisionRecorder,
@@ -30,13 +31,12 @@ from edm.obs.decisions import (
     format_attribution,
     format_decision,
     query_decisions,
-    read_decision_log,
 )
 from edm.obs.log import level_from_args
-from edm.obs.trace_export import export_chrome_trace, write_span_events
+from edm.obs.trace_export import export_chrome_trace
 from edm.policies import resolve_policy
 from edm.spec import SpecError
-from edm.sweep import default_grid, sweep
+from edm.sweep import default_grid, logged_run, sweep
 from edm.telemetry import MetricsSnapshotRecorder
 
 POLICY_CHOICES = (*POLICIES, *sorted(POLICY_ALIASES))
@@ -99,23 +99,27 @@ def cmd_run(args) -> int:
         **{name: getattr(args, name) for name in SCENARIOS},
         **_overrides(args),
     )
+    writer = RunLogWriter(args.run_log) if args.run_log else None
+    run_id = new_id()
     recorders = []
     decisions = None
-    if args.explain is not None:
-        decisions = DecisionRecorder(path=args.explain or None)
+    if args.explain:
+        emit = None
+        if writer is not None:
+            emit = functools.partial(
+                writer.emit, "decision", run_id=run_id, config=cfg.cache_name()
+            )
+        decisions = DecisionRecorder(emit=emit)
         recorders.append(decisions)
     snapshot = None
     if args.metrics_out:
         snapshot = MetricsSnapshotRecorder(args.metrics_out)
         recorders.append(snapshot)
-    tracer = Tracer(record_events=True) if args.trace else NULL_TRACER
-    metrics = simulate(cfg, recorders=tuple(recorders), tracer=tracer)
-    if tracer.enabled:
-        # Timings ride the trace file; the metrics JSON on stdout keeps the
-        # exact shape (and values) of an untraced run.
-        metrics.pop("timings", None)
-        n = write_span_events(tracer, args.trace, label=cfg.cache_name())
-        log.info("appended %d span events to %s", n, args.trace)
+    if writer is not None:
+        metrics = logged_run(cfg, writer, run_id, True, tuple(recorders))
+        log.info("run log appended to %s", args.run_log)
+    else:
+        metrics = simulate(cfg, recorders=tuple(recorders))
     if snapshot is not None:
         snapshot.write_final(metrics)
         log.info("wrote OpenMetrics snapshot to %s", args.metrics_out)
@@ -127,15 +131,13 @@ def cmd_run(args) -> int:
             + format_attribution(decisions.attribution()),
             file=sys.stderr,
         )
-        if decisions.path is not None:
-            log.info(
-                "decision log: %s (query with `python -m edm explain %s`)",
-                decisions.path, decisions.path,
-            )
     return 0
 
 
 def cmd_sweep(args) -> int:
+    if args.trace and not args.run_log:
+        print("error: --trace needs --run-log to write span records to", file=sys.stderr)
+        return 2
     grid = default_grid(
         workloads=_csv(args.workloads),
         osds=[int(n) for n in _csv(args.osds)],
@@ -153,7 +155,7 @@ def cmd_sweep(args) -> int:
         record_every=args.record_every,
         run_log=args.run_log,
         progress=args.progress,
-        trace_events=args.trace,
+        trace=args.trace,
     )
     for cfg, record in zip(grid, result.records):
         print(
@@ -169,16 +171,11 @@ def cmd_sweep(args) -> int:
         log.info("per-epoch series in %s/ (*.npz)", args.timeseries)
     if args.run_log:
         log.info("run log appended to %s", args.run_log)
-    if args.trace:
-        log.info(
-            "span events appended to %s (render with `python -m edm trace export %s`)",
-            args.trace, args.trace,
-        )
     return 0
 
 
 def cmd_explain(args) -> int:
-    records = read_decision_log(args.log, strict=False)
+    records = [r for r in read_run_log(args.log, strict=False) if r["event"] == "decision"]
     if not records:
         log.error("no valid decision records in %s", args.log)
         return 1
@@ -202,13 +199,13 @@ def cmd_explain(args) -> int:
 
 
 def cmd_trace_export(args) -> int:
-    out = args.out if args.out else str(Path(args.events).with_suffix(".json"))
-    if Path(out).resolve() == Path(args.events).resolve():
+    out = args.out if args.out else str(Path(args.log).with_suffix(".json"))
+    if Path(out).resolve() == Path(args.log).resolve():
         log.error("output %s would overwrite the input; pass -o", out)
         return 2
-    n = export_chrome_trace(args.events, out, strict=False)
+    n = export_chrome_trace(args.log, out, strict=False)
     if n == 0:
-        log.error("no span events in %s", args.events)
+        log.error("no span records in %s", args.log)
         return 1
     log.info("exported %d span events", n)
     print(out)
@@ -278,20 +275,19 @@ def main(argv: list[str] | None = None) -> int:
     _add_scenario_args(run_p, grid=False)
     run_p.add_argument(
         "--explain",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="PATH",
+        action="store_true",
         help="capture per-migration decision records (score decomposition per "
         "destination pick) and print an attribution summary on stderr; with "
-        "PATH, also stream the records as JSONL for `edm explain`",
+        "--run-log, also write them as decision records for `edm explain`",
     )
     run_p.add_argument(
-        "--trace",
+        "--run-log",
         default=None,
         metavar="PATH",
-        help="append span-event JSONL (simulate phase timings) to PATH; render "
-        "with `edm trace export PATH`",
+        help="append the run's JSONL run-log records to PATH: run_start/run_end, "
+        "fault/topology/service records, one span record per simulate phase "
+        "occurrence (render with `edm trace export PATH`) and, with --explain, "
+        "decision records",
     )
     run_p.add_argument(
         "--metrics-out",
@@ -346,10 +342,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_p.add_argument(
         "--trace",
-        default=None,
-        metavar="PATH",
-        help="append span-event JSONL (parent sweep stages + worker simulate "
-        "phases) to PATH; render with `edm trace export PATH`",
+        action="store_true",
+        help="add span records (parent sweep stages + worker simulate phases) "
+        "to the --run-log; render with `edm trace export PATH`",
     )
     _add_engine_args(sweep_p)
     sweep_p.set_defaults(func=cmd_sweep)
@@ -357,10 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     explain_p = sub.add_parser(
         "explain",
         parents=[common],
-        help="query a decision log: why did each migration land where it did?",
+        help="query a run log's decisions: why did each migration land where it did?",
     )
     explain_p.add_argument(
-        "log", help="decision JSONL written by `edm run --explain=PATH`"
+        "log", help="run log written by `edm run --explain --run-log PATH`"
     )
     explain_p.add_argument("--chunk", type=int, default=None, help="filter by chunk id")
     explain_p.add_argument(
@@ -391,10 +386,10 @@ def main(argv: list[str] | None = None) -> int:
     trace_export_p = trace_sub.add_parser(
         "export",
         parents=[common],
-        help="convert span-event JSONL into Chrome/Perfetto trace_event JSON",
+        help="convert a run log's span records into Chrome/Perfetto trace_event JSON",
     )
     trace_export_p.add_argument(
-        "events", help="span-event JSONL from `run --trace` / `sweep --trace`"
+        "log", help="run log from `run --run-log` / `sweep --trace --run-log`"
     )
     trace_export_p.add_argument(
         "-o",

@@ -1,9 +1,9 @@
 """Shared file formats: the JSONL codec and the atomic whole-file writer.
 
-The run, decision and span logs share one JSONL format: one compact JSON
-object per line, appended as one ``write`` per batch so that concurrent
-worker appends never tear a line on POSIX filesystems.  Each log declares
-its records as a :class:`RecordSchema`.  Cache pickles, ``.npz`` series and
+The run log (:mod:`edm.obs.runlog`) is JSONL: one compact JSON object per
+line, appended as one ``write`` per batch so that concurrent worker
+appends never tear a line on POSIX filesystems.  It declares each record
+type as a :class:`RecordSchema`.  Cache pickles, ``.npz`` series and
 OpenMetrics snapshots go through :func:`atomic_write`.  Only the standard
 library is imported, so ``edm.obs`` and ``edm.telemetry`` can both use it.
 """

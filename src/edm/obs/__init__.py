@@ -5,17 +5,15 @@ Three pillars, all off the hot path by default:
 * :mod:`edm.obs.trace` -- :class:`Tracer` span timing (context manager +
   decorator, monotonic clocks, nested spans); :data:`NULL_TRACER` is the
   always-off default the engine and sweep instrument against.
-  :mod:`edm.obs.trace_export` turns recorded span events into
+  :mod:`edm.obs.trace_export` turns a run log's ``span`` records into
   Chrome/Perfetto ``trace_event`` JSON timelines.
-* :mod:`edm.obs.runlog` -- JSONL run logs (:class:`RunLogWriter`,
+* :mod:`edm.obs.runlog` -- the one JSONL run log (:class:`RunLogWriter`,
   :func:`read_run_log`, :func:`validate_record`): one ``run_start``/``run_end``
-  record per config emitted from inside workers, plus sweep-level records.
+  pair per config emitted from inside workers, with its fault, topology,
+  service, decision and span records, plus sweep-level records.
 * :mod:`edm.obs.decisions` -- migration decision provenance: per-pick score
-  decompositions captured by :class:`DecisionRecorder`, queried by
-  ``edm explain``.
-
-All three logs are one JSONL format: each module declares its records as a
-:class:`edm.files.RecordSchema` and writes and reads them through that codec.
+  decompositions captured by :class:`DecisionRecorder`, written as the run
+  log's ``decision`` records and queried by ``edm explain``.
 
 Plus :mod:`edm.obs.log` (the package logger behind ``-v``/``--log-level``)
 and :mod:`edm.obs.progress` (the live sweep progress line).
@@ -26,8 +24,6 @@ from edm.obs.decisions import (
     DecisionRecorder,
     attribution_summary,
     query_decisions,
-    read_decision_log,
-    validate_decision,
 )
 from edm.obs.log import configure as configure_logging
 from edm.obs.log import get_logger
@@ -40,12 +36,7 @@ from edm.obs.runlog import (
     validate_record,
 )
 from edm.obs.trace import NULL_TRACER, NullTracer, Tracer
-from edm.obs.trace_export import (
-    export_chrome_trace,
-    read_span_events,
-    to_chrome_trace,
-    write_span_events,
-)
+from edm.obs.trace_export import export_chrome_trace, to_chrome_trace
 
 __all__ = [
     "Decision",
@@ -62,11 +53,7 @@ __all__ = [
     "get_logger",
     "new_id",
     "query_decisions",
-    "read_decision_log",
     "read_run_log",
-    "read_span_events",
     "to_chrome_trace",
-    "validate_decision",
     "validate_record",
-    "write_span_events",
 ]

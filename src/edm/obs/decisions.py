@@ -17,9 +17,12 @@ so an explained run's metrics equal an unexplained run's and unexplained
 runs never leave the fused-kernel hot path.
 
 :class:`DecisionRecorder` is the built-in sink: a bounded ring buffer
-(oldest decisions evicted first) plus an optional JSONL file streamed one
-record per line -- ``edm run --explain[=PATH]``.  Query a written log back
-with :func:`read_decision_log` / :func:`query_decisions` (the ``edm
+(oldest decisions evicted first) plus an optional ``emit`` callback that
+streams each record the moment it fires -- ``edm run --explain --run-log
+PATH`` binds it to the run log's ``decision`` records
+(:mod:`edm.obs.runlog`, which checks them against :data:`DECISION_FIELDS`
+and the cross-field rules here).  Query a written log back with
+:func:`~edm.obs.read_run_log` and :func:`query_decisions` (the ``edm
 explain`` CLI), and summarize which score term was *decisive* -- the term
 that gave the winner its margin over the runner-up -- per policy with
 :func:`attribution_summary`.
@@ -27,23 +30,17 @@ that gave the winner its margin over the runner-up -- per policy with
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import Callable
 
-from edm.files import RecordSchema, append_jsonl, read_jsonl
 from edm.telemetry.recorder import Recorder
-
-#: Bump when the decision-record field set changes incompatibly.
-DECISION_SCHEMA_VERSION = 1
 
 #: What drove a destination pick.
 TRIGGERS = ("threshold", "fault", "wearout", "drain")
 
 #: Fields every serialized decision record must carry, with their types.
 DECISION_FIELDS = {
-    "schema": int,
     "epoch": int,
     "trigger": str,
     "policy": str,
@@ -77,9 +74,8 @@ class Decision:
     scores: tuple[float, ...] = field(compare=False)
 
     def to_record(self) -> dict:
-        """Serialize to the JSONL record format (schema-stamped plain dict)."""
+        """Serialize to the :data:`DECISION_FIELDS` of a ``decision`` record."""
         return {
-            "schema": DECISION_SCHEMA_VERSION,
             "epoch": self.epoch,
             "trigger": self.trigger,
             "policy": self.policy,
@@ -153,36 +149,29 @@ def _check_decision(record: dict) -> list[str]:
     return problems
 
 
-_SCHEMA = RecordSchema(DECISION_FIELDS, version=DECISION_SCHEMA_VERSION, check=_check_decision)
-
-
-def validate_decision(record: dict) -> list[str]:
-    """Schema problems with one decision record (empty list == valid)."""
-    return _SCHEMA.problems(record)
-
-
 class DecisionRecorder(Recorder):
-    """Captures decisions into a bounded ring buffer and an optional JSONL sink.
+    """Captures decisions into a bounded ring buffer and an optional sink.
 
     ``capacity`` bounds in-memory retention (oldest evicted first -- a
-    million-epoch run cannot OOM the recorder); ``path`` streams every
-    decision as one JSON line the moment it fires, so even an interrupted
-    run keeps its provenance on disk.  Attaching this recorder is what flips
-    the engine onto the explained selection path.
+    million-epoch run cannot OOM the recorder); ``emit`` is called with
+    every decision's record fields the moment it fires -- bound to a
+    :class:`~edm.obs.RunLogWriter`'s ``decision`` records, even an
+    interrupted run keeps its provenance on disk.  Attaching this recorder
+    is what flips the engine onto the explained selection path.
     """
 
-    def __init__(self, capacity: int = 4096, path: str | os.PathLike | None = None):
+    def __init__(self, capacity: int = 4096, emit: Callable[..., object] | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.decisions: deque[Decision] = deque(maxlen=capacity)
-        self.path = Path(path) if path is not None else None
+        self.emit = emit
         self.total = 0  # all decisions seen, including ring-evicted ones
 
     def on_decision(self, state, decision: Decision) -> None:
         self.decisions.append(decision)
         self.total += 1
-        if self.path is not None:
-            append_jsonl(self.path, (decision.to_record(),))
+        if self.emit is not None:
+            self.emit(**decision.to_record())
 
     def records(self) -> list[dict]:
         """The retained decisions, serialized (oldest first)."""
@@ -191,16 +180,6 @@ class DecisionRecorder(Recorder):
     def attribution(self) -> dict:
         """Attribution summary over the retained decisions (see module docs)."""
         return attribution_summary(self.records())
-
-
-def read_decision_log(path: str | os.PathLike, strict: bool = True) -> list[dict]:
-    """Parse a decision JSONL log back into record dicts.
-
-    ``strict=True`` raises ``ValueError`` on the first malformed line or
-    schema violation; ``strict=False`` skips bad lines (forward-compat with
-    newer-schema records).
-    """
-    return read_jsonl(path, validate_decision, strict)
 
 
 def query_decisions(

@@ -1,42 +1,52 @@
-"""Structured JSONL run logs.
+"""Structured JSONL run logs: the one observability log.
 
-One append-only file records everything a sweep did: a ``sweep_start`` /
-``sweep_end`` pair from the parent process and a ``run_start`` / ``run_end``
-pair per simulated config, emitted *from inside the worker* that ran it
-(mirroring the ``.npz`` streaming path, so the parent never buffers log
-payloads).  Records use the JSONL line format shared with the decision and
-span logs (:mod:`edm.files`): one JSON object per line, each appended as
-one ``write``, which keeps concurrent worker appends intact on POSIX
+One append-only file records everything a run or a sweep did.  ``edm run
+--run-log`` and every sweep worker write a ``run_start`` / ``run_end`` pair
+per simulated config through :func:`edm.sweep.logged_run` -- emitted *from
+inside the worker* that ran it (mirroring the ``.npz`` streaming path, so
+the parent never buffers log payloads) -- and a sweep's parent brackets
+them with ``sweep_start`` / ``sweep_end``.  Records use the JSONL line
+format of :mod:`edm.files`: one JSON object per line, each batch appended
+as one ``write``, which keeps concurrent worker appends intact on POSIX
 filesystems.
 
 Record schema (all records)::
 
-    event      "sweep_start" | "sweep_end" | "run_start" | "run_end"
+    event      one of :data:`EVENTS`
     schema     record schema version (int, :data:`RUNLOG_SCHEMA_VERSION`);
                readers reject records missing it and skip records stamped
                newer than they understand (forward compatibility)
-    ts         unix wall-clock seconds (float)
-    sweep_id   hex id correlating every record of one sweep() call
+    ts         unix wall-clock seconds (float): the write time, or a
+               span's own start
+    sweep_id   hex id correlating every record of one sweep() call or run
     pid        writing process id
 
-``run_*`` records add ``run_id``, ``config`` (cache name), ``config_hash``
-and ``engine_version``; ``run_end`` adds ``wall_s``, ``total_requests``,
-``requests_per_sec`` and ``timings`` (span summary from the worker-side
-tracer).  ``sweep_end`` adds ``wall_s``, the cache counters
-(``cache_hits`` / ``cache_misses`` / ``cache_invalidated``), ``simulated``
-and the parent-side span summary.  ``fault`` records tag each fired
-fault-injection event with ``run_id``, ``config``, ``kind``
-(fail/slow/hiccup), ``osd``, ``epoch`` and ``replaced`` (chunks re-placed
-off a failed OSD).  ``topology`` records tag each fired topology event with
-``run_id``, ``config``, ``kind`` (add/drain), ``epoch``, ``count`` (drives
-added; 0 for drains), ``osd`` (drain target; -1 for adds), ``moved``
-(chunks evacuated off a drained OSD) and ``osds_total`` (cluster size after
-the event).  ``service`` records (one per serviced run, before its
-``run_end``) carry the tail-latency numbers -- ``lat_p50`` / ``lat_p99`` /
-``lat_p999`` -- plus ``requests`` offered and ``dropped`` by bounded
-queues; non-finite percentiles (an empty histogram, an overflowing tail)
-serialize as JSON's ``NaN`` / ``Infinity`` literals, which
-:func:`read_run_log` parses back.
+Each event's further fields are in :data:`EVENT_FIELDS`; every record of
+a run carries its ``run_id`` and ``config`` (cache name).
+
+* ``sweep_start`` / ``sweep_end``: a sweep's parent, around its runs;
+  ``sweep_end`` holds the wall time, the cache counters and the
+  parent-side span summary.
+* ``run_start`` / ``run_end``: one pair per simulated config;
+  ``run_end`` adds ``wall_s``, ``total_requests``, ``requests_per_sec``
+  and ``timings`` (the run's span summary).
+* ``fault``: each fired fault or wear-out -- ``kind``
+  (fail/slow/hiccup/wearout), ``osd``, ``epoch``, ``replaced`` (chunks
+  re-placed off a failed OSD).
+* ``topology``: each fired add or drain -- ``kind``, ``epoch``,
+  ``count`` (drives added; 0 for drains), ``osd`` (drain target; -1 for
+  adds), ``moved`` (chunks evacuated) and ``osds_total`` (cluster size
+  after the event).
+* ``service``: one per serviced run, before its ``run_end`` -- the tail
+  latencies ``lat_p50`` / ``lat_p99`` / ``lat_p999``, ``requests`` offered
+  and ``dropped``; non-finite percentiles serialize as JSON's ``NaN`` /
+  ``Infinity``, which :func:`read_run_log` parses back.
+* ``decision``: one per migration destination pick (``edm run --explain
+  --run-log``), the fields of :mod:`edm.obs.decisions`, which also gives
+  their cross-field check.
+* ``span``: one per recorded span occurrence (``edm run --run-log``,
+  ``edm sweep --trace --run-log``) -- ``name`` (dotted span path),
+  ``dur`` (seconds) and ``tid``; its ``ts`` is the span's wall-clock start.
 
 Use :func:`read_run_log` to parse a file back and :func:`validate_record`
 to check any single record against the schema.
@@ -50,53 +60,52 @@ import uuid
 from pathlib import Path
 
 from edm.files import NUMBER, RecordSchema, append_jsonl, read_jsonl
+from edm.obs.decisions import DECISION_FIELDS, _check_decision
 
 #: Bump when the record field set changes incompatibly.  Readers skip (or,
 #: in strict mode, reject) records stamped with a *newer* schema than they
 #: understand, so old tooling degrades by ignoring future records instead of
 #: misparsing them.  v2: the ``schema`` field itself became mandatory.
 #: v3: added the ``topology`` event type (scale-out / drain records).
-RUNLOG_SCHEMA_VERSION = 3
+#: v4: added the ``decision`` and ``span`` event types.
+RUNLOG_SCHEMA_VERSION = 4
 
 #: Fields every record must carry.
 BASE_FIELDS = ("event", "schema", "ts", "sweep_id", "pid")
+#: Fields naming the run a record belongs to, and the build that ran it.
+_RUN = ("run_id", "config")
+_BUILD = (*_RUN, "config_hash", "engine_version")
 #: Additional required fields per event type.
 EVENT_FIELDS = {
     "sweep_start": ("configs", "pending"),
     "sweep_end": (
-        "wall_s",
-        "cache_hits",
-        "cache_misses",
-        "cache_invalidated",
-        "simulated",
-        "timings",
+        "wall_s", "cache_hits", "cache_misses", "cache_invalidated", "simulated", "timings",
     ),
-    "run_start": ("run_id", "config", "config_hash", "engine_version"),
-    "run_end": (
-        "run_id",
-        "config",
-        "config_hash",
-        "engine_version",
-        "wall_s",
-        "total_requests",
-        "requests_per_sec",
-        "timings",
-    ),
-    "fault": ("run_id", "config", "kind", "osd", "epoch", "replaced"),
-    "topology": (
-        "run_id", "config", "kind", "epoch", "count", "osd", "moved",
-        "osds_total",
-    ),
-    "service": ("run_id", "config", "lat_p50", "lat_p99", "lat_p999", "requests", "dropped"),
+    "run_start": _BUILD,
+    "run_end": (*_BUILD, "wall_s", "total_requests", "requests_per_sec", "timings"),
+    "fault": (*_RUN, "kind", "osd", "epoch", "replaced"),
+    "topology": (*_RUN, "kind", "epoch", "count", "osd", "moved", "osds_total"),
+    "service": (*_RUN, "lat_p50", "lat_p99", "lat_p999", "requests", "dropped"),
+    "decision": (*_RUN, *DECISION_FIELDS),
+    "span": ("name", "dur", "tid"),
 }
 EVENTS = tuple(EVENT_FIELDS)
 
-#: Types checked on top of presence; every other field accepts any value.
+#: Types checked on top of presence, for every event and then per event;
+#: every other field accepts any value.
 _FIELD_TYPES = {"ts": NUMBER, "timings": dict}
+_EVENT_TYPES = {
+    "decision": DECISION_FIELDS,
+    "span": {"name": str, "dur": NUMBER, "pid": int, "tid": int},
+}
 _SCHEMAS = {
     event: RecordSchema(
-        {f: _FIELD_TYPES.get(f, object) for f in BASE_FIELDS + names},
+        {
+            f: _EVENT_TYPES.get(event, {}).get(f, _FIELD_TYPES.get(f, object))
+            for f in BASE_FIELDS + names
+        },
         version=RUNLOG_SCHEMA_VERSION,
+        check=_check_decision if event == "decision" else None,
     )
     for event, names in EVENT_FIELDS.items()
 }
@@ -110,9 +119,9 @@ def new_id() -> str:
 class RunLogWriter:
     """Appends JSONL records to one file; safe to use from many processes.
 
-    Each :meth:`emit` opens the file, writes exactly one line, and closes it,
-    so a writer object is cheap to construct per worker task and never holds
-    a descriptor across fork boundaries.
+    Each :meth:`emit_all` opens the file, writes its whole batch in one
+    ``write``, and closes it, so a writer object is cheap to construct per
+    worker task and never holds a descriptor across fork boundaries.
     """
 
     def __init__(self, path: str | os.PathLike, sweep_id: str | None = None):
@@ -121,9 +130,18 @@ class RunLogWriter:
 
     def emit(self, event: str, **fields) -> dict:
         """Write one record; returns the record dict that was written."""
+        return self.emit_all(event, (fields,))[0]
+
+    def emit_all(self, event: str, rows, **fields) -> list[dict]:
+        """Write one ``event`` record per row, all in one append.
+
+        Each record holds the stamp, then ``fields``, then the row; a row's
+        own ``ts`` (a span's start) replaces the write time.  Returns the
+        records written.
+        """
         if event not in EVENTS:
             raise ValueError(f"unknown run-log event {event!r}, expected one of {EVENTS}")
-        record = {
+        stamp = {
             "event": event,
             "schema": RUNLOG_SCHEMA_VERSION,
             "ts": time.time(),
@@ -131,8 +149,9 @@ class RunLogWriter:
             "pid": os.getpid(),
             **fields,
         }
-        append_jsonl(self.path, (record,))
-        return record
+        records = [{**stamp, **row} for row in rows]
+        append_jsonl(self.path, records)
+        return records
 
 
 def validate_record(record: dict) -> list[str]:

@@ -133,9 +133,9 @@ class Tracer:
 
         Each record carries ``name`` (dotted span path), ``ts`` (wall-clock
         start, seconds), ``dur`` (seconds), and the recording ``pid`` /
-        ``tid`` -- the exact line format :func:`edm.obs.trace_export.
-        write_span_events` streams and Perfetto export consumes.  Empty when
-        the tracer was built without ``record_events=True``.
+        ``tid`` -- the rows of the run log's ``span`` records, which
+        Perfetto export consumes.  Empty when the tracer was built without
+        ``record_events=True``.
         """
         if not self._events:
             return []

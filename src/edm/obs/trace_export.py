@@ -1,17 +1,18 @@
-"""Span timeline export: raw span-event JSONL -> Chrome/Perfetto trace JSON.
+"""Span timeline export: a run log's ``span`` records -> Chrome/Perfetto JSON.
 
 :class:`~edm.obs.trace.Tracer` with ``record_events=True`` keeps every span
 occurrence (wall-clock start, duration, recording pid/tid), not just the
-per-path aggregate.  :func:`write_span_events` streams those occurrences as
-JSONL -- one appendable file that sweep workers and the parent process all
-write into (``edm run --trace PATH`` / ``edm sweep --trace PATH``) -- and
-:func:`to_chrome_trace` converts the merged timeline into the Chrome
-``trace_event`` JSON format (``ph: "X"`` complete events, microsecond
-timestamps) that https://ui.perfetto.dev and ``chrome://tracing`` open
-directly: one track per process, spans nested by containment, so "where did
-the sweep's wall time go" becomes a picture instead of a table.
+per-path aggregate.  The run log (:mod:`edm.obs.runlog`) holds them as
+``span`` records -- one appendable file that sweep workers and the parent
+process all write into (``edm run --run-log PATH`` / ``edm sweep --trace
+--run-log PATH``) -- and :func:`to_chrome_trace` converts the merged
+timeline into the Chrome ``trace_event`` JSON format (``ph: "X"`` complete
+events, microsecond timestamps) that https://ui.perfetto.dev and
+``chrome://tracing`` open directly: one track per process, spans nested by
+containment, so "where did the sweep's wall time go" becomes a picture
+instead of a table.
 
-``edm trace export events.jsonl -o trace.json`` is the CLI wrapper
+``edm trace export runs.jsonl -o trace.json`` is the CLI wrapper
 (:func:`export_chrome_trace`).
 """
 
@@ -20,59 +21,20 @@ from __future__ import annotations
 import json
 import os
 
-from edm.files import NUMBER, RecordSchema, append_jsonl, atomic_write, read_jsonl
-
-#: Fields every span-event record must carry, with their types.
-SPAN_EVENT_FIELDS = {"name": str, "ts": NUMBER, "dur": NUMBER, "pid": int, "tid": int}
-
-_SCHEMA = RecordSchema(SPAN_EVENT_FIELDS)
-
-
-def validate_span_event(record: dict) -> list[str]:
-    """Schema problems with one span-event record (empty list == valid)."""
-    return _SCHEMA.problems(record)
-
-
-def write_span_events(tracer, path: str | os.PathLike, label: str | None = None) -> int:
-    """Append a tracer's recorded span events to a JSONL file.
-
-    One JSON object per line, written as a single append so concurrent
-    workers' batches interleave without tearing lines (the JSONL format
-    shared with the run and decision logs, :mod:`edm.files`).  ``label``
-    tags every event (e.g. the config's cache name) so a merged multi-run
-    timeline stays attributable.  Returns the number of events written; a
-    tracer without ``record_events=True`` writes none.
-    """
-    events = tracer.events()
-    if not events:
-        return 0
-    if label is not None:
-        for event in events:
-            event["label"] = label
-    append_jsonl(path, events)
-    return len(events)
-
-
-def read_span_events(path: str | os.PathLike, strict: bool = True) -> list[dict]:
-    """Parse a span-event JSONL file back into records, sorted by start time.
-
-    ``strict=True`` raises ``ValueError`` on the first malformed line;
-    ``strict=False`` skips bad lines.
-    """
-    records = read_jsonl(path, validate_span_event, strict)
-    records.sort(key=lambda e: (e["ts"], -e["dur"]))
-    return records
+from edm.files import atomic_write
+from edm.obs.runlog import read_run_log
 
 
 def to_chrome_trace(events: list[dict]) -> dict:
-    """Convert span-event records to a Chrome ``trace_event`` JSON object.
+    """Convert ``span`` records to a Chrome ``trace_event`` JSON object.
 
     Emits one ``ph: "X"`` (complete) event per span with microsecond
     timestamps rebased to the earliest event, plus ``ph: "M"`` metadata
     naming each process track.  Thread ids are remapped to small ordinals
-    per process so the viewer's track labels stay readable.
+    per process so the viewer's track labels stay readable; a run's spans
+    carry its ``config`` as an argument.
     """
-    trace_events: list[dict] = []
+    out: list[dict] = []
     if events:
         t0 = min(e["ts"] for e in events)
         tid_map: dict[tuple[int, int], int] = {}
@@ -89,11 +51,11 @@ def to_chrome_trace(events: list[dict]) -> dict:
                 "pid": e["pid"],
                 "tid": tid,
             }
-            if "label" in e:
-                entry["args"] = {"label": e["label"]}
-            trace_events.append(entry)
+            if "config" in e:
+                entry["args"] = {"config": e["config"]}
+            out.append(entry)
         for pid in sorted({e["pid"] for e in events}):
-            trace_events.append(
+            out.append(
                 {
                     "name": "process_name",
                     "ph": "M",
@@ -102,7 +64,7 @@ def to_chrome_trace(events: list[dict]) -> dict:
                     "args": {"name": f"edm pid {pid}"},
                 }
             )
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
+    return {"traceEvents": out, "displayTimeUnit": "ms"}
 
 
 def export_chrome_trace(
@@ -110,11 +72,12 @@ def export_chrome_trace(
     out_path: str | os.PathLike,
     strict: bool = True,
 ) -> int:
-    """Read a span-event JSONL file and write the Chrome trace JSON.
+    """Read a run log's ``span`` records and write the Chrome trace JSON.
 
     Returns the number of span events exported.
     """
-    events = read_span_events(in_path, strict=strict)
+    events = [r for r in read_run_log(in_path, strict) if r["event"] == "span"]
+    events.sort(key=lambda e: (e["ts"], -e["dur"]))
     text = json.dumps(to_chrome_trace(events), separators=(",", ":")) + "\n"
     atomic_write(out_path, lambda f: f.write(text.encode("utf-8")))
     return len(events)

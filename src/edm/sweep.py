@@ -25,9 +25,11 @@ A config only counts as cached when both its metrics pickle and (when
 requested) its ``.npz`` series exist.
 
 With ``run_log`` set, the same worker-side streaming applies to
-observability: each worker appends ``run_start``/``run_end`` JSONL records
-(run id, config hash, engine version, pid, wall time, span timings) to the
-log, and the parent brackets them with ``sweep_start``/``sweep_end`` records
+observability: each worker runs its config through :func:`logged_run`,
+which appends ``run_start``/``run_end`` JSONL records (run id, config hash,
+engine version, pid, wall time, span timings) and the run's fault,
+topology, service and -- with ``trace`` -- span records to the log, and
+the parent brackets them with ``sweep_start``/``sweep_end`` records
 carrying cache counters and the parent-side stage spans (cache probe, pool
 startup, result collection).  See :mod:`edm.obs.runlog` for the schema.
 
@@ -37,12 +39,14 @@ re-loading them lazily from the cache one config at a time.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
+from typing import Callable
 
 import logging
 
@@ -57,13 +61,12 @@ from edm.obs import (
     configure_logging,
     get_logger,
     new_id,
-    write_span_events,
 )
 from edm.obs.log import ROOT_LOGGER_NAME
 from edm.telemetry import Recorder, TimeSeriesRecorder
 from edm.topology import TOPOLOGY_KINDS
 
-__all__ = ["SUMMARY_KEYS", "SweepResult", "default_grid", "series_path", "sweep"]
+__all__ = ["SUMMARY_KEYS", "SweepResult", "default_grid", "logged_run", "series_path", "sweep"]
 
 log = get_logger("sweep")
 
@@ -119,19 +122,16 @@ def series_path(timeseries_dir: str | os.PathLike, cfg: SimConfig) -> Path:
 
 
 class _FaultLogRecorder(Recorder):
-    """Streams each fired fault or topology event into the worker's run log."""
+    """Streams each fired fault or topology event into the run log through
+    ``emit``, a :meth:`RunLogWriter.emit` bound to the run's identity."""
 
-    def __init__(self, writer: RunLogWriter, run_id: str, config_name: str):
-        self._writer = writer
-        self._run_id = run_id
-        self._config_name = config_name
+    def __init__(self, emit: Callable[..., dict]):
+        self._emit = emit
 
     def on_event(self, state, event, moved: int) -> None:
         if event.kind in TOPOLOGY_KINDS:
-            self._writer.emit(
+            self._emit(
                 "topology",
-                run_id=self._run_id,
-                config=self._config_name,
                 kind=event.kind,
                 epoch=int(event.epoch),
                 count=int(event.count),
@@ -140,16 +140,67 @@ class _FaultLogRecorder(Recorder):
                 osds_total=int(state.num_osds),
             )
         else:
-            self._writer.emit(
+            self._emit(
                 "fault",
-                run_id=self._run_id,
-                config=self._config_name,
                 kind=event.kind,
                 osd=int(event.osd),
                 epoch=int(state.epoch),
                 factor=float(event.factor),
                 replaced=int(moved),
             )
+
+
+def logged_run(
+    cfg: SimConfig,
+    writer: RunLogWriter,
+    run_id: str,
+    trace: bool = False,
+    recorders: tuple[Recorder, ...] = (),
+) -> dict:
+    """Simulate ``cfg`` inside one ``run_start`` / ``run_end`` bracket of the run log.
+
+    ``edm run --run-log`` and every sweep worker with a run log call this.
+    Between the two records, every fired fault, wear-out and topology event
+    streams a ``fault`` / ``topology`` record, a serviced run writes one
+    ``service`` record, and with ``trace`` every span occurrence of the run
+    becomes a ``span`` record.  The run goes under a fresh tracer whose
+    ``timings`` summary moves out of the returned metrics into ``run_end``,
+    so the metrics equal an unlogged run's: cached metrics stay timing-free
+    and therefore bit-identical across cold and warm sweeps.
+    """
+    ident = {"run_id": run_id, "config": cfg.cache_name()}
+    emit = functools.partial(writer.emit, **ident)
+    version = {"config_hash": config_hash(cfg), "engine_version": ENGINE_VERSION}
+    emit("run_start", **version)
+    if cfg.faults or cfg.endurance or cfg.topology:
+        recorders = (*recorders, _FaultLogRecorder(emit))
+    tracer = Tracer(record_events=trace)
+    t0 = time.perf_counter()
+    metrics = simulate(cfg, recorders=recorders, tracer=tracer)
+    wall_s = time.perf_counter() - t0
+    timings = metrics.pop("timings")
+    if cfg.service:
+        # One service record per serviced run: the tail-latency numbers an
+        # operator would alert on, queryable without re-loading the metrics.
+        emit(
+            "service",
+            lat_p50=float(metrics["service_lat_p50"]),
+            lat_p99=float(metrics["service_lat_p99"]),
+            lat_p999=float(metrics["service_lat_p999"]),
+            requests=int(metrics["service_requests_total"]),
+            dropped=int(metrics["service_dropped_total"]),
+        )
+    if trace:
+        writer.emit_all("span", tracer.events(), **ident)
+    emit(
+        "run_end",
+        **version,
+        wall_s=wall_s,
+        total_requests=metrics["total_requests"],
+        requests_per_sec=metrics["total_requests"] / wall_s if wall_s > 0 else 0.0,
+        timings=timings,
+    )
+    return metrics
 
 
 @dataclass(frozen=True)
@@ -162,7 +213,7 @@ class _Task:
     run_log: str | None
     sweep_id: str
     cache_dir: str | None = None  # set => store metrics here, return summary
-    trace_events: str | None = None  # set => append span-event JSONL here
+    trace: bool = False  # set => the run log gains the run's span records
     # Parent's effective ``edm`` log level, re-applied inside the worker so
     # -v/--log-level reaches worker diagnostics under *any* multiprocessing
     # start method (spawn inherits nothing; fork inherits a handler bound to
@@ -174,12 +225,8 @@ def _run_config(task: _Task) -> dict:
     """Worker entry point (module-level for picklability).
 
     Writes the cache entry, the ``.npz`` series and the run-log records
-    from inside the worker, so only a slim summary (or, uncached, the
-    metrics dict) crosses the process boundary.
-    With a run log, the worker runs under a fresh tracer and moves the
-    resulting ``"timings"`` summary out of the metrics dict into the
-    ``run_end`` record -- cached metrics stay timing-free and therefore
-    bit-identical across cold and warm sweeps.
+    (through :func:`logged_run`) from inside the worker, so only a slim
+    summary (or, uncached, the metrics dict) crosses the process boundary.
     """
     configure_logging(task.log_level)
     cfg = SimConfig.from_dict(task.cfg_dict)
@@ -189,65 +236,13 @@ def _run_config(task: _Task) -> dict:
     if task.ts_dir is not None:
         ts_recorder = TimeSeriesRecorder(record_every=task.record_every)
         recorders = (ts_recorder,)
-
-    writer = run_id = None
-    tracer = NULL_TRACER
-    if task.run_log is not None or task.trace_events is not None:
-        tracer = Tracer(record_events=task.trace_events is not None)
     if task.run_log is not None:
         writer = RunLogWriter(task.run_log, sweep_id=task.sweep_id)
-        run_id = new_id()
-        writer.emit(
-            "run_start",
-            run_id=run_id,
-            config=cfg.cache_name(),
-            config_hash=config_hash(cfg),
-            engine_version=ENGINE_VERSION,
-        )
-        if cfg.faults or cfg.endurance or cfg.topology:
-            # Tag every fired fault event (scheduled or wear-out) and
-            # topology event (scale-out / drain) in the run log, streamed
-            # from the worker as the simulation crosses each event's epoch.
-            recorders = (*recorders, _FaultLogRecorder(writer, run_id, cfg.cache_name()))
-
-    t0 = time.perf_counter()
-    metrics = simulate(cfg, recorders=recorders, tracer=tracer)
-    wall_s = time.perf_counter() - t0
+        metrics = logged_run(cfg, writer, new_id(), task.trace, recorders)
+    else:
+        metrics = simulate(cfg, recorders=recorders)
     if ts_recorder is not None:
         ts_recorder.series.save_npz(series_path(task.ts_dir, cfg))
-
-    # Any worker-side tracer strips its timings from the metrics before they
-    # are cached or returned: cached metrics stay timing-free and therefore
-    # bit-identical across traced, logged, and plain sweeps.
-    timings = metrics.pop("timings", {}) if tracer.enabled else {}
-    if task.trace_events is not None:
-        write_span_events(tracer, task.trace_events, label=cfg.cache_name())
-    if writer is not None:
-        if cfg.service:
-            # One service record per serviced run: the tail-latency numbers
-            # an operator would alert on, queryable without re-loading the
-            # metrics pickle.
-            writer.emit(
-                "service",
-                run_id=run_id,
-                config=cfg.cache_name(),
-                lat_p50=float(metrics["service_lat_p50"]),
-                lat_p99=float(metrics["service_lat_p99"]),
-                lat_p999=float(metrics["service_lat_p999"]),
-                requests=int(metrics["service_requests_total"]),
-                dropped=int(metrics["service_dropped_total"]),
-            )
-        writer.emit(
-            "run_end",
-            run_id=run_id,
-            config=cfg.cache_name(),
-            config_hash=config_hash(cfg),
-            engine_version=ENGINE_VERSION,
-            wall_s=wall_s,
-            total_requests=metrics["total_requests"],
-            requests_per_sec=metrics["total_requests"] / wall_s if wall_s > 0 else 0.0,
-            timings=timings,
-        )
     if task.cache_dir is not None:
         ResultCache(task.cache_dir).store(cfg, metrics)
         return _summarize(cfg, metrics)
@@ -318,7 +313,7 @@ def sweep(
     run_log: str | os.PathLike | None = None,
     progress: bool = False,
     tracer: Tracer | None = None,
-    trace_events: str | os.PathLike | None = None,
+    trace: bool = False,
 ) -> SweepResult:
     """Run every config, returning results in the order given.
 
@@ -336,18 +331,19 @@ def sweep(
     always carries stage timings.  The summary lands on ``SweepResult.timings``.
     With the cache on, workers store full metrics and return slim
     summaries (see module docstring).
-    ``trace_events`` appends every span *occurrence* -- parent sweep stages
-    and worker simulate phases alike -- as JSONL to one file, convertible to
-    a Chrome/Perfetto timeline with ``edm trace export`` (see
-    :mod:`edm.obs.trace_export`).  Note cached configs never re-simulate, so
-    a warm sweep's timeline shows only the parent stages.
+    ``trace=True`` adds every span *occurrence* -- parent sweep stages and
+    worker simulate phases alike -- to the run log as ``span`` records,
+    convertible to a Chrome/Perfetto timeline with ``edm trace export`` (see
+    :mod:`edm.obs.trace_export`); it needs ``run_log``.  Note cached configs
+    never re-simulate, so a warm sweep's timeline shows only the parent
+    stages.
     """
+    if trace and run_log is None:
+        raise ValueError("sweep(trace=True) needs a run_log to write span records to")
     if tracer is not None:
         tr = tracer
-    elif trace_events is not None:
-        tr = Tracer(record_events=True)
     elif run_log is not None:
-        tr = Tracer()
+        tr = Tracer(record_events=trace)
     else:
         tr = NULL_TRACER
     sweep_id = new_id()
@@ -392,12 +388,11 @@ def sweep(
     if pending:
         ts_dir_arg = str(ts_dir) if ts_dir is not None else None
         run_log_arg = str(run_log) if run_log is not None else None
-        trace_arg = str(trace_events) if trace_events is not None else None
         level = logging.getLogger(ROOT_LOGGER_NAME).getEffectiveLevel()
         tasks = [
             _Task(
                 configs[i].to_dict(), ts_dir_arg, record_every, run_log_arg,
-                sweep_id, cache_arg, trace_arg, level,
+                sweep_id, cache_arg, trace, level,
             )
             for i in pending
         ]
@@ -436,6 +431,8 @@ def sweep(
         cache_dir=cache_arg,
     )
     if writer is not None:
+        if trace:
+            writer.emit_all("span", tr.events())
         writer.emit(
             "sweep_end",
             wall_s=time.perf_counter() - t_start,
@@ -445,6 +442,4 @@ def sweep(
             simulated=result.simulated,
             timings=result.timings or {},
         )
-    if trace_events is not None:
-        write_span_events(tr, trace_events, label="sweep")
     return result

@@ -14,16 +14,17 @@ This is a snapshot *exporter*, not an HTTP endpoint -- the simulator is a
 batch process, so the file (atomically replaced per write) plays the role
 of the scrape target, node-exporter-textfile style.
 
-Every family, its type and its help text come from the metrics catalogue
-(:data:`edm.catalog.METRICS`), mid-run and at the end alike; the only
-other family is the ``edm_run`` info sample the identity rows label.
+One function, :func:`openmetrics_text`, renders every exposition by
+walking the metrics catalogue (:data:`edm.catalog.METRICS`), mid-run and at
+the end alike: every family, its type and its help text come from there,
+and the only other family is the ``edm_run`` info sample the identity rows
+label.  :func:`write_openmetrics` writes it to a file.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,92 +51,45 @@ def format_value(value) -> str:
     return repr(v)
 
 
-@dataclass
-class MetricFamily:
-    """One metric family: a name, a type, help text, and its samples."""
+def openmetrics_text(metrics: dict) -> str:
+    """The OpenMetrics exposition of a run's metrics dict, or any part of it.
 
-    name: str
-    type: str
-    help: str
-    samples: list[tuple[dict, float]] = field(default_factory=list)
-
-
-class MetricsRegistry:
-    """An ordered set of metric families rendered as OpenMetrics text.
-
-    :meth:`declare` adds a family by its full name; :meth:`sample` appends
-    one labeled value; :meth:`render` emits the whole exposition.  Families
-    render in declaration order, samples in insertion order --
-    deterministic output for golden-style tests.
+    Families follow :data:`edm.catalog.METRICS`, in its order: its identity
+    rows label the ``edm_run`` info sample, its gauge and counter rows
+    become one family each when the dict holds the key (scenario blocks are
+    conditional; counter samples carry the ``_total`` suffix), and
+    ``per_osd_wear`` becomes the ``edm_osd_wear{osd="i"}`` gauge vector.
+    The text ends with ``# EOF``.
     """
-
-    def __init__(self):
-        self._families: dict[str, MetricFamily] = {}
-
-    def declare(self, name: str, type_: str, help_: str) -> None:
-        """Add a family (a no-op if it exists with the same type)."""
-        fam = self._families.setdefault(name, MetricFamily(name, type_, help_))
-        if fam.type != type_:
-            raise ValueError(f"metric family {name!r} already declared as {fam.type}, not {type_}")
-
-    def sample(self, name: str, value, labels: dict | None = None) -> None:
-        """Append one sample to an already-declared family."""
-        fam = self._families.get(name)
-        if fam is None:
-            raise KeyError(f"metric family {name!r} not declared")
-        fam.samples.append((dict(labels or {}), float(value)))
-
-    def render(self) -> str:
-        """The full OpenMetrics exposition, ``# EOF``-terminated."""
-        lines: list[str] = []
-        for fam in self._families.values():
-            lines.append(f"# TYPE {fam.name} {fam.type}")
-            if fam.help:
-                lines.append(f"# HELP {fam.name} {_escape(fam.help)}")
-            suffix = {"counter": "_total", "info": "_info"}.get(fam.type, "")
-            for labels, value in fam.samples:
-                label_str = ""
-                if labels:
-                    inner = ",".join(
-                        f'{k}="{_escape(str(v))}"' for k, v in labels.items()
-                    )
-                    label_str = "{" + inner + "}"
-                lines.append(f"{fam.name}{suffix}{label_str} {format_value(value)}")
-        lines.append("# EOF")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str | os.PathLike) -> None:
-        """Atomically replace ``path`` with the rendered exposition."""
-        text = self.render().encode("utf-8")
-        atomic_write(path, lambda f: f.write(text))
-
-
-def registry_from_metrics(metrics: dict) -> MetricsRegistry:
-    """Build a registry exposing a run's metrics dict, or any part of it.
-
-    Families follow :data:`edm.catalog.METRICS`: its identity rows label the
-    ``edm_run`` info metric, its gauge and counter rows become one family
-    each when the dict holds the key (scenario blocks are conditional),
-    and ``per_osd_wear`` becomes the ``edm_osd_wear{osd="i"}`` gauge vector.
-    """
-    reg = MetricsRegistry()
-    reg.declare("edm_run", "info", "Identity of the run this snapshot describes.")
-    reg.sample(
-        "edm_run", 1,
-        {m.key: metrics[m.key] for m in METRICS if m.type == "info" and m.key in metrics},
+    labels = ",".join(
+        f'{m.key}="{_escape(str(metrics[m.key]))}"'
+        for m in METRICS if m.type == "info" and m.key in metrics
     )
+    lines = [
+        "# TYPE edm_run info",
+        "# HELP edm_run Identity of the run this snapshot describes.",
+        f"edm_run_info{{{labels}}} 1" if labels else "edm_run_info 1",
+    ]
     for m in METRICS:
         if m.type not in ("gauge", "counter") or m.key not in metrics:
             continue
         name = f"edm_{m.family}"
-        reg.declare(name, m.type, m.help)
+        lines.append(f"# TYPE {name} {m.type}")
+        lines.append(f"# HELP {name} {_escape(m.help)}")
+        sample = name + ("_total" if m.type == "counter" else "")
         value = metrics[m.key]
         if isinstance(value, list):
-            for i, v in enumerate(value):
-                reg.sample(name, v, {"osd": i})
+            lines += [f'{sample}{{osd="{i}"}} {format_value(v)}' for i, v in enumerate(value)]
         else:
-            reg.sample(name, value)
-    return reg
+            lines.append(f"{sample} {format_value(value)}")
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"
+
+
+def write_openmetrics(metrics: dict, path: str | os.PathLike) -> None:
+    """Atomically replace ``path`` with :func:`openmetrics_text` of ``metrics``."""
+    text = openmetrics_text(metrics).encode("utf-8")
+    atomic_write(path, lambda f: f.write(text))
 
 
 class MetricsSnapshotRecorder(Recorder):
@@ -143,7 +97,7 @@ class MetricsSnapshotRecorder(Recorder):
 
     Attach to ``simulate(cfg, recorders=...)`` to keep ``path`` updated
     (atomic replace) every ``every`` epochs and at the end of the run with
-    :func:`registry_from_metrics` of a partial metrics dict: the run's
+    :func:`openmetrics_text` of a partial metrics dict: the run's
     identity, and ``epochs``, ``total_requests``, ``load_cov_final``,
     ``wear_mean``, ``wear_max``, ``migrations_total`` and
     ``osds_alive_final`` as of the latest epoch.  So a live snapshot has
@@ -192,8 +146,8 @@ class MetricsSnapshotRecorder(Recorder):
 
     def write_final(self, metrics: dict) -> None:
         """Replace the snapshot with the end-of-run exposition for ``metrics``."""
-        registry_from_metrics(metrics).write(self.path)
+        write_openmetrics(metrics, self.path)
 
     def _write(self) -> None:
-        registry_from_metrics(self._live).write(self.path)
+        write_openmetrics(self._live, self.path)
         self.snapshots += 1

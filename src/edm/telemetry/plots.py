@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from edm.config import scenario_suffix
+from edm.config import SCENARIOS, scenario_suffix
 from edm.telemetry.timeseries import TimeSeries
 
 # Fixed categorical slots (validated palette, light mode), one per policy in
@@ -196,18 +196,29 @@ def migration_cost_mb(series: TimeSeries) -> float:
     return float(series.meta["migrations_total"] * series.meta["chunk_size_mb"])
 
 
+def scenario_title(meta) -> str:
+    """The non-empty scenario specs of a series meta, for a figure title:
+    ``" (topology add:2@8)"``, or ``""`` with no scenario."""
+    specs = [f"{name} {meta[name]}" for name in SCENARIOS if meta.get(name)]
+    return f" ({', '.join(specs)})" if specs else ""
+
+
 def render_figures(series_list: list[TimeSeries], out_dir: str | Path) -> list[Path]:
-    """Render every figure the loaded series support; returns written paths."""
+    """Render every figure the loaded series support; returns written paths.
+
+    Stems end in the scenario's digest suffix, and titles name its specs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     groups = sorted(group_series(series_list).items())
     for (workload, num_osds, suffix), runs in groups:
         stem = f"{workload}-{num_osds}osd{suffix}"
+        specs = scenario_title(runs[0].meta)
         by_policy = _by_policy(runs)
         written.append(_line_chart(
             out_dir / f"load_cov_{stem}.svg",
-            f"Load-balance degree over time — {stem}",
+            f"Load-balance degree over time — {stem}{specs}",
             "epoch",
             "load CoV (std/mean)",
             [(policy, f"{policy} seed {s.meta['seed']}", s.epoch, s.load_cov)
@@ -215,7 +226,7 @@ def render_figures(series_list: list[TimeSeries], out_dir: str | Path) -> list[P
         ))
         written.append(_bar_chart(
             out_dir / f"wear_final_{stem}.svg",
-            f"Final per-OSD wear — {stem}",
+            f"Final per-OSD wear — {stem}{specs}",
             "OSD",
             "cumulative wear (erase units)",
             list(range(runs[0].num_osds)),
@@ -227,9 +238,10 @@ def render_figures(series_list: list[TimeSeries], out_dir: str | Path) -> list[P
         by_size.setdefault((num_osds, suffix), []).extend(runs)
     for (num_osds, suffix), subset in sorted(by_size.items()):
         workloads = sorted({str(s.meta["workload"]) for s in subset})
+        specs = scenario_title(subset[0].meta)
         written.append(_bar_chart(
             out_dir / f"migration_cost_{num_osds}osd{suffix}.svg",
-            f"Migration cost per policy — {num_osds} OSDs{suffix}",
+            f"Migration cost per policy — {num_osds} OSDs{suffix}{specs}",
             "workload",
             "migration cost (MB)",
             workloads,

@@ -57,6 +57,10 @@ def test_rows_are_well_formed():
         assert m.column or m.scenario is None, m.key
     # Every scenario spec is itself a catalogued (unexported) key.
     assert scenarios <= KEYS
+    # One row per gauge or counter family: openmetrics_text writes one TYPE
+    # line per row (the info rows are the labels of the one edm_run sample).
+    families = [m.family for m in METRICS if m.type in ("gauge", "counter")]
+    assert len(set(families)) == len(families), "two rows export one family"
 
 
 def test_every_row_is_produced_and_every_key_has_a_row():

@@ -1,5 +1,6 @@
 """Decision provenance: explained picks, recorder sinks, attribution, CLI."""
 
+import functools
 import hashlib
 import json
 from collections import Counter
@@ -10,8 +11,8 @@ import pytest
 from conftest import cfg_factory, make_state
 from edm.cli import main
 from edm.engine.core import simulate
+from edm.obs import RUNLOG_SCHEMA_VERSION, RunLogWriter, read_run_log, validate_record
 from edm.obs.decisions import (
-    DECISION_SCHEMA_VERSION,
     Decision,
     DecisionRecorder,
     attribution_summary,
@@ -19,15 +20,26 @@ from edm.obs.decisions import (
     format_attribution,
     format_decision,
     query_decisions,
-    read_decision_log,
     runner_up_index,
-    validate_decision,
     winner_index,
 )
 from edm.policies import POLICIES, get_policy
 from edm.policies.base import destination_picker, sum_terms
 
 FAULTED_ENDURED = dict(faults="fail:1@12", endurance="pe:2000")
+
+
+def logged(record: dict) -> dict:
+    """A decision's fields as the run log's ``decision`` record."""
+    return {
+        "event": "decision", "schema": RUNLOG_SCHEMA_VERSION, "ts": 1.5,
+        "sweep_id": "s", "pid": 1, "run_id": "r", "config": "c", **record,
+    }
+
+
+def decision_sink(path):
+    """A DecisionRecorder ``emit`` bound to a run log's decision records."""
+    return functools.partial(RunLogWriter(path).emit, "decision", run_id="r", config="c")
 
 
 def crafted_state(cfg, rng_seed=7):
@@ -118,7 +130,7 @@ def test_explained_run_captures_all_triggers():
     triggers = {r["trigger"] for r in records}
     assert "threshold" in triggers
     assert triggers <= {"threshold", "fault", "wearout"}
-    assert all(validate_decision(r) == [] for r in records)
+    assert all(validate_record(logged(r)) == [] for r in records)
     assert all(r["policy"] == "cmt" for r in records)
     # Every record's dst is the argmin of its scores over its candidates.
     for r in records:
@@ -140,7 +152,10 @@ def test_all_trigger_decision_stream_pinned():
     records = rec.records()
     triggers = Counter(r["trigger"] for r in records)
     assert triggers == {"threshold": 35, "drain": 10, "wearout": 10, "fault": 7}
-    blob = json.dumps(records, sort_keys=True).encode()
+    # Decision records were stamped ``"schema": 1`` until they joined the
+    # run log, which stamps every record itself; hashing with that stamp
+    # put back keeps the digest pinned since before the move.
+    blob = json.dumps([{"schema": 1, **r} for r in records], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == ALL_TRIGGERS_DIGEST
 
 
@@ -207,43 +222,46 @@ def test_recorder_rejects_bad_capacity():
 
 def test_jsonl_sink_round_trip(tmp_path):
     path = tmp_path / "dec.jsonl"
-    rec = DecisionRecorder(capacity=2, path=path)  # ring smaller than stream
+    rec = DecisionRecorder(capacity=2, emit=decision_sink(path))  # ring smaller than stream
     for i in range(5):
         rec.on_decision(None, fake_decision(epoch=i))
-    records = read_decision_log(path)
+    records = read_run_log(path)
     assert len(records) == 5  # the file keeps everything the ring evicted
     assert [r["epoch"] for r in records] == list(range(5))
-    assert all(r["schema"] == DECISION_SCHEMA_VERSION for r in records)
+    assert all(r["event"] == "decision" for r in records)
+    assert all(r["schema"] == RUNLOG_SCHEMA_VERSION for r in records)
+    assert [{k: r[k] for k in rec.records()[0]} for r in records[-2:]] == rec.records()
 
 
 def test_read_decision_log_strictness(tmp_path):
     path = tmp_path / "dec.jsonl"
-    DecisionRecorder(path=path).on_decision(None, fake_decision())
+    DecisionRecorder(emit=decision_sink(path)).on_decision(None, fake_decision())
     with open(path, "a") as f:
         f.write("{broken\n")
-        newer = fake_decision().to_record()
-        newer["schema"] = DECISION_SCHEMA_VERSION + 1
+        newer = logged(fake_decision().to_record())
+        newer["schema"] = RUNLOG_SCHEMA_VERSION + 1
         f.write(json.dumps(newer) + "\n")
     with pytest.raises(ValueError, match="not JSON"):
-        read_decision_log(path)
+        read_run_log(path)
     # Forward compat: bad lines and newer-schema records skip, old ones load.
-    assert len(read_decision_log(path, strict=False)) == 1
+    assert len(read_run_log(path, strict=False)) == 1
 
 
 def test_validate_decision_flags_problems():
-    good = fake_decision().to_record()
-    assert validate_decision(good) == []
-    assert validate_decision([]) == ["record is list, not dict"]
+    good = logged(fake_decision().to_record())
+    assert validate_record(good) == []
+    assert validate_record([]) == ["record is list, not dict"]
     missing = {k: v for k, v in good.items() if k != "trigger"}
-    assert any("trigger" in p for p in validate_decision(missing))
-    assert validate_decision({**good, "schema": "2"}) == ["schema '2' is not an int"]
+    assert any("trigger" in p for p in validate_record(missing))
+    assert validate_record({**good, "schema": "2"}) == ["decision: schema '2' is not an int"]
     assert any(
         "newer" in p
-        for p in validate_decision({**good, "schema": DECISION_SCHEMA_VERSION + 1})
+        for p in validate_record({**good, "schema": RUNLOG_SCHEMA_VERSION + 1})
     )
-    assert any("unknown trigger" in p for p in validate_decision({**good, "trigger": "x"}))
-    assert any("length" in p for p in validate_decision({**good, "scores": [1.0]}))
-    assert any("not among" in p for p in validate_decision({**good, "dst": 99}))
+    assert any("chunk is not an int" in p for p in validate_record({**good, "chunk": 1.5}))
+    assert any("unknown trigger" in p for p in validate_record({**good, "trigger": "x"}))
+    assert any("length" in p for p in validate_record({**good, "scores": [1.0]}))
+    assert any("not among" in p for p in validate_record({**good, "dst": 99}))
 
 
 # --- query / attribution -----------------------------------------------------
@@ -330,10 +348,10 @@ def test_run_explain_bare_prints_attribution(capsys):
 def test_run_explain_path_then_explain_cli(tmp_path, capsys):
     """Acceptance: `edm explain --chunk C --epoch E log` prints the winning
     destination's per-term decomposition and the runner-up candidates."""
-    log = tmp_path / "dec.jsonl"
-    assert main(run_args(explain=log)) == 0
+    log = tmp_path / "runs.jsonl"
+    assert main(run_args(explain=True, run_log=log)) == 0
     capsys.readouterr()
-    records = read_decision_log(log)
+    records = [r for r in read_run_log(log) if r["event"] == "decision"]
     fault = next(r for r in records if r["trigger"] == "fault" and len(r["candidates"]) > 1)
     assert (
         main(["explain", str(log), "--chunk", str(fault["chunk"]), "--epoch", str(fault["epoch"])])
@@ -348,8 +366,8 @@ def test_run_explain_path_then_explain_cli(tmp_path, capsys):
 
 
 def test_explain_cli_summary_and_limit(tmp_path, capsys):
-    log = tmp_path / "dec.jsonl"
-    assert main(run_args(explain=log)) == 0
+    log = tmp_path / "runs.jsonl"
+    assert main(run_args(explain=True, run_log=log)) == 0
     capsys.readouterr()
     assert main(["explain", str(log), "--summary"]) == 0
     out = capsys.readouterr().out

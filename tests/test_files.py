@@ -1,5 +1,6 @@
-"""The shared file formats: the JSONL line each log writes, and atomic writes."""
+"""The shared file formats: the run log's JSONL lines, and atomic writes."""
 
+import functools
 import json
 import os
 
@@ -7,15 +8,17 @@ import pytest
 
 from edm.files import NUMBER, RecordSchema, atomic_write, read_jsonl
 from edm.obs import runlog
-from edm.obs.decisions import Decision, DecisionRecorder, read_decision_log
-from edm.obs.trace_export import read_span_events, write_span_events
+from edm.obs.decisions import Decision, DecisionRecorder
 
 
-def write_run_log(path, monkeypatch):
+def writer(path, monkeypatch):
     monkeypatch.setattr(runlog.time, "time", lambda: 1.5)
     monkeypatch.setattr(runlog.os, "getpid", lambda: 42)
-    runlog.RunLogWriter(path, sweep_id="abc").emit("sweep_start", configs=2, pending=1)
-    return runlog.read_run_log
+    return runlog.RunLogWriter(path, sweep_id="abc")
+
+
+def write_sweep_start(path, monkeypatch):
+    writer(path, monkeypatch).emit("sweep_start", configs=2, pending=1)
 
 
 def write_decision(path, monkeypatch):
@@ -23,35 +26,36 @@ def write_decision(path, monkeypatch):
         epoch=3, trigger="threshold", policy="cmt", chunk=5, src=0, dst=2,
         candidates=(1, 2), terms={"load": (0.5, 0.25)}, scores=(0.5, 0.25),
     )
-    DecisionRecorder(path=path).on_decision(None, decision)
-    return read_decision_log
-
-
-class OneSpan:
-    def events(self):
-        return [{"name": "simulate.kernel", "ts": 1.5, "dur": 0.25, "pid": 42, "tid": 7}]
+    emit = functools.partial(
+        writer(path, monkeypatch).emit, "decision", run_id="r1", config="cfg"
+    )
+    DecisionRecorder(emit=emit).on_decision(None, decision)
 
 
 def write_span(path, monkeypatch):
-    write_span_events(OneSpan(), path, label="run")
-    return read_span_events
+    span = {"name": "simulate.kernel", "ts": 1.25, "dur": 0.25, "pid": 42, "tid": 7}
+    writer(path, monkeypatch).emit_all("span", [span], run_id="r1", config="cfg")
 
 
+#: One pinned line per record type of the one run log ("runlog": its
+#: sweep_start record); a span's ts is its own start, not the write time.
 LINES = {
     "runlog": (
-        write_run_log,
-        '{"event":"sweep_start","schema":3,"ts":1.5,"sweep_id":"abc","pid":42,'
+        write_sweep_start,
+        '{"event":"sweep_start","schema":4,"ts":1.5,"sweep_id":"abc","pid":42,'
         '"configs":2,"pending":1}',
     ),
     "decision": (
         write_decision,
-        '{"schema":1,"epoch":3,"trigger":"threshold","policy":"cmt","chunk":5,'
-        '"src":0,"dst":2,"candidates":[1,2],"terms":{"load":[0.5,0.25]},'
+        '{"event":"decision","schema":4,"ts":1.5,"sweep_id":"abc","pid":42,'
+        '"run_id":"r1","config":"cfg","epoch":3,"trigger":"threshold","policy":"cmt",'
+        '"chunk":5,"src":0,"dst":2,"candidates":[1,2],"terms":{"load":[0.5,0.25]},'
         '"scores":[0.5,0.25]}',
     ),
     "span": (
         write_span,
-        '{"name":"simulate.kernel","ts":1.5,"dur":0.25,"pid":42,"tid":7,"label":"run"}',
+        '{"event":"span","schema":4,"ts":1.25,"sweep_id":"abc","pid":42,'
+        '"run_id":"r1","config":"cfg","name":"simulate.kernel","dur":0.25,"tid":7}',
     ),
 }
 
@@ -60,9 +64,9 @@ LINES = {
 def test_each_log_writes_one_pinned_line(log, tmp_path, monkeypatch):
     write, line = LINES[log]
     path = tmp_path / "nested" / f"{log}.jsonl"
-    read = write(path, monkeypatch)
+    write(path, monkeypatch)
     assert path.read_text(encoding="utf-8") == line + "\n"
-    assert read(path) == [json.loads(line)]
+    assert runlog.read_run_log(path) == [json.loads(line)]
 
 
 SCHEMA = RecordSchema({"name": str, "ts": NUMBER, "any": object}, version=2)

@@ -1,5 +1,6 @@
-"""OpenMetrics exposition: registry rendering, metric mapping, live snapshots."""
+"""OpenMetrics exposition: catalogue rendering, metric mapping, live snapshots."""
 
+import hashlib
 import json
 import math
 import re
@@ -11,10 +12,10 @@ from edm.cli import main
 from edm.catalog import METRICS
 from edm.engine.core import simulate
 from edm.telemetry import (
-    MetricsRegistry,
     MetricsSnapshotRecorder,
     Recorder,
-    registry_from_metrics,
+    openmetrics_text,
+    write_openmetrics,
 )
 from edm.telemetry.openmetrics import format_value
 
@@ -38,38 +39,37 @@ def test_format_value(value, expected):
     assert format_value(value) == expected
 
 
-def test_render_basic_families():
-    reg = MetricsRegistry()
-    reg.declare("edm_load_cov", "gauge", "Load CoV.")
-    reg.sample("edm_load_cov", 0.25)
-    reg.declare("edm_requests", "counter", "Requests routed.")
-    reg.sample("edm_requests", 4096)
-    text = reg.render()
-    assert "# TYPE edm_load_cov gauge" in text
-    assert "# HELP edm_load_cov Load CoV." in text
-    assert "edm_load_cov 0.25" in text
-    # Counter samples carry the _total suffix; the family name does not.
-    assert "# TYPE edm_requests counter" in text
-    assert "edm_requests_total 4096" in text
-    assert text.endswith("# EOF\n")
+def test_render_basic_families(tmp_path):
+    text = openmetrics_text({"load_cov_final": 0.25, "total_requests": 4096})
+    assert text == (
+        "# TYPE edm_run info\n"
+        "# HELP edm_run Identity of the run this snapshot describes.\n"
+        "edm_run_info 1\n"
+        # Counter samples carry the _total suffix; the family name does not,
+        # and families render in catalogue order, not in the dict's.
+        "# TYPE edm_requests counter\n"
+        "# HELP edm_requests Requests routed over the run.\n"
+        "edm_requests_total 4096\n"
+        "# TYPE edm_load_cov_final gauge\n"
+        "# HELP edm_load_cov_final Load CoV of the latest epoch simulated.\n"
+        "edm_load_cov_final 0.25\n"
+        "# EOF\n"
+    )
+    path = tmp_path / "out.prom"
+    write_openmetrics({"load_cov_final": 0.25, "total_requests": 4096}, path)
+    assert path.read_text() == text
 
 
-def test_render_escapes_labels_and_help():
-    reg = MetricsRegistry()
-    reg.declare("g", "gauge", 'help with "quotes"\nand newline')
-    reg.sample("g", 1, {"k": 'va"l\\ue\n'})
-    text = reg.render()
-    assert '# HELP g help with \\"quotes\\"\\nand newline' in text
-    assert 'g{k="va\\"l\\\\ue\\n"} 1' in text
+def test_render_escapes_labels_and_help(monkeypatch):
+    from edm.catalog import Metric
+    from edm.telemetry import openmetrics
 
-
-def test_registry_rejects_type_conflicts_and_undeclared_samples():
-    reg = MetricsRegistry()
-    reg.declare("x", "gauge", "a gauge")
-    with pytest.raises(ValueError, match="already declared"):
-        reg.declare("x", "counter", "now a counter?")
-    with pytest.raises(KeyError):
-        reg.sample("never_declared", 1)
+    row = Metric("g", 'help with "quotes"\nand newline', "gauge")
+    monkeypatch.setattr(openmetrics, "METRICS", (*METRICS, row))
+    text = openmetrics_text({"workload": 'va"l\\ue\n', "g": 1})
+    assert '# HELP edm_g help with \\"quotes\\"\\nand newline' in text
+    assert 'edm_run_info{workload="va\\"l\\\\ue\\n"} 1' in text
+    assert "edm_g 1\n" in text
 
 
 # --- mapping a run's metrics dict --------------------------------------------
@@ -77,7 +77,7 @@ def test_registry_rejects_type_conflicts_and_undeclared_samples():
 
 def test_registry_from_metrics_healthy_run():
     metrics = simulate(cfg_factory())
-    text = registry_from_metrics(metrics).render()
+    text = openmetrics_text(metrics)
     assert 'edm_run_info{workload="deasna",policy="cmt"' in text
     assert f"edm_requests_total {metrics['total_requests']}" in text
     assert "edm_load_cov_mean " in text
@@ -93,7 +93,7 @@ def test_registry_from_metrics_healthy_run():
 
 def test_registry_from_metrics_faulted_endured_run():
     metrics = simulate(cfg_factory(faults="fail:1@12", endurance="pe:2000"))
-    text = registry_from_metrics(metrics).render()
+    text = openmetrics_text(metrics)
     assert "edm_fault_failures_total 1" in text
     assert "edm_replacement_moves_total " in text
     assert "edm_remaining_life_min " in text
@@ -103,14 +103,14 @@ def test_registry_from_metrics_faulted_endured_run():
 
 def test_registry_from_metrics_redundant_degraded_run():
     metrics = simulate(cfg_factory(num_osds=8, redundancy="ec:4+2", faults="fail:1@12"))
-    text = registry_from_metrics(metrics).render()
+    text = openmetrics_text(metrics)
     assert "edm_reconstruction_chunks_total " in text
     assert "edm_reconstruction_reads_total " in text
     assert "edm_reconstruction_read_megabytes " in text
     assert "edm_reconstruction_write_megabytes " in text
     assert "edm_data_loss_chunks_total 0" in text
     # A plain run exposes none of the redundancy block.
-    plain = registry_from_metrics(simulate(cfg_factory())).render()
+    plain = openmetrics_text(simulate(cfg_factory()))
     assert "edm_reconstruction_" not in plain
     assert "edm_data_loss_" not in plain
 
@@ -118,7 +118,7 @@ def test_registry_from_metrics_redundant_degraded_run():
 def test_registry_from_metrics_serviced_run_latency_unit():
     # Latencies are measured in epochs of service time, not seconds.
     metrics = simulate(cfg_factory(service="rate:2", requests_per_epoch=4096))
-    text = registry_from_metrics(metrics).render()
+    text = openmetrics_text(metrics)
     for q in ("50", "99", "999"):
         assert f"edm_service_lat_p{q}_epochs " in text
     assert "in epochs of service time." in text
@@ -131,9 +131,26 @@ def test_sentinel_and_partial_metrics_pass_through():
     # predicted_first_wearout_epoch uses -1 as its "none in sight" sentinel;
     # the gauge carries it through as a plain number, not Inf, and mapping a
     # partial dict only emits the families its keys cover.
-    text = registry_from_metrics({"predicted_first_wearout_epoch": -1}).render()
+    text = openmetrics_text({"predicted_first_wearout_epoch": -1})
     assert "edm_predicted_first_wearout_epoch -1" in text
     assert "edm_load_cov_mean" not in text
+
+
+# sha256 of the exposition of a faulted, rated, serviced, elastic and
+# redundant run, as the renderer before openmetrics_text wrote it.
+COMPOSED_DIGEST = "f6ae1c21cda441c5d782d0be46366006d0736ef8ac0ca1a142e8da5adff5e9f8"
+
+
+def test_composed_run_exposition_pinned():
+    metrics = simulate(cfg_factory(
+        num_osds=8, epochs=48, faults="fail:1@12", endurance="pe:2000", service="rate:2",
+        topology="add:2@8;drain:5@20", redundancy="ec:4+2",
+    ))
+    text = openmetrics_text(metrics)
+    for family in ("fault_failures", "wearouts", "service_lat_p99_epochs",
+                   "reconstruction_chunks", "osd_wear"):
+        assert f"# TYPE edm_{family} " in text
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPOSED_DIGEST
 
 
 # --- live snapshot recorder --------------------------------------------------
@@ -227,7 +244,7 @@ def test_exposition_parses_line_by_line():
     """Every non-comment line is `name{labels} value` with a finite-or-literal
     value -- the shape Prometheus' text parser expects."""
     metrics = simulate(cfg_factory(faults="fail:1@12", endurance="pe:2000"))
-    text = registry_from_metrics(metrics).render()
+    text = openmetrics_text(metrics)
     for line in text.splitlines():
         if line.startswith("#"):
             continue

@@ -250,6 +250,28 @@ def test_plot_cli_keeps_scenarios_apart(tmp_path, capsys):
         assert _marks(figs / f"wear_final_deasna-4osd{sfx}.svg", "rect") == 2 * width
 
 
+def _title(path):
+    return ET.parse(path).getroot().find("{http://www.w3.org/2000/svg}text").text
+
+
+def test_plot_titles_name_the_scenario_specs(tmp_path, capsys):
+    """A scenario's figures name its specs in their titles, not only the
+    digest in their stems; plain figures name none."""
+    ts, figs = tmp_path / "ts", tmp_path / "figs"
+    assert main([
+        "sweep", "--workloads", "deasna", "--osds", "4", "--policies", "baseline,cmt",
+        "--seeds", "1", "--epochs", "16", "--requests", "256", "--topology", "none|add:2@8",
+        "--cache-dir", str(tmp_path / "cache"), "--workers", "1", "--timeseries", str(ts),
+    ]) == 0
+    assert main(["plot", str(ts), "--out-dir", str(figs)]) == 0
+    sfx = scenario_suffix({"topology": "add:2@8"})
+    for stem in ("load_cov_deasna-4osd", "wear_final_deasna-4osd", "migration_cost_4osd"):
+        scenario = _title(figs / f"{stem}{sfx}.svg")
+        assert scenario.endswith(f"{sfx} (topology add:2@8)"), scenario
+        plain = _title(figs / f"{stem}.svg")
+        assert "add:2@8" not in plain and "(" not in plain, plain
+
+
 def test_plot_cli_empty_dir(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["plot", str(tmp_path / "empty")]) == 1

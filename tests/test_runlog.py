@@ -5,7 +5,10 @@ import os
 
 import pytest
 
+from edm.cli import main
 from edm.config import ENGINE_VERSION, config_hash
+from edm.files import append_jsonl
+from edm.obs import runlog
 from edm.obs import RUNLOG_SCHEMA_VERSION, RunLogWriter, read_run_log, validate_record
 from edm.sweep import default_grid, sweep
 
@@ -60,6 +63,24 @@ def test_writer_round_trip(tmp_path):
     assert all(r["sweep_id"] == "abc123" for r in records)
     assert all(r["pid"] == os.getpid() for r in records)
     assert all(validate_record(r) == [] for r in records)
+
+
+def test_emit_all_writes_one_batch_in_one_append(tmp_path, monkeypatch):
+    path = tmp_path / "log.jsonl"
+    w = RunLogWriter(path, sweep_id="s")
+    batches = []
+    monkeypatch.setattr(
+        runlog, "append_jsonl",
+        lambda p, records: batches.append(records) or append_jsonl(p, records),
+    )
+    rows = [{"name": f"s{i}", "ts": 10.0 + i, "dur": 0.5, "tid": 1} for i in range(3)]
+    records = w.emit_all("span", rows, run_id="r", config="c")
+    assert batches == [records]  # one append_jsonl call: one write
+    assert read_run_log(path) == records
+    # Each row keeps its own ts; the batch fields land on every record.
+    assert [r["ts"] for r in records] == [10.0, 11.0, 12.0]
+    assert all(r["run_id"] == "r" and r["config"] == "c" for r in records)
+    assert w.emit_all("span", []) == []
 
 
 def test_emit_rejects_unknown_event(tmp_path):
@@ -189,3 +210,47 @@ def test_cached_metrics_never_contain_timings(tmp_path):
     assert all("timings" not in m for m in traced.iter_results())
     assert list(traced.iter_results()) == plain.records
     assert warm.records == traced.records
+
+
+RUN_FLAGS = dict(
+    workload="deasna", osds="8", policy="cmt", seed="7", epochs="32", requests="512",
+    faults="fail:1@8;slow:2@4x0.5", service="rate:800;queue:64",
+)
+#: Fields that differ between any two runs of one config.
+VOLATILE = {"ts", "pid", "sweep_id", "run_id", "wall_s", "requests_per_sec", "timings"}
+
+
+def stable(records, events=("run_start", "fault", "service", "run_end")):
+    return [
+        {k: v for k, v in r.items() if k not in VOLATILE}
+        for r in records if r["event"] in events
+    ]
+
+
+def test_run_and_sweep_write_the_same_run_records(tmp_path, capsys):
+    """One function brackets every logged run: `edm run --run-log` and a
+    one-config sweep of the same faulted, serviced config write equal
+    run_start, fault, service and run_end records."""
+    run_log, sweep_log = tmp_path / "run.jsonl", tmp_path / "sweep.jsonl"
+    argv = ["run", "--run-log", str(run_log)]
+    for flag, value in RUN_FLAGS.items():
+        argv += [f"--{flag}", value]
+    assert main(argv) == 0
+    capsys.readouterr()
+    (cfg,) = default_grid(
+        workloads=("deasna",), osds=(8,), policies=("cmt",), seeds=(7,),
+        epochs=32, requests_per_epoch=512,
+        faults=(RUN_FLAGS["faults"],), service=(RUN_FLAGS["service"],),
+    )
+    sweep([cfg], cache_dir=None, workers=1, run_log=sweep_log)
+    ran, swept = read_run_log(run_log), read_run_log(sweep_log)
+    assert [r["event"] for r in stable(ran)] == [
+        "run_start", "fault", "fault", "service", "run_end",
+    ]
+    assert stable(ran) == stable(swept)
+    assert ran[0]["config"] == cfg.cache_name()
+    # Every record of the run carries its one run id.
+    assert len({r["run_id"] for r in ran}) == 1
+    # `edm run --run-log` always records spans; the untraced sweep does not.
+    assert any(r["event"] == "span" for r in ran)
+    assert not any(r["event"] == "span" for r in swept)

@@ -1,4 +1,4 @@
-"""Span timeline export: event recording, JSONL round-trip, Perfetto JSON."""
+"""Span timeline export: event recording, run-log span records, Perfetto JSON."""
 
 import json
 import os
@@ -8,15 +8,13 @@ import pytest
 from conftest import cfg_factory
 from edm.cli import main
 from edm.engine.core import simulate
-from edm.obs import Tracer
-from edm.obs.trace_export import (
-    export_chrome_trace,
-    read_span_events,
-    to_chrome_trace,
-    validate_span_event,
-    write_span_events,
-)
+from edm.obs import RUNLOG_SCHEMA_VERSION, RunLogWriter, Tracer, read_run_log, validate_record
+from edm.obs.trace_export import to_chrome_trace
 from edm.sweep import default_grid, sweep
+
+
+def spans(path, strict=True):
+    return [r for r in read_run_log(path, strict) if r["event"] == "span"]
 
 
 def nested_tracer():
@@ -53,45 +51,49 @@ def test_tracer_without_recording_has_no_events():
     assert tr.events() == []
 
 
-# --- JSONL round-trip --------------------------------------------------------
+# --- run-log round-trip ----------------------------------------------------
 
 
 def test_write_read_round_trip(tmp_path):
     path = tmp_path / "spans.jsonl"
-    n = write_span_events(nested_tracer(), path, label="runA")
-    assert n == 3
+    writer = RunLogWriter(path)
+    tracer = nested_tracer()
+    records = writer.emit_all("span", tracer.events(), config="runA")
+    assert len(records) == 3
     # Appends: a second batch lands in the same file.
-    write_span_events(nested_tracer(), path)
-    events = read_span_events(path)
+    writer.emit_all("span", nested_tracer().events())
+    events = spans(path)
     assert len(events) == 6
-    assert all(validate_span_event(e) == [] for e in events)
-    assert {e.get("label") for e in events} == {"runA", None}
-
-
-def test_write_without_recording_is_a_noop(tmp_path):
-    path = tmp_path / "spans.jsonl"
-    assert write_span_events(Tracer(), path) == 0
-    assert not path.exists()
+    assert all(validate_record(e) == [] for e in events)
+    assert {e.get("config") for e in events} == {"runA", None}
+    # Each span's ts is its own start, not the write time.
+    assert [e["ts"] for e in events[:3]] == [e["ts"] for e in tracer.events()]
 
 
 def test_read_strictness(tmp_path):
     path = tmp_path / "spans.jsonl"
-    write_span_events(nested_tracer(), path)
+    RunLogWriter(path).emit_all("span", nested_tracer().events())
     with open(path, "a") as f:
         f.write("{broken\n")
-        f.write(json.dumps({"name": "x", "ts": "late", "dur": 1, "pid": 1, "tid": 1}) + "\n")
+        late = {**spans(path)[0], "ts": "late"}
+        f.write(json.dumps(late) + "\n")
     with pytest.raises(ValueError, match="not JSON"):
-        read_span_events(path)
-    assert len(read_span_events(path, strict=False)) == 3
+        read_run_log(path)
+    assert len(spans(path, strict=False)) == 3
 
 
 def test_validate_span_event():
-    good = {"name": "a", "ts": 1.0, "dur": 0.5, "pid": 1, "tid": 2}
-    assert validate_span_event(good) == []
-    assert validate_span_event("x") == ["record is str, not dict"]
-    assert any("missing" in p for p in validate_span_event({"name": "a"}))
-    assert any("ts" in p for p in validate_span_event({**good, "ts": True}))
-    assert any("pid" in p for p in validate_span_event({**good, "pid": 1.5}))
+    good = {
+        "event": "span", "schema": RUNLOG_SCHEMA_VERSION, "ts": 1.0, "sweep_id": "s",
+        "name": "a", "dur": 0.5, "pid": 1, "tid": 2,
+    }
+    assert validate_record(good) == []
+    assert validate_record("x") == ["record is str, not dict"]
+    assert any("missing" in p for p in validate_record({"event": "span", "name": "a"}))
+    assert any("ts" in p for p in validate_record({**good, "ts": True}))
+    assert any("pid" in p for p in validate_record({**good, "pid": 1.5}))
+    assert any("dur" in p for p in validate_record({**good, "dur": "long"}))
+    assert any("newer" in p for p in validate_record({**good, "schema": RUNLOG_SCHEMA_VERSION + 1}))
 
 
 # --- Chrome trace conversion -------------------------------------------------
@@ -99,8 +101,8 @@ def test_validate_span_event():
 
 def test_to_chrome_trace_shape(tmp_path):
     path = tmp_path / "spans.jsonl"
-    write_span_events(nested_tracer(), path, label="cfgA")
-    trace = to_chrome_trace(read_span_events(path))
+    RunLogWriter(path).emit_all("span", nested_tracer().events(), config="cfgA")
+    trace = to_chrome_trace(spans(path))
     assert set(trace) == {"traceEvents", "displayTimeUnit"}
     xs = [e for e in trace["traceEvents"] if e["ph"] == "X"]
     ms = [e for e in trace["traceEvents"] if e["ph"] == "M"]
@@ -108,7 +110,7 @@ def test_to_chrome_trace_shape(tmp_path):
     for e in xs:
         assert e["cat"] == "edm"
         assert e["ts"] >= 0 and e["dur"] >= 0  # microseconds, rebased
-        assert e["args"]["label"] == "cfgA"
+        assert e["args"]["config"] == "cfgA"
     assert ms[0]["name"] == "process_name"
     # Timestamps are rebased to the earliest event.
     assert min(e["ts"] for e in xs) == 0
@@ -149,36 +151,58 @@ def test_sweep_trace_merges_parent_and_worker_events(tmp_path):
         workloads=("deasna",), osds=(4,), policies=("baseline", "cmt"), seeds=(1,),
         epochs=8, requests_per_epoch=128, chunks_per_osd=8,
     )
-    path = tmp_path / "spans.jsonl"
-    sweep(grid, cache_dir=tmp_path / "c", workers=2, trace_events=path)
-    events = read_span_events(path)
-    labels = {e.get("label") for e in events}
-    assert "sweep" in labels  # parent stages
-    assert {cfg.cache_name() for cfg in grid} <= labels  # one batch per config
+    path = tmp_path / "runs.jsonl"
+    sweep(grid, cache_dir=tmp_path / "c", workers=2, run_log=path, trace=True)
+    events = spans(path)
+    configs = {e.get("config") for e in events}
+    assert None in configs  # parent stages
+    assert {cfg.cache_name() for cfg in grid} <= configs  # one batch per config
     pids = {e["pid"] for e in events}
     assert os.getpid() in pids and len(pids) >= 2  # parent + workers
     names = {e["name"] for e in events}
     assert "sweep.cache_probe" in names
     assert any(n.startswith("simulate.") for n in names)
+    # A run's spans sit inside its run_start / run_end bracket.
+    records = read_run_log(path)
+    for cfg in grid:
+        mine = [r["event"] for r in records if r.get("config") == cfg.cache_name()]
+        assert mine[0] == "run_start" and mine[-1] == "run_end"
+        assert set(mine[1:-1]) == {"span"}
+
+
+def test_sweep_trace_needs_a_run_log(tmp_path):
+    grid = default_grid(workloads=("deasna",), osds=(4,), policies=("cmt",), seeds=(1,))
+    with pytest.raises(ValueError, match="run_log"):
+        sweep(grid, cache_dir=tmp_path / "c", workers=1, trace=True)
+    assert not (tmp_path / "c").exists()
+
+
+def test_cli_sweep_trace_without_run_log_exits_2(tmp_path, capsys):
+    assert main([
+        "sweep", "--workloads", "deasna", "--osds", "4", "--policies", "cmt",
+        "--seeds", "1", "--cache-dir", str(tmp_path / "c"), "--trace",
+    ]) == 2
+    assert "--run-log" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_cli_run_trace_then_export(tmp_path, capsys):
     """Acceptance: the exported JSON is a valid trace_event document with
     ph "X" events matching simulate's span names."""
-    spans = tmp_path / "spans.jsonl"
+    log = tmp_path / "runs.jsonl"
     assert (
         main(
             [
                 "run", "--workload", "deasna", "--osds", "4",
                 "--epochs", "8", "--requests", "128",
-                "--trace", str(spans),
+                "--run-log", str(log),
             ]
         )
         == 0
     )
     metrics = json.loads(capsys.readouterr().out)
     assert "timings" not in metrics  # stdout JSON keeps the untraced shape
-    assert main(["trace", "export", str(spans)]) == 0
+    assert main(["trace", "export", str(log)]) == 0
     out_path = capsys.readouterr().out.strip()
     assert out_path.endswith(".json")
     trace = json.load(open(out_path))
